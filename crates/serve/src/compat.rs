@@ -13,9 +13,7 @@ use crate::exec;
 use crate::query::{ListOptions, PageRequest, Query};
 use crate::response::Response;
 use crate::service::{PinnedSnapshot, TaxonomyService};
-use cnp_taxonomy::persist::PersistError;
 use cnp_taxonomy::{EntityId, FrozenTaxonomy, TaxonomyRead, TaxonomyStore};
-use std::path::Path;
 
 /// A resolved entity sense returned by `men2ent`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,9 +31,10 @@ pub struct EntitySense {
 /// Read-side compatibility facade over a [`TaxonomyService`].
 ///
 /// Generic over the same [`TaxonomyRead`] backends as the service: the
-/// default keeps existing `ProbaseApi` mentions on the owned
-/// [`FrozenTaxonomy`], while `ProbaseApi::from_service` accepts a
-/// view-backed or `AnySnapshot`-backed service unchanged.
+/// default is the owned [`FrozenTaxonomy`] a build freezes in process,
+/// while `ProbaseApi::from_service` accepts a service booted from a
+/// snapshot file (`TaxonomyService::<FrozenTaxonomyView>::boot_from_file`)
+/// unchanged.
 #[derive(Debug)]
 pub struct ProbaseApi<T = FrozenTaxonomy> {
     service: TaxonomyService<T>,
@@ -60,15 +59,6 @@ impl ProbaseApi {
     /// Wraps an already-frozen snapshot.
     pub fn from_frozen(frozen: FrozenTaxonomy) -> Self {
         Self::from_service(TaxonomyService::new(frozen))
-    }
-
-    /// Boots the service from a snapshot file of any format into the
-    /// owned backend: v2 is validate-and-go, v1 loads the build store and
-    /// pays one freeze here, v3 decodes into owned CSR.
-    pub fn from_snapshot_file(path: &Path) -> Result<Self, PersistError> {
-        Ok(Self::from_service(TaxonomyService::from_snapshot_file(
-            path,
-        )?))
     }
 }
 

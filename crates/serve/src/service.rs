@@ -6,7 +6,7 @@ use crate::query::Query;
 use crate::response::QueryResponse;
 use cnp_runtime::Runtime;
 use cnp_tag::TagIndex;
-use cnp_taxonomy::persist::{PersistError, Snapshot};
+use cnp_taxonomy::persist::PersistError;
 use cnp_taxonomy::{
     BootSnapshot, DeltaOverlay, FrozenTaxonomy, IngestDelta, TaxonomyRead, TaxonomyStore,
 };
@@ -48,10 +48,10 @@ impl<T> Generation<T> {
 /// last pin drops, which is exactly the hot-swap draining rule — in-flight
 /// work finishes on the generation it pinned.
 ///
-/// The backend `T` is any [`TaxonomyRead`] — the owned [`FrozenTaxonomy`],
-/// the borrowed `FrozenTaxonomyView`, or the version-dispatching
-/// `AnySnapshot`. The default keeps existing `PinnedSnapshot` mentions
-/// compiling unchanged.
+/// The backend `T` is any [`TaxonomyRead`] — the owned [`FrozenTaxonomy`]
+/// a build freezes in process (the default), the borrowed
+/// `FrozenTaxonomyView` over a snapshot file's bytes, or an `OverlayView`
+/// over either.
 #[derive(Debug, Clone)]
 pub struct PinnedSnapshot<T = FrozenTaxonomy> {
     inner: Arc<Generation<T>>,
@@ -99,10 +99,12 @@ impl<T: TaxonomyRead> PinnedSnapshot<T> {
 /// [`QueryResponse`] carries the generation it answered from.
 ///
 /// The backend is generic over [`TaxonomyRead`]: the same service type
-/// serves from the owned [`FrozenTaxonomy`] (the default, so existing
-/// `TaxonomyService` mentions compile unchanged), from the zero-copy
-/// `FrozenTaxonomyView` over a v3 snapshot buffer, or from `AnySnapshot`
-/// when the format is decided at boot time.
+/// serves in process from the owned [`FrozenTaxonomy`] (the default —
+/// `cnp_eval` and the paper-figure benches freeze and serve without
+/// touching a disk), from the zero-copy `FrozenTaxonomyView` over a
+/// snapshot file ([`TaxonomyService::boot_from_file`]), or from an
+/// `OverlayView` over either when the service takes writes — `cnp_server`
+/// serves `OverlayView<FrozenTaxonomyView>`.
 ///
 /// ```
 /// use cnp_serve::{Query, Response, TaxonomyService};
@@ -147,7 +149,7 @@ impl<T: TaxonomyRead> TaxonomyService<T> {
             // cnp-lint: allow(runtime-owns-concurrency) reason="the hot-swap generation pointer: read-locked for one Arc clone per query, write-locked only by swap(); no compute happens under it"
             current: RwLock::new(Arc::new(Generation::new(1, snapshot))),
             runtime,
-            // cnp-lint: allow(runtime-owns-concurrency) reason="admin-plane serialisation only: ingest holds it across pin→fold→swap so concurrent ingests cannot fold from the same parent generation and lose a delta; never touched on the query path"
+            // cnp-lint: allow(runtime-owns-concurrency) reason="admin-plane serialisation only: ingest holds it across pin→fold→swap so concurrent ingests cannot fold from the same parent generation and lose a delta, and reload takes it around its swap so it cannot land inside that window; never touched on the query path"
             admin: Mutex::new(()),
         }
     }
@@ -257,7 +259,7 @@ impl<T: TaxonomyRead + IngestDelta> TaxonomyService<T> {
     }
 
     /// Overlay segments accumulated on the serving snapshot (0 for a
-    /// fully compacted base — or a backend that materialises on ingest).
+    /// fully compacted base).
     pub fn overlay_depth(&self) -> usize {
         self.pin().frozen().overlay_depth()
     }
@@ -279,11 +281,9 @@ impl<T: TaxonomyRead + IngestDelta> TaxonomyService<T> {
 }
 
 impl<T: TaxonomyRead + BootSnapshot> TaxonomyService<T> {
-    /// Boots generation 1 from a snapshot file, decoding it as `T` boots:
-    /// `FrozenTaxonomy` accepts any version (paying a freeze for v1 and a
-    /// full decode for v3), `FrozenTaxonomyView` accepts v3 only and
-    /// opens it zero-copy, `AnySnapshot` picks the cheapest backend for
-    /// whatever version is on disk.
+    /// Boots generation 1 from a snapshot file, as `T` boots it:
+    /// `FrozenTaxonomyView` opens the file's bytes in place, an
+    /// `OverlayView` wraps that with an empty overlay.
     pub fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
         Ok(Self::new(T::boot_from_file(path)?))
     }
@@ -292,8 +292,15 @@ impl<T: TaxonomyRead + BootSnapshot> TaxonomyService<T> {
     /// *without holding any lock* — traffic keeps flowing on the old
     /// generation for the whole load — then swaps it in. Returns the new
     /// generation number; on error the service keeps serving unchanged.
+    ///
+    /// The swap itself waits for an ingest that is between its pin and
+    /// its swap: that ingest folds over the generation it pinned, so a
+    /// reload landing inside the window would be acknowledged and then
+    /// overwritten by `old base + delta`. Serialised on the admin mutex,
+    /// the file is the new truth for every generation after this one.
     pub fn reload(&self, path: &Path) -> Result<u64, PersistError> {
         let snapshot = T::boot_from_file(path)?;
+        let _admin = self.admin.lock();
         Ok(self.swap(snapshot))
     }
 }
@@ -303,13 +310,6 @@ impl TaxonomyService {
     pub fn from_store(store: TaxonomyStore) -> Self {
         Self::new(FrozenTaxonomy::freeze(&store))
     }
-
-    /// Boots from a snapshot file of any format into the owned backend
-    /// (v2 is validate-and-go; v1 loads the build store and pays one
-    /// freeze here; v3 decodes the varint sections into owned CSR).
-    pub fn from_snapshot_file(path: &Path) -> Result<Self, PersistError> {
-        Ok(Self::new(Snapshot::load_from_file(path)?.into_frozen()?))
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +317,7 @@ mod tests {
     use super::*;
     use crate::query::ListOptions;
     use crate::response::{QueryError, Response};
-    use cnp_taxonomy::{AnySnapshot, FrozenTaxonomyView, IsAMeta, OverlayView, Source};
+    use cnp_taxonomy::{FrozenTaxonomyView, IsAMeta, OverlayView, Source};
 
     fn store_a() -> TaxonomyStore {
         let mut s = TaxonomyStore::new();
@@ -340,6 +340,16 @@ mod tests {
     fn view_of(store: &TaxonomyStore) -> FrozenTaxonomyView {
         let bytes = cnp_taxonomy::persist::encode_frozen_v3(&FrozenTaxonomy::freeze(store));
         FrozenTaxonomyView::open(bytes).unwrap()
+    }
+
+    /// `store`'s snapshot file, under a name no other test uses.
+    fn snapshot_file(store: &TaxonomyStore, name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("cnp_serve_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        cnp_taxonomy::persist::save_frozen_v3_to_file(&FrozenTaxonomy::freeze(store), &path)
+            .unwrap();
+        path
     }
 
     #[test]
@@ -405,7 +415,7 @@ mod tests {
         let store = store_b();
         let owned = TaxonomyService::from_store(store.clone());
         let view = TaxonomyService::new(view_of(&store));
-        let any = TaxonomyService::new(AnySnapshot::View(view_of(&store)));
+        let serving = TaxonomyService::new(OverlayView::new(view_of(&store)));
         let queries = [
             Query::men2ent("张学友"),
             Query::men2ent("无此人"),
@@ -417,7 +427,7 @@ mod tests {
         for q in &queries {
             let a = owned.execute(q);
             let b = view.execute(q);
-            let c = any.execute(q);
+            let c = serving.execute(q);
             assert_eq!(a.result, b.result, "query {q:?}");
             assert_eq!(a.result, c.result, "query {q:?}");
         }
@@ -425,11 +435,7 @@ mod tests {
 
     #[test]
     fn view_backed_service_hot_swaps_and_reloads() {
-        let dir = std::env::temp_dir().join("cnp_serve_view_reload_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("b_v3.cnpb");
-        cnp_taxonomy::persist::save_frozen_v3_to_file(&FrozenTaxonomy::freeze(&store_b()), &path)
-            .unwrap();
+        let path = snapshot_file(&store_b(), "view_reload.cnpb");
         let service: TaxonomyService<FrozenTaxonomyView> =
             TaxonomyService::new(view_of(&store_a()));
         assert!(service.execute(&Query::men2ent("张学友")).result.is_err());
@@ -442,27 +448,53 @@ mod tests {
 
     #[test]
     fn reload_errors_keep_serving_unchanged() {
-        let service = TaxonomyService::from_store(store_a());
+        let service = TaxonomyService::new(view_of(&store_a()));
         let err = service.reload(Path::new("/nonexistent/snapshot.cnpb"));
         assert!(err.is_err());
         assert_eq!(service.generation(), 1);
         assert!(service.execute(&Query::men2ent("刘德华")).result.is_ok());
     }
 
+    /// The file is the new truth: a reload of the serving type drops the
+    /// overlays ingested since boot along with the old base.
     #[test]
     fn reload_swaps_from_disk() {
-        let dir = std::env::temp_dir().join("cnp_serve_reload_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("b.cnpb");
-        FrozenTaxonomy::freeze(&store_b())
-            .save_to_file(&path)
-            .unwrap();
-        let service = TaxonomyService::from_store(store_a());
-        assert_eq!(service.reload(&path).unwrap(), 2);
+        let path = snapshot_file(&store_a(), "overlay_reload.cnpb");
+        let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));
+        service.ingest(&sample_delta()).unwrap();
+        assert!(service.execute(&Query::men2ent("张学友")).result.is_ok());
+        assert_eq!(service.reload(&path).unwrap(), 3);
         std::fs::remove_file(&path).ok();
+        assert_eq!(service.overlay_depth(), 0);
         let r = service.execute(&Query::men2ent("张学友"));
-        assert_eq!(r.generation, 2);
-        assert!(r.result.is_ok());
+        assert_eq!(r.generation, 3);
+        assert!(r.result.is_err());
+    }
+
+    /// Regression: `reload` used to swap without the admin lock, so one
+    /// that landed between an ingest's pin and its swap was acknowledged
+    /// as generation N+1 and then overwritten by `old base + delta` at
+    /// N+2. The test stands in for that ingest by holding the lock.
+    #[test]
+    fn reload_waits_for_an_ingest_in_its_pin_to_swap_window() {
+        let path = snapshot_file(&store_b(), "reload_vs_ingest.cnpb");
+        let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));
+        let (service, path) = (&service, &path);
+        std::thread::scope(|scope| {
+            let admin = service.admin.lock();
+            let (done, reloaded) = std::sync::mpsc::channel();
+            scope.spawn(move || done.send(service.reload(path)));
+            // A correct reload cannot finish while the lock is held, so
+            // this wait always runs out; an unserialised one is done in
+            // a fraction of it.
+            let early = reloaded.recv_timeout(std::time::Duration::from_millis(200));
+            assert!(early.is_err(), "reload swapped inside the window");
+            assert_eq!(service.generation(), 1);
+            drop(admin);
+            assert_eq!(reloaded.recv().unwrap().unwrap(), 2);
+        });
+        std::fs::remove_file(path).ok();
+        assert!(service.execute(&Query::men2ent("张学友")).result.is_ok());
     }
 
     #[test]
@@ -471,8 +503,7 @@ mod tests {
         assert_send_sync::<TaxonomyService>();
         assert_send_sync::<PinnedSnapshot>();
         assert_send_sync::<TaxonomyService<FrozenTaxonomyView>>();
-        assert_send_sync::<TaxonomyService<AnySnapshot>>();
-        assert_send_sync::<TaxonomyService<OverlayView<AnySnapshot>>>();
+        assert_send_sync::<TaxonomyService<OverlayView<FrozenTaxonomyView>>>();
     }
 
     fn sample_delta() -> DeltaOverlay {

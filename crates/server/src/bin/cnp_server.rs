@@ -7,20 +7,18 @@
 //!            [--compact-threshold N]
 //! ```
 //!
-//! Prints `cnp_server listening on <addr> (generation N, <mode>
-//! snapshot)` once the listener is bound — harness scripts wait for that
-//! line — then blocks until the process is killed. The mode says how the
-//! snapshot serves: `owned` (v1/v2, materialised) or `view` (v3,
-//! zero-copy off the loaded buffer).
+//! Prints `cnp_server listening on <addr> (generation N, view snapshot)`
+//! once the listener is bound — harness scripts wait for that line — then
+//! blocks until the process is killed. The snapshot is the one format
+//! `PipelineOutcome::save_view` writes, served zero-copy off the loaded
+//! buffer; any other file fails the boot with the reason.
 //!
 //! The snapshot serves behind a [`cnp_taxonomy::OverlayView`], so
 //! `POST /admin/ingest` can apply binary delta sidecars without a
 //! restart; once `--compact-threshold` deltas are stacked (default 4,
 //! `0` disables) a background fold rebuilds the base.
 
-use cnp_serve::TaxonomyService;
-use cnp_server::{serve, ServerConfig};
-use cnp_taxonomy::{AnySnapshot, OverlayView};
+use cnp_server::{serve, ServerConfig, Service};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -75,15 +73,12 @@ fn main() -> ExitCode {
         return fail("--snapshot is required");
     };
 
-    // `AnySnapshot` boots whatever format the file holds: v1/v2
-    // materialise to the owned snapshot, v3 serves zero-copy from the
-    // loaded buffer. The overlay wrapper starts empty and only grows
-    // when `/admin/ingest` applies deltas.
-    let service = match TaxonomyService::<OverlayView<AnySnapshot>>::boot_from_file(&snapshot) {
+    // The overlay wrapper starts empty and only grows when
+    // `/admin/ingest` applies deltas.
+    let service = match Service::boot_from_file(&snapshot) {
         Ok(service) => Arc::new(service),
         Err(e) => return fail(&format!("cannot load snapshot {}: {e}", snapshot.display())),
     };
-    let mode = service.pin().frozen().base().mode();
     config.snapshot_path = Some(snapshot);
 
     let handle = match serve(service, config) {
@@ -91,7 +86,7 @@ fn main() -> ExitCode {
         Err(e) => return fail(&format!("cannot bind: {e}")),
     };
     println!(
-        "cnp_server listening on {} (generation {}, {mode} snapshot)",
+        "cnp_server listening on {} (generation {}, view snapshot)",
         handle.addr(),
         handle.service().generation()
     );

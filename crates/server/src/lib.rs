@@ -38,15 +38,15 @@
 //! | POST   | `/v1/tag`       | tag/classify one document against the taxonomy |
 //! | POST   | `/v1/batch`     | up to [`MAX_BATCH`] queries, one snapshot |
 //! | POST   | `/admin/reload` | re-read the boot snapshot, swap atomically|
+//! | POST   | `/admin/ingest` | apply one binary delta sidecar (`CNPD`)   |
 //!
 //! # Quick start
 //!
 //! ```no_run
-//! use cnp_serve::{Query, TaxonomyService};
-//! use cnp_server::{serve, ServerConfig};
+//! use cnp_server::{serve, ServerConfig, Service};
 //! use std::sync::Arc;
 //!
-//! let service = Arc::new(TaxonomyService::from_snapshot_file(
+//! let service = Arc::new(Service::boot_from_file(
 //!     std::path::Path::new("/tmp/cnp.snapshot"),
 //! )?);
 //! let handle = serve(service, ServerConfig::default())?;
@@ -65,5 +65,5 @@ pub mod server;
 pub mod stats;
 
 pub use load::{LoadConfig, LoadCounts, LoadReport, ProbeVocab};
-pub use server::{serve, ServerConfig, ServerHandle, MAX_BATCH};
+pub use server::{serve, ServerConfig, ServerHandle, Service, MAX_BATCH};
 pub use stats::{QueryKind, ServerStats, StatsSnapshot};

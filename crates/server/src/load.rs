@@ -12,7 +12,9 @@
 use crate::http;
 use cnp_serve::json::Json;
 use cnp_serve::{wire, ListOptions, PageRequest, Query, TagOptions};
-use cnp_taxonomy::{DeltaOverlay, FrozenTaxonomy, IsAMeta, PersistError, Snapshot, Source};
+use cnp_taxonomy::{
+    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, PersistError, Source,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufReader, BufWriter};
@@ -82,10 +84,10 @@ impl ProbeVocab {
         }
     }
 
-    /// [`ProbeVocab::from_frozen`] on a snapshot file of any format.
+    /// [`ProbeVocab::from_frozen`] on a snapshot file.
     pub fn from_snapshot_file(path: &Path) -> Result<ProbeVocab, PersistError> {
         Ok(Self::from_frozen(
-            &Snapshot::load_from_file(path)?.into_frozen()?,
+            &FrozenTaxonomyView::load_from_file(path)?.to_frozen()?,
         ))
     }
 

@@ -11,12 +11,11 @@
 //!    control]).
 //! 2. A worker pops the connection and serves its keep-alive request
 //!    loop: parse (hard size caps, typed 400/413/405 on hostile input),
-//!    route, execute on the [`TaxonomyService`], write the JSON response.
+//!    route, execute on the [`Service`], write the JSON response.
 //! 3. Snapshot reloads (`POST /admin/reload`) go through the service's
 //!    generation hot-swap: the load happens on the worker, **no lock is
-//!    held**, in-flight queries drain on the generation they pinned, and
-//!    every response carries its generation — the drain-on-reload story
-//!    is the one PR 5 built, now reachable over the wire.
+//!    held against readers**, in-flight queries drain on the generation
+//!    they pinned, and every response carries its generation.
 //! 4. [`ServerHandle::shutdown`] closes the queue (admitted connections
 //!    still drain), unblocks the accept loop, and joins every thread.
 //!
@@ -27,7 +26,7 @@ use crate::stats::{QueryKind, ServerStats};
 use cnp_runtime::{BoundedQueue, PushError, WorkerPool};
 use cnp_serve::json::Json;
 use cnp_serve::{wire, Query, TaxonomyService};
-use cnp_taxonomy::{BootSnapshot, DeltaOverlay, FrozenTaxonomy, IngestDelta, TaxonomyRead};
+use cnp_taxonomy::{DeltaOverlay, FrozenTaxonomyView, OverlayView};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -38,6 +37,11 @@ use std::time::Duration;
 
 /// Upper bound on queries per `/v1/batch` request.
 pub const MAX_BATCH: usize = 1024;
+
+/// The one service type on the wire: a snapshot file's bytes answered in
+/// place, under an overlay that takes `/admin/ingest` deltas and starts
+/// empty. Boot it with [`TaxonomyService::boot_from_file`].
+pub type Service = TaxonomyService<OverlayView<FrozenTaxonomyView>>;
 
 /// Tuning knobs for [`serve`].
 #[derive(Debug, Clone)]
@@ -80,8 +84,8 @@ impl Default for ServerConfig {
     }
 }
 
-struct Shared<T> {
-    service: Arc<TaxonomyService<T>>,
+struct Shared {
+    service: Arc<Service>,
     stats: ServerStats,
     shutdown: AtomicBool,
     config: ServerConfig,
@@ -96,19 +100,15 @@ struct Shared<T> {
 /// [`ServerHandle::shutdown`] for an explicit graceful stop or
 /// [`ServerHandle::wait`] to park the calling thread (the `cnp_server`
 /// binary does).
-///
-/// `T` is the snapshot backend the service answers from — the owned
-/// [`FrozenTaxonomy`] default, the borrowed `FrozenTaxonomyView`, or
-/// `AnySnapshot` for whatever format the snapshot file holds.
-pub struct ServerHandle<T = FrozenTaxonomy> {
+pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared<T>>,
+    shared: Arc<Shared>,
     queue: Arc<BoundedQueue<TcpStream>>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl<T> std::fmt::Debug for ServerHandle<T> {
+impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
@@ -117,7 +117,7 @@ impl<T> std::fmt::Debug for ServerHandle<T> {
     }
 }
 
-impl<T> ServerHandle<T> {
+impl ServerHandle {
     /// The bound address (resolves port `0` to the actual ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -130,7 +130,7 @@ impl<T> ServerHandle<T> {
 
     /// The service behind the wire — the embedding process can keep
     /// executing in-process queries and hot-swaps on it.
-    pub fn service(&self) -> &Arc<TaxonomyService<T>> {
+    pub fn service(&self) -> &Arc<Service> {
         &self.shared.service
     }
 
@@ -168,7 +168,7 @@ impl<T> ServerHandle<T> {
     }
 }
 
-impl<T> Drop for ServerHandle<T> {
+impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.begin_shutdown();
         if let Some(accept) = self.accept.take() {
@@ -180,19 +180,7 @@ impl<T> Drop for ServerHandle<T> {
 
 /// Binds `config.addr` and serves `service` until the returned handle is
 /// shut down or dropped.
-///
-/// Generic over the snapshot backend: a service holding the owned
-/// `FrozenTaxonomy`, the borrowed `FrozenTaxonomyView`, the
-/// version-dispatching `AnySnapshot`, or an `OverlayView` over any of
-/// them all go on the wire unchanged. `BootSnapshot` is required because
-/// `/admin/reload` rebuilds a snapshot of the same representation from
-/// the configured file; `IngestDelta` because `/admin/ingest` applies
-/// delta overlays (every snapshot backend implements it — overlay views
-/// fold cheaply, plain snapshots materialise).
-pub fn serve<T: TaxonomyRead + BootSnapshot + IngestDelta + 'static>(
-    service: Arc<TaxonomyService<T>>,
-    config: ServerConfig,
-) -> std::io::Result<ServerHandle<T>> {
+pub fn serve(service: Arc<Service>, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(config.queue_capacity));
@@ -274,7 +262,7 @@ fn abandon_workers(queue: &BoundedQueue<TcpStream>, workers: Vec<std::thread::Jo
 
 /// Admission control's refusal path: a canned `429` written on the accept
 /// thread (never blocks on a worker), then close.
-fn refuse_overloaded<T>(stream: TcpStream, shared: &Shared<T>) {
+fn refuse_overloaded(stream: TcpStream, shared: &Shared) {
     shared.stats.refused();
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut writer = BufWriter::new(stream);
@@ -294,10 +282,7 @@ fn error_body(kind: &str, detail: &str) -> String {
 }
 
 /// One worker's whole tenure on one connection: the keep-alive loop.
-fn handle_connection<T: TaxonomyRead + BootSnapshot + IngestDelta + 'static>(
-    stream: TcpStream,
-    shared: &Shared<T>,
-) {
+fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
@@ -350,10 +335,7 @@ fn handle_connection<T: TaxonomyRead + BootSnapshot + IngestDelta + 'static>(
 }
 
 /// Maps one parsed request to `(status, JSON body)`.
-fn route<T: TaxonomyRead + BootSnapshot + IngestDelta + 'static>(
-    request: &Request,
-    shared: &Shared<T>,
-) -> (u16, String) {
+fn route(request: &Request, shared: &Shared) -> (u16, String) {
     match (request.method.as_str(), request.target.as_str()) {
         ("GET", "/v1/health") => health(shared),
         ("POST", "/v1/query") => query(&request.body, shared),
@@ -370,7 +352,7 @@ fn route<T: TaxonomyRead + BootSnapshot + IngestDelta + 'static>(
     }
 }
 
-fn health<T: TaxonomyRead>(shared: &Shared<T>) -> (u16, String) {
+fn health(shared: &Shared) -> (u16, String) {
     let stats = shared.stats.snapshot();
     let body = Json::Obj(vec![
         ("status".to_string(), Json::str("ok")),
@@ -413,7 +395,7 @@ fn parse_body(body: &[u8]) -> Result<Json, String> {
     Json::parse(text).map_err(|e| e.to_string())
 }
 
-fn query<T: TaxonomyRead>(body: &[u8], shared: &Shared<T>) -> (u16, String) {
+fn query(body: &[u8], shared: &Shared) -> (u16, String) {
     let query: Query = match parse_body(body)
         .and_then(|doc| wire::decode_query(&doc).map_err(|e| e.to_string()))
     {
@@ -433,7 +415,7 @@ fn query<T: TaxonomyRead>(body: &[u8], shared: &Shared<T>) -> (u16, String) {
 /// the tag query without the `op` envelope (`{"text":…,"options":…}`,
 /// with `"op":"classify"` selecting the concepts-only variant); the
 /// response is the same generation-stamped envelope `/v1/query` writes.
-fn tag<T: TaxonomyRead>(body: &[u8], shared: &Shared<T>) -> (u16, String) {
+fn tag(body: &[u8], shared: &Shared) -> (u16, String) {
     let query: Query = match parse_body(body)
         .and_then(|doc| wire::decode_tag_query(&doc).map_err(|e| e.to_string()))
     {
@@ -446,7 +428,7 @@ fn tag<T: TaxonomyRead>(body: &[u8], shared: &Shared<T>) -> (u16, String) {
     (status, wire::encode_response(&response).write())
 }
 
-fn batch<T: TaxonomyRead>(body: &[u8], shared: &Shared<T>) -> (u16, String) {
+fn batch(body: &[u8], shared: &Shared) -> (u16, String) {
     let doc = match parse_body(body) {
         Ok(doc) => doc,
         Err(detail) => return (400, error_body("badRequest", &detail)),
@@ -485,10 +467,11 @@ fn batch<T: TaxonomyRead>(body: &[u8], shared: &Shared<T>) -> (u16, String) {
 
 /// `POST /admin/reload`: re-read the configured snapshot file and hot-swap
 /// it in. The load and validation run right here on the worker — no lock
-/// held, traffic keeps flowing on the old generation — and the swap is
-/// the single pointer store from PR 5; in-flight queries drain on the
-/// generation they pinned.
-fn reload<T: TaxonomyRead + BootSnapshot>(shared: &Shared<T>) -> (u16, String) {
+/// held, traffic keeps flowing on the old generation — and the swap is a
+/// single pointer store; in-flight queries drain on the generation they
+/// pinned. A file that does not open (an old format, a torn write) is a
+/// `500 reloadFailed` and the old generation keeps serving.
+fn reload(shared: &Shared) -> (u16, String) {
     let Some(path) = &shared.config.snapshot_path else {
         return (
             404,
@@ -514,10 +497,7 @@ fn reload<T: TaxonomyRead + BootSnapshot>(shared: &Shared<T>) -> (u16, String) {
 /// pinned, so clients see either generation N or N+1, never a torn
 /// merge. Once the overlay depth crosses the configured threshold, a
 /// background compaction is scheduled (see [`maybe_compact`]).
-fn ingest<T: TaxonomyRead + IngestDelta + 'static>(
-    body: &[u8],
-    shared: &Shared<T>,
-) -> (u16, String) {
+fn ingest(body: &[u8], shared: &Shared) -> (u16, String) {
     let delta = match DeltaOverlay::decode(body) {
         Ok(delta) => delta,
         Err(e) => return (400, error_body("badDelta", &e.to_string())),
@@ -546,7 +526,7 @@ fn ingest<T: TaxonomyRead + IngestDelta + 'static>(
 /// ([`TaxonomyService::swap_if_current`]): if more deltas arrive while it
 /// runs, the stale fold is discarded and the next ingest reschedules. A
 /// full compactor queue means a fold is already pending — nothing to do.
-fn maybe_compact<T: TaxonomyRead + IngestDelta + 'static>(shared: &Shared<T>) {
+fn maybe_compact(shared: &Shared) {
     let threshold = shared.config.compact_threshold;
     if threshold == 0 || shared.service.overlay_depth() < threshold {
         return;

@@ -3,11 +3,12 @@
 //! and a live snapshot hot-swap under concurrent traffic.
 
 use cnp_serve::json::Json;
-use cnp_serve::{
-    wire, ListOptions, PageRequest, Query, QueryError, Response, TagOptions, TaxonomyService,
+use cnp_serve::{wire, ListOptions, PageRequest, Query, QueryError, Response, TagOptions};
+use cnp_server::{http, load, serve, LoadConfig, ProbeVocab, ServerConfig, ServerHandle, Service};
+use cnp_taxonomy::persist::{encode_frozen_v3, save_frozen_v3_to_file};
+use cnp_taxonomy::{
+    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, OverlayView, Source, TaxonomyStore,
 };
-use cnp_server::{http, load, serve, LoadConfig, ProbeVocab, ServerConfig, ServerHandle};
-use cnp_taxonomy::{DeltaOverlay, FrozenTaxonomy, IsAMeta, OverlayView, Source, TaxonomyStore};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -35,15 +36,30 @@ fn store_b() -> TaxonomyStore {
     s
 }
 
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("cnp_wire_{}_{name}.cnpb", std::process::id()))
+}
+
 fn snapshot_file(name: &str, store: &TaxonomyStore) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("cnp_wire_{}_{name}.cnpb", std::process::id()));
-    FrozenTaxonomy::freeze(store).save_to_file(&path).unwrap();
+    let path = temp_path(name);
+    save_frozen_v3_to_file(&FrozenTaxonomy::freeze(store), &path).unwrap();
     path
 }
 
+/// What an old release wrote: the v2 header, then a body this build has
+/// no reader for.
+fn old_format_file(name: &str) -> PathBuf {
+    let path = temp_path(name);
+    std::fs::write(&path, b"CNPB\x02\x00\x00\x00INTR and an owned-CSR body").unwrap();
+    path
+}
+
+/// Serves what the binary serves: the store's snapshot bytes, opened in
+/// place, under an empty overlay.
 fn boot(store: TaxonomyStore, config: ServerConfig) -> ServerHandle {
-    let service = Arc::new(TaxonomyService::from_store(store));
-    serve(service, config).unwrap()
+    let bytes = encode_frozen_v3(&FrozenTaxonomy::freeze(&store));
+    let view = FrozenTaxonomyView::open(bytes).unwrap();
+    serve(Arc::new(Service::new(OverlayView::new(view))), config).unwrap()
 }
 
 /// One request/response on a fresh connection.
@@ -77,6 +93,60 @@ fn post_query(addr: SocketAddr, query: &Query) -> (u16, Json) {
     )
 }
 
+/// Eight clients, one persistent keep-alive connection each, hammering
+/// `men2ent` until `stop`: half probe 张学友 — who exists exactly from
+/// generation 2 on, whether a reload or an ingest brought him — half the
+/// stable 刘德华. Every answer must match the generation that served it;
+/// each client returns the generations it observed, in order.
+fn spawn_clients(
+    addr: SocketAddr,
+    stop: &Arc<AtomicBool>,
+) -> Vec<std::thread::JoinHandle<Vec<u64>>> {
+    (0..8)
+        .map(|i| {
+            let stop = Arc::clone(stop);
+            #[allow(clippy::disallowed_methods)]
+            // raw client threads: these tests attack the server from outside the runtime
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = BufWriter::new(stream);
+                let mut observed = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    let mention = if i % 2 == 0 { "张学友" } else { "刘德华" };
+                    let body = wire::encode_query(&Query::men2ent(mention)).write();
+                    http::write_request(
+                        &mut writer,
+                        "POST",
+                        "/v1/query",
+                        Some(body.as_bytes()),
+                        true,
+                    )
+                    .unwrap();
+                    let raw = http::read_client_response(&mut reader, http::MAX_BODY_BYTES)
+                        .unwrap()
+                        .expect("server closed a keep-alive connection");
+                    let doc = Json::parse(std::str::from_utf8(&raw.body).unwrap()).unwrap();
+                    let response = wire::decode_response(&doc).unwrap();
+                    match (mention, response.generation, &response.result) {
+                        ("刘德华", _, Ok(Response::Senses(_))) => {}
+                        ("张学友", 1, Err(QueryError::UnknownMention(_))) => {
+                            assert_eq!(raw.status, 404);
+                        }
+                        ("张学友", g, Ok(Response::Senses(_))) if g >= 2 => {}
+                        other => panic!("generation-inconsistent answer: {other:?}"),
+                    }
+                    observed.push(response.generation);
+                }
+                observed
+            })
+        })
+        .collect()
+}
+
 #[test]
 fn mixed_traffic_stays_generation_consistent_across_live_reload() {
     let path = snapshot_file("reload", &store_a());
@@ -94,61 +164,12 @@ fn mixed_traffic_stays_generation_consistent_across_live_reload() {
     let addr = handle.addr();
 
     let stop = Arc::new(AtomicBool::new(false));
-    let clients: Vec<_> = (0..8)
-        .map(|i| {
-            let stop = Arc::clone(&stop);
-            #[allow(clippy::disallowed_methods)]
-            // raw client threads: this test attacks the server from outside the runtime
-            std::thread::spawn(move || {
-                // One persistent keep-alive connection per client thread.
-                let stream = TcpStream::connect(addr).unwrap();
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(10)))
-                    .unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut writer = BufWriter::new(stream);
-                let mut observed = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
-                    // Mixed traffic: half the threads probe the entity that
-                    // only exists from generation 2, half a stable one.
-                    let mention = if i % 2 == 0 { "张学友" } else { "刘德华" };
-                    let body = wire::encode_query(&Query::men2ent(mention)).write();
-                    http::write_request(
-                        &mut writer,
-                        "POST",
-                        "/v1/query",
-                        Some(body.as_bytes()),
-                        true,
-                    )
-                    .unwrap();
-                    let raw = http::read_client_response(&mut reader, http::MAX_BODY_BYTES)
-                        .unwrap()
-                        .expect("server closed a keep-alive connection");
-                    let status = raw.status;
-                    let doc = Json::parse(std::str::from_utf8(&raw.body).unwrap()).unwrap();
-                    let response = wire::decode_response(&doc).unwrap();
-                    // The answer must match the generation that served it.
-                    match (mention, response.generation, &response.result) {
-                        ("刘德华", _, Ok(Response::Senses(_))) => {}
-                        ("张学友", 1, Err(QueryError::UnknownMention(_))) => {
-                            assert_eq!(status, 404);
-                        }
-                        ("张学友", g, Ok(Response::Senses(_))) if g >= 2 => {}
-                        other => panic!("generation-inconsistent answer: {other:?}"),
-                    }
-                    observed.push(response.generation);
-                }
-                observed
-            })
-        })
-        .collect();
+    let clients = spawn_clients(addr, &stop);
 
     // Let traffic flow on generation 1, then swap the snapshot file and
     // reload over the wire, mid-flight.
     std::thread::sleep(Duration::from_millis(100));
-    FrozenTaxonomy::freeze(&store_b())
-        .save_to_file(&path)
-        .unwrap();
+    save_frozen_v3_to_file(&FrozenTaxonomy::freeze(&store_b()), &path).unwrap();
     let (status, doc) = exchange(addr, "POST", "/admin/reload", "");
     assert_eq!(status, 200, "reload: {}", doc.write());
     assert_eq!(doc.get("generation").and_then(Json::as_u64), Some(2));
@@ -172,6 +193,57 @@ fn mixed_traffic_stays_generation_consistent_across_live_reload() {
     handle.shutdown();
 }
 
+/// A reload pointed at a file this build cannot read — here one in the
+/// format an earlier release wrote — is refused with the reason, and the
+/// generation that was serving keeps serving.
+#[test]
+fn reload_at_an_old_format_file_is_refused_and_the_old_generation_keeps_serving() {
+    let path = old_format_file("reload_old");
+    let handle = boot(
+        store_a(),
+        ServerConfig {
+            snapshot_path: Some(path.clone()),
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+
+    let (status, doc) = exchange(addr, "POST", "/admin/reload", "");
+    assert_eq!(status, 500, "reload: {}", doc.write());
+    let error = doc.get("error").expect("typed error body");
+    assert_eq!(
+        error.get("kind").and_then(Json::as_str),
+        Some("reloadFailed")
+    );
+    let detail = error.get("detail").and_then(Json::as_str).unwrap();
+    assert!(detail.contains("v2 is no longer readable"), "{detail}");
+    assert!(detail.contains("PipelineOutcome::save_view"), "{detail}");
+
+    assert_eq!(handle.service().generation(), 1);
+    let (status, doc) = post_query(addr, &Query::men2ent("刘德华"));
+    assert_eq!(status, 200);
+    assert_eq!(wire::decode_response(&doc).unwrap().generation, 1);
+    std::fs::remove_file(&path).ok();
+    handle.shutdown();
+}
+
+/// The same file at boot: the binary exits non-zero and says why.
+#[test]
+fn the_binary_refuses_to_boot_an_old_format_file() {
+    let path = old_format_file("boot_old");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_cnp_server"))
+        .arg("--snapshot")
+        .arg(&path)
+        .output()
+        .expect("run cnp_server");
+    std::fs::remove_file(&path).ok();
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("cannot load snapshot"), "{stderr}");
+    assert!(stderr.contains("v2 is no longer readable"), "{stderr}");
+    assert!(stderr.contains("build_taxonomy"), "{stderr}");
+}
+
 /// The ingest-under-load gate: deltas land over the wire while eight
 /// persistent clients hammer the server, with background compaction armed
 /// at depth 2. Every answer must match the generation that served it —
@@ -179,66 +251,19 @@ fn mixed_traffic_stays_generation_consistent_across_live_reload() {
 /// invariant `requests == ok + error` must hold once traffic drains.
 #[test]
 fn ingest_under_load_never_tears_a_generation() {
-    let base = FrozenTaxonomy::freeze(&store_a());
-    let service = Arc::new(TaxonomyService::new(OverlayView::new(base)));
-    let handle = serve(
-        service,
+    let handle = boot(
+        store_a(),
         ServerConfig {
             workers: 10,
             queue_capacity: 20,
             compact_threshold: 2,
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
+    );
     let addr = handle.addr();
 
     let stop = Arc::new(AtomicBool::new(false));
-    let clients: Vec<_> = (0..8)
-        .map(|i| {
-            let stop = Arc::clone(&stop);
-            #[allow(clippy::disallowed_methods)]
-            // raw client threads: this test attacks the server from outside the runtime
-            std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).unwrap();
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(10)))
-                    .unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let mut writer = BufWriter::new(stream);
-                let mut observed = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
-                    // Half the threads probe the entity only the first
-                    // delta introduces, half a stable one.
-                    let mention = if i % 2 == 0 { "张学友" } else { "刘德华" };
-                    let body = wire::encode_query(&Query::men2ent(mention)).write();
-                    http::write_request(
-                        &mut writer,
-                        "POST",
-                        "/v1/query",
-                        Some(body.as_bytes()),
-                        true,
-                    )
-                    .unwrap();
-                    let raw = http::read_client_response(&mut reader, http::MAX_BODY_BYTES)
-                        .unwrap()
-                        .expect("server closed a keep-alive connection");
-                    let doc = Json::parse(std::str::from_utf8(&raw.body).unwrap()).unwrap();
-                    let response = wire::decode_response(&doc).unwrap();
-                    // The answer must match the generation that served it:
-                    // 张学友 exists exactly from the first ingest onwards.
-                    match (mention, response.generation, &response.result) {
-                        ("刘德华", _, Ok(Response::Senses(_))) => {}
-                        ("张学友", 1, Err(QueryError::UnknownMention(_))) => {}
-                        ("张学友", g, Ok(Response::Senses(_))) if g >= 2 => {}
-                        other => panic!("generation-inconsistent answer: {other:?}"),
-                    }
-                    observed.push(response.generation);
-                }
-                observed
-            })
-        })
-        .collect();
+    let clients = spawn_clients(addr, &stop);
 
     // Let traffic flow on generation 1, then land two deltas mid-flight;
     // the second crosses the compaction threshold.

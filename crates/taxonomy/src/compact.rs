@@ -24,7 +24,7 @@
 use crate::frozen::FrozenTaxonomy;
 use crate::overlay::{DeltaOverlay, IngestDelta, OverlayView};
 use crate::persist::{self, PersistError};
-use crate::read::{AnySnapshot, TaxonomyRead};
+use crate::read::TaxonomyRead;
 use crate::store::{RawStoreParts, TaxonomyStore};
 use crate::view::FrozenTaxonomyView;
 use cnp_runtime::Runtime;
@@ -55,17 +55,16 @@ pub(crate) fn thaw(f: &FrozenTaxonomy) -> TaxonomyStore {
     })
 }
 
-/// Materialises a serving snapshot back into a mutable build store, the
-/// first half of a compaction (or of a write to an overlay-less backend).
+/// Materialises a base snapshot back into a mutable build store, the
+/// first half of a compaction.
 pub(crate) trait ToStore {
     fn to_store(&self) -> Result<TaxonomyStore, PersistError>;
 }
 
-/// Rebuilds `Self`'s representation from a freshly frozen taxonomy,
-/// the last half of a compaction: `like` carries the representation
-/// choice (owned vs view) forward.
+/// Rebuilds `Self`'s representation from a freshly frozen taxonomy, the
+/// last half of a compaction.
 pub(crate) trait FromFrozen: Sized {
-    fn from_frozen(f: FrozenTaxonomy, like: &Self) -> Result<Self, PersistError>;
+    fn from_frozen(f: FrozenTaxonomy) -> Result<Self, PersistError>;
 }
 
 impl ToStore for FrozenTaxonomy {
@@ -75,7 +74,7 @@ impl ToStore for FrozenTaxonomy {
 }
 
 impl FromFrozen for FrozenTaxonomy {
-    fn from_frozen(f: FrozenTaxonomy, _like: &Self) -> Result<Self, PersistError> {
+    fn from_frozen(f: FrozenTaxonomy) -> Result<Self, PersistError> {
         Ok(f)
     }
 }
@@ -87,72 +86,8 @@ impl ToStore for FrozenTaxonomyView {
 }
 
 impl FromFrozen for FrozenTaxonomyView {
-    fn from_frozen(f: FrozenTaxonomy, _like: &Self) -> Result<Self, PersistError> {
+    fn from_frozen(f: FrozenTaxonomy) -> Result<Self, PersistError> {
         FrozenTaxonomyView::open(persist::encode_frozen_v3(&f))
-    }
-}
-
-impl ToStore for AnySnapshot {
-    fn to_store(&self) -> Result<TaxonomyStore, PersistError> {
-        match self {
-            AnySnapshot::Owned(f) => f.to_store(),
-            AnySnapshot::View(v) => v.to_store(),
-        }
-    }
-}
-
-impl FromFrozen for AnySnapshot {
-    fn from_frozen(f: FrozenTaxonomy, like: &Self) -> Result<Self, PersistError> {
-        match like {
-            AnySnapshot::Owned(o) => Ok(AnySnapshot::Owned(FrozenTaxonomy::from_frozen(f, o)?)),
-            AnySnapshot::View(v) => Ok(AnySnapshot::View(FrozenTaxonomyView::from_frozen(f, v)?)),
-        }
-    }
-}
-
-/// Writes to a plain (overlay-less) snapshot materialise immediately:
-/// thaw, replay the delta, re-freeze in the same representation.
-fn materialize<T: ToStore + FromFrozen>(
-    snap: &T,
-    delta: &DeltaOverlay,
-    rt: &Runtime,
-) -> Result<T, PersistError> {
-    let mut store = snap.to_store()?;
-    delta.apply_to_store(&mut store);
-    T::from_frozen(FrozenTaxonomy::freeze_with(&store, rt), snap)
-}
-
-impl IngestDelta for FrozenTaxonomy {
-    fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError> {
-        materialize(self, delta, &Runtime::default())
-    }
-
-    fn compacted(&self, _rt: &Runtime) -> Result<Self, PersistError> {
-        // A plain snapshot *is* a fully compacted base.
-        Ok(self.clone())
-    }
-}
-
-impl IngestDelta for FrozenTaxonomyView {
-    fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError> {
-        materialize(self, delta, &Runtime::default())
-    }
-
-    fn compacted(&self, _rt: &Runtime) -> Result<Self, PersistError> {
-        FrozenTaxonomyView::open(self.bytes_handle())
-    }
-}
-
-impl IngestDelta for AnySnapshot {
-    fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError> {
-        materialize(self, delta, &Runtime::default())
-    }
-
-    fn compacted(&self, rt: &Runtime) -> Result<Self, PersistError> {
-        match self {
-            AnySnapshot::Owned(f) => Ok(AnySnapshot::Owned(f.compacted(rt)?)),
-            AnySnapshot::View(v) => Ok(AnySnapshot::View(v.compacted(rt)?)),
-        }
     }
 }
 
@@ -182,7 +117,7 @@ where
         };
         log.apply_to_store(&mut store);
         let frozen = FrozenTaxonomy::freeze_with(&store, rt);
-        Ok(OverlayView::new(B::from_frozen(frozen, self.base())?))
+        Ok(OverlayView::new(B::from_frozen(frozen)?))
     }
 }
 
@@ -230,8 +165,8 @@ mod tests {
         let frozen = FrozenTaxonomy::freeze(&store);
         let refrozen = FrozenTaxonomy::freeze(&thaw(&frozen));
         assert_eq!(
-            persist::encode_frozen(&frozen),
-            persist::encode_frozen(&refrozen)
+            persist::encode_frozen_v3(&frozen),
+            persist::encode_frozen_v3(&refrozen)
         );
     }
 
@@ -246,8 +181,8 @@ mod tests {
         delta.apply_to_store(&mut original);
 
         assert_eq!(
-            persist::encode_frozen(&FrozenTaxonomy::freeze(&original)),
-            persist::encode_frozen(&FrozenTaxonomy::freeze(&thawed))
+            persist::encode_frozen_v3(&FrozenTaxonomy::freeze(&original)),
+            persist::encode_frozen_v3(&FrozenTaxonomy::freeze(&thawed))
         );
     }
 
@@ -266,19 +201,9 @@ mod tests {
         delta.apply_to_store(&mut union_store);
         let fresh = FrozenTaxonomy::freeze(&union_store);
         assert_eq!(
-            persist::encode_frozen(compacted.base()),
-            persist::encode_frozen(&fresh)
+            persist::encode_frozen_v3(compacted.base()),
+            persist::encode_frozen_v3(&fresh)
         );
-    }
-
-    #[test]
-    fn plain_snapshot_ingest_materialises() {
-        let frozen = FrozenTaxonomy::freeze(&build_store());
-        let delta = sample_delta();
-        let next = frozen.ingest_delta(&delta).expect("materialising ingest");
-        assert_eq!(IngestDelta::overlay_depth(&next), 0);
-        let jay = next.find_entity("周杰伦", None).expect("ingested entity");
-        assert_eq!(TaxonomyRead::men2ent(&next, "Jay Chou"), vec![jay]);
     }
 
     #[test]
@@ -292,5 +217,13 @@ mod tests {
             .compacted(&Runtime::default())
             .expect("view compaction");
         assert!(compacted.base().find_entity("周杰伦", None).is_some());
+        // The compacted base *is* a snapshot file: the bytes a fresh build
+        // of the same content would have written.
+        let mut union_store = build_store();
+        sample_delta().apply_to_store(&mut union_store);
+        assert_eq!(
+            compacted.base().as_bytes(),
+            persist::encode_frozen_v3(&FrozenTaxonomy::freeze(&union_store)).as_ref()
+        );
     }
 }

@@ -25,18 +25,21 @@
 //!   `cnp_serve` crate, layered on this snapshot.)
 //! * [`query`] — higher-level queries: concept depth, lowest common
 //!   ancestors, siblings, Wu–Palmer similarity, conceptualisation.
-//! * [`persist`] — compact binary snapshots: v1 persists the mutable
-//!   store (load, then freeze), v2 persists the [`FrozenTaxonomy`] itself
-//!   behind a sectioned, checksummed layout so serving boots straight from
-//!   disk, v3 is the delta/varint-compressed layout the zero-copy view
-//!   serves from; [`persist::Snapshot`] dispatches on the version header.
-//! * [`varint`] — the LEB128/zigzag primitives of the v3 codec.
+//! * [`persist`] — the one on-disk snapshot format (sectioned,
+//!   checksummed, delta/varint-compressed; written from a
+//!   [`FrozenTaxonomy`], served in place by the view) and the delta
+//!   sidecar codec.
+//! * [`varint`] — the LEB128/zigzag primitives of the snapshot codec.
 //! * [`view`] — [`FrozenTaxonomyView`], the borrowed serving snapshot:
-//!   open a v3 buffer with in-place validation and answer every Table II
-//!   query straight off the bytes, zero per-section allocation on boot.
+//!   open a snapshot buffer with in-place validation and answer every
+//!   Table II query straight off the bytes, zero per-section allocation on
+//!   boot; `to_frozen()` materialises the owned form from the same bytes.
+//! * [`overlay`] / [`compact`] — the write path: [`DeltaOverlay`] sidecars
+//!   folded over a base by [`OverlayView`], and compaction back into a
+//!   fresh base.
 //! * [`read`] — [`TaxonomyRead`], the query trait the serving layer is
-//!   generic over, plus [`AnySnapshot`] (version-dispatched boot into
-//!   owned or view form).
+//!   generic over, and [`BootSnapshot`], how a backend comes up from a
+//!   file.
 //! * [`stats`] — the size metrics reported in Table I.
 
 pub mod closure;
@@ -61,8 +64,10 @@ pub use bytes::Bytes;
 pub use frozen::FrozenTaxonomy;
 pub use interner::{Interner, Symbol};
 pub use overlay::{DeltaOverlay, IngestDelta, OverlayView};
-pub use persist::{PersistError, Snapshot};
-pub use read::{AnySnapshot, BootSnapshot, TaxonomyRead};
+pub use persist::PersistError;
+#[doc(hidden)]
+pub use read::AnySnapshot;
+pub use read::{BootSnapshot, TaxonomyRead};
 pub use stats::TaxonomyStats;
 pub use store::{ConceptId, EntityId, IsAMeta, Source, TaxonomyStore};
 pub use view::FrozenTaxonomyView;

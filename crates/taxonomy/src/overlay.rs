@@ -18,11 +18,11 @@
 //!   [`OverlayView::apply`] is cheap (it folds one op log; the base is
 //!   shared behind an `Arc`) and produces a new immutable value — one
 //!   generation swap per ingest, cursors stay generation-bound for free.
-//! * [`IngestDelta`] — the serving-side write capability: apply a delta
-//!   (cheap for overlay backends, materialising for plain snapshots) and
-//!   fold accumulated overlays back into a fresh base (*compaction*, see
-//!   `crate::compact`), which is byte-identical to a from-scratch freeze
-//!   of the same logical content.
+//! * [`IngestDelta`] — the serving-side write capability, implemented by
+//!   [`OverlayView`]: apply a delta (one cheap fold) and fold accumulated
+//!   overlays back into a fresh base (*compaction*, see `crate::compact`),
+//!   which is byte-identical to a from-scratch freeze of the same logical
+//!   content.
 //!
 //! Read-through contract: nothing outside this module, `compact.rs` and
 //! the `persist.rs` codec may look inside a delta's op log — consumers go
@@ -33,7 +33,7 @@ use crate::hash::FxHashMap;
 use crate::interner::Symbol;
 use crate::mention;
 use crate::persist::{self, PersistError};
-use crate::read::{BootSnapshot, Either, TaxonomyRead};
+use crate::read::{BootSnapshot, TaxonomyRead};
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, TaxonomyStore};
 use crate::topo::Condensation;
 use bytes::Bytes;
@@ -786,6 +786,24 @@ fn finalize<B: TaxonomyRead>(base: &B, st: &mut OverlayState) {
 
 // ----- the merging TaxonomyRead -------------------------------------------
 
+/// Iterator sum type: a listing comes either from a patched row or from
+/// the base.
+enum Either<L, R> {
+    L(L),
+    R(R),
+}
+
+impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for Either<L, R> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Either::L(l) => l.next(),
+            Either::R(r) => r.next(),
+        }
+    }
+}
+
 impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
     fn resolve(&self, sym: Symbol) -> &str {
         if sym.0 & OVERLAY_SYM_TAG != 0 {
@@ -998,19 +1016,14 @@ impl<B: TaxonomyRead + BootSnapshot> BootSnapshot for OverlayView<B> {
 /// snapshot, producing the next one, and fold accumulated overlays back
 /// into a fresh base (*compaction*).
 ///
-/// [`OverlayView`] implements both cheaply; the plain snapshot
-/// representations implement `ingest_delta` by materialising (thaw →
-/// replay → re-freeze, see `crate::compact`), so a service over any
-/// backend accepts writes and the server's `serve()` bound breaks no
-/// existing instantiation.
+/// [`OverlayView`] is the one implementor (see `crate::compact`): a plain
+/// snapshot takes writes by being wrapped in an overlay first.
 pub trait IngestDelta: Sized + Send + Sync {
     /// Applies one delta, returning the next serving snapshot.
     fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError>;
 
     /// Overlay segments awaiting compaction (0 = fully compacted).
-    fn overlay_depth(&self) -> usize {
-        0
-    }
+    fn overlay_depth(&self) -> usize;
 
     /// Folds base + overlays into a fresh base of the same
     /// representation. Byte-identical to a from-scratch freeze of the

@@ -1,72 +1,56 @@
-//! Compact binary snapshots of the taxonomy, in three formats.
+//! The two on-disk codecs: the `CNPB` snapshot and the `CNPD` delta sidecar.
 //!
 //! A production taxonomy service loads its state from a snapshot at boot.
-//! All formats share the `CNPB` magic, the sectioned framing and a
-//! little-endian codec over [`bytes`]; they differ in *what* they persist
-//! and how much work boot does:
+//! There is one snapshot format. [`encode_frozen_v3`] writes a finished
+//! [`FrozenTaxonomy`]; [`crate::view::FrozenTaxonomyView`] opens the
+//! buffer and answers every query by borrowing directly out of it, so
+//! boot allocates nothing per section and validation is a single
+//! bounds/invariant sweep over the raw bytes. CSR rows are
+//! delta+varint-encoded ([`crate::varint`]) and the ancestor closure is a
+//! succinct run/bitset encoding decoded on the query path. A caller that
+//! wants owned rows materialises them from the same bytes with
+//! [`FrozenTaxonomyView::to_frozen`], which is also where the deep
+//! semantic checks (`validate_frozen`) run.
 //!
-//! * **v1** persists the mutable build-time [`TaxonomyStore`]. Booting the
-//!   serving path from a v1 snapshot costs a full
-//!   [`FrozenTaxonomy::freeze`] (Tarjan SCC condensation, depth DP,
-//!   ancestor-closure materialisation) before the first query.
-//! * **v2** persists the [`FrozenTaxonomy`] itself — interner, entity and
-//!   concept tables, all six CSR relations, the mention table, topological
-//!   order, exact depths and the materialised ancestor closure — so boot is
-//!   a validate-and-go load that still copies every section into owned
-//!   `Vec`s.
-//! * **v3** persists the same snapshot for
-//!   [`crate::view::FrozenTaxonomyView`]: queries are answered by
-//!   borrowing directly out of the one loaded buffer, so boot allocates
-//!   nothing per section and validation reduces to a single
-//!   bounds/invariant sweep over the raw bytes. The bytes are smaller
-//!   too — CSR rows are delta+varint-encoded ([`crate::varint`]) and the
-//!   materialised ancestor closure is replaced by a succinct run/bitset
-//!   encoding decoded on the query path.
-//!
-//! Shared layout:
+//! [`FrozenTaxonomyView::to_frozen`]: crate::view::FrozenTaxonomyView::to_frozen
 //!
 //! ```text
-//! magic "CNPB" | version u32 = 1|2|3
+//! magic "CNPB" | version u32 = 3
 //!   | section*          section = tag [u8;4] | byte-length u64 | payload
 //!   | "CKSM" section    FNV-1a of every byte before the CKSM tag
 //! ```
 //!
 //! Readers skip sections with unknown tags, so future writers can add
-//! sections (before `CKSM`) without breaking old readers. Decoding
-//! validates the magic and version, every string, symbol and id bound, the
-//! CSR invariants (first offset zero, monotone row offsets, entry count
-//! matching the final offset, in-bounds column ids), the closure and depth
-//! consistency with the parent edges, and finally the content checksum —
+//! sections (before `CKSM`) without breaking old readers. Opening
+//! validates the magic and version, every string, symbol and id bound,
+//! the row framing of every relation and finally the content checksum —
 //! a truncated or bit-flipped snapshot fails loudly instead of producing a
-//! broken service. Pre-allocations are capped by the remaining buffer
-//! length, so a hostile length field cannot trigger an OOM.
+//! broken service, and no length field is trusted for an allocation.
+//! Versions 1 and 2 (the build-store and owned-CSR layouts of earlier
+//! releases) are no longer readable: they fail with
+//! [`PersistError::BadVersion`], whose message names the rebuild path.
 //!
-//! [`Snapshot::load`] is the single entry point that dispatches on the
-//! version byte: v1 loads a store (freeze before serving), v2 loads the
-//! frozen snapshot directly, v3 opens the borrowed view.
+//! The delta sidecar (`CNPD`, [`crate::overlay::DeltaOverlay`]) is the
+//! write path's unit of ingest and has its own magic; see the section at
+//! the end of this file.
 
 use crate::frozen::{Csr, FrozenTaxonomy};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::interner::{Interner, Symbol};
 use crate::overlay::{DeltaOp, DeltaOverlay};
-use crate::read::AnySnapshot;
-use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, Source, TaxonomyStore};
+use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, Source};
 use crate::varint::{put_varint, varint_len, zigzag};
-use crate::view::FrozenTaxonomyView;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cnp_runtime::stable_hash;
 use std::fmt;
 use std::path::Path;
 
 pub(crate) const MAGIC: &[u8; 4] = b"CNPB";
-/// v1: the mutable [`TaxonomyStore`] (load, then freeze).
-pub const VERSION_STORE: u32 = 1;
-/// v2: the [`FrozenTaxonomy`] serving snapshot (validate-and-go).
-pub const VERSION_FROZEN: u32 = 2;
-/// v3: the zero-copy [`FrozenTaxonomyView`] snapshot (borrow-and-go).
+/// The snapshot format version [`encode_frozen_v3`] writes and
+/// [`crate::view::FrozenTaxonomyView::open`] reads.
 pub const VERSION_VIEW: u32 = 3;
 
-// ----- section tags (v2 + v3; v3-only tags noted) -------------------------
+// ----- section tags -------------------------------------------------------
 
 pub(crate) const SEC_INTERNER: [u8; 4] = *b"INTR";
 pub(crate) const SEC_ENTITIES: [u8; 4] = *b"ENTS";
@@ -77,28 +61,27 @@ pub(crate) const SEC_CONCEPT_PARENTS: [u8; 4] = *b"CPAR";
 pub(crate) const SEC_CONCEPT_CHILDREN: [u8; 4] = *b"CCHD";
 pub(crate) const SEC_ENTITY_ATTRS: [u8; 4] = *b"EATT";
 pub(crate) const SEC_ENTITY_ALIASES: [u8; 4] = *b"EALS";
-pub(crate) const SEC_ANCESTORS: [u8; 4] = *b"ANCS";
 pub(crate) const SEC_TOPO: [u8; 4] = *b"TOPO";
 pub(crate) const SEC_DEPTH: [u8; 4] = *b"DPTH";
 pub(crate) const SEC_MENTIONS: [u8; 4] = *b"MENT";
-/// v3 only: interner symbols sorted by string bytes (binary-search index).
+/// Interner symbols sorted by string bytes (binary-search index).
 pub(crate) const SEC_STR_SORT: [u8; 4] = *b"SSRT";
-/// v3 only: concept ids sorted by name symbol (binary-search index).
+/// Concept ids sorted by name symbol (binary-search index).
 pub(crate) const SEC_CONCEPT_SORT: [u8; 4] = *b"CSRT";
-/// v3 only: succinct ancestor closure (run/bitset rows, replaces `ANCS`).
+/// Succinct ancestor closure (run/bitset rows).
 pub(crate) const SEC_ANCESTOR_SUCC: [u8; 4] = *b"ANCC";
-/// v3 only: the deduplicated `(source, confidence)` dictionary every meta
-/// row indexes into — real corpora carry a handful of distinct edge
+/// The deduplicated `(source, confidence)` dictionary every meta row
+/// indexes into — real corpora carry a handful of distinct edge
 /// provenances, so one varint per edge replaces five raw bytes.
 pub(crate) const SEC_META_DICT: [u8; 4] = *b"MDCT";
-/// v3 only: mention-key hash index — `(stable_hash32, symbol)` pairs for
-/// every non-empty mention row, sorted by hash. `men2ent` resolves a
-/// mention with one hash plus a binary search over fixed-width rows
-/// instead of `log n` string comparisons through the interner.
+/// Mention-key hash index — `(stable_hash32, symbol)` pairs for every
+/// non-empty mention row, sorted by hash. `men2ent` resolves a mention
+/// with one hash plus a binary search over fixed-width rows instead of
+/// `log n` string comparisons through the interner.
 pub(crate) const SEC_MENTION_HASH: [u8; 4] = *b"MHSH";
 pub(crate) const SEC_CHECKSUM: [u8; 4] = *b"CKSM";
 
-/// Rows per directory entry in a v3 varint-CSR section: row `i` is reached
+/// Rows per directory entry in a varint-CSR section: row `i` is reached
 /// by one directory jump plus at most `VCSR_BLOCK - 1` length skips.
 ///
 /// 8 keeps the skip loop short enough that random row access (the
@@ -107,17 +90,18 @@ pub(crate) const SEC_CHECKSUM: [u8; 4] = *b"CKSM";
 /// per row.
 pub(crate) const VCSR_BLOCK: usize = 8;
 
-/// v3 succinct-closure row flavors: strictly ascending (gap, run-length)
+/// Succinct-closure row flavors: strictly ascending (gap, run-length)
 /// pairs, or a base id plus a bitmap spanning the row.
 pub(crate) const ANCC_RANGES: u8 = 0;
 pub(crate) const ANCC_BITSET: u8 = 1;
 
-/// Errors produced while decoding a snapshot.
+/// Errors produced while decoding a snapshot or a delta sidecar.
 #[derive(Debug)]
 pub enum PersistError {
-    /// The snapshot does not start with the `CNPB` magic.
+    /// The buffer does not start with the expected magic.
     BadMagic,
-    /// Unsupported format version.
+    /// Unsupported format version. Snapshot versions 1 and 2 were readable
+    /// by earlier releases; their message says how to rebuild.
     BadVersion(u32),
     /// The buffer ended before the structure was complete.
     Truncated(&'static str),
@@ -126,9 +110,9 @@ pub enum PersistError {
     /// An id/symbol referenced an out-of-range table index, or a structural
     /// invariant (CSR offsets, closure/depth consistency, …) failed.
     BadIndex(&'static str),
-    /// The v2 content checksum did not match the payload.
+    /// The content checksum did not match the payload.
     BadChecksum,
-    /// A required v2 section was absent.
+    /// A required snapshot section was absent.
     MissingSection(&'static str),
     /// Underlying I/O error.
     Io(std::io::Error),
@@ -138,6 +122,12 @@ impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PersistError::BadMagic => write!(f, "snapshot magic mismatch"),
+            PersistError::BadVersion(v @ (1 | 2)) => write!(
+                f,
+                "snapshot format v{v} is no longer readable (only v{VERSION_VIEW} is): rebuild \
+                 the snapshot from the corpus with the `build_taxonomy` example or \
+                 `PipelineOutcome::save_view`"
+            ),
             PersistError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             PersistError::Truncated(what) => write!(f, "snapshot truncated while reading {what}"),
             PersistError::BadUtf8 => write!(f, "snapshot contains invalid UTF-8"),
@@ -157,8 +147,6 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-// ----- version dispatch ---------------------------------------------------
-
 /// Reads the magic + version header without decoding the body.
 pub fn peek_version(buf: &[u8]) -> Result<u32, PersistError> {
     if buf.len() < 8 {
@@ -170,433 +158,23 @@ pub fn peek_version(buf: &[u8]) -> Result<u32, PersistError> {
     Ok(u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]))
 }
 
-/// A decoded snapshot of any format, from the one [`Snapshot::load`]
-/// entry point that dispatches on the version header.
-#[derive(Debug)]
-pub enum Snapshot {
-    /// A v1 snapshot: the mutable build store. Freeze before serving.
-    Store(Box<TaxonomyStore>),
-    /// A v2 snapshot: the frozen serving snapshot, ready to serve.
-    Frozen(Box<FrozenTaxonomy>),
-    /// A v3 snapshot: the borrowed zero-copy view, ready to serve.
-    View(Box<FrozenTaxonomyView>),
-}
-
-impl Snapshot {
-    /// Decodes a snapshot of any version.
-    ///
-    /// A v3 payload is copied once into the view's backing buffer (the
-    /// slice may not outlive the snapshot); [`Snapshot::load_from_file`]
-    /// avoids even that copy by handing the read buffer to the view.
-    pub fn load(bytes: &[u8]) -> Result<Self, PersistError> {
-        match peek_version(bytes)? {
-            VERSION_STORE => Ok(Snapshot::Store(Box::new(decode(bytes)?))),
-            VERSION_FROZEN => Ok(Snapshot::Frozen(Box::new(decode_frozen(bytes)?))),
-            VERSION_VIEW => Ok(Snapshot::View(Box::new(FrozenTaxonomyView::open(
-                Bytes::copy_from_slice(bytes),
-            )?))),
-            v => Err(PersistError::BadVersion(v)),
-        }
-    }
-
-    /// Loads a snapshot of any version from `path`. A v3 file boots
-    /// zero-copy: the read buffer *is* the view's backing storage.
-    pub fn load_from_file(path: &Path) -> Result<Self, PersistError> {
-        let bytes = std::fs::read(path)?;
-        if peek_version(&bytes)? == VERSION_VIEW {
-            let view = FrozenTaxonomyView::open(Bytes::from(bytes))?;
-            return Ok(Snapshot::View(Box::new(view)));
-        }
-        Self::load(&bytes)
-    }
-
-    /// Format version of the decoded snapshot.
-    pub fn version(&self) -> u32 {
-        match self {
-            Snapshot::Store(_) => VERSION_STORE,
-            Snapshot::Frozen(_) => VERSION_FROZEN,
-            Snapshot::View(_) => VERSION_VIEW,
-        }
-    }
-
-    /// The owned serving snapshot: a v2 payload is returned as-is, a v1
-    /// store pays the freeze (Tarjan + depth DP + closure) here, and a v3
-    /// view is fully decoded and deep-validated (the only variant that can
-    /// fail — a v3 boot defers the semantic cross-checks to this
-    /// materialisation).
-    pub fn into_frozen(self) -> Result<FrozenTaxonomy, PersistError> {
-        match self {
-            Snapshot::Store(store) => Ok(FrozenTaxonomy::freeze(&store)),
-            Snapshot::Frozen(frozen) => Ok(*frozen),
-            Snapshot::View(view) => view.to_frozen(),
-        }
-    }
-
-    /// The snapshot as a serving backend, preserving the zero-copy view
-    /// where there is one: v1 freezes, v2 is wrapped as-is, v3 keeps
-    /// borrowing from its buffer.
-    pub fn into_any(self) -> AnySnapshot {
-        match self {
-            Snapshot::Store(store) => AnySnapshot::Owned(FrozenTaxonomy::freeze(&store)),
-            Snapshot::Frozen(frozen) => AnySnapshot::Owned(*frozen),
-            Snapshot::View(view) => AnySnapshot::View(*view),
-        }
-    }
-}
-
-// ----- v1: the mutable store ----------------------------------------------
-
-/// Serializes the store to bytes (format v1).
-pub fn encode(store: &TaxonomyStore) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_STORE);
-
-    // Interner strings, in symbol order (Symbol(0) == "").
-    let strings: Vec<&str> = store.interner().iter().map(|(_, s)| s).collect();
-    buf.put_u32_le(strings.len() as u32);
-    for s in &strings {
-        put_str(&mut buf, s);
-    }
-
-    // Entities.
-    buf.put_u32_le(store.num_entities() as u32);
-    for id in store.entity_ids() {
-        let rec = store.entity(id);
-        buf.put_u32_le(rec.name.0);
-        buf.put_u32_le(rec.disambig.0);
-    }
-
-    // Concepts (by name symbol).
-    buf.put_u32_le(store.num_concepts() as u32);
-    for id in store.concept_ids() {
-        let name = store.concept_name(id);
-        let sym = store.interner().get(name).expect("concept name interned");
-        buf.put_u32_le(sym.0);
-    }
-
-    // Per-entity: concept edges, attributes, aliases.
-    for id in store.entity_ids() {
-        let edges = store.concepts_of(id);
-        buf.put_u32_le(edges.len() as u32);
-        for &(c, meta) in edges {
-            buf.put_u32_le(c.0);
-            buf.put_u8(meta.source.to_u8());
-            buf.put_f32_le(meta.confidence);
-        }
-        let attrs = store.attributes_of(id);
-        buf.put_u32_le(attrs.len() as u32);
-        for a in attrs {
-            buf.put_u32_le(a.0);
-        }
-        let aliases = store.aliases_of(id);
-        buf.put_u32_le(aliases.len() as u32);
-        for a in aliases {
-            buf.put_u32_le(a.0);
-        }
-    }
-
-    // Per-concept parent edges.
-    for id in store.concept_ids() {
-        let parents = store.parents_of(id);
-        buf.put_u32_le(parents.len() as u32);
-        for &(p, meta) in parents {
-            buf.put_u32_le(p.0);
-            buf.put_u8(meta.source.to_u8());
-            buf.put_f32_le(meta.confidence);
-        }
-    }
-
-    buf.freeze()
-}
-
-/// Deserializes a store from bytes (format v1).
-///
-/// Every count-prefixed pre-allocation is clamped by the bytes actually
-/// remaining in the buffer, so a corrupt count field costs at most one
-/// small allocation before the truncation is detected — never an OOM.
-pub fn decode(mut buf: &[u8]) -> Result<TaxonomyStore, PersistError> {
-    if buf.remaining() < 8 {
-        return Err(PersistError::Truncated("header"));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION_STORE {
-        return Err(PersistError::BadVersion(version));
-    }
-
-    let n_strings = get_u32(&mut buf, "string count")? as usize;
-    // Each string costs at least its 4-byte length prefix.
-    let mut strings = Vec::with_capacity(n_strings.min(buf.remaining() / 4));
-    for _ in 0..n_strings {
-        strings.push(get_str(&mut buf)?);
-    }
-    let resolve = |sym: u32, what: &'static str| -> Result<&str, PersistError> {
-        strings
-            .get(sym as usize)
-            .map(|s| s.as_str())
-            .ok_or(PersistError::BadIndex(what))
-    };
-
-    let mut store = TaxonomyStore::new();
-
-    let n_entities = get_u32(&mut buf, "entity count")? as usize;
-    // Each entity record is 8 bytes on the wire.
-    let mut entity_ids = Vec::with_capacity(n_entities.min(buf.remaining() / 8));
-    for _ in 0..n_entities {
-        let name = get_u32(&mut buf, "entity name")?;
-        let disambig = get_u32(&mut buf, "entity disambig")?;
-        let name_s = resolve(name, "entity name symbol")?;
-        let dis_s = resolve(disambig, "entity disambig symbol")?;
-        let id = store.add_entity(name_s, if dis_s.is_empty() { None } else { Some(dis_s) });
-        entity_ids.push(id);
-    }
-
-    let n_concepts = get_u32(&mut buf, "concept count")? as usize;
-    // Each concept is a 4-byte symbol on the wire.
-    let mut concept_ids = Vec::with_capacity(n_concepts.min(buf.remaining() / 4));
-    for _ in 0..n_concepts {
-        let sym = get_u32(&mut buf, "concept name")?;
-        let name = resolve(sym, "concept name symbol")?;
-        concept_ids.push(store.add_concept(name));
-    }
-
-    for &e in &entity_ids {
-        let n_edges = get_u32(&mut buf, "entity edge count")? as usize;
-        for _ in 0..n_edges {
-            let c = get_u32(&mut buf, "edge concept")? as usize;
-            let src = get_u8(&mut buf, "edge source")?;
-            let conf = get_f32(&mut buf, "edge confidence")?;
-            let &cid = concept_ids
-                .get(c)
-                .ok_or(PersistError::BadIndex("edge concept id"))?;
-            let source = Source::from_u8(src).ok_or(PersistError::BadIndex("edge source tag"))?;
-            store.add_entity_is_a(e, cid, IsAMeta::new(source, conf));
-        }
-        let n_attrs = get_u32(&mut buf, "attr count")? as usize;
-        for _ in 0..n_attrs {
-            let a = get_u32(&mut buf, "attr symbol")?;
-            let s = resolve(a, "attr symbol")?.to_string();
-            store.add_attribute(e, &s);
-        }
-        let n_aliases = get_u32(&mut buf, "alias count")? as usize;
-        for _ in 0..n_aliases {
-            let a = get_u32(&mut buf, "alias symbol")?;
-            let s = resolve(a, "alias symbol")?.to_string();
-            store.add_alias(e, &s);
-        }
-    }
-
-    for &c in &concept_ids {
-        let n_parents = get_u32(&mut buf, "parent count")? as usize;
-        for _ in 0..n_parents {
-            let p = get_u32(&mut buf, "parent concept")? as usize;
-            let src = get_u8(&mut buf, "parent source")?;
-            let conf = get_f32(&mut buf, "parent confidence")?;
-            let &pid = concept_ids
-                .get(p)
-                .ok_or(PersistError::BadIndex("parent concept id"))?;
-            let source = Source::from_u8(src).ok_or(PersistError::BadIndex("parent source tag"))?;
-            store.add_concept_is_a(c, pid, IsAMeta::new(source, conf));
-        }
-    }
-
-    Ok(store)
-}
-
-/// Writes a v1 store snapshot to `path`.
-pub fn save_to_file(store: &TaxonomyStore, path: &Path) -> Result<(), PersistError> {
-    std::fs::write(path, encode(store))?;
-    Ok(())
-}
-
-/// Loads a v1 store snapshot from `path`.
-pub fn load_from_file(path: &Path) -> Result<TaxonomyStore, PersistError> {
-    let bytes = std::fs::read(path)?;
-    decode(&bytes)
-}
-
-// ----- v2: the frozen serving snapshot ------------------------------------
-
-/// Serializes a frozen snapshot to bytes (format v2).
-pub fn encode_frozen(f: &FrozenTaxonomy) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_FROZEN);
-
-    section(&mut buf, SEC_INTERNER, |b| {
-        b.put_u32_le(f.interner.len() as u32);
-        for (_, s) in f.interner.iter() {
-            put_str(b, s);
-        }
-    });
-    section(&mut buf, SEC_ENTITIES, |b| {
-        b.put_u32_le(f.entities.len() as u32);
-        for rec in &f.entities {
-            b.put_u32_le(rec.name.0);
-            b.put_u32_le(rec.disambig.0);
-        }
-    });
-    section(&mut buf, SEC_CONCEPTS, |b| {
-        b.put_u32_le(f.concepts.len() as u32);
-        for sym in &f.concepts {
-            b.put_u32_le(sym.0);
-        }
-    });
-    section(&mut buf, SEC_ENTITY_CONCEPTS, |b| {
-        put_meta_csr(b, &f.entity_concepts);
-    });
-    section(&mut buf, SEC_CONCEPT_ENTITIES, |b| {
-        put_id_csr(b, &f.concept_entities, |e: &EntityId| e.0);
-    });
-    section(&mut buf, SEC_CONCEPT_PARENTS, |b| {
-        put_meta_csr(b, &f.concept_parents);
-    });
-    section(&mut buf, SEC_CONCEPT_CHILDREN, |b| {
-        put_id_csr(b, &f.concept_children, |c: &ConceptId| c.0);
-    });
-    section(&mut buf, SEC_ENTITY_ATTRS, |b| {
-        put_id_csr(b, &f.entity_attrs, |s: &Symbol| s.0);
-    });
-    section(&mut buf, SEC_ENTITY_ALIASES, |b| {
-        put_id_csr(b, &f.entity_aliases, |s: &Symbol| s.0);
-    });
-    section(&mut buf, SEC_ANCESTORS, |b| {
-        put_id_csr(b, &f.ancestors, |c: &ConceptId| c.0);
-    });
-    section(&mut buf, SEC_TOPO, |b| {
-        b.put_u32_le(f.topo.len() as u32);
-        for c in &f.topo {
-            b.put_u32_le(c.0);
-        }
-    });
-    section(&mut buf, SEC_DEPTH, |b| {
-        b.put_u32_le(f.depth.len() as u32);
-        for &d in &f.depth {
-            b.put_u32_le(d);
-        }
-    });
-    section(&mut buf, SEC_MENTIONS, |b| {
-        put_id_csr(b, &f.by_mention, |e: &EntityId| e.0);
-    });
-
-    // Content checksum over everything written so far (header + sections).
-    let digest = stable_hash(&buf);
-    buf.put_slice(&SEC_CHECKSUM);
-    buf.put_u64_le(8);
-    buf.put_u64_le(digest);
-    buf.freeze()
-}
-
-/// Raw section payloads collected by the first decode pass, before any
-/// cross-section validation. Also the hand-off point for
-/// [`FrozenTaxonomyView::to_frozen`], which decodes its borrowed sections
-/// into the same shape and funnels them through [`validate_frozen`].
-#[derive(Default)]
+/// Every section of a snapshot decoded into owned tables, before any
+/// cross-section validation: what `FrozenTaxonomyView::to_frozen` hands
+/// to [`validate_frozen`].
 pub(crate) struct RawSections {
-    pub(crate) interner: Option<Interner>,
-    pub(crate) entities: Option<Vec<EntityRecord>>,
-    pub(crate) concepts: Option<Vec<Symbol>>,
-    pub(crate) entity_concepts: Option<Csr<(ConceptId, IsAMeta)>>,
-    pub(crate) concept_entities: Option<Csr<EntityId>>,
-    pub(crate) concept_parents: Option<Csr<(ConceptId, IsAMeta)>>,
-    pub(crate) concept_children: Option<Csr<ConceptId>>,
-    pub(crate) entity_attrs: Option<Csr<Symbol>>,
-    pub(crate) entity_aliases: Option<Csr<Symbol>>,
-    pub(crate) ancestors: Option<Csr<ConceptId>>,
-    pub(crate) topo: Option<Vec<ConceptId>>,
-    pub(crate) depth: Option<Vec<u32>>,
-    pub(crate) by_mention: Option<Csr<EntityId>>,
-}
-
-/// Deserializes a frozen snapshot from bytes (format v2), validating every
-/// bound, the CSR/closure/depth invariants and the content checksum.
-pub fn decode_frozen(bytes: &[u8]) -> Result<FrozenTaxonomy, PersistError> {
-    if peek_version(bytes)? != VERSION_FROZEN {
-        return Err(PersistError::BadVersion(peek_version(bytes)?));
-    }
-    let mut buf = &bytes[8..];
-    let mut raw = RawSections::default();
-    let mut checksum_seen = false;
-
-    while !buf.is_empty() {
-        if buf.remaining() < 12 {
-            return Err(PersistError::Truncated("section header"));
-        }
-        // Byte offset of this section's tag, for the checksum prefix.
-        let tag_pos = bytes.len() - buf.len();
-        let mut tag = [0u8; 4];
-        buf.copy_to_slice(&mut tag);
-        let len = buf.get_u64_le();
-        if (buf.remaining() as u64) < len {
-            return Err(PersistError::Truncated("section body"));
-        }
-        let (body, rest) = buf.split_at(len as usize);
-        buf = rest;
-        match tag {
-            SEC_INTERNER => raw.interner = Some(decode_interner(body)?),
-            SEC_ENTITIES => raw.entities = Some(decode_entities(body)?),
-            SEC_CONCEPTS => raw.concepts = Some(decode_u32_list(body, "concept table", Symbol)?),
-            SEC_ENTITY_CONCEPTS => {
-                raw.entity_concepts = Some(get_meta_csr(body, "entity-concept CSR")?)
-            }
-            SEC_CONCEPT_ENTITIES => {
-                raw.concept_entities = Some(get_id_csr(body, "concept-entity CSR", EntityId)?)
-            }
-            SEC_CONCEPT_PARENTS => {
-                raw.concept_parents = Some(get_meta_csr(body, "concept-parent CSR")?)
-            }
-            SEC_CONCEPT_CHILDREN => {
-                raw.concept_children = Some(get_id_csr(body, "concept-child CSR", ConceptId)?)
-            }
-            SEC_ENTITY_ATTRS => {
-                raw.entity_attrs = Some(get_id_csr(body, "entity-attribute CSR", Symbol)?)
-            }
-            SEC_ENTITY_ALIASES => {
-                raw.entity_aliases = Some(get_id_csr(body, "entity-alias CSR", Symbol)?)
-            }
-            SEC_ANCESTORS => raw.ancestors = Some(get_id_csr(body, "ancestor CSR", ConceptId)?),
-            SEC_TOPO => raw.topo = Some(decode_u32_list(body, "topo order", ConceptId)?),
-            SEC_DEPTH => raw.depth = Some(decode_u32_list(body, "depth table", |d| d)?),
-            SEC_MENTIONS => raw.by_mention = Some(get_id_csr(body, "mention CSR", EntityId)?),
-            SEC_CHECKSUM => {
-                let mut body = body;
-                if len != 8 {
-                    return Err(PersistError::BadIndex("checksum section length"));
-                }
-                if body.get_u64_le() != stable_hash(&bytes[..tag_pos]) {
-                    return Err(PersistError::BadChecksum);
-                }
-                if !buf.is_empty() {
-                    return Err(PersistError::BadIndex("data after checksum section"));
-                }
-                checksum_seen = true;
-            }
-            // Unknown tag: a future format extension. Skip it; the bytes
-            // are still covered by the checksum.
-            _ => {}
-        }
-    }
-    if !checksum_seen {
-        return Err(PersistError::MissingSection("CKSM"));
-    }
-    validate_frozen(raw)
-}
-
-/// Writes a v2 frozen snapshot to `path`.
-pub fn save_frozen_to_file(f: &FrozenTaxonomy, path: &Path) -> Result<(), PersistError> {
-    std::fs::write(path, encode_frozen(f))?;
-    Ok(())
-}
-
-/// Loads a v2 frozen snapshot from `path`.
-pub fn load_frozen_from_file(path: &Path) -> Result<FrozenTaxonomy, PersistError> {
-    let bytes = std::fs::read(path)?;
-    decode_frozen(&bytes)
+    pub(crate) interner: Interner,
+    pub(crate) entities: Vec<EntityRecord>,
+    pub(crate) concepts: Vec<Symbol>,
+    pub(crate) entity_concepts: Csr<(ConceptId, IsAMeta)>,
+    pub(crate) concept_entities: Csr<EntityId>,
+    pub(crate) concept_parents: Csr<(ConceptId, IsAMeta)>,
+    pub(crate) concept_children: Csr<ConceptId>,
+    pub(crate) entity_attrs: Csr<Symbol>,
+    pub(crate) entity_aliases: Csr<Symbol>,
+    pub(crate) ancestors: Csr<ConceptId>,
+    pub(crate) topo: Vec<ConceptId>,
+    pub(crate) depth: Vec<u32>,
+    pub(crate) by_mention: Csr<EntityId>,
 }
 
 /// Cross-section validation + derived-map rebuild. Everything the freeze
@@ -605,20 +183,21 @@ pub fn load_frozen_from_file(path: &Path) -> Result<FrozenTaxonomy, PersistError
 /// so a decoded snapshot upholds the same invariants a freshly frozen one
 /// does.
 pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, PersistError> {
-    let missing = PersistError::MissingSection;
-    let interner = raw.interner.ok_or(missing("INTR"))?;
-    let entities = raw.entities.ok_or(missing("ENTS"))?;
-    let concepts = raw.concepts.ok_or(missing("CNPT"))?;
-    let entity_concepts = raw.entity_concepts.ok_or(missing("ECON"))?;
-    let concept_entities = raw.concept_entities.ok_or(missing("CENT"))?;
-    let concept_parents = raw.concept_parents.ok_or(missing("CPAR"))?;
-    let concept_children = raw.concept_children.ok_or(missing("CCHD"))?;
-    let entity_attrs = raw.entity_attrs.ok_or(missing("EATT"))?;
-    let entity_aliases = raw.entity_aliases.ok_or(missing("EALS"))?;
-    let ancestors = raw.ancestors.ok_or(missing("ANCS"))?;
-    let topo = raw.topo.ok_or(missing("TOPO"))?;
-    let depth = raw.depth.ok_or(missing("DPTH"))?;
-    let by_mention = raw.by_mention.ok_or(missing("MENT"))?;
+    let RawSections {
+        interner,
+        entities,
+        concepts,
+        entity_concepts,
+        concept_entities,
+        concept_parents,
+        concept_children,
+        entity_attrs,
+        entity_aliases,
+        ancestors,
+        topo,
+        depth,
+        by_mention,
+    } = raw;
 
     let n_strings = interner.len();
     let n_entities = entities.len();
@@ -842,193 +421,17 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
     })
 }
 
-// ----- v2 section codecs --------------------------------------------------
-
-fn section(buf: &mut BytesMut, tag: [u8; 4], write: impl FnOnce(&mut BytesMut)) {
-    // Write the payload in place and patch the length slot afterwards —
-    // staging it in a scratch buffer would copy every payload byte twice
-    // and transiently double the memory of the largest section.
-    buf.put_slice(&tag);
-    let len_at = buf.len();
-    buf.put_u64_le(0);
-    let start = buf.len();
-    write(buf);
-    let len = (buf.len() - start) as u64;
-    buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
-}
-
-fn decode_interner(mut body: &[u8]) -> Result<Interner, PersistError> {
-    let n = get_u32(&mut body, "string count")? as usize;
-    let mut interner = Interner::new();
-    for i in 0..n {
-        let s = get_str(&mut body)?;
-        // `Interner::new` pre-interns "" at 0, so a valid snapshot (whose
-        // first string is "") re-interns every string at its own index;
-        // duplicates or a missing leading "" surface as an index mismatch.
-        if interner.intern(&s).index() != i {
-            return Err(PersistError::BadIndex("duplicate interned string"));
-        }
-    }
-    expect_consumed(body, "interner section")?;
-    Ok(interner)
-}
-
-fn decode_entities(mut body: &[u8]) -> Result<Vec<EntityRecord>, PersistError> {
-    let n = get_u32(&mut body, "entity count")? as usize;
-    let mut out = Vec::with_capacity(n.min(body.remaining() / 8));
-    for _ in 0..n {
-        let name = Symbol(get_u32(&mut body, "entity name")?);
-        let disambig = Symbol(get_u32(&mut body, "entity disambig")?);
-        out.push(EntityRecord { name, disambig });
-    }
-    expect_consumed(body, "entity section")?;
-    Ok(out)
-}
-
-fn decode_u32_list<T>(
-    mut body: &[u8],
-    what: &'static str,
-    wrap: impl Fn(u32) -> T,
-) -> Result<Vec<T>, PersistError> {
-    let n = get_u32(&mut body, what)? as usize;
-    let mut out = Vec::with_capacity(n.min(body.remaining() / 4));
-    for _ in 0..n {
-        out.push(wrap(get_u32(&mut body, what)?));
-    }
-    expect_consumed(body, what)?;
-    Ok(out)
-}
-
-/// CSR wire layout: `rows u32 | offsets (rows+1)×u32 | entries u32 | data`.
-fn put_csr_header<T: Copy>(buf: &mut BytesMut, csr: &Csr<T>) {
-    let (offsets, data) = csr.parts();
-    buf.put_u32_le((offsets.len() - 1) as u32);
-    for &o in offsets {
-        buf.put_u32_le(o);
-    }
-    buf.put_u32_le(data.len() as u32);
-}
-
-fn put_id_csr<T: Copy>(buf: &mut BytesMut, csr: &Csr<T>, id: impl Fn(&T) -> u32) {
-    put_csr_header(buf, csr);
-    for t in csr.data() {
-        buf.put_u32_le(id(t));
-    }
-}
-
-fn put_meta_csr(buf: &mut BytesMut, csr: &Csr<(ConceptId, IsAMeta)>) {
-    put_csr_header(buf, csr);
-    for &(c, meta) in csr.data() {
-        buf.put_u32_le(c.0);
-        buf.put_u8(meta.source.to_u8());
-        // `IsAMeta`'s fields are public, so an unclamped or NaN confidence
-        // can reach a store without passing `IsAMeta::new`. Clamp on the
-        // way out (NaN → 0.0, the `IsAMeta::new` convention): the decoder
-        // rejects out-of-range confidences as corruption, and a snapshot
-        // that saved successfully must always load.
-        let conf = if meta.confidence.is_nan() {
-            0.0
-        } else {
-            meta.confidence.clamp(0.0, 1.0)
-        };
-        buf.put_f32_le(conf);
-    }
-}
-
-/// Reads the CSR preamble, returning `(offsets, n_entries)` with the
-/// structural invariants (first offset 0, monotone, final offset == entry
-/// count) already checked and allocations capped by the remaining bytes.
-fn get_csr_preamble(
-    body: &mut &[u8],
-    what: &'static str,
-    elem_size: usize,
-) -> Result<(Vec<u32>, usize), PersistError> {
-    let rows = get_u32(body, what)? as usize;
-    let n_offsets = rows + 1;
-    if (body.remaining() as u64) < n_offsets as u64 * 4 {
-        return Err(PersistError::Truncated(what));
-    }
-    let mut offsets = Vec::with_capacity(n_offsets.min(body.remaining() / 4));
-    let mut prev = 0u32;
-    for i in 0..n_offsets {
-        let o = body.get_u32_le();
-        if (i == 0 && o != 0) || o < prev {
-            return Err(PersistError::BadIndex(what));
-        }
-        prev = o;
-        offsets.push(o);
-    }
-    let n_entries = get_u32(body, what)? as usize;
-    if n_entries != prev as usize {
-        return Err(PersistError::BadIndex(what));
-    }
-    if (body.remaining() as u64) < n_entries as u64 * elem_size as u64 {
-        return Err(PersistError::Truncated(what));
-    }
-    Ok((offsets, n_entries))
-}
-
-fn get_id_csr<T: Copy>(
-    mut body: &[u8],
-    what: &'static str,
-    wrap: impl Fn(u32) -> T,
-) -> Result<Csr<T>, PersistError> {
-    let (offsets, n_entries) = get_csr_preamble(&mut body, what, 4)?;
-    let mut data = Vec::with_capacity(n_entries.min(body.remaining() / 4));
-    for _ in 0..n_entries {
-        data.push(wrap(body.get_u32_le()));
-    }
-    expect_consumed(body, what)?;
-    Ok(Csr::from_parts(offsets, data))
-}
-
-fn get_meta_csr(
-    mut body: &[u8],
-    what: &'static str,
-) -> Result<Csr<(ConceptId, IsAMeta)>, PersistError> {
-    let (offsets, n_entries) = get_csr_preamble(&mut body, what, 9)?;
-    let mut data = Vec::with_capacity(n_entries.min(body.remaining() / 9));
-    for _ in 0..n_entries {
-        let c = ConceptId(body.get_u32_le());
-        let src = body.get_u8();
-        let conf = body.get_f32_le();
-        let source = Source::from_u8(src).ok_or(PersistError::BadIndex("edge source tag"))?;
-        // Reject rather than clamp: the encoder only writes clamped values,
-        // so an out-of-range confidence is corruption, and clamping would
-        // break the byte-identical re-encode guarantee.
-        if !(0.0..=1.0).contains(&conf) {
-            return Err(PersistError::BadIndex("edge confidence"));
-        }
-        data.push((
-            c,
-            IsAMeta {
-                source,
-                confidence: conf,
-            },
-        ));
-    }
-    expect_consumed(body, what)?;
-    Ok(Csr::from_parts(offsets, data))
-}
-
-fn expect_consumed(body: &[u8], what: &'static str) -> Result<(), PersistError> {
-    if body.is_empty() {
-        Ok(())
-    } else {
-        Err(PersistError::BadIndex(what))
-    }
-}
-
-// ----- v3: the zero-copy view snapshot ------------------------------------
+// ----- the snapshot encoder -----------------------------------------------
 //
-// Same framing and checksum as v2, different section bodies, designed so
-// `FrozenTaxonomyView` can answer every query straight off the buffer:
+// Section bodies are designed so `FrozenTaxonomyView` can answer every
+// query straight off the buffer:
 //
 // * `INTR` — `n u32 | n×u32 cumulative byte ends | concatenated UTF-8` —
 //   string `i` is `blob[end[i-1]..end[i]]`, no per-string length prefix.
 // * `SSRT` / `CSRT` — symbols sorted by string bytes / concept ids sorted
-//   by name symbol: the binary-search indexes replacing the hash maps a
-//   v2 boot rebuilds.
+//   by name symbol: binary-search indexes, so boot builds no hash map.
+// * `ENTS` / `CNPT` / `TOPO` / `DPTH` — `n u32` plus fixed-width `u32`
+//   records (an entity is `name, disambig`).
 // * `MDCT` — `n u32 | n×(source u8 | conf f32)` — the deduplicated edge
 //   metadata dictionary, sorted by `(source tag, confidence bits)`.
 // * CSR relations — varint-CSR ("VCSR"): `rows u32 | entries u32 |
@@ -1046,9 +449,23 @@ fn expect_consumed(body: &[u8], what: &'static str) -> Result<(), PersistError> 
 //   are usually a handful of intervals) or `base + bitmap` where the
 //   interval structure breaks down; the encoder picks whichever is
 //   smaller. An empty row is zero bytes.
+// * `MHSH` — `n u32 | n×(hash u32 | symbol u32)`, sorted by hash.
 
-/// Serializes a frozen snapshot to bytes (format v3, for
-/// [`FrozenTaxonomyView`]).
+fn section(buf: &mut BytesMut, tag: [u8; 4], write: impl FnOnce(&mut BytesMut)) {
+    // Write the payload in place and patch the length slot afterwards —
+    // staging it in a scratch buffer would copy every payload byte twice
+    // and transiently double the memory of the largest section.
+    buf.put_slice(&tag);
+    let len_at = buf.len();
+    buf.put_u64_le(0);
+    let start = buf.len();
+    write(buf);
+    let len = (buf.len() - start) as u64;
+    buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Serializes a frozen snapshot to bytes, for
+/// [`crate::view::FrozenTaxonomyView`] to open.
 pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
     let mut buf = BytesMut::with_capacity(1 << 16);
     buf.put_slice(MAGIC);
@@ -1109,25 +526,12 @@ pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
         // Hyponym rows mirror the entity→concept edge's dictionary index
         // inline, so `getEntity` never probes `ECON` per hit.
         put_vcsr(b, &f.concept_entities, |p, c, row| {
-            let mut prev = 0i64;
-            let mut first = true;
-            for &e in row {
-                if first {
-                    put_varint(p, u64::from(e.0));
-                    first = false;
-                } else {
-                    put_varint(p, zigzag(i64::from(e.0) - prev));
-                }
-                prev = i64::from(e.0);
-                let idx = f
-                    .entity_concepts
-                    .row(e.index())
-                    .iter()
-                    .find(|(cc, _)| cc.index() == c)
-                    .map(|(_, m)| dict_index(&dict, m))
-                    .unwrap_or(0);
-                put_varint(p, idx);
-            }
+            let mirrored = |e: EntityId| {
+                let mut edges = f.entity_concepts.row(e.index()).iter();
+                let edge = edges.find(|(cc, _)| cc.index() == c);
+                edge.map_or(0, |(_, m)| dict_index(&dict, m))
+            };
+            put_delta_row(p, row.iter().map(|&e| (e.0, Some(mirrored(e)))));
         });
     });
     section(&mut buf, SEC_CONCEPT_PARENTS, |b| {
@@ -1193,7 +597,7 @@ pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
     buf.freeze()
 }
 
-/// Writes a v3 snapshot to `path`.
+/// Writes a snapshot to `path`.
 pub fn save_frozen_v3_to_file(f: &FrozenTaxonomy, path: &Path) -> Result<(), PersistError> {
     std::fs::write(path, encode_frozen_v3(f))?;
     Ok(())
@@ -1226,23 +630,31 @@ fn put_vcsr<T: Copy>(
     buf.put_slice(&payload);
 }
 
-fn put_delta_ids(b: &mut BytesMut, ids: impl Iterator<Item = u32>) {
-    let mut prev = 0i64;
-    let mut first = true;
-    for id in ids {
-        if first {
-            put_varint(b, u64::from(id));
-            first = false;
-        } else {
-            put_varint(b, zigzag(i64::from(id) - prev));
+/// One varint-CSR row: the first id raw, every later one a zigzag delta
+/// from its predecessor, each followed by its `MDCT` index where the
+/// relation carries edge metadata.
+fn put_delta_row(b: &mut BytesMut, row: impl Iterator<Item = (u32, Option<u64>)>) {
+    let mut prev: Option<u32> = None;
+    for (id, meta_index) in row {
+        match prev.replace(id) {
+            None => put_varint(b, u64::from(id)),
+            Some(prev) => put_varint(b, zigzag(i64::from(id) - i64::from(prev))),
         }
-        prev = i64::from(id);
+        if let Some(index) = meta_index {
+            put_varint(b, index);
+        }
     }
 }
 
-/// Same clamp as the v2 encoder (see `put_meta_csr`): the decoder rejects
-/// out-of-range confidences, and a snapshot that saved successfully must
-/// always load.
+fn put_delta_ids(b: &mut BytesMut, ids: impl Iterator<Item = u32>) {
+    put_delta_row(b, ids.map(|id| (id, None)));
+}
+
+/// `IsAMeta`'s fields are public, so an unclamped or NaN confidence can
+/// reach a store without passing `IsAMeta::new`. Clamp on the way out
+/// (NaN → 0.0, the `IsAMeta::new` convention): the view rejects
+/// out-of-range confidences as corruption, and a snapshot that saved
+/// successfully must always load.
 fn clamp_conf(c: f32) -> f32 {
     if c.is_nan() {
         0.0
@@ -1276,18 +688,7 @@ fn dict_index(dict: &[(u8, u32)], m: &IsAMeta) -> u64 {
 }
 
 fn put_meta_row(b: &mut BytesMut, row: &[(ConceptId, IsAMeta)], dict: &[(u8, u32)]) {
-    let mut prev = 0i64;
-    let mut first = true;
-    for &(c, meta) in row {
-        if first {
-            put_varint(b, u64::from(c.0));
-            first = false;
-        } else {
-            put_varint(b, zigzag(i64::from(c.0) - prev));
-        }
-        prev = i64::from(c.0);
-        put_varint(b, dict_index(dict, &meta));
-    }
+    put_delta_row(b, row.iter().map(|(c, m)| (c.0, Some(dict_index(dict, m)))));
 }
 
 fn put_ancc_row(b: &mut BytesMut, row: &[ConceptId]) {
@@ -1467,7 +868,7 @@ pub(crate) fn encode_delta(d: &DeltaOverlay) -> Bytes {
 }
 
 /// Deserializes a delta overlay, validating magic, version, structure and
-/// the trailing content checksum. Like the snapshot decoders, every read
+/// the trailing content checksum. As when opening a snapshot, every read
 /// is capped by the remaining buffer, so hostile length fields fail with
 /// [`PersistError::Truncated`] instead of over-allocating.
 pub(crate) fn decode_delta(bytes: &[u8]) -> Result<DeltaOverlay, PersistError> {
@@ -1539,7 +940,15 @@ pub(crate) fn decode_delta(bytes: &[u8]) -> Result<DeltaOverlay, PersistError> {
     Ok(DeltaOverlay { ops })
 }
 
-// ----- shared primitives --------------------------------------------------
+// ----- sidecar primitives -------------------------------------------------
+
+fn expect_consumed(body: &[u8], what: &'static str) -> Result<(), PersistError> {
+    if body.is_empty() {
+        Ok(())
+    } else {
+        Err(PersistError::BadIndex(what))
+    }
+}
 
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
@@ -1580,7 +989,9 @@ fn get_str(buf: &mut &[u8]) -> Result<String, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{IsAMeta, Source};
+    use crate::store::TaxonomyStore;
+    use crate::view::tests::{assert_view_matches, demo_store};
+    use crate::view::FrozenTaxonomyView;
     use proptest::prelude::*;
 
     fn demo_delta() -> DeltaOverlay {
@@ -1627,57 +1038,23 @@ mod tests {
         ));
     }
 
+    /// `/admin/ingest` hands request bodies straight to this decoder: a
+    /// sidecar cut anywhere is a typed error, never a panic.
+    #[test]
+    fn truncation_rejected_everywhere() {
+        let bytes = encode_delta(&demo_delta());
+        for cut in 0..bytes.len() {
+            assert!(decode_delta(&bytes[..cut]).is_err(), "cut at {cut} decoded");
+        }
+    }
+
     #[test]
     fn delta_decode_rejects_snapshot_magic() {
-        let store = demo_store();
+        let snapshot = encode_frozen_v3(&FrozenTaxonomy::freeze(&demo_store()));
         assert!(matches!(
-            decode_delta(&encode(&store)),
+            decode_delta(&snapshot),
             Err(PersistError::BadMagic)
         ));
-    }
-
-    fn demo_store() -> TaxonomyStore {
-        let mut s = TaxonomyStore::new();
-        let liu = s.add_entity("刘德华", Some("中国香港男演员"));
-        let zhang = s.add_entity("张学友", None);
-        s.add_alias(liu, "Andy Lau");
-        s.add_attribute(liu, "职业");
-        s.add_attribute(liu, "代表作品");
-        let actor = s.add_concept("演员");
-        let singer = s.add_concept("歌手");
-        let person = s.add_concept("人物");
-        s.add_concept_is_a(actor, person, IsAMeta::new(Source::SubConcept, 0.8));
-        s.add_concept_is_a(singer, person, IsAMeta::new(Source::SubConcept, 0.8));
-        s.add_entity_is_a(liu, actor, IsAMeta::new(Source::Bracket, 0.96));
-        s.add_entity_is_a(liu, singer, IsAMeta::new(Source::Tag, 0.97));
-        s.add_entity_is_a(zhang, singer, IsAMeta::new(Source::Infobox, 0.9));
-        s
-    }
-
-    fn assert_stores_equal(a: &TaxonomyStore, b: &TaxonomyStore) {
-        assert_eq!(a.num_entities(), b.num_entities());
-        assert_eq!(a.num_concepts(), b.num_concepts());
-        assert_eq!(a.num_is_a(), b.num_is_a());
-        for id in a.entity_ids() {
-            assert_eq!(a.entity_key(id), b.entity_key(id));
-            let ea: Vec<_> = a
-                .concepts_of(id)
-                .iter()
-                .map(|(c, m)| (a.concept_name(*c).to_string(), m.source, m.confidence))
-                .collect();
-            let eb: Vec<_> = b
-                .concepts_of(id)
-                .iter()
-                .map(|(c, m)| (b.concept_name(*c).to_string(), m.source, m.confidence))
-                .collect();
-            assert_eq!(ea, eb);
-            let attrs_a: Vec<_> = a.attributes_of(id).iter().map(|&s| a.resolve(s)).collect();
-            let attrs_b: Vec<_> = b.attributes_of(id).iter().map(|&s| b.resolve(s)).collect();
-            assert_eq!(attrs_a, attrs_b);
-        }
-        for id in a.concept_ids() {
-            assert_eq!(a.concept_name(id), b.concept_name(id));
-        }
     }
 
     fn assert_frozen_equal(a: &FrozenTaxonomy, b: &FrozenTaxonomy) {
@@ -1701,106 +1078,33 @@ mod tests {
         }
     }
 
-    // ----- v1 -------------------------------------------------------------
+    // ----- snapshot -------------------------------------------------------
 
-    #[test]
-    fn roundtrip_demo_store() {
-        let store = demo_store();
-        let bytes = encode(&store);
-        let loaded = decode(&bytes).expect("decode");
-        assert_stores_equal(&store, &loaded);
+    fn open(bytes: impl Into<Bytes>) -> Result<FrozenTaxonomyView, PersistError> {
+        FrozenTaxonomyView::open(bytes.into())
     }
 
-    #[test]
-    fn file_roundtrip() {
-        let store = demo_store();
-        let dir = std::env::temp_dir().join("cnp_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.cnpb");
-        save_to_file(&store, &path).expect("save");
-        let loaded = load_from_file(&path).expect("load");
-        assert_stores_equal(&store, &loaded);
-        std::fs::remove_file(&path).ok();
+    /// encode → open → materialise: everything a snapshot file goes through.
+    fn roundtrip(frozen: &FrozenTaxonomy) -> FrozenTaxonomy {
+        let view = open(encode_frozen_v3(frozen)).expect("open");
+        view.to_frozen().expect("materialise")
     }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let err = decode(b"XXXX\x01\x00\x00\x00").unwrap_err();
-        assert!(matches!(err, PersistError::BadMagic));
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(999);
-        let err = decode(&buf).unwrap_err();
-        assert!(matches!(err, PersistError::BadVersion(999)));
-    }
-
-    #[test]
-    fn truncation_rejected_everywhere() {
-        let bytes = encode(&demo_store());
-        // Chop the snapshot at several points; each must error, not panic.
-        for cut in [0, 3, 8, 9, 20, bytes.len() / 2, bytes.len() - 1] {
-            let res = decode(&bytes[..cut]);
-            assert!(res.is_err(), "cut at {cut} unexpectedly decoded");
-        }
-    }
-
-    #[test]
-    fn empty_store_roundtrip() {
-        let store = TaxonomyStore::new();
-        let loaded = decode(&encode(&store)).unwrap();
-        assert_eq!(loaded.num_entities(), 0);
-        assert_eq!(loaded.num_concepts(), 0);
-        assert_eq!(loaded.num_is_a(), 0);
-    }
-
-    /// Regression (pre-fix this could over-allocate): a v1 header whose
-    /// count field claims u32::MAX records over a near-empty body must fail
-    /// with a truncation error after at most a tiny bounded allocation.
-    #[test]
-    fn v1_hostile_count_is_clamped_by_remaining_bytes() {
-        for section in 0..3 {
-            let mut buf = BytesMut::new();
-            buf.put_slice(MAGIC);
-            buf.put_u32_le(VERSION_STORE);
-            if section >= 1 {
-                buf.put_u32_le(1); // one string: ""
-                put_str(&mut buf, "");
-            }
-            if section >= 2 {
-                buf.put_u32_le(0); // zero entities
-            }
-            // The hostile count (strings / entities / concepts by turn).
-            buf.put_u32_le(u32::MAX);
-            let err = decode(&buf).unwrap_err();
-            assert!(
-                matches!(err, PersistError::Truncated(_)),
-                "section {section}: {err}"
-            );
-        }
-    }
-
-    // ----- v2 -------------------------------------------------------------
 
     #[test]
     fn frozen_roundtrip_demo_store() {
         let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let bytes = encode_frozen(&frozen);
-        let loaded = decode_frozen(&bytes).expect("decode_frozen");
+        let bytes = encode_frozen_v3(&frozen);
+        let loaded = roundtrip(&frozen);
         assert_frozen_equal(&frozen, &loaded);
         // Re-encode is byte-identical: the codec is a pure function of the
         // snapshot contents and the derived maps never reach the wire.
-        assert_eq!(encode_frozen(&loaded).as_ref(), bytes.as_ref());
+        assert_eq!(encode_frozen_v3(&loaded), bytes);
     }
 
     #[test]
     fn frozen_roundtrip_preserves_queries() {
-        let store = demo_store();
-        let frozen = FrozenTaxonomy::freeze(&store);
-        let loaded = decode_frozen(&encode_frozen(&frozen)).unwrap();
+        let frozen = FrozenTaxonomy::freeze(&demo_store());
+        let loaded = roundtrip(&frozen);
         for m in ["刘德华", "张学友", "Andy Lau", "刘德华（中国香港男演员）"] {
             assert_eq!(frozen.men2ent(m), loaded.men2ent(m), "mention {m}");
         }
@@ -1817,121 +1121,95 @@ mod tests {
         let person = store.find_concept("人物").unwrap();
         store.add_concept_is_a(person, actor, IsAMeta::new(Source::SubConcept, 0.1));
         let frozen = FrozenTaxonomy::freeze(&store);
-        let loaded = decode_frozen(&encode_frozen(&frozen)).unwrap();
-        assert_frozen_equal(&frozen, &loaded);
+        assert_frozen_equal(&frozen, &roundtrip(&frozen));
     }
 
     /// Regression: `IsAMeta`'s fields are public, so a NaN or out-of-range
     /// confidence can enter a store without passing `IsAMeta::new`. The
-    /// encoder must clamp on the way out — pre-fix it wrote the raw value,
-    /// producing a snapshot that saved successfully but failed to load
+    /// encoder must clamp on the way out — a raw value would produce a
+    /// snapshot that saved successfully but failed to open
     /// (`BadIndex("edge confidence")`).
     #[test]
     fn frozen_encode_clamps_unclamped_confidence() {
+        let raw = |source, confidence| IsAMeta { source, confidence };
         let mut store = demo_store();
-        let e = store.find_entity("张学友", None).unwrap();
-        let c = store.find_concept("演员").unwrap();
-        store.add_entity_is_a(
-            e,
-            c,
-            IsAMeta {
-                source: Source::Tag,
-                confidence: f32::NAN,
-            },
-        );
-        let c2 = store.find_concept("歌手").unwrap();
-        store.add_concept_is_a(
-            c2,
-            c,
-            IsAMeta {
-                source: Source::SubConcept,
-                confidence: 7.5,
-            },
-        );
-        let frozen = FrozenTaxonomy::freeze(&store);
-        let loaded = decode_frozen(&encode_frozen(&frozen)).expect("clamped snapshot loads");
-        let nan_edge = loaded
-            .concepts_of(e)
-            .iter()
-            .find(|&&(cc, _)| cc == c)
-            .unwrap();
-        assert_eq!(nan_edge.1.confidence, 0.0);
-        let hot_edge = loaded
-            .parents_of(c2)
-            .iter()
-            .find(|&&(cc, _)| cc == c)
-            .unwrap();
-        assert_eq!(hot_edge.1.confidence, 1.0);
+        let zhang = store.find_entity("张学友", None).unwrap();
+        let actor = store.find_concept("演员").unwrap();
+        let singer = store.find_concept("歌手").unwrap();
+        store.add_entity_is_a(zhang, actor, raw(Source::Tag, f32::NAN));
+        store.add_concept_is_a(singer, actor, raw(Source::SubConcept, 7.5));
+        let loaded = roundtrip(&FrozenTaxonomy::freeze(&store));
+        let confidence_to_actor = |row: &[(ConceptId, IsAMeta)]| {
+            let edge = row.iter().find(|&&(c, _)| c == actor).expect("edge kept");
+            edge.1.confidence
+        };
+        assert_eq!(confidence_to_actor(loaded.concepts_of(zhang)), 0.0);
+        assert_eq!(confidence_to_actor(loaded.parents_of(singer)), 1.0);
+    }
+
+    #[test]
+    fn empty_store_roundtrip() {
+        let frozen = FrozenTaxonomy::freeze(&TaxonomyStore::new());
+        let view = open(encode_frozen_v3(&frozen)).expect("open the empty snapshot");
+        assert_eq!(view.num_entities(), 0);
+        assert_eq!(view.num_concepts(), 0);
+        assert_eq!(view.num_is_a(), 0);
+        assert!(view.men2ent("刘德华").is_empty());
+        assert_eq!(view.find_concept("人物"), None);
     }
 
     #[test]
     fn frozen_empty_roundtrip() {
         let frozen = FrozenTaxonomy::freeze(&TaxonomyStore::new());
-        let loaded = decode_frozen(&encode_frozen(&frozen)).unwrap();
+        let loaded = roundtrip(&frozen);
         assert_eq!(loaded.num_entities(), 0);
         assert_eq!(loaded.num_concepts(), 0);
+        assert_eq!(encode_frozen_v3(&loaded), encode_frozen_v3(&frozen));
+    }
+
+    fn temp_file(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("cnp_persist_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
     }
 
     #[test]
     fn frozen_file_roundtrip() {
         let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let dir = std::env::temp_dir().join("cnp_persist_test_v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.cnpb");
-        save_frozen_to_file(&frozen, &path).expect("save");
-        let loaded = load_frozen_from_file(&path).expect("load");
-        assert_frozen_equal(&frozen, &loaded);
+        let path = temp_file("snapshot.cnpb");
+        save_frozen_v3_to_file(&frozen, &path).expect("save");
+        let view = FrozenTaxonomyView::load_from_file(&path).expect("load");
+        assert_frozen_equal(&frozen, &view.to_frozen().expect("materialise"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The sidecar's file form: what an operator ships next to a snapshot.
+    #[test]
+    fn file_roundtrip() {
+        let delta = demo_delta();
+        let path = temp_file("delta.cnpd");
+        delta.save_to_file(&path).expect("save");
+        assert_eq!(DeltaOverlay::load_from_file(&path).expect("load"), delta);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn snapshot_dispatches_on_version() {
-        let store = demo_store();
-        let v1 = encode(&store);
-        let frozen = FrozenTaxonomy::freeze(&store);
-        let v2 = encode_frozen(&frozen);
-        let v3 = encode_frozen_v3(&frozen);
-        let s1 = Snapshot::load(&v1).unwrap();
-        assert_eq!(s1.version(), VERSION_STORE);
-        let s2 = Snapshot::load(&v2).unwrap();
-        assert_eq!(s2.version(), VERSION_FROZEN);
-        let s3 = Snapshot::load(&v3).unwrap();
-        assert_eq!(s3.version(), VERSION_VIEW);
-        assert_frozen_equal(&frozen, &s3.into_frozen().expect("materialise v3"));
-        // v1 and v2 land on an equivalent serving snapshot. The v1 path
-        // re-interns strings in rebuild order, so symbols are compared
-        // through `resolve`, not numerically.
-        let (a, b) = (s1.into_frozen().unwrap(), s2.into_frozen().unwrap());
-        assert_eq!(a.num_entities(), b.num_entities());
-        assert_eq!(a.num_is_a(), b.num_is_a());
-        for e in a.entity_ids() {
-            assert_eq!(a.entity_key(e), b.entity_key(e));
-            assert_eq!(a.concepts_of(e), b.concepts_of(e));
-            let resolve_all = |f: &FrozenTaxonomy, syms: &[Symbol]| -> Vec<String> {
-                syms.iter().map(|&s| f.resolve(s).to_string()).collect()
-            };
-            assert_eq!(
-                resolve_all(&a, a.attributes_of(e)),
-                resolve_all(&b, b.attributes_of(e))
-            );
-            assert_eq!(
-                resolve_all(&a, a.aliases_of(e)),
-                resolve_all(&b, b.aliases_of(e))
-            );
-        }
-        for c in a.concept_ids() {
-            assert_eq!(a.concept_name(c), b.concept_name(c));
-            assert_eq!(a.entities_of(c), b.entities_of(c));
-            assert_eq!(a.ancestors_of(c), b.ancestors_of(c));
-            assert_eq!(a.depth(c), b.depth(c));
-        }
-        let mut bad = BytesMut::new();
-        bad.put_slice(MAGIC);
-        bad.put_u32_le(77);
-        assert!(matches!(
-            Snapshot::load(&bad),
-            Err(PersistError::BadVersion(77))
-        ));
+    fn bad_magic_rejected() {
+        let err = open(b"XXXX\x03\x00\x00\x00".to_vec()).unwrap_err();
+        assert!(matches!(err, PersistError::BadMagic));
+    }
+
+    #[test]
+    fn bad_version_rejected() {
+        let err = open(b"CNPB\xe7\x03\x00\x00".to_vec()).unwrap_err();
+        assert!(matches!(err, PersistError::BadVersion(999)));
+        assert_eq!(err.to_string(), "unsupported snapshot version 999");
+        // The formats earlier releases wrote say what to do instead.
+        let err = open(b"CNPB\x02\x00\x00\x00 and an owned-CSR body".to_vec()).unwrap_err();
+        assert!(matches!(err, PersistError::BadVersion(2)));
+        let message = err.to_string();
+        assert!(message.contains("v2 is no longer readable"), "{message}");
+        assert!(message.contains("PipelineOutcome::save_view"), "{message}");
     }
 
     /// Rebuilds the trailing CKSM section after the test mutated the body.
@@ -1944,24 +1222,27 @@ mod tests {
         bytes
     }
 
+    /// Forward compatibility: a section this reader has never heard of —
+    /// first in the file or last before `CKSM` — is skipped, and the
+    /// snapshot opens and answers as if it were not there.
     #[test]
     fn unknown_sections_are_skipped() {
         let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let encoded = encode_frozen(&frozen);
-        // Splice an unknown section right after the header, re-seal.
-        let mut bytes = encoded[..8].to_vec();
-        bytes.put_slice(b"XTRA");
-        bytes.put_u64_le(3);
-        bytes.put_slice(b"\xAA\xBB\xCC");
-        bytes.extend_from_slice(&encoded[8..]);
-        let loaded = decode_frozen(&reseal(bytes)).expect("skip unknown section");
-        assert_frozen_equal(&frozen, &loaded);
+        let encoded = encode_frozen_v3(&frozen);
+        let extra = b"XTRA\x03\x00\x00\x00\x00\x00\x00\x00\xAA\xBB\xCC";
+        for at in [8, encoded.len() - 20] {
+            let mut bytes = encoded[..at].to_vec();
+            bytes.extend_from_slice(extra);
+            bytes.extend_from_slice(&encoded[at..]);
+            let view = open(reseal(bytes)).expect("skip unknown section");
+            assert_eq!(view.men2ent("Andy Lau"), frozen.men2ent("Andy Lau"));
+            assert_frozen_equal(&frozen, &view.to_frozen().expect("materialise"));
+        }
     }
 
     #[test]
     fn missing_section_is_reported() {
-        let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let encoded = encode_frozen(&frozen);
+        let encoded = encode_frozen_v3(&FrozenTaxonomy::freeze(&demo_store()));
         // Drop the DPTH section wholesale, re-seal: structurally valid
         // framing, but a required section is gone.
         let mut bytes = encoded[..8].to_vec();
@@ -1977,56 +1258,53 @@ mod tests {
                 bytes.extend_from_slice(&encoded[start..end]);
             }
         }
-        let err = decode_frozen(&reseal(bytes)).unwrap_err();
+        let err = open(reseal(bytes)).unwrap_err();
         assert!(matches!(err, PersistError::MissingSection("DPTH")), "{err}");
     }
 
     #[test]
     fn checksum_mismatch_is_detected() {
-        let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let mut bytes = encode_frozen(&frozen).to_vec();
+        let mut bytes = encode_frozen_v3(&FrozenTaxonomy::freeze(&demo_store())).to_vec();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // corrupt the stored digest itself
-        assert!(matches!(
-            decode_frozen(&bytes),
-            Err(PersistError::BadChecksum)
-        ));
+        assert!(matches!(open(bytes), Err(PersistError::BadChecksum)));
     }
 
-    #[test]
-    fn v2_hostile_section_length_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_FROZEN);
-        buf.put_slice(&SEC_INTERNER);
-        buf.put_u64_le(u64::MAX);
-        assert!(matches!(
-            decode_frozen(&buf),
-            Err(PersistError::Truncated(_))
-        ));
-    }
-
-    #[test]
-    fn v2_hostile_csr_counts_are_rejected() {
-        // An ANCS section claiming u32::MAX rows over an 8-byte body: the
-        // offset-table size check fires before any allocation happens.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION_FROZEN);
-        let mut payload = BytesMut::new();
-        payload.put_u32_le(u32::MAX);
-        payload.put_u32_le(0);
-        buf.put_slice(&SEC_ANCESTORS);
-        buf.put_u64_le(payload.len() as u64);
-        buf.put_slice(&payload);
-        assert!(matches!(
-            decode_frozen(&buf),
-            Err(PersistError::Truncated(_))
-        ));
+    /// The graph proptests' store: 12 concepts, 6 entities, arbitrary edges
+    /// (cycles included), some entities aliased or disambiguated.
+    fn graph_store(
+        concept_edges: &[(u32, u32, u32)],
+        entity_links: &[(u32, u32)],
+        aliased: &[u32],
+        disambiguated: &[u32],
+    ) -> TaxonomyStore {
+        let mut store = TaxonomyStore::new();
+        for i in 0..12 {
+            store.add_concept(&format!("概念{i}"));
+        }
+        for i in 0..6u32 {
+            let dis = disambiguated.contains(&i).then(|| format!("义项{i}"));
+            store.add_entity(&format!("实体{i}"), dis.as_deref());
+        }
+        for &(a, b, conf) in concept_edges {
+            if a != b {
+                let meta = IsAMeta::new(Source::SubConcept, conf as f32 / 100.0);
+                store.add_concept_is_a(ConceptId(a), ConceptId(b), meta);
+            }
+        }
+        for &(e, c) in entity_links {
+            store.add_entity_is_a(EntityId(e), ConceptId(c), IsAMeta::new(Source::Tag, 0.8));
+        }
+        for &e in aliased {
+            store.add_alias(EntityId(e), &format!("别名{e}"));
+            store.add_attribute(EntityId(e), "职业");
+        }
+        store
     }
 
     proptest! {
-        /// Arbitrary small stores round-trip exactly (v1).
+        /// Arbitrary names: the string table and both sorted indexes hold
+        /// whatever the corpus throws at them.
         #[test]
         fn roundtrip_arbitrary(
             entities in proptest::collection::vec("[一-龥]{1,4}", 1..10),
@@ -2041,15 +1319,20 @@ mod tests {
                     store.add_entity_is_a(eids[e], cids[c], IsAMeta::new(Source::Tag, conf));
                 }
             }
-            let loaded = decode(&encode(&store)).unwrap();
-            prop_assert_eq!(store.num_entities(), loaded.num_entities());
-            prop_assert_eq!(store.num_concepts(), loaded.num_concepts());
-            prop_assert_eq!(store.num_is_a(), loaded.num_is_a());
+            let frozen = FrozenTaxonomy::freeze(&store);
+            let view = open(encode_frozen_v3(&frozen)).unwrap();
+            assert_view_matches(&frozen, &view);
+            for name in &entities {
+                prop_assert_eq!(view.men2ent(name), frozen.men2ent(name).to_vec());
+            }
+            for name in &concepts {
+                prop_assert_eq!(view.find_concept(name), frozen.find_concept(name));
+            }
         }
 
-        /// Arbitrary stores (cycles included): freeze → encode → decode
-        /// re-encodes byte-identically and answers identical
-        /// `concepts_of` / `entities_of` / `ancestors_of` queries.
+        /// Arbitrary graphs (cycles included): freeze → encode → open →
+        /// materialise answers identical owned queries and re-encodes
+        /// byte-identically (the canonical-closure-form guarantee).
         #[test]
         fn frozen_roundtrip_arbitrary(
             concept_edges in proptest::collection::vec((0u32..12, 0u32..12, 0u32..100), 0..40),
@@ -2057,50 +1340,16 @@ mod tests {
             aliased in proptest::collection::vec(0u32..6, 0..4),
             disambiguated in proptest::collection::vec(0u32..6, 0..4),
         ) {
-            let mut store = TaxonomyStore::new();
-            for i in 0..12 {
-                store.add_concept(&format!("概念{i}"));
-            }
-            for i in 0..6u32 {
-                let dis = disambiguated.contains(&i).then(|| format!("义项{i}"));
-                store.add_entity(&format!("实体{i}"), dis.as_deref());
-            }
-            for &(a, b, conf) in &concept_edges {
-                if a != b {
-                    store.add_concept_is_a(
-                        ConceptId(a),
-                        ConceptId(b),
-                        IsAMeta::new(Source::SubConcept, conf as f32 / 100.0),
-                    );
-                }
-            }
-            for &(e, c) in &entity_links {
-                store.add_entity_is_a(EntityId(e), ConceptId(c), IsAMeta::new(Source::Tag, 0.8));
-            }
-            for &e in &aliased {
-                store.add_alias(EntityId(e), &format!("别名{e}"));
-                store.add_attribute(EntityId(e), "职业");
-            }
+            let store = graph_store(&concept_edges, &entity_links, &aliased, &disambiguated);
             let frozen = FrozenTaxonomy::freeze(&store);
-            let bytes = encode_frozen(&frozen);
-            let loaded = decode_frozen(&bytes).unwrap();
-            prop_assert_eq!(encode_frozen(&loaded).as_ref(), bytes.as_ref());
-            for e in frozen.entity_ids() {
-                prop_assert_eq!(frozen.concepts_of(e), loaded.concepts_of(e));
-            }
-            for c in frozen.concept_ids() {
-                prop_assert_eq!(frozen.entities_of(c), loaded.entities_of(c));
-                prop_assert_eq!(frozen.ancestors_of(c), loaded.ancestors_of(c));
-            }
-            for e in 0..6 {
-                let m = format!("实体{e}");
-                prop_assert_eq!(frozen.men2ent(&m), loaded.men2ent(&m));
-            }
+            let bytes = encode_frozen_v3(&frozen);
+            let loaded = open(bytes.clone()).unwrap().to_frozen().unwrap();
+            assert_frozen_equal(&frozen, &loaded);
+            prop_assert_eq!(encode_frozen_v3(&loaded).as_ref(), bytes.as_ref());
         }
 
-        /// Arbitrary stores through the v3 path: encode → open view ≡
-        /// owned queries, materialise through `to_frozen`, and re-encode
-        /// byte-identically (the canonical-closure-form guarantee).
+        /// The same graphs answered in place: every view accessor agrees
+        /// with the owned snapshot it was encoded from.
         #[test]
         fn view_roundtrip_arbitrary(
             concept_edges in proptest::collection::vec((0u32..12, 0u32..12, 0u32..100), 0..40),
@@ -2108,68 +1357,15 @@ mod tests {
             aliased in proptest::collection::vec(0u32..6, 0..4),
             disambiguated in proptest::collection::vec(0u32..6, 0..4),
         ) {
-            let mut store = TaxonomyStore::new();
-            for i in 0..12 {
-                store.add_concept(&format!("概念{i}"));
-            }
-            for i in 0..6u32 {
-                let dis = disambiguated.contains(&i).then(|| format!("义项{i}"));
-                store.add_entity(&format!("实体{i}"), dis.as_deref());
-            }
-            for &(a, b, conf) in &concept_edges {
-                if a != b {
-                    store.add_concept_is_a(
-                        ConceptId(a),
-                        ConceptId(b),
-                        IsAMeta::new(Source::SubConcept, conf as f32 / 100.0),
-                    );
-                }
-            }
-            for &(e, c) in &entity_links {
-                store.add_entity_is_a(EntityId(e), ConceptId(c), IsAMeta::new(Source::Tag, 0.8));
-            }
-            for &e in &aliased {
-                store.add_alias(EntityId(e), &format!("别名{e}"));
-                store.add_attribute(EntityId(e), "职业");
-            }
+            let store = graph_store(&concept_edges, &entity_links, &aliased, &disambiguated);
             let frozen = FrozenTaxonomy::freeze(&store);
-            let bytes = encode_frozen_v3(&frozen);
-            let view = FrozenTaxonomyView::open(bytes.clone()).unwrap();
-            for e in frozen.entity_ids() {
-                prop_assert_eq!(
-                    view.concepts_of(e).collect::<Vec<_>>(),
-                    frozen.concepts_of(e).to_vec()
-                );
-                prop_assert_eq!(view.entity_key(e), frozen.entity_key(e));
-                prop_assert_eq!(
-                    view.attributes_of(e).collect::<Vec<_>>(),
-                    frozen.attributes_of(e).to_vec()
-                );
-            }
-            for c in frozen.concept_ids() {
-                prop_assert_eq!(
-                    view.entities_of(c).collect::<Vec<_>>(),
-                    frozen.entities_of(c).to_vec()
-                );
-                prop_assert_eq!(
-                    view.ancestors(c).collect::<Vec<_>>(),
-                    frozen.ancestors_of(c).to_vec()
-                );
-                prop_assert_eq!(view.depth(c), frozen.depth(c));
-                for sup in frozen.concept_ids() {
-                    prop_assert_eq!(
-                        view.ancestor_contains(c, sup),
-                        frozen.ancestors_of(c).binary_search(&sup).is_ok()
-                    );
-                }
-            }
+            let view = open(encode_frozen_v3(&frozen)).unwrap();
+            assert_view_matches(&frozen, &view);
             for e in 0..6u32 {
                 for m in [format!("实体{e}"), format!("别名{e}"), format!("实体{e}（义项{e}）")] {
                     prop_assert_eq!(view.men2ent(&m), frozen.men2ent(&m).to_vec());
                 }
             }
-            let owned = view.to_frozen().unwrap();
-            prop_assert_eq!(encode_frozen_v3(&owned).as_ref(), bytes.as_ref());
         }
     }
 }

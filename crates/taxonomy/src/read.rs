@@ -1,21 +1,20 @@
 //! The read-side abstraction over snapshot representations.
 //!
 //! [`TaxonomyRead`] is the query surface the serving layer compiles
-//! against: every Table II primitive, expressed so both the owned
-//! [`FrozenTaxonomy`] (slice-backed) and the borrowed
-//! [`FrozenTaxonomyView`] (varint-decoded on the fly) can implement it
-//! without allocating adapters. Listing methods return iterators — slices
-//! iterate for free, the view decodes lazily.
+//! against: every Table II primitive, expressed so the owned
+//! [`FrozenTaxonomy`] (slice-backed, what a build freezes in process), the
+//! borrowed [`FrozenTaxonomyView`] (varint-decoded on the fly, what comes
+//! off a disk) and the `OverlayView` over either can implement it without
+//! allocating adapters. Listing methods return iterators — slices iterate
+//! for free, the view decodes lazily.
 //!
-//! [`AnySnapshot`] is the runtime dispatch: "whatever `Snapshot::load`
-//! produced, served through one type". v1/v2 snapshots materialise to the
-//! owned form; v3 boots as the zero-copy view. [`BootSnapshot`] is the
-//! boot constructor the service's hot-swap `reload` path needs to rebuild
-//! a snapshot of the same representation from a file.
+//! [`BootSnapshot`] is the constructor the service's boot and hot-swap
+//! `reload` paths use to bring a snapshot file up as a serving backend:
+//! the view over the file's bytes, or an `OverlayView` around it.
 
 use crate::frozen::FrozenTaxonomy;
 use crate::interner::Symbol;
-use crate::persist::{PersistError, Snapshot};
+use crate::persist::PersistError;
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta};
 use crate::view::FrozenTaxonomyView;
 use std::path::Path;
@@ -275,230 +274,31 @@ impl TaxonomyRead for FrozenTaxonomyView {
     }
 }
 
-/// Boots a snapshot of this representation from a file — the constructor
-/// behind `TaxonomyService::reload`'s zero-downtime hot swap.
+/// Boots a serving backend from a snapshot file — the constructor behind
+/// `TaxonomyService::boot_from_file` and the zero-downtime `reload`.
 pub trait BootSnapshot: Sized {
     /// Loads a snapshot file into this representation.
     fn boot_from_file(path: &Path) -> Result<Self, PersistError>;
 }
 
-impl BootSnapshot for FrozenTaxonomy {
-    /// Accepts any snapshot version, materialising to the owned form.
-    fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
-        Snapshot::load_from_file(path)?.into_frozen()
-    }
-}
-
 impl BootSnapshot for FrozenTaxonomyView {
-    /// v3 only: the zero-copy boot path.
+    /// One read; the buffer read from disk *is* the view's storage.
     fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
         FrozenTaxonomyView::load_from_file(path)
     }
 }
 
-impl BootSnapshot for AnySnapshot {
-    fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
-        AnySnapshot::load_from_file(path)
-    }
-}
-
-/// A snapshot of any on-disk version, served through one type: v1/v2
-/// materialise to the owned [`FrozenTaxonomy`], v3 boots as the borrowed
-/// [`FrozenTaxonomyView`].
-#[derive(Debug, Clone)]
-pub enum AnySnapshot {
-    /// Owned, slice-backed snapshot (v1 load-then-freeze, v2 decode).
-    Owned(FrozenTaxonomy),
-    /// Borrowed, buffer-backed view (v3 zero-copy boot).
-    View(FrozenTaxonomyView),
-}
-
-impl AnySnapshot {
-    /// Loads a snapshot file of any version — the front door for servers
-    /// that should boot whatever format operations hands them.
-    pub fn load_from_file(path: &Path) -> Result<Self, PersistError> {
-        Ok(Snapshot::load_from_file(path)?.into_any())
-    }
-
-    /// Human-readable serving mode, for boot logs.
-    pub fn mode(&self) -> &'static str {
-        match self {
-            AnySnapshot::Owned(_) => "owned",
-            AnySnapshot::View(_) => "view",
-        }
-    }
-}
-
-/// Iterator sum type for [`AnySnapshot`]'s and
-/// [`crate::overlay::OverlayView`]'s delegated listings.
-pub(crate) enum Either<L, R> {
-    L(L),
-    R(R),
-}
-
-impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for Either<L, R> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        match self {
-            Either::L(l) => l.next(),
-            Either::R(r) => r.next(),
-        }
-    }
-}
-
-impl TaxonomyRead for AnySnapshot {
-    fn resolve(&self, sym: Symbol) -> &str {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::resolve(f, sym),
-            AnySnapshot::View(v) => TaxonomyRead::resolve(v, sym),
-        }
-    }
-
-    fn entity(&self, id: EntityId) -> EntityRecord {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::entity(f, id),
-            AnySnapshot::View(v) => TaxonomyRead::entity(v, id),
-        }
-    }
-
-    fn entity_key(&self, id: EntityId) -> String {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::entity_key(f, id),
-            AnySnapshot::View(v) => TaxonomyRead::entity_key(v, id),
-        }
-    }
-
-    fn find_entity(&self, name: &str, disambig: Option<&str>) -> Option<EntityId> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::find_entity(f, name, disambig),
-            AnySnapshot::View(v) => TaxonomyRead::find_entity(v, name, disambig),
-        }
-    }
-
-    fn find_concept(&self, name: &str) -> Option<ConceptId> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::find_concept(f, name),
-            AnySnapshot::View(v) => TaxonomyRead::find_concept(v, name),
-        }
-    }
-
-    fn concept_name(&self, id: ConceptId) -> &str {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::concept_name(f, id),
-            AnySnapshot::View(v) => TaxonomyRead::concept_name(v, id),
-        }
-    }
-
-    fn num_entities(&self) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::num_entities(f),
-            AnySnapshot::View(v) => TaxonomyRead::num_entities(v),
-        }
-    }
-
-    fn num_concepts(&self) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::num_concepts(f),
-            AnySnapshot::View(v) => TaxonomyRead::num_concepts(v),
-        }
-    }
-
-    fn num_is_a(&self) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::num_is_a(f),
-            AnySnapshot::View(v) => TaxonomyRead::num_is_a(v),
-        }
-    }
-
-    fn num_mentions(&self) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::num_mentions(f),
-            AnySnapshot::View(v) => TaxonomyRead::num_mentions(v),
-        }
-    }
-
-    fn men2ent(&self, mention: &str) -> Vec<EntityId> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::men2ent(f, mention),
-            AnySnapshot::View(v) => TaxonomyRead::men2ent(v, mention),
-        }
-    }
-
-    fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::concepts_of(f, e)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::concepts_of(v, e)),
-        }
-    }
-
-    fn entities_of(&self, c: ConceptId) -> impl Iterator<Item = EntityId> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::entities_of(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::entities_of(v, c)),
-        }
-    }
-
-    fn entities_with_confidence(&self, c: ConceptId) -> impl Iterator<Item = (EntityId, f32)> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::entities_with_confidence(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::entities_with_confidence(v, c)),
-        }
-    }
-
-    fn entity_edge(&self, e: EntityId, c: ConceptId) -> Option<IsAMeta> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::entity_edge(f, e, c),
-            AnySnapshot::View(v) => TaxonomyRead::entity_edge(v, e, c),
-        }
-    }
-
-    fn parents_of(&self, c: ConceptId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::parents_of(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::parents_of(v, c)),
-        }
-    }
-
-    fn children_of(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::children_of(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::children_of(v, c)),
-        }
-    }
-
-    fn ancestors(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
-        match self {
-            AnySnapshot::Owned(f) => Either::L(TaxonomyRead::ancestors(f, c)),
-            AnySnapshot::View(v) => Either::R(TaxonomyRead::ancestors(v, c)),
-        }
-    }
-
-    fn ancestor_contains(&self, c: ConceptId, sup: ConceptId) -> bool {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::ancestor_contains(f, c, sup),
-            AnySnapshot::View(v) => TaxonomyRead::ancestor_contains(v, c, sup),
-        }
-    }
-
-    fn depth(&self, c: ConceptId) -> usize {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::depth(f, c),
-            AnySnapshot::View(v) => TaxonomyRead::depth(v, c),
-        }
-    }
-
-    fn descendants(&self, start: ConceptId) -> Vec<ConceptId> {
-        match self {
-            AnySnapshot::Owned(f) => TaxonomyRead::descendants(f, start),
-            AnySnapshot::View(v) => TaxonomyRead::descendants(v, start),
-        }
-    }
-}
+// Pinned by `benchmark/src/bin/cnp_layers/{main,probe}.rs`, which this
+// repository's PRs may not edit alongside served code; the next
+// `benchmark` PR renames its uses to `FrozenTaxonomyView` and deletes
+// this line.
+#[doc(hidden)]
+pub type AnySnapshot = FrozenTaxonomyView;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::OverlayView;
     use crate::persist::encode_frozen_v3;
     use crate::store::{Source, TaxonomyStore};
 
@@ -552,24 +352,7 @@ mod tests {
         let view = FrozenTaxonomyView::open(encode_frozen_v3(&frozen)).expect("open");
         let base = describe(&frozen);
         assert_eq!(describe(&view), base);
-        assert_eq!(describe(&AnySnapshot::View(view)), base);
-        assert_eq!(describe(&AnySnapshot::Owned(frozen)), base);
-    }
-
-    #[test]
-    fn any_snapshot_boots_every_version_from_file() {
-        let frozen = demo();
-        let dir = std::env::temp_dir().join(format!("cnp_read_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmpdir");
-        let v2 = dir.join("v2.cnpb");
-        let v3 = dir.join("v3.cnpb");
-        frozen.save_to_file(&v2).expect("save v2");
-        std::fs::write(&v3, encode_frozen_v3(&frozen)).expect("save v3");
-        let a = AnySnapshot::boot_from_file(&v2).expect("boot v2");
-        let b = AnySnapshot::boot_from_file(&v3).expect("boot v3");
-        assert_eq!(a.mode(), "owned");
-        assert_eq!(b.mode(), "view");
-        assert_eq!(a.num_is_a(), b.num_is_a());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(describe(&OverlayView::new(view)), base);
+        assert_eq!(describe(&OverlayView::new(frozen)), base);
     }
 }

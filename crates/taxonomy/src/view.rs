@@ -10,18 +10,10 @@
 //! afterwards decodes the handful of varints it touches, directly from the
 //! buffer.
 //!
-//! Contrast with the two owned paths:
-//!
-//! * v1 (`Snapshot::Store`) — decode a mutable store, then freeze:
-//!   Tarjan + closure + depth DP on every boot.
-//! * v2 ([`FrozenTaxonomy::decode`]) — validate-and-go, but still one
-//!   owned allocation per section and raw `u32` columns on disk.
-//! * v3 (this module) — validate-and-go with **zero per-section
-//!   allocation** and delta/varint-compressed columns.
-//!
-//! What v2 rebuilds as hash maps, v3 stores as sorted permutations
-//! (`SSRT`: symbols by string bytes; `CSRT`: concepts by name symbol) and
-//! the view binary-searches. Edge metadata lives once in the `MDCT`
+//! The owned [`FrozenTaxonomy`] keeps three hash maps for key lookups;
+//! the snapshot stores sorted permutations instead (`SSRT`: symbols by
+//! string bytes; `CSRT`: concepts by name symbol) and the view
+//! binary-searches them. Edge metadata lives once in the `MDCT`
 //! dictionary — meta rows carry varint indices into it, and the hyponym
 //! rows (`CENT`) mirror each edge's index inline so `getEntity` ranks by
 //! confidence without probing the entity-side adjacency. Full disambiguated keys
@@ -39,8 +31,7 @@
 //! is guaranteed by `open`; *semantic* invariants (topo permutation,
 //! closure correctness, key uniqueness) are deferred to
 //! [`FrozenTaxonomyView::to_frozen`], which materialises an owned
-//! [`FrozenTaxonomy`] through the same `validate_frozen` gate the v2
-//! decoder uses.
+//! [`FrozenTaxonomy`] through `persist::validate_frozen`.
 
 use crate::frozen::{Csr, FrozenTaxonomy};
 use crate::interner::{Interner, Symbol};
@@ -170,7 +161,7 @@ impl FrozenTaxonomyView {
             return Err(PersistError::BadVersion(version));
         }
 
-        // ----- section walk: same framing + checksum contract as v2 ------
+        // ----- section walk: framing + checksum ---------------------------
         const TAGS: [[u8; 4]; 17] = [
             SEC_INTERNER,
             SEC_STR_SORT,
@@ -578,12 +569,6 @@ impl FrozenTaxonomyView {
     /// The raw snapshot bytes backing this view.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf
-    }
-
-    /// A zero-copy handle to the backing buffer (`Bytes` is refcounted);
-    /// lets `crate::compact` reopen the same snapshot without copying.
-    pub(crate) fn bytes_handle(&self) -> Bytes {
-        self.buf.clone()
     }
 
     // ----- raw accessors (panic-free) -------------------------------------
@@ -1014,10 +999,10 @@ impl FrozenTaxonomyView {
     // ----- materialisation ------------------------------------------------
 
     /// Decodes every section into an owned [`FrozenTaxonomy`], running the
-    /// same semantic validation (`validate_frozen`) as the v2 decoder:
+    /// deep semantic validation (`validate_frozen`) that `open` defers:
     /// topo permutation, closure/depth consistency, relation symmetry,
     /// key uniqueness. This is the "trust but verify" escape hatch — and
-    /// the compatibility bridge for callers that need owned slices.
+    /// the bridge for callers that need owned slices.
     pub fn to_frozen(&self) -> Result<FrozenTaxonomy, PersistError> {
         let mut interner = Interner::new();
         for i in 0..self.n_strings {
@@ -1060,35 +1045,26 @@ impl FrozenTaxonomyView {
             }
         }
         let raw = RawSections {
-            interner: Some(interner),
-            entities: Some(entities),
-            concepts: Some(concepts),
-            entity_concepts: Some(entity_concepts),
-            concept_entities: Some(
-                self.decode_csr(&self.concept_entities, |r| PairIdIter::new(r).map(EntityId)),
-            ),
-            concept_parents: Some(self.decode_csr(&self.concept_parents, |r| {
+            interner,
+            entities,
+            concepts,
+            entity_concepts,
+            concept_entities: self
+                .decode_csr(&self.concept_entities, |r| PairIdIter::new(r).map(EntityId)),
+            concept_parents: self.decode_csr(&self.concept_parents, |r| {
                 MetaRowIter::new(r, dict).map(|(c, m)| (ConceptId(c), m))
-            })),
-            concept_children: Some(
-                self.decode_csr(&self.concept_children, |r| IdRowIter::new(r).map(ConceptId)),
-            ),
-            entity_attrs: Some(
-                self.decode_csr(&self.entity_attrs, |r| IdRowIter::new(r).map(Symbol)),
-            ),
-            entity_aliases: Some(
-                self.decode_csr(&self.entity_aliases, |r| IdRowIter::new(r).map(Symbol)),
-            ),
-            ancestors: Some(self.decode_csr(&self.ancestors, AncestorIter::new)),
-            topo: Some(self.topo_order().collect()),
-            depth: Some(
-                (0..self.n_concepts)
-                    .map(|i| self.u32_at(self.depth_at + i * 4))
-                    .collect(),
-            ),
-            by_mention: Some(
-                self.decode_csr(&self.by_mention, |r| IdRowIter::new(r).map(EntityId)),
-            ),
+            }),
+            concept_children: self
+                .decode_csr(&self.concept_children, |r| IdRowIter::new(r).map(ConceptId)),
+            entity_attrs: self.decode_csr(&self.entity_attrs, |r| IdRowIter::new(r).map(Symbol)),
+            entity_aliases: self
+                .decode_csr(&self.entity_aliases, |r| IdRowIter::new(r).map(Symbol)),
+            ancestors: self.decode_csr(&self.ancestors, AncestorIter::new),
+            topo: self.topo_order().collect(),
+            depth: (0..self.n_concepts)
+                .map(|i| self.u32_at(self.depth_at + i * 4))
+                .collect(),
+            by_mention: self.decode_csr(&self.by_mention, |r| IdRowIter::new(r).map(EntityId)),
         };
         persist::validate_frozen(raw)
     }
@@ -1576,12 +1552,12 @@ impl Iterator for AncestorIter<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::persist::encode_frozen_v3;
     use crate::store::TaxonomyStore;
 
-    fn demo_store() -> TaxonomyStore {
+    pub(crate) fn demo_store() -> TaxonomyStore {
         let mut s = TaxonomyStore::new();
         let liu = s.add_entity("刘德华", Some("中国香港男演员"));
         let zhang = s.add_entity("张学友", None);
@@ -1605,7 +1581,7 @@ mod tests {
         (frozen, view)
     }
 
-    fn assert_view_matches(frozen: &FrozenTaxonomy, view: &FrozenTaxonomyView) {
+    pub(crate) fn assert_view_matches(frozen: &FrozenTaxonomy, view: &FrozenTaxonomyView) {
         assert_eq!(view.num_entities(), frozen.num_entities());
         assert_eq!(view.num_concepts(), frozen.num_concepts());
         assert_eq!(view.num_is_a(), frozen.num_is_a());
@@ -1743,8 +1719,10 @@ mod tests {
 
     #[test]
     fn v2_bytes_are_rejected() {
-        let frozen = FrozenTaxonomy::freeze(&demo_store());
-        let err = FrozenTaxonomyView::open(frozen.encode()).unwrap_err();
+        // What is left of a v2 file for this reader: its header.
+        let mut bytes = b"CNPB\x02\x00\x00\x00".to_vec();
+        bytes.extend_from_slice(b"INTR and the rest of an owned-CSR body");
+        let err = FrozenTaxonomyView::open(Bytes::from(bytes)).unwrap_err();
         assert!(matches!(err, PersistError::BadVersion(2)));
     }
 

@@ -6,11 +6,8 @@
 //! cargo run --release --example build_taxonomy           # default scale
 //! CNP_PAGES=2000 cargo run --release --example build_taxonomy
 //! # Also persist the serving snapshot; boot it later with the
-//! # serve_from_snapshot example. CNP_SNAPSHOT_FORMAT picks the format:
-//! # v3 (default; varint view format, zero-copy boot) or v2 (owned).
+//! # serve_from_snapshot example or `cnp_server --snapshot`.
 //! CNP_SNAPSHOT=/tmp/cnp.snapshot cargo run --release --example build_taxonomy
-//! CNP_SNAPSHOT=/tmp/cnp.snapshot CNP_SNAPSHOT_FORMAT=v2 \
-//!     cargo run --release --example build_taxonomy
 //! ```
 
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
@@ -33,19 +30,10 @@ fn main() -> std::process::ExitCode {
 
     if let Ok(path) = std::env::var("CNP_SNAPSHOT") {
         let path = std::path::PathBuf::from(path);
-        let format = std::env::var("CNP_SNAPSHOT_FORMAT").unwrap_or_else(|_| "v3".to_string());
         let t = std::time::Instant::now();
-        let saved = match format.as_str() {
-            "v2" => outcome.save_frozen(&path),
-            "v3" => outcome.save_view(&path),
-            other => {
-                eprintln!("unknown CNP_SNAPSHOT_FORMAT {other:?} (expected v2 or v3)");
-                return std::process::ExitCode::FAILURE;
-            }
-        };
-        match saved {
+        match outcome.save_view(&path) {
             Ok(frozen) => println!(
-                "\nwrote {format} snapshot to {} in {:.1?}: {} bytes, \
+                "\nwrote snapshot to {} in {:.1?}: {} bytes, \
                  {} entities, {} concepts, {} isA edges",
                 path.display(),
                 t.elapsed(),

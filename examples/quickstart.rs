@@ -7,8 +7,8 @@
 
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
-use cn_probase::taxonomy::{persist, TaxonomyStats};
-use cn_probase::ProbaseApi;
+use cn_probase::taxonomy::TaxonomyStats;
+use cn_probase::{FrozenTaxonomyView, ProbaseApi};
 
 fn main() {
     // 1) A small synthetic Chinese encyclopedia (CN-DBpedia stand-in).
@@ -19,13 +19,13 @@ fn main() {
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
     println!("{}", TaxonomyStats::of(&outcome.taxonomy));
 
-    // 3) Persist the build store, then freeze it for serving: the mutable
-    //    store is the write side, the frozen snapshot the read side.
+    // 3) Freeze the build store for serving and persist the snapshot: the
+    //    mutable store is the write side, the frozen snapshot the read side.
     let path = std::env::temp_dir().join("cn_probase_quickstart.cnpb");
-    persist::save_to_file(&outcome.taxonomy, &path).expect("save snapshot");
+    let frozen = outcome.save_view(&path).expect("save snapshot");
 
     // 4) Query the three public APIs of Table II off the frozen snapshot.
-    let api = ProbaseApi::new(outcome.taxonomy);
+    let api = ProbaseApi::from_frozen(frozen);
     let page = corpus
         .pages
         .iter()
@@ -50,8 +50,9 @@ fn main() {
         api.get_entity(&concept, true, 3)
     );
 
-    // 5) Reload the persisted snapshot.
-    let reloaded = persist::load_from_file(&path).expect("load snapshot");
+    // 5) Reload the persisted snapshot: the view answers straight off the
+    //    file's bytes.
+    let reloaded = FrozenTaxonomyView::load_from_file(&path).expect("load snapshot");
     println!(
         "\nsnapshot round-trip: {} bytes, {} isA relations preserved",
         std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),

@@ -1,9 +1,8 @@
 //! Boot the Table II serving path straight from a snapshot file.
 //!
-//! This is the production boot sequence: no pipeline, no freeze — load
-//! whatever snapshot format the file holds (v3 serves zero-copy from the
-//! loaded buffer; v1/v2 materialise the owned snapshot) and start
-//! answering `men2ent` / `getConcept` / `getEntity` immediately.
+//! This is the production boot sequence: no pipeline, no freeze — read
+//! the snapshot file, validate it in place, and start answering
+//! `men2ent` / `getConcept` / `getEntity` straight off the loaded buffer.
 //!
 //! ```sh
 //! CNP_SNAPSHOT=/tmp/cnp.snapshot cargo run --release --example build_taxonomy
@@ -13,8 +12,8 @@
 //! Exits non-zero when the snapshot fails to load or serves an empty
 //! taxonomy, so CI can use it as a round-trip smoke check.
 
-use cn_probase::taxonomy::{AnySnapshot, EntityId, TaxonomyRead};
-use cn_probase::{ProbaseApi, TaxonomyService};
+use cn_probase::taxonomy::EntityId;
+use cn_probase::{FrozenTaxonomyView, ProbaseApi, TaxonomyService};
 use std::path::Path;
 use std::time::Instant;
 
@@ -22,7 +21,7 @@ fn main() -> std::process::ExitCode {
     let path = std::env::var("CNP_SNAPSHOT").unwrap_or_else(|_| "/tmp/cnp.snapshot".to_string());
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     let t = Instant::now();
-    let service = match TaxonomyService::<AnySnapshot>::boot_from_file(Path::new(&path)) {
+    let service = match TaxonomyService::<FrozenTaxonomyView>::boot_from_file(Path::new(&path)) {
         Ok(service) => service,
         Err(e) => {
             eprintln!("failed to boot from snapshot {path}: {e}");
@@ -33,9 +32,8 @@ fn main() -> std::process::ExitCode {
     let api = ProbaseApi::from_service(service);
     let f = api.frozen();
     println!(
-        "booted from {path} ({bytes} bytes, {} mode) in {boot:.1?}: \
+        "booted from {path} ({bytes} bytes) in {boot:.1?}: \
          {} entities, {} concepts, {} isA edges, {} mentions",
-        f.mode(),
         f.num_entities(),
         f.num_concepts(),
         f.num_is_a(),

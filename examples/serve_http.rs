@@ -17,8 +17,8 @@ use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::serve::json::Json;
 use cn_probase::serve::wire;
-use cn_probase::server::{http, load, serve, LoadConfig, ProbeVocab, ServerConfig};
-use cn_probase::{Query, TaxonomyService};
+use cn_probase::server::{http, load, serve, LoadConfig, ProbeVocab, ServerConfig, Service};
+use cn_probase::Query;
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -36,7 +36,7 @@ fn build_snapshot(seed: u64, name: &str) -> PathBuf {
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
     let path = std::env::temp_dir().join(name);
     outcome
-        .save_frozen(&path)
+        .save_view(&path)
         .unwrap_or_else(|e| fail(&format!("cannot write snapshot: {e}")));
     path
 }
@@ -70,7 +70,7 @@ fn main() {
 
     // ----- boot the wire ---------------------------------------------------
     let service = Arc::new(
-        TaxonomyService::from_snapshot_file(&boot_path)
+        Service::boot_from_file(&boot_path)
             .unwrap_or_else(|e| fail(&format!("boot from {}: {e}", boot_path.display()))),
     );
     let boot_generation = service.generation();

@@ -1,8 +1,8 @@
 //! Serving API v1, end to end: typed queries, batch execution, cursor
 //! pagination and a zero-downtime snapshot hot-swap.
 //!
-//! Boots a `TaxonomyService` from `CNP_SNAPSHOT` when set (CI runs it
-//! against the snapshot the `build_taxonomy` example just wrote),
+//! Boots a view-backed `TaxonomyService` from `CNP_SNAPSHOT` when set (CI
+//! runs it against the snapshot the `build_taxonomy` example just wrote),
 //! otherwise builds a small taxonomy in-process and boots from a temp
 //! snapshot file. Then:
 //!
@@ -22,7 +22,9 @@
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::serve::CursorError;
-use cn_probase::{ListOptions, PageRequest, Query, QueryError, Response, TaxonomyService};
+use cn_probase::{
+    FrozenTaxonomyView, ListOptions, PageRequest, Query, QueryError, Response, TaxonomyService,
+};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -38,7 +40,7 @@ fn build_snapshot(seed: u64, name: &str) -> PathBuf {
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
     let path = std::env::temp_dir().join(name);
     outcome
-        .save_frozen(&path)
+        .save_view(&path)
         .unwrap_or_else(|e| fail(&format!("cannot write snapshot: {e}")));
     path
 }
@@ -49,7 +51,7 @@ fn main() {
         _ => build_snapshot(21, "cnp_serve_queries_a.cnpb"),
     };
     let t = Instant::now();
-    let service = TaxonomyService::from_snapshot_file(&boot_path)
+    let service = TaxonomyService::<FrozenTaxonomyView>::boot_from_file(&boot_path)
         .unwrap_or_else(|e| fail(&format!("boot from {}: {e}", boot_path.display())));
     let pinned = service.pin();
     let f = pinned.frozen();
@@ -66,13 +68,13 @@ fn main() {
     // ----- 1) batch execution ---------------------------------------------
     let mentions: Vec<String> = f
         .entity_ids()
-        .filter(|&e| !f.concepts_of(e).is_empty())
+        .filter(|&e| f.concepts_of(e).next().is_some())
         .take(200)
         .map(|e| f.resolve(f.entity(e).name).to_string())
         .collect();
     let concepts: Vec<String> = f
         .concept_ids()
-        .filter(|&c| !f.entities_of(c).is_empty())
+        .filter(|&c| f.entities_of(c).next().is_some())
         .take(100)
         .map(|c| f.concept_name(c).to_string())
         .collect();

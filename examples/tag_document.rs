@@ -1,9 +1,9 @@
 //! Tag documents straight off a snapshot file — the second serving
 //! workload, end to end.
 //!
-//! Boots a [`TaxonomyService`] from `CNP_SNAPSHOT` (any format; v3 serves
-//! zero-copy), stitches a handful of documents out of the snapshot's own
-//! linked entities, and runs them through `Query::Tag`: segmentation
+//! Boots a view-backed [`TaxonomyService`] from `CNP_SNAPSHOT`, stitches a
+//! handful of documents out of the snapshot's own linked entities, and
+//! runs them through `Query::Tag`: segmentation
 //! seeded by the snapshot vocabulary, men2ent span resolution, and
 //! coarse-to-fine concept scoring. Set `CNP_DOC` to tag your own text
 //! instead.
@@ -18,8 +18,8 @@
 //! document produces a single concept, so CI can use it as the tagging
 //! smoke check.
 
-use cn_probase::taxonomy::{AnySnapshot, EntityId, TaxonomyRead};
-use cn_probase::{Query, Response, TagOptions, TaxonomyService};
+use cn_probase::taxonomy::{EntityId, TaxonomyRead};
+use cn_probase::{FrozenTaxonomyView, Query, Response, TagOptions, TaxonomyService};
 use std::path::Path;
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ fn documents_from(f: &impl TaxonomyRead, limit: usize) -> Vec<String> {
 fn main() -> std::process::ExitCode {
     let path = std::env::var("CNP_SNAPSHOT").unwrap_or_else(|_| "/tmp/cnp.snapshot".to_string());
     let t = Instant::now();
-    let service = match TaxonomyService::<AnySnapshot>::boot_from_file(Path::new(&path)) {
+    let service = match TaxonomyService::<FrozenTaxonomyView>::boot_from_file(Path::new(&path)) {
         Ok(service) => service,
         Err(e) => {
             eprintln!("failed to boot from snapshot {path}: {e}");

@@ -52,11 +52,11 @@ pub use cnp_taxonomy as taxonomy;
 pub use cnp_text as text;
 
 // The headline serving types, re-exported at the crate root: build a
-// taxonomy with [`pipeline`], freeze it into a [`FrozenTaxonomy`], persist
-// it with `save_to_file` (snapshot format v2) and boot a [`TaxonomyService`]
-// straight from disk with `from_snapshot_file`; [`Snapshot`] dispatches on
-// the format version, [`PersistError`] is the decode error. Queries travel
-// as typed [`Query`] values and come back as generation-stamped
+// taxonomy with [`pipeline`], freeze it into a [`FrozenTaxonomy`] to serve
+// in process, or persist it with `PipelineOutcome::save_view` and boot a
+// [`TaxonomyService`] straight from disk with `boot_from_file` over a
+// [`FrozenTaxonomyView`]; [`PersistError`] is the decode error. Queries
+// travel as typed [`Query`] values and come back as generation-stamped
 // [`QueryResponse`]s; [`ProbaseApi`] is the paper-era Table II wrapper.
 pub use cnp_serve::{
     Cursor, ListOptions, PageRequest, ProbaseApi, Query, QueryError, QueryResponse, Response,
@@ -64,6 +64,6 @@ pub use cnp_serve::{
 };
 pub use cnp_tag::{TagOptions, TagOutput, Tagger};
 pub use cnp_taxonomy::{
-    AnySnapshot, BootSnapshot, DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IngestDelta,
-    OverlayView, PersistError, Snapshot, TaxonomyRead,
+    BootSnapshot, DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IngestDelta, OverlayView,
+    PersistError, TaxonomyRead,
 };

@@ -9,16 +9,18 @@
 
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
+use cn_probase::taxonomy::persist::save_frozen_v3_to_file;
 use cn_probase::taxonomy::{IsAMeta, Source, TaxonomyStore};
 use cn_probase::{
-    FrozenTaxonomy, ListOptions, ProbaseApi, Query, QueryResponse, Response, TaxonomyService,
+    FrozenTaxonomy, FrozenTaxonomyView, ListOptions, ProbaseApi, Query, QueryResponse, Response,
+    TaxonomyRead, TaxonomyService,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const THREADS: usize = 8;
 
-struct Golden {
-    api: ProbaseApi,
+struct Golden<T = FrozenTaxonomy> {
+    api: ProbaseApi<T>,
     mentions: Vec<String>,
     concepts: Vec<String>,
     /// Per-mention single-threaded answers: senses and transitive concepts.
@@ -63,7 +65,7 @@ fn build_golden() -> Golden {
 /// One worker pass over every query, asserting against the golden answers.
 /// Offsetting the start index per thread makes the threads interleave
 /// different queries instead of marching in lockstep.
-fn hammer(g: &Golden, offset: usize) {
+fn hammer<T: TaxonomyRead>(g: &Golden<T>, offset: usize) {
     let n = g.mentions.len();
     for i in 0..n {
         let i = (i + offset) % n;
@@ -108,21 +110,29 @@ fn runtime_workers_match_single_threaded_answers() {
     rt.par_tasks(4 * THREADS, |t| hammer(&g, t * 53));
 }
 
-/// Snapshot-boot concurrency: persist the frozen taxonomy (format v2),
-/// boot a fresh `ProbaseApi` from the file, and hammer it from 8 threads
+/// Snapshot-boot concurrency: persist the frozen taxonomy, boot a
+/// view-backed `ProbaseApi` from the file, and hammer it from 8 threads
 /// against the answers of the directly-frozen single-threaded API. The
-/// disk round-trip must be invisible to concurrent Table II traffic.
+/// disk round-trip — and answering in place off the file's bytes — must
+/// be invisible to concurrent Table II traffic.
 #[test]
 fn snapshot_booted_api_matches_across_threads() {
     let g = build_golden();
     let dir = std::env::temp_dir().join("cnp_concurrent_api_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("boot.cnpb");
-    g.api.frozen().save_to_file(&path).expect("save snapshot");
-    let booted = ProbaseApi::from_snapshot_file(&path).expect("boot from snapshot");
+    save_frozen_v3_to_file(g.api.frozen(), &path).expect("save snapshot");
+    let booted = TaxonomyService::<FrozenTaxonomyView>::boot_from_file(&path);
     std::fs::remove_file(&path).ok();
     // Same golden answers, snapshot-booted service.
-    let g = Golden { api: booted, ..g };
+    let g = Golden {
+        api: ProbaseApi::from_service(booted.expect("boot from snapshot")),
+        mentions: g.mentions,
+        concepts: g.concepts,
+        men2ent: g.men2ent,
+        get_concept: g.get_concept,
+        get_entity: g.get_entity,
+    };
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let g = &g;

@@ -6,7 +6,7 @@ use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::eval;
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::taxonomy::{closure, persist, Source};
-use cn_probase::ProbaseApi;
+use cn_probase::{FrozenTaxonomyView, ProbaseApi};
 
 fn small_outcome() -> (
     cn_probase::encyclopedia::Corpus,
@@ -93,13 +93,14 @@ fn api_answers_are_consistent_with_the_store() {
 #[test]
 fn snapshot_roundtrip_preserves_the_taxonomy() {
     let (_, outcome) = small_outcome();
-    let bytes = persist::encode(&outcome.taxonomy);
-    let loaded = persist::decode(&bytes).expect("decode");
+    let bytes = persist::encode_frozen_v3(&outcome.freeze());
+    let loaded = FrozenTaxonomyView::open(bytes).expect("open");
     assert_eq!(outcome.taxonomy.num_entities(), loaded.num_entities());
     assert_eq!(outcome.taxonomy.num_concepts(), loaded.num_concepts());
     assert_eq!(outcome.taxonomy.num_is_a(), loaded.num_is_a());
-    // Spot-check an entity's edges.
-    if let Some(e) = outcome.taxonomy.entity_ids().next() {
+    // Every entity keeps its key and its edges, in order.
+    for e in outcome.taxonomy.entity_ids() {
+        assert_eq!(outcome.taxonomy.entity_key(e), loaded.entity_key(e));
         let orig: Vec<&str> = outcome
             .taxonomy
             .concepts_of(e)
@@ -108,8 +109,7 @@ fn snapshot_roundtrip_preserves_the_taxonomy() {
             .collect();
         let re: Vec<&str> = loaded
             .concepts_of(e)
-            .iter()
-            .map(|(c, _)| loaded.concept_name(*c))
+            .map(|(c, _)| loaded.concept_name(c))
             .collect();
         assert_eq!(orig, re);
     }

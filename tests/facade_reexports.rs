@@ -26,12 +26,12 @@ fn reexported_modules_resolve() {
     // taxonomy → cnp_taxonomy
     let store = cn_probase::taxonomy::TaxonomyStore::new();
     assert_eq!(store.num_is_a(), 0);
-    // The submodules integration code depends on must stay public.
-    let empty = cn_probase::taxonomy::persist::encode(&store);
-    assert!(cn_probase::taxonomy::persist::decode(&empty).is_ok());
     // The serving types are re-exported at the crate root.
     let frozen: cn_probase::FrozenTaxonomy = cn_probase::taxonomy::FrozenTaxonomy::freeze(&store);
     assert_eq!(frozen.num_is_a(), 0);
+    // The submodules integration code depends on must stay public.
+    let empty = cn_probase::taxonomy::persist::encode_frozen_v3(&frozen);
+    assert!(cn_probase::FrozenTaxonomyView::open(empty).is_ok());
     let api = cn_probase::ProbaseApi::from_frozen(frozen.clone());
     assert!(api.men2ent("刘德华").is_empty());
 

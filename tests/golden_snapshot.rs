@@ -1,18 +1,17 @@
-//! Golden-format locks for snapshot v2 (ISSUE 4 satellite) and v3
-//! (ISSUE 8 satellite).
+//! Golden-format lock for the snapshot format.
 //!
-//! `tests/fixtures/golden_v2.cnpb` and `tests/fixtures/golden_v3.cnpb`
-//! are committed snapshots of the small deterministic taxonomy below.
-//! Two locks hold each format down:
+//! `tests/fixtures/golden_v3.cnpb` is a committed snapshot of the small
+//! deterministic taxonomy below. Two locks hold the format down:
 //!
-//! 1. the fixture must keep decoding and answering the known queries, so
-//!    an accidental codec change that would orphan deployed snapshots
+//! 1. the fixture must keep opening and answering the known queries —
+//!    in place through the view and materialised through `to_frozen()` —
+//!    so an accidental codec change that would orphan deployed snapshots
 //!    fails CI instead of surfacing at the next production boot;
-//! 2. re-encoding today's freeze of the same store must reproduce the
-//!    fixture byte-for-byte, so silent encoder drift is caught too.
+//! 2. re-encoding today's freeze of the same store, and re-encoding the
+//!    materialised fixture, must both reproduce the fixture byte-for-byte,
+//!    so silent encoder drift is caught too.
 //!
-//! An *intentional* format change bumps the version, keeps this fixture
-//! decodable through `Snapshot::load` dispatch, and regenerates a new
+//! An *intentional* format change bumps the version and regenerates the
 //! fixture via the ignored `regenerate_golden_fixture` test:
 //!
 //! ```sh
@@ -20,19 +19,19 @@
 //! ```
 
 use cn_probase::serve::TaxonomyService;
-use cn_probase::taxonomy::persist::encode_frozen_v3;
+use cn_probase::taxonomy::persist::{encode_frozen_v3, save_frozen_v3_to_file};
 use cn_probase::taxonomy::{
-    FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Snapshot, Source, TaxonomyStore,
+    FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Source, TaxonomyRead, TaxonomyStore,
 };
 use cn_probase::ProbaseApi;
 use std::path::PathBuf;
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v2.cnpb")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v3.cnpb")
 }
 
-fn fixture_path_v3() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v3.cnpb")
+fn fixture() -> FrozenTaxonomyView {
+    FrozenTaxonomyView::load_from_file(&fixture_path()).expect("fixture is committed and opens")
 }
 
 /// The fixture taxonomy: 男演员 → 演员 → 人物, 歌手 → 人物, two 刘德华
@@ -59,14 +58,9 @@ fn golden_store() -> TaxonomyStore {
     s
 }
 
-#[test]
-fn golden_fixture_decodes_and_answers_known_queries() {
-    let bytes = std::fs::read(fixture_path()).expect("fixture exists and is committed");
-    let snapshot = Snapshot::load(&bytes).expect("fixture decodes");
-    assert_eq!(snapshot.version(), 2);
-    let api = ProbaseApi::from_frozen(snapshot.into_frozen().expect("fixture freezes"));
+/// The answers every reader of the fixture must give.
+fn assert_known_answers<T: TaxonomyRead>(api: &ProbaseApi<T>) {
     let f = api.frozen();
-
     assert_eq!(f.num_entities(), 3);
     assert_eq!(f.num_concepts(), 4);
     assert_eq!(f.num_is_a(), 7);
@@ -102,13 +96,40 @@ fn golden_fixture_decodes_and_answers_known_queries() {
     let person = f.find_concept("人物").unwrap();
     assert_eq!(f.depth(male_actor), 2);
     assert_eq!(f.depth(person), 0);
-    assert_eq!(f.ancestors_of(male_actor).len(), 2);
+    assert_eq!(f.ancestors(male_actor).count(), 2);
+    assert!(f.ancestor_contains(male_actor, person));
+    assert!(!f.ancestor_contains(person, male_actor));
+}
+
+/// The fixture materialised: `to_frozen()`'s deep checks accept the
+/// committed bytes and the owned snapshot answers like the view.
+#[test]
+fn golden_fixture_decodes_and_answers_known_queries() {
+    let frozen = fixture().to_frozen().expect("fixture materialises");
+    assert_known_answers(&ProbaseApi::from_frozen(frozen));
 }
 
 #[test]
 fn golden_fixture_matches_current_encoder_byte_for_byte() {
+    let view = fixture();
+    let fresh = encode_frozen_v3(&view.to_frozen().expect("fixture materialises"));
+    assert_eq!(
+        fresh.as_ref(),
+        view.as_bytes(),
+        "the materialised fixture no longer re-encodes to its own bytes"
+    );
+}
+
+/// The fixture served in place, straight off the buffer.
+#[test]
+fn golden_v3_fixture_decodes_and_answers_known_queries() {
+    assert_known_answers(&ProbaseApi::from_service(TaxonomyService::new(fixture())));
+}
+
+#[test]
+fn golden_v3_fixture_matches_current_encoder_byte_for_byte() {
     let committed = std::fs::read(fixture_path()).expect("fixture exists");
-    let fresh = FrozenTaxonomy::freeze(&golden_store()).encode();
+    let fresh = encode_frozen_v3(&FrozenTaxonomy::freeze(&golden_store()));
     assert_eq!(
         fresh.as_ref(),
         committed.as_slice(),
@@ -119,115 +140,13 @@ fn golden_fixture_matches_current_encoder_byte_for_byte() {
     );
 }
 
-#[test]
-fn golden_v3_fixture_decodes_and_answers_known_queries() {
-    let bytes = std::fs::read(fixture_path_v3()).expect("v3 fixture exists and is committed");
-    let snapshot = Snapshot::load(&bytes).expect("v3 fixture decodes");
-    assert_eq!(snapshot.version(), 3);
-    let Snapshot::View(view) = snapshot else {
-        panic!("a v3 snapshot must decode to the borrowed view");
-    };
-    let api = ProbaseApi::from_service(TaxonomyService::new(*view));
-    let f: &FrozenTaxonomyView = api.frozen();
-
-    assert_eq!(f.num_entities(), 3);
-    assert_eq!(f.num_concepts(), 4);
-    assert_eq!(f.num_is_a(), 7);
-
-    // The same known answers as the v2 fixture — the wire format changed,
-    // the taxonomy must not have.
-    assert_eq!(api.men2ent("刘德华").len(), 2);
-    let hits = api.men2ent("刘德华（中国香港男演员）");
-    assert_eq!(hits.len(), 1);
-    assert_eq!(hits[0].key, "刘德华（中国香港男演员）");
-    assert_eq!(api.men2ent("Andy Lau").len(), 1);
-    assert!(api.men2ent("不存在").is_empty());
-
-    let liu = hits[0].id;
-    assert_eq!(api.get_concept(liu, false), vec!["男演员", "歌手"]);
-    assert_eq!(
-        api.get_concept(liu, true),
-        vec!["男演员", "歌手", "演员", "人物"]
-    );
-
-    assert!(api.get_entity("人物", false, usize::MAX).is_empty());
-    let all = api.get_entity("人物", true, usize::MAX);
-    assert_eq!(all.len(), 3);
-    assert!(all.contains(&"刘德华（中国香港男演员）".to_string()));
-    assert!(all.contains(&"刘德华".to_string()));
-    assert!(all.contains(&"张学友".to_string()));
-
-    // Succinct-closure topology decodes straight off the buffer.
-    let male_actor = f.find_concept("男演员").unwrap();
-    let person = f.find_concept("人物").unwrap();
-    assert_eq!(f.depth(male_actor), 2);
-    assert_eq!(f.depth(person), 0);
-    assert_eq!(f.ancestors(male_actor).count(), 2);
-    assert!(f.ancestor_contains(male_actor, person));
-    assert!(!f.ancestor_contains(person, male_actor));
-}
-
-#[test]
-fn golden_v3_fixture_matches_current_encoder_byte_for_byte() {
-    let committed = std::fs::read(fixture_path_v3()).expect("v3 fixture exists");
-    let fresh = encode_frozen_v3(&FrozenTaxonomy::freeze(&golden_store()));
-    assert_eq!(
-        fresh.as_ref(),
-        committed.as_slice(),
-        "v3 encoder output drifted from the committed golden fixture; if          the format change is intentional, bump the snapshot version and          regenerate via `cargo test --test golden_snapshot -- --ignored          regenerate_golden_fixture`"
-    );
-}
-
-#[test]
-fn v3_encoding_is_at_least_a_quarter_smaller_than_v2() {
-    // The golden fixture is too tiny for a size comparison — 17 section
-    // headers dominate a 3-entity taxonomy — so the compression lock uses
-    // a representative store: hundreds of entities, a concept hierarchy,
-    // and the handful of distinct edge provenances real extraction
-    // produces (what `MDCT` deduplicates).
-    let mut s = TaxonomyStore::new();
-    let person = s.add_concept("人物");
-    let mut concepts = Vec::new();
-    for i in 0..40 {
-        let c = s.add_concept(&format!("职业{i}"));
-        s.add_concept_is_a(c, person, IsAMeta::new(Source::SubConcept, 0.9));
-        concepts.push(c);
-    }
-    for i in 0..400 {
-        let e = s.add_entity(&format!("人名{i}"), (i % 3 == 0).then_some("演员"));
-        s.add_entity_is_a(
-            e,
-            concepts[i % concepts.len()],
-            IsAMeta::new(Source::Tag, 0.9),
-        );
-        s.add_entity_is_a(
-            e,
-            concepts[(i * 7 + 1) % concepts.len()],
-            IsAMeta::new(Source::Infobox, 0.92),
-        );
-    }
-    let frozen = FrozenTaxonomy::freeze(&s);
-    let v2 = frozen.encode();
-    let v3 = encode_frozen_v3(&frozen);
-    assert!(
-        (v3.len() as f64) <= 0.75 * v2.len() as f64,
-        "v3 ({} B) must be at least 25% smaller than v2 ({} B)",
-        v3.len(),
-        v2.len()
-    );
-}
-
-/// Not a check — regenerates the committed fixtures after an intentional
+/// Not a check — regenerates the committed fixture after an intentional
 /// format change. Run explicitly with `-- --ignored`.
 #[test]
 #[ignore]
 fn regenerate_golden_fixture() {
     let path = fixture_path();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    let frozen = FrozenTaxonomy::freeze(&golden_store());
-    frozen.save_to_file(&path).unwrap();
+    save_frozen_v3_to_file(&FrozenTaxonomy::freeze(&golden_store()), &path).unwrap();
     println!("regenerated {}", path.display());
-    let path_v3 = fixture_path_v3();
-    cn_probase::taxonomy::persist::save_frozen_v3_to_file(&frozen, &path_v3).unwrap();
-    println!("regenerated {}", path_v3.display());
 }

@@ -13,13 +13,16 @@ use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::serve::{CursorError, EntityHit, Paged};
 use cn_probase::taxonomy::EntityId;
 use cn_probase::{
-    FrozenTaxonomy, ListOptions, OverlayView, PageRequest, ProbaseApi, Query, QueryError, Response,
-    TaxonomyService,
+    FrozenTaxonomy, FrozenTaxonomyView, ListOptions, OverlayView, PageRequest, ProbaseApi, Query,
+    QueryError, Response, TaxonomyService,
 };
-use std::path::PathBuf;
+use std::path::Path;
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v2.cnpb")
+/// The committed golden snapshot, materialised into the owned backend.
+fn golden() -> FrozenTaxonomy {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v3.cnpb");
+    let view = FrozenTaxonomyView::load_from_file(&path).expect("fixture opens");
+    view.to_frozen().expect("fixture materialises")
 }
 
 fn senses_of(service: &TaxonomyService, mention: &str) -> Option<Vec<EntityId>> {
@@ -121,8 +124,8 @@ fn assert_equivalent(api: &ProbaseApi, service: &TaxonomyService, probes: &[Stri
 
 #[test]
 fn wrapper_and_service_agree_on_golden_fixture() {
-    let api = ProbaseApi::from_snapshot_file(&fixture_path()).expect("boot wrapper");
-    let service = TaxonomyService::from_snapshot_file(&fixture_path()).expect("boot service");
+    let api = ProbaseApi::from_frozen(golden());
+    let service = TaxonomyService::new(golden());
     let mut probes = vec![
         "刘德华".to_string(),
         "刘德华（中国香港男演员）".to_string(),
@@ -182,7 +185,7 @@ fn wrapper_and_service_agree_on_generated_corpus() {
 
 #[test]
 fn cursor_walk_stitches_back_to_the_unpaged_result() {
-    let service = TaxonomyService::from_snapshot_file(&fixture_path()).expect("boot service");
+    let service = TaxonomyService::new(golden());
     let unpaged_query = Query::GetEntity {
         concept: "人物".to_string(),
         options: ListOptions::transitive(),
@@ -221,7 +224,7 @@ fn cursor_walk_stitches_back_to_the_unpaged_result() {
 
 #[test]
 fn foreign_and_stale_cursors_are_typed_errors() {
-    let service = TaxonomyService::from_snapshot_file(&fixture_path()).expect("boot service");
+    let service = TaxonomyService::new(golden());
     let query_for = |concept: &str, cursor: Option<cn_probase::Cursor>| Query::GetEntity {
         concept: concept.to_string(),
         options: ListOptions::transitive().with_page(PageRequest { limit: 1, cursor }),
@@ -241,11 +244,7 @@ fn foreign_and_stale_cursors_are_typed_errors() {
     );
 
     // Replayed after a hot-swap: the generation no longer matches.
-    let swapped_in = ProbaseApi::from_snapshot_file(&fixture_path())
-        .unwrap()
-        .frozen()
-        .clone();
-    assert_eq!(service.swap(swapped_in), 2);
+    assert_eq!(service.swap(golden()), 2);
     let stale = service.execute(&query_for("人物", Some(cursor))).result;
     assert_eq!(
         stale,

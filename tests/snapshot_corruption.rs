@@ -1,18 +1,20 @@
-//! Hostile-input suite for the snapshot codecs (ISSUE 4 satellite).
+//! Hostile-input suite for the snapshot format.
 //!
 //! A serving fleet reloads snapshots constantly; a truncated upload, a
 //! bit-flipped block or a hand-crafted hostile file must produce an
 //! `Err(PersistError::…)` — never a panic, and never an OOM from trusting
-//! a length field. The v2 and v3 suites are exhaustive: *every* truncation
-//! prefix and *every* single-byte flip of a valid snapshot must fail
-//! decode (the FNV-1a content checksum guarantees flips are caught even
-//! where the structure would still parse). The v3 suite additionally
-//! re-seals hostile varint/length fields under a *valid* checksum, so the
-//! structural bounds checks are what rejects them — proving no
-//! allocation-before-validation window hides behind the checksum.
+//! a length field. The suite is exhaustive: *every* truncation prefix and
+//! *every* single-byte flip of a valid snapshot must fail to open (the
+//! FNV-1a content checksum guarantees flips are caught even where the
+//! structure would still parse). It additionally re-seals hostile
+//! varint/length fields under a *valid* checksum, so the structural bounds
+//! checks are what rejects them — proving no allocation-before-validation
+//! window hides behind the checksum.
 
 use cn_probase::taxonomy::persist::{self, PersistError};
-use cn_probase::taxonomy::{FrozenTaxonomy, IsAMeta, Snapshot, Source, TaxonomyStore};
+use cn_probase::taxonomy::{
+    Bytes, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Source, TaxonomyStore,
+};
 
 /// Small but section-complete store: a disambiguated sense, an alias, an
 /// attribute, entity edges from three sources and a concept chain.
@@ -37,132 +39,79 @@ fn demo_store() -> TaxonomyStore {
     s
 }
 
-fn v2_bytes() -> Vec<u8> {
-    FrozenTaxonomy::freeze(&demo_store()).encode().to_vec()
-}
-
-#[test]
-fn v2_every_truncation_prefix_errors() {
-    let bytes = v2_bytes();
-    assert!(FrozenTaxonomy::decode(&bytes).is_ok(), "baseline decodes");
-    for cut in 0..bytes.len() {
-        let res = FrozenTaxonomy::decode(&bytes[..cut]);
-        assert!(res.is_err(), "truncation at {cut}/{} decoded", bytes.len());
-    }
-}
-
-#[test]
-fn v2_every_single_byte_flip_errors() {
-    let bytes = v2_bytes();
-    let mut mutated = bytes.clone();
-    for i in 0..bytes.len() {
-        mutated[i] ^= 0xFF;
-        let res = FrozenTaxonomy::decode(&mutated);
-        assert!(res.is_err(), "byte flip at {i}/{} decoded", bytes.len());
-        mutated[i] = bytes[i];
-    }
-}
-
-/// Single-byte flips restricted to section *headers* (tag + length words),
-/// the locations a framing bug would mis-handle most catastrophically.
-#[test]
-fn v2_section_header_flips_error() {
-    let bytes = v2_bytes();
-    // Walk the section framing to find every header's byte range.
-    let mut headers: Vec<std::ops::Range<usize>> = Vec::new();
-    let mut pos = 8; // skip magic + version
-    while pos + 12 <= bytes.len() {
-        headers.push(pos..pos + 12);
-        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        pos += 12 + len as usize;
-    }
-    assert_eq!(pos, bytes.len(), "section framing walk must consume all");
-    assert!(headers.len() >= 14, "all sections present");
-    let mut mutated = bytes.clone();
-    for header in headers {
-        for i in header {
-            for flip in [0x01, 0x80, 0xFF] {
-                mutated[i] ^= flip;
-                assert!(
-                    FrozenTaxonomy::decode(&mutated).is_err(),
-                    "header byte {i} ^ {flip:#04x} decoded"
-                );
-                mutated[i] = bytes[i];
-            }
-        }
-    }
-}
-
-/// Hostile length fields must be rejected by bounds checks before any
-/// allocation proportional to the claimed size (no OOM on a 16-byte file
-/// claiming u64::MAX bytes of payload).
-#[test]
-fn v2_hostile_lengths_do_not_overallocate() {
-    let mut base = b"CNPB".to_vec();
-    base.extend_from_slice(&2u32.to_le_bytes());
-    for (tag, claimed) in [
-        (*b"INTR", u64::MAX),
-        (*b"ANCS", u64::MAX / 2),
-        (*b"ENTS", u64::from(u32::MAX)),
-    ] {
-        let mut bytes = base.clone();
-        bytes.extend_from_slice(&tag);
-        bytes.extend_from_slice(&claimed.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 8]); // far less body than claimed
-        assert!(
-            matches!(
-                FrozenTaxonomy::decode(&bytes),
-                Err(PersistError::Truncated(_))
-            ),
-            "claimed length {claimed} accepted"
-        );
-    }
-}
-
-#[test]
-fn v1_every_truncation_prefix_errors() {
-    let bytes = persist::encode(&demo_store()).to_vec();
-    assert!(persist::decode(&bytes).is_ok(), "baseline decodes");
-    for cut in 0..bytes.len() {
-        let res = persist::decode(&bytes[..cut]);
-        assert!(res.is_err(), "truncation at {cut}/{} decoded", bytes.len());
-    }
-}
-
-/// Regression for the v1 pre-allocation bug: count fields used to be
-/// trusted before bounds-checking the remaining buffer, so a hostile
-/// count triggered a giant `Vec::with_capacity`. Allocations are now
-/// clamped by the bytes actually remaining.
-#[test]
-fn v1_hostile_counts_error_without_overallocating() {
-    let mut bytes = b"CNPB".to_vec();
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // string count
-    assert!(matches!(
-        persist::decode(&bytes),
-        Err(PersistError::Truncated(_))
-    ));
+fn open(bytes: &[u8]) -> Result<FrozenTaxonomyView, PersistError> {
+    FrozenTaxonomyView::open(Bytes::copy_from_slice(bytes))
 }
 
 #[test]
 fn snapshot_load_rejects_garbage() {
     assert!(matches!(
-        Snapshot::load(b"not a snapshot at all"),
+        open(b"not a snapshot at all"),
         Err(PersistError::BadMagic)
     ));
-    assert!(matches!(
-        Snapshot::load(b"CNPB"),
-        Err(PersistError::Truncated(_))
-    ));
-    let mut v99 = b"CNPB".to_vec();
-    v99.extend_from_slice(&99u32.to_le_bytes());
-    assert!(matches!(
-        Snapshot::load(&v99),
-        Err(PersistError::BadVersion(99))
-    ));
+    assert!(matches!(open(b"CNPB"), Err(PersistError::Truncated(_))));
 }
 
-// ----- v3: the zero-copy view format ----------------------------------------
+/// What is left of the two formats earlier releases wrote: a header this
+/// reader refuses. Every prefix of such a file is an error, and from the
+/// header on it is `BadVersion` with the message that names the way out.
+fn old_format_every_prefix_errors(version: u32) {
+    let mut bytes = b"CNPB".to_vec();
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(b"INTR\x10\x00\x00\x00\x00\x00\x00\x00 and an old body");
+    for cut in 0..=bytes.len() {
+        let err = open(&bytes[..cut]).expect_err("an old-format file opened");
+        if cut >= 8 {
+            assert!(matches!(err, PersistError::BadVersion(v) if v == version));
+            let message = err.to_string();
+            assert!(message.contains("no longer readable"), "{message}");
+            assert!(message.contains("`build_taxonomy` example"), "{message}");
+            assert!(message.contains("PipelineOutcome::save_view"), "{message}");
+        }
+    }
+}
+
+#[test]
+fn v1_every_truncation_prefix_errors() {
+    old_format_every_prefix_errors(1);
+}
+
+#[test]
+fn v2_every_truncation_prefix_errors() {
+    old_format_every_prefix_errors(2);
+}
+
+/// Every other value of the version word is a typed `BadVersion` carrying
+/// that value — whatever follows the header, and in particular for the
+/// two versions earlier releases wrote. Swept one header byte at a time:
+/// every value of each, the other three as in a valid file or all ones.
+#[test]
+fn v3_every_other_version_word_is_bad_version() {
+    let valid = v3_bytes();
+    for base in [3u32.to_le_bytes(), [0xFF; 4]] {
+        for byte in 0..4 {
+            for value in 0..=u8::MAX {
+                let mut word = base;
+                word[byte] = value;
+                let version = u32::from_le_bytes(word);
+                if version == 3 {
+                    continue;
+                }
+                let mut bytes = valid.clone();
+                bytes[4..8].copy_from_slice(&word);
+                match open(&bytes) {
+                    Err(PersistError::BadVersion(v)) => assert_eq!(v, version),
+                    other => panic!("version {version}: {other:?}"),
+                }
+                // The header alone is enough to say so.
+                assert!(matches!(
+                    open(&bytes[..8]),
+                    Err(PersistError::BadVersion(v)) if v == version
+                ));
+            }
+        }
+    }
+}
 
 fn v3_bytes() -> Vec<u8> {
     persist::encode_frozen_v3(&FrozenTaxonomy::freeze(&demo_store())).to_vec()
@@ -194,9 +143,9 @@ fn reseal_v3(bytes: &mut [u8]) {
 #[test]
 fn v3_every_truncation_prefix_errors() {
     let bytes = v3_bytes();
-    assert!(Snapshot::load(&bytes).is_ok(), "baseline decodes");
+    assert!(open(&bytes).is_ok(), "baseline decodes");
     for cut in 0..bytes.len() {
-        let res = Snapshot::load(&bytes[..cut]);
+        let res = open(&bytes[..cut]);
         assert!(res.is_err(), "truncation at {cut}/{} decoded", bytes.len());
     }
 }
@@ -207,14 +156,29 @@ fn v3_every_single_byte_flip_errors() {
     let mut mutated = bytes.clone();
     for i in 0..bytes.len() {
         mutated[i] ^= 0xFF;
-        let res = Snapshot::load(&mutated);
+        let res = open(&mutated);
         assert!(res.is_err(), "byte flip at {i}/{} decoded", bytes.len());
         mutated[i] = bytes[i];
     }
 }
 
-/// Flips restricted to section headers (tag + length words), re-run with
-/// the three flip masks the v2 suite uses.
+/// `CKSM` is the last thing in a snapshot: the digest cannot vouch for
+/// bytes that follow it, whether loose or framed as a section.
+#[test]
+fn v3_data_after_checksum_errors() {
+    for tail in [&b"\x00"[..], b"XTRA\x01\x00\x00\x00\x00\x00\x00\x00\xAA"] {
+        let mut bytes = v3_bytes();
+        bytes.extend_from_slice(tail);
+        let err = open(&bytes).expect_err("data after CKSM accepted");
+        assert!(
+            matches!(err, PersistError::BadIndex("data after checksum section")),
+            "{err}"
+        );
+    }
+}
+
+/// Single-byte flips restricted to section *headers* (tag + length words),
+/// the locations a framing bug would mis-handle most catastrophically.
 #[test]
 fn v3_section_header_flips_error() {
     let bytes = v3_bytes();
@@ -226,7 +190,7 @@ fn v3_section_header_flips_error() {
             for flip in [0x01, 0x80, 0xFF] {
                 mutated[i] ^= flip;
                 assert!(
-                    Snapshot::load(&mutated).is_err(),
+                    open(&mutated).is_err(),
                     "header byte {i} ^ {flip:#04x} decoded"
                 );
                 mutated[i] = bytes[i];
@@ -250,10 +214,7 @@ fn v3_hostile_lengths_do_not_overallocate() {
         bytes.extend_from_slice(&tag);
         bytes.extend_from_slice(&claimed.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 8]); // far less body than claimed
-        assert!(
-            Snapshot::load(&bytes).is_err(),
-            "claimed length {claimed} accepted"
-        );
+        assert!(open(&bytes).is_err(), "claimed length {claimed} accepted");
     }
 }
 
@@ -287,7 +248,7 @@ fn v3_hostile_counts_error_without_overallocating() {
             mutated[payload.start + off..payload.start + off + 4]
                 .copy_from_slice(&u32::MAX.to_le_bytes());
             reseal_v3(&mut mutated);
-            let res = Snapshot::load(&mutated);
+            let res = open(&mutated);
             assert!(
                 res.is_err(),
                 "{} word at +{off} = u32::MAX decoded",
@@ -319,7 +280,7 @@ fn v3_hostile_varints_error_cleanly() {
             mutated[payload.end - 4..payload.end].copy_from_slice(&stomp);
             reseal_v3(&mut mutated);
             assert!(
-                Snapshot::load(&mutated).is_err(),
+                open(&mutated).is_err(),
                 "{} with stomped varint tail decoded",
                 String::from_utf8_lossy(&tag)
             );

@@ -4,7 +4,7 @@
 //! responses across every snapshot representation — owned
 //! [`FrozenTaxonomy`], borrowed [`FrozenTaxonomyView`], and an
 //! [`OverlayView`] whose folded delta completes the same logical content —
-//! and at 1/2/8 executor threads, on the committed golden fixtures. The
+//! and at 1/2/8 executor threads, on the committed golden fixture. The
 //! tag index is rebuilt per generation from the snapshot's own
 //! vocabulary, so any representation-dependent drift (id order, closure
 //! rows, mention tables) would surface here as a diverging byte.
@@ -13,31 +13,18 @@ use cn_probase::runtime::Runtime;
 use cn_probase::serve::wire;
 use cn_probase::taxonomy::{IsAMeta, Source, TaxonomyStore};
 use cn_probase::{
-    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, OverlayView, Query, Response, Snapshot,
-    TagOptions, TaxonomyRead, TaxonomyService,
+    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, OverlayView, Query, Response, TagOptions,
+    TaxonomyRead, TaxonomyService,
 };
-use std::path::PathBuf;
+use std::path::Path;
 
-fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
+fn view() -> FrozenTaxonomyView {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v3.cnpb");
+    FrozenTaxonomyView::load_from_file(&path).expect("golden fixture opens")
 }
 
 fn frozen() -> FrozenTaxonomy {
-    let bytes = std::fs::read(fixture("golden_v2.cnpb")).expect("golden v2 fixture");
-    Snapshot::load(&bytes)
-        .expect("fixture decodes")
-        .into_frozen()
-        .expect("fixture freezes")
-}
-
-fn view() -> FrozenTaxonomyView {
-    let bytes = std::fs::read(fixture("golden_v3.cnpb")).expect("golden v3 fixture");
-    let Snapshot::View(view) = Snapshot::load(&bytes).expect("v3 fixture decodes") else {
-        panic!("a v3 snapshot must decode to the borrowed view");
-    };
-    *view
+    view().to_frozen().expect("golden fixture materialises")
 }
 
 /// The golden fixture's content minus 张学友 — the overlay backend folds
