@@ -2,8 +2,8 @@
 //!
 //! The paper motivates three heuristics but reports only the combined 95%.
 //! This bench sweeps the strategy power set (none / each alone / all) and
-//! prints precision + surviving-edge counts, quantifying the design choice
-//! DESIGN.md calls out; then benchmarks the verification module itself.
+//! prints precision + surviving-edge counts, quantifying what the combined
+//! figure hides; then benchmarks the verification module itself.
 
 use cnp_core::verification::VerificationConfig;
 use cnp_core::{Pipeline, PipelineConfig};

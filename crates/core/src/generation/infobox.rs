@@ -5,8 +5,8 @@
 //! values frequently coincide with known hypernyms encodes an implicit isA
 //! relation (职业, 类型 …). The paper discovered **341 candidates** and
 //! manually kept **12**; we rank candidates by alignment rate and keep the
-//! top `k = 12` (the manual-selection stand-in, documented in DESIGN.md),
-//! then extract isA relations from the selected predicates' triples.
+//! top `k = 12` (the manual-selection stand-in), then extract isA
+//! relations from the selected predicates' triples.
 
 use crate::candidate::Candidate;
 use cnp_encyclopedia::Page;

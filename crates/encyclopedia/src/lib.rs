@@ -3,8 +3,8 @@
 //!
 //! The CN-Probase paper builds its taxonomy from CN-DBpedia (Baidu Baike +
 //! Hudong Baike + Chinese Wikipedia). That dump is unavailable, so this
-//! crate is the documented substitution (see DESIGN.md §1): a generator
-//! that produces encyclopedia pages with the same four sources — bracket,
+//! crate is the documented substitution: a generator that produces
+//! encyclopedia pages with the same four sources — bracket,
 //! abstract, infobox, tag (paper Figure 1) — the same noise classes the
 //! verification module targets, and *known ground truth* for exact
 //! precision evaluation.

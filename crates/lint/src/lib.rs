@@ -123,7 +123,7 @@ mod tests {
         assert!(scanned("crates/serve/src/json.rs"));
         assert!(scanned("crates/server/src/bin/cnp_server.rs"));
         assert!(!scanned("crates/serve/tests/serve_equivalence.rs"));
-        assert!(!scanned("crates/bench/benches/frozen_api.rs"));
+        assert!(!scanned("crates/bench/benches/table2_api.rs"));
         assert!(!scanned("vendor/rand/src/lib.rs"));
         assert!(!scanned("examples/serve_http.rs"));
         assert!(!scanned("crates/lint/tests/fixtures/bad/unwrap.rs"));

@@ -9,8 +9,9 @@
 //! chunked transfer encoding — a request advertising one is refused),
 //! HTTP/1.0 and 1.1 with standard keep-alive defaults. Both directions
 //! are implemented — [`read_request`]/[`write_response`] for the server,
-//! [`write_request`]/[`read_client_response`] for the load harness — so
-//! the two ends of the wire can never drift apart.
+//! [`write_request`]/[`read_client_response`] for its clients (the
+//! `benchmark/` harness, the `server_wire` tests, the `serve_http`
+//! example) — so the two ends of the wire can never drift apart.
 
 use std::io::{self, BufRead, Write};
 
@@ -20,8 +21,8 @@ pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 pub const MAX_HEADER_LINE: usize = 8 * 1024;
 /// Hard cap on the number of headers.
 pub const MAX_HEADERS: usize = 64;
-/// Default hard cap on a request body; [`crate::ServerConfig`] can lower
-/// it, never raise it past this.
+/// Hard cap on a request body; [`read_request`] callers can pass a lower
+/// one, never a higher one.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// Why a request (or client-side response) could not be read.
@@ -170,7 +171,10 @@ fn read_headers(reader: &mut impl BufRead) -> Result<Vec<(String, String)>, Http
 }
 
 /// Parses the `Content-Length` header (if any) against `max_body` and
-/// reads exactly that many body bytes.
+/// reads exactly that many body bytes. RFC 9110 §8.6: the field appears
+/// once and its value is `1*DIGIT` — a second header (even an identical
+/// one) or a sign `usize::from_str` would take means the two ends can
+/// disagree on where the body ends, so both are malformed.
 fn read_body(
     reader: &mut impl BufRead,
     headers: &[(String, String)],
@@ -179,9 +183,16 @@ fn read_body(
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {
         return Err(HttpError::Malformed("transfer-encoding not supported"));
     }
-    let Some((_, len)) = headers.iter().find(|(k, _)| k == "content-length") else {
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let Some((_, len)) = lengths.next() else {
         return Ok(Vec::new());
     };
+    if lengths.next().is_some() {
+        return Err(HttpError::Malformed("repeated content-length"));
+    }
+    if !len.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(HttpError::Malformed("invalid content-length"));
+    }
     let len: usize = len
         .parse()
         .map_err(|_| HttpError::Malformed("invalid content-length"))?;
@@ -276,7 +287,7 @@ pub fn write_response(
     writer.flush()
 }
 
-// ----- client side (used by cnp_load and the integration tests) ------------
+// ----- client side (benchmark/, server_wire.rs, examples/serve_http.rs) ----
 
 /// Writes a request with optional JSON body.
 pub fn write_request(
@@ -436,6 +447,18 @@ mod tests {
             (
                 b"POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
                 "negative length",
+            ),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+                "signed length",
+            ),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 50\r\n\r\n{}",
+                "conflicting lengths",
+            ),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+                "repeated identical length",
             ),
             (
                 b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",

@@ -54,16 +54,10 @@
 //! handle.wait(); // blocks until shutdown() is called elsewhere
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The paired `cnp_load` binary (library form in [`load`]) replays a
-//! deterministic mix of Table II traffic against a running server and
-//! emits the JSON latency report CI gates on.
 
 pub mod http;
-pub mod load;
 pub mod server;
 pub mod stats;
 
-pub use load::{LoadConfig, LoadCounts, LoadReport, ProbeVocab};
 pub use server::{serve, ServerConfig, ServerHandle, Service, MAX_BATCH};
 pub use stats::{QueryKind, ServerStats, StatsSnapshot};

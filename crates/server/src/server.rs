@@ -54,8 +54,6 @@ pub struct ServerConfig {
     /// Admission bound: connections queued but not yet picked up by a
     /// worker. Beyond this, new connections get `429 Overloaded`.
     pub queue_capacity: usize,
-    /// Per-request body cap (clamped to [`http::MAX_BODY_BYTES`]).
-    pub max_body_bytes: usize,
     /// Socket read timeout. Doubles as the keep-alive idle timeout and
     /// bounds how long shutdown waits for parked workers.
     pub read_timeout: Duration,
@@ -76,7 +74,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers,
             queue_capacity: workers * 2,
-            max_body_bytes: http::MAX_BODY_BYTES,
             read_timeout: Duration::from_secs(5),
             snapshot_path: None,
             compact_threshold: 4,
@@ -296,7 +293,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let request = match http::read_request(&mut reader, shared.config.max_body_bytes) {
+        let request = match http::read_request(&mut reader, http::MAX_BODY_BYTES) {
             Ok(None) => break, // clean keep-alive end
             Ok(Some(request)) => request,
             Err(error) => {

@@ -4,12 +4,12 @@
 
 use cnp_serve::json::Json;
 use cnp_serve::{wire, ListOptions, PageRequest, Query, QueryError, Response, TagOptions};
-use cnp_server::{http, load, serve, LoadConfig, ProbeVocab, ServerConfig, ServerHandle, Service};
+use cnp_server::{http, serve, ServerConfig, ServerHandle, Service};
 use cnp_taxonomy::persist::{encode_frozen_v3, save_frozen_v3_to_file};
 use cnp_taxonomy::{
     DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, OverlayView, Source, TaxonomyStore,
 };
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -242,6 +242,61 @@ fn the_binary_refuses_to_boot_an_old_format_file() {
     assert!(stderr.contains("cannot load snapshot"), "{stderr}");
     assert!(stderr.contains("v2 is no longer readable"), "{stderr}");
     assert!(stderr.contains("build_taxonomy"), "{stderr}");
+}
+
+/// A good file: the binary prints the one line harnesses wait for (the
+/// benchmark parses its prefix), serves on the port it names, and an
+/// unknown flag is refused with the usage text.
+#[test]
+fn the_binary_boots_a_good_file_and_announces_the_address_it_serves_on() {
+    /// Kills and reaps the server by handle, also when an assertion fails.
+    struct Reaped(std::process::Child);
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let path = snapshot_file("boot_ok", &store_a());
+    let mut server = Reaped(
+        std::process::Command::new(env!("CARGO_BIN_EXE_cnp_server"))
+            .arg("--snapshot")
+            .arg(&path)
+            .args(["--addr", "127.0.0.1:0", "--workers", "2", "--queue", "4"])
+            .args(["--compact-threshold", "4"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("run cnp_server"),
+    );
+    let mut line = String::new();
+    BufReader::new(server.0.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .unwrap();
+    // The whole line, not just the prefix the benchmark parses.
+    let port: u16 = line
+        .strip_prefix("cnp_server listening on 127.0.0.1:")
+        .and_then(|rest| rest.strip_suffix(" (generation 1, view snapshot)\n"))
+        .and_then(|port| port.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected boot line {line:?}"));
+    let addr = SocketAddr::from(([127, 0, 0, 1], port));
+    let (status, doc) = exchange(addr, "GET", "/v1/health", "");
+    assert_eq!(status, 200);
+    assert_eq!(doc.get("generation").and_then(Json::as_u64), Some(1));
+    drop(server);
+    std::fs::remove_file(&path).ok();
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_cnp_server"))
+        .args(["--snapshot", "/nonexistent", "--no-such-flag"])
+        .output()
+        .expect("run cnp_server");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag --no-such-flag"), "{stderr}");
+    assert!(
+        stderr.contains("usage: cnp_server --snapshot PATH"),
+        "{stderr}"
+    );
 }
 
 /// The ingest-under-load gate: deltas land over the wire while eight
@@ -495,6 +550,12 @@ fn hostile_bytes_get_typed_refusals_and_the_server_survives() {
             400,
         ),
         (b"POST /v1/query HTTP/1.1\r\nno-colon-here\r\n\r\n", 400),
+        // Two lengths that disagree: the first frames a well-formed query,
+        // so answering it would leave the two ends split on where it ends.
+        (
+            b"POST /v1/query HTTP/1.1\r\ncontent-length: 30\r\ncontent-length: 50\r\n\r\n{\"op\":\"men2ent\",\"mention\":\"a\"}",
+            400,
+        ),
     ];
     for (bytes, expected) in hostile {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -720,80 +781,4 @@ fn tag_endpoint_serves_documents_and_counts_its_kind() {
     let requests = reported.get("requests").and_then(Json::as_u64).unwrap();
     assert!(requests > 5);
     handle.shutdown();
-}
-
-#[test]
-fn load_harness_completes_on_runtime_tasks_and_survives_dead_servers() {
-    let handle = boot(store_a(), ServerConfig::default());
-    let vocab = ProbeVocab {
-        mentions: vec!["刘德华".to_string()],
-        entity_keys: vec!["刘德华（歌手）".to_string()],
-        concepts: vec!["歌手".to_string()],
-    };
-    // More connections than the remainder exercises the uneven split
-    // (10 requests over 4 tasks = 3 + 3 + 2 + 2). Two deltas ride along
-    // on the ingest task and must land as generations 2 and 3.
-    let report = load::run(
-        &LoadConfig {
-            addr: handle.addr().to_string(),
-            connections: 4,
-            requests: 10,
-            seed: 7,
-            ingest_deltas: 2,
-            tag_ratio: 0.0,
-        },
-        &vocab,
-    );
-    assert_eq!(report.counts.protocol_error, 0);
-    assert_eq!(report.counts.overloaded, 0);
-    assert_eq!(report.counts.ok + report.counts.query_error, 10);
-    assert_eq!(report.latencies_us.len(), 10);
-    let ingest = report.ingest.as_ref().expect("ingest stats");
-    assert_eq!((ingest.ok, ingest.failed), (2, 0));
-    assert_eq!(ingest.generations, [2, 3]);
-    assert!(report.check(None).is_ok());
-
-    // A mixed tag/lookup run drives /v1/tag through the harness: every
-    // request served, zero tag protocol errors, and the per-kind buckets
-    // partition the latencies.
-    let report = load::run(
-        &LoadConfig {
-            addr: handle.addr().to_string(),
-            connections: 2,
-            requests: 40,
-            seed: 11,
-            ingest_deltas: 0,
-            tag_ratio: 0.5,
-        },
-        &vocab,
-    );
-    assert_eq!(report.counts.protocol_error, 0);
-    assert_eq!(report.counts.tag_protocol_error, 0);
-    assert_eq!(report.counts.ok + report.counts.query_error, 40);
-    assert!(report.tag_issued > 0, "tag ratio 0.5 issued no tag traffic");
-    assert_eq!(report.tag_latencies_us.len() as u64, report.tag_issued);
-    assert_eq!(
-        report.lookup_latencies_us.len() + report.tag_latencies_us.len(),
-        report.latencies_us.len()
-    );
-    assert!(report.check(None).is_ok());
-    handle.shutdown();
-
-    // Nobody listening: every exchange must come back as a typed wire
-    // failure. (The pre-fix client expected a live connection and
-    // panicked instead of reporting.)
-    let report = load::run(
-        &LoadConfig {
-            addr: "127.0.0.1:9".to_string(),
-            connections: 2,
-            requests: 6,
-            seed: 7,
-            ingest_deltas: 0,
-            tag_ratio: 0.0,
-        },
-        &vocab,
-    );
-    assert_eq!(report.counts.protocol_error, 6);
-    assert_eq!(report.counts.ok, 0);
-    assert!(report.latencies_us.is_empty());
 }

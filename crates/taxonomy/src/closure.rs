@@ -6,10 +6,8 @@
 //! [`break_cycles`] repairs by deleting the lowest-confidence edge on each
 //! cycle.
 
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashSet;
 use crate::store::{ConceptId, TaxonomyStore};
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// All concepts reachable from `start` through parent edges, in BFS order,
 /// excluding `start` itself. Cycles are tolerated (visited-set).
@@ -139,37 +137,6 @@ fn edge_confidence(store: &TaxonomyStore, sub: ConceptId, sup: ConceptId) -> f32
         .unwrap_or(0.0)
 }
 
-/// Memoized ancestor cache for hot `getConcept(transitive)` queries.
-///
-/// Thread-safe: readers share the store immutably and the cache behind a
-/// mutex, so API servers can answer queries from many threads.
-#[derive(Debug, Default)]
-pub struct AncestorCache {
-    cache: Mutex<FxHashMap<ConceptId, Arc<[ConceptId]>>>,
-}
-
-impl AncestorCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ancestors of `c`, computed once then shared.
-    pub fn ancestors(&self, store: &TaxonomyStore, c: ConceptId) -> Arc<[ConceptId]> {
-        if let Some(hit) = self.cache.lock().get(&c) {
-            return Arc::clone(hit);
-        }
-        let computed: Arc<[ConceptId]> = ancestors(store, c).into();
-        self.cache.lock().insert(c, Arc::clone(&computed));
-        computed
-    }
-
-    /// Drops all cached entries (call after mutating the store).
-    pub fn invalidate(&self) {
-        self.cache.lock().clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,22 +227,6 @@ mod tests {
         // edge is the minimum and gets removed — without a panic.
         assert_eq!(removed, vec![(b, a)]);
         assert!(is_dag(&s));
-    }
-
-    #[test]
-    fn ancestor_cache_returns_same_results_and_invalidates() {
-        let (s, male_actor, actor, person, _) = chain_store();
-        let cache = AncestorCache::new();
-        let first = cache.ancestors(&s, male_actor);
-        assert_eq!(first.as_ref(), &[actor, person]);
-        let second = cache.ancestors(&s, male_actor);
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "second call must be a cache hit"
-        );
-        cache.invalidate();
-        let third = cache.ancestors(&s, male_actor);
-        assert_eq!(third.as_ref(), first.as_ref());
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! * [`tag`] — taxonomy-backed document tagging: segment a document with
 //!   the snapshot's own vocabulary, resolve mentions, and score concepts
 //!   coarse-to-fine over the hierarchy ([`cnp_tag`]).
-//! * [`server`] — the HTTP/1.1 network front-end over [`serve`], plus the
-//!   `cnp_load` load harness ([`cnp_server`]).
+//! * [`server`] — the HTTP/1.1 network front-end over [`serve`]
+//!   ([`cnp_server`]).
 //! * [`pipeline`] — the generation + verification framework itself
 //!   ([`cnp_core`]).
 //! * [`eval`] — precision / coverage evaluation and the Table I baselines
