@@ -1,7 +1,6 @@
 //! Candidate isA relations — the interchange type between the generation
 //! and verification modules (paper Fig. 2, “Candidate isA relations”).
 
-use cnp_runtime::{stable_hash_str, Runtime};
 use cnp_taxonomy::Source;
 
 /// One candidate isA relation produced by a generation algorithm.
@@ -90,84 +89,6 @@ impl CandidateSet {
         CandidateSet { items }
     }
 
-    /// Shards the merge (the pipeline's contraction point) over `rt`.
-    ///
-    /// Candidates route to shards by hypernym hash, so every collision of a
-    /// `(entity_key, hypernym)` key lands in one shard; each shard folds
-    /// its candidates in original stream order, remembering the key's
-    /// first-occurrence index and winning candidate, and the shard outputs
-    /// re-sort on that index. The parallel phase only reads borrowed
-    /// candidates — survivors are *moved* out of the input afterwards, so
-    /// no strings are cloned. The result is **identical to
-    /// [`CandidateSet::merge`]** — same survivors, same order — at every
-    /// thread and shard count.
-    pub fn merge_with(items: Vec<Candidate>, rt: &Runtime) -> Self {
-        if rt.threads() == 1 {
-            return Self::merge(items);
-        }
-        /// Fixed shard count: comfortably above any worker count we run
-        /// with, small enough that near-empty shards stay cheap.
-        const SHARDS: usize = 32;
-        /// Per-key fold state: first-occurrence index (the output sort
-        /// key), index of the current winning candidate, its confidence,
-        /// and the accumulated source mask.
-        struct Slot {
-            first_seen: u32,
-            winner: u32,
-            confidence: f32,
-            sources_mask: u8,
-        }
-        let folded: Vec<Vec<Slot>> = rt.par_shard_fold(
-            &items,
-            SHARDS,
-            |c| stable_hash_str(&c.hypernym),
-            |_, shard_items| {
-                let mut index: std::collections::HashMap<(&str, &str), usize> =
-                    std::collections::HashMap::new();
-                let mut merged: Vec<Slot> = Vec::new();
-                for (orig, c) in shard_items {
-                    let key = (c.entity_key.as_str(), c.hypernym.as_str());
-                    match index.get(&key) {
-                        Some(&i) => {
-                            let slot = &mut merged[i];
-                            slot.sources_mask |= c.sources_mask;
-                            if c.confidence > slot.confidence {
-                                slot.winner = orig as u32;
-                                slot.confidence = c.confidence;
-                            }
-                        }
-                        None => {
-                            index.insert(key, merged.len());
-                            merged.push(Slot {
-                                first_seen: orig as u32,
-                                winner: orig as u32,
-                                confidence: c.confidence,
-                                sources_mask: c.sources_mask,
-                            });
-                        }
-                    }
-                }
-                merged
-            },
-        );
-        // cnp-lint: allow(determinism-contract) reason="folded is the runtime's per-shard Vec (the fold's FxHashMap is drained inside each shard); the first_seen sort below fixes the order"
-        let mut slots: Vec<Slot> = folded.into_iter().flatten().collect();
-        slots.sort_unstable_by_key(|s| s.first_seen);
-        // Winners are distinct (one per key), so each take() hits once.
-        let mut pool: Vec<Option<Candidate>> = items.into_iter().map(Some).collect();
-        let items = slots
-            .into_iter()
-            .map(|s| {
-                let mut c = pool[s.winner as usize]
-                    .take()
-                    .expect("each winner is taken exactly once");
-                c.sources_mask = s.sources_mask;
-                c
-            })
-            .collect();
-        CandidateSet { items }
-    }
-
     /// Number of candidates.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -207,11 +128,20 @@ mod tests {
             cand("刘德华", "演员", Source::Tag, 0.9),
             cand("刘德华", "演员", Source::Bracket, 0.96),
             cand("刘德华", "歌手", Source::Tag, 0.9),
+            cand("刘德华", "演员", Source::Infobox, 0.5),
         ]);
-        assert_eq!(set.len(), 2);
-        let actor = set.items.iter().find(|c| c.hypernym == "演员").unwrap();
+        // Output order is first-occurrence order, whichever duplicate wins.
+        let hypernyms: Vec<&str> = set.items.iter().map(|c| c.hypernym.as_str()).collect();
+        assert_eq!(hypernyms, ["演员", "歌手"]);
+        let actor = &set.items[0];
         assert_eq!(actor.source, Source::Bracket);
         assert_eq!(actor.confidence, 0.96);
+        // The mask is the union over every duplicate, losers included.
+        for source in [Source::Tag, Source::Bracket, Source::Infobox] {
+            assert!(actor.proposed_by(source), "{source:?}");
+        }
+        assert!(!actor.proposed_by(Source::Abstract));
+        assert_eq!(set.items[1].sources_mask, 1 << Source::Tag.to_u8());
     }
 
     #[test]
@@ -221,35 +151,6 @@ mod tests {
             cand("甲", "乙", Source::Infobox, 0.9),
         ]);
         assert_eq!(set.items[0].source, Source::Tag);
-    }
-
-    #[test]
-    fn sharded_merge_equals_serial_merge() {
-        // A stream with heavy duplication, confidence ties (earlier source
-        // must win) and upgrades (later higher confidence must win),
-        // spread over enough distinct hypernyms to hit many shards.
-        let mut stream = Vec::new();
-        for round in 0..6 {
-            for e in 0..40 {
-                for h in 0..25 {
-                    let conf = 0.5 + 0.1 * ((e + h + round) % 5) as f32;
-                    let source = match (e + h + round) % 3 {
-                        0 => Source::Tag,
-                        1 => Source::Bracket,
-                        _ => Source::Infobox,
-                    };
-                    stream.push(cand(&format!("实体{e}"), &format!("概念{h}"), source, conf));
-                }
-            }
-        }
-        let serial = CandidateSet::merge(stream.clone());
-        for threads in [2, 4, 8] {
-            let sharded = CandidateSet::merge_with(stream.clone(), &Runtime::new(threads));
-            assert_eq!(sharded.items, serial.items, "threads={threads}");
-        }
-        // The serial fast path is the serial merge itself.
-        let fast = CandidateSet::merge_with(stream, &Runtime::serial());
-        assert_eq!(fast.items, serial.items);
     }
 
     #[test]

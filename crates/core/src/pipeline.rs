@@ -303,7 +303,7 @@ impl Pipeline {
         });
 
         let merged = time_stage(&mut timings, Stage::Merge, || {
-            let merged = CandidateSet::merge_with(all_candidates, &rt);
+            let merged = CandidateSet::merge(all_candidates);
             report.merged_candidates = merged.len();
             merged
         });

@@ -51,7 +51,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: RUNTIME_OWNS,
-        summary: "crossbeam, thread::{spawn,Builder,scope} and raw Mutex/RwLock construction only \
+        summary: "thread::{spawn,Builder,scope} and raw Mutex/RwLock construction only \
                   inside cnp_runtime (allowlisted: the cnp_server accept loop + worker pool)",
         scope: "all first-party src outside crates/runtime",
     },
@@ -310,14 +310,6 @@ impl<'a> Ctx<'a> {
                 continue;
             }
             match t.text.as_str() {
-                "crossbeam" => {
-                    self.emit(
-                        &t.clone(),
-                        RUNTIME_OWNS,
-                        "`crossbeam` is runtime-internal".to_string(),
-                        "use the cnp_runtime facade (par_* / BoundedQueue / WorkerPool)",
-                    );
-                }
                 "thread" => {
                     for target in ["spawn", "Builder", "scope"] {
                         if self.is_path_seg(i, "thread", target) {
@@ -423,8 +415,7 @@ impl<'a> Ctx<'a> {
                             &t.clone(),
                             DETERMINISM,
                             msg,
-                            "collect and sort before emitting, or restore first-occurrence order \
-                             via cnp_runtime::par_shard_fold",
+                            "collect and sort before emitting",
                         );
                     } else if i >= 1 && self.prev_is_for_in(i) && self.is_punct(i + 1, '{') {
                         let msg = format!(
@@ -435,8 +426,7 @@ impl<'a> Ctx<'a> {
                             &t.clone(),
                             DETERMINISM,
                             msg,
-                            "collect and sort before emitting, or restore first-occurrence order \
-                             via cnp_runtime::par_shard_fold",
+                            "collect and sort before emitting",
                         );
                     }
                 }
@@ -790,7 +780,7 @@ mod tests {
 
     #[test]
     fn concurrency_tokens_fire_outside_runtime_only() {
-        let src = "fn f() { std::thread::spawn(|| {}); let m = Mutex::new(0); crossbeam::scope(|s| {}); }";
+        let src = "fn f() { std::thread::spawn(|| {}); let m = Mutex::new(0); std::thread::scope(|s| {}); }";
         let f = findings("crates/core/src/x.rs", src);
         assert_eq!(f.len(), 3);
         assert!(findings("crates/runtime/src/x.rs", src).is_empty());

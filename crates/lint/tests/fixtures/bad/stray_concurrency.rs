@@ -6,7 +6,7 @@ use std::sync::Mutex;
 pub fn fan_out() {
     let shared = Mutex::new(Vec::new());
     let h = std::thread::spawn(move || {});
-    let _scope = crossbeam::scope(|_| {});
+    std::thread::scope(|_| {});
     h.join().ok();
     drop(shared);
 }

@@ -3,31 +3,28 @@
 //!
 //! CN-Probase's headline claim is scale: 60 M isA relations extracted from
 //! 17 M entity pages by a never-ending pipeline. Every stage of that
-//! pipeline — corpus statistics, the four generation sources, candidate
-//! merging, the three verification strategies and snapshot freezing — runs
-//! through this crate's [`Runtime`] instead of growing its own ad-hoc
-//! threading. Each `par_*` call distributes *chunks* of work over scoped
-//! worker threads (spawned for that call and joined before it returns —
-//! there is no persistent pool; a pooled or async backend can slot behind
-//! this same API later) and reduces the per-chunk results **in chunk
-//! order**, which gives the one property the whole system is built on:
+//! pipeline that is worth threading — corpus statistics, the four
+//! generation sources, the three verification strategies and snapshot
+//! freezing — runs through this crate's [`Runtime`] instead of growing its
+//! own ad-hoc threading (candidate merging, about 1 % of a build, is a
+//! plain serial fold). Each `par_*` call distributes *chunks* of work over
+//! scoped worker threads (spawned for that call and joined before it
+//! returns — there is no persistent pool; a pooled or async backend can
+//! slot behind this same API later) and reduces the per-chunk results **in
+//! chunk order**, which gives the one property the whole system is built
+//! on:
 //!
 //! > **Determinism.** Chunk boundaries depend only on the input length
 //! > ([`chunk_size`]), never on the thread count, and reductions always
 //! > fold chunk results in ascending chunk order. A pipeline run with
 //! > `threads = 1`, `2` or `8` therefore produces byte-identical output.
 //!
-//! Three primitives cover every stage:
+//! Two primitives cover every stage:
 //!
 //! * [`Runtime::par_chunks_indexed`] — map a slice chunk-by-chunk, results
 //!   returned in chunk order (the base index lets workers recover global
 //!   positions);
-//! * [`Runtime::par_map_reduce`] — the same, followed by an in-order fold;
-//! * [`Runtime::par_shard_fold`] — the sharded-accumulator primitive:
-//!   items are routed to shards by a caller-supplied key hash, each shard
-//!   folds *its* items in original input order, and the per-shard outputs
-//!   come back in shard order. [`CandidateSet::merge`]-style grouped
-//!   reductions shard on the group key so all collisions land in one fold.
+//! * [`Runtime::par_map_reduce`] — the same, followed by an in-order fold.
 //!
 //! Workers pull chunk indices from a shared atomic counter, so uneven
 //! chunks load-balance naturally; scheduling order never leaks into
@@ -36,8 +33,6 @@
 //! and is amortised over chunked work ([`MIN_CHUNK`] keeps tiny inputs
 //! inline); it is the price of keeping every primitive borrow-friendly
 //! (`&[T]` in, no `'static` bounds).
-//!
-//! [`CandidateSet::merge`]: https://docs.rs/cnp_core
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -69,9 +64,10 @@ pub fn chunk_size(len: usize) -> usize {
     len.div_ceil(MAX_PARTITIONS).max(MIN_CHUNK)
 }
 
-/// FNV-1a over raw bytes: a fixed, platform-independent hash for shard
-/// routing. Not `DefaultHasher`, whose per-process random seed would make
-/// shard assignment (and any shard-count-dependent output) unstable.
+/// FNV-1a over raw bytes: a fixed, platform-independent hash for values
+/// that are persisted or handed to clients (snapshot checksums, the
+/// mention hash table, cursor fingerprints). Not `DefaultHasher`, whose
+/// per-process random seed would change them from run to run.
 pub fn stable_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -84,27 +80,6 @@ pub fn stable_hash(bytes: &[u8]) -> u64 {
 /// [`stable_hash`] over a string's UTF-8 bytes.
 pub fn stable_hash_str(s: &str) -> u64 {
     stable_hash(s.as_bytes())
-}
-
-/// Items of one shard, yielded in original input order as
-/// `(original_index, &item)` pairs. See [`Runtime::par_shard_fold`].
-/// Owns its index list so the borrow is tied only to the item slice.
-pub struct ShardItems<'a, T> {
-    items: &'a [T],
-    indices: std::vec::IntoIter<u32>,
-}
-
-impl<'a, T> Iterator for ShardItems<'a, T> {
-    type Item = (usize, &'a T);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let i = self.indices.next()?;
-        Some((i as usize, &self.items[i as usize]))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.indices.size_hint()
-    }
 }
 
 /// A work-distribution handle: a thread count plus the chunked scheduling
@@ -153,30 +128,20 @@ impl Runtime {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.run_indexed_capped(self.threads, n_tasks, work)
-    }
-
-    /// [`Runtime::run_indexed`] with an additional worker cap — `cap = 1`
-    /// forces the inline path regardless of the runtime's thread count.
-    fn run_indexed_capped<R, F>(&self, cap: usize, n_tasks: usize, work: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
         if n_tasks == 0 {
             return Vec::new();
         }
-        let workers = self.threads.min(cap).min(n_tasks);
+        let workers = self.threads.min(n_tasks);
         if workers <= 1 {
             return (0..n_tasks).map(work).collect();
         }
         let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<(usize, R)>> = crossbeam::scope(|scope| {
+        let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
                     let work = &work;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut out = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -193,8 +158,7 @@ impl Runtime {
                 .into_iter()
                 .map(|h| h.join().expect("runtime worker panicked"))
                 .collect()
-        })
-        .expect("runtime scope");
+        });
 
         let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n_tasks).collect();
         for (i, r) in per_worker.into_iter().flatten() {
@@ -260,7 +224,7 @@ impl Runtime {
     /// (unlike the chunked primitives) no tiny-input inlining: `n ≥ 2`
     /// tasks always dispatch to workers. Returns the results in index
     /// order. For a small number of coarse, possibly uneven tasks (one
-    /// per shard, one per worker); prefer [`Runtime::par_index_map`] for
+    /// per client, one per worker); prefer [`Runtime::par_index_map`] for
     /// fine-grained per-element work.
     pub fn par_tasks<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
@@ -304,75 +268,6 @@ impl Runtime {
             .filter(|_| keep(verdict_iter.next().expect("one verdict per item")))
             .collect();
         (retained, verdicts)
-    }
-
-    /// The sharded-accumulator primitive. Every item is routed to shard
-    /// `shard_of(item) % num_shards` (use [`stable_hash_str`] for string
-    /// keys); `fold` then runs once per shard on the pool, seeing that
-    /// shard's items **in original input order** as `(index, &item)`
-    /// pairs. Per-shard outputs return in shard order.
-    ///
-    /// All items with equal shard keys meet in the same fold, so grouped
-    /// reductions (dedup, per-key aggregation) need no cross-shard merge;
-    /// reordering the shard outputs by each group's first original index
-    /// reproduces the serial insertion order exactly.
-    pub fn par_shard_fold<'a, T, R, S, F>(
-        &self,
-        items: &'a [T],
-        num_shards: usize,
-        shard_of: S,
-        fold: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        S: Fn(&T) -> u64 + Sync,
-        F: Fn(usize, ShardItems<'a, T>) -> R + Sync,
-    {
-        assert!(num_shards > 0, "num_shards must be positive");
-        assert!(
-            items.len() <= u32::MAX as usize,
-            "par_shard_fold supports at most u32::MAX items"
-        );
-        // Pass 1 (parallel): shard id per item, concatenated in order.
-        let shard_ids: Vec<Vec<u32>> = self.par_chunks_indexed(items, |_, chunk| {
-            chunk
-                .iter()
-                .map(|t| (shard_of(t) % num_shards as u64) as u32)
-                .collect()
-        });
-        // Pass 2 (serial, O(n)): per-shard index lists, ascending. Each
-        // list sits behind a mutex only so pass 3 can *move* it out — a
-        // shard is folded exactly once, so the lock is uncontended and the
-        // indices transfer without copying.
-        let mut shards: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-        let mut idx = 0u32;
-        for batch in shard_ids {
-            for s in batch {
-                shards[s as usize].push(idx);
-                idx += 1;
-            }
-        }
-        let shards: Vec<std::sync::Mutex<Vec<u32>>> =
-            shards.into_iter().map(std::sync::Mutex::new).collect();
-        // Pass 3 (parallel): fold each shard. Tiny inputs fold all shards
-        // inline — spawning workers to visit `num_shards` mostly-empty
-        // shards would be pure overhead.
-        let cap = if items.len() <= MIN_CHUNK {
-            1
-        } else {
-            self.threads
-        };
-        self.run_indexed_capped(cap, num_shards, |s| {
-            let indices = std::mem::take(&mut *shards[s].lock().expect("shard lock"));
-            fold(
-                s,
-                ShardItems {
-                    items,
-                    indices: indices.into_iter(),
-                },
-            )
-        })
     }
 }
 
@@ -459,34 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_fold_sees_items_in_original_order() {
-        let items: Vec<u32> = (0..1_000).rev().collect();
-        for threads in [1, 6] {
-            let rt = Runtime::new(threads);
-            let per_shard: Vec<Vec<(usize, u32)>> = rt.par_shard_fold(
-                &items,
-                7,
-                |&x| u64::from(x),
-                |shard, it| {
-                    let collected: Vec<(usize, u32)> = it.map(|(i, &x)| (i, x)).collect();
-                    for w in collected.windows(2) {
-                        assert!(w[0].0 < w[1].0, "shard {shard} items out of order");
-                    }
-                    collected
-                },
-            );
-            assert_eq!(per_shard.len(), 7);
-            let mut all: Vec<(usize, u32)> = per_shard.into_iter().flatten().collect();
-            all.sort_unstable();
-            assert_eq!(all.len(), items.len());
-            for (i, (idx, x)) in all.into_iter().enumerate() {
-                assert_eq!(idx, i);
-                assert_eq!(x, items[i]);
-            }
-        }
-    }
-
-    #[test]
     fn tasks_actually_fan_out_to_workers() {
         // Tasks 0 and 1 rendezvous on a barrier: the test can only finish
         // if two workers run them concurrently (with 4 workers and a task
@@ -505,26 +372,6 @@ mod tests {
             assert_eq!(*got, want);
         }
         assert_ne!(ids[0].1, ids[1].1, "barrier partners ran on one thread");
-    }
-
-    #[test]
-    fn tiny_shard_folds_run_inline() {
-        let items: Vec<u32> = (0..MIN_CHUNK as u32).collect();
-        let rt = Runtime::new(8);
-        let tid = std::thread::current().id();
-        let ran_on = rt.par_shard_fold(
-            &items,
-            16,
-            |&x| u64::from(x),
-            |_, it| {
-                let _ = it.count();
-                std::thread::current().id()
-            },
-        );
-        assert!(
-            ran_on.iter().all(|&t| t == tid),
-            "tiny fold left the caller thread"
-        );
     }
 
     #[test]
@@ -547,9 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_stable_across_runs() {
-        // FNV-1a with fixed constants: values must never change between
-        // builds, or persisted shard layouts would silently break.
+    fn stable_hash_values_never_change_between_builds() {
+        // FNV-1a with fixed constants: snapshot checksums, the mention
+        // hash table and cursor fingerprints are persisted or held by
+        // clients, so a changed value silently invalidates them.
         assert_eq!(stable_hash(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(stable_hash_str("演员"), stable_hash("演员".as_bytes()));
         assert_ne!(stable_hash_str("演员"), stable_hash_str("歌手"));

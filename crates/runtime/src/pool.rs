@@ -18,8 +18,8 @@
 //!   drop) and joins them.
 //!
 //! Both follow the crate's house rules: standard-library primitives only
-//! (`Mutex` + `Condvar`; the vendored crossbeam provides scoped threads,
-//! not channels) and no unbounded buffering anywhere.
+//! (`Mutex` + `Condvar`, no channel crate) and no unbounded buffering
+//! anywhere.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};

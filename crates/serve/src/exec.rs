@@ -6,9 +6,9 @@
 //! `FrozenTaxonomyView` (varint rows decoded on the fly) — the protocol
 //! cannot fork between representations. Everything here is `&`-only and
 //! allocation-bounded by the result size — no locks, no interior
-//! mutability — which is what lets [`crate::TaxonomyService`] run batches
-//! on worker threads and the hot-swap path proceed while queries are in
-//! flight. The compatibility [`crate::ProbaseApi`] calls the same
+//! mutability — which is what lets any number of threads query one
+//! [`crate::TaxonomyService`] and the hot-swap path proceed while queries
+//! are in flight. The compatibility [`crate::ProbaseApi`] calls the same
 //! building blocks, so the wrapper and the typed protocol cannot drift
 //! apart.
 

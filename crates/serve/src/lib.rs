@@ -16,12 +16,13 @@
 //!   [`QueryError::UnknownConcept`] / [`QueryError::InvalidCursor`] from
 //!   genuinely empty results, and every response carries the snapshot
 //!   **generation** it was answered from.
-//! * [`TaxonomyService`] — executes single queries lock-free on a pinned
-//!   immutable snapshot, fans [`TaxonomyService::execute_batch`] out over
-//!   the shared [`cnp_runtime::Runtime`], and hot-swaps snapshots under
-//!   live traffic ([`TaxonomyService::reload`] /
-//!   [`TaxonomyService::swap`]): in-flight queries finish on the
-//!   generation they pinned, new queries see the new one, nothing blocks.
+//! * [`TaxonomyService`] — executes queries lock-free on a pinned
+//!   immutable snapshot, on the caller's thread
+//!   ([`TaxonomyService::execute_batch`] pins once and answers in input
+//!   order), and hot-swaps snapshots under live traffic
+//!   ([`TaxonomyService::reload`] / [`TaxonomyService::swap`]): in-flight
+//!   queries finish on the generation they pinned, new queries see the
+//!   new one, nothing blocks.
 //! * [`ProbaseApi`] — the paper-era three-call interface, kept as a thin
 //!   compatibility wrapper over the service (same answers, verified by
 //!   the `serve_equivalence` integration test).

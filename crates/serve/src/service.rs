@@ -14,11 +14,6 @@ use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-/// Minimum queries a batch worker must have before another worker is
-/// worth spawning: below this, thread hand-off costs more than the
-/// queries themselves.
-const MIN_BATCH_PER_WORKER: usize = 32;
-
 /// One immutable serving state: a snapshot backend plus its generation
 /// number, and the generation's lazily-built tagging index (the
 /// vocabulary-seeded segmenter is derived state of the snapshot, so it
@@ -96,7 +91,8 @@ impl<T: TaxonomyRead> PinnedSnapshot<T> {
 /// [`TaxonomyService::swap`] installs a new generation as a single pointer
 /// store — readers never wait on snapshot decode or freeze, in-flight
 /// queries drain on the generation they pinned, and every
-/// [`QueryResponse`] carries the generation it answered from.
+/// [`QueryResponse`] carries the generation it answered from. Queries,
+/// single or batched, run on the thread that called; nothing is spawned.
 ///
 /// The backend is generic over [`TaxonomyRead`]: the same service type
 /// serves in process from the owned [`FrozenTaxonomy`] (the default —
@@ -118,7 +114,7 @@ impl<T: TaxonomyRead> PinnedSnapshot<T> {
 /// let service = TaxonomyService::from_store(store.clone());
 /// assert_eq!(service.generation(), 1);
 ///
-/// // Batches execute on the shared runtime, one pinned generation each.
+/// // A batch pins one generation and answers in input order.
 /// let queries = vec![Query::men2ent("张学友"), Query::men2ent("无此人")];
 /// let responses = service.execute_batch(&queries);
 /// assert!(matches!(responses[0].result, Ok(Response::Senses(_))));
@@ -137,13 +133,14 @@ pub struct TaxonomyService<T = FrozenTaxonomy> {
 }
 
 impl<T: TaxonomyRead> TaxonomyService<T> {
-    /// Boots generation 1 from a snapshot backend, batching on a default
+    /// Boots generation 1 from a snapshot backend, compacting on a default
     /// [`Runtime`].
     pub fn new(snapshot: T) -> Self {
         Self::with_runtime(snapshot, Runtime::default())
     }
 
-    /// Boots generation 1 with an explicit batch runtime.
+    /// Boots generation 1 with an explicit runtime for
+    /// [`TaxonomyService::compact`]'s re-freeze, the one thing run on it.
     pub fn with_runtime(snapshot: T, runtime: Runtime) -> Self {
         TaxonomyService {
             // cnp-lint: allow(runtime-owns-concurrency) reason="the hot-swap generation pointer: read-locked for one Arc clone per query, write-locked only by swap(); no compute happens under it"
@@ -154,7 +151,7 @@ impl<T: TaxonomyRead> TaxonomyService<T> {
         }
     }
 
-    /// The batch runtime.
+    /// The compaction runtime.
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
     }
@@ -177,30 +174,14 @@ impl<T: TaxonomyRead> TaxonomyService<T> {
         self.pin().execute(query)
     }
 
-    /// Executes a batch on worker threads. The whole batch pins **one**
-    /// generation (all responses carry the same number), and results come
-    /// back in input order.
-    ///
-    /// The worker count is the runtime's thread budget capped twice: by
-    /// the machine's available parallelism (threads beyond the core count
-    /// only add contention) and by the batch size at
-    /// `MIN_BATCH_PER_WORKER` (32) queries per worker (spawning a thread for
-    /// a handful of sub-millisecond queries costs more than running
-    /// them). Small batches therefore execute inline on the caller's
-    /// thread, and adding threads to the runtime never makes a batch
-    /// slower.
+    /// Executes a batch on the caller's thread: the whole batch pins
+    /// **one** generation (all responses carry the same number) and the
+    /// queries run one after another, results in input order. A batch
+    /// saves per-request work (one round trip, one parse, one pin), not
+    /// query time; concurrency is requests running side by side.
     pub fn execute_batch(&self, queries: &[Query]) -> Vec<QueryResponse> {
         let pinned = self.pin();
-        let workers = self
-            .runtime
-            .threads()
-            .min(cnp_runtime::default_threads())
-            .min(queries.len().div_ceil(MIN_BATCH_PER_WORKER))
-            .max(1);
-        if workers <= 1 {
-            return queries.iter().map(|q| pinned.execute(q)).collect();
-        }
-        Runtime::new(workers).par_index_map(queries.len(), |i| pinned.execute(&queries[i]))
+        queries.iter().map(|q| pinned.execute(q)).collect()
     }
 
     /// Atomically installs `snapshot` as the next generation and returns
@@ -315,7 +296,7 @@ impl TaxonomyService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::ListOptions;
+    use crate::query::{ListOptions, PageRequest};
     use crate::response::{QueryError, Response};
     use cnp_taxonomy::{FrozenTaxonomyView, IsAMeta, OverlayView, Source};
 
@@ -378,8 +359,7 @@ mod tests {
 
     #[test]
     fn batch_pins_exactly_one_generation() {
-        let service =
-            TaxonomyService::with_runtime(FrozenTaxonomy::freeze(&store_b()), Runtime::new(4));
+        let service = TaxonomyService::from_store(store_b());
         let queries: Vec<Query> = (0..200)
             .map(|i| {
                 if i % 2 == 0 {
@@ -399,15 +379,28 @@ mod tests {
     }
 
     #[test]
-    fn tiny_batches_run_inline_regardless_of_runtime_threads() {
-        // A batch smaller than MIN_BATCH_PER_WORKER must execute on the
-        // caller's thread even when the runtime advertises many workers.
+    fn batch_equals_singles_in_order_at_the_cap() {
+        // 1 024 is `/v1/batch`'s cap; whatever runtime the service holds, a
+        // batch is its queries run in order on one pinned generation.
         let service =
             TaxonomyService::with_runtime(FrozenTaxonomy::freeze(&store_b()), Runtime::new(16));
-        let queries = vec![Query::men2ent("刘德华"); MIN_BATCH_PER_WORKER];
+        let queries: Vec<Query> = (0..1024)
+            .map(|i| match i % 4 {
+                0 => Query::men2ent("刘德华"),
+                1 => Query::men2ent(format!("无此人{i}")),
+                2 => Query::GetEntity {
+                    concept: "人物".to_string(),
+                    options: ListOptions::transitive().with_page(PageRequest::first(1)),
+                },
+                _ => Query::AncestorsOf {
+                    concept: format!("无此概念{i}"),
+                },
+            })
+            .collect();
         let responses = service.execute_batch(&queries);
-        assert_eq!(responses.len(), queries.len());
-        assert!(responses.iter().all(|r| r.result.is_ok()));
+        let singles: Vec<QueryResponse> = queries.iter().map(|q| service.execute(q)).collect();
+        assert_eq!(responses, singles);
+        assert!(responses.iter().all(|r| r.generation == 1));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub enum QueryKind {
     Lookup,
     /// A tagging query — `/v1/tag`, or a tag/classify op on `/v1/query`.
     Tag,
-    /// A `/v1/batch` fan-out (counted once per batch, whatever it holds).
+    /// A `/v1/batch` request (counted once per batch, whatever it holds).
     Batch,
 }
 

@@ -453,101 +453,6 @@ impl FrozenTaxonomy {
             None => &[],
         }
     }
-
-    // ----- graph queries --------------------------------------------------
-
-    /// Lowest common ancestors of two concepts: the common ancestors
-    /// (including the concepts themselves) of maximal depth, sorted.
-    pub fn lowest_common_ancestors(&self, a: ConceptId, b: ConceptId) -> Vec<ConceptId> {
-        let with_self = |c: ConceptId| -> Vec<ConceptId> {
-            let row = self.ancestors_of(c);
-            let mut v = Vec::with_capacity(row.len() + 1);
-            let pos = row.partition_point(|&x| x < c);
-            v.extend_from_slice(&row[..pos]);
-            v.push(c);
-            v.extend_from_slice(&row[pos..]);
-            v
-        };
-        let up_a = with_self(a);
-        let up_b = with_self(b);
-        // Merge-intersect the two sorted streams.
-        let mut common = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < up_a.len() && j < up_b.len() {
-            match up_a[i].cmp(&up_b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    common.push(up_a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        let Some(max_depth) = common.iter().map(|&c| self.depth[c.index()]).max() else {
-            return Vec::new();
-        };
-        common.retain(|&c| self.depth[c.index()] == max_depth);
-        common
-    }
-
-    /// Sibling concepts: other children of `c`'s parents, sorted.
-    pub fn siblings(&self, c: ConceptId) -> Vec<ConceptId> {
-        let mut out: Vec<ConceptId> = Vec::new();
-        for &(p, _) in self.parents_of(c) {
-            for &child in self.children_of(p) {
-                if child != c && !out.contains(&child) {
-                    out.push(child);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Wu–Palmer similarity between two concepts (same contract as
-    /// [`crate::query::wu_palmer`]), answered from the precomputed closure
-    /// and depth array.
-    pub fn wu_palmer(&self, a: ConceptId, b: ConceptId) -> f64 {
-        if a == b {
-            return 1.0;
-        }
-        let lcas = self.lowest_common_ancestors(a, b);
-        let Some(&lca) = lcas.first() else {
-            return 0.0;
-        };
-        let dl = self.depth(lca) as f64 + 1.0;
-        let da = self.depth(a) as f64 + 1.0;
-        let db = self.depth(b) as f64 + 1.0;
-        (2.0 * dl / (da + db)).clamp(0.0, 1.0)
-    }
-
-    /// Concepts shared by a set of entities — the conceptualisation
-    /// primitive (same contract as [`crate::query::common_concepts`]).
-    pub fn common_concepts(&self, entities: &[EntityId], transitive: bool) -> Vec<ConceptId> {
-        let mut iter = entities.iter();
-        let Some(&first) = iter.next() else {
-            return Vec::new();
-        };
-        let concept_set = |e: EntityId| -> crate::hash::FxHashSet<ConceptId> {
-            let mut set = crate::hash::FxHashSet::default();
-            for &(c, _) in self.concepts_of(e) {
-                set.insert(c);
-                if transitive {
-                    set.extend(self.ancestors(c));
-                }
-            }
-            set
-        };
-        let mut acc = concept_set(first);
-        for &e in iter {
-            let s = concept_set(e);
-            acc.retain(|c| s.contains(c));
-        }
-        let mut out: Vec<ConceptId> = acc.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -700,31 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn query_methods_match_mutable_path() {
-        let s = demo_store();
-        let f = FrozenTaxonomy::freeze(&s);
-        let ids: Vec<ConceptId> = s.concept_ids().collect();
-        for &a in &ids {
-            assert_eq!(f.siblings(a), query::siblings(&s, a));
-            for &b in &ids {
-                assert_eq!(
-                    f.lowest_common_ancestors(a, b),
-                    query::lowest_common_ancestors(&s, a, b),
-                    "lca({a:?}, {b:?})"
-                );
-                assert_eq!(f.wu_palmer(a, b), query::wu_palmer(&s, a, b));
-            }
-        }
-        let es: Vec<EntityId> = s.entity_ids().collect();
-        for transitive in [false, true] {
-            assert_eq!(
-                f.common_concepts(&es, transitive),
-                query::common_concepts(&s, &es, transitive)
-            );
-        }
-    }
-
-    #[test]
     fn descendants_match_bfs() {
         let s = demo_store();
         let f = FrozenTaxonomy::freeze(&s);
@@ -808,16 +688,6 @@ mod tests {
                 prop_assert_eq!(f.ancestors_of(c), bfs.as_slice());
                 prop_assert_eq!(f.depth(c), query::depth(&s, c));
                 prop_assert_eq!(f.descendants(c), closure::descendants(&s, c));
-            }
-            let ids: Vec<ConceptId> = s.concept_ids().collect();
-            for &a in ids.iter().step_by(5) {
-                for &b in ids.iter().step_by(7) {
-                    prop_assert_eq!(
-                        f.lowest_common_ancestors(a, b),
-                        query::lowest_common_ancestors(&s, a, b)
-                    );
-                    prop_assert_eq!(f.wu_palmer(a, b), query::wu_palmer(&s, a, b));
-                }
             }
         }
     }

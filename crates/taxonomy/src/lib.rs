@@ -13,8 +13,7 @@
 //!   (needed by the incompatible-concept verification).
 //! * [`mention`] — the mention index behind `men2ent` (entity names,
 //!   bracket-stripped names, aliases).
-//! * [`closure`] — transitive hypernym closure with cycle handling and a
-//!   memoized ancestor cache.
+//! * [`closure`] — transitive hypernym closure with cycle handling.
 //! * [`topo`] — SCC condensation of the concept graph: topological order
 //!   and exact one-pass depths.
 //! * [`frozen`] — [`FrozenTaxonomy`], the immutable CSR-packed serving
@@ -23,8 +22,8 @@
 //!   (The public serving protocol — `TaxonomyService`, the typed `Query`
 //!   enum and the `ProbaseApi` compatibility wrapper — lives in the
 //!   `cnp_serve` crate, layered on this snapshot.)
-//! * [`query`] — higher-level queries: concept depth, lowest common
-//!   ancestors, siblings, Wu–Palmer similarity, conceptualisation.
+//! * [`query`] — concept depth straight from the store, the reference
+//!   for the depth the snapshot precomputes and serves.
 //! * [`persist`] — the one on-disk snapshot format (sectioned,
 //!   checksummed, delta/varint-compressed; written from a
 //!   [`FrozenTaxonomy`], served in place by the view) and the delta

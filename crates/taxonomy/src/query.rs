@@ -1,21 +1,19 @@
-//! Higher-level taxonomy queries built on the closure primitives.
+//! Concept depth over the mutable store — the reference for a value that
+//! is served.
 //!
-//! The deployed CN-Probase backs applications like short-text
-//! classification (paper §V), which need more than raw edge lookups:
-//! concept depth, lowest common ancestors, siblings and path-based concept
-//! similarity (Wu–Palmer). All queries are read-only and cycle-safe.
+//! [`crate::frozen::FrozenTaxonomy`] precomputes a depth per concept
+//! (`ConceptHit.depth` on the wire, the tag scorer's coarse-to-fine
+//! order); the functions here compute the same value straight from a
+//! [`TaxonomyStore`], and the equivalence suites compare the two.
 //!
 //! Depths are computed through the SCC condensation of the parent graph
 //! ([`crate::topo`]) — exact longest-chain values on the post-
 //! [`crate::closure::break_cycles`] DAG, with any remaining cycle collapsed
-//! to a single component instead of being silently truncated (the previous
-//! per-call memoized DFS could cache cycle-truncated values and overcount
-//! back edges). Each call here recomputes the depth array in one `O(V + E)`
-//! pass; hot serving paths should use the precomputed
-//! [`crate::frozen::FrozenTaxonomy`] instead.
+//! to a single component instead of being silently truncated (a per-call
+//! memoized DFS can cache cycle-truncated values and overcount back
+//! edges). Each call here recomputes the depth array in one `O(V + E)`
+//! pass; hot serving paths use the precomputed array instead.
 
-use crate::closure::ancestors;
-use crate::hash::FxHashSet;
 use crate::store::{ConceptId, TaxonomyStore};
 use crate::topo::Condensation;
 
@@ -32,146 +30,28 @@ pub fn depth(store: &TaxonomyStore, c: ConceptId) -> usize {
     depths(store)[c.index()] as usize
 }
 
-/// Common ancestors of two concepts, including the concepts themselves.
-fn common_ancestors(store: &TaxonomyStore, a: ConceptId, b: ConceptId) -> Vec<ConceptId> {
-    let mut up_a: FxHashSet<ConceptId> = ancestors(store, a).into_iter().collect();
-    up_a.insert(a);
-    let mut up_b: FxHashSet<ConceptId> = ancestors(store, b).into_iter().collect();
-    up_b.insert(b);
-    up_a.intersection(&up_b).copied().collect()
-}
-
-/// The deepest concepts of `common`, sorted by id.
-fn deepest(common: Vec<ConceptId>, depth_of: &[u32]) -> Vec<ConceptId> {
-    let Some(max_depth) = common.iter().map(|&c| depth_of[c.index()]).max() else {
-        return Vec::new();
-    };
-    let mut out: Vec<ConceptId> = common
-        .into_iter()
-        .filter(|&c| depth_of[c.index()] == max_depth)
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-/// Lowest common ancestors of two concepts: the common ancestors (including
-/// the concepts themselves) of maximal depth. Empty when the concepts share
-/// no root. Depths come from a single exact pass, not one recomputation per
-/// candidate.
-pub fn lowest_common_ancestors(
-    store: &TaxonomyStore,
-    a: ConceptId,
-    b: ConceptId,
-) -> Vec<ConceptId> {
-    let common = common_ancestors(store, a, b);
-    if common.is_empty() {
-        return Vec::new();
-    }
-    deepest(common, &depths(store))
-}
-
-/// Sibling concepts: other children of `c`'s parents.
-pub fn siblings(store: &TaxonomyStore, c: ConceptId) -> Vec<ConceptId> {
-    let mut out: Vec<ConceptId> = Vec::new();
-    for &(p, _) in store.parents_of(c) {
-        for &child in store.children_of(p) {
-            if child != c && !out.contains(&child) {
-                out.push(child);
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Wu–Palmer similarity between two concepts, using node counts
-/// (`depth + 1`) so that a root LCA still contributes:
-/// `2·(depth(lca)+1) / ((depth(a)+1) + (depth(b)+1))`, in `(0, 1]`.
-/// Returns 0 when the concepts share no ancestor.
-pub fn wu_palmer(store: &TaxonomyStore, a: ConceptId, b: ConceptId) -> f64 {
-    if a == b {
-        return 1.0;
-    }
-    let common = common_ancestors(store, a, b);
-    if common.is_empty() {
-        return 0.0;
-    }
-    // One depth pass serves both the LCA selection and the formula.
-    let depth_of = depths(store);
-    let lcas = deepest(common, &depth_of);
-    let lca = lcas[0];
-    let dl = depth_of[lca.index()] as f64 + 1.0;
-    let da = depth_of[a.index()] as f64 + 1.0;
-    let db = depth_of[b.index()] as f64 + 1.0;
-    (2.0 * dl / (da + db)).clamp(0.0, 1.0)
-}
-
-/// Concepts shared by a set of entities — the conceptualisation primitive
-/// behind short-text understanding (“what do 刘德华 and 张学友 have in
-/// common?” → 歌手, 人物).
-pub fn common_concepts(
-    store: &TaxonomyStore,
-    entities: &[crate::store::EntityId],
-    transitive: bool,
-) -> Vec<ConceptId> {
-    let mut iter = entities.iter();
-    let Some(&first) = iter.next() else {
-        return Vec::new();
-    };
-    let concept_set = |e: crate::store::EntityId| -> FxHashSet<ConceptId> {
-        let mut set: FxHashSet<ConceptId> = FxHashSet::default();
-        for &(c, _) in store.concepts_of(e) {
-            set.insert(c);
-            if transitive {
-                for a in ancestors(store, c) {
-                    set.insert(a);
-                }
-            }
-        }
-        set
-    };
-    let mut acc = concept_set(first);
-    for &e in iter {
-        let s = concept_set(e);
-        acc.retain(|c| s.contains(c));
-    }
-    let mut out: Vec<ConceptId> = acc.into_iter().collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::{IsAMeta, Source};
 
-    /// 男演员 → 演员 → 人物;  歌手 → 人物;  城市 → 地点 (separate root).
-    fn fixture() -> (
-        TaxonomyStore,
-        ConceptId,
-        ConceptId,
-        ConceptId,
-        ConceptId,
-        ConceptId,
-    ) {
+    /// 男演员 → 演员 → 人物;  歌手 → 人物.
+    fn fixture() -> (TaxonomyStore, ConceptId, ConceptId, ConceptId, ConceptId) {
         let mut s = TaxonomyStore::new();
         let male_actor = s.add_concept("男演员");
         let actor = s.add_concept("演员");
         let person = s.add_concept("人物");
         let singer = s.add_concept("歌手");
-        let city = s.add_concept("城市");
-        let place = s.add_concept("地点");
         let m = IsAMeta::new(Source::SubConcept, 0.9);
         s.add_concept_is_a(male_actor, actor, m);
         s.add_concept_is_a(actor, person, m);
         s.add_concept_is_a(singer, person, m);
-        s.add_concept_is_a(city, place, m);
-        (s, male_actor, actor, person, singer, city)
+        (s, male_actor, actor, person, singer)
     }
 
     #[test]
     fn depth_counts_longest_chain() {
-        let (s, male_actor, actor, person, singer, _) = fixture();
+        let (s, male_actor, actor, person, singer) = fixture();
         assert_eq!(depth(&s, person), 0);
         assert_eq!(depth(&s, actor), 1);
         assert_eq!(depth(&s, singer), 1);
@@ -179,60 +59,8 @@ mod tests {
     }
 
     #[test]
-    fn lca_of_professions_is_person() {
-        let (s, male_actor, actor, person, singer, city) = fixture();
-        assert_eq!(
-            lowest_common_ancestors(&s, male_actor, singer),
-            vec![person]
-        );
-        // One concept an ancestor of the other: the ancestor is the LCA.
-        assert_eq!(lowest_common_ancestors(&s, male_actor, actor), vec![actor]);
-        // Different roots: no common ancestor.
-        assert!(lowest_common_ancestors(&s, male_actor, city).is_empty());
-    }
-
-    #[test]
-    fn siblings_share_a_parent() {
-        let (s, male_actor, actor, _, singer, _) = fixture();
-        assert_eq!(siblings(&s, actor), vec![singer]);
-        assert_eq!(siblings(&s, singer), vec![actor]);
-        assert!(siblings(&s, male_actor).is_empty());
-    }
-
-    #[test]
-    fn wu_palmer_ordering() {
-        let (s, male_actor, actor, _, singer, city) = fixture();
-        let close = wu_palmer(&s, male_actor, actor);
-        let mid = wu_palmer(&s, male_actor, singer);
-        let far = wu_palmer(&s, male_actor, city);
-        assert_eq!(wu_palmer(&s, actor, actor), 1.0);
-        assert!(close > mid, "{close} vs {mid}");
-        assert!(mid > far, "{mid} vs {far}");
-        assert_eq!(far, 0.0);
-    }
-
-    #[test]
-    fn common_concepts_intersects_transitively() {
-        let (mut s, male_actor, _, person, singer, _) = fixture();
-        let liu = s.add_entity("刘德华", None);
-        let zhang = s.add_entity("张学友", None);
-        let m = IsAMeta::new(Source::Tag, 0.9);
-        s.add_entity_is_a(liu, male_actor, m);
-        s.add_entity_is_a(liu, singer, m);
-        s.add_entity_is_a(zhang, singer, m);
-        // Direct: only 歌手 in common.
-        assert_eq!(common_concepts(&s, &[liu, zhang], false), vec![singer]);
-        // Transitive: 歌手 and 人物.
-        let trans = common_concepts(&s, &[liu, zhang], true);
-        assert!(trans.contains(&singer));
-        assert!(trans.contains(&person));
-        // Empty input.
-        assert!(common_concepts(&s, &[], true).is_empty());
-    }
-
-    #[test]
     fn depth_survives_cycles() {
-        let (mut s, male_actor, actor, person, _, _) = fixture();
+        let (mut s, male_actor, actor, person, _) = fixture();
         // Introduce a cycle 人物 → 男演员: the whole chain collapses into
         // one root component, so every member has depth 0; repairing the
         // cycle restores the exact chain depths.

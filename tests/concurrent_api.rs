@@ -1,11 +1,10 @@
 //! Lock-free serving under concurrency: a shared [`ProbaseApi`] hammered
 //! from 8 threads must return exactly the single-threaded answers.
 //!
-//! The frozen snapshot has no interior mutability (the old serving path
-//! memoized ancestors behind a mutex), so the only thing threads share is
-//! immutable data — this test locks that claim in, via both
-//! `std::thread::scope` and the shared [`cn_probase::runtime::Runtime`]
-//! worker pool every pipeline stage runs on.
+//! The frozen snapshot has no interior mutability, so the only thing
+//! threads share is immutable data — this test locks that claim in, via
+//! both `std::thread::scope` and the shared
+//! [`cn_probase::runtime::Runtime`] the pipeline's stages run on.
 
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};

@@ -5,8 +5,8 @@
 //!
 //! This is what makes `PipelineConfig::threads` a pure performance knob:
 //! chunk boundaries depend only on input length, reductions fold in chunk
-//! order, and sharded accumulators restore first-occurrence order (see
-//! `cnp_runtime`).
+//! order (see `cnp_runtime`), and the candidate merge is one serial fold
+//! that no thread count reaches.
 
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig, PipelineOutcome};
