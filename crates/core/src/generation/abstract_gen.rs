@@ -7,6 +7,12 @@
 //! which is where this source adds coverage. The copy mechanism handles
 //! hypernyms that are out-of-vocabulary but present in the abstract (the
 //! paper's stated reason for choosing CopyNet over a plain seq2seq).
+//!
+//! Cost: training is the larger half of this stage, per-page decoding the
+//! smaller. A decode step scores every output string in one dense vector
+//! and takes its argmax (`cnp_nn::copynet`); the arithmetic underneath adds
+//! in a fixed order (`cnp_nn::tensor`), so the candidates are the same
+//! bytes at every thread count — `tests/determinism.rs` pins their hash.
 
 use crate::candidate::Candidate;
 use cnp_encyclopedia::Page;
@@ -123,10 +129,12 @@ pub fn train(samples: &[CopySample], cfg: &NeuralConfig) -> (CopyNet, Vec<f32>) 
 
 /// Generates hypernym candidates for every page from its abstract.
 ///
-/// Per-page inference (segmentation + greedy decoding) is embarrassingly
-/// parallel and runs in page chunks on the shared runtime; training stays
-/// serial because minibatch SGD is order-sensitive. Chunk results
-/// concatenate in page order.
+/// Per-page inference is segmentation, one encoder pass and at most
+/// `max_tgt_len` greedy steps, each an argmax over the vocabulary plus the
+/// abstract's own out-of-vocabulary words. Pages are independent, so they
+/// run in page chunks on the shared runtime; training stays serial because
+/// minibatch SGD is order-sensitive. Chunk results concatenate in page
+/// order.
 pub fn extract(pages: &[Page], seg: &Segmenter, model: &CopyNet, rt: &Runtime) -> Vec<Candidate> {
     let parts = rt.par_chunks_indexed(pages, |base, chunk| {
         let mut out = Vec::new();

@@ -16,8 +16,8 @@
 use crate::optim::Adam;
 use crate::params::{ParamId, Params};
 use crate::tape::{NodeId, Tape};
-use crate::tensor::{sigmoid, softmax, Matrix};
-use crate::vocab::{Vocab, BOS, EOS, UNK};
+use crate::tensor::{sigmoid, softmax_in_place, Matrix};
+use crate::vocab::{Vocab, BOS, EOS, PAD, UNK};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -90,6 +90,11 @@ pub struct CopyNet {
     wo: ParamId,
     wg: ParamId,
     opt: Adam,
+    /// Each GRU's input projections per vocabulary id (see
+    /// [`CopyNet::input_projections`]); rebuilt whenever `params` move, so
+    /// inference looks up three of a GRU step's six mat-vecs.
+    enc_x: Matrix,
+    dec_x: Matrix,
 }
 
 impl CopyNet {
@@ -116,7 +121,7 @@ impl CopyNet {
         let wo = params.add_xavier(v, 2 * h, &mut rng);
         let wg = params.add_xavier(1, 2 * h, &mut rng);
         let opt = Adam::new(&params, cfg.lr);
-        CopyNet {
+        let mut net = CopyNet {
             vocab,
             cfg,
             params,
@@ -126,7 +131,16 @@ impl CopyNet {
             wo,
             wg,
             opt,
-        }
+            enc_x: Matrix::zeros(0, 0),
+            dec_x: Matrix::zeros(0, 0),
+        };
+        net.refresh_projections();
+        net
+    }
+
+    fn refresh_projections(&mut self) {
+        self.enc_x = self.input_projections(self.enc);
+        self.dec_x = self.input_projections(self.dec);
     }
 
     /// Total scalar parameter count.
@@ -212,9 +226,14 @@ impl CopyNet {
 
     /// Trains one epoch over `samples` (shuffled), returning mean loss per
     /// target token.
+    ///
+    /// The shuffle is seeded with `cfg.seed` alone, so every epoch visits
+    /// the samples in the same order. Varying it per epoch changes the
+    /// trained model; ROADMAP item 5(b)'s precision/recall sweep is what
+    /// should judge that.
     pub fn train_epoch(&mut self, samples: &[CopySample]) -> f32 {
         let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed.wrapping_add(self.opt_steps()));
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         order.shuffle(&mut rng);
         let mut total_loss = 0.0f64;
         let mut total_steps = 0usize;
@@ -240,116 +259,44 @@ impl CopyNet {
             self.params.scale_grads(1.0 / in_batch as f32);
             self.opt.step(&mut self.params);
         }
+        self.refresh_projections();
         (total_loss / total_steps.max(1) as f64) as f32
-    }
-
-    fn opt_steps(&self) -> u64 {
-        // Proxy for epoch counter (Adam's t advances once per batch).
-        0
     }
 
     // ---- tape-free inference ----
 
-    fn gru_plain(&self, g: GruParams, x: &Matrix, h: &Matrix) -> Matrix {
-        let p = &self.params;
-        let mut z = p.get(g.wz).matvec(x);
-        z.add_scaled(&p.get(g.uz).matvec(h), 1.0);
-        z.add_scaled(p.get(g.bz), 1.0);
-        z.data.iter_mut().for_each(|v| *v = sigmoid(*v));
-        let mut r = p.get(g.wr).matvec(x);
-        r.add_scaled(&p.get(g.ur).matvec(h), 1.0);
-        r.add_scaled(p.get(g.br), 1.0);
-        r.data.iter_mut().for_each(|v| *v = sigmoid(*v));
-        let gated = Matrix::from_fn(h.rows, 1, |i, _| r.data[i] * h.data[i]);
-        let mut c = p.get(g.wh).matvec(x);
-        c.add_scaled(&p.get(g.uh).matvec(&gated), 1.0);
-        c.add_scaled(p.get(g.bh), 1.0);
-        c.data.iter_mut().for_each(|v| *v = v.tanh());
-        Matrix::from_fn(h.rows, 1, |i, _| {
-            z.data[i] * h.data[i] + (1.0 - z.data[i]) * c.data[i]
-        })
-    }
-
-    fn embed_plain(&self, id: u32) -> Matrix {
-        let e = self.params.get(self.emb);
-        Matrix::from_fn(e.cols, 1, |r, _| e.get(id as usize, r))
-    }
-
-    /// Per-step combined distribution over output *strings*:
-    /// `(1−g)·p_gen` over vocabulary words plus `g·α` mass on source tokens.
-    fn step_distribution(
-        &self,
-        states: &[Matrix],
-        src_tokens: &[&str],
-        s: &Matrix,
-    ) -> Vec<(String, f32)> {
-        let scores: Vec<f32> = states.iter().map(|h| h.dot(s)).collect();
-        let alpha = softmax(&scores);
-        let mut ctx = Matrix::zero_vec(self.cfg.hidden_dim);
-        for (h, &a) in states.iter().zip(&alpha) {
-            ctx.add_scaled(h, a);
-        }
-        let mut cat = Matrix::zero_vec(2 * self.cfg.hidden_dim);
-        cat.data[..self.cfg.hidden_dim].copy_from_slice(&s.data);
-        cat.data[self.cfg.hidden_dim..].copy_from_slice(&ctx.data);
-        let logits = self.params.get(self.wo).matvec(&cat);
-        let p_gen = softmax(&logits.data);
-        let g = sigmoid(self.params.get(self.wg).matvec(&cat).data[0]);
-
-        let mut dist: std::collections::HashMap<String, f32> = std::collections::HashMap::new();
-        for (id, &p) in p_gen.iter().enumerate() {
-            if (id as u32) == UNK || (id as u32) == BOS || id == 0 {
-                continue;
+    /// `[W_z·e | W_r·e | W_h·e]` for every vocabulary id's embedding `e`:
+    /// the half of a GRU step that depends only on the input token.
+    fn input_projections(&self, g: GruParams) -> Matrix {
+        let emb = self.params.get(self.emb);
+        let h = self.cfg.hidden_dim;
+        let mut table = Matrix::zeros(emb.rows, 3 * h);
+        for id in 0..emb.rows {
+            let row = table.row_mut(id);
+            for (k, w) in [g.wz, g.wr, g.wh].into_iter().enumerate() {
+                let out = &mut row[k * h..(k + 1) * h];
+                self.params.get(w).matvec_into(emb.row(id), out);
             }
-            *dist
-                .entry(self.vocab.word(id as u32).to_string())
-                .or_insert(0.0) += (1.0 - g) * p;
         }
-        for (tok, &a) in src_tokens.iter().zip(&alpha) {
-            *dist.entry((*tok).to_string()).or_insert(0.0) += g * a;
-        }
-        let mut out: Vec<(String, f32)> = dist.into_iter().collect();
-        // Deterministic ordering: probability desc, then token asc — exact
-        // ties happen (e.g. several UNK source tokens share an embedding)
-        // and must not depend on HashMap iteration order.
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
-    fn encode_plain<'a>(&self, src: &'a [String]) -> (Vec<Matrix>, Vec<&'a str>) {
-        let src_tokens: Vec<&str> = src
-            .iter()
-            .take(self.cfg.max_src_len)
-            .map(String::as_str)
-            .collect();
-        let mut h = Matrix::zero_vec(self.cfg.hidden_dim);
-        let mut states = Vec::with_capacity(src_tokens.len());
-        for tok in &src_tokens {
-            let x = self.embed_plain(self.vocab.id(tok));
-            h = self.gru_plain(self.enc, &x, &h);
-            states.push(h.clone());
-        }
-        (states, src_tokens)
+        table
     }
 
     /// Greedy decoding: returns generated target tokens (without EOS).
     pub fn generate(&self, src: &[String]) -> Vec<String> {
-        if src.is_empty() {
+        let Some((mut dec, mut s)) = Decoder::encode(self, src) else {
             return Vec::new();
-        }
-        let (states, src_tokens) = self.encode_plain(src);
-        let mut s = states.last().cloned().unwrap();
+        };
         let mut prev = BOS;
         let mut out = Vec::new();
         for _ in 0..self.cfg.max_tgt_len {
-            let x = self.embed_plain(prev);
-            s = self.gru_plain(self.dec, &x, &s);
-            let dist = self.step_distribution(&states, &src_tokens, &s);
-            let Some((best, _)) = dist.first() else { break };
+            dec.step(prev, &mut s);
+            let Some(&(best, _)) = dec.top_k(1).first() else {
+                break;
+            };
             if best == "<eos>" {
                 break;
             }
-            out.push(best.clone());
+            out.push(best.to_string());
             prev = self.vocab.id(best);
         }
         out
@@ -357,22 +304,20 @@ impl CopyNet {
 
     /// Beam-search decoding with the given width; returns the best sequence.
     pub fn generate_beam(&self, src: &[String], width: usize) -> Vec<String> {
-        if src.is_empty() || width == 0 {
+        let Some((mut dec, state)) = Decoder::encode(self, src) else {
             return Vec::new();
-        }
-        let (states, src_tokens) = self.encode_plain(src);
-        let s0 = states.last().cloned().unwrap();
-
+        };
+        #[derive(Clone)]
         struct Beam {
             tokens: Vec<String>,
-            state: Matrix,
+            state: Vec<f32>,
             prev: u32,
             logp: f32,
             done: bool,
         }
         let mut beams = vec![Beam {
             tokens: Vec::new(),
-            state: s0,
+            state,
             prev: BOS,
             logp: 0.0,
             done: false,
@@ -381,26 +326,19 @@ impl CopyNet {
             let mut next: Vec<Beam> = Vec::new();
             for beam in &beams {
                 if beam.done {
-                    next.push(Beam {
-                        tokens: beam.tokens.clone(),
-                        state: beam.state.clone(),
-                        prev: beam.prev,
-                        logp: beam.logp,
-                        done: true,
-                    });
+                    next.push(beam.clone());
                     continue;
                 }
-                let x = self.embed_plain(beam.prev);
-                let s = self.gru_plain(self.dec, &x, &beam.state);
-                let dist = self.step_distribution(&states, &src_tokens, &s);
-                for (tok, p) in dist.into_iter().take(width) {
+                let mut s = beam.state.clone();
+                dec.step(beam.prev, &mut s);
+                for (tok, p) in dec.top_k(width) {
                     let mut tokens = beam.tokens.clone();
                     let done = tok == "<eos>";
                     if !done {
-                        tokens.push(tok.clone());
+                        tokens.push(tok.to_string());
                     }
                     next.push(Beam {
-                        prev: self.vocab.id(&tok),
+                        prev: self.vocab.id(tok),
                         tokens,
                         state: s.clone(),
                         logp: beam.logp + p.max(1e-12).ln(),
@@ -408,7 +346,7 @@ impl CopyNet {
                     });
                 }
             }
-            next.sort_by(|a, b| b.logp.partial_cmp(&a.logp).unwrap());
+            next.sort_by(|a, b| b.logp.total_cmp(&a.logp));
             next.truncate(width);
             let all_done = next.iter().all(|b| b.done);
             beams = next;
@@ -418,15 +356,341 @@ impl CopyNet {
         }
         beams
             .into_iter()
-            .max_by(|a, b| a.logp.partial_cmp(&b.logp).unwrap())
+            .max_by(|a, b| a.logp.total_cmp(&b.logp))
             .map(|b| b.tokens)
             .unwrap_or_default()
+    }
+}
+
+/// One encoded source plus every buffer a decode step writes, so a step
+/// allocates nothing.
+///
+/// Output *strings* are scored densely: `scores[id]` per vocabulary word,
+/// then one slot per distinct out-of-vocabulary source token in
+/// first-occurrence order. A slot holds `(1−g)·p_gen` (vocabulary words
+/// only) plus `g·α` of every source position carrying that string, added in
+/// source order — what a string-keyed `or_insert(0.0) +=` map would hold.
+struct Decoder<'a> {
+    net: &'a CopyNet,
+    /// Encoder states, `n × hidden` row-major.
+    states: Vec<f32>,
+    /// Per source position, its slot in `scores`.
+    slots: Vec<usize>,
+    /// The strings behind `scores[vocab.len()..]`.
+    oov: Vec<&'a str>,
+    /// GRU scratch: update gate, reset-gated state, candidate.
+    gru: [Vec<f32>; 3],
+    alpha: Vec<f32>,
+    /// `[s; context]`, the output layer's input.
+    cat: Vec<f32>,
+    scores: Vec<f32>,
+}
+
+impl<'a> Decoder<'a> {
+    /// Runs the encoder over `src` (truncated to `max_src_len`) and returns
+    /// the decoder's initial state; `None` when nothing is left to attend to.
+    fn encode(net: &'a CopyNet, src: &'a [String]) -> Option<(Self, Vec<f32>)> {
+        let h = net.cfg.hidden_dim;
+        let v = net.vocab.len();
+        let n = src.len().min(net.cfg.max_src_len);
+        if n == 0 {
+            return None;
+        }
+        let mut dec = Decoder {
+            net,
+            states: Vec::with_capacity(n * h),
+            slots: Vec::with_capacity(n),
+            oov: Vec::new(),
+            gru: [vec![0.0; h], vec![0.0; h], vec![0.0; h]],
+            alpha: vec![0.0; n],
+            cat: vec![0.0; 2 * h],
+            scores: Vec::new(),
+        };
+        let mut state = vec![0.0; h];
+        for tok in &src[..n] {
+            let id = net.vocab.id(tok);
+            dec.gru_step(net.enc, net.enc_x.row(id as usize), &mut state);
+            dec.states.extend_from_slice(&state);
+            // The generate path never emits PAD/BOS/UNK, so a source token
+            // that maps to one of them (an unknown word, or those literal
+            // strings) is scored under its own string.
+            let slot = if Self::is_scored(id as usize) {
+                id as usize
+            } else if let Some(k) = dec.oov.iter().position(|o| *o == tok.as_str()) {
+                v + k
+            } else {
+                dec.oov.push(tok.as_str());
+                v + dec.oov.len() - 1
+            };
+            dec.slots.push(slot);
+        }
+        dec.scores = vec![0.0; v + dec.oov.len()];
+        Some((dec, state))
+    }
+
+    /// PAD, BOS and UNK are never output strings; every other slot is.
+    fn is_scored(slot: usize) -> bool {
+        ![PAD, BOS, UNK].contains(&(slot as u32))
+    }
+
+    /// One GRU step `h ← GRU(x, h)`, with the input's three projections
+    /// `xp` looked up rather than multiplied out.
+    fn gru_step(&mut self, g: GruParams, xp: &[f32], h: &mut [f32]) {
+        let p = &self.net.params;
+        let n = h.len();
+        let [z, r, c] = &mut self.gru;
+        let (bz, br, bh) = (p.get(g.bz), p.get(g.br), p.get(g.bh));
+        p.get(g.uz).matvec_into(h, z);
+        p.get(g.ur).matvec_into(h, r);
+        for i in 0..n {
+            z[i] = sigmoid(xp[i] + z[i] + bz.data[i]);
+            r[i] = sigmoid(xp[n + i] + r[i] + br.data[i]) * h[i];
+        }
+        p.get(g.uh).matvec_into(r, c);
+        for i in 0..n {
+            let cand = (xp[2 * n + i] + c[i] + bh.data[i]).tanh();
+            // h' = z ⊙ h + (1 − z) ⊙ h̃
+            h[i] = z[i] * h[i] + (1.0 - z[i]) * cand;
+        }
+    }
+
+    /// Advances the decoder state `s` past token `prev` and fills `scores`
+    /// with the step's combined distribution.
+    fn step(&mut self, prev: u32, s: &mut [f32]) {
+        let net = self.net;
+        let h = s.len();
+        self.gru_step(net.dec, net.dec_x.row(prev as usize), s);
+
+        for (a, state) in self.alpha.iter_mut().zip(self.states.chunks_exact(h)) {
+            *a = state.iter().zip(s.iter()).map(|(a, b)| a * b).sum();
+        }
+        softmax_in_place(&mut self.alpha);
+        let (cat_s, ctx) = self.cat.split_at_mut(h);
+        cat_s.copy_from_slice(s);
+        ctx.fill(0.0);
+        for (state, &a) in self.states.chunks_exact(h).zip(&self.alpha) {
+            for (c, x) in ctx.iter_mut().zip(state) {
+                *c += x * a;
+            }
+        }
+        let mut gate = [0.0f32];
+        net.params.get(net.wg).matvec_into(&self.cat, &mut gate);
+        let g = sigmoid(gate[0]);
+
+        let (p_gen, copied) = self.scores.split_at_mut(net.vocab.len());
+        net.params.get(net.wo).matvec_into(&self.cat, p_gen);
+        softmax_in_place(p_gen);
+        p_gen.iter_mut().for_each(|p| *p *= 1.0 - g);
+        copied.fill(0.0);
+        for (&slot, &a) in self.slots.iter().zip(&self.alpha) {
+            self.scores[slot] += g * a;
+        }
+    }
+
+    fn token(&self, slot: usize) -> &'a str {
+        match slot.checked_sub(self.net.vocab.len()) {
+            None => self.net.vocab.word(slot as u32),
+            Some(k) => self.oov[k],
+        }
+    }
+
+    /// The `k` best `(string, probability)` of the last [`Decoder::step`]:
+    /// probability descending, then string ascending — exact ties happen
+    /// (several unknown source tokens can share an attention weight) and
+    /// must resolve the same way on every run.
+    fn top_k(&self, k: usize) -> Vec<(&'a str, f32)> {
+        let order = |a: usize, b: usize| {
+            self.scores[b]
+                .total_cmp(&self.scores[a])
+                .then_with(|| self.token(a).cmp(self.token(b)))
+        };
+        let mut best: Vec<usize> = Vec::with_capacity(k.min(self.scores.len()) + 1);
+        for slot in (0..self.scores.len()).filter(|&s| Self::is_scored(s)) {
+            let at = best.partition_point(|&b| order(b, slot).is_lt());
+            if at < k {
+                best.insert(at, slot);
+                best.truncate(k);
+            }
+        }
+        best.into_iter()
+            .map(|slot| (self.token(slot), self.scores[slot]))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::softmax;
+    use proptest::prelude::*;
+
+    /// The inference path as it was before the dense scorer: a fresh
+    /// `Matrix` per intermediate, six mat-vecs per GRU step, and a
+    /// string-keyed map of the whole vocabulary sorted at every step. Kept
+    /// as the reference [`Decoder`] must match bit for bit.
+    impl CopyNet {
+        fn gru_reference(&self, g: GruParams, x: &Matrix, h: &Matrix) -> Matrix {
+            let p = &self.params;
+            let mut z = p.get(g.wz).matvec(x);
+            z.add_scaled(&p.get(g.uz).matvec(h), 1.0);
+            z.add_scaled(p.get(g.bz), 1.0);
+            z.data.iter_mut().for_each(|v| *v = sigmoid(*v));
+            let mut r = p.get(g.wr).matvec(x);
+            r.add_scaled(&p.get(g.ur).matvec(h), 1.0);
+            r.add_scaled(p.get(g.br), 1.0);
+            r.data.iter_mut().for_each(|v| *v = sigmoid(*v));
+            let gated = Matrix::from_fn(h.rows, 1, |i, _| r.data[i] * h.data[i]);
+            let mut c = p.get(g.wh).matvec(x);
+            c.add_scaled(&p.get(g.uh).matvec(&gated), 1.0);
+            c.add_scaled(p.get(g.bh), 1.0);
+            c.data.iter_mut().for_each(|v| *v = v.tanh());
+            Matrix::from_fn(h.rows, 1, |i, _| {
+                z.data[i] * h.data[i] + (1.0 - z.data[i]) * c.data[i]
+            })
+        }
+
+        fn embed_reference(&self, id: u32) -> Matrix {
+            let e = self.params.get(self.emb);
+            Matrix::from_fn(e.cols, 1, |r, _| e.get(id as usize, r))
+        }
+
+        fn step_distribution(
+            &self,
+            states: &[Matrix],
+            src_tokens: &[&str],
+            s: &Matrix,
+        ) -> Vec<(String, f32)> {
+            let scores: Vec<f32> = states.iter().map(|h| h.dot(s)).collect();
+            let alpha = softmax(&scores);
+            let mut ctx = Matrix::zero_vec(self.cfg.hidden_dim);
+            for (h, &a) in states.iter().zip(&alpha) {
+                ctx.add_scaled(h, a);
+            }
+            let mut cat = Matrix::zero_vec(2 * self.cfg.hidden_dim);
+            cat.data[..self.cfg.hidden_dim].copy_from_slice(&s.data);
+            cat.data[self.cfg.hidden_dim..].copy_from_slice(&ctx.data);
+            let logits = self.params.get(self.wo).matvec(&cat);
+            let p_gen = softmax(&logits.data);
+            let g = sigmoid(self.params.get(self.wg).matvec(&cat).data[0]);
+
+            let mut dist: std::collections::HashMap<String, f32> = std::collections::HashMap::new();
+            for (id, &p) in p_gen.iter().enumerate() {
+                if (id as u32) == UNK || (id as u32) == BOS || id == 0 {
+                    continue;
+                }
+                *dist
+                    .entry(self.vocab.word(id as u32).to_string())
+                    .or_insert(0.0) += (1.0 - g) * p;
+            }
+            for (tok, &a) in src_tokens.iter().zip(&alpha) {
+                *dist.entry((*tok).to_string()).or_insert(0.0) += g * a;
+            }
+            let mut out: Vec<(String, f32)> = dist.into_iter().collect();
+            out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+            out
+        }
+    }
+
+    /// Source tokens the equivalence test draws from: vocabulary words,
+    /// words outside it, and the four special strings spelled out.
+    const POOL: [&str; 14] = [
+        "是", "著名", "。", "演员", "歌手", "作家", "剑客", "侠客", "刺客", "游侠", "<eos>",
+        "<unk>", "<bos>", "<pad>",
+    ];
+
+    proptest! {
+        /// `top_k(k)` is the reference's first `k` entries — same strings,
+        /// same score bits — at every step of a teacher-free decode, for
+        /// sources with repeats, several distinct unknown words and the
+        /// special strings. `scale = 0` zeroes the model, so every
+        /// attention weight and every vocabulary probability ties exactly
+        /// and only the string tie-break orders the result.
+        #[test]
+        fn top_k_matches_the_map_and_sort_reference(
+            seed in 0u64..1_000,
+            scale in 0u32..3,
+            picks in proptest::collection::vec(0usize..POOL.len(), 1..12),
+        ) {
+            let (vocab, samples) = make_samples();
+            let mut model = CopyNet::new(vocab, CopyNetConfig { seed, ..tiny_config() });
+            model.train_epoch(&samples); // biases off zero, tables rebuilt
+            for id in 0..model.params.len() {
+                let m = model.params.get_mut(ParamId(id));
+                m.data.iter_mut().for_each(|v| *v *= scale as f32);
+            }
+            model.refresh_projections();
+            let src: Vec<String> = picks.iter().map(|&i| POOL[i].to_string()).collect();
+            let src_tokens: Vec<&str> = src
+                .iter()
+                .take(model.cfg.max_src_len)
+                .map(String::as_str)
+                .collect();
+
+            let mut h = Matrix::zero_vec(model.cfg.hidden_dim);
+            let mut states = Vec::new();
+            for tok in &src_tokens {
+                let x = model.embed_reference(model.vocab.id(tok));
+                h = model.gru_reference(model.enc, &x, &h);
+                states.push(h.clone());
+            }
+            let (mut dec, mut s) = Decoder::encode(&model, &src).unwrap();
+            let flat: Vec<f32> = states.iter().flat_map(|m| m.data.clone()).collect();
+            prop_assert_eq!(bits(&dec.states), bits(&flat));
+
+            let mut s_ref = h;
+            let mut prev = BOS;
+            for _ in 0..model.cfg.max_tgt_len {
+                dec.step(prev, &mut s);
+                s_ref = model.gru_reference(model.dec, &model.embed_reference(prev), &s_ref);
+                prop_assert_eq!(bits(&s), bits(&s_ref.data));
+                let reference = model.step_distribution(&states, &src_tokens, &s_ref);
+                for k in [1, 3, reference.len()] {
+                    let got: Vec<(String, u32)> = dec
+                        .top_k(k)
+                        .into_iter()
+                        .map(|(t, p)| (t.to_string(), p.to_bits()))
+                        .collect();
+                    let want: Vec<(String, u32)> = reference
+                        .iter()
+                        .take(k)
+                        .map(|(t, p)| (t.clone(), p.to_bits()))
+                        .collect();
+                    prop_assert_eq!(got, want, "k = {}, src = {:?}", k, src);
+                }
+                prev = model.vocab.id(&reference[0].0);
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A diverged training run leaves NaN parameters; decoding must come
+    /// back with *some* answer, not panic inside a pipeline worker.
+    #[test]
+    fn nan_parameters_do_not_panic_decoding() {
+        let (vocab, samples) = make_samples();
+        let mut model = CopyNet::new(vocab, tiny_config());
+        for id in 0..model.params.len() {
+            model.params.get_mut(ParamId(id)).data.fill(f32::NAN);
+        }
+        model.refresh_projections();
+        let _ = model.generate(&samples[0].src);
+        let _ = model.generate_beam(&samples[0].src, 3);
+    }
+
+    #[test]
+    fn zero_length_source_window_decodes_to_nothing() {
+        let (vocab, samples) = make_samples();
+        let cfg = CopyNetConfig {
+            max_src_len: 0,
+            ..tiny_config()
+        };
+        let model = CopyNet::new(vocab, cfg);
+        assert!(model.generate(&samples[0].src).is_empty());
+        assert!(model.generate_beam(&samples[0].src, 3).is_empty());
+    }
 
     fn tiny_config() -> CopyNetConfig {
         CopyNetConfig {

@@ -302,24 +302,29 @@ impl Tape {
     pub fn backward(&mut self, loss: NodeId, params: &mut Params) {
         assert_eq!(self.value(loss).rows, 1);
         self.nodes[loss.0].grad.data[0] = 1.0;
+        // `dx += Wᵀ g` scratch, reused across every `MatVecP` node.
+        let mut wt_g: Vec<f32> = Vec::new();
         for i in (0..=loss.0).rev() {
-            let grad = self.nodes[i].grad.clone();
+            // A node's parents all precede it, so splitting here lends out
+            // this node's gradient, value and op while its parents'
+            // gradients are written — nothing is cloned.
+            let (before, rest) = self.nodes.split_at_mut(i);
+            let Node { value, grad, op } = &rest[0];
             if grad.data.iter().all(|&g| g == 0.0) {
                 continue;
             }
-            let op = self.nodes[i].op.clone();
             match op {
                 Op::Input => {}
-                Op::EmbedRow { p, row } => {
+                &Op::EmbedRow { p, row } => {
                     let pg = params.grad_mut(p);
                     for (c, &g) in grad.data.iter().enumerate() {
                         let idx = row * pg.cols + c;
                         pg.data[idx] += g;
                     }
                 }
-                Op::MatVecP { p, x } => {
+                &Op::MatVecP { p, x } => {
                     // y = W x:  dW += g xᵀ,  dx += Wᵀ g.
-                    let xv = self.nodes[x.0].value.clone();
+                    let xv = &before[x.0].value;
                     {
                         let pg = params.grad_mut(p);
                         for r in 0..pg.rows {
@@ -331,95 +336,94 @@ impl Tape {
                             }
                         }
                     }
+                    // Row-major walk with one accumulator per column: each
+                    // column still sums its rows top to bottom from 0.0.
                     let w = params.get(p);
-                    let xg = &mut self.nodes[x.0].grad;
-                    for c in 0..w.cols {
-                        let mut acc = 0.0;
-                        for r in 0..w.rows {
-                            acc += w.data[r * w.cols + c] * grad.data[r];
+                    wt_g.clear();
+                    wt_g.resize(w.cols, 0.0);
+                    for (row, &g) in w.data.chunks_exact(w.cols.max(1)).zip(&grad.data) {
+                        for (acc, &wv) in wt_g.iter_mut().zip(row) {
+                            *acc += wv * g;
                         }
-                        xg.data[c] += acc;
+                    }
+                    for (xg, &acc) in before[x.0].grad.data.iter_mut().zip(&wt_g) {
+                        *xg += acc;
                     }
                 }
-                Op::AddBias { p, x } => {
-                    params.grad_mut(p).add_scaled(&grad, 1.0);
-                    self.nodes[x.0].grad.add_scaled(&grad, 1.0);
+                &Op::AddBias { p, x } => {
+                    params.grad_mut(p).add_scaled(grad, 1.0);
+                    before[x.0].grad.add_scaled(grad, 1.0);
                 }
-                Op::AddVV { a, b } => {
-                    self.nodes[a.0].grad.add_scaled(&grad, 1.0);
-                    self.nodes[b.0].grad.add_scaled(&grad, 1.0);
+                &Op::AddVV { a, b } => {
+                    before[a.0].grad.add_scaled(grad, 1.0);
+                    before[b.0].grad.add_scaled(grad, 1.0);
                 }
-                Op::Hadamard { a, b } => {
-                    let va = self.nodes[a.0].value.clone();
-                    let vb = self.nodes[b.0].value.clone();
+                &Op::Hadamard { a, b } => {
                     for r in 0..grad.rows {
-                        self.nodes[a.0].grad.data[r] += grad.data[r] * vb.data[r];
-                        self.nodes[b.0].grad.data[r] += grad.data[r] * va.data[r];
+                        before[a.0].grad.data[r] += grad.data[r] * before[b.0].value.data[r];
+                        before[b.0].grad.data[r] += grad.data[r] * before[a.0].value.data[r];
                     }
                 }
-                Op::Lerp { z, a, b } => {
-                    let vz = self.nodes[z.0].value.clone();
-                    let va = self.nodes[a.0].value.clone();
-                    let vb = self.nodes[b.0].value.clone();
+                &Op::Lerp { z, a, b } => {
                     for r in 0..grad.rows {
                         let g = grad.data[r];
-                        self.nodes[z.0].grad.data[r] += g * (va.data[r] - vb.data[r]);
-                        self.nodes[a.0].grad.data[r] += g * vz.data[r];
-                        self.nodes[b.0].grad.data[r] += g * (1.0 - vz.data[r]);
+                        let vz = before[z.0].value.data[r];
+                        before[z.0].grad.data[r] +=
+                            g * (before[a.0].value.data[r] - before[b.0].value.data[r]);
+                        before[a.0].grad.data[r] += g * vz;
+                        before[b.0].grad.data[r] += g * (1.0 - vz);
                     }
                 }
-                Op::TanhV { x } => {
-                    let y = self.nodes[i].value.clone();
+                &Op::TanhV { x } => {
                     for r in 0..grad.rows {
-                        self.nodes[x.0].grad.data[r] +=
-                            grad.data[r] * (1.0 - y.data[r] * y.data[r]);
+                        before[x.0].grad.data[r] +=
+                            grad.data[r] * (1.0 - value.data[r] * value.data[r]);
                     }
                 }
-                Op::SigmoidV { x } => {
-                    let y = self.nodes[i].value.clone();
+                &Op::SigmoidV { x } => {
                     for r in 0..grad.rows {
-                        self.nodes[x.0].grad.data[r] +=
-                            grad.data[r] * y.data[r] * (1.0 - y.data[r]);
+                        before[x.0].grad.data[r] +=
+                            grad.data[r] * value.data[r] * (1.0 - value.data[r]);
                     }
                 }
                 Op::StackDot { hs, s } => {
                     // scores[i] = h_i · s.
-                    let sv = self.nodes[s.0].value.clone();
                     for (idx, &h) in hs.iter().enumerate() {
                         let g = grad.data[idx];
                         if g != 0.0 {
-                            let hv = self.nodes[h.0].value.clone();
-                            self.nodes[h.0].grad.add_scaled(&sv, g);
-                            self.nodes[s.0].grad.add_scaled(&hv, g);
+                            for r in 0..before[s.0].value.rows {
+                                before[h.0].grad.data[r] += before[s.0].value.data[r] * g;
+                                before[s.0].grad.data[r] += before[h.0].value.data[r] * g;
+                            }
                         }
                     }
                 }
-                Op::SoftmaxV { x } => {
+                &Op::SoftmaxV { x } => {
                     // dx = y ⊙ (g − (g · y)).
-                    let y = self.nodes[i].value.clone();
+                    let y = value;
                     let gy: f32 = grad.data.iter().zip(&y.data).map(|(g, y)| g * y).sum();
                     for r in 0..grad.rows {
-                        self.nodes[x.0].grad.data[r] += y.data[r] * (grad.data[r] - gy);
+                        before[x.0].grad.data[r] += y.data[r] * (grad.data[r] - gy);
                     }
                 }
                 Op::WeightedSum { hs, alpha } => {
                     // c = Σ α_i h_i:  dα_i += g·h_i,  dh_i += α_i g.
-                    let alpha_v = self.nodes[alpha.0].value.clone();
                     for (idx, &h) in hs.iter().enumerate() {
-                        let hv = self.nodes[h.0].value.clone();
+                        let hv = &before[h.0].value;
                         let dot: f32 = grad.data.iter().zip(&hv.data).map(|(g, h)| g * h).sum();
-                        self.nodes[alpha.0].grad.data[idx] += dot;
-                        self.nodes[h.0].grad.add_scaled(&grad, alpha_v.data[idx]);
+                        before[alpha.0].grad.data[idx] += dot;
+                        let a = before[alpha.0].value.data[idx];
+                        before[h.0].grad.add_scaled(grad, a);
                     }
                 }
-                Op::Concat2 { a, b } => {
-                    let na = self.nodes[a.0].value.rows;
+                &Op::Concat2 { a, b } => {
+                    let na = before[a.0].value.rows;
                     for r in 0..na {
-                        self.nodes[a.0].grad.data[r] += grad.data[r];
+                        before[a.0].grad.data[r] += grad.data[r];
                     }
-                    let nb = self.nodes[b.0].value.rows;
+                    let nb = before[b.0].value.rows;
                     for r in 0..nb {
-                        self.nodes[b.0].grad.data[r] += grad.data[na + r];
+                        before[b.0].grad.data[r] += grad.data[na + r];
                     }
                 }
                 Op::CopyNll {
@@ -429,14 +433,15 @@ impl Tape {
                     target,
                     copy_mask,
                 } => {
+                    let target = *target;
                     let upstream = grad.data[0];
-                    let p_gen = softmax(&self.nodes[logits.0].value.data);
-                    let g = sigmoid(self.nodes[gate.0].value.data[0]);
-                    let alpha_v = self.nodes[alpha.0].value.clone();
-                    let c: f32 = alpha_v
+                    let p_gen = softmax(&before[logits.0].value.data);
+                    let g = sigmoid(before[gate.0].value.data[0]);
+                    let c: f32 = before[alpha.0]
+                        .value
                         .data
                         .iter()
-                        .zip(&copy_mask)
+                        .zip(copy_mask)
                         .filter(|(_, &m)| m)
                         .map(|(a, _)| a)
                         .sum();
@@ -445,17 +450,17 @@ impl Tape {
                     // dP/dlogits_j = (1−g)·p_gen[target]·(δ_{j=target} − p_gen[j]).
                     for j in 0..p_gen.len() {
                         let delta = if j == target { 1.0 } else { 0.0 };
-                        self.nodes[logits.0].grad.data[j] +=
+                        before[logits.0].grad.data[j] +=
                             dldp * (1.0 - g) * p_gen[target] * (delta - p_gen[j]);
                     }
                     // dP/dα_i = g for matching positions.
                     for (idx, &m) in copy_mask.iter().enumerate() {
                         if m {
-                            self.nodes[alpha.0].grad.data[idx] += dldp * g;
+                            before[alpha.0].grad.data[idx] += dldp * g;
                         }
                     }
                     // dP/draw = (C − p_gen[target]) · g(1−g).
-                    self.nodes[gate.0].grad.data[0] += dldp * (c - p_gen[target]) * g * (1.0 - g);
+                    before[gate.0].grad.data[0] += dldp * (c - p_gen[target]) * g * (1.0 - g);
                 }
             }
         }

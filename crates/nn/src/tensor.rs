@@ -1,10 +1,25 @@
 //! Dense row-major matrices (f32). Vectors are `n × 1` matrices.
 //!
 //! The CopyNet model is small (hidden ≈ 48), so simple loops beat the
-//! complexity of a BLAS dependency; everything stays allocation-explicit.
+//! complexity of a BLAS dependency; the hot kernels (`matvec_into`,
+//! `softmax_in_place`) write into caller-owned slices so a decode step
+//! allocates nothing.
+//!
+//! **Sums are never reordered.** Every output element is one accumulator
+//! that adds its terms left to right, exactly as the one-row-at-a-time loop
+//! did: the pipeline's determinism contract (same bytes at every thread
+//! count, same snapshot after every refactor) reaches down to the bit
+//! pattern of each logit, and f32 addition is not associative. The mat-vec
+//! is *row-blocked* instead: `ROW_BLOCK` rows advance through the columns
+//! together, so their independent add chains overlap in the CPU's pipeline
+//! while each row's own sum stays in column order.
 
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Rows [`Matrix::matvec_into`] advances together: enough independent add
+/// chains to cover a floating-point add's latency on both issue ports.
+pub(crate) const ROW_BLOCK: usize = 8;
 
 /// Row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,18 +83,42 @@ impl Matrix {
 
     /// Matrix–vector product `self @ x` (x must be `cols × 1`).
     pub fn matvec(&self, x: &Matrix) -> Matrix {
-        assert_eq!(self.cols, x.rows, "matvec shape mismatch");
         assert_eq!(x.cols, 1, "matvec expects a column vector");
         let mut out = Matrix::zero_vec(self.rows);
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+        self.matvec_into(&x.data, &mut out.data);
+        out
+    }
+
+    /// `out = self @ x` into a caller-owned slice, [`ROW_BLOCK`] rows at a
+    /// time. Each `out[r]` is `Σ_c self[r][c]·x[c]` accumulated from `0.0`
+    /// in column order whatever the blocking (see the module comment).
+    pub(crate) fn matvec_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(self.cols, x.len(), "matvec shape mismatch");
+        assert_eq!(self.rows, out.len(), "matvec output length mismatch");
+        let cols = self.cols;
+        let blocked_rows = self.rows - self.rows % ROW_BLOCK;
+        let (blocked, tail) = self.data.split_at(blocked_rows * cols);
+        let (out_blocked, out_tail) = out.split_at_mut(blocked_rows);
+        for (b, o) in out_blocked.chunks_exact_mut(ROW_BLOCK).enumerate() {
+            let rows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|k| {
+                let start = (b * ROW_BLOCK + k) * cols;
+                &blocked[start..start + cols]
+            });
+            let mut acc = [0.0f32; ROW_BLOCK];
+            for (c, &xc) in x.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    *a += row[c] * xc;
+                }
+            }
+            o.copy_from_slice(&acc);
+        }
+        for (r, o) in out_tail.iter_mut().enumerate() {
             let mut acc = 0.0f32;
-            for (a, b) in row.iter().zip(&x.data) {
+            for (a, b) in tail[r * cols..(r + 1) * cols].iter().zip(x) {
                 acc += a * b;
             }
-            out.data[r] = acc;
+            *o = acc;
         }
-        out
     }
 
     /// Is this a column vector?
@@ -127,10 +166,18 @@ impl Matrix {
 
 /// Numerically-stable softmax over a slice.
 pub fn softmax(xs: &[f32]) -> Vec<f32> {
+    let mut out = xs.to_vec();
+    softmax_in_place(&mut out);
+    out
+}
+
+/// [`softmax`], overwriting its input.
+pub(crate) fn softmax_in_place(xs: &mut [f32]) {
     let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = xs.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum.max(1e-30)).collect()
+    xs.iter_mut().for_each(|x| *x = (*x - max).exp());
+    let sum: f32 = xs.iter().sum();
+    let denom = sum.max(1e-30);
+    xs.iter_mut().for_each(|x| *x /= denom);
 }
 
 /// Logistic sigmoid.
@@ -150,6 +197,39 @@ mod tests {
         let x = Matrix::from_fn(3, 1, |r, _| (r + 1) as f32); // [1,2,3]
         let y = m.matvec(&x);
         assert_eq!(y.data, vec![0.0 + 2.0 + 6.0, 3.0 + 8.0 + 15.0]);
+    }
+
+    /// Row blocking must not move a bit: every output element equals the
+    /// one-row-at-a-time sum, for row counts on, under and over a multiple
+    /// of the block width.
+    #[test]
+    fn blocked_matvec_is_bit_identical_to_the_row_loop() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for rows in [
+            0,
+            1,
+            ROW_BLOCK - 1,
+            ROW_BLOCK,
+            ROW_BLOCK + 1,
+            3 * ROW_BLOCK,
+            29,
+        ] {
+            for cols in [1, 7, 48] {
+                let m = Matrix::xavier(rows, cols, &mut rng);
+                let x = Matrix::xavier(cols, 1, &mut rng);
+                let expected: Vec<u32> = (0..rows)
+                    .map(|r| {
+                        let mut acc = 0.0f32;
+                        for (a, b) in m.row(r).iter().zip(&x.data) {
+                            acc += a * b;
+                        }
+                        acc.to_bits()
+                    })
+                    .collect();
+                let got: Vec<u32> = m.matvec(&x).data.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expected, "{rows} × {cols}");
+            }
+        }
     }
 
     #[test]

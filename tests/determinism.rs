@@ -216,3 +216,64 @@ fn stacked_overlays_compact_identically_across_thread_counts() {
         "compacted bytes differ across thread counts"
     );
 }
+
+/// The neural source's output, pinned: an FNV-1a hash over every
+/// `Source::Abstract` candidate's `(page, hypernym)` in page order and over
+/// the per-epoch losses' bit patterns, captured at the commit before
+/// `cnp_nn`'s decoder was rewritten. A faster decoder must decode the same
+/// thing; the bare `abstract_candidates` count above would not notice a
+/// changed hypernym.
+#[test]
+fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
+    use cn_probase::pipeline::generation::{self, abstract_gen};
+    use cn_probase::pipeline::PipelineContext;
+    use cn_probase::runtime::stable_hash;
+
+    const ABSTRACT_CANDIDATES: usize = 2040;
+    const ABSTRACT_CANDIDATES_HASH: u64 = 0x4722_24ef_7b25_4e8a;
+    const NEURAL_LOSSES_HASH: u64 = 0x0a75_f784_fe4f_91a2;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
+    for threads in [1, 2, 8] {
+        // The abstract stage exactly as `Pipeline::run` drives it, so the
+        // hash sees every candidate, not only those verification keeps.
+        let cfg = PipelineConfig::fast();
+        let rt = Runtime::new(threads);
+        let ctx = PipelineContext::build_with(&corpus, &rt);
+        let (bracket, _) = generation::extract_bracket(&corpus.pages, &ctx, &rt);
+        let pairs = generation::bracket_pairs_by_entity(&bracket);
+        let samples = abstract_gen::build_dataset(
+            &corpus.pages,
+            &ctx.segmenter,
+            &pairs,
+            cfg.neural.max_samples,
+        );
+        let (model, _) = abstract_gen::train(&samples, &cfg.neural);
+        let cands = abstract_gen::extract(&corpus.pages, &ctx.segmenter, &model, &rt);
+        let mut bytes = Vec::new();
+        for c in &cands {
+            bytes.extend_from_slice(&(c.page as u64).to_le_bytes());
+            bytes.extend_from_slice(c.hypernym.as_bytes());
+            bytes.push(0);
+        }
+        assert_eq!(
+            (cands.len(), stable_hash(&bytes)),
+            (ABSTRACT_CANDIDATES, ABSTRACT_CANDIDATES_HASH),
+            "abstract candidates moved at {threads} threads"
+        );
+
+        let report = run_with_threads(&corpus, threads).report;
+        assert_eq!(report.abstract_candidates, ABSTRACT_CANDIDATES);
+        let loss_bytes: Vec<u8> = report
+            .neural_losses
+            .iter()
+            .flat_map(|l| l.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(
+            stable_hash(&loss_bytes),
+            NEURAL_LOSSES_HASH,
+            "neural_losses moved at {threads} threads: {:?}",
+            report.neural_losses
+        );
+    }
+}
