@@ -21,6 +21,10 @@ fn config_with_threads(threads: usize) -> cnp_core::PipelineConfig {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a bench: the duration is the output"
+)]
 fn print_scaling_table() {
     let corpus = cnp_encyclopedia::CorpusGenerator::new(cnp_encyclopedia::CorpusConfig::small(11))
         .generate();

@@ -81,6 +81,10 @@ pub fn discover_predicates(
                 stats
             },
             |mut acc, part| {
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "merging a chunk's counts into the accumulator: integer addition per key commutes, so the order entries arrive in cannot reach the sums"
+                )]
                 for (p, (aligned, total)) in part {
                     let entry = acc.entry(p).or_insert((0, 0));
                     entry.0 += aligned;

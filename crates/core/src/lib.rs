@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type)]
 //! # cnp-core — the CN-Probase construction framework
 //!
 //! This crate is the paper's primary contribution (Chen et al., ICDE

@@ -73,7 +73,10 @@ pub fn time_stage<T>(
     stage: Stage,
     f: impl FnOnce() -> T,
 ) -> T {
-    // cnp-lint: allow(determinism-contract) reason="sole sanctioned clock read; duration feeds stage_timings (observability), never stage output"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sole sanctioned clock read; duration feeds stage_timings (observability), never stage output"
+    )]
     let clock = std::time::Instant::now();
     let out = f();
     timings.push((stage, clock.elapsed()));

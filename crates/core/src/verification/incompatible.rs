@@ -134,6 +134,10 @@ pub fn filter(
                 m
             },
             |mut acc, part| {
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "merging a chunk's page sets into the accumulator: set union per key commutes, so the order entries arrive in cannot reach the result"
+                )]
                 for (k, v) in part {
                     acc.entry(k).or_default().extend(v);
                 }

@@ -50,6 +50,10 @@ pub fn taxonomy_support(set: &CandidateSet, pages: &[Page], rt: &Runtime) -> Has
                 m
             },
             |mut acc, part| {
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "merging a chunk's counts into the accumulator: integer addition per key commutes, so the order entries arrive in cannot reach the sums"
+                )]
                 for (k, n) in part {
                     *acc.entry(k).or_insert(0) += n;
                 }

@@ -320,7 +320,6 @@ impl CorpusGenerator {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
     fn generate_draft(
         &self,
         rng: &mut StdRng,

@@ -2,39 +2,31 @@
 //!
 //! An annotation on the same line as the offending code suppresses that
 //! rule on that line; an annotation alone on its own line suppresses the
-//! rule on the next code line (the common rustfmt-friendly placement).
-//! `allow-file(<rule>)` suppresses the rule for the whole file and must
-//! appear in the first 20 lines, next to the module docs.
+//! rule on the next code line (the rustfmt-friendly placement).
 //!
 //! The `reason` is **mandatory and non-empty**: a suppression without a
 //! recorded justification is itself a finding, as is a reference to a
 //! rule that does not exist and an allow that suppresses nothing (stale
-//! annotations rot the invariant they were cut into).
+//! annotations rot the invariant they were cut into). For the invariants
+//! clippy holds, `#[expect(…, reason = "…")]` gives the same three
+//! guarantees.
 
 use crate::diag::Finding;
 use crate::lexer::Comment;
-use crate::rules::rule_exists;
-
-/// How far an annotation reaches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reach {
-    /// The annotation's own line (trailing comment).
-    Line(u32),
-    /// The whole file (`allow-file`).
-    File,
-}
+use crate::rules::{BAD_ANNOTATION, RULES};
+use std::cell::Cell;
 
 /// One parsed, well-formed allow annotation.
 #[derive(Debug)]
 pub struct Allow {
     /// The rule being suppressed.
     pub rule: String,
-    /// Where the suppression applies.
-    pub reach: Reach,
+    /// The line the suppression applies to.
+    pub reach: u32,
     /// Line the annotation itself sits on (for unused-allow reporting).
     pub at_line: u32,
     /// Set when a suppressed finding consumed this allow.
-    pub used: std::cell::Cell<bool>,
+    pub used: Cell<bool>,
 }
 
 /// All annotations of one file plus the findings produced by malformed
@@ -51,36 +43,24 @@ impl Allows {
     /// Whether `rule` is suppressed at `line`, marking the matching
     /// annotation used.
     pub fn suppresses(&self, rule: &str, line: u32) -> bool {
-        for a in &self.allows {
-            let hit = a.rule == rule
-                && match a.reach {
-                    Reach::File => true,
-                    Reach::Line(l) => l == line,
-                };
-            if hit {
-                a.used.set(true);
-                return true;
-            }
+        let mut hits = self.allows.iter();
+        let hit = hits.find(|a| a.rule == rule && a.reach == line);
+        if let Some(allow) = hit {
+            allow.used.set(true);
         }
-        false
+        hit.is_some()
     }
 
     /// Findings for annotations that suppressed nothing.
     pub fn unused(&self, file: &str) -> Vec<Finding> {
-        self.allows
-            .iter()
-            .filter(|a| !a.used.get())
-            .map(|a| {
-                Finding::new(
-                file,
-                a.at_line,
-                1,
-                "bad-annotation",
-                format!("allow({}) suppresses nothing", a.rule),
-                "remove the stale annotation (or it will mask a future regression at this line)",
-            )
-            })
-            .collect()
+        let stale = self.allows.iter().filter(|a| !a.used.get());
+        let finding = |a: &Allow| {
+            let message = format!("allow({}) suppresses nothing", a.rule);
+            let fix =
+                "remove the stale annotation (it would mask a future regression at this line)";
+            Finding::new(file, (a.at_line, 1), BAD_ANNOTATION, message, fix)
+        };
+        stale.map(finding).collect()
     }
 }
 
@@ -103,90 +83,57 @@ pub fn parse_allows(
         let Some(body) = lead.strip_prefix(MARKER) else {
             continue;
         };
-        let body = body.trim();
-        match parse_one(body) {
-            Ok((rule, file_wide)) => {
-                if !rule_exists(&rule) {
-                    out.errors.push(Finding::new(
-                        file,
-                        c.line,
-                        c.col,
-                        "bad-annotation",
-                        format!("unknown rule {rule:?} in cnp-lint allow"),
-                        "use one of the names listed by `cnp_lint --list-rules`",
-                    ));
-                    continue;
-                }
-                let reach = if file_wide {
-                    if c.line > 20 {
-                        out.errors.push(Finding::new(
-                            file,
-                            c.line,
-                            c.col,
-                            "bad-annotation",
-                            "allow-file must appear in the first 20 lines".to_string(),
-                            "move the annotation next to the module docs, or use per-line allow",
-                        ));
-                        continue;
-                    }
-                    Reach::File
-                } else if c.own_line {
-                    match code_line_after(c.line) {
-                        Some(next) => Reach::Line(next),
-                        None => Reach::Line(c.line),
-                    }
+        let mut error = |message: String, suggestion| {
+            let at = (c.line, c.col);
+            out.errors
+                .push(Finding::new(file, at, BAD_ANNOTATION, message, suggestion));
+        };
+        match parse_one(body.trim()) {
+            Ok(rule) if !RULES.contains(&rule) => error(
+                format!("unknown rule {rule:?} in cnp-lint allow"),
+                "the rules are capped-decode and determinism-contract",
+            ),
+            Ok(rule) => {
+                let next_code = if c.own_line {
+                    code_line_after(c.line)
                 } else {
-                    Reach::Line(c.line)
+                    None
                 };
                 out.allows.push(Allow {
-                    rule,
-                    reach,
+                    rule: rule.to_string(),
+                    reach: next_code.unwrap_or(c.line),
                     at_line: c.line,
-                    used: std::cell::Cell::new(false),
+                    used: Cell::new(false),
                 });
             }
-            Err(why) => out.errors.push(Finding::new(
-                file,
-                c.line,
-                c.col,
-                "bad-annotation",
+            Err(why) => error(
                 why.to_string(),
                 "write `// cnp-lint: allow(<rule>) reason=\"non-empty justification\"`",
-            )),
+            ),
         }
     }
     out
 }
 
-/// Parses the annotation body after the `cnp-lint:` marker. Returns the
-/// rule name and whether it is file-wide.
-fn parse_one(body: &str) -> Result<(String, bool), &'static str> {
-    let (keyword, rest) = match body.find('(') {
-        Some(i) => (body[..i].trim(), &body[i + 1..]),
-        None => return Err("expected allow(<rule>) after cnp-lint:"),
+/// Parses the annotation body after the `cnp-lint:` marker into the rule
+/// name it allows.
+fn parse_one(body: &str) -> Result<&str, &'static str> {
+    let Some(rest) = body.strip_prefix("allow(") else {
+        return Err("expected allow(<rule>) after cnp-lint:");
     };
-    let file_wide = match keyword {
-        "allow" => false,
-        "allow-file" => true,
-        _ => return Err("expected allow(<rule>) or allow-file(<rule>)"),
-    };
-    let Some(close) = rest.find(')') else {
+    let Some((rule, tail)) = rest.split_once(')') else {
         return Err("unclosed rule name parenthesis");
     };
-    let rule = rest[..close].trim().to_string();
+    let rule = rule.trim();
     if rule.is_empty() || rule.contains(',') {
         return Err("exactly one rule name per annotation");
     }
-    let tail = rest[close + 1..].trim();
-    let Some(reason) = tail.strip_prefix("reason=") else {
+    let Some(reason) = tail.trim().strip_prefix("reason=") else {
         return Err("missing mandatory reason=\"…\"");
     };
-    let reason = reason.trim();
-    let inner = reason
-        .strip_prefix('"')
-        .and_then(|r| r.find('"').map(|end| &r[..end]));
-    match inner {
-        Some(text) if !text.trim().is_empty() => Ok((rule, file_wide)),
+    let quoted = reason.trim().strip_prefix('"');
+    match quoted.and_then(|r| r.split_once('"')) {
+        Some((text, _)) if !text.trim().is_empty() => Ok(rule),
         Some(_) => Err("reason must not be empty"),
         None => Err("reason must be a double-quoted string"),
     }
@@ -207,21 +154,21 @@ mod tests {
 
     #[test]
     fn trailing_allow_reaches_its_own_line() {
-        let a =
-            parse("x.unwrap(); // cnp-lint: allow(no-panic-serving-path) reason=\"test rig\"\n");
+        let a = parse("x.iter(); // cnp-lint: allow(determinism-contract) reason=\"test rig\"\n");
         assert_eq!(a.errors.len(), 0);
         assert_eq!(a.allows.len(), 1);
-        assert_eq!(a.allows[0].reach, Reach::Line(1));
-        assert!(a.suppresses("no-panic-serving-path", 1));
+        assert_eq!(a.allows[0].reach, 1);
         assert!(!a.suppresses("capped-decode", 1));
+        assert!(!a.suppresses("determinism-contract", 2));
+        assert!(a.suppresses("determinism-contract", 1));
     }
 
     #[test]
     fn own_line_allow_reaches_next_code_line() {
         let a = parse(
-            "// cnp-lint: allow(capped-decode) reason=\"len checked above\"\nlet v = vec![0; n];\n",
+            "// cnp-lint: allow(capped-decode) reason=\"len checked above\"\n\nlet v = vec![0; n];\n",
         );
-        assert_eq!(a.allows[0].reach, Reach::Line(2));
+        assert_eq!((a.allows[0].reach, a.allows[0].at_line), (3, 1));
     }
 
     #[test]
@@ -231,6 +178,7 @@ mod tests {
             "x(); // cnp-lint: allow(capped-decode) reason=\"\"",
             "x(); // cnp-lint: allow(capped-decode) reason=none",
             "x(); // cnp-lint: deny(capped-decode) reason=\"x\"",
+            "x(); // cnp-lint: allow-file(capped-decode) reason=\"x\"",
         ] {
             let a = parse(bad);
             assert_eq!(a.errors.len(), 1, "no finding for {bad:?}");
@@ -240,9 +188,12 @@ mod tests {
 
     #[test]
     fn unknown_rule_is_a_finding() {
-        let a = parse("x(); // cnp-lint: allow(no-such-rule) reason=\"hm\"");
-        assert_eq!(a.errors.len(), 1);
-        assert!(a.errors[0].message.contains("unknown rule"));
+        // Including the four rules the toolchain took over.
+        for rule in ["no-such-rule", "no-panic-serving-path"] {
+            let a = parse(&format!("x(); // cnp-lint: allow({rule}) reason=\"hm\""));
+            assert_eq!(a.errors.len(), 1);
+            assert!(a.errors[0].message.contains("unknown rule"));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Diagnostics: the [`Finding`] type and its text / JSON renderings.
+//! Diagnostics: the [`Finding`] type and its one-line text rendering.
 
 use std::fmt;
 
@@ -11,7 +11,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// The rule name (kebab-case, as listed by `--list-rules`).
+    /// The rule name (kebab-case).
     pub rule: &'static str,
     /// What is wrong.
     pub message: String,
@@ -20,11 +20,10 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Builds a finding.
+    /// Builds a finding at `(line, col)`.
     pub fn new(
         file: &str,
-        line: u32,
-        col: u32,
+        (line, col): (u32, u32),
         rule: &'static str,
         message: String,
         suggestion: &'static str,
@@ -55,45 +54,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Renders findings as a deterministic JSON document (sorted by file,
-/// line, column, rule), shaped for machine consumption in CI:
-/// `{"findings":[{"file":…,"line":…,"col":…,"rule":…,"message":…,
-/// "suggestion":…}],"total":N}`.
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"file\":");
-        json_str(&f.file, &mut out);
-        out.push_str(&format!(",\"line\":{},\"col\":{},\"rule\":", f.line, f.col));
-        json_str(f.rule, &mut out);
-        out.push_str(",\"message\":");
-        json_str(&f.message, &mut out);
-        out.push_str(",\"suggestion\":");
-        json_str(f.suggestion, &mut out);
-        out.push('}');
-    }
-    out.push_str(&format!("],\"total\":{}}}", findings.len()));
-    out
-}
-
-fn json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,30 +62,13 @@ mod tests {
     fn display_has_the_documented_shape() {
         let f = Finding::new(
             "crates/serve/src/json.rs",
-            449,
-            13,
-            "no-panic-serving-path",
-            "`.expect(…)` on the serving path".to_string(),
-            "return a typed error instead",
+            (449, 13),
+            "capped-decode",
+            "`reserve` sized by untrusted input".to_string(),
+            "clamp by remaining input bytes",
         );
         let text = f.to_string();
-        assert!(text.starts_with("crates/serve/src/json.rs:449:13 · no-panic-serving-path · "));
-        assert!(text.contains("— return a typed error"));
-    }
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let f = Finding::new(
-            "a.rs",
-            1,
-            2,
-            "capped-decode",
-            "has \"quotes\"".to_string(),
-            "s",
-        );
-        let doc = to_json(&[f]);
-        assert!(doc.contains("\\\"quotes\\\""));
-        assert!(doc.ends_with("\"total\":1}"));
-        assert_eq!(to_json(&[]), "{\"findings\":[],\"total\":0}");
+        assert!(text.starts_with("crates/serve/src/json.rs:449:13 · capped-decode · "));
+        assert!(text.contains("— clamp by remaining"));
     }
 }

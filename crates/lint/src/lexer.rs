@@ -1,62 +1,50 @@
-//! A hand-rolled Rust lexer — just enough tokenization for invariant
-//! scanning, in the same no-new-dependencies discipline as the repo's
-//! hand-rolled HTTP and JSON layers (no `syn`, no `proc-macro2`).
+//! A hand-rolled Rust lexer — just enough tokenization for the rules, in
+//! the same no-new-dependencies discipline as the repo's hand-rolled HTTP
+//! and JSON layers (no `syn`, no `proc-macro2`).
 //!
-//! The lexer produces a flat token stream with `line:col` positions and a
-//! separate comment list (the rule engine reads `// cnp-lint:` annotations
-//! out of the comments). It understands everything that could make a
-//! naive text scan lie about code:
-//!
-//! - line comments, nested block comments, doc comments;
-//! - string literals with escapes, byte strings, raw (byte) strings with
-//!   arbitrary `#` fencing, char literals;
-//! - lifetimes vs char literals (`'a` vs `'a'`);
-//! - numeric literals with underscores, base prefixes, suffixes and
-//!   exponents.
-//!
-//! `unwrap` inside a string or a comment is *not* a token, so rules never
-//! fire on prose — a guarantee grep-based enforcement cannot give.
-
-use std::fmt;
+//! It produces a flat token stream with `line:col` positions and a
+//! separate comment list (annotations are read out of the comments), and
+//! understands what would make a text scan lie about code: line, nested
+//! block and doc comments; strings with escapes, byte strings, raw strings
+//! with any `#` fencing; char literals vs lifetimes (`'a'` vs `'a`);
+//! numbers with underscores, base prefixes, suffixes and exponents.
+//! `with_capacity` inside a string or a comment is *not* a token, so a
+//! rule never fires on prose.
 
 /// What kind of lexeme a [`Tok`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// An identifier or keyword (the rule engine does not distinguish).
+    /// An identifier or keyword (the rules do not distinguish).
     Ident,
     /// A lifetime such as `'a` (without the quote in [`Tok::text`]).
     Lifetime,
-    /// An integer literal (any base, with suffix/underscores verbatim).
-    Int,
-    /// A float literal.
-    Float,
+    /// A numeric literal, verbatim (any base, suffix, fraction, exponent).
+    Num,
     /// A string / raw string / byte string literal (contents dropped).
     Str,
-    /// A char or byte-char literal.
+    /// A char or byte-char literal (contents dropped).
     Char,
-    /// A single punctuation byte (`.`, `:`, `!`, `[`, …).
+    /// A single punctuation character (`.`, `:`, `!`, `[`, …).
     Punct,
 }
 
-/// One token with its source position (1-based line and column, counted
-/// in characters so diagnostics point where editors expect).
+/// One token with its 1-based source position, columns counted in chars.
 #[derive(Debug, Clone)]
 pub struct Tok {
     /// The token kind.
     pub kind: TokKind,
-    /// The token text (empty for [`TokKind::Str`] — contents are
-    /// irrelevant to every rule and would only bloat the stream).
+    /// The token text; empty for [`TokKind::Str`] and [`TokKind::Char`].
     pub text: String,
     /// 1-based source line.
     pub line: u32,
-    /// 1-based source column (in chars).
+    /// 1-based source column.
     pub col: u32,
 }
 
 impl Tok {
     /// Whether this token is the given punctuation character.
     pub fn is_punct(&self, c: char) -> bool {
-        self.kind == TokKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
+        self.kind == TokKind::Punct && self.text.chars().eq([c])
     }
 
     /// Whether this token is exactly the given identifier.
@@ -74,14 +62,13 @@ pub struct Comment {
     pub col: u32,
     /// Comment body without `//`, `/*` or `*/`.
     pub text: String,
-    /// `true` when no token precedes the comment on its starting line —
-    /// an "own-line" comment, which annotation parsing treats as applying
-    /// to the next code line instead of its own.
+    /// `true` when no token precedes the comment on its starting line: an
+    /// annotation there applies to the next code line, not its own.
     pub own_line: bool,
 }
 
-/// Why lexing failed. Scanned files are workspace members that already
-/// compile, so in practice this only fires on hand-broken fixtures.
+/// Why lexing failed. Scanned files already compile, so in practice this
+/// only fires on hand-broken fixtures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LexError {
     /// 1-based line of the failure.
@@ -92,20 +79,12 @@ pub struct LexError {
     pub message: &'static str,
 }
 
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.line, self.col, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
-
-/// The lexed file: code tokens and comments, separately.
+/// The lexed file: code tokens and comments, separately, in source order.
 #[derive(Debug, Default)]
 pub struct Lexed {
-    /// All non-comment tokens in source order.
+    /// All non-comment tokens.
     pub toks: Vec<Tok>,
-    /// All comments in source order.
+    /// All comments.
     pub comments: Vec<Comment>,
 }
 
@@ -118,7 +97,6 @@ pub fn lex(src: &str) -> Result<Lexed, LexError> {
         line: 1,
         col: 1,
         out: Lexed::default(),
-        last_tok_line: 0,
     };
     lx.run()?;
     Ok(lx.out)
@@ -130,18 +108,15 @@ struct Lexer<'a> {
     line: u32,
     col: u32,
     out: Lexed,
-    /// Line of the most recently emitted token; lets comments know
-    /// whether they are alone on their line.
-    last_tok_line: u32,
 }
 
-impl<'a> Lexer<'a> {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
+impl Lexer<'_> {
     fn peek_at(&self, ahead: usize) -> Option<char> {
         self.chars.get(self.pos + ahead).copied()
+    }
+
+    fn peek(&self) -> Option<char> {
+        self.peek_at(0)
     }
 
     fn bump(&mut self) -> Option<char> {
@@ -156,6 +131,16 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// Consumes and returns the longest run of chars satisfying `keep`.
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> String {
+        let mut text = String::new();
+        while let Some(c) = self.peek().filter(|&c| keep(c)) {
+            text.push(c);
+            self.bump();
+        }
+        text
+    }
+
     fn err(&self, message: &'static str) -> LexError {
         LexError {
             line: self.line,
@@ -164,8 +149,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn push(&mut self, kind: TokKind, text: String, line: u32, col: u32) {
-        self.last_tok_line = line;
+    fn push(&mut self, kind: TokKind, text: String, (line, col): (u32, u32)) {
         self.out.toks.push(Tok {
             kind,
             text,
@@ -174,41 +158,8 @@ impl<'a> Lexer<'a> {
         });
     }
 
-    fn run(&mut self) -> Result<(), LexError> {
-        while let Some(c) = self.peek() {
-            let (line, col) = (self.line, self.col);
-            match c {
-                c if c.is_whitespace() => {
-                    self.bump();
-                }
-                '/' if self.peek_at(1) == Some('/') => self.line_comment(line, col),
-                '/' if self.peek_at(1) == Some('*') => self.block_comment(line, col)?,
-                '"' => self.string(line, col)?,
-                'r' | 'b' if self.raw_or_byte_literal(line, col)? => {}
-                '\'' => self.char_or_lifetime(line, col)?,
-                c if is_ident_start(c) => self.ident(line, col),
-                c if c.is_ascii_digit() => self.number(line, col),
-                _ => {
-                    self.bump();
-                    self.push(TokKind::Punct, c.to_string(), line, col);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn line_comment(&mut self, line: u32, col: u32) {
-        self.bump();
-        self.bump(); // the two slashes
-        let mut text = String::new();
-        while let Some(c) = self.peek() {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
-            self.bump();
-        }
-        let own_line = self.last_tok_line != line;
+    fn push_comment(&mut self, text: String, (line, col): (u32, u32)) {
+        let own_line = self.out.toks.last().map_or(true, |t| t.line != line);
         self.out.comments.push(Comment {
             line,
             col,
@@ -217,7 +168,38 @@ impl<'a> Lexer<'a> {
         });
     }
 
-    fn block_comment(&mut self, line: u32, col: u32) -> Result<(), LexError> {
+    fn run(&mut self) -> Result<(), LexError> {
+        while let Some(c) = self.peek() {
+            let at = (self.line, self.col);
+            match c {
+                c if c.is_whitespace() => {
+                    self.bump();
+                }
+                '/' if self.peek_at(1) == Some('/') => {
+                    self.bump();
+                    self.bump();
+                    let text = self.take_while(|c| c != '\n');
+                    self.push_comment(text, at);
+                }
+                '/' if self.peek_at(1) == Some('*') => self.block_comment(at)?,
+                '"' => self.string(at)?,
+                'r' | 'b' if self.raw_or_byte_literal(at)? => {}
+                '\'' => self.char_or_lifetime(at)?,
+                c if is_ident_start(c) => {
+                    let text = self.take_while(is_ident_continue);
+                    self.push(TokKind::Ident, text, at);
+                }
+                c if c.is_ascii_digit() => self.number(at),
+                _ => {
+                    self.bump();
+                    self.push(TokKind::Punct, c.to_string(), at);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn block_comment(&mut self, at: (u32, u32)) -> Result<(), LexError> {
         self.bump();
         self.bump(); // `/*`
         let mut depth = 1usize;
@@ -246,48 +228,40 @@ impl<'a> Lexer<'a> {
                 (None, _) => return Err(self.err("unterminated block comment")),
             }
         }
-        let own_line = self.last_tok_line != line;
-        self.out.comments.push(Comment {
-            line,
-            col,
-            text,
-            own_line,
-        });
+        self.push_comment(text, at);
         Ok(())
     }
 
     /// Handles `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#`, `b'…'` — returns
-    /// `false` (consuming nothing) when the `r`/`b` is just an identifier
-    /// start, so the caller falls through to [`Lexer::ident`].
-    fn raw_or_byte_literal(&mut self, line: u32, col: u32) -> Result<bool, LexError> {
+    /// `false` (consuming nothing) when the `r`/`b` merely starts an
+    /// identifier such as `row` or `break_cycles`.
+    fn raw_or_byte_literal(&mut self, at: (u32, u32)) -> Result<bool, LexError> {
         let mut ahead = 1; // past the leading r / b
-        let first = self.peek().ok_or_else(|| self.err("eof"))?;
-        if first == 'b' {
+        if self.peek() == Some('b') {
             match self.peek_at(1) {
                 Some('\'') => {
-                    // b'…' byte char
                     self.bump();
                     self.bump();
                     self.char_body()?;
-                    self.push(TokKind::Char, String::new(), line, col);
+                    self.push(TokKind::Char, String::new(), at);
                     return Ok(true);
                 }
                 Some('"') => {
                     self.bump();
-                    self.string(line, col)?;
+                    self.string(at)?;
                     return Ok(true);
                 }
                 Some('r') => ahead = 2,
                 _ => return Ok(false),
             }
         }
-        // `r` (or `br`) — raw string only if followed by `#`* then `"`.
+        // `r` (or `br`): a raw string only if followed by `#`* then `"`.
         let mut hashes = 0usize;
         while self.peek_at(ahead + hashes) == Some('#') {
             hashes += 1;
         }
         if self.peek_at(ahead + hashes) != Some('"') {
-            return Ok(false); // plain identifier like `row` / `break_cycles`
+            return Ok(false);
         }
         for _ in 0..ahead + hashes + 1 {
             self.bump();
@@ -295,25 +269,26 @@ impl<'a> Lexer<'a> {
         // Scan to `"` followed by `hashes` hashes.
         loop {
             match self.bump() {
-                Some('"') => {
-                    let mut n = 0;
-                    while n < hashes && self.peek() == Some('#') {
-                        self.bump();
-                        n += 1;
-                    }
-                    if n == hashes {
-                        break;
-                    }
-                }
+                Some('"') if self.take_hashes(hashes) => break,
                 Some(_) => {}
                 None => return Err(self.err("unterminated raw string")),
             }
         }
-        self.push(TokKind::Str, String::new(), line, col);
+        self.push(TokKind::Str, String::new(), at);
         Ok(true)
     }
 
-    fn string(&mut self, line: u32, col: u32) -> Result<(), LexError> {
+    /// Consumes up to `want` `#`s; whether all of them were there.
+    fn take_hashes(&mut self, want: usize) -> bool {
+        let mut n = 0;
+        while n < want && self.peek() == Some('#') {
+            self.bump();
+            n += 1;
+        }
+        n == want
+    }
+
+    fn string(&mut self, at: (u32, u32)) -> Result<(), LexError> {
         self.bump(); // opening quote
         loop {
             match self.bump() {
@@ -325,145 +300,58 @@ impl<'a> Lexer<'a> {
                 None => return Err(self.err("unterminated string")),
             }
         }
-        self.push(TokKind::Str, String::new(), line, col);
+        self.push(TokKind::Str, String::new(), at);
         Ok(())
     }
 
     /// After the opening `'` of a char literal: consumes the body and the
     /// closing quote.
     fn char_body(&mut self) -> Result<(), LexError> {
+        if self.bump() == Some('\\') {
+            self.bump();
+            // Multi-char escapes (\u{…}, \x41): consume to the quote.
+            self.take_while(|c| c != '\'');
+        }
         match self.bump() {
-            Some('\\') => {
-                self.bump();
-                // Multi-char escapes (\u{…}, \x41) — consume to the quote.
-                while let Some(c) = self.peek() {
-                    if c == '\'' {
-                        break;
-                    }
-                    self.bump();
-                }
-            }
-            Some(_) => {}
-            None => return Err(self.err("unterminated char literal")),
+            Some('\'') => Ok(()),
+            _ => Err(self.err("unterminated char literal")),
         }
-        if self.bump() != Some('\'') {
-            return Err(self.err("unterminated char literal"));
-        }
-        Ok(())
     }
 
-    fn char_or_lifetime(&mut self, line: u32, col: u32) -> Result<(), LexError> {
-        // `'a'` is a char; `'a` (no closing quote after one char) is a
-        // lifetime; `'\n'` is a char.
-        let next = self.peek_at(1);
-        let after = self.peek_at(2);
-        let is_lifetime = match next {
-            Some(c) if is_ident_start(c) => after != Some('\''),
-            _ => false,
-        };
-        if is_lifetime {
-            self.bump(); // quote
-            let mut name = String::new();
-            while let Some(c) = self.peek() {
-                if is_ident_continue(c) {
-                    name.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            self.push(TokKind::Lifetime, name, line, col);
+    /// `'a'` and `'\n'` are chars; `'a` with no closing quote after one
+    /// char is a lifetime.
+    fn char_or_lifetime(&mut self, at: (u32, u32)) -> Result<(), LexError> {
+        let lifetime = self.peek_at(1).is_some_and(is_ident_start) && self.peek_at(2) != Some('\'');
+        self.bump(); // the quote
+        if lifetime {
+            let name = self.take_while(is_ident_continue);
+            self.push(TokKind::Lifetime, name, at);
         } else {
-            self.bump(); // quote
             self.char_body()?;
-            self.push(TokKind::Char, String::new(), line, col);
+            self.push(TokKind::Char, String::new(), at);
         }
         Ok(())
     }
 
-    fn ident(&mut self, line: u32, col: u32) {
-        let mut text = String::new();
-        while let Some(c) = self.peek() {
-            if is_ident_continue(c) {
-                text.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+    /// Digits, `_`, base prefix and type suffix are all identifier chars;
+    /// on top of those a number takes one `.` when a digit follows it (so
+    /// `0..n` and `x.0.min(…)` keep their dots as punctuation) and a sign
+    /// right after a decimal exponent's `e`.
+    fn number(&mut self, at: (u32, u32)) {
+        let mut text = self.take_while(is_ident_continue);
+        if self.peek() == Some('.') && self.peek_at(1).is_some_and(|c| c.is_ascii_digit()) {
+            text.extend(self.bump());
+            text += &self.take_while(is_ident_continue);
         }
-        self.push(TokKind::Ident, text, line, col);
-    }
-
-    fn number(&mut self, line: u32, col: u32) {
-        let mut text = String::new();
-        let mut float = false;
-        // Base prefix?
-        if self.peek() == Some('0') && matches!(self.peek_at(1), Some('x' | 'o' | 'b')) {
-            text.push(self.bump().unwrap_or('0'));
-            text.push(self.bump().unwrap_or('x'));
-            while let Some(c) = self.peek() {
-                if c.is_ascii_hexdigit() || c == '_' {
-                    text.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-        } else {
-            while let Some(c) = self.peek() {
-                if c.is_ascii_digit() || c == '_' {
-                    text.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            // Fraction: only when a digit follows the dot (so `0..n` and
-            // `x.0.min(…)` tokenize as punctuation, not a float tail).
-            if self.peek() == Some('.') && self.peek_at(1).is_some_and(|c| c.is_ascii_digit()) {
-                float = true;
-                text.push('.');
-                self.bump();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit() || c == '_' {
-                        text.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            // Exponent.
-            if matches!(self.peek(), Some('e' | 'E'))
-                && matches!(self.peek_at(1), Some(c) if c.is_ascii_digit() || c == '+' || c == '-')
-            {
-                float = true;
-                text.push('e');
-                self.bump();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit() || c == '+' || c == '-' || c == '_' {
-                        text.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
+        let mantissa = text.strip_suffix(['e', 'E']).unwrap_or_default();
+        if matches!(self.peek(), Some('+' | '-'))
+            && mantissa.starts_with(|c: char| c.is_ascii_digit())
+            && mantissa.chars().all(|c| matches!(c, '0'..='9' | '_' | '.'))
+        {
+            text.extend(self.bump());
+            text += &self.take_while(is_ident_continue);
         }
-        // Type suffix (`u32`, `f64`, `usize`…) glues onto the literal.
-        while let Some(c) = self.peek() {
-            if is_ident_continue(c) {
-                if matches!(c, 'f') {
-                    float = true;
-                }
-                text.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        let kind = if float { TokKind::Float } else { TokKind::Int };
-        self.push(kind, text, line, col);
+        self.push(TokKind::Num, text, at);
     }
 }
 
@@ -480,93 +368,88 @@ mod tests {
     use super::*;
 
     fn texts(src: &str) -> Vec<String> {
-        lex(src)
-            .expect("lex")
-            .toks
-            .into_iter()
-            .map(|t| t.text)
-            .collect()
+        let toks = lex(src).expect("lex").toks;
+        toks.into_iter().map(|t| t.text).collect()
+    }
+
+    fn count(src: &str, kind: TokKind) -> usize {
+        let toks = lex(src).expect("lex").toks;
+        toks.iter().filter(|t| t.kind == kind).count()
     }
 
     #[test]
     fn idents_punct_numbers() {
-        let toks = lex("let x = a.unwrap() + 0x1F_u32;").expect("lex");
-        let kinds: Vec<_> = toks
-            .toks
-            .iter()
-            .map(|t| (t.kind, t.text.as_str()))
-            .collect();
+        let toks = lex("let x = a.unwrap() + 0x1F_u32;").expect("lex").toks;
+        let kinds: Vec<_> = toks.iter().map(|t| (t.kind, t.text.as_str())).collect();
         assert!(kinds.contains(&(TokKind::Ident, "unwrap")));
-        assert!(kinds.contains(&(TokKind::Int, "0x1F_u32")));
+        assert!(kinds.contains(&(TokKind::Num, "0x1F_u32")));
         assert!(kinds.contains(&(TokKind::Punct, ";")));
+        assert_eq!(
+            texts("1_000.5e-3f64 - 2usize-1"),
+            ["1_000.5e-3f64", "-", "2usize", "-", "1"]
+        );
     }
 
     #[test]
     fn strings_and_comments_are_not_code() {
-        let h = '#';
-        let src = format!(
-            "// unwrap in a comment\n\
-             /* unwrap /* nested */ still comment */\n\
-             let s = \"calls .unwrap() inside\";\n\
-             let r = r{h}\"raw unwrap\"{h};\n"
-        );
-        let toks = lex(&src).expect("lex");
+        let src = "// unwrap in a comment\n\
+                   /* unwrap /* nested */ still comment */\n\
+                   let s = \"calls .unwrap() inside\";\n\
+                   let r = r#\"raw \"unwrap\"\"#;\n";
+        let lexed = lex(src).expect("lex");
         assert!(
-            !toks.toks.iter().any(|t| t.text == "unwrap"),
+            !lexed.toks.iter().any(|t| t.text == "unwrap"),
             "unwrap leaked out of a string or comment: {:?}",
-            toks.toks
+            lexed.toks
         );
-        assert_eq!(toks.comments.len(), 2);
-        assert!(toks.comments[0].text.contains("unwrap in a comment"));
-        assert!(toks.comments[1].text.contains("nested"));
+        assert_eq!(lexed.comments.len(), 2);
+        assert_eq!(lexed.comments[0].text, " unwrap in a comment");
+        assert_eq!(
+            lexed.comments[1].text,
+            " unwrap /* nested */ still comment "
+        );
     }
 
     #[test]
     fn lifetimes_vs_chars() {
-        let toks = lex("fn f<'a>(x: &'a str) -> char { 'x' }").expect("lex");
-        let lifetimes: Vec<_> = toks
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Lifetime)
-            .collect();
-        assert_eq!(lifetimes.len(), 2);
-        assert!(lifetimes.iter().all(|t| t.text == "a"));
-        assert_eq!(
-            toks.toks.iter().filter(|t| t.kind == TokKind::Char).count(),
-            1
-        );
+        let src = "fn f<'a>(x: &'a str) -> char { 'x' }";
+        assert_eq!(count(src, TokKind::Lifetime), 2);
+        assert_eq!(count(src, TokKind::Char), 1);
+        assert_eq!(texts(src).iter().filter(|t| *t == "a").count(), 2);
     }
 
     #[test]
     fn byte_and_escape_literals() {
-        let toks =
-            lex(r"let a = b'\n'; let b = b(); let c = '\u{1F600}'; let d = r;").expect("lex");
-        assert_eq!(
-            toks.toks.iter().filter(|t| t.kind == TokKind::Char).count(),
-            2
-        );
+        let src = r"let a = b'\n'; let b = b(); let c = '\u{1F600}'; let d = r;";
+        assert_eq!(count(src, TokKind::Char), 2);
         // `b` and `r` survive as plain identifiers when not literal prefixes.
         assert_eq!(texts("b r br").len(), 3);
     }
 
     #[test]
     fn positions_are_one_based_lines_and_cols() {
-        let toks = lex("a\n  bc\n").expect("lex");
-        assert_eq!((toks.toks[0].line, toks.toks[0].col), (1, 1));
-        assert_eq!((toks.toks[1].line, toks.toks[1].col), (2, 3));
+        let toks = lex("a\n  bc\n").expect("lex").toks;
+        assert_eq!((toks[0].line, toks[0].col), (1, 1));
+        assert_eq!((toks[1].line, toks[1].col), (2, 3));
     }
 
     #[test]
     fn own_line_comment_flag() {
-        let toks = lex("let x = 1; // trailing\n// own line\nlet y = 2;").expect("lex");
-        assert!(!toks.comments[0].own_line);
-        assert!(toks.comments[1].own_line);
+        let lexed = lex("let x = 1; // trailing\n// own line\nlet y = 2;").expect("lex");
+        assert!(!lexed.comments[0].own_line);
+        assert!(lexed.comments[1].own_line);
+        assert_eq!((lexed.comments[0].line, lexed.comments[0].col), (1, 12));
     }
 
     #[test]
     fn range_and_method_on_int_are_not_floats() {
-        let toks = lex("for i in 0..10 { x.0.min(1); }").expect("lex");
-        assert!(toks.toks.iter().all(|t| t.kind != TokKind::Float));
+        assert_eq!(
+            texts("for i in 0..10 { x.0.min(1); }"),
+            [
+                "for", "i", "in", "0", ".", ".", "10", "{", "x", ".", "0", ".", "min", "(", "1",
+                ")", ";", "}"
+            ]
+        );
     }
 
     #[test]

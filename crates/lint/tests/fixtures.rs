@@ -4,124 +4,73 @@
 //! directive naming the workspace-relative path the file pretends to live
 //! at (that path decides which rules apply). `good/` fixtures must lint
 //! clean; each `bad/` fixture's diagnostics must match its `.expected`
-//! sibling byte for byte.
-//!
-//! Regenerate the goldens after an intentional diagnostic change with:
-//!
-//! ```sh
-//! CNP_LINT_BLESS=1 cargo test -p cnp_lint --test fixtures
-//! ```
+//! sibling byte for byte. Regenerate the goldens after an intentional
+//! diagnostic change with `CNP_LINT_BLESS=1 cargo test -p cnp_lint`.
 
-use std::fmt::Write as _;
+use cnp_lint::Finding;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-fn fixture_dir(kind: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(kind)
-}
-
-/// Reads a fixture, honoring its `//@ path:` directive. The directive
-/// line stays in the linted source so golden line numbers match the file
-/// as committed.
-fn lint_fixture(path: &Path) -> (String, Vec<cnp_lint::Finding>) {
-    let src = fs::read_to_string(path).expect("read fixture");
-    let first = src.lines().next().unwrap_or_default();
-    let rel = first
-        .strip_prefix("//@ path:")
-        .unwrap_or_else(|| panic!("{} must start with `//@ path: <rel>`", path.display()))
-        .trim()
-        .to_string();
-    let findings = cnp_lint::check_file(&rel, &src);
-    (rel, findings)
-}
-
-fn render(findings: &[cnp_lint::Finding]) -> String {
-    let mut out = String::new();
-    for f in findings {
-        writeln!(out, "{f}").expect("write to string");
-    }
-    out
-}
-
-fn fixtures(kind: &str) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = fs::read_dir(fixture_dir(kind))
-        .expect("fixture dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .collect();
+/// Lints every fixture of one kind, honoring its `//@ path:` directive.
+/// The directive line stays in the linted source so golden line numbers
+/// match the file as committed.
+fn lint_fixtures(kind: &str) -> Vec<(PathBuf, Vec<Finding>)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let entries = fs::read_dir(dir.join(kind)).expect("fixture dir");
+    let mut files: Vec<PathBuf> = entries.map(|e| e.expect("dir entry").path()).collect();
+    files.retain(|p| p.extension().is_some_and(|e| e == "rs"));
     files.sort();
     assert!(!files.is_empty(), "no {kind} fixtures found");
-    files
+    let lint = |path: PathBuf| {
+        let src = fs::read_to_string(&path).expect("read fixture");
+        let directive = src.lines().next().and_then(|l| l.strip_prefix("//@ path:"));
+        let rel = directive.unwrap_or_else(|| panic!("{path:?} must start with `//@ path: <rel>`"));
+        let findings = cnp_lint::check_file(rel.trim(), &src);
+        (path, findings)
+    };
+    files.into_iter().map(lint).collect()
+}
+
+fn render(findings: &[Finding]) -> String {
+    findings.iter().map(|f| format!("{f}\n")).collect()
 }
 
 #[test]
 fn good_fixtures_lint_clean() {
-    for path in fixtures("good") {
-        let (rel, findings) = lint_fixture(&path);
-        assert!(
-            findings.is_empty(),
-            "{} (as {rel}) should be clean, got:\n{}",
-            path.display(),
-            render(&findings)
-        );
+    for (path, findings) in lint_fixtures("good") {
+        let got = render(&findings);
+        assert!(findings.is_empty(), "{path:?} should be clean, got:\n{got}");
     }
 }
 
 #[test]
 fn bad_fixtures_match_goldens() {
-    let bless = std::env::var_os("CNP_LINT_BLESS").is_some();
-    for path in fixtures("bad") {
-        let (rel, findings) = lint_fixture(&path);
+    for (path, findings) in lint_fixtures("bad") {
         assert!(
             !findings.is_empty(),
-            "{} (as {rel}) is a bad fixture but produced no findings",
-            path.display()
+            "{path:?} is a bad fixture but produced no findings"
         );
-        let got = render(&findings);
         let golden = path.with_extension("expected");
-        if bless {
-            fs::write(&golden, &got).expect("bless golden");
-            continue;
+        if std::env::var_os("CNP_LINT_BLESS").is_some() {
+            fs::write(&golden, render(&findings)).expect("bless golden");
         }
         let want = fs::read_to_string(&golden).unwrap_or_else(|_| {
-            panic!(
-                "missing golden {} — run CNP_LINT_BLESS=1 cargo test -p cnp_lint --test fixtures",
-                golden.display()
-            )
+            panic!("missing {golden:?} — run CNP_LINT_BLESS=1 cargo test -p cnp_lint")
         });
         assert_eq!(
-            got,
+            render(&findings),
             want,
-            "diagnostics for {} diverged from {}",
-            path.display(),
-            golden.display()
+            "diagnostics for {path:?} diverged from {golden:?}"
         );
     }
 }
 
-/// Each bad fixture exercises the rule family its name announces.
+/// Between them the bad fixtures trigger every rule, meta rules included.
 #[test]
 fn bad_fixtures_cover_every_rule() {
-    let mut seen: Vec<&str> = Vec::new();
-    for path in fixtures("bad") {
-        let (_, findings) = lint_fixture(&path);
-        for f in &findings {
-            if !seen.contains(&f.rule) {
-                seen.push(f.rule);
-            }
-        }
+    let findings = lint_fixtures("bad").into_iter().flat_map(|(_, f)| f);
+    let seen: Vec<&str> = findings.map(|f| f.rule).collect();
+    for rule in cnp_lint::RULES.iter().chain(&["bad-annotation"]) {
+        assert!(seen.contains(rule), "no bad fixture triggers rule {rule}");
     }
-    for rule in cnp_lint::RULES {
-        assert!(
-            seen.contains(&rule.name),
-            "no bad fixture triggers rule {}",
-            rule.name
-        );
-    }
-    assert!(
-        seen.contains(&"bad-annotation"),
-        "no fixture covers bad-annotation"
-    );
 }

@@ -1,13 +1,13 @@
-//@ path: crates/serve/src/exec.rs
+//@ path: crates/serve/src/wire.rs
 //! Every way a suppression annotation can go wrong.
 
-pub fn f(v: Option<u32>) -> u32 {
+pub fn f(n: usize) -> Vec<Vec<u8>> {
     // A reason is mandatory:
-    let a = v.unwrap(); // cnp-lint: allow(no-panic-serving-path)
+    let a = Vec::with_capacity(n); // cnp-lint: allow(capped-decode)
     // The reason must be non-empty:
-    let b = v.unwrap(); // cnp-lint: allow(no-panic-serving-path) reason=""
-    // The rule must exist:
-    let c = v.unwrap(); // cnp-lint: allow(no-such-rule) reason="typo"
+    let b = Vec::with_capacity(n); // cnp-lint: allow(capped-decode) reason=""
+    // The rule must exist (the four the toolchain took over no longer do):
+    let c = Vec::with_capacity(n); // cnp-lint: allow(no-panic-serving-path) reason="now clippy's"
     // cnp-lint: allow(capped-decode) reason="stale: suppresses nothing here"
-    a + b + c
+    vec![a, b, c]
 }

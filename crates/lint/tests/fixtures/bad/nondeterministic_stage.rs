@@ -1,12 +1,11 @@
 //@ path: crates/core/src/generation/sample.rs
-//! Clock reads, unseeded randomness, and hash-order iteration in a
-//! pipeline stage.
+//! Hash-order iteration by method chain in a pipeline stage — the half of
+//! the determinism contract `clippy::iter_over_hash_type` does not see
+//! (it reports the `for` loop below; this scanner leaves that one to it).
 
-use std::collections::HashMap;
-use std::time::Instant;
+use std::collections::{HashMap, HashSet};
 
 pub fn stage(items: &[(String, u32)]) -> Vec<String> {
-    let started = Instant::now();
     let mut counts: HashMap<&str, u32> = HashMap::new();
     for (name, n) in items {
         *counts.entry(name.as_str()).or_insert(0) += n;
@@ -15,9 +14,10 @@ pub fn stage(items: &[(String, u32)]) -> Vec<String> {
     for (name, _) in &counts {
         out.push(name.to_string());
     }
-    counts.keys().for_each(|_| {});
-    let _jitter: f64 = rand::random();
-    let _rng = thread_rng();
-    let _ = started.elapsed();
+    counts.keys().for_each(|name| out.push(name.to_string()));
+    let mut seen = HashSet::new();
+    seen.insert(out.len());
+    out.extend(seen.drain().map(|n| n.to_string()));
+    out.extend(counts.into_iter().map(|(name, _)| name.to_string()));
     out
 }

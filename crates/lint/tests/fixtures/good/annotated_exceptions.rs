@@ -1,11 +1,10 @@
-//@ path: crates/serve/src/exec.rs
+//@ path: crates/taxonomy/src/frozen.rs
 //! Real violations, each carried by a well-formed allow with a reason —
 //! and every allow is used, so none is stale.
 
-pub fn boot(config: Option<u32>) -> u32 {
-    // cnp-lint: allow(no-panic-serving-path) reason="boot-time config read; the process has not started serving yet"
-    let v = config.unwrap();
-    // cnp-lint: allow(runtime-owns-concurrency) reason="fixture: demonstrating a sanctioned lock"
-    let lock = std::sync::Mutex::new(v);
-    *lock.lock().unwrap_or_else(|e| e.into_inner())
+pub fn names(index: FxHashMap<String, u32>) -> Vec<String> {
+    // cnp-lint: allow(determinism-contract) reason="sorted on the next line before any ordered use"
+    let mut names: Vec<String> = index.keys().cloned().collect();
+    names.sort_unstable();
+    names
 }

@@ -123,6 +123,10 @@ impl Runtime {
     /// Core dispatch: evaluates `work(0..n_tasks)` on the pool and returns
     /// the results **indexed by task**, independent of which worker ran
     /// what. Workers pull task indices from a shared counter.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cnp_runtime owns concurrency: every `par_*` call in the workspace fans out through this one scope"
+    )]
     fn run_indexed<R, F>(&self, n_tasks: usize, work: F) -> Vec<R>
     where
         R: Send,

@@ -85,6 +85,10 @@ impl<T> std::fmt::Debug for BoundedQueue<T> {
 
 impl<T> BoundedQueue<T> {
     /// Creates a queue admitting at most `capacity` items (clamped to ≥ 1).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cnp_runtime owns concurrency: this is the lock every other crate's queueing goes through"
+    )]
     pub fn new(capacity: usize) -> Self {
         BoundedQueue {
             capacity: capacity.max(1),
@@ -183,6 +187,10 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Spawns `workers` threads (clamped to ≥ 1) named `name-N`, sharing a
     /// job queue of `queue_capacity` slots.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cnp_runtime owns concurrency: this is where named worker threads are made"
+    )]
     pub fn new(name: &str, workers: usize, queue_capacity: usize) -> Self {
         let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(queue_capacity));
         let shutting_down = Arc::new(AtomicBool::new(false));
@@ -294,8 +302,10 @@ mod tests {
     fn pop_blocks_until_an_item_arrives() {
         let q = Arc::new(BoundedQueue::new(1));
         let q2 = Arc::clone(&q);
-        #[allow(clippy::disallowed_methods)]
-        // raw thread: the queue under test must not depend on the pool it powers
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "raw thread: the queue under test must not depend on the pool it powers"
+        )]
         let handle = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(50));
         q.try_push(42u32).unwrap();

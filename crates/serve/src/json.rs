@@ -251,7 +251,8 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_literal(&mut self, lit: &'static str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -387,12 +388,12 @@ impl<'a> Parser<'a> {
                     // char boundary is safe by construction.
                     let start = self.pos - 1;
                     let width = utf8_width(b);
-                    if width == 0 || start + width > self.bytes.len() {
+                    let Some(seq) = self.bytes.get(start..start + width).filter(|_| width != 0)
+                    else {
                         return Err(self.err("invalid UTF-8"));
-                    }
+                    };
                     self.pos = start + width;
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    let s = std::str::from_utf8(seq).map_err(|_| self.err("invalid UTF-8"))?;
                     out.push_str(s);
                 }
             }
@@ -400,11 +401,11 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let s = std::str::from_utf8(digits).map_err(|_| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
@@ -445,8 +446,11 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("malformed number bytes"))?;
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|digits| std::str::from_utf8(digits).ok())
+            .ok_or_else(|| self.err("malformed number bytes"))?;
         let n: f64 = text.parse().map_err(|_| self.err("number out of range"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));

@@ -1,4 +1,13 @@
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 //! # cnp-serve — Serving API v1 for CN-Probase
 //!
 //! CN-Probase's value is its serving surface: the paper's Table II APIs

@@ -143,10 +143,16 @@ impl<T: TaxonomyRead> TaxonomyService<T> {
     /// [`TaxonomyService::compact`]'s re-freeze, the one thing run on it.
     pub fn with_runtime(snapshot: T, runtime: Runtime) -> Self {
         TaxonomyService {
-            // cnp-lint: allow(runtime-owns-concurrency) reason="the hot-swap generation pointer: read-locked for one Arc clone per query, write-locked only by swap(); no compute happens under it"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the hot-swap generation pointer: read-locked for one Arc clone per query, write-locked only by swap(); no compute happens under it"
+            )]
             current: RwLock::new(Arc::new(Generation::new(1, snapshot))),
             runtime,
-            // cnp-lint: allow(runtime-owns-concurrency) reason="admin-plane serialisation only: ingest holds it across pin→fold→swap so concurrent ingests cannot fold from the same parent generation and lose a delta, and reload takes it around its swap so it cannot land inside that window; never touched on the query path"
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "admin-plane serialisation only: ingest holds it across pin→fold→swap so concurrent ingests cannot fold from the same parent generation and lose a delta, and reload takes it around its swap so it cannot land inside that window; never touched on the query path"
+            )]
             admin: Mutex::new(()),
         }
     }
@@ -469,6 +475,10 @@ mod tests {
     /// as generation N+1 and then overwritten by `old base + delta` at
     /// N+2. The test stands in for that ingest by holding the lock.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a raw scoped thread stands in for the HTTP worker that would run the reload"
+    )]
     fn reload_waits_for_an_ingest_in_its_pin_to_swap_window() {
         let path = snapshot_file(&store_b(), "reload_vs_ingest.cnpb");
         let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));

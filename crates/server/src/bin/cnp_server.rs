@@ -1,4 +1,13 @@
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 //! Serve a taxonomy snapshot over HTTP.
 //!
 //! ```text
@@ -54,7 +63,13 @@ fn main() -> ExitCode {
                 .map(|v: usize| config.queue_capacity = v.max(1)),
             "--read-timeout-ms" => value("--read-timeout-ms")
                 .and_then(|v| v.parse().map_err(|e| format!("--read-timeout-ms: {e}")))
-                .map(|v: u64| config.read_timeout = Duration::from_millis(v)),
+                .and_then(|v: u64| match v {
+                    0 => Err("--read-timeout-ms must be at least 1".to_string()),
+                    _ => {
+                        config.read_timeout = Duration::from_millis(v);
+                        Ok(())
+                    }
+                }),
             "--compact-threshold" => value("--compact-threshold")
                 .and_then(|v| v.parse().map_err(|e| format!("--compact-threshold: {e}")))
                 .map(|v: usize| config.compact_threshold = v),

@@ -124,14 +124,18 @@ fn read_line_bounded(
             }
             return Err(HttpError::Malformed("unexpected end of stream"));
         }
-        let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(available.len(), |i| i + 1);
+        // Up to and including the first newline, or all of it.
+        let chunk = available
+            .split_inclusive(|&b| b == b'\n')
+            .next()
+            .unwrap_or_default();
+        let take = chunk.len();
         if line.len() + take > max + 2 {
             return Err(HttpError::TooLarge(what));
         }
-        line.extend_from_slice(&available[..take]);
+        line.extend_from_slice(chunk);
         reader.consume(take);
-        if newline.is_some() {
+        if line.ends_with(b"\n") {
             break;
         }
     }

@@ -1,4 +1,13 @@
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 //! `cnp_server` — the network front-end that puts the CN-Probase serving
 //! stack on a wire (Chen et al., ICDE 2019, §V: the taxonomy "has been
 //! used in applications" — this crate is the application-facing edge).

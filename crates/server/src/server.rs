@@ -177,7 +177,22 @@ impl Drop for ServerHandle {
 
 /// Binds `config.addr` and serves `service` until the returned handle is
 /// shut down or dropped.
+///
+/// A zero `config.read_timeout` is refused with `InvalidInput`:
+/// `TcpStream::set_read_timeout` rejects `Some(Duration::ZERO)`, so it
+/// would not mean "time out at once" but "never", and one idle peer would
+/// hold a worker for as long as it liked.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the HTTP accept loop and its worker pool deliberately sit on named std threads feeding cnp_runtime::BoundedQueue — the one sanctioned thread nursery outside the runtime crate"
+)]
 pub fn serve(service: Arc<Service>, config: ServerConfig) -> std::io::Result<ServerHandle> {
+    if config.read_timeout.is_zero() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "read_timeout must be greater than zero",
+        ));
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(config.queue_capacity));

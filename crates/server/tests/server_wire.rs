@@ -105,8 +105,10 @@ fn spawn_clients(
     (0..8)
         .map(|i| {
             let stop = Arc::clone(stop);
-            #[allow(clippy::disallowed_methods)]
-            // raw client threads: these tests attack the server from outside the runtime
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "raw client threads: these tests attack the server from outside the runtime"
+            )]
             std::thread::spawn(move || {
                 let stream = TcpStream::connect(addr).unwrap();
                 stream
@@ -299,12 +301,48 @@ fn the_binary_boots_a_good_file_and_announces_the_address_it_serves_on() {
     );
 }
 
+/// `set_read_timeout(Some(Duration::ZERO))` is an error, and a connection
+/// handler has nobody to report it to — so a zero timeout would mean *no*
+/// timeout, and one idle peer could hold a worker for ever. The binary
+/// refuses the flag by name and `serve` refuses the config.
+#[test]
+fn a_zero_read_timeout_is_refused_not_served_unbounded() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_cnp_server"))
+        .args(["--snapshot", "/nonexistent", "--read-timeout-ms", "0"])
+        .output()
+        .expect("run cnp_server");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("--read-timeout-ms must be at least 1"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("usage: cnp_server --snapshot PATH"),
+        "{stderr}"
+    );
+
+    let bytes = encode_frozen_v3(&FrozenTaxonomy::freeze(&store_a()));
+    let view = FrozenTaxonomyView::open(bytes).unwrap();
+    let config = ServerConfig {
+        read_timeout: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let refused = serve(Arc::new(Service::new(OverlayView::new(view))), config);
+    let kind = refused.err().map(|e| e.kind());
+    assert_eq!(kind, Some(std::io::ErrorKind::InvalidInput));
+}
+
 /// The ingest-under-load gate: deltas land over the wire while eight
 /// persistent clients hammer the server, with background compaction armed
 /// at depth 2. Every answer must match the generation that served it —
 /// readers see generation N or N+1, never a torn merge — and the stats
 /// invariant `requests == ok + error` must hold once traffic drains.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a deadline on waiting for the background compaction; the clock decides when to give up, never what is asserted"
+)]
 fn ingest_under_load_never_tears_a_generation() {
     let handle = boot(
         store_a(),

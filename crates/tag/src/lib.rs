@@ -1,4 +1,14 @@
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type
+)]
 //! # cnp_tag — taxonomy-backed document tagging
 //!
 //! The second serving workload of the CN-Probase reproduction: given free

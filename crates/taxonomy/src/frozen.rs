@@ -17,6 +17,16 @@
 //! graph plus the size of the ancestor closure — for taxonomies (shallow,
 //! near-tree DAGs) that closure is small; it is *not* recommended for
 //! arbitrary dense DAGs.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::iter_over_hash_type
+)]
 
 use crate::hash::FxHashMap;
 use crate::interner::{Interner, Symbol};
@@ -25,7 +35,10 @@ use crate::topo::Condensation;
 use cnp_runtime::Runtime;
 
 /// Compressed sparse row storage: `row(i)` is a contiguous slice.
-#[derive(Debug, Clone, Default)]
+///
+/// Not `Default`: `offsets` always holds at least the leading 0 (both
+/// constructors see to it), which is what `row` and `num_rows` stand on.
+#[derive(Debug, Clone)]
 pub struct Csr<T> {
     offsets: Vec<u32>,
     data: Vec<T>,
@@ -43,7 +56,10 @@ impl<T: Copy> Csr<T> {
         let mut data = Vec::new();
         for row in rows {
             data.extend_from_slice(row);
-            // cnp-lint: allow(no-panic-serving-path) reason="build-time freeze path, not the serving read path; a >4 GiB CSR is a build bug worth aborting on"
+            #[expect(
+                clippy::expect_used,
+                reason = "build-time freeze path, not the serving read path; a >4 GiB CSR is a build bug worth aborting on"
+            )]
             offsets.push(u32::try_from(data.len()).expect("CSR overflow"));
         }
         Csr { offsets, data }
@@ -65,6 +81,10 @@ impl<T: Copy> Csr<T> {
 
     /// The `i`-th row as a slice.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is an id this snapshot minted, so `i + 1 < offsets.len()`; offsets start at 0, are monotone and end at `data.len()` — `from_rows` builds them so and `from_parts`' caller checks it"
+    )]
     pub fn row(&self, i: usize) -> &[T] {
         &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
@@ -120,6 +140,10 @@ impl FrozenTaxonomy {
 
     /// Freezes a finished store on an existing [`Runtime`]. The snapshot
     /// is identical at every thread count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build-time freeze path: `comps` / `comp_reach` are indexed by the component ids `cond` itself assigned (parents' components come first in its order), `mention_rows` has one row per symbol of the interner it was sized from"
+    )]
     pub fn freeze_with(store: &TaxonomyStore, rt: &Runtime) -> Self {
         let interner = store.interner().clone();
         let n_entities = store.num_entities();
@@ -131,12 +155,15 @@ impl FrozenTaxonomy {
             entity_by_key.insert((rec.name, rec.disambig), EntityId(i as u32));
         }
 
+        #[expect(
+            clippy::expect_used,
+            reason = "build-time freeze path: every concept name was interned in the loop above this one"
+        )]
         let concepts: Vec<Symbol> = store
             .concept_ids()
             .map(|c| {
                 interner
                     .get(store.concept_name(c))
-                    // cnp-lint: allow(no-panic-serving-path) reason="build-time freeze path: every concept name was interned in the loop above this one"
                     .expect("concept name is interned")
             })
             .collect();
@@ -275,13 +302,17 @@ impl FrozenTaxonomy {
     }
 
     /// Record for an entity id.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "an `EntityId` is minted only by this snapshot's own lookups and rows, all below `entities.len()`"
+    )]
     pub fn entity(&self, id: EntityId) -> EntityRecord {
         self.entities[id.index()]
     }
 
     /// Full display key: `name（disambig）` or just `name`.
     pub fn entity_key(&self, id: EntityId) -> String {
-        let rec = self.entities[id.index()];
+        let rec = self.entity(id);
         let name = self.interner.resolve(rec.name);
         if rec.disambig == Symbol(0) {
             name.to_string()
@@ -297,6 +328,10 @@ impl FrozenTaxonomy {
     }
 
     /// Concept name.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `ConceptId` is minted only by this snapshot's own lookups and rows, all below `concepts.len()` (`depth` has one entry per concept)"
+    )]
     pub fn concept_name(&self, id: ConceptId) -> &str {
         self.interner.resolve(self.concepts[id.index()])
     }
@@ -409,12 +444,20 @@ impl FrozenTaxonomy {
 
     /// Exact depth of a concept: longest parent-chain length to a root
     /// (0 for roots), from the freeze-time DP pass.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a `ConceptId` is minted only by this snapshot's own lookups and rows, all below `concepts.len()` (`depth` has one entry per concept)"
+    )]
     pub fn depth(&self, c: ConceptId) -> usize {
         self.depth[c.index()] as usize
     }
 
     /// All transitive descendant concepts in BFS order (used by
     /// `getEntity(transitive)`); allocates its output like any listing API.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`seen` has one slot per concept, and `start` and every child id in a `concept_children` row are below `concepts.len()`"
+    )]
     pub fn descendants(&self, start: ConceptId) -> Vec<ConceptId> {
         let mut seen = vec![false; self.concepts.len()];
         let mut order = Vec::new();

@@ -26,8 +26,8 @@
 //!
 //! Read-through contract: nothing outside this module, `compact.rs` and
 //! the `persist.rs` codec may look inside a delta's op log — consumers go
-//! through [`TaxonomyRead`] or the public builder API. The `cnp_lint`
-//! rule `overlay-read-through` enforces this.
+//! through [`TaxonomyRead`] or the public builder API. `DeltaOp` and
+//! `log_ops` are `pub(crate)`, so outside this crate rustc enforces it.
 
 use crate::hash::FxHashMap;
 use crate::interner::Symbol;

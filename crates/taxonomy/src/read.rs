@@ -11,6 +11,15 @@
 //! [`BootSnapshot`] is the constructor the service's boot and hot-swap
 //! `reload` paths use to bring a snapshot file up as a serving backend:
 //! the view over the file's bytes, or an `OverlayView` around it.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::frozen::FrozenTaxonomy;
 use crate::interner::Symbol;

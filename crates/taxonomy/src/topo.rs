@@ -8,6 +8,7 @@
 //! SCC shares the depth of the collapsed component, and on a cycle-free
 //! store (the normal case after [`crate::closure::break_cycles`]) every SCC
 //! is a singleton, so the values are the exact longest-chain depths.
+#![deny(clippy::iter_over_hash_type)]
 
 use crate::store::{ConceptId, IsAMeta, TaxonomyStore};
 

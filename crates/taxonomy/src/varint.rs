@@ -13,6 +13,15 @@
 //! would overflow `u64`. Counts decoded through these helpers are *raw
 //! wire values* — any pre-allocation they feed must be `.min()`-capped by
 //! the remaining input (the `capped-decode` lint enforces this).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::persist::PersistError;
 use bytes::{BufMut, BytesMut};
@@ -67,13 +76,9 @@ pub fn varint_at(buf: &[u8], pos: usize) -> Option<(u64, usize)> {
 
 /// Reads a varint from the front of `buf`, advancing it.
 pub fn read_varint(buf: &mut &[u8], what: &'static str) -> Result<u64, PersistError> {
-    match varint_at(buf, 0) {
-        Some((v, n)) => {
-            *buf = &buf[n..];
-            Ok(v)
-        }
-        None => Err(PersistError::Truncated(what)),
-    }
+    let (v, n) = varint_at(buf, 0).ok_or(PersistError::Truncated(what))?;
+    *buf = buf.get(n..).ok_or(PersistError::Truncated(what))?;
+    Ok(v)
 }
 
 /// Maps a signed delta onto the unsigned varint domain (0, -1, 1, -2 → 0,

@@ -32,6 +32,15 @@
 //! closure correctness, key uniqueness) are deferred to
 //! [`FrozenTaxonomyView::to_frozen`], which materialises an owned
 //! [`FrozenTaxonomy`] through `persist::validate_frozen`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::frozen::{Csr, FrozenTaxonomy};
 use crate::interner::{Interner, Symbol};
@@ -225,8 +234,8 @@ impl FrozenTaxonomyView {
                     return Err(PersistError::BadIndex("data after checksum section"));
                 }
                 checksum_seen = true;
-            } else if let Some(slot) = TAGS.iter().position(|t| *t == tag) {
-                sec[slot] = Some(body_start..body_end);
+            } else if let Some((_, slot)) = TAGS.iter().zip(&mut sec).find(|(t, _)| **t == tag) {
+                *slot = Some(body_start..body_end);
             }
             // Unknown tag: a future extension — skip, the checksum covers it.
             pos = body_end;

@@ -14,6 +14,10 @@ use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::eval;
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "demo output: prints how long the step took"
+)]
 fn main() -> std::process::ExitCode {
     let pages: usize = std::env::var("CNP_PAGES")
         .ok()

@@ -17,6 +17,10 @@ use cn_probase::{FrozenTaxonomyView, ProbaseApi, TaxonomyService};
 use std::path::Path;
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "demo output: prints how long the step took"
+)]
 fn main() -> std::process::ExitCode {
     let path = std::env::var("CNP_SNAPSHOT").unwrap_or_else(|_| "/tmp/cnp.snapshot".to_string());
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);

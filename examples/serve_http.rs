@@ -25,7 +25,10 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-#[allow(clippy::disallowed_methods)] // diverging demo helper; the examples hold no state worth unwinding
+#[expect(
+    clippy::disallowed_methods,
+    reason = "diverging demo helper; the examples hold no state worth unwinding"
+)]
 fn fail(msg: &str) -> ! {
     eprintln!("serve_http: {msg}");
     std::process::exit(1);

@@ -28,7 +28,10 @@ use cn_probase::{
 use std::path::PathBuf;
 use std::time::Instant;
 
-#[allow(clippy::disallowed_methods)] // diverging demo helper; the examples hold no state worth unwinding
+#[expect(
+    clippy::disallowed_methods,
+    reason = "diverging demo helper; the examples hold no state worth unwinding"
+)]
 fn fail(msg: &str) -> ! {
     eprintln!("serve_queries: {msg}");
     std::process::exit(1);
@@ -45,6 +48,10 @@ fn build_snapshot(seed: u64, name: &str) -> PathBuf {
     path
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "demo output: prints how long the step took"
+)]
 fn main() {
     let boot_path = match std::env::var("CNP_SNAPSHOT") {
         Ok(p) if std::path::Path::new(&p).exists() => PathBuf::from(p),

@@ -43,6 +43,10 @@ fn documents_from(f: &impl TaxonomyRead, limit: usize) -> Vec<String> {
         .collect()
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "demo output: prints how long the step took"
+)]
 fn main() -> std::process::ExitCode {
     let path = std::env::var("CNP_SNAPSHOT").unwrap_or_else(|_| "/tmp/cnp.snapshot".to_string());
     let t = Instant::now();

@@ -90,6 +90,10 @@ fn hammer<T: TaxonomyRead>(g: &Golden<T>, offset: usize) {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "raw std threads on purpose: the read API must hold up under threads the runtime does not own"
+)]
 fn eight_std_threads_match_single_threaded_answers() {
     let g = build_golden();
     assert!(g.mentions.len() > 100 && g.concepts.len() > 20);
@@ -115,6 +119,10 @@ fn runtime_workers_match_single_threaded_answers() {
 /// disk round-trip — and answering in place off the file's bytes — must
 /// be invisible to concurrent Table II traffic.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "raw std threads on purpose: the read API must hold up under threads the runtime does not own"
+)]
 fn snapshot_booted_api_matches_across_threads() {
     let g = build_golden();
     let dir = std::env::temp_dir().join("cnp_concurrent_api_test");
@@ -226,6 +234,10 @@ fn assert_swap_consistent(i: usize, r: &QueryResponse, a: &SwapGolden, b: &SwapG
 /// internally consistent with exactly one generation, and a batch must
 /// answer entirely from one pinned generation.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "raw std threads on purpose: a writer swapping generations beside readers the runtime does not own"
+)]
 fn hot_swap_under_load_never_tears_a_generation() {
     const SWAPS: u64 = 200;
     let frozen_a = FrozenTaxonomy::freeze(&swap_store_a());
