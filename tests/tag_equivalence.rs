@@ -128,6 +128,120 @@ fn batched_tag_queries_match_single_execution() {
     }
 }
 
+/// Every byte of the tag path, pinned: 128 paragraph-sized documents (8
+/// page abstracts each, the benchmark's `tag_docs` shape) over a
+/// pipeline-built `small` corpus, tagged through the zero-copy view and
+/// through an overlay whose one delta re-points entities and gives
+/// concepts a second parent. The constants were captured before the
+/// segmenter, the span resolver or the scorer was optimised; a faster tag
+/// path must tag the same bytes.
+#[test]
+fn tag_outputs_match_their_golden_hash() {
+    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cn_probase::pipeline::{Pipeline, PipelineConfig};
+    use cn_probase::runtime::stable_hash;
+    use cn_probase::tag::TagIndex;
+    use cn_probase::taxonomy::persist::encode_frozen_v3;
+    use cn_probase::taxonomy::{ConceptId, EntityId};
+
+    const DOCS: usize = 128;
+    const ABSTRACTS_PER_DOC: usize = 8;
+    const VIEW_SEEDED_WORDS: usize = 1_875;
+    const OVERLAY_SEEDED_WORDS: usize = 1_875;
+    const VIEW_SPANS: usize = 3_424;
+    const OVERLAY_SPANS: usize = 3_424;
+    const VIEW_HASH: u64 = 0xcc58_f25b_0432_43fc;
+    const OVERLAY_HASH: u64 = 0xd74d_0011_9953_8e77;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(931)).generate();
+    let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
+    let view = FrozenTaxonomyView::open(encode_frozen_v3(&outcome.freeze())).expect("view opens");
+
+    let abstracts: Vec<&str> = corpus
+        .pages
+        .iter()
+        .map(|p| p.abstract_text.as_str())
+        .filter(|a| !a.is_empty())
+        .collect();
+    let docs: Vec<String> = (0..DOCS)
+        .map(|d| {
+            (0..ABSTRACTS_PER_DOC)
+                .map(|k| abstracts[(d * ABSTRACTS_PER_DOC + k) * 7_919 % abstracts.len()])
+                .collect()
+        })
+        .collect();
+
+    // One delta: every 16th entity gains an edge to a second concept, and
+    // every 4th concept below the roots gains a root it did not have as a
+    // second parent — shapes the generated single-parent tree lacks.
+    let mut delta = DeltaOverlay::new();
+    let concepts = view.num_concepts() as u32;
+    for e in (0..view.num_entities() as u32).step_by(16).map(EntityId) {
+        let rec = view.entity(e);
+        let disambig = (rec.disambig.0 != 0).then(|| view.resolve(rec.disambig));
+        let other = ConceptId((e.0 * 31 + 7) % concepts);
+        delta.upsert_entity_is_a(
+            view.resolve(rec.name),
+            disambig,
+            view.concept_name(other),
+            IsAMeta::new(Source::Infobox, 0.6),
+        );
+    }
+    let roots: Vec<ConceptId> = (0..concepts)
+        .map(ConceptId)
+        .filter(|&c| view.depth(c) == 0)
+        .collect();
+    for c in (0..concepts).map(ConceptId).filter(|&c| view.depth(c) >= 2) {
+        if c.0 % 4 != 0 {
+            continue;
+        }
+        if let Some(&r) = roots.iter().find(|&&r| !view.ancestor_contains(c, r)) {
+            delta.upsert_concept_is_a(
+                view.concept_name(c),
+                view.concept_name(r),
+                IsAMeta::new(Source::SubConcept, 0.7),
+            );
+        }
+    }
+    let overlay = OverlayView::new(view.clone()).apply(&delta);
+
+    fn pinned<T: TaxonomyRead>(f: T, docs: &[String]) -> (usize, usize, u64) {
+        let seeded = TagIndex::build(&f).seeded_words();
+        let service = TaxonomyService::new(f);
+        let mut spans = 0usize;
+        let mut bytes = Vec::new();
+        for doc in docs {
+            let shapes = [
+                TagOptions::default(),
+                TagOptions::default().with_top_k(20).with_beam(2),
+            ];
+            for (i, options) in shapes.into_iter().enumerate() {
+                let reply = service.execute(&Query::Tag {
+                    text: doc.clone(),
+                    options,
+                });
+                if let (0, Ok(Response::Tags(out))) = (i, &reply.result) {
+                    spans += out.spans.len();
+                }
+                bytes.extend_from_slice(wire::encode_response(&reply).write().as_bytes());
+                bytes.push(0);
+            }
+        }
+        (seeded, spans, stable_hash(&bytes))
+    }
+
+    assert_eq!(
+        pinned(view, &docs),
+        (VIEW_SEEDED_WORDS, VIEW_SPANS, VIEW_HASH),
+        "view"
+    );
+    assert_eq!(
+        pinned(overlay, &docs),
+        (OVERLAY_SEEDED_WORDS, OVERLAY_SPANS, OVERLAY_HASH),
+        "overlay"
+    );
+}
+
 #[test]
 fn golden_documents_actually_tag() {
     let service = TaxonomyService::new(frozen());
