@@ -42,6 +42,13 @@ const SCOPES: &[(&str, &[&str])] = &[
     ("crates/server/src/lib.rs", &[NO_PANIC]),
     ("crates/server/src/bin/cnp_server.rs", &[NO_PANIC]),
     ("crates/tag/src/lib.rs", &[NO_PANIC, HASH_ORDER]),
+    // A tag request segments and gates through these.
+    ("crates/text/src/segment.rs", &[NO_PANIC]),
+    ("crates/text/src/dict.rs", &[NO_PANIC]),
+    ("crates/text/src/trie.rs", &[NO_PANIC]),
+    ("crates/text/src/hmm.rs", &[NO_PANIC]),
+    ("crates/text/src/ner.rs", &[NO_PANIC]),
+    ("crates/text/src/chars.rs", &[NO_PANIC]),
     ("crates/taxonomy/src/frozen.rs", &[NO_PANIC, HASH_ORDER]),
     ("crates/taxonomy/src/view.rs", &[NO_PANIC]),
     ("crates/taxonomy/src/read.rs", &[NO_PANIC]),

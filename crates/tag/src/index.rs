@@ -4,13 +4,16 @@
 //! it: a [`Segmenter`] whose dictionary is the base lexicon *plus every
 //! entity name and concept name the snapshot knows*, so taxonomy names
 //! survive segmentation as single tokens (the stock dictionary would
-//! split an unknown 三字名 into characters the HMM then guesses at), and
-//! an [`NeRecognizer`] over the same dictionary that gates which
-//! out-of-vocabulary spans count as evidence.
+//! split an unknown 三字名 into characters the HMM then guesses at); the
+//! set of concept names, so span resolution asks the snapshot's
+//! `find_concept` only about a window that is one; and the NER gate that
+//! decides which out-of-vocabulary spans count as evidence, which reads
+//! the segmenter's own dictionary — the index holds one dictionary.
 
 use cnp_taxonomy::{ConceptId, EntityId, TaxonomyRead};
 use cnp_text::chars::char_len;
-use cnp_text::{Dictionary, NeRecognizer, PosTag, Segmenter};
+use cnp_text::{ner, Dictionary, NeKind, PosTag, Segmenter};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Dictionary frequency for seeded taxonomy names. High enough that the
@@ -25,21 +28,22 @@ const SEED_FREQ: u64 = 500;
 /// bounds how many *adjacent tokens* resolution will join.
 pub const MAX_SPAN_TOKENS: usize = 4;
 
-/// The per-snapshot text front end for tagging: seeded segmenter + NER.
+/// The per-snapshot text front end for tagging: seeded segmenter, concept
+/// names and NER gate.
 ///
 /// Deliberately snapshot-*derived* but snapshot-*independent* state: it
 /// holds owned strings only, so the serving layer can cache it next to a
 /// pinned generation without borrowing from it.
 pub struct TagIndex {
     segmenter: Segmenter,
-    ner: NeRecognizer,
+    concept_names: HashSet<String>,
     seeded: usize,
 }
 
 impl TagIndex {
     /// Builds the index from a snapshot: one pass over the entity table
     /// and one over the concept table, folding every name into the base
-    /// dictionary as a noun.
+    /// dictionary as a noun and remembering every concept name.
     ///
     /// Ids are dense on every backend (`0..num_entities`, with overlay
     /// rows appended after the base range), so enumeration by index is
@@ -51,13 +55,15 @@ impl TagIndex {
             let rec = f.entity(EntityId(i as u32));
             seeded += seed_word(&mut dict, f.resolve(rec.name));
         }
+        let mut concept_names = HashSet::with_capacity(f.num_concepts());
         for i in 0..f.num_concepts() {
-            seeded += seed_word(&mut dict, f.concept_name(ConceptId(i as u32)));
+            let name = f.concept_name(ConceptId(i as u32));
+            seeded += seed_word(&mut dict, name);
+            concept_names.insert(name.to_string());
         }
-        let ner = NeRecognizer::new(dict.clone());
         TagIndex {
             segmenter: Segmenter::new(dict),
-            ner,
+            concept_names,
             seeded,
         }
     }
@@ -67,9 +73,16 @@ impl TagIndex {
         &self.segmenter
     }
 
-    /// The NER gate for out-of-vocabulary spans.
-    pub fn ner(&self) -> &NeRecognizer {
-        &self.ner
+    /// Whether `text` is the name of one of the snapshot's concepts —
+    /// exactly when the snapshot's `find_concept(text)` is `Some`.
+    pub(crate) fn is_concept_name(&self, text: &str) -> bool {
+        self.concept_names.contains(text)
+    }
+
+    /// The NER gate for out-of-vocabulary spans, over the segmenter's
+    /// dictionary.
+    pub(crate) fn named_entity(&self, text: &str) -> Option<NeKind> {
+        ner::classify(self.segmenter.dictionary(), text)
     }
 
     /// How many taxonomy names were folded into the dictionary.
@@ -82,6 +95,7 @@ impl fmt::Debug for TagIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TagIndex")
             .field("seeded", &self.seeded)
+            .field("concept_names", &self.concept_names.len())
             .field("dictionary_len", &self.segmenter.dictionary().len())
             .finish()
     }
@@ -136,5 +150,22 @@ mod tests {
         let f = FrozenTaxonomy::freeze(&s);
         let index = TagIndex::build(&f);
         assert_eq!(index.seeded_words(), 0);
+    }
+
+    #[test]
+    fn concept_names_are_exactly_what_find_concept_finds() {
+        let mut s = TaxonomyStore::new();
+        s.add_entity("刘德华", None);
+        s.add_concept("歌手");
+        s.add_concept("山"); // a single character: not seeded, still a concept
+        let f = FrozenTaxonomy::freeze(&s);
+        let index = TagIndex::build(&f);
+        for probe in ["歌手", "山", "刘德华", "歌", "", "歌手们"] {
+            assert_eq!(
+                index.is_concept_name(probe),
+                f.find_concept(probe).is_some(),
+                "{probe:?}"
+            );
+        }
     }
 }

@@ -21,22 +21,25 @@
 //! The pipeline composes three ingredients the workspace already has:
 //!
 //! 1. **Segmentation** ([`cnp_text::Segmenter`]) with a dictionary
-//!    *vocabulary-seeded from the snapshot's mention table*
-//!    ([`TagIndex`]): every entity name and concept name is folded into
-//!    the segmenter's dictionary so taxonomy names survive segmentation
-//!    as single tokens instead of being split into unknown characters.
+//!    *vocabulary-seeded from the snapshot* ([`TagIndex`]): every entity
+//!    name and concept name of two or more characters is folded into the
+//!    segmenter's dictionary so taxonomy names survive segmentation as
+//!    single tokens instead of being split into unknown characters.
 //! 2. **Mention resolution** through `men2ent`: longest-match token
 //!    spans (a window of adjacent tokens is joined and probed longest
-//!    first), with an NER-gated fallback for out-of-vocabulary spans —
-//!    a span the taxonomy has never seen is kept as evidence only when
-//!    [`cnp_text::NeRecognizer`] recognises it as a named entity, and it
-//!    contributes no concept mass.
+//!    first, never across punctuation), then `find_concept` for a window
+//!    the index knows is a concept name, with an NER-gated fallback for
+//!    out-of-vocabulary spans — a span the taxonomy has never seen is
+//!    kept as evidence only when [`cnp_text::ner::classify`], over the
+//!    segmenter's own dictionary, recognises it as a named entity, and
+//!    it contributes no concept mass.
 //! 3. **Coarse-to-fine hierarchical scoring** ([`tag_with`]): evidence
 //!    mass flows from hit entities up the ancestor closure with
 //!    depth-discounted weights (coarse pass), then a refinement pass
 //!    walks the hierarchy level by level and re-scores the evidenced
-//!    children of the top-`beam` concepts of each level, so specific
-//!    concepts beat the generic ancestors they propagated mass into.
+//!    children of the top-`beam` concepts of each level (one parent →
+//!    child table per request), so specific concepts beat the generic
+//!    ancestors they propagated mass into.
 //!
 //! The output is a deterministic top-k of `(concept, score, evidence
 //! spans)`: tie-breaks are stable (score descending via `total_cmp`,

@@ -19,8 +19,9 @@
 //!    propagated mass.
 //!
 //! Everything accumulates in a fixed order (`BTreeMap` over ids, ancestor
-//! rows ascending, spans left to right), so scores are bit-identical
-//! across snapshot backends and independent of batch thread count.
+//! rows ascending, spans left to right, a parent's children ascending),
+//! so scores are bit-identical across snapshot backends and independent
+//! of batch thread count.
 
 use crate::index::{TagIndex, MAX_SPAN_TOKENS};
 use cnp_taxonomy::{ConceptId, EntityId, TaxonomyRead};
@@ -165,7 +166,10 @@ fn tokenize(index: &TagIndex, text: &str) -> Vec<Token> {
     let mut at = 0u32;
     for tok in index.segmenter().segment(text) {
         let len = char_len(&tok) as u32;
-        let punct = tok.chars().all(is_punct);
+        // The segmenter emits a whole non-Han, non-ASCII run as one token
+        // (`，é`, `（１９６１）`): one punctuation character makes it a
+        // boundary.
+        let punct = tok.chars().any(is_punct);
         out.push(Token {
             start: at,
             end: at + len,
@@ -179,11 +183,13 @@ fn tokenize(index: &TagIndex, text: &str) -> Vec<Token> {
 
 /// Resolves candidate mention spans: greedy longest-match over windows of
 /// up to [`MAX_SPAN_TOKENS`] adjacent non-punctuation tokens, probing
-/// `men2ent` first and the concept table second; single tokens that
-/// resolve to nothing pass the NER gate or vanish.
+/// `men2ent` first and the concept table second — only for a window the
+/// index knows is a concept name; single tokens that resolve to nothing
+/// pass the NER gate or vanish.
 pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Vec<TagSpan> {
     let tokens = tokenize(index, text);
     let mut spans = Vec::new();
+    let mut joined = String::new();
     let mut i = 0usize;
     while i < tokens.len() {
         let Some(cur) = tokens.get(i) else { break };
@@ -201,20 +207,21 @@ pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Ve
             if window.iter().any(|t| t.punct) {
                 continue;
             }
-            let joined: String = window.iter().map(|t| t.text.as_str()).collect();
-            let kind = {
-                let senses = f.men2ent(&joined);
-                if !senses.is_empty() {
-                    Some(SpanKind::Entities(senses))
-                } else {
-                    f.find_concept(&joined).map(SpanKind::Concept)
-                }
+            joined.clear();
+            joined.extend(window.iter().map(|t| t.text.as_str()));
+            let senses = f.men2ent(&joined);
+            let kind = if !senses.is_empty() {
+                Some(SpanKind::Entities(senses))
+            } else if index.is_concept_name(&joined) {
+                f.find_concept(&joined).map(SpanKind::Concept)
+            } else {
+                None
             };
             if let (Some(kind), Some(first), Some(last)) = (kind, window.first(), window.last()) {
                 spans.push(TagSpan {
                     start: first.start,
                     end: last.end,
-                    text: joined,
+                    text: joined.clone(),
                     kind,
                 });
                 advanced = w;
@@ -246,7 +253,7 @@ pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Ve
                     }
                     _ => (tok.text.clone(), tok.start, tok.end),
                 };
-                if index.ner().classify(&probe).is_some() {
+                if index.named_entity(&probe).is_some() {
                     let consumed = closing.map_or(1, |j| j - i);
                     spans.push(TagSpan {
                         start,
@@ -303,76 +310,97 @@ pub fn score_spans<T: TaxonomyRead>(f: &T, spans: &[TagSpan], options: &TagOptio
     }
 
     // Pass 2: coarse upward propagation with depth-discounted weights.
-    let mut mass = direct.clone();
-    let mut ev = evidence.clone();
+    // `lifted` remembers which directly evidenced concept each ancestor
+    // took mass from, so evidence is gathered only for the hits returned.
+    let mut score = direct.clone();
+    let mut lifted: Vec<(ConceptId, ConceptId)> = Vec::new();
     for (&c, &w) in &direct {
         let dc = f.depth(c);
-        let from: Vec<u32> = evidence.get(&c).cloned().unwrap_or_default();
         for a in f.ancestors(c) {
             let dd = dc.saturating_sub(f.depth(a)).max(1);
-            add(&mut mass, a, w * DECAY.powi(dd as i32));
-            ev.entry(a).or_default().extend(from.iter().copied());
+            add(&mut score, a, w * DECAY.powi(dd as i32));
+            lifted.push((a, c));
         }
     }
 
     // Pass 3: fine refinement, level by level from the roots down. The
     // top-`beam` concepts of each depth level hand REFINE of their
     // (possibly already refined) mass to each directly-evidenced child,
-    // so specificity wins where the evidence supports it.
-    let mut score = mass.clone();
+    // so specificity wins where the evidence supports it. The children
+    // come from one parent → child table built from the evidenced
+    // concepts' own parent rows: ascending child order within a parent,
+    // one entry however often an edge repeats, never a concept under
+    // itself.
+    let mut children: Vec<(ConceptId, ConceptId)> = Vec::new();
+    for &c in direct.keys() {
+        children.extend(
+            f.parents_of(c)
+                .filter(|&(q, _)| q != c)
+                .map(|(q, _)| (q, c)),
+        );
+    }
+    children.sort_unstable();
+    children.dedup();
     let mut levels: BTreeMap<usize, Vec<ConceptId>> = BTreeMap::new();
-    for &c in mass.keys() {
+    for &c in score.keys() {
         levels.entry(f.depth(c)).or_default().push(c);
     }
+    let mut ranked: Vec<(f64, ConceptId)> = Vec::new();
     for ids in levels.values() {
-        let mut ranked = ids.clone();
-        ranked.sort_by(|&a, &b| {
-            score_of(&score, b)
-                .total_cmp(&score_of(&score, a))
-                .then(a.cmp(&b))
-        });
-        for &p in ranked.iter().take(options.beam.max(1)) {
+        ranked.clear();
+        ranked.extend(ids.iter().map(|&c| (score_of(&score, c), c)));
+        ranked.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for &(_, p) in ranked.iter().take(options.beam.max(1)) {
+            // Read again: a concept of this level refined by one ranked
+            // above it (a cycle's members share a depth) hands on the
+            // raised mass.
             let ps = score_of(&score, p);
             if ps <= 0.0 {
                 continue;
             }
-            let boosted: Vec<ConceptId> = direct
-                .keys()
-                .copied()
-                .filter(|&c| c != p && f.parents_of(c).any(|(q, _)| q == p))
-                .collect();
-            for c in boosted {
+            let from = children.partition_point(|&(q, _)| q < p);
+            let under = children.get(from..).unwrap_or_default();
+            for &(_, c) in under.iter().take_while(|&&(q, _)| q == p) {
                 add(&mut score, c, REFINE * ps);
             }
         }
     }
 
-    // Rank, floor, truncate.
-    let mut hits: Vec<TagHit> = score
+    // Rank, floor, truncate — on ids and scores; only the survivors
+    // become hits.
+    let mut top: Vec<(ConceptId, f32)> = score
         .iter()
-        .map(|(&c, &s)| {
-            let mut spans_of: Vec<u32> = ev.get(&c).cloned().unwrap_or_default();
+        .map(|(&c, &s)| (c, s as f32))
+        .filter(|&(_, s)| s >= options.min_score)
+        .collect();
+    top.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    top.truncate(options.top_k);
+    top.into_iter()
+        .map(|(c, s)| {
+            let mut spans_of: Vec<u32> = evidence.get(&c).cloned().unwrap_or_default();
+            for &(_, from) in lifted.iter().filter(|&&(a, _)| a == c) {
+                spans_of.extend(evidence.get(&from).into_iter().flatten());
+            }
             spans_of.sort_unstable();
             spans_of.dedup();
             TagHit {
                 id: c,
                 name: f.concept_name(c).to_string(),
                 depth: f.depth(c) as u32,
-                score: s as f32,
+                score: s,
                 evidence: spans_of,
             }
         })
-        .filter(|h| h.score >= options.min_score)
-        .collect();
-    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-    hits.truncate(options.top_k);
-    hits
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnp_taxonomy::{FrozenTaxonomy, IsAMeta, Source, TaxonomyStore};
+    use cnp_taxonomy::store::EntityRecord;
+    use cnp_taxonomy::{FrozenTaxonomy, IsAMeta, Source, Symbol, TaxonomyStore};
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn fixture() -> FrozenTaxonomy {
         let mut s = TaxonomyStore::new();
@@ -446,6 +474,23 @@ mod tests {
     }
 
     #[test]
+    fn a_window_never_crosses_a_token_holding_punctuation() {
+        // `，é` is one token (a non-Han, non-ASCII run); its comma must
+        // still stop the window, or 刘德华，é张学友 resolves as one span.
+        let mut s = TaxonomyStore::new();
+        let singer = s.add_concept("歌手");
+        for name in ["刘德华", "张学友", "刘德华，é张学友"] {
+            let e = s.add_entity(name, None);
+            s.add_entity_is_a(e, singer, IsAMeta::new(Source::Tag, 0.9));
+        }
+        let f = FrozenTaxonomy::freeze(&s);
+        let index = TagIndex::build(&f);
+        let out = tag_with(&f, &index, "刘德华，é张学友", &TagOptions::default());
+        let texts: Vec<&str> = out.spans.iter().map(|sp| sp.text.as_str()).collect();
+        assert_eq!(texts, vec!["刘德华", "张学友"]);
+    }
+
+    #[test]
     fn longest_match_wins_over_fragment_mentions() {
         let mut s = TaxonomyStore::new();
         let place = s.add_concept("地点");
@@ -469,5 +514,257 @@ mod tests {
             "{:?}",
             out.concepts
         );
+    }
+
+    /// Pass 3 and the ranking as they were before the parent → child table:
+    /// every beam concept re-scans every evidenced concept's parent row, and
+    /// every scored concept becomes a named `TagHit` before the floor and
+    /// the cut. Kept verbatim as the reference `score_spans` must reproduce.
+    fn score_spans_reference<T: TaxonomyRead>(
+        f: &T,
+        spans: &[TagSpan],
+        options: &TagOptions,
+    ) -> Vec<TagHit> {
+        // Pass 1: direct evidence mass.
+        let mut direct: BTreeMap<ConceptId, f64> = BTreeMap::new();
+        let mut evidence: BTreeMap<ConceptId, Vec<u32>> = BTreeMap::new();
+        for (si, span) in spans.iter().enumerate() {
+            let si = si as u32;
+            match &span.kind {
+                SpanKind::Entities(senses) => {
+                    // A mention's mass splits evenly across its senses — an
+                    // ambiguous name is weaker evidence for each reading.
+                    let sense_w = 1.0 / senses.len().max(1) as f64;
+                    for &e in senses {
+                        for (c, m) in f.concepts_of(e) {
+                            add(&mut direct, c, sense_w * f64::from(m.confidence));
+                            evidence.entry(c).or_default().push(si);
+                        }
+                    }
+                }
+                SpanKind::Concept(c) => {
+                    add(&mut direct, *c, 1.0);
+                    evidence.entry(*c).or_default().push(si);
+                }
+                SpanKind::NamedEntity => {}
+            }
+        }
+
+        // Pass 2: coarse upward propagation with depth-discounted weights.
+        let mut mass = direct.clone();
+        let mut ev = evidence.clone();
+        for (&c, &w) in &direct {
+            let dc = f.depth(c);
+            let from: Vec<u32> = evidence.get(&c).cloned().unwrap_or_default();
+            for a in f.ancestors(c) {
+                let dd = dc.saturating_sub(f.depth(a)).max(1);
+                add(&mut mass, a, w * DECAY.powi(dd as i32));
+                ev.entry(a).or_default().extend(from.iter().copied());
+            }
+        }
+
+        // Pass 3: fine refinement, level by level from the roots down. The
+        // top-`beam` concepts of each depth level hand REFINE of their
+        // (possibly already refined) mass to each directly-evidenced child,
+        // so specificity wins where the evidence supports it.
+        let mut score = mass.clone();
+        let mut levels: BTreeMap<usize, Vec<ConceptId>> = BTreeMap::new();
+        for &c in mass.keys() {
+            levels.entry(f.depth(c)).or_default().push(c);
+        }
+        for ids in levels.values() {
+            let mut ranked = ids.clone();
+            ranked.sort_by(|&a, &b| {
+                score_of(&score, b)
+                    .total_cmp(&score_of(&score, a))
+                    .then(a.cmp(&b))
+            });
+            for &p in ranked.iter().take(options.beam.max(1)) {
+                let ps = score_of(&score, p);
+                if ps <= 0.0 {
+                    continue;
+                }
+                let boosted: Vec<ConceptId> = direct
+                    .keys()
+                    .copied()
+                    .filter(|&c| c != p && f.parents_of(c).any(|(q, _)| q == p))
+                    .collect();
+                for c in boosted {
+                    add(&mut score, c, REFINE * ps);
+                }
+            }
+        }
+
+        // Rank, floor, truncate.
+        let mut hits: Vec<TagHit> = score
+            .iter()
+            .map(|(&c, &s)| {
+                let mut spans_of: Vec<u32> = ev.get(&c).cloned().unwrap_or_default();
+                spans_of.sort_unstable();
+                spans_of.dedup();
+                TagHit {
+                    id: c,
+                    name: f.concept_name(c).to_string(),
+                    depth: f.depth(c) as u32,
+                    score: s as f32,
+                    evidence: spans_of,
+                }
+            })
+            .filter(|h| h.score >= options.min_score)
+            .collect();
+        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        hits.truncate(options.top_k);
+        hits
+    }
+
+    /// A snapshot whose parent rows list every edge twice and put each
+    /// even concept under itself — rows no store or freeze produces, and
+    /// exactly what the parent → child table has to collapse.
+    struct Repeated(FrozenTaxonomy);
+
+    impl TaxonomyRead for Repeated {
+        fn resolve(&self, sym: Symbol) -> &str {
+            TaxonomyRead::resolve(&self.0, sym)
+        }
+        fn entity(&self, id: EntityId) -> EntityRecord {
+            TaxonomyRead::entity(&self.0, id)
+        }
+        fn find_entity(&self, name: &str, disambig: Option<&str>) -> Option<EntityId> {
+            TaxonomyRead::find_entity(&self.0, name, disambig)
+        }
+        fn find_concept(&self, name: &str) -> Option<ConceptId> {
+            TaxonomyRead::find_concept(&self.0, name)
+        }
+        fn concept_name(&self, id: ConceptId) -> &str {
+            TaxonomyRead::concept_name(&self.0, id)
+        }
+        fn num_entities(&self) -> usize {
+            TaxonomyRead::num_entities(&self.0)
+        }
+        fn num_concepts(&self) -> usize {
+            TaxonomyRead::num_concepts(&self.0)
+        }
+        fn num_is_a(&self) -> usize {
+            TaxonomyRead::num_is_a(&self.0)
+        }
+        fn num_mentions(&self) -> usize {
+            TaxonomyRead::num_mentions(&self.0)
+        }
+        fn men2ent(&self, mention: &str) -> Vec<EntityId> {
+            TaxonomyRead::men2ent(&self.0, mention)
+        }
+        fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
+            TaxonomyRead::concepts_of(&self.0, e)
+        }
+        fn entities_of(&self, c: ConceptId) -> impl Iterator<Item = EntityId> + '_ {
+            TaxonomyRead::entities_of(&self.0, c)
+        }
+        fn parents_of(&self, c: ConceptId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
+            let own = (c.0 % 2 == 0).then_some((c, IsAMeta::new(Source::SubConcept, 0.5)));
+            own.into_iter()
+                .chain(TaxonomyRead::parents_of(&self.0, c).flat_map(|edge| [edge, edge]))
+        }
+        fn children_of(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
+            TaxonomyRead::children_of(&self.0, c)
+        }
+        fn ancestors(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
+            TaxonomyRead::ancestors(&self.0, c)
+        }
+        fn ancestor_contains(&self, c: ConceptId, sup: ConceptId) -> bool {
+            TaxonomyRead::ancestor_contains(&self.0, c, sup)
+        }
+        fn depth(&self, c: ConceptId) -> usize {
+            TaxonomyRead::depth(&self.0, c)
+        }
+        fn descendants(&self, start: ConceptId) -> Vec<ConceptId> {
+            TaxonomyRead::descendants(&self.0, start)
+        }
+    }
+
+    /// Hits with their scores as bit patterns, so `-0.0` and `0.0` differ.
+    fn bits(hits: &[TagHit]) -> Vec<(ConceptId, &str, u32, u32, &[u32])> {
+        hits.iter()
+            .map(|h| {
+                (
+                    h.id,
+                    h.name.as_str(),
+                    h.depth,
+                    h.score.to_bits(),
+                    &h.evidence[..],
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The parent → child table scores exactly as the re-scan did:
+        /// random DAGs with multi-parent concepts (each concept draws up to
+        /// three parents among lower ids), parent rows with duplicate edges
+        /// and self-edges, multi-sense mentions (up to three senses, a sense
+        /// possibly repeated), concept spans, named-entity spans, beam 1–8,
+        /// `top_k` 1–11 and three score floors. Confidences are quarters,
+        /// so equal scores — where only the id tie-break decides which
+        /// concept the beam or the cut keeps — are common.
+        #[test]
+        fn score_spans_matches_the_rescanning_reference(
+            parents in collection::vec(collection::vec(0usize..64, 0..4), 1..12),
+            edges in collection::vec(collection::vec((0usize..64, 1u8..=4), 1..4), 1..10),
+            mentions in collection::vec((0usize..3, collection::vec(0usize..64, 1..4)), 0..14),
+            shape in (1usize..=8, 1usize..12, 0usize..3),
+        ) {
+            let mut s = TaxonomyStore::new();
+            let concepts: Vec<ConceptId> = (0..parents.len())
+                .map(|i| s.add_concept(&format!("概念{i}")))
+                .collect();
+            for (i, row) in parents.iter().enumerate().skip(1) {
+                for &p in row {
+                    let meta = IsAMeta::new(Source::SubConcept, 0.9);
+                    s.add_concept_is_a(concepts[i], concepts[p % i], meta);
+                }
+            }
+            let entities: Vec<EntityId> = edges
+                .iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    let e = s.add_entity(&format!("实体{i}"), None);
+                    for &(c, quarters) in row {
+                        let meta = IsAMeta::new(Source::Tag, f32::from(quarters) / 4.0);
+                        s.add_entity_is_a(e, concepts[c % concepts.len()], meta);
+                    }
+                    e
+                })
+                .collect();
+            let spans: Vec<TagSpan> = mentions
+                .iter()
+                .enumerate()
+                .map(|(i, (kind, picks))| TagSpan {
+                    start: i as u32,
+                    end: i as u32 + 1,
+                    text: String::new(),
+                    kind: match kind {
+                        0 => SpanKind::Entities(
+                            picks.iter().map(|&e| entities[e % entities.len()]).collect(),
+                        ),
+                        1 => SpanKind::Concept(concepts[picks[0] % concepts.len()]),
+                        _ => SpanKind::NamedEntity,
+                    },
+                })
+                .collect();
+            let (beam, top_k, floor) = shape;
+            let options = TagOptions {
+                top_k,
+                min_score: [0.0, 0.2, 0.6][floor],
+                beam,
+            };
+            let f = Repeated(FrozenTaxonomy::freeze(&s));
+            let new = score_spans(&f, &spans, &options);
+            let old = score_spans_reference(&f, &spans, &options);
+            prop_assert_eq!(bits(&new), bits(&old));
+            // The plain snapshot too: the rows the table is built from as
+            // every backend serves them.
+            let new = score_spans(&f.0, &spans, &options);
+            let old = score_spans_reference(&f.0, &spans, &options);
+            prop_assert_eq!(bits(&new), bits(&old));
+        }
     }
 }

@@ -4,6 +4,15 @@
 //! character level: which characters are Han ideographs (candidates for
 //! dictionary words), which are punctuation (hard segment boundaries), and
 //! which are Latin/digit runs (kept as single tokens).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 /// Returns `true` for characters in the main CJK unified ideograph blocks.
 pub fn is_han(c: char) -> bool {

@@ -4,6 +4,15 @@
 //! exactly like jieba's `calc` routine. Frequencies can come from the
 //! embedded base lexicon, from corpus counts (the CN-Probase pipeline
 //! bootstraps its dictionary from the encyclopedia corpus itself), or both.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::pos::PosTag;
 use crate::trie::Trie;
@@ -108,8 +117,14 @@ impl Dictionary {
     /// Log-probability of a known word; unknown words receive a one-count
     /// smoothed probability so the DP remains well-defined.
     pub fn log_prob(&self, word: &str) -> f64 {
-        let freq = self.get(word).map(|i| i.freq).unwrap_or(1).max(1);
-        (freq as f64).ln() - self.log_total
+        self.log_prob_of(self.get(word).map_or(1, |i| i.freq))
+    }
+
+    /// [`Dictionary::log_prob`] of a word whose frequency the caller
+    /// already holds (a [`WordInfo`] from [`Dictionary::matches_at`], or 1
+    /// for an unknown word) — the same expression, without the lookup.
+    pub(crate) fn log_prob_of(&self, freq: u64) -> f64 {
+        (freq.max(1) as f64).ln() - self.log_total
     }
 
     /// All dictionary words starting at `chars[start..]`, as

@@ -9,6 +9,15 @@
 //! dominate Chinese; [`HmmModel::train`] re-estimates all parameters from a
 //! segmented corpus (the CN-Probase pipeline trains it on its own
 //! bootstrapped segmentations, a form of distant supervision).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::HashMap;
 
@@ -69,6 +78,10 @@ impl HmmModel {
     ///
     /// Uses add-one smoothing on transitions and starts; emission floors are
     /// set to one count below the rarest observed emission.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is a BMES state: the constants, a loop over 0..N_STATES, or word_states' output, all < N_STATES"
+    )]
     pub fn train<S1, I, J>(examples: I) -> Self
     where
         S1: AsRef<str>,
@@ -155,10 +168,18 @@ impl HmmModel {
     }
 
     fn emit_lp(&self, st: usize, c: char) -> f64 {
-        self.emit[st].get(&c).copied().unwrap_or(self.emit_floor)
+        self.emit
+            .get(st)
+            .and_then(|row| row.get(&c))
+            .copied()
+            .unwrap_or(self.emit_floor)
     }
 
     /// Viterbi-decodes `chars` into the most likely BMES state sequence.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "dp, back and states hold n = chars.len() ≥ 1 rows indexed by 0..n, and every state index is < N_STATES"
+    )]
     pub fn viterbi(&self, chars: &[char]) -> Vec<usize> {
         if chars.is_empty() {
             return Vec::new();
@@ -191,8 +212,8 @@ impl HmmModel {
         let mut last = if dp[n - 1][E] >= dp[n - 1][S] { E } else { S };
         if dp[n - 1][last] == NEG_INF {
             last = (0..N_STATES)
-                .max_by(|&a, &b| dp[n - 1][a].partial_cmp(&dp[n - 1][b]).unwrap())
-                .unwrap();
+                .max_by(|&a, &b| dp[n - 1][a].total_cmp(&dp[n - 1][b]))
+                .unwrap_or(S);
         }
         let mut states = vec![0usize; n];
         states[n - 1] = last;

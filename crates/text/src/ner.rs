@@ -9,6 +9,15 @@
 //! * support statistics: `s1(H) = NE(H) / total(H)` over a text corpus,
 //!   combined with the taxonomy-side support `s2(H)` through the noisy-or
 //!   model of Eq. 2 (implemented in `cnp-core::verification`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::chars::char_len;
 use crate::dict::Dictionary;
@@ -36,66 +45,67 @@ pub enum NeKind {
 #[derive(Debug, Clone)]
 pub struct NeRecognizer {
     dict: Dictionary,
-    /// Words whose dictionary frequency exceeds this are vetoed as Person.
-    common_word_freq_veto: u64,
 }
+
+/// Words whose dictionary frequency exceeds this are vetoed as Person.
+const COMMON_WORD_FREQ_VETO: u64 = 50;
 
 impl NeRecognizer {
     /// Creates a recognizer backed by `dict`.
     pub fn new(dict: Dictionary) -> Self {
-        NeRecognizer {
-            dict,
-            common_word_freq_veto: 50,
-        }
+        NeRecognizer { dict }
     }
 
     /// Classifies `s`, returning `None` for non-entities.
     pub fn classify(&self, s: &str) -> Option<NeKind> {
-        if s.is_empty() {
-            return None;
-        }
-        if s.starts_with('《') && s.ends_with('》') && char_len(s) > 2 {
-            return Some(NeKind::Work);
-        }
-        // Organization: longest-suffix match; must have a proper prefix.
-        for suffix in ORG_SUFFIXES {
-            if s.ends_with(suffix) && char_len(s) > char_len(suffix) {
-                return Some(NeKind::Org);
-            }
-        }
-        // Place: single-char geographic suffix with a proper prefix, or a
-        // dictionary-tagged place name (中国, 香港 …).
-        if let Some(info) = self.dict.get(s) {
-            if info.pos == crate::pos::PosTag::PlaceName {
-                return Some(NeKind::Place);
-            }
-            if info.pos == crate::pos::PosTag::PersonName {
-                return Some(NeKind::Person);
-            }
-        }
-        let chars: Vec<char> = s.chars().collect();
-        let last = *chars.last().unwrap();
-        if chars.len() >= 2 && PLACE_SUFFIX_CHARS.contains(&last) {
-            return Some(NeKind::Place);
-        }
-        // Person: surname + 1-2 further Han chars, not a common word.
-        if (2..=3).contains(&chars.len()) && is_surname(&chars[0].to_string()) {
-            let is_common = self
-                .dict
-                .get(s)
-                .map(|i| i.freq > self.common_word_freq_veto)
-                .unwrap_or(false);
-            if !is_common && chars.iter().all(|&c| crate::chars::is_han(c)) {
-                return Some(NeKind::Person);
-            }
-        }
-        None
+        classify(&self.dict, s)
     }
 
     /// Convenience: is `s` any kind of named entity?
     pub fn is_entity(&self, s: &str) -> bool {
         self.classify(s).is_some()
     }
+}
+
+/// [`NeRecognizer::classify`] against a dictionary the caller already
+/// holds, so a component that segments with a dictionary can gate named
+/// entities on that same dictionary instead of a second copy of it.
+pub fn classify(dict: &Dictionary, s: &str) -> Option<NeKind> {
+    if s.is_empty() {
+        return None;
+    }
+    if s.starts_with('《') && s.ends_with('》') && char_len(s) > 2 {
+        return Some(NeKind::Work);
+    }
+    // Organization: longest-suffix match; must have a proper prefix.
+    for suffix in ORG_SUFFIXES {
+        if s.ends_with(suffix) && char_len(s) > char_len(suffix) {
+            return Some(NeKind::Org);
+        }
+    }
+    // Place: single-char geographic suffix with a proper prefix, or a
+    // dictionary-tagged place name (中国, 香港 …).
+    if let Some(info) = dict.get(s) {
+        if info.pos == crate::pos::PosTag::PlaceName {
+            return Some(NeKind::Place);
+        }
+        if info.pos == crate::pos::PosTag::PersonName {
+            return Some(NeKind::Person);
+        }
+    }
+    let chars: Vec<char> = s.chars().collect();
+    let (&first, &last) = (chars.first()?, chars.last()?);
+    if chars.len() >= 2 && PLACE_SUFFIX_CHARS.contains(&last) {
+        return Some(NeKind::Place);
+    }
+    // Person: surname + 1-2 further Han chars, not a common word.
+    if (2..=3).contains(&chars.len()) && is_surname(first.encode_utf8(&mut [0; 4])) {
+        let is_common = dict.get(s).is_some_and(|i| i.freq > COMMON_WORD_FREQ_VETO);
+        if !is_common && chars.iter().all(|&c| crate::chars::is_han(c)) {
+            return Some(NeKind::Person);
+        }
+    }
+    None
 }
 
 /// Occurrence statistics for the NE-support score `s1(H)`.

@@ -10,6 +10,15 @@
 //!
 //! The CN-Probase *separation algorithm* (paper §II, Fig. 3) runs this
 //! segmenter on bracket noun compounds before its PMI merge loop.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::chars::{class_runs, Run};
 use crate::dict::Dictionary;
@@ -111,44 +120,60 @@ impl Segmenter {
 
     /// Max-probability DP over the word DAG of a pure-Han span, with the
     /// HMM pass over unknown single-char stretches.
+    ///
+    /// Every edge is priced from the [`crate::dict::WordInfo`] its prefix
+    /// match already carries. The single-character edge always exists: at
+    /// the character's own frequency when the dictionary holds it, at the
+    /// one-count floor otherwise — and the route records which, so the
+    /// walk tells an unknown single from a word without a lookup. Nothing
+    /// is allocated per position or per edge; a `String` is built only
+    /// for an emitted token.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "route has n + 1 entries and chars n; i < n, and every end is i + 1 or a prefix-match end ≤ n"
+    )]
     fn segment_han(&self, s: &str, out: &mut Vec<String>) {
         let chars: Vec<char> = s.chars().collect();
         let n = chars.len();
         if n == 0 {
             return;
         }
-        // route[i] = (best score of chars[i..], end index of first word).
-        let mut route: Vec<(f64, usize)> = vec![(0.0, 0); n + 1];
+        // route[i] = (best score of chars[i..], end index of first word,
+        // whether chars[i] alone is a dictionary word).
+        let mut route: Vec<(f64, usize, bool)> = vec![(0.0, 0, false); n + 1];
         for i in (0..n).rev() {
-            let single: String = chars[i..i + 1].iter().collect();
-            let mut best = (self.dict.log_prob(&single) + route[i + 1].0, i + 1);
-            for (end, _) in self.dict.matches_at(&chars, i) {
+            let edges = self.dict.matches_at(&chars, i);
+            // Matches come shortest first: a dictionary single leads.
+            let single = edges
+                .first()
+                .filter(|&&(end, _)| end == i + 1)
+                .map(|(_, info)| info.freq);
+            let mut best = (
+                self.dict.log_prob_of(single.unwrap_or(1)) + route[i + 1].0,
+                i + 1,
+            );
+            for (end, info) in edges {
                 if end == i + 1 {
                     continue; // already considered as the single-char edge
                 }
-                let word: String = chars[i..end].iter().collect();
-                let score = self.dict.log_prob(&word) + route[end].0;
+                let score = self.dict.log_prob_of(info.freq) + route[end].0;
                 if score > best.0 {
                     best = (score, end);
                 }
             }
-            route[i] = best;
+            route[i] = (best.0, best.1, single.is_some());
         }
 
         // Walk the best path, buffering unknown single chars for the HMM.
         let mut i = 0usize;
         let mut oov_start: Option<usize> = None;
         while i < n {
-            let end = route[i].1;
-            let word: String = chars[i..end].iter().collect();
-            let is_unknown_single = end == i + 1 && !self.dict.contains(&word);
-            if is_unknown_single {
-                if oov_start.is_none() {
-                    oov_start = Some(i);
-                }
+            let (_, end, known_single) = route[i];
+            if end == i + 1 && !known_single {
+                oov_start.get_or_insert(i);
             } else {
                 self.flush_oov(&chars, oov_start.take(), i, out);
-                out.push(word);
+                out.push(chars[i..end].iter().collect());
             }
             i = end;
         }
@@ -156,11 +181,9 @@ impl Segmenter {
     }
 
     fn flush_oov(&self, chars: &[char], start: Option<usize>, end: usize, out: &mut Vec<String>) {
-        let Some(start) = start else { return };
-        if end <= start {
+        let Some(span) = start.and_then(|start| chars.get(start..end)) else {
             return;
-        }
-        let span = &chars[start..end];
+        };
         if span.len() == 1 || !self.use_hmm {
             for &c in span {
                 out.push(c.to_string());
@@ -279,7 +302,81 @@ mod tests {
         assert_eq!(get("。"), crate::pos::PosTag::Other);
     }
 
+    impl Segmenter {
+        /// The DP and walk as they were before edges were priced from
+        /// their prefix matches — a `String` and a dictionary lookup per
+        /// position, per edge and per step of the walk — kept verbatim as
+        /// the reference `segment_han` must reproduce.
+        fn segment_han_reference(&self, s: &str, out: &mut Vec<String>) {
+            let chars: Vec<char> = s.chars().collect();
+            let n = chars.len();
+            if n == 0 {
+                return;
+            }
+            // route[i] = (best score of chars[i..], end index of first word).
+            let mut route: Vec<(f64, usize)> = vec![(0.0, 0); n + 1];
+            for i in (0..n).rev() {
+                let single: String = chars[i..i + 1].iter().collect();
+                let mut best = (self.dict.log_prob(&single) + route[i + 1].0, i + 1);
+                for (end, _) in self.dict.matches_at(&chars, i) {
+                    if end == i + 1 {
+                        continue; // already considered as the single-char edge
+                    }
+                    let word: String = chars[i..end].iter().collect();
+                    let score = self.dict.log_prob(&word) + route[end].0;
+                    if score > best.0 {
+                        best = (score, end);
+                    }
+                }
+                route[i] = best;
+            }
+
+            // Walk the best path, buffering unknown single chars for the HMM.
+            let mut i = 0usize;
+            let mut oov_start: Option<usize> = None;
+            while i < n {
+                let end = route[i].1;
+                let word: String = chars[i..end].iter().collect();
+                let is_unknown_single = end == i + 1 && !self.dict.contains(&word);
+                if is_unknown_single {
+                    if oov_start.is_none() {
+                        oov_start = Some(i);
+                    }
+                } else {
+                    self.flush_oov(&chars, oov_start.take(), i, out);
+                    out.push(word);
+                }
+                i = end;
+            }
+            self.flush_oov(&chars, oov_start, n, out);
+        }
+    }
+
     proptest! {
+        /// Pricing edges from their prefix matches segments exactly as the
+        /// lookup per edge did. Dictionaries are drawn over a seven-character
+        /// alphabet, so entries share prefixes and a single character is
+        /// sometimes a word and sometimes not; texts add an eighth character
+        /// no drawn dictionary holds; frequencies span ties and spreads.
+        #[test]
+        fn segment_han_matches_the_lookup_per_edge_reference(
+            words in proptest::collection::vec(("[一二三四五六七]{1,4}", 1u64..5_000), 0..24),
+            text in "[一二三四五六七八]{0,32}",
+            base in proptest::bool::ANY,
+            hmm in proptest::bool::ANY,
+        ) {
+            let mut dict = if base { Dictionary::base() } else { Dictionary::new() };
+            for (w, f) in &words {
+                dict.add_word(w, *f, PosTag::Noun);
+            }
+            let seg = Segmenter::new(dict);
+            let seg = if hmm { seg } else { seg.without_hmm() };
+            let (mut new, mut old) = (Vec::new(), Vec::new());
+            seg.segment_han(&text, &mut new);
+            seg.segment_han_reference(&text, &mut old);
+            prop_assert_eq!(new, old, "text {:?}, dictionary {:?}", text, words);
+        }
+
         /// Segmentation partitions the input text exactly.
         #[test]
         fn segmentation_is_a_partition(text in "[一-龥a-z0-9，。]{0,30}") {

@@ -4,6 +4,15 @@
 //! sentence, which dictionary words begin there. That query is exactly a
 //! walk down this trie, so lookups are O(word length) with no hashing of
 //! whole substrings.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::collections::HashMap;
 
@@ -93,7 +102,7 @@ impl<V> Trie<V> {
     pub fn prefix_matches<'a>(&'a self, chars: &[char], start: usize) -> Vec<(usize, &'a V)> {
         let mut out = Vec::new();
         let mut node = &self.root;
-        for (offset, &c) in chars[start..].iter().enumerate() {
+        for (offset, &c) in chars.get(start..).unwrap_or_default().iter().enumerate() {
             match node.children.get(&c) {
                 Some(next) => {
                     node = next;
