@@ -222,7 +222,9 @@ fn stacked_overlays_compact_identically_across_thread_counts() {
 /// the per-epoch losses' bit patterns, captured at the commit before
 /// `cnp_nn`'s decoder was rewritten. A faster decoder must decode the same
 /// thing; the bare `abstract_candidates` count above would not notice a
-/// changed hypernym.
+/// changed hypernym. The same run's encoded snapshot is pinned too: `std`
+/// seeds every hash map differently, even within one process, so hash
+/// order reaching any stage's output moves these bytes.
 #[test]
 fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
     use cn_probase::pipeline::generation::{self, abstract_gen};
@@ -232,6 +234,8 @@ fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
     const ABSTRACT_CANDIDATES: usize = 2040;
     const ABSTRACT_CANDIDATES_HASH: u64 = 0x4722_24ef_7b25_4e8a;
     const NEURAL_LOSSES_HASH: u64 = 0x0a75_f784_fe4f_91a2;
+    const SNAPSHOT_BYTES: usize = 147_689;
+    const SNAPSHOT_HASH: u64 = 0xf14a_3bc3_9709_84a7;
 
     let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
     for threads in [1, 2, 8] {
@@ -262,7 +266,8 @@ fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
             "abstract candidates moved at {threads} threads"
         );
 
-        let report = run_with_threads(&corpus, threads).report;
+        let outcome = run_with_threads(&corpus, threads);
+        let report = &outcome.report;
         assert_eq!(report.abstract_candidates, ABSTRACT_CANDIDATES);
         let loss_bytes: Vec<u8> = report
             .neural_losses
@@ -274,6 +279,13 @@ fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
             NEURAL_LOSSES_HASH,
             "neural_losses moved at {threads} threads: {:?}",
             report.neural_losses
+        );
+
+        let snapshot = encode_frozen_v3(&outcome.freeze());
+        assert_eq!(
+            (snapshot.len(), stable_hash(&snapshot)),
+            (SNAPSHOT_BYTES, SNAPSHOT_HASH),
+            "the snapshot moved at {threads} threads"
         );
     }
 }
