@@ -1,9 +1,11 @@
 //! A minimal, hardened HTTP/1.1 implementation — just enough protocol for
 //! the serving front-end, with the snapshot decoder's hostile-input
-//! discipline (PR 4): every length is bounded *before* allocation, a
+//! discipline: every length is bounded *before* allocation, a body is
+//! allocated as its bytes arrive rather than by its claimed length, a
 //! malformed or oversized request is a typed error (mapped to 400/413/405
 //! by the server), and no byte stream, however truncated or adversarial,
-//! can panic a worker.
+//! can panic a worker. `tests/snapshot_corruption.rs` measures the
+//! allocations.
 //!
 //! Scope (deliberate): `GET`/`POST`, `Content-Length` framing only (no
 //! chunked transfer encoding — a request advertising one is refused),
@@ -13,7 +15,7 @@
 //! `benchmark/` harness, the `server_wire` tests, the `serve_http`
 //! example) — so the two ends of the wire can never drift apart.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Hard cap on the request line (`GET /path HTTP/1.1`).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -203,12 +205,17 @@ fn read_body(
     if len > max_body {
         return Err(HttpError::BodyTooLarge);
     }
-    // cnp-lint: allow(capped-decode) reason="len > max_body was rejected two lines up, so this allocation is bounded by the configured body cap"
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => HttpError::Malformed("body shorter than content-length"),
-        _ => HttpError::Io(e),
-    })?;
+    if len == 0 {
+        // Not even a `fill_buf`: on a keep-alive connection it would block.
+        return Ok(Vec::new());
+    }
+    // The body grows with the bytes that arrive, so a peer that claims a
+    // megabyte and sends ten bytes costs ten bytes, not the claim.
+    let mut body = Vec::with_capacity(len.min(reader.fill_buf()?.len()));
+    reader.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(HttpError::Malformed("body shorter than content-length"));
+    }
     Ok(body)
 }
 
