@@ -12,7 +12,7 @@
 //! longer than [`MAX_VARINT_BYTES`], and rejects continuation bits that
 //! would overflow `u64`. Counts decoded through these helpers are *raw
 //! wire values* — any pre-allocation they feed must be `.min()`-capped by
-//! the remaining input (the `capped-decode` lint enforces this).
+//! the remaining input (`tests/snapshot_corruption.rs` measures this).
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -1,20 +1,93 @@
-//! Hostile-input suite for the snapshot format.
+//! Hostile-input suite for every decoder that reads bytes from outside:
+//! snapshots, delta sidecars, HTTP requests and their JSON bodies.
 //!
-//! A serving fleet reloads snapshots constantly; a truncated upload, a
-//! bit-flipped block or a hand-crafted hostile file must produce an
-//! `Err(PersistError::…)` — never a panic, and never an OOM from trusting
-//! a length field. The suite is exhaustive: *every* truncation prefix and
-//! *every* single-byte flip of a valid snapshot must fail to open (the
-//! FNV-1a content checksum guarantees flips are caught even where the
-//! structure would still parse). It additionally re-seals hostile
-//! varint/length fields under a *valid* checksum, so the structural bounds
-//! checks are what rejects them — proving no allocation-before-validation
-//! window hides behind the checksum.
+//! A truncated upload, a bit-flipped block or a hand-crafted hostile file
+//! must produce a typed error — never a panic, and never an allocation
+//! sized by a length field instead of by the bytes actually sent. *Every*
+//! truncation prefix and *every* single-byte flip of a valid snapshot must
+//! fail to open, and hostile counts and varints are re-sealed under a
+//! *valid* checksum so the structural checks are what rejects them. Every
+//! decode runs under a counting allocator and asserts its decoder's peak
+//! bound, `k × input + c` bytes.
 
+use cn_probase::serve::json::Json;
+use cn_probase::serve::wire;
+use cn_probase::server::http::{self, HttpError, MAX_BODY_BYTES};
 use cn_probase::taxonomy::persist::{self, PersistError};
 use cn_probase::taxonomy::{
-    Bytes, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Source, TaxonomyStore,
+    Bytes, DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Source, TaxonomyStore,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Forwards to `System` and counts the calling thread's live and peak
+/// heap bytes. Per thread, so the harness's other test threads cannot
+/// move a measurement.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn track(delta: isize) {
+    let live = LIVE.get() + delta;
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; `track` only
+// touches two const-initialised thread-local cells, which never allocate
+// and, needing no destructor, stay readable through thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as isize);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as isize);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize));
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// A peak allocation bound `(k, c)`: at most `k × input + c` bytes.
+type Bound = (usize, usize);
+/// `FrozenTaxonomyView::open` copies the input once and validates in place.
+const OPEN: Bound = (1, 4 << 10);
+/// `to_frozen` decodes every section into owned tables.
+const TO_FROZEN: Bound = (8, 16 << 10);
+/// `DeltaOverlay::decode` builds one owned op per record.
+const SIDECAR: Bound = (12, 4 << 10);
+/// `http::read_request` and its client half: an 8 KiB `BufReader` + a body.
+const HTTP: Bound = (2, 16 << 10);
+/// `Json::parse` + `wire::decode_query`: a tree node per value, ≥ 2 bytes.
+const WIRE: Bound = (32, 16 << 10);
+
+/// Runs `f`, asserting that the most heap bytes it held live at once on
+/// this thread (its result included) stay within `(k, c)` for `input`.
+fn peak_of<T>(what: &str, (k, c): Bound, input: usize, f: impl FnOnce() -> T) -> T {
+    let base = LIVE.get();
+    PEAK.set(base);
+    let out = f();
+    let peak = PEAK.get() - base;
+    let limit = k * input + c;
+    assert!(
+        peak as usize <= limit,
+        "{what}: peak {peak} B from a {input}-byte input, over its bound {limit} B"
+    );
+    out
+}
 
 /// Small but section-complete store: a disambiguated sense, an alias, an
 /// attribute, entity edges from three sources and a concept chain.
@@ -39,8 +112,17 @@ fn demo_store() -> TaxonomyStore {
     s
 }
 
+/// Opens `bytes` as a server boots them, under [`OPEN`]'s bound.
 fn open(bytes: &[u8]) -> Result<FrozenTaxonomyView, PersistError> {
-    FrozenTaxonomyView::open(Bytes::copy_from_slice(bytes))
+    peak_of("open", OPEN, bytes.len(), || {
+        FrozenTaxonomyView::open(Bytes::copy_from_slice(bytes))
+    })
+}
+
+/// [`open`], then `to_frozen`'s deep validation under [`TO_FROZEN`]'s bound.
+fn load(bytes: &[u8]) -> Result<FrozenTaxonomy, PersistError> {
+    let view = open(bytes)?;
+    peak_of("to_frozen", TO_FROZEN, bytes.len(), || view.to_frozen())
 }
 
 #[test]
@@ -117,6 +199,17 @@ fn v3_bytes() -> Vec<u8> {
     persist::encode_frozen_v3(&FrozenTaxonomy::freeze(&demo_store())).to_vec()
 }
 
+/// A pipeline-built snapshot: its tables are large enough for the per-byte
+/// terms of the bounds to dominate, and some closure rows are bitsets.
+fn pipeline_v3_bytes() -> Vec<u8> {
+    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cn_probase::pipeline::{Pipeline, PipelineConfig};
+
+    let corpus = CorpusGenerator::new(CorpusConfig::tiny(901)).generate();
+    let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
+    persist::encode_frozen_v3(&outcome.freeze()).to_vec()
+}
+
 /// `(tag, payload_range)` for every section of a well-formed snapshot.
 fn v3_sections(bytes: &[u8]) -> Vec<([u8; 4], std::ops::Range<usize>)> {
     let mut sections = Vec::new();
@@ -143,7 +236,7 @@ fn reseal_v3(bytes: &mut [u8]) {
 #[test]
 fn v3_every_truncation_prefix_errors() {
     let bytes = v3_bytes();
-    assert!(open(&bytes).is_ok(), "baseline decodes");
+    assert!(load(&bytes).is_ok(), "baseline decodes");
     for cut in 0..bytes.len() {
         let res = open(&bytes[..cut]);
         assert!(res.is_err(), "truncation at {cut}/{} decoded", bytes.len());
@@ -218,42 +311,39 @@ fn v3_hostile_lengths_do_not_overallocate() {
     }
 }
 
-/// Hostile *count* fields under a valid checksum: the first word of every
-/// table and varint-CSR section (string count, row count) and the second
-/// word of every VCSR (entry count) are set to `u32::MAX`, the checksum is
-/// re-sealed, and the load must fail on bounds checks — never OOM on the
-/// claimed size, never panic.
+/// Hostile *count* fields under a valid checksum: the first two words of
+/// every section are set to `u32::MAX` in turn and the checksum is
+/// re-sealed. Word 0 is the leading count of INTR/ENTS/CNPT/TOPO/DPTH
+/// and the row count of every VCSR, word 1 a VCSR's entry count (SSRT and
+/// CSRT have no leading count — the word lands in table content). `open`
+/// must reject every count; what lands in table content must fail `open`
+/// or `to_frozen`'s deep checks. Neither may allocate by the claim. Swept
+/// over a pipeline-built snapshot too, where the tables are large enough
+/// for the per-byte terms of the bounds to dominate.
 #[test]
 fn v3_hostile_counts_error_without_overallocating() {
-    let bytes = v3_bytes();
+    let pipeline = pipeline_v3_bytes();
+    assert!(load(&pipeline).is_ok(), "baseline decodes");
     let vcsr_tags: &[[u8; 4]] = &[
         *b"ECON", *b"CENT", *b"CPAR", *b"CCHD", *b"EATT", *b"EALS", *b"ANCC", *b"MENT",
     ];
-    for (tag, payload) in v3_sections(&bytes) {
-        if tag == *b"CKSM" {
-            continue;
-        }
-        // Word 0: the leading count of INTR/ENTS/CNPT/TOPO/DPTH and the
-        // row count of every VCSR (SSRT/CSRT have no leading count — the
-        // flip lands in table content and must still be rejected).
-        let mut word_offsets = vec![0usize];
-        if vcsr_tags.contains(&tag) {
-            word_offsets.push(4); // the VCSR entry count
-        }
-        for off in word_offsets {
-            if payload.start + off + 4 > payload.end {
-                continue;
+    for bytes in [v3_bytes(), pipeline] {
+        for (tag, payload) in v3_sections(&bytes) {
+            for off in [0, 4] {
+                if tag == *b"CKSM" || payload.start + off + 4 > payload.end {
+                    continue;
+                }
+                let mut mutated = bytes.clone();
+                mutated[payload.start + off..payload.start + off + 4]
+                    .copy_from_slice(&u32::MAX.to_le_bytes());
+                reseal_v3(&mut mutated);
+                let is_count = off == 0 || vcsr_tags.contains(&tag);
+                let tag = String::from_utf8_lossy(&tag);
+                if is_count {
+                    assert!(open(&mutated).is_err(), "{tag} count at +{off} opened");
+                }
+                assert!(load(&mutated).is_err(), "{tag} word at +{off} loaded");
             }
-            let mut mutated = bytes.clone();
-            mutated[payload.start + off..payload.start + off + 4]
-                .copy_from_slice(&u32::MAX.to_le_bytes());
-            reseal_v3(&mut mutated);
-            let res = open(&mutated);
-            assert!(
-                res.is_err(),
-                "{} word at +{off} = u32::MAX decoded",
-                String::from_utf8_lossy(&tag)
-            );
         }
     }
 }
@@ -261,7 +351,10 @@ fn v3_hostile_counts_error_without_overallocating() {
 /// Hostile varint row bodies under a valid checksum: overwrite the first
 /// bytes of a VCSR payload with maximal continuation bytes (a varint
 /// claiming a huge row length) and with an overlong encoding; both must be
-/// typed errors.
+/// typed errors. A maximal varint stomped at every payload position — row
+/// lengths, closure bases, dictionary indexes alike — must stay within
+/// the bounds: in every section of the small snapshot, and in the
+/// pipeline-built one's closure, where the bitset rows are.
 #[test]
 fn v3_hostile_varints_error_cleanly() {
     let bytes = v3_bytes();
@@ -286,4 +379,141 @@ fn v3_hostile_varints_error_cleanly() {
             );
         }
     }
+    for (bytes, only) in [(bytes, None), (pipeline_v3_bytes(), Some(*b"ANCC"))] {
+        for (tag, payload) in v3_sections(&bytes) {
+            if tag == *b"CKSM" || only.is_some_and(|only| only != tag) {
+                continue;
+            }
+            for at in payload.clone() {
+                let mut mutated = bytes.clone();
+                mutated[at..(at + 4).min(payload.end)].fill(0xFF);
+                reseal_v3(&mut mutated);
+                let _ = load(&mutated);
+            }
+        }
+    }
+}
+
+// ----- delta sidecars -------------------------------------------------------
+
+/// A 400-op sidecar touching every op kind.
+fn sidecar_bytes() -> Vec<u8> {
+    let mut d = DeltaOverlay::new();
+    for i in 0..50 {
+        let (name, concept) = (format!("e{i}"), format!("c{}", i % 7));
+        d.add_entity(&name, None);
+        d.add_concept(&concept);
+        d.add_alias(&name, None, &format!("a{i}"));
+        d.add_attribute(&name, Some("d"), "job");
+        d.upsert_entity_is_a(&name, None, &concept, IsAMeta::new(Source::Tag, 0.9));
+        d.upsert_concept_is_a(&concept, "root", IsAMeta::new(Source::SubConcept, 0.8));
+        d.retract_entity_is_a(&name, Some("d"), &concept);
+        d.retract_concept_is_a(&concept, "top");
+    }
+    d.encode().to_vec()
+}
+
+fn decode_sidecar(bytes: &[u8]) -> Result<DeltaOverlay, PersistError> {
+    peak_of("sidecar", SIDECAR, bytes.len(), || {
+        DeltaOverlay::decode(bytes)
+    })
+}
+
+/// `/admin/ingest` hands request bodies straight to the sidecar decoder.
+/// Every cut and every flip of a sidecar is an error. So is an op count or
+/// a string length of `u32::MAX` under a re-sealed checksum; that word
+/// anywhere else may decode (a NaN confidence). All stay within the bound.
+#[test]
+fn sidecar_hostile_inputs_error_without_overallocating() {
+    let bytes = sidecar_bytes();
+    assert_eq!(decode_sidecar(&bytes).expect("baseline").num_ops(), 400);
+    let body = bytes.len() - 8;
+    let err = |bytes: &[u8]| decode_sidecar(bytes).expect_err("decoded").to_string();
+    assert_eq!(err(&bytes[..body + 7]), "snapshot checksum mismatch");
+    assert_eq!(
+        err(&bytes[..10]),
+        "snapshot truncated while reading delta header"
+    );
+    assert_eq!(
+        err(&[b"X", &bytes[1..]].concat()),
+        "snapshot magic mismatch"
+    );
+    for at in 0..bytes.len() {
+        assert!(decode_sidecar(&bytes[..at]).is_err(), "cut at {at}");
+        let mut mutated = bytes.clone();
+        mutated[at] ^= 0xFF;
+        assert!(decode_sidecar(&mutated).is_err(), "flip at {at}");
+        if (4..body - 3).contains(&at) {
+            mutated[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let digest = cn_probase::runtime::stable_hash(&mutated[..body]);
+            mutated[body..].copy_from_slice(&digest.to_le_bytes());
+            // The op count sits at 8, the first op's name length at 13.
+            let res = decode_sidecar(&mutated);
+            assert!(res.is_err() || !matches!(at, 8 | 13), "u32::MAX at {at}");
+        }
+    }
+}
+
+// ----- HTTP and the JSON wire -----------------------------------------------
+
+/// Reads one request through a fresh `BufReader`, under [`HTTP`]'s bound.
+fn read_request(bytes: &[u8]) -> Result<Option<http::Request>, HttpError> {
+    peak_of("read_request", HTTP, bytes.len(), || {
+        http::read_request(&mut std::io::BufReader::new(bytes), MAX_BODY_BYTES)
+    })
+}
+
+fn post(content_length: usize, body: &[u8]) -> Vec<u8> {
+    let head = format!("POST /v1/query HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n");
+    [head.as_bytes(), body].concat()
+}
+
+/// A body is allocated as its bytes arrive: a request that claims a
+/// megabyte and sends a few bytes costs a few bytes, whatever the cap.
+#[test]
+fn http_bodies_allocate_what_arrives_not_what_is_claimed() {
+    for claimed in [1_000_000, MAX_BODY_BYTES] {
+        let err = read_request(&post(claimed, b"{}")).expect_err("short body");
+        assert_eq!(
+            err.to_string(),
+            "malformed request: body shorter than content-length"
+        );
+    }
+    for len in [0, 60, 400, 3_000] {
+        let body = vec![b'x'; len];
+        assert_eq!(read_request(&post(len, &body)).unwrap().unwrap().body, body);
+    }
+    let err = read_request(&post(MAX_BODY_BYTES + 1, b"")).expect_err("over the cap");
+    assert!(matches!(err, HttpError::BodyTooLarge), "{err}");
+
+    // The client half reads a response body through the same code.
+    let response = b"HTTP/1.1 200 OK\r\nContent-Length: 1000000\r\n\r\n{}";
+    let res = peak_of("read_client_response", HTTP, response.len(), || {
+        http::read_client_response(&mut std::io::BufReader::new(&response[..]), MAX_BODY_BYTES)
+    });
+    assert!(matches!(res, Err(HttpError::Malformed(_))));
+}
+
+/// Parses and decodes a `/v1/query` body; whether it decoded.
+fn decode_body(body: &str) -> bool {
+    let query = peak_of("json + wire", WIRE, body.len(), || {
+        Json::parse(body).map(|doc| wire::decode_query(&doc))
+    });
+    matches!(query, Ok(Ok(_)))
+}
+
+/// A page `limit`, an array's length or a nesting depth costs what the
+/// request spelled out, never what it claims.
+#[test]
+fn wire_requests_decode_within_bounds() {
+    let good = r#"{"op":"getEntity","concept":"人物","options":{"limit":10}}"#;
+    assert!(decode_body(good));
+    for limit in ["4294967295", "18446744073709551615", "1e300", "-1"] {
+        decode_body(&good.replace("10", limit));
+    }
+    decode_body(&format!("{}{}", "[".repeat(64), "]".repeat(64)));
+    decode_body(&format!("{}{}", "[".repeat(10_000), "]".repeat(10_000)));
+    decode_body(&format!("[{}0]", "0,".repeat(5_000)));
+    let text = "文".repeat(5_000);
+    decode_body(&format!(r#"{{"op":"tag","text":"{text}"}}"#));
 }
