@@ -12,7 +12,7 @@ use crate::candidate::Candidate;
 use cnp_encyclopedia::Page;
 use cnp_runtime::Runtime;
 use cnp_taxonomy::Source;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Default confidence for infobox-derived candidates.
 pub const INFOBOX_CONFIDENCE: f32 = 0.85;
@@ -60,11 +60,11 @@ pub fn discover_predicates(
     min_support: usize,
     rt: &Runtime,
 ) -> DiscoveryResult {
-    let stats: HashMap<&str, (usize, usize)> = rt
+    let stats: BTreeMap<&str, (usize, usize)> = rt
         .par_map_reduce(
             pages,
             |_, chunk| {
-                let mut stats: HashMap<&str, (usize, usize)> = HashMap::new();
+                let mut stats: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
                 for page in chunk {
                     let key = page.key();
                     let known = bracket_pairs.get(&key);
@@ -81,10 +81,6 @@ pub fn discover_predicates(
                 stats
             },
             |mut acc, part| {
-                #[expect(
-                    clippy::iter_over_hash_type,
-                    reason = "merging a chunk's counts into the accumulator: integer addition per key commutes, so the order entries arrive in cannot reach the sums"
-                )]
                 for (p, (aligned, total)) in part {
                     let entry = acc.entry(p).or_insert((0, 0));
                     entry.0 += aligned;
@@ -94,7 +90,6 @@ pub fn discover_predicates(
             },
         )
         .unwrap_or_default();
-    // cnp-lint: allow(determinism-contract) reason="the full sort below (rate, aligned, predicate tie-break) is a total order, so map iteration order washes out"
     let mut candidates: Vec<PredicateStats> = stats
         .into_iter()
         .filter(|(_, (aligned, _))| *aligned >= 1)

@@ -11,7 +11,7 @@
 use crate::candidate::CandidateSet;
 use cnp_encyclopedia::Page;
 use cnp_runtime::Runtime;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Thresholds for strategy A.
 #[derive(Debug, Clone)]
@@ -48,7 +48,7 @@ impl Default for IncompatibleConfig {
 /// The hyponym-page set is borrowed from the concept→pages index rather
 /// than duplicated per concept.
 struct ConceptInfo<'a> {
-    entities: &'a HashSet<usize>,
+    entities: &'a BTreeSet<usize>,
     attr_dist: BTreeMap<String, f64>,
 }
 
@@ -118,26 +118,22 @@ pub fn filter(
         .flatten()
         .collect();
 
-    // Concept → distinct hyponym pages (set union is merge-order
-    // invariant), then per-concept attribute distributions computed
-    // independently — attribute counts accumulate in ascending page order,
-    // and integer-valued f64 additions are exact, so the normalized
-    // distribution is identical to the serial single-pass build.
-    let concept_pages: HashMap<&str, HashSet<usize>> = rt
+    // Concept → distinct hyponym pages, both in ascending order (set union
+    // is merge-order invariant), then per-concept attribute distributions
+    // computed independently — attribute counts accumulate in ascending
+    // page order, and integer-valued f64 additions are exact, so the
+    // normalized distribution is identical to the serial single-pass build.
+    let concept_pages: BTreeMap<&str, BTreeSet<usize>> = rt
         .par_map_reduce(
             &set.items,
             |_, chunk| {
-                let mut m: HashMap<&str, HashSet<usize>> = HashMap::new();
+                let mut m: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
                 for c in chunk {
                     m.entry(c.hypernym.as_str()).or_default().insert(c.page);
                 }
                 m
             },
             |mut acc, part| {
-                #[expect(
-                    clippy::iter_over_hash_type,
-                    reason = "merging a chunk's page sets into the accumulator: set union per key commutes, so the order entries arrive in cannot reach the result"
-                )]
                 for (k, v) in part {
                     acc.entry(k).or_default().extend(v);
                 }
@@ -145,15 +141,11 @@ pub fn filter(
             },
         )
         .unwrap_or_default();
-    // cnp-lint: allow(determinism-contract) reason="the keys are sorted on the next line before any ordered use"
-    let mut concept_names: Vec<&str> = concept_pages.keys().copied().collect();
-    concept_names.sort_unstable();
+    let concept_names: Vec<&str> = concept_pages.keys().copied().collect();
     let infos: Vec<ConceptInfo> = rt.par_index_map(concept_names.len(), |i| {
         let entities = &concept_pages[concept_names[i]];
-        let mut sorted: Vec<usize> = entities.iter().copied().collect();
-        sorted.sort_unstable();
         let mut attr_dist: BTreeMap<String, f64> = BTreeMap::new();
-        for p in sorted {
+        for &p in entities {
             for &a in &entity_attrs[p] {
                 *attr_dist.entry(a.to_string()).or_insert(0.0) += 1.0;
             }

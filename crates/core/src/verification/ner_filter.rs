@@ -15,7 +15,7 @@ use crate::context::PipelineContext;
 use cnp_encyclopedia::Page;
 use cnp_runtime::Runtime;
 use cnp_text::ner::noisy_or;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Configuration for strategy B.
 #[derive(Debug, Clone)]
@@ -64,23 +64,24 @@ pub fn taxonomy_support(set: &CandidateSet, pages: &[Page], rt: &Runtime) -> Has
     }
     let page_names = count_by(rt, pages, |p| p.name.as_str());
     let hyper_usage = count_by(rt, &set.items, |c| c.hypernym.as_str());
-    let hypernyms: HashSet<&str> = set.items.iter().map(|c| c.hypernym.as_str()).collect();
-    // cnp-lint: allow(determinism-contract) reason="collects straight into the support HashMap; each key's score is computed independently, so set order cannot reach the result"
-    hypernyms
-        .into_iter()
-        .map(|h| {
-            let as_entity = page_names.get(h).copied().unwrap_or(0) as f64;
-            let as_hyper = hyper_usage.get(h).copied().unwrap_or(0) as f64;
-            // A name that is *only* a page (never reused as hypernym
-            // elsewhere) is pure NE; frequent hypernym usage dilutes it.
-            let s2 = if as_entity + as_hyper == 0.0 {
-                0.0
-            } else {
-                as_entity / (as_entity + as_hyper)
-            };
-            (h.to_string(), s2)
-        })
-        .collect()
+    let mut support = HashMap::new();
+    for c in &set.items {
+        let h = c.hypernym.as_str();
+        if support.contains_key(h) {
+            continue;
+        }
+        let as_entity = page_names.get(h).copied().unwrap_or(0) as f64;
+        let as_hyper = hyper_usage.get(h).copied().unwrap_or(0) as f64;
+        // A name that is *only* a page (never reused as hypernym
+        // elsewhere) is pure NE; frequent hypernym usage dilutes it.
+        let s2 = if as_entity + as_hyper == 0.0 {
+            0.0
+        } else {
+            as_entity / (as_entity + as_hyper)
+        };
+        support.insert(h.to_string(), s2);
+    }
+    support
 }
 
 /// Runs strategy B; returns the filtered set and the removal count. The

@@ -222,9 +222,8 @@ fn stacked_overlays_compact_identically_across_thread_counts() {
 /// the per-epoch losses' bit patterns, captured at the commit before
 /// `cnp_nn`'s decoder was rewritten. A faster decoder must decode the same
 /// thing; the bare `abstract_candidates` count above would not notice a
-/// changed hypernym. The same run's encoded snapshot is pinned too: `std`
-/// seeds every hash map differently, even within one process, so hash
-/// order reaching any stage's output moves these bytes.
+/// changed hypernym. The run's snapshot is pinned too: `std` seeds every
+/// hash map differently, so hash order reaching any output moves it.
 #[test]
 fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
     use cn_probase::pipeline::generation::{self, abstract_gen};
