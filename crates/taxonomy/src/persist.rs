@@ -711,7 +711,6 @@ fn put_ancc_row(b: &mut BytesMut, row: &[ConceptId]) {
     } else {
         b.put_u8(ANCC_BITSET);
         put_varint(b, u64::from(first));
-        // cnp-lint: allow(capped-decode) reason="encoder-side scratch sized by the trusted in-memory closure row, not by a wire count"
         let mut bits = vec![0u8; span.div_ceil(8)];
         for &c in row {
             let off = (c.0 - first) as usize;

@@ -899,7 +899,8 @@ impl FrozenTaxonomyView {
         if start.index() >= self.n_concepts {
             return Vec::new();
         }
-        // cnp-lint: allow(capped-decode) reason="n_concepts is the validated concept-table size from open(), not a raw wire count"
+        // One flag per entry of the concept table `open` validated, which
+        // holds four input bytes per concept.
         let mut seen = vec![false; self.n_concepts];
         let mut order = Vec::new();
         let mut queue = std::collections::VecDeque::new();
