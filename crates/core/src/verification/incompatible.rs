@@ -11,7 +11,7 @@
 use crate::candidate::CandidateSet;
 use cnp_encyclopedia::Page;
 use cnp_runtime::Runtime;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Thresholds for strategy A.
 #[derive(Debug, Clone)]
@@ -45,10 +45,10 @@ impl Default for IncompatibleConfig {
 /// Distributions use `BTreeMap` so floating-point accumulation happens in a
 /// fixed key order — keeping KL/cosine comparisons bit-for-bit
 /// reproducible across runs (near-ties decide which edge gets dropped).
-/// The hyponym-page set is borrowed from the concept→pages index rather
-/// than duplicated per concept.
+/// The hyponym pages (ascending, distinct) are borrowed from the
+/// concept→pages index rather than duplicated per concept.
 struct ConceptInfo<'a> {
-    entities: &'a BTreeSet<usize>,
+    entities: &'a [usize],
     attr_dist: BTreeMap<String, f64>,
 }
 
@@ -118,29 +118,33 @@ pub fn filter(
         .flatten()
         .collect();
 
-    // Concept → distinct hyponym pages, both in ascending order (set union
-    // is merge-order invariant), then per-concept attribute distributions
-    // computed independently — attribute counts accumulate in ascending
-    // page order, and integer-valued f64 additions are exact, so the
-    // normalized distribution is identical to the serial single-pass build.
-    let concept_pages: BTreeMap<&str, BTreeSet<usize>> = rt
+    // Concept → distinct hyponym pages, both in ascending order, then
+    // per-concept attribute distributions computed independently —
+    // attribute counts accumulate in ascending page order, and
+    // integer-valued f64 additions are exact, so the normalized
+    // distribution is identical to the serial single-pass build.
+    let mut concept_pages: BTreeMap<&str, Vec<usize>> = rt
         .par_map_reduce(
             &set.items,
             |_, chunk| {
-                let mut m: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+                let mut m: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
                 for c in chunk {
-                    m.entry(c.hypernym.as_str()).or_default().insert(c.page);
+                    m.entry(c.hypernym.as_str()).or_default().push(c.page);
                 }
                 m
             },
             |mut acc, part| {
-                for (k, v) in part {
-                    acc.entry(k).or_default().extend(v);
+                for (k, mut v) in part {
+                    acc.entry(k).or_default().append(&mut v);
                 }
                 acc
             },
         )
         .unwrap_or_default();
+    for pages in concept_pages.values_mut() {
+        pages.sort_unstable();
+        pages.dedup();
+    }
     let concept_names: Vec<&str> = concept_pages.keys().copied().collect();
     let infos: Vec<ConceptInfo> = rt.par_index_map(concept_names.len(), |i| {
         let entities = &concept_pages[concept_names[i]];
@@ -195,7 +199,11 @@ pub fn filter(
         if a.entities.len() < cfg.min_extent || b.entities.len() < cfg.min_extent {
             return false;
         }
-        let inter = a.entities.intersection(b.entities).count() as f64;
+        let mut pair = [a.entities, b.entities];
+        pair.sort_by_key(|pages| pages.len());
+        let [small, large] = pair;
+        let inter = small.iter().filter(|p| large.binary_search(p).is_ok());
+        let inter = inter.count() as f64;
         let union = (a.entities.len() + b.entities.len()) as f64 - inter;
         let jaccard = if union == 0.0 { 0.0 } else { inter / union };
         if jaccard > cfg.max_jaccard {
