@@ -899,8 +899,7 @@ impl FrozenTaxonomyView {
         if start.index() >= self.n_concepts {
             return Vec::new();
         }
-        // One flag per entry of the concept table `open` validated, which
-        // holds four input bytes per concept.
+        // One flag per 4-byte entry of the concept table `open` validated.
         let mut seen = vec![false; self.n_concepts];
         let mut order = Vec::new();
         let mut queue = std::collections::VecDeque::new();

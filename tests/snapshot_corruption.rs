@@ -413,18 +413,14 @@ fn sidecar_bytes() -> Vec<u8> {
     d.encode().to_vec()
 }
 
-fn decode_sidecar(bytes: &[u8]) -> Result<DeltaOverlay, PersistError> {
-    peak_of("sidecar", SIDECAR, bytes.len(), || {
-        DeltaOverlay::decode(bytes)
-    })
-}
-
 /// `/admin/ingest` hands request bodies straight to the sidecar decoder.
 /// Every cut and every flip of a sidecar is an error. So is an op count or
 /// a string length of `u32::MAX` under a re-sealed checksum; that word
 /// anywhere else may decode (a NaN confidence). All stay within the bound.
 #[test]
 fn sidecar_hostile_inputs_error_without_overallocating() {
+    let decode_sidecar =
+        |b: &[u8]| peak_of("sidecar", SIDECAR, b.len(), || DeltaOverlay::decode(b));
     let bytes = sidecar_bytes();
     assert_eq!(decode_sidecar(&bytes).expect("baseline").num_ops(), 400);
     let body = bytes.len() - 8;
@@ -456,13 +452,6 @@ fn sidecar_hostile_inputs_error_without_overallocating() {
 
 // ----- HTTP and the JSON wire -----------------------------------------------
 
-/// Reads one request through a fresh `BufReader`, under [`HTTP`]'s bound.
-fn read_request(bytes: &[u8]) -> Result<Option<http::Request>, HttpError> {
-    peak_of("read_request", HTTP, bytes.len(), || {
-        http::read_request(&mut std::io::BufReader::new(bytes), MAX_BODY_BYTES)
-    })
-}
-
 fn post(content_length: usize, body: &[u8]) -> Vec<u8> {
     let head = format!("POST /v1/query HTTP/1.1\r\nContent-Length: {content_length}\r\n\r\n");
     [head.as_bytes(), body].concat()
@@ -472,6 +461,10 @@ fn post(content_length: usize, body: &[u8]) -> Vec<u8> {
 /// megabyte and sends a few bytes costs a few bytes, whatever the cap.
 #[test]
 fn http_bodies_allocate_what_arrives_not_what_is_claimed() {
+    let read_request = |bytes: &[u8]| {
+        let read = || http::read_request(&mut std::io::BufReader::new(bytes), MAX_BODY_BYTES);
+        peak_of("read_request", HTTP, bytes.len(), read)
+    };
     for claimed in [1_000_000, MAX_BODY_BYTES] {
         let err = read_request(&post(claimed, b"{}")).expect_err("short body");
         assert_eq!(
@@ -494,18 +487,14 @@ fn http_bodies_allocate_what_arrives_not_what_is_claimed() {
     assert!(matches!(res, Err(HttpError::Malformed(_))));
 }
 
-/// Parses and decodes a `/v1/query` body; whether it decoded.
-fn decode_body(body: &str) -> bool {
-    let query = peak_of("json + wire", WIRE, body.len(), || {
-        Json::parse(body).map(|doc| wire::decode_query(&doc))
-    });
-    matches!(query, Ok(Ok(_)))
-}
-
 /// A page `limit`, an array's length or a nesting depth costs what the
 /// request spelled out, never what it claims.
 #[test]
 fn wire_requests_decode_within_bounds() {
+    let decode_body = |body: &str| {
+        let decode = || Json::parse(body).map(|doc| wire::decode_query(&doc));
+        matches!(peak_of("json + wire", WIRE, body.len(), decode), Ok(Ok(_)))
+    };
     let good = r#"{"op":"getEntity","concept":"人物","options":{"limit":10}}"#;
     assert!(decode_body(good));
     for limit in ["4294967295", "18446744073709551615", "1e300", "-1"] {
