@@ -1003,6 +1003,39 @@ mod tests {
     }
 
     #[test]
+    fn delta_decode_rejects_corruption() {
+        let d = demo_delta();
+        let bytes = encode_delta(&d);
+        assert!(matches!(
+            decode_delta(&bytes[..bytes.len() - 1]),
+            Err(PersistError::BadChecksum)
+        ));
+        assert!(matches!(
+            decode_delta(&bytes[..10]),
+            Err(PersistError::Truncated(_))
+        ));
+        let mut flipped = bytes.to_vec();
+        flipped[13] ^= 0xff;
+        assert!(decode_delta(&flipped).is_err());
+        let mut wrong_magic = bytes.to_vec();
+        wrong_magic[0] = b'X';
+        assert!(matches!(
+            decode_delta(&wrong_magic),
+            Err(PersistError::BadMagic)
+        ));
+    }
+
+    /// `/admin/ingest` hands request bodies straight to this decoder: a
+    /// sidecar cut anywhere is a typed error, never a panic.
+    #[test]
+    fn truncation_rejected_everywhere() {
+        let bytes = encode_delta(&demo_delta());
+        for cut in 0..bytes.len() {
+            assert!(decode_delta(&bytes[..cut]).is_err(), "cut at {cut} decoded");
+        }
+    }
+
+    #[test]
     fn delta_decode_rejects_snapshot_magic() {
         let snapshot = encode_frozen_v3(&FrozenTaxonomy::freeze(&demo_store()));
         assert!(matches!(

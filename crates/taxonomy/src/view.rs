@@ -1725,4 +1725,23 @@ pub(crate) mod tests {
             Bytes::copy_from_slice(view.as_bytes())
         );
     }
+
+    #[test]
+    fn v2_bytes_are_rejected() {
+        // What is left of a v2 file for this reader: its header.
+        let mut bytes = b"CNPB\x02\x00\x00\x00".to_vec();
+        bytes.extend_from_slice(b"INTR and the rest of an owned-CSR body");
+        let err = FrozenTaxonomyView::open(Bytes::from(bytes)).unwrap_err();
+        assert!(matches!(err, PersistError::BadVersion(2)));
+    }
+
+    #[test]
+    fn every_truncation_prefix_errors_cleanly() {
+        let (_, view) = demo_view();
+        let bytes = view.as_bytes();
+        for cut in 0..bytes.len() {
+            let res = FrozenTaxonomyView::open(Bytes::copy_from_slice(&bytes[..cut]));
+            assert!(res.is_err(), "prefix of {cut} bytes unexpectedly opened");
+        }
+    }
 }
