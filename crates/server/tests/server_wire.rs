@@ -820,3 +820,210 @@ fn tag_endpoint_serves_documents_and_counts_its_kind() {
     assert!(requests > 5);
     handle.shutdown();
 }
+
+/// Every reply byte the server writes, pinned: one keep-alive connection
+/// to a pipeline-built `small` snapshot sends every lookup op, a
+/// paginated walk that follows `next`, the unknown-name refusals, each
+/// kind of bad cursor, a tag document, a batch, a body that is not JSON,
+/// an ingest and the health probe. The constants were captured before
+/// replies were written straight into the connection's buffer; any faster
+/// encoder must write the same bytes.
+#[test]
+fn server_replies_match_their_golden_hash() {
+    use cnp_core::{Pipeline, PipelineConfig};
+    use cnp_encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cnp_taxonomy::EntityId;
+
+    const REPLIES: usize = 30;
+    const BODY_BYTES: usize = 43_247;
+    const HASH: u64 = 0x5999_c4f9_c73f_ce1f;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(931)).generate();
+    let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
+    let view = FrozenTaxonomyView::open(encode_frozen_v3(&outcome.freeze())).unwrap();
+
+    // Names come from the snapshot: the first mention with two senses,
+    // and the full key of its first sense.
+    let mention = (0..view.num_entities() as u32)
+        .map(|e| view.resolve(view.entity(EntityId(e)).name).to_string())
+        .find(|m| view.men2ent(m).len() >= 2)
+        .expect("an ambiguous mention");
+    let key = view.entity_key(view.men2ent(&mention)[0]);
+    let text: String = corpus
+        .pages
+        .iter()
+        .map(|p| p.abstract_text.as_str())
+        .filter(|a| !a.is_empty())
+        .take(4)
+        .collect();
+
+    let handle = serve(
+        Arc::new(Service::new(OverlayView::new(view))),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = BufWriter::new(stream);
+    let mut replies: Vec<(u16, Vec<u8>)> = Vec::new();
+    let mut send = |method: &str, path: &str, body: &[u8]| -> Json {
+        let payload = (!body.is_empty()).then_some(body);
+        http::write_request(&mut writer, method, path, payload, true).unwrap();
+        let reply = http::read_client_response(&mut reader, http::MAX_BODY_BYTES)
+            .unwrap()
+            .expect("the server closed the connection");
+        let doc = Json::parse(std::str::from_utf8(&reply.body).unwrap()).unwrap();
+        replies.push((reply.status, reply.body));
+        doc
+    };
+    let mut query = |q: &Query| {
+        send(
+            "POST",
+            "/v1/query",
+            wire::encode_query(q).write().as_bytes(),
+        )
+    };
+
+    let listed = ListOptions::transitive().with_min_confidence(0.25);
+    for q in [
+        Query::men2ent(mention.clone()),
+        Query::MentionSenses {
+            mention: mention.clone(),
+        },
+        Query::GetConcept {
+            entity: key.clone(),
+            options: listed.clone(),
+        },
+        Query::GetConceptByMention {
+            mention: mention.clone(),
+            options: ListOptions::default(),
+        },
+        Query::GetEntity {
+            concept: "歌手".to_string(),
+            options: ListOptions::default(),
+        },
+        Query::AncestorsOf {
+            concept: "流行歌手".to_string(),
+        },
+        Query::IsA {
+            sub: mention.clone(),
+            sup: "人物".to_string(),
+            transitive: true,
+        },
+        Query::men2ent("不存在的提及"),
+        Query::GetConcept {
+            entity: "不存在（的实体）".to_string(),
+            options: ListOptions::default(),
+        },
+        Query::AncestorsOf {
+            concept: "不存在的概念".to_string(),
+        },
+    ] {
+        query(&q);
+    }
+
+    // Walk 娱乐人物's transitive entities page by page.
+    let walk = |cursor: Option<&str>| Query::GetEntity {
+        concept: "娱乐人物".to_string(),
+        options: listed.clone().with_page(match cursor {
+            None => PageRequest::first(40),
+            Some(token) => PageRequest::after(40, cnp_serve::Cursor::decode(token).unwrap()),
+        }),
+    };
+    let first = query(&walk(None));
+    let mut next = first
+        .get("result")
+        .and_then(|r| r.get("next"))
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    let token = next.clone().expect("more than one page");
+    let mut pages = 1;
+    while let Some(cursor) = next {
+        let page = query(&walk(Some(&cursor)));
+        next = page
+            .get("result")
+            .and_then(|r| r.get("next"))
+            .and_then(Json::as_str)
+            .map(str::to_string);
+        pages += 1;
+        assert!(pages < 100, "the walk does not end");
+    }
+    assert!(pages >= 3, "only {pages} pages");
+
+    // Each way a cursor can be refused.
+    let bad_cursor = |concept: &str, cursor: &str| {
+        format!(
+            r#"{{"op":"getEntity","concept":"{concept}","options":{{"transitive":true,"minConfidence":0.25,"limit":40,"cursor":"{cursor}"}}}}"#
+        )
+    };
+    for body in [
+        bad_cursor("娱乐人物", "v1.garbage"),
+        bad_cursor("歌手", &token),
+        bad_cursor("娱乐人物", &token.replacen(".g1.", ".g7.", 1)),
+        bad_cursor("娱乐人物", &token.replacen(".o40.", ".o999999.", 1)),
+    ] {
+        send("POST", "/v1/query", body.as_bytes());
+    }
+
+    let tag = Json::Obj(vec![("text".to_string(), Json::str(text.clone()))]);
+    send("POST", "/v1/tag", tag.write().as_bytes());
+    let batch = Json::Obj(vec![(
+        "queries".to_string(),
+        Json::Arr(
+            [
+                Query::men2ent(mention.clone()),
+                Query::GetConcept {
+                    entity: key.clone(),
+                    options: ListOptions::transitive(),
+                },
+                Query::GetEntity {
+                    concept: "歌手".to_string(),
+                    options: ListOptions::default().with_page(PageRequest::first(5)),
+                },
+                Query::men2ent("不存在的提及"),
+                Query::Classify {
+                    text: text.clone(),
+                    options: TagOptions::default(),
+                },
+            ]
+            .iter()
+            .map(wire::encode_query)
+            .collect(),
+        ),
+    )]);
+    send("POST", "/v1/batch", batch.write().as_bytes());
+    send("POST", "/v1/query", b"{\"op\":");
+
+    let mut delta = DeltaOverlay::new();
+    delta.add_entity("新人歌手", None);
+    delta.upsert_entity_is_a("新人歌手", None, "歌手", IsAMeta::new(Source::Tag, 0.9));
+    send("POST", "/admin/ingest", &delta.encode());
+    send(
+        "POST",
+        "/v1/query",
+        wire::encode_query(&Query::men2ent("新人歌手"))
+            .write()
+            .as_bytes(),
+    );
+    send("GET", "/v1/health", b"");
+
+    let mut transcript = Vec::new();
+    for (status, body) in &replies {
+        transcript.extend_from_slice(format!("{status} ").as_bytes());
+        transcript.extend_from_slice(body);
+        transcript.push(b'\n');
+    }
+    let body_bytes: usize = replies.iter().map(|(_, body)| body.len()).sum();
+    assert_eq!(
+        (
+            replies.len(),
+            body_bytes,
+            cnp_runtime::stable_hash(&transcript)
+        ),
+        (REPLIES, BODY_BYTES, HASH)
+    );
+    handle.shutdown();
+}
