@@ -357,6 +357,8 @@ fn is_a<T: TaxonomyRead>(
 
 /// Slices a full enumeration into the requested page, validating any
 /// cursor against the query fingerprint and the serving generation.
+/// `limit: 0` is a count: no items, the true `total` and no `next`, which
+/// would only point back at the same empty page.
 fn paginate<T>(
     items: Vec<T>,
     page: &PageRequest,
@@ -386,7 +388,7 @@ fn paginate<T>(
         }
     };
     let end = offset.saturating_add(page.limit).min(total);
-    let next = (end < total).then_some(Cursor {
+    let next = (end < total && page.limit > 0).then_some(Cursor {
         generation,
         offset: end,
         fingerprint,
@@ -485,6 +487,34 @@ mod tests {
             hits.extend(tail.into_iter().map(|c| concept_hit(f, c, false, None)));
         }
         hits
+    }
+
+    #[test]
+    fn limit_zero_counts_without_a_next_cursor() {
+        let fingerprint = 0xfeed;
+        let page = paginate(vec![1, 2, 3], &PageRequest::first(0), fingerprint, 4).unwrap();
+        assert_eq!(
+            page,
+            Paged {
+                items: Vec::<i32>::new(),
+                total: 3,
+                next: None
+            }
+        );
+        // From a cursor too: the whole total, and no way onward.
+        let cursor = Cursor {
+            generation: 4,
+            offset: 1,
+            fingerprint,
+        };
+        let page = paginate(
+            vec![1, 2, 3],
+            &PageRequest::after(0, cursor),
+            fingerprint,
+            4,
+        )
+        .unwrap();
+        assert_eq!((page.items.len(), page.total, page.next), (0, 3, None));
     }
 
     #[test]

@@ -480,6 +480,27 @@ fn stale_cursor_is_refused_with_409_over_the_wire() {
     handle.shutdown();
 }
 
+/// `limit: 0` is a count over the wire: no items, the true total and no
+/// `next`, which would send a client that follows it back to the same
+/// empty page for ever.
+#[test]
+fn limit_zero_counts_without_a_next_cursor_over_the_wire() {
+    let handle = boot(store_b(), ServerConfig::default());
+    let count = Query::GetEntity {
+        concept: "歌手".to_string(),
+        options: ListOptions::transitive().with_page(PageRequest::first(0)),
+    };
+    let (status, doc) = post_query(handle.addr(), &count);
+    assert_eq!(status, 200, "count: {}", doc.write());
+    let Ok(Response::Entities(page)) = wire::decode_response(&doc).unwrap().result else {
+        panic!("expected an entities page: {}", doc.write());
+    };
+    assert!(page.items.is_empty());
+    assert_eq!(page.total, 2);
+    assert_eq!(page.next, None);
+    handle.shutdown();
+}
+
 #[test]
 fn saturated_queue_returns_429_and_recovers() {
     // One worker, one queue slot: the third concurrent connection must be
