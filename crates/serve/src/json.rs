@@ -91,11 +91,11 @@ impl Json {
     }
 
     /// The value as a non-negative integer, if it is a number holding one
-    /// exactly (rejects fractions, negatives and magnitudes beyond 2^53,
-    /// where `f64` stops being exact).
+    /// exactly (rejects fractions, negatives and magnitudes from 2^53 up,
+    /// where `f64` stops being exact: `9007199254740993` parses to 2^53).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9_007_199_254_740_992.0 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -572,6 +572,10 @@ mod tests {
         assert_eq!(Json::Num(7.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1e300).as_u64(), None);
+        let below = Json::parse("9007199254740991").unwrap();
+        assert_eq!(below.as_u64(), Some(9_007_199_254_740_991));
+        // 2^53 + 1 rounds to 2^53 on parse: a different number, refused.
+        assert_eq!(Json::parse("9007199254740993").unwrap().as_u64(), None);
         assert_eq!(Json::Null.as_u64(), None);
     }
 
