@@ -14,7 +14,7 @@
 //! maps): the writer is deterministic, so encode → decode → encode is
 //! byte-identical, which the wire round-trip tests rely on.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts. Deep enough for any protocol
 /// message (the wire format nests < 8 levels), shallow enough that a
@@ -140,7 +140,8 @@ impl Json {
     }
 
     /// Serializes the value. Deterministic: object fields keep insertion
-    /// order, numbers use Rust's shortest round-trip float formatting.
+    /// order, and numbers and strings go through [`write_num`] and
+    /// [`write_str`], the primitives the wire writer uses.
     pub fn write(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out);
@@ -152,39 +153,16 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Shortest representation that round-trips through
-                    // `f64::from_str` — integers print without ".0".
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        out.push_str(&format!("{}", *n as i64));
-                    } else {
-                        out.push_str(&format!("{n}"));
-                    }
-                } else {
-                    // JSON has no NaN/Inf; degrade to null rather than
-                    // emit an unparseable token.
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_into(out);
-                }
-                out.push(']');
-            }
+            Json::Num(n) => write_num(*n, out),
+            Json::Str(s) => write_str(s, out),
+            Json::Arr(items) => write_arr(items, out, Json::write_into),
             Json::Obj(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(k, out);
+                    write_str(k, out);
                     out.push(':');
                     v.write_into(out);
                 }
@@ -194,24 +172,60 @@ impl Json {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// Appends `n` as a JSON number: an integer below 10^15 without a
+/// fraction, anything else in Rust's shortest form that round-trips
+/// through `f64::from_str`. JSON has no NaN or infinity, so those degrade
+/// to `null` rather than emit an unparseable token.
+pub fn write_num(n: f64, out: &mut String) {
+    // `fmt::Write` for `String` never fails.
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
     }
+}
+
+/// Appends `s` as a JSON string literal. Only `"`, `\` and the control
+/// characters below U+0020 are escaped; every other character, non-BMP
+/// ones included, is copied as it is.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
+    // Every byte that needs an escape is ASCII, so the runs copied between
+    // escapes start and end on character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(s.get(run..i).unwrap_or_default());
+        run = i + 1;
+        let _ = match b {
+            b'"' => out.write_str("\\\""),
+            b'\\' => out.write_str("\\\\"),
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            0x08 => out.write_str("\\b"),
+            0x0c => out.write_str("\\f"),
+            _ => write!(out, "\\u{b:04x}"),
+        };
+    }
+    out.push_str(s.get(run..).unwrap_or_default());
+    out.push('"');
+}
+
+/// Appends `items` as a JSON array, each element written by `item`.
+pub fn write_arr<T>(items: &[T], out: &mut String, item: impl Fn(&T, &mut String)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(x, out);
+    }
+    out.push(']');
 }
 
 struct Parser<'a> {

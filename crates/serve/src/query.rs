@@ -4,6 +4,7 @@
 use crate::response::CursorError;
 use cnp_runtime::stable_hash_str;
 use cnp_tag::TagOptions;
+use std::fmt::Write as _;
 
 /// Which page of a list result to return.
 ///
@@ -273,10 +274,20 @@ impl Cursor {
 
     /// Serializes the cursor into a wire token.
     pub fn encode(&self) -> String {
-        format!(
+        let mut token = String::new();
+        self.write_token(&mut token);
+        token
+    }
+
+    /// Appends the [`Cursor::encode`] token to `out`. The token is ASCII
+    /// letters, digits and dots only, so it needs no JSON escaping.
+    pub(crate) fn write_token(&self, out: &mut String) {
+        // `fmt::Write` for `String` never fails.
+        let _ = write!(
+            out,
             "v1.g{}.o{}.q{:016x}",
             self.generation, self.offset, self.fingerprint
-        )
+        );
     }
 
     /// Parses a wire token produced by [`Cursor::encode`].

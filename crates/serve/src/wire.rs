@@ -29,8 +29,14 @@
 //! harness and any non-Rust client can rely on the documented shape.
 //! Pagination cursors travel as the opaque tokens of
 //! [`Cursor::encode`] / [`Cursor::decode`].
+//!
+//! Replies are written, not built: [`write_response`] appends a reply
+//! straight to a caller-owned `String` through the number and string
+//! primitives [`Json::write`] also uses, so the server allocates no tree.
+//! [`encode_response`] parses that output back for callers that want a
+//! tree. Requests are still parsed into a [`Json`] tree and decoded.
 
-use crate::json::Json;
+use crate::json::{write_arr, write_num, write_str, Json};
 use crate::query::{Cursor, ListOptions, PageRequest, Query};
 use crate::response::{
     ConceptHit, CursorError, EntityHit, Paged, QueryError, QueryResponse, Response, Sense,
@@ -329,18 +335,182 @@ fn decode_tag_options(doc: Option<&Json>) -> Result<TagOptions, WireError> {
 
 // ----- QueryResponse -------------------------------------------------------
 
-/// Encodes a [`QueryResponse`] envelope: `generation` plus either
-/// `result` or `error`.
-pub fn encode_response(response: &QueryResponse) -> Json {
-    let mut fields = vec![(
-        "generation".to_string(),
-        Json::num(response.generation as f64),
-    )];
+/// Appends `response`'s wire document to `out`: `generation` plus either
+/// `result` or `error`. This is the one description of the reply shape;
+/// the server writes every reply through it into the connection's buffer.
+pub fn write_response(response: &QueryResponse, out: &mut String) {
+    num(out, r#"{"generation":"#, response.generation as f64);
     match &response.result {
-        Ok(result) => fields.push(("result".to_string(), encode_result(result))),
-        Err(error) => fields.push(("error".to_string(), encode_error(error))),
+        Ok(result) => {
+            out.push_str(r#","result":"#);
+            write_result(result, out);
+        }
+        Err(error) => {
+            out.push_str(r#","error":"#);
+            write_error(error, out);
+        }
     }
-    Json::Obj(fields)
+    out.push('}');
+}
+
+/// [`write_response`]'s bytes parsed back into a [`Json`] tree, for
+/// callers that want a tree (`benchmark/`'s per-layer replay times this
+/// name). Its `write()` gives the writer's bytes again; the server never
+/// calls it.
+pub fn encode_response(response: &QueryResponse) -> Json {
+    let mut out = String::new();
+    write_response(response, &mut out);
+    Json::parse(&out).unwrap_or(Json::Null)
+}
+
+// Each `key` below is a literal `"name":` fragment together with the `{`
+// or `,` before it, so a field costs one `push_str` besides its value.
+
+fn num(out: &mut String, key: &str, n: impl Into<f64>) {
+    out.push_str(key);
+    write_num(n.into(), out);
+}
+
+fn text(out: &mut String, key: &str, s: &str) {
+    out.push_str(key);
+    write_str(s, out);
+}
+
+fn list<T>(out: &mut String, key: &str, items: &[T], item: impl Fn(&T, &mut String)) {
+    out.push_str(key);
+    write_arr(items, out, item);
+}
+
+fn write_error(error: &QueryError, out: &mut String) {
+    text(out, r#"{"kind":"#, error_kind(error));
+    match error {
+        QueryError::UnknownMention(name)
+        | QueryError::UnknownEntity(name)
+        | QueryError::UnknownConcept(name) => text(out, r#","name":"#, name),
+        QueryError::InvalidCursor(cursor_error) => {
+            out.push_str(r#","cursor":{"kind":"#);
+            match cursor_error {
+                CursorError::Malformed => out.push_str(r#""malformed""#),
+                CursorError::WrongGeneration { cursor, serving } => {
+                    num(out, r#""wrongGeneration","cursor":"#, *cursor as f64);
+                    num(out, r#","serving":"#, *serving as f64);
+                }
+                CursorError::WrongQuery => out.push_str(r#""wrongQuery""#),
+                CursorError::OutOfRange { offset, total } => {
+                    num(out, r#""outOfRange","offset":"#, *offset as f64);
+                    num(out, r#","total":"#, *total as f64);
+                }
+            }
+            out.push('}');
+        }
+    }
+    out.push('}');
+}
+
+fn write_result(result: &Response, out: &mut String) {
+    match result {
+        Response::Senses(senses) => items(out, "senses", senses, write_sense),
+        Response::SenseConcepts(senses) => items(out, "senseConcepts", senses, |item, out| {
+            out.push_str(r#"{"sense":"#);
+            write_sense(&item.sense, out);
+            list(out, r#","concepts":"#, &item.concepts, write_concept_hit);
+            out.push('}');
+        }),
+        Response::Concepts(page) => write_page("concepts", page, out, write_concept_hit),
+        Response::Entities(page) => write_page("entities", page, out, write_entity_hit),
+        Response::Ancestors(hits) => items(out, "ancestors", hits, write_concept_hit),
+        Response::IsA { holds } => {
+            out.push_str(r#"{"type":"isA","holds":"#);
+            out.push_str(if *holds { "true" } else { "false" });
+        }
+        Response::Tags(output) => {
+            out.push_str(r#"{"type":"tags""#);
+            list(out, r#","spans":"#, &output.spans, write_tag_span);
+            list(out, r#","concepts":"#, &output.concepts, write_tag_hit);
+        }
+        Response::Classified(hits) => items(out, "classified", hits, write_tag_hit),
+    }
+    out.push('}');
+}
+
+/// Writes `{"type":kind,"items":[…]` and leaves the object open.
+fn items<T>(out: &mut String, kind: &str, items: &[T], item: impl Fn(&T, &mut String)) {
+    text(out, r#"{"type":"#, kind);
+    list(out, r#","items":"#, items, item);
+}
+
+/// Writes a page object, all but its closing brace.
+fn write_page<T>(kind: &str, page: &Paged<T>, out: &mut String, item: fn(&T, &mut String)) {
+    items(out, kind, &page.items, item);
+    num(out, r#","total":"#, page.total as f64);
+    out.push_str(r#","next":"#);
+    match &page.next {
+        Some(cursor) => {
+            out.push('"');
+            cursor.write_token(out);
+            out.push('"');
+        }
+        None => out.push_str("null"),
+    }
+}
+
+fn write_sense(sense: &Sense, out: &mut String) {
+    num(out, r#"{"id":"#, sense.id.0);
+    text(out, r#","name":"#, &sense.name);
+    match &sense.disambig {
+        Some(d) => text(out, r#","disambig":"#, d),
+        None => out.push_str(r#","disambig":null"#),
+    }
+    text(out, r#","key":"#, &sense.key);
+    out.push('}');
+}
+
+fn write_concept_hit(hit: &ConceptHit, out: &mut String) {
+    num(out, r#"{"id":"#, hit.id.0);
+    text(out, r#","name":"#, &hit.name);
+    num(out, r#","depth":"#, hit.depth);
+    out.push_str(r#","direct":"#);
+    out.push_str(if hit.direct { "true" } else { "false" });
+    match hit.confidence {
+        Some(c) => num(out, r#","confidence":"#, c),
+        None => out.push_str(r#","confidence":null"#),
+    }
+    out.push('}');
+}
+
+fn write_entity_hit(hit: &EntityHit, out: &mut String) {
+    num(out, r#"{"id":"#, hit.id.0);
+    text(out, r#","key":"#, &hit.key);
+    num(out, r#","via":"#, hit.via.0);
+    num(out, r#","confidence":"#, hit.confidence);
+    out.push('}');
+}
+
+fn write_tag_span(span: &TagSpan, out: &mut String) {
+    num(out, r#"{"start":"#, span.start);
+    num(out, r#","end":"#, span.end);
+    text(out, r#","text":"#, &span.text);
+    match &span.kind {
+        SpanKind::Entities(ids) => {
+            list(out, r#","kind":"entities","entities":"#, ids, |id, out| {
+                write_num(f64::from(id.0), out);
+            });
+        }
+        SpanKind::Concept(id) => num(out, r#","kind":"concept","concept":"#, id.0),
+        SpanKind::NamedEntity => out.push_str(r#","kind":"namedEntity""#),
+    }
+    out.push('}');
+}
+
+fn write_tag_hit(hit: &TagHit, out: &mut String) {
+    num(out, r#"{"id":"#, hit.id.0);
+    text(out, r#","name":"#, &hit.name);
+    num(out, r#","depth":"#, hit.depth);
+    num(out, r#","score":"#, hit.score);
+    list(out, r#","evidence":"#, &hit.evidence, |&i, out| {
+        write_num(f64::from(i), out);
+    });
+    out.push('}');
 }
 
 /// Decodes a wire envelope back into a [`QueryResponse`].
@@ -359,35 +529,6 @@ pub fn decode_response(doc: &Json) -> Result<QueryResponse, WireError> {
         }
     };
     Ok(QueryResponse { generation, result })
-}
-
-fn encode_error(error: &QueryError) -> Json {
-    let mut fields = vec![("kind".to_string(), Json::str(error_kind(error)))];
-    match error {
-        QueryError::UnknownMention(name)
-        | QueryError::UnknownEntity(name)
-        | QueryError::UnknownConcept(name) => {
-            fields.push(("name".to_string(), Json::str(name.clone())));
-        }
-        QueryError::InvalidCursor(cursor_error) => {
-            let cursor = match cursor_error {
-                CursorError::Malformed => vec![("kind".to_string(), Json::str("malformed"))],
-                CursorError::WrongGeneration { cursor, serving } => vec![
-                    ("kind".to_string(), Json::str("wrongGeneration")),
-                    ("cursor".to_string(), Json::num(*cursor as f64)),
-                    ("serving".to_string(), Json::num(*serving as f64)),
-                ],
-                CursorError::WrongQuery => vec![("kind".to_string(), Json::str("wrongQuery"))],
-                CursorError::OutOfRange { offset, total } => vec![
-                    ("kind".to_string(), Json::str("outOfRange")),
-                    ("offset".to_string(), Json::num(*offset as f64)),
-                    ("total".to_string(), Json::num(*total as f64)),
-                ],
-            };
-            fields.push(("cursor".to_string(), Json::Obj(cursor)));
-        }
-    }
-    Json::Obj(fields)
 }
 
 fn decode_error(doc: &Json) -> Result<QueryError, WireError> {
@@ -420,69 +561,6 @@ fn decode_error(doc: &Json) -> Result<QueryError, WireError> {
             Ok(QueryError::InvalidCursor(cursor_error))
         }
         other => Err(WireError::new(format!("unknown error kind {other:?}"))),
-    }
-}
-
-fn encode_result(result: &Response) -> Json {
-    match result {
-        Response::Senses(senses) => Json::Obj(vec![
-            ("type".to_string(), Json::str("senses")),
-            (
-                "items".to_string(),
-                Json::Arr(senses.iter().map(encode_sense).collect()),
-            ),
-        ]),
-        Response::SenseConcepts(items) => Json::Obj(vec![
-            ("type".to_string(), Json::str("senseConcepts")),
-            (
-                "items".to_string(),
-                Json::Arr(
-                    items
-                        .iter()
-                        .map(|sc| {
-                            Json::Obj(vec![
-                                ("sense".to_string(), encode_sense(&sc.sense)),
-                                (
-                                    "concepts".to_string(),
-                                    Json::Arr(sc.concepts.iter().map(encode_concept_hit).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Response::Concepts(page) => encode_page("concepts", page, encode_concept_hit),
-        Response::Entities(page) => encode_page("entities", page, encode_entity_hit),
-        Response::Ancestors(hits) => Json::Obj(vec![
-            ("type".to_string(), Json::str("ancestors")),
-            (
-                "items".to_string(),
-                Json::Arr(hits.iter().map(encode_concept_hit).collect()),
-            ),
-        ]),
-        Response::IsA { holds } => Json::Obj(vec![
-            ("type".to_string(), Json::str("isA")),
-            ("holds".to_string(), Json::Bool(*holds)),
-        ]),
-        Response::Tags(output) => Json::Obj(vec![
-            ("type".to_string(), Json::str("tags")),
-            (
-                "spans".to_string(),
-                Json::Arr(output.spans.iter().map(encode_tag_span).collect()),
-            ),
-            (
-                "concepts".to_string(),
-                Json::Arr(output.concepts.iter().map(encode_tag_hit).collect()),
-            ),
-        ]),
-        Response::Classified(hits) => Json::Obj(vec![
-            ("type".to_string(), Json::str("classified")),
-            (
-                "items".to_string(),
-                Json::Arr(hits.iter().map(encode_tag_hit).collect()),
-            ),
-        ]),
     }
 }
 
@@ -545,24 +623,6 @@ fn decode_result(doc: &Json) -> Result<Response, WireError> {
     }
 }
 
-fn encode_page<T>(kind: &str, page: &Paged<T>, item: impl Fn(&T) -> Json) -> Json {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str(kind)),
-        (
-            "items".to_string(),
-            Json::Arr(page.items.iter().map(item).collect()),
-        ),
-        ("total".to_string(), Json::num(page.total as f64)),
-        (
-            "next".to_string(),
-            match &page.next {
-                Some(cursor) => Json::str(cursor.encode()),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
 fn decode_page<T>(
     doc: &Json,
     item: impl Fn(&Json) -> Result<T, WireError>,
@@ -585,21 +645,6 @@ fn decode_page<T>(
     Ok(Paged { items, total, next })
 }
 
-fn encode_sense(sense: &Sense) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::num(f64::from(sense.id.0))),
-        ("name".to_string(), Json::str(sense.name.clone())),
-        (
-            "disambig".to_string(),
-            match &sense.disambig {
-                Some(d) => Json::str(d.clone()),
-                None => Json::Null,
-            },
-        ),
-        ("key".to_string(), Json::str(sense.key.clone())),
-    ])
-}
-
 fn decode_sense(doc: &Json) -> Result<Sense, WireError> {
     Ok(Sense {
         id: EntityId(req_u32(doc, "id")?),
@@ -616,22 +661,6 @@ fn decode_sense(doc: &Json) -> Result<Sense, WireError> {
     })
 }
 
-fn encode_concept_hit(hit: &ConceptHit) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::num(f64::from(hit.id.0))),
-        ("name".to_string(), Json::str(hit.name.clone())),
-        ("depth".to_string(), Json::num(f64::from(hit.depth))),
-        ("direct".to_string(), Json::Bool(hit.direct)),
-        (
-            "confidence".to_string(),
-            match hit.confidence {
-                Some(c) => Json::num(f64::from(c)),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
 fn decode_concept_hit(doc: &Json) -> Result<ConceptHit, WireError> {
     Ok(ConceptHit {
         id: ConceptId(req_u32(doc, "id")?),
@@ -646,31 +675,6 @@ fn decode_concept_hit(doc: &Json) -> Result<ConceptHit, WireError> {
             Some(v) => Some(v.as_f64().ok_or_else(|| type_err("confidence", "number"))? as f32),
         },
     })
-}
-
-fn encode_tag_span(span: &TagSpan) -> Json {
-    let mut fields = vec![
-        ("start".to_string(), Json::num(f64::from(span.start))),
-        ("end".to_string(), Json::num(f64::from(span.end))),
-        ("text".to_string(), Json::str(span.text.clone())),
-    ];
-    match &span.kind {
-        SpanKind::Entities(ids) => {
-            fields.push(("kind".to_string(), Json::str("entities")));
-            fields.push((
-                "entities".to_string(),
-                Json::Arr(ids.iter().map(|id| Json::num(f64::from(id.0))).collect()),
-            ));
-        }
-        SpanKind::Concept(id) => {
-            fields.push(("kind".to_string(), Json::str("concept")));
-            fields.push(("concept".to_string(), Json::num(f64::from(id.0))));
-        }
-        SpanKind::NamedEntity => {
-            fields.push(("kind".to_string(), Json::str("namedEntity")));
-        }
-    }
-    Json::Obj(fields)
 }
 
 fn decode_tag_span(doc: &Json) -> Result<TagSpan, WireError> {
@@ -698,24 +702,6 @@ fn decode_tag_span(doc: &Json) -> Result<TagSpan, WireError> {
     })
 }
 
-fn encode_tag_hit(hit: &TagHit) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::num(f64::from(hit.id.0))),
-        ("name".to_string(), Json::str(hit.name.clone())),
-        ("depth".to_string(), Json::num(f64::from(hit.depth))),
-        ("score".to_string(), Json::num(f64::from(hit.score))),
-        (
-            "evidence".to_string(),
-            Json::Arr(
-                hit.evidence
-                    .iter()
-                    .map(|&i| Json::num(f64::from(i)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 fn decode_tag_hit(doc: &Json) -> Result<TagHit, WireError> {
     Ok(TagHit {
         id: ConceptId(req_u32(doc, "id")?),
@@ -734,18 +720,6 @@ fn decode_tag_hit(doc: &Json) -> Result<TagHit, WireError> {
             })
             .collect::<Result<_, _>>()?,
     })
-}
-
-fn encode_entity_hit(hit: &EntityHit) -> Json {
-    Json::Obj(vec![
-        ("id".to_string(), Json::num(f64::from(hit.id.0))),
-        ("key".to_string(), Json::str(hit.key.clone())),
-        ("via".to_string(), Json::num(f64::from(hit.via.0))),
-        (
-            "confidence".to_string(),
-            Json::num(f64::from(hit.confidence)),
-        ),
-    ])
 }
 
 fn decode_entity_hit(doc: &Json) -> Result<EntityHit, WireError> {
@@ -893,10 +867,11 @@ mod tests {
     }
 
     fn response_round_trip(r: QueryResponse) {
-        let doc = encode_response(&r);
-        let text = doc.write();
+        let mut text = String::new();
+        write_response(&r, &mut text);
         let back = decode_response(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r, "wire round trip diverged for {text}");
+        assert_eq!(encode_response(&r).write(), text, "the tree shim drifted");
     }
 
     fn sample_sense() -> Sense {

@@ -11,7 +11,8 @@
 //!    control]).
 //! 2. A worker pops the connection and serves its keep-alive request
 //!    loop: parse (hard size caps, typed 400/413/405 on hostile input),
-//!    route, execute on the [`Service`], write the JSON response.
+//!    route, execute on the [`Service`], write the JSON reply straight
+//!    into the connection's one reusable body buffer.
 //! 3. Snapshot reloads (`POST /admin/reload`) go through the service's
 //!    generation hot-swap: the load happens on the worker, **no lock is
 //!    held against readers**, in-flight queries drain on the generation
@@ -24,7 +25,7 @@
 use crate::http::{self, HttpError, Request};
 use crate::stats::{QueryKind, ServerStats};
 use cnp_runtime::{BoundedQueue, PushError, WorkerPool};
-use cnp_serve::json::Json;
+use cnp_serve::json::{self, Json};
 use cnp_serve::{wire, Query, TaxonomyService};
 use cnp_taxonomy::{DeltaOverlay, FrozenTaxonomyView, OverlayView};
 use std::io::{BufReader, BufWriter, Write};
@@ -278,22 +279,25 @@ fn refuse_overloaded(stream: TcpStream, shared: &Shared) {
     shared.stats.refused();
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut writer = BufWriter::new(stream);
-    let body = error_body("overloaded", "server work queue is full; retry later");
-    let _ = http::write_response(&mut writer, 429, body.as_bytes(), false);
+    let mut body = String::new();
+    let detail = "server work queue is full; retry later";
+    let status = refuse(429, "overloaded", detail, &mut body);
+    let _ = http::write_response(&mut writer, status, body.as_bytes(), false);
 }
 
-fn error_body(kind: &str, detail: &str) -> String {
-    Json::Obj(vec![(
-        "error".to_string(),
-        Json::Obj(vec![
-            ("kind".to_string(), Json::str(kind)),
-            ("detail".to_string(), Json::str(detail)),
-        ]),
-    )])
-    .write()
+/// Writes `{"error":{"kind":…,"detail":…}}`, the body of every refusal
+/// that is not a typed query error, and returns the status it goes with.
+fn refuse(status: u16, kind: &str, detail: &str, out: &mut String) -> u16 {
+    out.push_str(r#"{"error":{"kind":"#);
+    json::write_str(kind, out);
+    out.push_str(r#","detail":"#);
+    json::write_str(detail, out);
+    out.push_str("}}");
+    status
 }
 
 /// One worker's whole tenure on one connection: the keep-alive loop.
+/// Every reply body is written into one buffer, reused for each request.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
@@ -303,11 +307,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
+    let mut body = String::new();
 
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
+        body.clear();
         let request = match http::read_request(&mut reader, http::MAX_BODY_BYTES) {
             Ok(None) => break, // clean keep-alive end
             Ok(Some(request)) => request,
@@ -327,14 +333,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 shared.stats.request();
                 shared.stats.malformed();
                 shared.stats.response(status);
-                let body = error_body("badRequest", &error.to_string());
+                refuse(status, "badRequest", &error.to_string(), &mut body);
                 let _ = http::write_response(&mut writer, status, body.as_bytes(), false);
                 break; // framing is unreliable after any of these
             }
         };
         shared.stats.request();
         let keep_alive = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
-        let (status, body) = route(&request, shared);
+        let status = route(&request, shared, &mut body);
         shared.stats.response(status);
         if http::write_response(&mut writer, status, body.as_bytes(), keep_alive).is_err() {
             break;
@@ -346,60 +352,53 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let _ = writer.flush();
 }
 
-/// Maps one parsed request to `(status, JSON body)`.
-fn route(request: &Request, shared: &Shared) -> (u16, String) {
+/// Answers one parsed request: writes its JSON body into `out` and
+/// returns the status.
+fn route(request: &Request, shared: &Shared, out: &mut String) -> u16 {
     match (request.method.as_str(), request.target.as_str()) {
-        ("GET", "/v1/health") => health(shared),
-        ("POST", "/v1/query") => query(&request.body, shared),
-        ("POST", "/v1/tag") => tag(&request.body, shared),
-        ("POST", "/v1/batch") => batch(&request.body, shared),
-        ("POST", "/admin/reload") => reload(shared),
-        ("POST", "/admin/ingest") => ingest(&request.body, shared),
+        ("GET", "/v1/health") => health(shared, out),
+        ("POST", "/v1/query") => query(&request.body, shared, out),
+        ("POST", "/v1/tag") => tag(&request.body, shared, out),
+        ("POST", "/v1/batch") => batch(&request.body, shared, out),
+        ("POST", "/admin/reload") => reload(shared, out),
+        ("POST", "/admin/ingest") => ingest(&request.body, shared, out),
         ("GET", "/v1/query" | "/v1/tag" | "/v1/batch" | "/admin/reload" | "/admin/ingest")
-        | ("POST", "/v1/health") => (
+        | ("POST", "/v1/health") => refuse(
             405,
-            error_body("methodNotAllowed", "wrong method for this endpoint"),
+            "methodNotAllowed",
+            "wrong method for this endpoint",
+            out,
         ),
-        _ => (404, error_body("notFound", "unknown endpoint")),
+        _ => refuse(404, "notFound", "unknown endpoint", out),
     }
 }
 
-fn health(shared: &Shared) -> (u16, String) {
+fn health(shared: &Shared, out: &mut String) -> u16 {
     let stats = shared.stats.snapshot();
-    let body = Json::Obj(vec![
-        ("status".to_string(), Json::str("ok")),
-        (
-            "generation".to_string(),
-            Json::num(shared.service.generation() as f64),
-        ),
-        (
-            "stats".to_string(),
-            Json::Obj(vec![
-                (
-                    "connections".to_string(),
-                    Json::num(stats.connections as f64),
-                ),
-                ("requests".to_string(), Json::num(stats.requests as f64)),
-                (
-                    "responsesOk".to_string(),
-                    Json::num(stats.responses_ok as f64),
-                ),
-                (
-                    "responsesError".to_string(),
-                    Json::num(stats.responses_error as f64),
-                ),
-                ("overloaded".to_string(), Json::num(stats.overloaded as f64)),
-                ("malformed".to_string(), Json::num(stats.malformed as f64)),
-                (
-                    "kindLookup".to_string(),
-                    Json::num(stats.kind_lookup as f64),
-                ),
-                ("kindTag".to_string(), Json::num(stats.kind_tag as f64)),
-                ("kindBatch".to_string(), Json::num(stats.kind_batch as f64)),
-            ]),
-        ),
-    ]);
-    (200, body.write())
+    out.push_str(r#"{"status":"ok","generation":"#);
+    json::write_num(shared.service.generation() as f64, out);
+    out.push_str(r#","stats":{"#);
+    let counters = [
+        ("connections", stats.connections),
+        ("requests", stats.requests),
+        ("responsesOk", stats.responses_ok),
+        ("responsesError", stats.responses_error),
+        ("overloaded", stats.overloaded),
+        ("malformed", stats.malformed),
+        ("kindLookup", stats.kind_lookup),
+        ("kindTag", stats.kind_tag),
+        ("kindBatch", stats.kind_batch),
+    ];
+    for (i, (name, count)) in counters.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_str(name, out);
+        out.push(':');
+        json::write_num(count as f64, out);
+    }
+    out.push_str("}}");
+    200
 }
 
 fn parse_body(body: &[u8]) -> Result<Json, String> {
@@ -407,59 +406,58 @@ fn parse_body(body: &[u8]) -> Result<Json, String> {
     Json::parse(text).map_err(|e| e.to_string())
 }
 
-fn query(body: &[u8], shared: &Shared) -> (u16, String) {
+fn query(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
     let query: Query = match parse_body(body)
         .and_then(|doc| wire::decode_query(&doc).map_err(|e| e.to_string()))
     {
         Ok(query) => query,
-        Err(detail) => return (400, error_body("badRequest", &detail)),
+        Err(detail) => return refuse(400, "badRequest", &detail, out),
     };
     shared.stats.kind(match query {
         Query::Tag { .. } | Query::Classify { .. } => QueryKind::Tag,
         _ => QueryKind::Lookup,
     });
     let response = shared.service.execute(&query);
-    let status = wire::status_for(&response.result);
-    (status, wire::encode_response(&response).write())
+    wire::write_response(&response, out);
+    wire::status_for(&response.result)
 }
 
 /// `POST /v1/tag`: the tagging workload's dedicated endpoint. The body is
 /// the tag query without the `op` envelope (`{"text":…,"options":…}`,
 /// with `"op":"classify"` selecting the concepts-only variant); the
 /// response is the same generation-stamped envelope `/v1/query` writes.
-fn tag(body: &[u8], shared: &Shared) -> (u16, String) {
+fn tag(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
     let query: Query = match parse_body(body)
         .and_then(|doc| wire::decode_tag_query(&doc).map_err(|e| e.to_string()))
     {
         Ok(query) => query,
-        Err(detail) => return (400, error_body("badRequest", &detail)),
+        Err(detail) => return refuse(400, "badRequest", &detail, out),
     };
     shared.stats.kind(QueryKind::Tag);
     let response = shared.service.execute(&query);
-    let status = wire::status_for(&response.result);
-    (status, wire::encode_response(&response).write())
+    wire::write_response(&response, out);
+    wire::status_for(&response.result)
 }
 
-fn batch(body: &[u8], shared: &Shared) -> (u16, String) {
+fn batch(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
     let doc = match parse_body(body) {
         Ok(doc) => doc,
-        Err(detail) => return (400, error_body("badRequest", &detail)),
+        Err(detail) => return refuse(400, "badRequest", &detail, out),
     };
     let Some(items) = doc.get("queries").and_then(Json::as_arr) else {
-        return (
+        return refuse(
             400,
-            error_body("badRequest", "field \"queries\" missing or not an array"),
+            "badRequest",
+            "field \"queries\" missing or not an array",
+            out,
         );
     };
     if items.len() > MAX_BATCH {
-        return (
-            413,
-            error_body("badRequest", "batch exceeds the query-count cap"),
-        );
+        return refuse(413, "badRequest", "batch exceeds the query-count cap", out);
     }
     let queries: Vec<Query> = match items.iter().map(wire::decode_query).collect() {
         Ok(queries) => queries,
-        Err(e) => return (400, error_body("badRequest", &e.to_string())),
+        Err(e) => return refuse(400, "badRequest", &e.to_string(), out),
     };
     shared.stats.kind(QueryKind::Batch);
     let responses = shared.service.execute_batch(&queries);
@@ -467,14 +465,12 @@ fn batch(body: &[u8], shared: &Shared) -> (u16, String) {
         || shared.service.generation(),
         |response| response.generation,
     );
-    let body = Json::Obj(vec![
-        ("generation".to_string(), Json::num(generation as f64)),
-        (
-            "responses".to_string(),
-            Json::Arr(responses.iter().map(wire::encode_response).collect()),
-        ),
-    ]);
-    (200, body.write())
+    out.push_str(r#"{"generation":"#);
+    json::write_num(generation as f64, out);
+    out.push_str(r#","responses":"#);
+    json::write_arr(&responses, out, wire::write_response);
+    out.push('}');
+    200
 }
 
 /// `POST /admin/reload`: re-read the configured snapshot file and hot-swap
@@ -483,22 +479,23 @@ fn batch(body: &[u8], shared: &Shared) -> (u16, String) {
 /// single pointer store; in-flight queries drain on the generation they
 /// pinned. A file that does not open (an old format, a torn write) is a
 /// `500 reloadFailed` and the old generation keeps serving.
-fn reload(shared: &Shared) -> (u16, String) {
+fn reload(shared: &Shared, out: &mut String) -> u16 {
     let Some(path) = &shared.config.snapshot_path else {
-        return (
+        return refuse(
             404,
-            error_body("reloadDisabled", "server started without a snapshot path"),
+            "reloadDisabled",
+            "server started without a snapshot path",
+            out,
         );
     };
     match shared.service.reload(path) {
         Ok(generation) => {
-            let body = Json::Obj(vec![
-                ("status".to_string(), Json::str("reloaded")),
-                ("generation".to_string(), Json::num(generation as f64)),
-            ]);
-            (200, body.write())
+            out.push_str(r#"{"status":"reloaded","generation":"#);
+            json::write_num(generation as f64, out);
+            out.push('}');
+            200
         }
-        Err(e) => (500, error_body("reloadFailed", &e.to_string())),
+        Err(e) => refuse(500, "reloadFailed", &e.to_string(), out),
     }
 }
 
@@ -509,26 +506,24 @@ fn reload(shared: &Shared) -> (u16, String) {
 /// pinned, so clients see either generation N or N+1, never a torn
 /// merge. Once the overlay depth crosses the configured threshold, a
 /// background compaction is scheduled (see [`maybe_compact`]).
-fn ingest(body: &[u8], shared: &Shared) -> (u16, String) {
+fn ingest(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
     let delta = match DeltaOverlay::decode(body) {
         Ok(delta) => delta,
-        Err(e) => return (400, error_body("badDelta", &e.to_string())),
+        Err(e) => return refuse(400, "badDelta", &e.to_string(), out),
     };
     match shared.service.ingest(&delta) {
         Ok(generation) => {
             maybe_compact(shared);
-            let body = Json::Obj(vec![
-                ("status".to_string(), Json::str("ingested")),
-                ("generation".to_string(), Json::num(generation as f64)),
-                ("ops".to_string(), Json::num(delta.num_ops() as f64)),
-                (
-                    "overlayDepth".to_string(),
-                    Json::num(shared.service.overlay_depth() as f64),
-                ),
-            ]);
-            (200, body.write())
+            out.push_str(r#"{"status":"ingested","generation":"#);
+            json::write_num(generation as f64, out);
+            out.push_str(r#","ops":"#);
+            json::write_num(delta.num_ops() as f64, out);
+            out.push_str(r#","overlayDepth":"#);
+            json::write_num(shared.service.overlay_depth() as f64, out);
+            out.push('}');
+            200
         }
-        Err(e) => (500, error_body("ingestFailed", &e.to_string())),
+        Err(e) => refuse(500, "ingestFailed", &e.to_string(), out),
     }
 }
 

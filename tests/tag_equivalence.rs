@@ -13,8 +13,8 @@
 use cn_probase::serve::wire;
 use cn_probase::taxonomy::{IsAMeta, Source, TaxonomyStore};
 use cn_probase::{
-    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, OverlayView, Query, Response, TagOptions,
-    TaxonomyRead, TaxonomyService,
+    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, OverlayView, Query, QueryResponse, Response,
+    TagOptions, TaxonomyRead, TaxonomyService,
 };
 use std::path::Path;
 
@@ -88,11 +88,18 @@ fn probes() -> Vec<Query> {
     queries
 }
 
+/// A response's wire bytes, as the server writes them.
+fn reply(response: &QueryResponse) -> String {
+    let mut out = String::new();
+    wire::write_response(response, &mut out);
+    out
+}
+
 /// Executes every probe and renders each response to its wire bytes.
 fn rendered<T: TaxonomyRead>(service: &TaxonomyService<T>) -> Vec<String> {
     probes()
         .iter()
-        .map(|q| wire::encode_response(&service.execute(q)).write())
+        .map(|q| reply(&service.execute(q)))
         .collect()
 }
 
@@ -121,8 +128,8 @@ fn batched_tag_queries_match_single_execution() {
     for (q, b) in queries.iter().zip(&batched) {
         let single = service.execute(q);
         assert_eq!(
-            wire::encode_response(b).write(),
-            wire::encode_response(&single).write(),
+            reply(b),
+            reply(&single),
             "batch and single execution disagree on {q:?}"
         );
     }
@@ -209,7 +216,7 @@ fn tag_outputs_match_their_golden_hash() {
         let seeded = TagIndex::build(&f).seeded_words();
         let service = TaxonomyService::new(f);
         let mut spans = 0usize;
-        let mut bytes = Vec::new();
+        let mut bytes = String::new();
         for doc in docs {
             let shapes = [
                 TagOptions::default(),
@@ -223,11 +230,11 @@ fn tag_outputs_match_their_golden_hash() {
                 if let (0, Ok(Response::Tags(out))) = (i, &reply.result) {
                     spans += out.spans.len();
                 }
-                bytes.extend_from_slice(wire::encode_response(&reply).write().as_bytes());
-                bytes.push(0);
+                wire::write_response(&reply, &mut bytes);
+                bytes.push('\0');
             }
         }
-        (seeded, spans, stable_hash(&bytes))
+        (seeded, spans, stable_hash(bytes.as_bytes()))
     }
 
     assert_eq!(
