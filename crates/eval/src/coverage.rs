@@ -186,6 +186,15 @@ mod tests {
         );
         assert!(result.coverage() <= 1.0);
         assert!(result.avg_concepts_per_entity > 1.0);
+        // The exact result, pinned so a change of read path cannot move it.
+        assert_eq!(
+            (
+                result.questions,
+                result.covered,
+                result.avg_concepts_per_entity.to_bits()
+            ),
+            (400, 354, 4612481234445507520)
+        );
     }
 
     #[test]
