@@ -12,11 +12,11 @@ fn bench(c: &mut Criterion) {
     let corpus =
         cnp_encyclopedia::CorpusGenerator::new(cnp_encyclopedia::CorpusConfig::small(5)).generate();
     let outcome = cnp_core::Pipeline::new(cnp_core::PipelineConfig::fast()).run(&corpus);
-    let api = cnp_serve::ProbaseApi::new(outcome.taxonomy);
+    let frozen = outcome.freeze();
 
     // The paper's exact question count.
     let questions = cnp_eval::generate_questions(&corpus, 23_472, 5);
-    let result = cnp_eval::coverage(&api, &questions);
+    let result = cnp_eval::coverage(&frozen, &questions);
     println!("\n================ QA coverage (paper: 91.68%, 2.14 concepts) ================");
     println!("questions:                {}", result.questions);
     println!("covered:                  {}", result.covered);
@@ -34,7 +34,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("qa_coverage");
     group.sample_size(20);
     group.bench_function("scan_500_questions", |b| {
-        b.iter(|| black_box(cnp_eval::coverage(&api, black_box(&sample)).covered))
+        b.iter(|| black_box(cnp_eval::coverage(&frozen, black_box(&sample)).covered))
     });
     group.finish();
 }

@@ -3,40 +3,64 @@
 //! The paper reports the three deployed APIs and their call volumes over
 //! six months (men2ent 43.9 M, getConcept 13.8 M, getEntity 25.8 M). This
 //! bench builds a taxonomy, prints the Table II rows with the call mix, and
-//! measures per-call latency of each API plus the production-mix workload.
+//! times `TaxonomyService::execute` on each call's `Query` plus the
+//! production-mix workload.
 
+use cnp_serve::{ListOptions, PageRequest, Query, Response, TaxonomyService};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
+/// The service and the three calls it is timed on, built up front so an
+/// iteration is one `TaxonomyService::execute`.
 struct Fixture {
-    api: cnp_serve::ProbaseApi,
-    mentions: Vec<String>,
-    concepts: Vec<String>,
+    service: TaxonomyService,
+    /// `men2ent`, one per page name.
+    men2ent: Vec<Query>,
+    /// Transitive `getConcept` by the first sense's display key.
+    get_concept: Vec<Query>,
+    /// Transitive `getEntity`, first 100 hyponyms, one per concept.
+    get_entity: Vec<Query>,
 }
 
 fn build_fixture() -> Fixture {
     let corpus =
         cnp_encyclopedia::CorpusGenerator::new(cnp_encyclopedia::CorpusConfig::small(7)).generate();
     let outcome = cnp_core::Pipeline::new(cnp_core::PipelineConfig::fast()).run(&corpus);
-    let mentions: Vec<String> = corpus
+    let frozen = outcome.freeze();
+    let get_entity = frozen
+        .concept_ids()
+        .take(2000)
+        .map(|c| Query::GetEntity {
+            concept: frozen.concept_name(c).to_string(),
+            options: ListOptions::transitive().with_page(PageRequest::first(100)),
+        })
+        .collect();
+    let service = TaxonomyService::new(frozen);
+    let men2ent: Vec<Query> = corpus
         .pages
         .iter()
         .take(4000)
-        .map(|p| p.name.clone())
+        .map(|p| Query::men2ent(&p.name))
         .collect();
-    let api = cnp_serve::ProbaseApi::new(outcome.taxonomy);
-    let concepts: Vec<String> = api
-        .frozen()
-        .concept_ids()
-        .take(2000)
-        .map(|c| api.frozen().concept_name(c).to_string())
+    let get_concept = men2ent
+        .iter()
+        .filter_map(|q| match service.execute(q).result {
+            Ok(Response::Senses(senses)) => senses.into_iter().next(),
+            _ => None,
+        })
+        .take(1000)
+        .map(|sense| Query::GetConcept {
+            entity: sense.key,
+            options: ListOptions::transitive(),
+        })
         .collect();
     Fixture {
-        api,
-        mentions,
-        concepts,
+        service,
+        men2ent,
+        get_concept,
+        get_entity,
     }
 }
 
@@ -59,15 +83,10 @@ fn print_table(f: &Fixture) {
         "getEntity", "concept", "hyponym list", 25_793_372
     );
     // A smoke sample so the printed table reflects live behaviour.
-    let sample = &f.mentions[0];
-    let senses = f.api.men2ent(sample);
+    println!("live sample: {:?}", f.service.execute(&f.men2ent[0]).result);
     println!(
-        "live sample: men2ent({sample:?}) -> {} sense(s){}",
-        senses.len(),
-        senses
-            .first()
-            .map(|s| format!(", getConcept -> {:?}", f.api.get_concept(s.id, true)))
-            .unwrap_or_default()
+        "live sample: {:?}",
+        f.service.execute(&f.get_concept[0]).result
     );
     println!("=================================================\n");
 }
@@ -77,55 +96,33 @@ fn bench(c: &mut Criterion) {
     print_table(&f);
 
     let mut group = c.benchmark_group("table2_api");
-    group.bench_function("men2ent", |b| {
-        let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| {
-            let m = &f.mentions[rng.gen_range(0..f.mentions.len())];
-            black_box(f.api.men2ent(black_box(m)))
-        })
-    });
-    group.bench_function("get_concept_transitive", |b| {
-        let mut rng = StdRng::seed_from_u64(2);
-        let senses: Vec<_> = f
-            .mentions
-            .iter()
-            .filter_map(|m| f.api.men2ent(m).into_iter().next())
-            .take(1000)
-            .collect();
-        b.iter(|| {
-            let s = &senses[rng.gen_range(0..senses.len())];
-            black_box(f.api.get_concept(s.id, true))
-        })
-    });
-    group.bench_function("get_entity_limit100", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| {
-            let c = &f.concepts[rng.gen_range(0..f.concepts.len())];
-            black_box(f.api.get_entity(black_box(c), true, 100))
-        })
-    });
+    let mut call = |name: &str, queries: &[Query], seed: u64| {
+        group.bench_function(name, |b| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            b.iter(|| {
+                let q = &queries[rng.gen_range(0..queries.len())];
+                black_box(f.service.execute(black_box(q)))
+            })
+        });
+    };
+    call("men2ent", &f.men2ent, 1);
+    call("get_concept_transitive", &f.get_concept, 2);
+    call("get_entity_limit100", &f.get_entity, 3);
     // The production mix of Table II: 52.6% men2ent, 16.5% getConcept,
     // 30.9% getEntity.
     group.bench_function("production_mix", |b| {
         let mut rng = StdRng::seed_from_u64(4);
-        let senses: Vec<_> = f
-            .mentions
-            .iter()
-            .filter_map(|m| f.api.men2ent(m).into_iter().next())
-            .take(1000)
-            .collect();
         b.iter(|| {
             let roll: f64 = rng.gen();
-            if roll < 0.526 {
-                let m = &f.mentions[rng.gen_range(0..f.mentions.len())];
-                black_box(f.api.men2ent(m).len())
+            let queries = if roll < 0.526 {
+                &f.men2ent
             } else if roll < 0.691 {
-                let s = &senses[rng.gen_range(0..senses.len())];
-                black_box(f.api.get_concept(s.id, true).len())
+                &f.get_concept
             } else {
-                let c = &f.concepts[rng.gen_range(0..f.concepts.len())];
-                black_box(f.api.get_entity(c, true, 100).len())
-            }
+                &f.get_entity
+            };
+            let q = &queries[rng.gen_range(0..queries.len())];
+            black_box(f.service.execute(q))
         })
     });
     group.finish();

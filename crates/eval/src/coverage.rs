@@ -9,7 +9,7 @@
 //! n-grams against the taxonomy.
 
 use cnp_encyclopedia::Corpus;
-use cnp_serve::ProbaseApi;
+use cnp_taxonomy::TaxonomyRead;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,12 +104,13 @@ impl CoverageResult {
     }
 }
 
-/// Scores coverage of `questions` against a taxonomy service.
+/// Scores coverage of `questions` against a taxonomy snapshot.
 ///
 /// Mention detection scans character n-grams (longest-first, 2–10 chars)
 /// at every position; a hit is either a taxonomy concept name or a
-/// resolvable `men2ent` mention.
-pub fn coverage(api: &ProbaseApi, questions: &[Question]) -> CoverageResult {
+/// resolvable `men2ent` mention, whose first sense's direct concepts are
+/// counted.
+pub fn coverage<T: TaxonomyRead>(f: &T, questions: &[Question]) -> CoverageResult {
     let mut covered = 0usize;
     let mut entity_hits = 0usize;
     let mut concept_sum = 0usize;
@@ -121,17 +122,16 @@ pub fn coverage(api: &ProbaseApi, questions: &[Question]) -> CoverageResult {
             let mut matched_len = 0usize;
             for len in (2..=10usize.min(chars.len() - i)).rev() {
                 let cand: String = chars[i..i + len].iter().collect();
-                if api.frozen().find_concept(&cand).is_some() {
+                if f.find_concept(&cand).is_some() {
                     hit = true;
                     matched_len = len;
                     break;
                 }
-                let senses = api.men2ent(&cand);
-                if !senses.is_empty() {
+                if let Some(&e) = f.men2ent(&cand).first() {
                     hit = true;
                     matched_len = len;
                     entity_hits += 1;
-                    concept_sum += api.get_concept(senses[0].id, false).len();
+                    concept_sum += f.concepts_of(e).count();
                     break;
                 }
             }
@@ -174,9 +174,8 @@ mod tests {
     fn coverage_tracks_mentions() {
         let corpus = CorpusGenerator::new(CorpusConfig::tiny(82)).generate();
         let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-        let api = ProbaseApi::new(outcome.taxonomy);
         let qs = generate_questions(&corpus, 400, 10);
-        let result = coverage(&api, &qs);
+        let result = coverage(&outcome.freeze(), &qs);
         assert_eq!(result.questions, 400);
         // Coverage should approach the embedded-mention rate (~92%).
         assert!(
@@ -201,12 +200,11 @@ mod tests {
     fn distractors_do_not_count() {
         let corpus = CorpusGenerator::new(CorpusConfig::tiny(83)).generate();
         let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-        let api = ProbaseApi::new(outcome.taxonomy);
         let qs = vec![Question {
             text: "今天天气怎么样？".into(),
             has_mention: false,
         }];
-        let result = coverage(&api, &qs);
+        let result = coverage(&outcome.freeze(), &qs);
         assert_eq!(result.covered, 0);
     }
 

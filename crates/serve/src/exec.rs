@@ -13,9 +13,7 @@
 //! one piece of interior state is
 //! [`EntityTotals`], a per-generation memo of the unfloored transitive
 //! `getEntity` totals — a pure function of the immutable generation, so
-//! filling it races benignly and changes no answer. The compatibility
-//! [`crate::ProbaseApi`] calls the same building blocks, so the wrapper
-//! and the typed protocol cannot drift apart.
+//! filling it races benignly and changes no answer.
 
 use crate::query::{Cursor, ListOptions, PageRequest, Query};
 use crate::response::{
@@ -148,7 +146,7 @@ fn known_senses<T: TaxonomyRead>(f: &T, mention: &str) -> Result<Vec<EntityId>, 
 /// an undisambiguated entity, or a full `name（disambig）` key. No string
 /// surgery — the snapshot's own key tables decide, so a name that itself
 /// contains a full-width bracket cannot be mis-split.
-pub(crate) fn resolve_entity_key<T: TaxonomyRead>(f: &T, key: &str) -> Option<EntityId> {
+fn resolve_entity_key<T: TaxonomyRead>(f: &T, key: &str) -> Option<EntityId> {
     if let Some(id) = f.find_entity(key, None) {
         return Some(id);
     }
@@ -188,7 +186,7 @@ fn concept_hit<T: TaxonomyRead>(
     }
 }
 
-// ----- list builders (shared with the compatibility wrapper) ---------------
+// ----- list builders -------------------------------------------------------
 
 /// Direct concepts of an entity, in snapshot edge order, no floor.
 fn direct_concepts<T: TaxonomyRead>(f: &T, e: EntityId) -> Vec<ConceptHit> {
@@ -202,11 +200,7 @@ fn direct_concepts<T: TaxonomyRead>(f: &T, e: EntityId) -> Vec<ConceptHit> {
 /// deduplicated ancestors of the surviving direct concepts, nearest-first
 /// (deeper concepts before shallower, id as tie-break), so consumers that
 /// truncate keep the most specific hypernyms.
-pub(crate) fn concept_hits<T: TaxonomyRead>(
-    f: &T,
-    e: EntityId,
-    options: &ListOptions,
-) -> Vec<ConceptHit> {
+fn concept_hits<T: TaxonomyRead>(f: &T, e: EntityId, options: &ListOptions) -> Vec<ConceptHit> {
     let mut ids: Vec<ConceptId> = Vec::new();
     let mut hits: Vec<ConceptHit> = Vec::new();
     for (c, m) in f.concepts_of(e) {
@@ -245,7 +239,7 @@ pub(crate) fn concept_hits<T: TaxonomyRead>(
 /// sense only reached transitively, the hit is upgraded in place (same
 /// position, `direct = true` plus the edge confidence) instead of letting
 /// the indirect occurrence shadow it.
-pub(crate) fn merged_concept_hits<T: TaxonomyRead>(
+fn merged_concept_hits<T: TaxonomyRead>(
     f: &T,
     senses: &[EntityId],
     options: &ListOptions,
@@ -428,7 +422,7 @@ impl EntityTotals {
 /// `AncestorsOf` enumeration: the precomputed closure row reordered
 /// nearest-first (depth descending, id tie-break); direct parents carry
 /// their edge confidence.
-pub(crate) fn ancestor_hits<T: TaxonomyRead>(f: &T, c: ConceptId) -> Vec<ConceptHit> {
+fn ancestor_hits<T: TaxonomyRead>(f: &T, c: ConceptId) -> Vec<ConceptHit> {
     let mut ids: Vec<ConceptId> = f.ancestors(c).collect();
     ids.sort_unstable_by(|&x, &y| f.depth(y).cmp(&f.depth(x)).then(x.cmp(&y)));
     ids.into_iter()

@@ -19,7 +19,10 @@
 //! * [`Query`] — one enum covering every Table II operation plus
 //!   [`Query::AncestorsOf`], [`Query::IsA`] and [`Query::MentionSenses`],
 //!   with per-query [`ListOptions`] (transitive flag, confidence floor,
-//!   stable pagination via an opaque [`Cursor`]).
+//!   stable pagination via an opaque [`Cursor`]). `men2ent` is
+//!   [`Query::Men2Ent`], `getConcept` is [`Query::GetConcept`] (by entity
+//!   key) or [`Query::GetConceptByMention`], `getEntity` is
+//!   [`Query::GetEntity`].
 //! * [`Response`] / [`QueryResponse`] — the matching typed results. Errors
 //!   distinguish [`QueryError::UnknownMention`] /
 //!   [`QueryError::UnknownConcept`] / [`QueryError::InvalidCursor`] from
@@ -31,10 +34,9 @@
 //!   order), and hot-swaps snapshots under live traffic
 //!   ([`TaxonomyService::reload`] / [`TaxonomyService::swap`]): in-flight
 //!   queries finish on the generation they pinned, new queries see the
-//!   new one, nothing blocks.
-//! * [`ProbaseApi`] — the paper-era three-call interface, kept as a thin
-//!   compatibility wrapper over the service (same answers, verified by
-//!   the `serve_equivalence` integration test).
+//!   new one, nothing blocks. [`TaxonomyService::pin`] hands out a
+//!   [`PinnedSnapshot`] that answers one generation for as long as it
+//!   lives.
 //! * [`wire`] / [`json`] — the network-facing codec: every [`Query`] and
 //!   [`QueryResponse`] as a JSON document (hand-rolled, hardened parser;
 //!   no registry deps), plus the typed-error → HTTP-status mapping the
@@ -66,7 +68,6 @@
 //! assert_eq!(names, ["歌手", "人物"]);
 //! ```
 
-mod compat;
 mod exec;
 pub mod json;
 mod query;
@@ -74,7 +75,6 @@ mod response;
 mod service;
 pub mod wire;
 
-pub use compat::{EntitySense, ProbaseApi};
 pub use query::{Cursor, ListOptions, PageRequest, Query};
 pub use response::{
     ConceptHit, CursorError, EntityHit, Paged, QueryError, QueryResponse, Response, Sense,

@@ -108,7 +108,7 @@ impl<T: TaxonomyRead> PinnedSnapshot<T> {
 ///
 /// The backend is generic over [`TaxonomyRead`]: the same service type
 /// serves in process from the owned [`FrozenTaxonomy`] (the default —
-/// `cnp_eval` and the paper-figure benches freeze and serve without
+/// the examples and the paper-figure benches freeze and serve without
 /// touching a disk), from the zero-copy `FrozenTaxonomyView` over a
 /// snapshot file ([`TaxonomyService::boot_from_file`]), or from an
 /// `OverlayView` over either when the service takes writes — `cnp_server`
@@ -573,5 +573,187 @@ mod tests {
         assert_eq!(service.swap_if_current(1, stale), None);
         assert_eq!(service.generation(), 2);
         assert!(service.execute(&Query::men2ent("张学友")).result.is_ok());
+    }
+
+    /// The Table II toy: 刘德华 (alias Andy Lau) is a male actor and a
+    /// singer, 张学友 a singer; 男演员 → 演员 → 人物 and 歌手 → 人物.
+    fn demo_service() -> TaxonomyService {
+        let mut s = TaxonomyStore::new();
+        let liu = s.add_entity("刘德华", Some("中国香港男演员"));
+        let zhang = s.add_entity("张学友", None);
+        s.add_alias(liu, "Andy Lau");
+        let male_actor = s.add_concept("男演员");
+        let actor = s.add_concept("演员");
+        let singer = s.add_concept("歌手");
+        let person = s.add_concept("人物");
+        s.add_concept_is_a(male_actor, actor, IsAMeta::new(Source::SubConcept, 0.9));
+        s.add_concept_is_a(actor, person, IsAMeta::new(Source::SubConcept, 0.9));
+        s.add_concept_is_a(singer, person, IsAMeta::new(Source::SubConcept, 0.9));
+        s.add_entity_is_a(liu, male_actor, IsAMeta::new(Source::Bracket, 0.95));
+        s.add_entity_is_a(liu, singer, IsAMeta::new(Source::Tag, 0.9));
+        s.add_entity_is_a(zhang, singer, IsAMeta::new(Source::Tag, 0.9));
+        TaxonomyService::from_store(s)
+    }
+
+    /// The names a list answer carries: sense keys, concept names or
+    /// entity keys.
+    fn names(response: QueryResponse) -> Vec<String> {
+        match response.result {
+            Ok(Response::Senses(senses)) => senses.into_iter().map(|s| s.key).collect(),
+            Ok(Response::Concepts(page)) => page.items.into_iter().map(|h| h.name).collect(),
+            Ok(Response::Entities(page)) => page.items.into_iter().map(|h| h.key).collect(),
+            other => panic!("not a list answer: {other:?}"),
+        }
+    }
+
+    fn get_concept(entity: &str, options: ListOptions) -> Query {
+        Query::GetConcept {
+            entity: entity.to_string(),
+            options,
+        }
+    }
+
+    fn get_concept_by_mention(mention: &str, options: ListOptions) -> Query {
+        Query::GetConceptByMention {
+            mention: mention.to_string(),
+            options,
+        }
+    }
+
+    fn get_entity(concept: &str, options: ListOptions) -> Query {
+        Query::GetEntity {
+            concept: concept.to_string(),
+            options,
+        }
+    }
+
+    #[test]
+    fn men2ent_resolves_alias_and_name() {
+        let service = demo_service();
+        let Ok(Response::Senses(senses)) = service.execute(&Query::men2ent("Andy Lau")).result
+        else {
+            panic!("the alias resolves");
+        };
+        assert_eq!(senses.len(), 1);
+        assert_eq!(senses[0].name, "刘德华");
+        assert_eq!(senses[0].key, "刘德华（中国香港男演员）");
+        assert_eq!(
+            names(service.execute(&Query::men2ent("张学友"))),
+            ["张学友"]
+        );
+        assert_eq!(
+            service.execute(&Query::men2ent("无此人")).result,
+            Err(QueryError::UnknownMention("无此人".to_string()))
+        );
+    }
+
+    #[test]
+    fn get_concept_direct() {
+        let service = demo_service();
+        let liu = names(service.execute(&Query::men2ent("刘德华"))).remove(0);
+        let concepts = names(service.execute(&get_concept(&liu, ListOptions::default())));
+        assert_eq!(concepts, ["男演员", "歌手"]);
+    }
+
+    #[test]
+    fn get_concept_transitive_appends_ancestors() {
+        let service = demo_service();
+        let liu = names(service.execute(&Query::men2ent("刘德华"))).remove(0);
+        let concepts = names(service.execute(&get_concept(&liu, ListOptions::transitive())));
+        assert_eq!(concepts[..2], ["男演员".to_string(), "歌手".to_string()]);
+        assert!(concepts.contains(&"演员".to_string()));
+        assert!(concepts.contains(&"人物".to_string()));
+        assert_eq!(concepts.len(), 4);
+    }
+
+    #[test]
+    fn get_concept_by_mention_merges_senses() {
+        let service = demo_service();
+        let query = get_concept_by_mention("刘德华", ListOptions::default());
+        assert_eq!(names(service.execute(&query)), ["男演员", "歌手"]);
+    }
+
+    /// Regression: when several senses of one mention share a hypernym,
+    /// the merged list must report it once, at its first rank — not once
+    /// per sense.
+    #[test]
+    fn get_concept_by_mention_dedupes_shared_hypernyms() {
+        let mut s = TaxonomyStore::new();
+        let liu_actor = s.add_entity("刘德华", Some("中国香港男演员"));
+        let liu_bare = s.add_entity("刘德华", None);
+        let singer = s.add_concept("歌手");
+        let actor = s.add_concept("演员");
+        let person = s.add_concept("人物");
+        s.add_concept_is_a(singer, person, IsAMeta::new(Source::SubConcept, 0.9));
+        s.add_concept_is_a(actor, person, IsAMeta::new(Source::SubConcept, 0.9));
+        // Both senses share 歌手 (and transitively 人物).
+        s.add_entity_is_a(liu_actor, singer, IsAMeta::new(Source::Tag, 0.9));
+        s.add_entity_is_a(liu_actor, actor, IsAMeta::new(Source::Bracket, 0.95));
+        s.add_entity_is_a(liu_bare, singer, IsAMeta::new(Source::Tag, 0.5));
+        let service = TaxonomyService::from_store(s);
+        assert_eq!(names(service.execute(&Query::men2ent("刘德华"))).len(), 2);
+        let direct =
+            names(service.execute(&get_concept_by_mention("刘德华", ListOptions::default())));
+        assert_eq!(direct, ["歌手", "演员"], "each shared hypernym once");
+        let transitive =
+            names(service.execute(&get_concept_by_mention("刘德华", ListOptions::transitive())));
+        assert_eq!(transitive, ["歌手", "演员", "人物"]);
+    }
+
+    #[test]
+    fn get_entity_direct_and_transitive() {
+        let service = demo_service();
+        let direct = names(service.execute(&get_entity("人物", ListOptions::default())));
+        assert!(direct.is_empty(), "no entity links directly to 人物");
+        let transitive = names(service.execute(&get_entity("人物", ListOptions::transitive())));
+        // 刘德华 is reachable via 歌手 and via 男演员 but reported once.
+        assert_eq!(transitive.len(), 2);
+        assert!(transitive.contains(&"张学友".to_string()));
+        assert!(transitive.contains(&"刘德华（中国香港男演员）".to_string()));
+    }
+
+    #[test]
+    fn get_entity_respects_limit() {
+        let service = demo_service();
+        let options = ListOptions::default().with_page(PageRequest::first(1));
+        assert_eq!(
+            names(service.execute(&get_entity("歌手", options))).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn get_entity_unknown_concept() {
+        let service = demo_service();
+        let options = ListOptions::transitive().with_page(PageRequest::first(10));
+        assert_eq!(
+            service.execute(&get_entity("不存在", options)).result,
+            Err(QueryError::UnknownConcept("不存在".to_string()))
+        );
+    }
+
+    /// A pin is the frozen-at-boot read surface: it keeps answering its
+    /// generation after the service swaps.
+    #[test]
+    fn wrapper_stays_on_its_boot_generation() {
+        let service = demo_service();
+        let pinned = service.pin();
+        let query = get_entity("歌手", ListOptions::default());
+        let before = pinned.execute(&query);
+        service.swap(FrozenTaxonomy::freeze(&TaxonomyStore::new()));
+        assert_eq!(pinned.execute(&query), before);
+        assert_eq!(names(before).len(), 2);
+        // But the service itself serves the new, empty generation.
+        assert_eq!(service.generation(), 2);
+        assert!(service.execute(&query).result.is_err());
+    }
+
+    #[test]
+    fn api_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<TaxonomyService>();
+        assert_send_sync::<PinnedSnapshot>();
+        assert_send_sync::<PinnedSnapshot<FrozenTaxonomyView>>();
+        assert_send_sync::<PinnedSnapshot<OverlayView<FrozenTaxonomyView>>>();
     }
 }

@@ -19,9 +19,9 @@
 //! * [`frozen`] — [`FrozenTaxonomy`], the immutable CSR-packed serving
 //!   snapshot: freeze a finished store once, then answer every Table II
 //!   query lock-free from flat arrays and a precomputed ancestor closure.
-//!   (The public serving protocol — `TaxonomyService`, the typed `Query`
-//!   enum and the `ProbaseApi` compatibility wrapper — lives in the
-//!   `cnp_serve` crate, layered on this snapshot.)
+//!   (The public serving protocol — `TaxonomyService` and the typed
+//!   `Query` enum the Table II calls travel as — lives in the `cnp_serve`
+//!   crate, layered on this snapshot.)
 //! * [`query`] — concept depth straight from the store, the reference
 //!   for the depth the snapshot precomputes and serves.
 //! * [`persist`] — the one on-disk snapshot format (sectioned,

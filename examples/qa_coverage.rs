@@ -11,15 +11,14 @@
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::eval::{coverage, generate_questions};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
-use cn_probase::ProbaseApi;
 
 fn main() {
     let corpus = CorpusGenerator::new(CorpusConfig::tiny(7)).generate();
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-    let api = ProbaseApi::new(outcome.taxonomy);
+    let frozen = outcome.freeze();
 
     let questions = generate_questions(&corpus, 2_000, 7);
-    let result = coverage(&api, &questions);
+    let result = coverage(&frozen, &questions);
 
     println!("questions:               {}", result.questions);
     println!("covered:                 {}", result.covered);
@@ -34,7 +33,7 @@ fn main() {
 
     println!("\nsample questions:");
     for q in questions.iter().take(8) {
-        let covered = coverage(&api, std::slice::from_ref(q)).covered == 1;
+        let covered = coverage(&frozen, std::slice::from_ref(q)).covered == 1;
         println!(
             "  [{}] {}",
             if covered { "covered " } else { "uncovered" },

@@ -8,7 +8,7 @@
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::taxonomy::TaxonomyStats;
-use cn_probase::{FrozenTaxonomyView, ProbaseApi};
+use cn_probase::{FrozenTaxonomyView, ListOptions, PageRequest, Query, Response, TaxonomyService};
 
 fn main() {
     // 1) A small synthetic Chinese encyclopedia (CN-DBpedia stand-in).
@@ -24,31 +24,56 @@ fn main() {
     let path = std::env::temp_dir().join("cn_probase_quickstart.cnpb");
     let frozen = outcome.save_view(&path).expect("save snapshot");
 
-    // 4) Query the three public APIs of Table II off the frozen snapshot.
-    let api = ProbaseApi::from_frozen(frozen);
+    // 4) Ask the three public APIs of Table II off the frozen snapshot. Each
+    //    call is a `Query` value the service answers: men2ent, getConcept
+    //    (by the entity's display key) and getEntity.
+    let concepts = frozen
+        .concept_ids()
+        .map(|c| frozen.concept_name(c).to_string());
+    let concepts: Vec<String> = concepts.collect();
+    let service = TaxonomyService::new(frozen);
+    let men2ent = |mention: &str| match service.execute(&Query::men2ent(mention)).result {
+        Ok(Response::Senses(senses)) => senses,
+        _ => Vec::new(),
+    };
+    let get_concept = |entity: &str| -> Vec<String> {
+        let query = Query::GetConcept {
+            entity: entity.to_string(),
+            options: ListOptions::transitive(),
+        };
+        match service.execute(&query).result {
+            Ok(Response::Concepts(page)) => page.items.into_iter().map(|h| h.name).collect(),
+            _ => Vec::new(),
+        }
+    };
+    let get_entity = |concept: &str| -> Vec<String> {
+        let query = Query::GetEntity {
+            concept: concept.to_string(),
+            options: ListOptions::transitive().with_page(PageRequest::first(3)),
+        };
+        match service.execute(&query).result {
+            Ok(Response::Entities(page)) => page.items.into_iter().map(|h| h.key).collect(),
+            _ => Vec::new(),
+        }
+    };
     let page = corpus
         .pages
         .iter()
-        .find(|p| !corpus.gold.is_concept(&p.name) && !api.men2ent(&p.name).is_empty())
+        .find(|p| !corpus.gold.is_concept(&p.name) && !men2ent(&p.name).is_empty())
         .expect("a resolvable entity exists");
     println!("\nmen2ent({}):", page.name);
-    for sense in api.men2ent(&page.name) {
+    for sense in men2ent(&page.name) {
         println!(
             "  {} -> getConcept: {:?}",
             sense.key,
-            api.get_concept(sense.id, true)
+            get_concept(&sense.key)
         );
     }
-    let concept = api
-        .frozen()
-        .concept_ids()
-        .map(|c| api.frozen().concept_name(c).to_string())
-        .find(|c| !api.get_entity(c, true, 3).is_empty())
+    let concept = concepts
+        .iter()
+        .find(|c| !get_entity(c).is_empty())
         .expect("a populated concept exists");
-    println!(
-        "getEntity({concept}, limit 3): {:?}",
-        api.get_entity(&concept, true, 3)
-    );
+    println!("getEntity({concept}, limit 3): {:?}", get_entity(concept));
 
     // 5) Reload the persisted snapshot: the view answers straight off the
     //    file's bytes.

@@ -13,7 +13,7 @@
 //! taxonomy, so CI can use it as a round-trip smoke check.
 
 use cn_probase::taxonomy::EntityId;
-use cn_probase::{FrozenTaxonomyView, ProbaseApi, TaxonomyService};
+use cn_probase::{FrozenTaxonomyView, ListOptions, PageRequest, Query, Response, TaxonomyService};
 use std::path::Path;
 use std::time::Instant;
 
@@ -33,8 +33,8 @@ fn main() -> std::process::ExitCode {
         }
     };
     let boot = t.elapsed();
-    let api = ProbaseApi::from_service(service);
-    let f = api.frozen();
+    let pinned = service.pin();
+    let f = pinned.frozen();
     println!(
         "booted from {path} ({bytes} bytes) in {boot:.1?}: \
          {} entities, {} concepts, {} isA edges, {} mentions",
@@ -56,15 +56,23 @@ fn main() -> std::process::ExitCode {
             continue;
         }
         let mention = f.resolve(f.entity(e).name).to_string();
-        let senses = api.men2ent(&mention);
-        let concepts = api.get_concept(e, true);
+        let senses = match pinned.execute(&Query::men2ent(&mention)).result {
+            Ok(Response::Senses(senses)) => senses.len(),
+            _ => 0,
+        };
+        let concepts = names(pinned.execute(&Query::GetConcept {
+            entity: f.entity_key(e),
+            options: ListOptions::transitive(),
+        }));
         println!(
-            "men2ent({mention}) -> {} sense(s); getConcept(transitive) -> {}",
-            senses.len(),
+            "men2ent({mention}) -> {senses} sense(s); getConcept(transitive) -> {}",
             concepts.join("、"),
         );
         if let Some(first) = concepts.first() {
-            let hyponyms = api.get_entity(first, true, 5);
+            let hyponyms = names(pinned.execute(&Query::GetEntity {
+                concept: first.clone(),
+                options: ListOptions::transitive().with_page(PageRequest::first(5)),
+            }));
             println!("  getEntity({first}, ≤5) -> {}", hyponyms.join("、"));
         }
         shown += 1;
@@ -77,4 +85,13 @@ fn main() -> std::process::ExitCode {
         return std::process::ExitCode::FAILURE;
     }
     std::process::ExitCode::SUCCESS
+}
+
+/// The names a list answer carries: concept names or entity keys.
+fn names(response: cn_probase::QueryResponse) -> Vec<String> {
+    match response.result {
+        Ok(Response::Concepts(page)) => page.items.into_iter().map(|h| h.name).collect(),
+        Ok(Response::Entities(page)) => page.items.into_iter().map(|h| h.key).collect(),
+        _ => Vec::new(),
+    }
 }

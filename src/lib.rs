@@ -15,9 +15,9 @@
 //!   ([`cnp_encyclopedia`]).
 //! * [`taxonomy`] — the taxonomy storage engine and the frozen serving
 //!   snapshot ([`cnp_taxonomy`]).
-//! * [`serve`] — Serving API v1: the typed [`Query`]/[`Response`] protocol,
-//!   batching, pagination and zero-downtime snapshot hot-swap, plus the
-//!   [`ProbaseApi`] Table II compatibility wrapper ([`cnp_serve`]).
+//! * [`serve`] — Serving API v1: the typed [`Query`]/[`Response`] protocol
+//!   the paper's Table II calls travel as, batching, pagination and
+//!   zero-downtime snapshot hot-swap ([`cnp_serve`]).
 //! * [`tag`] — taxonomy-backed document tagging: segment a document with
 //!   the snapshot's own vocabulary, resolve mentions, and score concepts
 //!   coarse-to-fine over the hierarchy ([`cnp_tag`]).
@@ -57,10 +57,9 @@ pub use cnp_text as text;
 // [`TaxonomyService`] straight from disk with `boot_from_file` over a
 // [`FrozenTaxonomyView`]; [`PersistError`] is the decode error. Queries
 // travel as typed [`Query`] values and come back as generation-stamped
-// [`QueryResponse`]s; [`ProbaseApi`] is the paper-era Table II wrapper.
+// [`QueryResponse`]s.
 pub use cnp_serve::{
-    Cursor, ListOptions, PageRequest, ProbaseApi, Query, QueryError, QueryResponse, Response,
-    TaxonomyService,
+    Cursor, ListOptions, PageRequest, Query, QueryError, QueryResponse, Response, TaxonomyService,
 };
 pub use cnp_tag::{TagOptions, TagOutput, Tagger};
 pub use cnp_taxonomy::{

@@ -1,5 +1,6 @@
-//! Lock-free serving under concurrency: a shared [`ProbaseApi`] hammered
-//! from 8 threads must return exactly the single-threaded answers.
+//! Lock-free serving under concurrency: a shared [`TaxonomyService`]
+//! hammered from 8 threads must return exactly the single-threaded
+//! answers.
 //!
 //! The frozen snapshot has no interior mutability, so the only thing
 //! threads share is immutable data — this test locks that claim in, via
@@ -11,7 +12,7 @@ use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::taxonomy::persist::{encode_frozen_v3, save_frozen_v3_to_file};
 use cn_probase::taxonomy::{IsAMeta, Source, TaxonomyStore};
 use cn_probase::{
-    FrozenTaxonomy, FrozenTaxonomyView, ListOptions, OverlayView, PageRequest, ProbaseApi, Query,
+    FrozenTaxonomy, FrozenTaxonomyView, ListOptions, OverlayView, PageRequest, Query, QueryError,
     QueryResponse, Response, TaxonomyRead, TaxonomyService,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,72 +21,54 @@ use std::sync::Barrier;
 const THREADS: usize = 8;
 
 struct Golden<T = FrozenTaxonomy> {
-    api: ProbaseApi<T>,
-    mentions: Vec<String>,
-    concepts: Vec<String>,
-    /// Per-mention single-threaded answers: senses and transitive concepts.
-    men2ent: Vec<Vec<String>>,
-    get_concept: Vec<Vec<String>>,
-    /// Per-concept single-threaded `getEntity` answers.
-    get_entity: Vec<Vec<String>>,
+    service: TaxonomyService<T>,
+    /// Every probe with its single-threaded response: `men2ent` and
+    /// transitive `getConcept` per page name, the first 50 of transitive
+    /// `getEntity` per concept.
+    answers: Vec<(Query, QueryResponse)>,
 }
 
 fn build_golden() -> Golden {
     let corpus = CorpusGenerator::new(CorpusConfig::tiny(9)).generate();
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-    let api = ProbaseApi::from_frozen(outcome.freeze());
-    let mentions: Vec<String> = corpus.pages.iter().map(|p| p.name.clone()).collect();
-    let concepts: Vec<String> = api
-        .frozen()
-        .concept_ids()
-        .map(|c| api.frozen().concept_name(c).to_string())
-        .collect();
-    let men2ent = mentions
-        .iter()
-        .map(|m| api.men2ent(m).into_iter().map(|s| s.key).collect())
-        .collect();
-    let get_concept = mentions
-        .iter()
-        .map(|m| api.get_concept_by_mention(m, true))
-        .collect();
-    let get_entity = concepts
-        .iter()
-        .map(|c| api.get_entity(c, true, 50))
-        .collect();
-    Golden {
-        api,
-        mentions,
-        concepts,
-        men2ent,
-        get_concept,
-        get_entity,
+    let frozen = outcome.freeze();
+    assert!(corpus.pages.len() > 100 && frozen.num_concepts() > 20);
+    let mut queries: Vec<Query> = Vec::new();
+    for p in &corpus.pages {
+        queries.push(Query::men2ent(&p.name));
+        queries.push(Query::GetConceptByMention {
+            mention: p.name.clone(),
+            options: ListOptions::transitive(),
+        });
     }
+    for c in frozen.concept_ids() {
+        queries.push(Query::GetEntity {
+            concept: frozen.concept_name(c).to_string(),
+            options: ListOptions::transitive().with_page(PageRequest::first(50)),
+        });
+    }
+    let service = TaxonomyService::new(frozen);
+    let answers = queries
+        .into_iter()
+        .map(|q| {
+            let response = service.execute(&q);
+            (q, response)
+        })
+        .collect();
+    Golden { service, answers }
 }
 
 /// One worker pass over every query, asserting against the golden answers.
 /// Offsetting the start index per thread makes the threads interleave
 /// different queries instead of marching in lockstep.
 fn hammer<T: TaxonomyRead>(g: &Golden<T>, offset: usize) {
-    let n = g.mentions.len();
+    let n = g.answers.len();
     for i in 0..n {
-        let i = (i + offset) % n;
-        let m = &g.mentions[i];
-        let senses: Vec<String> = g.api.men2ent(m).into_iter().map(|s| s.key).collect();
-        assert_eq!(senses, g.men2ent[i], "men2ent({m}) diverged across threads");
+        let (query, expected) = &g.answers[(i + offset) % n];
         assert_eq!(
-            g.api.get_concept_by_mention(m, true),
-            g.get_concept[i],
-            "getConcept({m}) diverged across threads"
-        );
-    }
-    let nc = g.concepts.len();
-    for j in 0..nc {
-        let j = (j + offset) % nc;
-        assert_eq!(
-            g.api.get_entity(&g.concepts[j], true, 50),
-            g.get_entity[j],
-            "getEntity({}) diverged across threads",
-            g.concepts[j]
+            &g.service.execute(query),
+            expected,
+            "{query:?} diverged across threads"
         );
     }
 }
@@ -97,7 +80,6 @@ fn hammer<T: TaxonomyRead>(g: &Golden<T>, offset: usize) {
 )]
 fn eight_std_threads_match_single_threaded_answers() {
     let g = build_golden();
-    assert!(g.mentions.len() > 100 && g.concepts.len() > 20);
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let g = &g;
@@ -115,8 +97,8 @@ fn runtime_workers_match_single_threaded_answers() {
 }
 
 /// Snapshot-boot concurrency: persist the frozen taxonomy, boot a
-/// view-backed `ProbaseApi` from the file, and hammer it from 8 threads
-/// against the answers of the directly-frozen single-threaded API. The
+/// view-backed service from the file, and hammer it from 8 threads
+/// against the answers of the directly-frozen single-threaded service. The
 /// disk round-trip — and answering in place off the file's bytes — must
 /// be invisible to concurrent Table II traffic.
 #[test]
@@ -129,17 +111,13 @@ fn snapshot_booted_api_matches_across_threads() {
     let dir = std::env::temp_dir().join("cnp_concurrent_api_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("boot.cnpb");
-    save_frozen_v3_to_file(g.api.frozen(), &path).expect("save snapshot");
+    save_frozen_v3_to_file(g.service.pin().frozen(), &path).expect("save snapshot");
     let booted = TaxonomyService::<FrozenTaxonomyView>::boot_from_file(&path);
     std::fs::remove_file(&path).ok();
     // Same golden answers, snapshot-booted service.
     let g = Golden {
-        api: ProbaseApi::from_service(booted.expect("boot from snapshot")),
-        mentions: g.mentions,
-        concepts: g.concepts,
-        men2ent: g.men2ent,
-        get_concept: g.get_concept,
-        get_entity: g.get_entity,
+        service: booted.expect("boot from snapshot"),
+        answers: g.answers,
     };
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -175,21 +153,15 @@ fn swap_store_b() -> TaxonomyStore {
     s
 }
 
-/// The per-generation golden answers of the probe queries.
-#[derive(PartialEq, Debug)]
-struct SwapGolden {
-    men2ent_zhang: usize,
-    get_entity_singer: Vec<String>,
-    get_concept_liu: Vec<String>,
-}
+/// The per-generation golden results of the probe queries, in probe order.
+type SwapGolden = Vec<Result<Response, QueryError>>;
 
 fn swap_golden(frozen: &FrozenTaxonomy) -> SwapGolden {
-    let api = ProbaseApi::from_frozen(frozen.clone());
-    SwapGolden {
-        men2ent_zhang: api.men2ent("张学友").len(),
-        get_entity_singer: api.get_entity("歌手", true, usize::MAX),
-        get_concept_liu: api.get_concept_by_mention("刘德华", true),
-    }
+    let service = TaxonomyService::new(frozen.clone());
+    swap_probes()
+        .iter()
+        .map(|q| service.execute(q).result)
+        .collect()
 }
 
 fn swap_probes() -> Vec<Query> {
@@ -213,21 +185,7 @@ fn swap_probes() -> Vec<Query> {
 /// one generation, payload from the other) cannot pass.
 fn assert_swap_consistent(i: usize, r: &QueryResponse, a: &SwapGolden, b: &SwapGolden) {
     let want = if r.generation % 2 == 1 { a } else { b };
-    match (i, &r.result) {
-        (0, Ok(Response::Senses(senses))) => {
-            assert_eq!(senses.len(), want.men2ent_zhang, "gen {}", r.generation)
-        }
-        (0, Err(_)) => assert_eq!(0, want.men2ent_zhang, "gen {}", r.generation),
-        (1, Ok(Response::Entities(page))) => {
-            let keys: Vec<String> = page.items.iter().map(|h| h.key.clone()).collect();
-            assert_eq!(keys, want.get_entity_singer, "gen {}", r.generation);
-        }
-        (2, Ok(Response::Concepts(page))) => {
-            let names: Vec<String> = page.items.iter().map(|h| h.name.clone()).collect();
-            assert_eq!(names, want.get_concept_liu, "gen {}", r.generation);
-        }
-        other => panic!("probe {i}: unexpected response {other:?}"),
-    }
+    assert_eq!(r.result, want[i], "probe {i}, gen {}", r.generation);
 }
 
 /// 8 reader threads hammer the service (singles and batches) while a
@@ -245,8 +203,8 @@ fn hot_swap_under_load_never_tears_a_generation() {
     let frozen_b = FrozenTaxonomy::freeze(&swap_store_b());
     let golden_a = swap_golden(&frozen_a);
     let golden_b = swap_golden(&frozen_b);
-    assert_ne!(
-        golden_a, golden_b,
+    assert!(
+        golden_a.iter().zip(&golden_b).all(|(a, b)| a != b),
         "the two worlds must answer every probe differently"
     );
     let probes = swap_probes();
@@ -308,7 +266,7 @@ fn hot_swap_under_load_never_tears_a_generation() {
     reason = "raw std threads on purpose: the race is on the first query of a generation, from threads the runtime does not own"
 )]
 fn racing_first_get_entity_on_a_fresh_generation_agrees() {
-    let frozen = build_golden().api.frozen().clone();
+    let frozen = build_golden().service.pin().frozen().clone();
     let root = frozen
         .concept_ids()
         .max_by_key(|&c| frozen.descendants(c).len())

@@ -5,7 +5,7 @@
 use cn_probase::encyclopedia::{dump, CorpusConfig, CorpusGenerator};
 use cn_probase::eval::{coverage, generate_questions};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
-use cn_probase::ProbaseApi;
+use cn_probase::{Query, Response, TaxonomyService};
 
 #[test]
 fn dump_roundtrip_feeds_an_identical_pipeline_run() {
@@ -29,9 +29,8 @@ fn dump_roundtrip_feeds_an_identical_pipeline_run() {
 fn qa_coverage_matches_the_papers_shape() {
     let corpus = CorpusGenerator::new(CorpusConfig::small(89)).generate();
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-    let api = ProbaseApi::new(outcome.taxonomy);
     let questions = generate_questions(&corpus, 3_000, 11);
-    let result = coverage(&api, &questions);
+    let result = coverage(&outcome.freeze(), &questions);
     // Paper: 91.68% coverage; our generator embeds ~92% mention questions.
     assert!(
         (0.80..=1.0).contains(&result.coverage()),
@@ -87,13 +86,16 @@ fn ambiguous_mentions_resolve_to_multiple_senses() {
     assert!(!ambiguous.is_empty(), "no ambiguous names generated");
 
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-    let api = ProbaseApi::new(outcome.taxonomy);
+    let service = TaxonomyService::from_store(outcome.taxonomy);
     let mut multi_sense_seen = false;
     for name in ambiguous {
-        if api.men2ent(name).len() > 1 {
+        let Ok(Response::Senses(senses)) = service.execute(&Query::men2ent(name)).result else {
+            continue;
+        };
+        if senses.len() > 1 {
             multi_sense_seen = true;
             // Each sense key must be the full disambiguated form.
-            for sense in api.men2ent(name) {
+            for sense in senses {
                 assert!(sense.key.starts_with(name));
             }
         }

@@ -6,7 +6,7 @@ use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::eval;
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::taxonomy::{closure, persist, Source};
-use cn_probase::{FrozenTaxonomyView, ProbaseApi};
+use cn_probase::{FrozenTaxonomyView, ListOptions, Query, Response, TaxonomyService};
 
 fn small_outcome() -> (
     cn_probase::encyclopedia::Corpus,
@@ -68,18 +68,38 @@ fn taxonomy_is_a_dag_with_subconcept_relations() {
 #[test]
 fn api_answers_are_consistent_with_the_store() {
     let (corpus, outcome) = small_outcome();
-    let api = ProbaseApi::new(outcome.taxonomy);
+    let service = TaxonomyService::from_store(outcome.taxonomy);
+    let concepts = |entity: &str, options| {
+        let query = Query::GetConcept {
+            entity: entity.to_string(),
+            options,
+        };
+        match service.execute(&query).result {
+            Ok(Response::Concepts(page)) => page.items.into_iter().map(|h| h.name).collect(),
+            other => panic!("getConcept({entity}): {other:?}"),
+        }
+    };
     let mut checked = 0;
     for page in corpus.pages.iter().take(300) {
-        for sense in api.men2ent(&page.name) {
-            let direct = api.get_concept(sense.id, false);
-            let transitive = api.get_concept(sense.id, true);
+        let Ok(Response::Senses(senses)) = service.execute(&Query::men2ent(&page.name)).result
+        else {
+            continue;
+        };
+        for sense in senses {
+            let direct: Vec<String> = concepts(&sense.key, ListOptions::default());
+            let transitive: Vec<String> = concepts(&sense.key, ListOptions::transitive());
             assert!(transitive.len() >= direct.len());
             for concept in &direct {
                 // Reverse direction: the entity must appear under the concept.
-                let hyponyms = api.get_entity(concept, false, usize::MAX);
+                let query = Query::GetEntity {
+                    concept: concept.clone(),
+                    options: ListOptions::default(),
+                };
+                let Ok(Response::Entities(hyponyms)) = service.execute(&query).result else {
+                    panic!("getEntity({concept}) is not a page");
+                };
                 assert!(
-                    hyponyms.contains(&sense.key),
+                    hyponyms.items.iter().any(|h| h.key == sense.key),
                     "{} missing from getEntity({concept})",
                     sense.key
                 );

@@ -1,29 +1,41 @@
 //! Equivalence of the frozen serving snapshot and the mutable-store path.
 //!
 //! Builds a taxonomy with the full pipeline over a generated corpus, then
-//! checks that [`FrozenTaxonomy`]/[`ProbaseApi`] answer `men2ent`,
-//! `getConcept(transitive)`, `getEntity` and `depth` exactly like the
-//! build-time `TaxonomyStore` primitives (`MentionIndex`,
-//! `closure::ancestors`/`descendants`, `query::depths`).
+//! checks that the frozen snapshot, and a [`TaxonomyService`] serving it,
+//! answer `men2ent`, `getConcept(transitive)`, `getEntity` and `depth`
+//! exactly like the build-time `TaxonomyStore` primitives
+//! (`MentionIndex`, `closure::ancestors`/`descendants`, `query::depths`).
+//! `getConcept` asks by each entity's display key, so the check covers
+//! key resolution too.
 
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::taxonomy::mention::MentionIndex;
 use cn_probase::taxonomy::store::EntityId;
 use cn_probase::taxonomy::{closure, query, TaxonomyStore};
-use cn_probase::ProbaseApi;
+use cn_probase::{ListOptions, Query, QueryResponse, Response, TaxonomyService};
 
-fn build() -> (TaxonomyStore, ProbaseApi) {
+fn build() -> (TaxonomyStore, TaxonomyService) {
     let corpus = CorpusGenerator::new(CorpusConfig::tiny(42)).generate();
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-    let api = ProbaseApi::from_frozen(outcome.freeze());
-    (outcome.taxonomy, api)
+    let service = TaxonomyService::new(outcome.freeze());
+    (outcome.taxonomy, service)
+}
+
+/// The names a list answer carries: concept names or entity keys.
+fn names(response: QueryResponse) -> Vec<String> {
+    match response.result {
+        Ok(Response::Concepts(page)) => page.items.into_iter().map(|h| h.name).collect(),
+        Ok(Response::Entities(page)) => page.items.into_iter().map(|h| h.key).collect(),
+        other => panic!("not a list answer: {other:?}"),
+    }
 }
 
 #[test]
 fn frozen_matches_mutable_store_on_generated_corpus() {
-    let (mut store, api) = build();
-    let frozen = api.frozen();
+    let (mut store, service) = build();
+    let pinned = service.pin();
+    let frozen = pinned.frozen();
     assert!(
         store.num_entities() > 50,
         "corpus too small to be meaningful"
@@ -51,10 +63,13 @@ fn frozen_matches_mutable_store_on_generated_corpus() {
             "men2ent({m})"
         );
     }
-    // API layer agrees with the raw ids.
+    // The served answer agrees with the raw ids.
     for m in mentions.iter().take(200) {
-        let senses: Vec<EntityId> = api.men2ent(m).into_iter().map(|s| s.id).collect();
-        assert_eq!(senses.as_slice(), frozen.men2ent(m));
+        let Ok(Response::Senses(senses)) = pinned.execute(&Query::men2ent(m)).result else {
+            panic!("men2ent({m}) is not a sense list");
+        };
+        let ids: Vec<EntityId> = senses.into_iter().map(|s| s.id).collect();
+        assert_eq!(ids.as_slice(), frozen.men2ent(m));
     }
 
     // --- getConcept(transitive): direct edges + BFS closure ---
@@ -72,7 +87,10 @@ fn frozen_matches_mutable_store_on_generated_corpus() {
                 }
             }
         }
-        let mut got = api.get_concept(e, true);
+        let mut got = names(pinned.execute(&Query::GetConcept {
+            entity: store.entity_key(e),
+            options: ListOptions::transitive(),
+        }));
         // The transitive tails are ordered differently (BFS vs sorted
         // closure rows); compare as sets, and the direct prefix exactly.
         assert_eq!(got[..direct.len()], expected[..direct.len()]);
@@ -103,11 +121,11 @@ fn frozen_matches_mutable_store_on_generated_corpus() {
                 }
             }
         }
-        assert_eq!(
-            api.get_entity(&name, true, usize::MAX),
-            expected,
-            "getEntity({name})"
-        );
+        let query = Query::GetEntity {
+            concept: name.clone(),
+            options: ListOptions::transitive(),
+        };
+        assert_eq!(names(pinned.execute(&query)), expected, "getEntity({name})");
     }
 
     // --- depth: one exact pass vs the frozen array ---

@@ -18,12 +18,11 @@
 //! cargo test --test golden_snapshot -- --ignored regenerate_golden_fixture
 //! ```
 
-use cn_probase::serve::TaxonomyService;
+use cn_probase::serve::{ListOptions, Query, QueryResponse, Response, TaxonomyService};
 use cn_probase::taxonomy::persist::{encode_frozen_v3, save_frozen_v3_to_file};
 use cn_probase::taxonomy::{
     FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Source, TaxonomyRead, TaxonomyStore,
 };
-use cn_probase::ProbaseApi;
 use std::path::PathBuf;
 
 fn fixture_path() -> PathBuf {
@@ -58,34 +57,53 @@ fn golden_store() -> TaxonomyStore {
     s
 }
 
+/// The names a list answer carries: sense keys, concept names or entity
+/// keys; empty for an error.
+fn names(response: QueryResponse) -> Vec<String> {
+    match response.result {
+        Ok(Response::Senses(senses)) => senses.into_iter().map(|s| s.key).collect(),
+        Ok(Response::Concepts(page)) => page.items.into_iter().map(|h| h.name).collect(),
+        Ok(Response::Entities(page)) => page.items.into_iter().map(|h| h.key).collect(),
+        _ => Vec::new(),
+    }
+}
+
 /// The answers every reader of the fixture must give.
-fn assert_known_answers<T: TaxonomyRead>(api: &ProbaseApi<T>) {
-    let f = api.frozen();
+fn assert_known_answers<T: TaxonomyRead>(service: &TaxonomyService<T>) {
+    let pinned = service.pin();
+    let ask = |query: Query| names(pinned.execute(&query));
+    let f = pinned.frozen();
     assert_eq!(f.num_entities(), 3);
     assert_eq!(f.num_concepts(), 4);
     assert_eq!(f.num_is_a(), 7);
 
     // men2ent: bare name resolves every sense, full key exactly one,
     // alias one.
-    assert_eq!(api.men2ent("刘德华").len(), 2);
-    let hits = api.men2ent("刘德华（中国香港男演员）");
-    assert_eq!(hits.len(), 1);
-    assert_eq!(hits[0].key, "刘德华（中国香港男演员）");
-    assert_eq!(api.men2ent("Andy Lau").len(), 1);
-    assert!(api.men2ent("不存在").is_empty());
+    assert_eq!(ask(Query::men2ent("刘德华")).len(), 2);
+    let hits = ask(Query::men2ent("刘德华（中国香港男演员）"));
+    assert_eq!(hits, ["刘德华（中国香港男演员）"]);
+    assert_eq!(ask(Query::men2ent("Andy Lau")).len(), 1);
+    assert!(ask(Query::men2ent("不存在")).is_empty());
 
     // getConcept: direct then transitive, nearest-first.
-    let liu = hits[0].id;
-    assert_eq!(api.get_concept(liu, false), vec!["男演员", "歌手"]);
+    let get_concept = |options| Query::GetConcept {
+        entity: hits[0].clone(),
+        options,
+    };
+    assert_eq!(ask(get_concept(ListOptions::default())), ["男演员", "歌手"]);
     assert_eq!(
-        api.get_concept(liu, true),
-        vec!["男演员", "歌手", "演员", "人物"]
+        ask(get_concept(ListOptions::transitive())),
+        ["男演员", "歌手", "演员", "人物"]
     );
 
     // getEntity: transitive reach through the concept chain, each entity
     // reported once.
-    assert!(api.get_entity("人物", false, usize::MAX).is_empty());
-    let all = api.get_entity("人物", true, usize::MAX);
+    let get_entity = |options| Query::GetEntity {
+        concept: "人物".to_string(),
+        options,
+    };
+    assert!(ask(get_entity(ListOptions::default())).is_empty());
+    let all = ask(get_entity(ListOptions::transitive()));
     assert_eq!(all.len(), 3);
     assert!(all.contains(&"刘德华（中国香港男演员）".to_string()));
     assert!(all.contains(&"刘德华".to_string()));
@@ -106,7 +124,7 @@ fn assert_known_answers<T: TaxonomyRead>(api: &ProbaseApi<T>) {
 #[test]
 fn golden_fixture_decodes_and_answers_known_queries() {
     let frozen = fixture().to_frozen().expect("fixture materialises");
-    assert_known_answers(&ProbaseApi::from_frozen(frozen));
+    assert_known_answers(&TaxonomyService::new(frozen));
 }
 
 #[test]
@@ -123,7 +141,7 @@ fn golden_fixture_matches_current_encoder_byte_for_byte() {
 /// The fixture served in place, straight off the buffer.
 #[test]
 fn golden_v3_fixture_decodes_and_answers_known_queries() {
-    assert_known_answers(&ProbaseApi::from_service(TaxonomyService::new(fixture())));
+    assert_known_answers(&TaxonomyService::new(fixture()));
 }
 
 #[test]

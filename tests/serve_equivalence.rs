@@ -1,7 +1,8 @@
 //! Serving API v1 equivalence (ISSUE 5 acceptance).
 //!
-//! The `ProbaseApi` compatibility wrapper and the typed `TaxonomyService`
-//! must return identical answers for every Table II operation — locked in
+//! One snapshot served by two backends — the owned `FrozenTaxonomy` and
+//! the server's `OverlayView<FrozenTaxonomyView>` over its v3 bytes —
+//! must return identical replies for every Table II operation — locked in
 //! here on the committed golden fixture (known world, exact expectations)
 //! and on a pipeline-built corpus (breadth). Also locks the pagination
 //! contract: stitching cursor-walked pages reproduces the unpaged result,
@@ -15,8 +16,8 @@ use cn_probase::taxonomy::hash::FxHashSet;
 use cn_probase::taxonomy::persist::encode_frozen_v3;
 use cn_probase::taxonomy::{ConceptId, EntityId, IsAMeta, Source};
 use cn_probase::{
-    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, ListOptions, OverlayView, PageRequest,
-    ProbaseApi, Query, QueryError, Response, TaxonomyRead, TaxonomyService,
+    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, ListOptions, OverlayView, PageRequest, Query,
+    QueryError, QueryResponse, Response, TaxonomyRead, TaxonomyService,
 };
 use std::path::Path;
 
@@ -27,98 +28,57 @@ fn golden() -> FrozenTaxonomy {
     view.to_frozen().expect("fixture materialises")
 }
 
-fn senses_of(service: &TaxonomyService, mention: &str) -> Option<Vec<EntityId>> {
-    match service.execute(&Query::men2ent(mention)).result {
-        Ok(Response::Senses(s)) => Some(s.into_iter().map(|x| x.id).collect()),
-        Err(QueryError::UnknownMention(_)) => None,
-        other => panic!("men2ent({mention}): unexpected {other:?}"),
-    }
-}
-
-fn concept_names(service: &TaxonomyService, query: &Query) -> Option<Vec<String>> {
-    match service.execute(query).result {
-        Ok(Response::Concepts(page)) => Some(page.items.into_iter().map(|h| h.name).collect()),
-        Err(QueryError::UnknownMention(_)) | Err(QueryError::UnknownEntity(_)) => None,
-        other => panic!("{query:?}: unexpected {other:?}"),
-    }
-}
-
-fn entity_keys(service: &TaxonomyService, query: &Query) -> Option<Vec<String>> {
-    match service.execute(query).result {
-        Ok(Response::Entities(page)) => Some(page.items.into_iter().map(|h| h.key).collect()),
-        Err(QueryError::UnknownConcept(_)) => None,
-        other => panic!("{query:?}: unexpected {other:?}"),
-    }
-}
-
-/// Asserts wrapper ≡ service for every Table II operation over the given
-/// mention/concept probe sets.
-fn assert_equivalent(api: &ProbaseApi, service: &TaxonomyService, probes: &[String]) {
-    let f = api.frozen();
+/// Asserts that `owned` and `served`, one snapshot on two backends,
+/// reply identically to every Table II operation: `men2ent` and
+/// `getConcept` for every mention probe, `getConcept` by display key for
+/// every entity (each key must resolve), and `getEntity` for every
+/// concept plus an unknown one, at several limits.
+fn assert_equivalent(
+    owned: &TaxonomyService,
+    served: &TaxonomyService<Serving>,
+    probes: &[String],
+) {
+    let same = |query: Query| -> QueryResponse {
+        let reply = owned.execute(&query);
+        assert_eq!(reply, served.execute(&query), "{query:?}");
+        reply
+    };
+    let both = [ListOptions::default(), ListOptions::transitive()];
     for m in probes {
-        // men2ent: same senses, same order; unknown mention ≡ empty vec.
-        let wrapper: Vec<EntityId> = api.men2ent(m).into_iter().map(|s| s.id).collect();
-        let typed = senses_of(service, m).unwrap_or_default();
-        assert_eq!(wrapper, typed, "men2ent({m})");
-
-        // getConcept by mention, both transitive flags.
-        for transitive in [false, true] {
-            let query = Query::GetConceptByMention {
+        same(Query::men2ent(m));
+        for options in both.clone() {
+            same(Query::GetConceptByMention {
                 mention: m.clone(),
-                options: ListOptions {
-                    transitive,
-                    ..Default::default()
-                },
-            };
-            assert_eq!(
-                api.get_concept_by_mention(m, transitive),
-                concept_names(service, &query).unwrap_or_default(),
-                "getConceptByMention({m}, {transitive})"
-            );
+                options,
+            });
         }
     }
 
-    // getConcept by entity key, every entity, both transitive flags.
+    let pinned = owned.pin();
+    let f = pinned.frozen();
     for e in f.entity_ids() {
-        let key = f.entity_key(e);
-        for transitive in [false, true] {
-            let query = Query::GetConcept {
-                entity: key.clone(),
-                options: ListOptions {
-                    transitive,
-                    ..Default::default()
-                },
-            };
-            assert_eq!(
-                api.get_concept(e, transitive),
-                concept_names(service, &query).expect("known entity"),
-                "getConcept({key}, {transitive})"
-            );
+        let entity = f.entity_key(e);
+        for options in both.clone() {
+            let reply = same(Query::GetConcept {
+                entity: entity.clone(),
+                options,
+            });
+            assert!(reply.result.is_ok(), "getConcept({entity}) resolves");
         }
     }
 
-    // getEntity, every concept plus an unknown, several limits.
     let mut concepts: Vec<String> = f
         .concept_ids()
         .map(|c| f.concept_name(c).to_string())
         .collect();
     concepts.push("绝对不存在的概念".to_string());
-    for name in &concepts {
-        for transitive in [false, true] {
+    for concept in &concepts {
+        for options in both.clone() {
             for limit in [1usize, 2, usize::MAX] {
-                let query = Query::GetEntity {
-                    concept: name.clone(),
-                    options: ListOptions {
-                        transitive,
-                        min_confidence: 0.0,
-                        page: PageRequest::first(limit),
-                    },
-                };
-                assert_eq!(
-                    api.get_entity(name, transitive, limit),
-                    entity_keys(service, &query).unwrap_or_default(),
-                    "getEntity({name}, {transitive}, {limit})"
-                );
+                same(Query::GetEntity {
+                    concept: concept.clone(),
+                    options: options.clone().with_page(PageRequest::first(limit)),
+                });
             }
         }
     }
@@ -126,7 +86,6 @@ fn assert_equivalent(api: &ProbaseApi, service: &TaxonomyService, probes: &[Stri
 
 #[test]
 fn wrapper_and_service_agree_on_golden_fixture() {
-    let api = ProbaseApi::from_frozen(golden());
     let service = TaxonomyService::new(golden());
     let mut probes = vec![
         "刘德华".to_string(),
@@ -137,7 +96,7 @@ fn wrapper_and_service_agree_on_golden_fixture() {
         "不存在（也不存在）".to_string(),
     ];
     probes.sort();
-    assert_equivalent(&api, &service, &probes);
+    assert_equivalent(&service, &serving_service(&golden()), &probes);
 
     // Known-answer spot checks for the protocol-only queries.
     let r = service.execute(&Query::IsA {
@@ -178,11 +137,10 @@ fn wrapper_and_service_agree_on_generated_corpus() {
     let corpus = CorpusGenerator::new(CorpusConfig::tiny(9)).generate();
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
     let frozen = outcome.freeze();
-    let api = ProbaseApi::from_frozen(frozen.clone());
-    let service = TaxonomyService::new(frozen);
+    let served = serving_service(&frozen);
     let probes: Vec<String> = corpus.pages.iter().map(|p| p.name.clone()).collect();
     assert!(probes.len() > 100, "corpus too small to be meaningful");
-    assert_equivalent(&api, &service, &probes);
+    assert_equivalent(&TaxonomyService::new(frozen), &served, &probes);
 }
 
 #[test]
