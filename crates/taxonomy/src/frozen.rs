@@ -79,14 +79,17 @@ impl<T: Copy> Csr<T> {
         &self.data
     }
 
-    /// The `i`-th row as a slice.
+    /// The `i`-th row as a slice; empty past the last row, so an id from
+    /// another snapshot reads as one with no edges.
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`i` is an id this snapshot minted, so `i + 1 < offsets.len()`; offsets start at 0, are monotone and end at `data.len()` — `from_rows` builds them so and `from_parts`' caller checks it"
-    )]
     pub fn row(&self, i: usize) -> &[T] {
-        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        match self.offsets.get(i..) {
+            Some(&[start, end, ..]) => self
+                .data
+                .get(start as usize..end as usize)
+                .unwrap_or_default(),
+            _ => &[],
+        }
     }
 
     /// Number of rows.
@@ -301,13 +304,13 @@ impl FrozenTaxonomy {
         self.entity_by_key.get(&(name_sym, dis_sym)).copied()
     }
 
-    /// Record for an entity id.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "an `EntityId` is minted only by this snapshot's own lookups and rows, all below `entities.len()`"
-    )]
+    /// Record for an entity id (empty name and disambiguation for an id
+    /// this snapshot does not hold).
     pub fn entity(&self, id: EntityId) -> EntityRecord {
-        self.entities[id.index()]
+        self.entities
+            .get(id.index())
+            .copied()
+            .unwrap_or(EntityRecord::UNKNOWN)
     }
 
     /// Full display key: `name（disambig）` or just `name`.
@@ -327,13 +330,11 @@ impl FrozenTaxonomy {
         self.concept_by_sym.get(&sym).copied()
     }
 
-    /// Concept name.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `ConceptId` is minted only by this snapshot's own lookups and rows, all below `concepts.len()` (`depth` has one entry per concept)"
-    )]
+    /// Concept name (`""` for an id this snapshot does not hold).
     pub fn concept_name(&self, id: ConceptId) -> &str {
-        self.interner.resolve(self.concepts[id.index()])
+        self.concepts
+            .get(id.index())
+            .map_or("", |&sym| self.interner.resolve(sym))
     }
 
     /// Iterates all entity ids.
@@ -443,31 +444,27 @@ impl FrozenTaxonomy {
     }
 
     /// Exact depth of a concept: longest parent-chain length to a root
-    /// (0 for roots), from the freeze-time DP pass.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a `ConceptId` is minted only by this snapshot's own lookups and rows, all below `concepts.len()` (`depth` has one entry per concept)"
-    )]
+    /// (0 for roots, and for an id this snapshot does not hold), from the
+    /// freeze-time DP pass.
     pub fn depth(&self, c: ConceptId) -> usize {
-        self.depth[c.index()] as usize
+        self.depth.get(c.index()).map_or(0, |&d| d as usize)
     }
 
     /// All transitive descendant concepts in BFS order (used by
     /// `getEntity(transitive)`); allocates its output like any listing API.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`seen` has one slot per concept, and `start` and every child id in a `concept_children` row are below `concepts.len()`"
-    )]
+    /// Empty for an id this snapshot does not hold.
     pub fn descendants(&self, start: ConceptId) -> Vec<ConceptId> {
         let mut seen = vec![false; self.concepts.len()];
         let mut order = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        seen[start.index()] = true;
-        queue.push_back(start);
+        let Some(s) = seen.get_mut(start.index()) else {
+            return order;
+        };
+        *s = true;
+        let mut queue = std::collections::VecDeque::from([start]);
         while let Some(c) = queue.pop_front() {
             for &ch in self.children_of(c) {
-                if !seen[ch.index()] {
-                    seen[ch.index()] = true;
+                if let Some(s @ false) = seen.get_mut(ch.index()) {
+                    *s = true;
                     order.push(ch);
                     queue.push_back(ch);
                 }

@@ -822,7 +822,11 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
         if id.index() < base_n {
             self.base.entity(id)
         } else {
-            self.state.entities[id.index() - base_n]
+            self.state
+                .entities
+                .get(id.index() - base_n)
+                .copied()
+                .unwrap_or(EntityRecord::UNKNOWN)
         }
     }
 
@@ -839,7 +843,10 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
         if id.index() < base_n {
             self.base.concept_name(id)
         } else {
-            &self.state.concept_names[id.index() - base_n]
+            self.state
+                .concept_names
+                .get(id.index() - base_n)
+                .map_or("", String::as_str)
         }
     }
 
@@ -946,14 +953,14 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
 
     fn parents_of(&self, c: ConceptId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
         match &self.state.tables {
-            Some(t) => Either::L(t.parents[c.index()].iter().copied()),
+            Some(t) => Either::L(t.parents.get(c.index()).into_iter().flatten().copied()),
             None => Either::R(self.base.parents_of(c)),
         }
     }
 
     fn children_of(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
         match &self.state.tables {
-            Some(t) => Either::L(t.children[c.index()].iter().copied()),
+            Some(t) => Either::L(t.children.get(c.index()).into_iter().flatten().copied()),
             None => Either::R(self.base.children_of(c)),
         }
     }
@@ -978,7 +985,7 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
 
     fn depth(&self, c: ConceptId) -> usize {
         match &self.state.tables {
-            Some(t) => t.depth[c.index()] as usize,
+            Some(t) => t.depth.get(c.index()).map_or(0, |&d| d as usize),
             None => self.base.depth(c),
         }
     }
@@ -991,13 +998,15 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
         // child rows.
         let mut seen = vec![false; t.children.len()];
         let mut order = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        seen[start.index()] = true;
-        queue.push_back(start);
+        let Some(s) = seen.get_mut(start.index()) else {
+            return order;
+        };
+        *s = true;
+        let mut queue = std::collections::VecDeque::from([start]);
         while let Some(c) = queue.pop_front() {
-            for &ch in &t.children[c.index()] {
-                if !seen[ch.index()] {
-                    seen[ch.index()] = true;
+            for &ch in t.children.get(c.index()).into_iter().flatten() {
+                if let Some(s @ false) = seen.get_mut(ch.index()) {
+                    *s = true;
                     order.push(ch);
                     queue.push_back(ch);
                 }

@@ -307,7 +307,7 @@ pub type AnySnapshot = FrozenTaxonomyView;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlay::OverlayView;
+    use crate::overlay::{DeltaOverlay, OverlayView};
     use crate::persist::encode_frozen_v3;
     use crate::store::{Source, TaxonomyStore};
 
@@ -363,5 +363,78 @@ mod tests {
         assert_eq!(describe(&view), base);
         assert_eq!(describe(&OverlayView::new(view)), base);
         assert_eq!(describe(&OverlayView::new(frozen)), base);
+    }
+
+    /// Every id-taking read of `t` at ids it does not hold: `n`, `n + 1`
+    /// and `u32::MAX`, alone and beside a held id.
+    fn foreign_answers<T: TaxonomyRead>(t: &T) -> Vec<String> {
+        let past = |n: usize| [n as u32, n as u32 + 1, u32::MAX];
+        let (held_e, held_c) = (EntityId(0), ConceptId(0));
+        let mut out = Vec::new();
+        for e in past(t.num_entities()).map(EntityId) {
+            out.push(format!(
+                "{:?} {:?} {} {:?}",
+                t.entity(e),
+                t.entity_key(e),
+                t.concepts_of(e).count(),
+                t.entity_edge(e, held_c),
+            ));
+        }
+        for c in past(t.num_concepts()).map(ConceptId) {
+            out.push(format!(
+                "{:?} {} {} {} {} {} {} {} {} {:?} {:?}",
+                t.concept_name(c),
+                t.entities_of(c).count(),
+                t.entities_with_confidence(c).count(),
+                t.parents_of(c).count(),
+                t.children_of(c).count(),
+                t.ancestors(c).count(),
+                t.ancestor_contains(c, held_c),
+                t.ancestor_contains(held_c, c),
+                t.depth(c),
+                t.descendants(c),
+                t.entity_edge(held_e, c),
+            ));
+        }
+        out
+    }
+
+    /// `EntityId` and `ConceptId` are plain numbers anyone can build: an
+    /// id a snapshot does not hold must read as the empty answer — no
+    /// panic, no bytes of a neighbouring section — and the same one on
+    /// every backend, an overlay that appended ids of its own included.
+    #[test]
+    fn foreign_ids_read_as_empty_on_every_backend() {
+        let frozen = demo();
+        let view = FrozenTaxonomyView::open(encode_frozen_v3(&frozen)).expect("open");
+        let mut delta = DeltaOverlay::new();
+        delta.upsert_entity_is_a("张学友", None, "歌手", IsAMeta::new(Source::Tag, 0.9));
+        delta.upsert_concept_is_a("歌手", "人物", IsAMeta::new(Source::SubConcept, 0.8));
+        let grown = OverlayView::new(view.clone()).apply(&delta);
+        assert_eq!(grown.num_entities(), 2);
+        assert_eq!(grown.num_concepts(), 3);
+
+        let empty = format!("{:?} \"\" 0 None", EntityRecord::UNKNOWN);
+        let expected: Vec<String> = [empty.as_str(); 3]
+            .into_iter()
+            .map(str::to_string)
+            .chain(std::iter::repeat_n(
+                "\"\" 0 0 0 0 0 false false 0 [] None".to_string(),
+                3,
+            ))
+            .collect();
+        assert_eq!(foreign_answers(&frozen), expected, "owned");
+        assert_eq!(foreign_answers(&view), expected, "view");
+        assert_eq!(
+            foreign_answers(&OverlayView::new(view)),
+            expected,
+            "overlay"
+        );
+        assert_eq!(
+            foreign_answers(&OverlayView::new(frozen)),
+            expected,
+            "overlay, owned"
+        );
+        assert_eq!(foreign_answers(&grown), expected, "overlay with a delta");
     }
 }

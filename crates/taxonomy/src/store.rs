@@ -114,6 +114,14 @@ pub struct EntityRecord {
     pub disambig: Symbol,
 }
 
+impl EntityRecord {
+    /// What every snapshot answers for an entity id it does not hold.
+    pub(crate) const UNKNOWN: EntityRecord = EntityRecord {
+        name: Symbol(0),
+        disambig: Symbol(0),
+    };
+}
+
 /// The taxonomy store.
 #[derive(Debug, Clone, Default)]
 pub struct TaxonomyStore {

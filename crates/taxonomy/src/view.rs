@@ -663,8 +663,12 @@ impl FrozenTaxonomyView {
         }
     }
 
-    /// Record for an entity id.
+    /// Record for an entity id (empty name and disambiguation for an id
+    /// this snapshot does not hold).
     pub fn entity(&self, id: EntityId) -> EntityRecord {
+        if id.index() >= self.n_entities {
+            return EntityRecord::UNKNOWN;
+        }
         EntityRecord {
             name: Symbol(self.u32_at(self.entities_at + id.index() * 8)),
             disambig: Symbol(self.u32_at(self.entities_at + id.index() * 8 + 4)),
@@ -716,8 +720,11 @@ impl FrozenTaxonomyView {
         None
     }
 
-    /// Concept name.
+    /// Concept name (`""` for an id this snapshot does not hold).
     pub fn concept_name(&self, id: ConceptId) -> &str {
+        if id.index() >= self.n_concepts {
+            return "";
+        }
         self.resolve(Symbol(self.concept_sym(id.index())))
     }
 
