@@ -414,15 +414,9 @@ mod tests {
         assert_eq!(grown.num_entities(), 2);
         assert_eq!(grown.num_concepts(), 3);
 
-        let empty = format!("{:?} \"\" 0 None", EntityRecord::UNKNOWN);
-        let expected: Vec<String> = [empty.as_str(); 3]
-            .into_iter()
-            .map(str::to_string)
-            .chain(std::iter::repeat_n(
-                "\"\" 0 0 0 0 0 false false 0 [] None".to_string(),
-                3,
-            ))
-            .collect();
+        let entity = format!("{:?} \"\" 0 None", EntityRecord::UNKNOWN);
+        let concept = "\"\" 0 0 0 0 0 false false 0 [] None".to_string();
+        let expected = [vec![entity; 3], vec![concept; 3]].concat();
         assert_eq!(foreign_answers(&frozen), expected, "owned");
         assert_eq!(foreign_answers(&view), expected, "view");
         assert_eq!(

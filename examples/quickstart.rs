@@ -27,31 +27,15 @@ fn main() {
     // 4) Ask the three public APIs of Table II off the frozen snapshot. Each
     //    call is a `Query` value the service answers: men2ent, getConcept
     //    (by the entity's display key) and getEntity.
-    let concepts = frozen
+    let concepts: Vec<String> = frozen
         .concept_ids()
-        .map(|c| frozen.concept_name(c).to_string());
-    let concepts: Vec<String> = concepts.collect();
+        .map(|c| frozen.concept_name(c).to_string())
+        .collect();
     let service = TaxonomyService::new(frozen);
-    let men2ent = |mention: &str| match service.execute(&Query::men2ent(mention)).result {
-        Ok(Response::Senses(senses)) => senses,
-        _ => Vec::new(),
-    };
-    let get_concept = |entity: &str| -> Vec<String> {
-        let query = Query::GetConcept {
-            entity: entity.to_string(),
-            options: ListOptions::transitive(),
-        };
+    let ask = |query: Query| -> Vec<String> {
         match service.execute(&query).result {
+            Ok(Response::Senses(senses)) => senses.into_iter().map(|s| s.key).collect(),
             Ok(Response::Concepts(page)) => page.items.into_iter().map(|h| h.name).collect(),
-            _ => Vec::new(),
-        }
-    };
-    let get_entity = |concept: &str| -> Vec<String> {
-        let query = Query::GetEntity {
-            concept: concept.to_string(),
-            options: ListOptions::transitive().with_page(PageRequest::first(3)),
-        };
-        match service.execute(&query).result {
             Ok(Response::Entities(page)) => page.items.into_iter().map(|h| h.key).collect(),
             _ => Vec::new(),
         }
@@ -59,21 +43,28 @@ fn main() {
     let page = corpus
         .pages
         .iter()
-        .find(|p| !corpus.gold.is_concept(&p.name) && !men2ent(&p.name).is_empty())
+        .find(|p| !corpus.gold.is_concept(&p.name) && !ask(Query::men2ent(&p.name)).is_empty())
         .expect("a resolvable entity exists");
     println!("\nmen2ent({}):", page.name);
-    for sense in men2ent(&page.name) {
-        println!(
-            "  {} -> getConcept: {:?}",
-            sense.key,
-            get_concept(&sense.key)
-        );
+    for key in ask(Query::men2ent(&page.name)) {
+        let concepts = ask(Query::GetConcept {
+            entity: key.clone(),
+            options: ListOptions::transitive(),
+        });
+        println!("  {key} -> getConcept: {concepts:?}");
     }
+    let get_entity = |concept: &str| Query::GetEntity {
+        concept: concept.to_string(),
+        options: ListOptions::transitive().with_page(PageRequest::first(3)),
+    };
     let concept = concepts
         .iter()
-        .find(|c| !get_entity(c).is_empty())
+        .find(|c| !ask(get_entity(c)).is_empty())
         .expect("a populated concept exists");
-    println!("getEntity({concept}, limit 3): {:?}", get_entity(concept));
+    println!(
+        "getEntity({concept}, limit 3): {:?}",
+        ask(get_entity(concept))
+    );
 
     // 5) Reload the persisted snapshot: the view answers straight off the
     //    file's bytes.
