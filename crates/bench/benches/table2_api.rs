@@ -83,10 +83,17 @@ fn print_table(f: &Fixture) {
         "getEntity", "concept", "hyponym list", 25_793_372
     );
     // A smoke sample so the printed table reflects live behaviour.
-    println!("live sample: {:?}", f.service.execute(&f.men2ent[0]).result);
+    let names = |q: &Query| -> Vec<String> {
+        match f.service.execute(q).result {
+            Ok(Response::Senses(senses)) => senses.into_iter().map(|s| s.key).collect(),
+            Ok(Response::Concepts(page)) => page.items.into_iter().map(|h| h.name).collect(),
+            _ => Vec::new(),
+        }
+    };
     println!(
-        "live sample: {:?}",
-        f.service.execute(&f.get_concept[0]).result
+        "live sample: men2ent -> {:?}, getConcept -> {:?}",
+        names(&f.men2ent[0]),
+        names(&f.get_concept[0])
     );
     println!("=================================================\n");
 }
