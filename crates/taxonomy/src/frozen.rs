@@ -37,7 +37,7 @@ use cnp_runtime::Runtime;
 /// Compressed sparse row storage: `row(i)` is a contiguous slice.
 ///
 /// Not `Default`: `offsets` always holds at least the leading 0 (both
-/// constructors see to it), which is what `row` and `num_rows` stand on.
+/// constructors see to it), which is what `num_rows` stands on.
 #[derive(Debug, Clone)]
 pub struct Csr<T> {
     offsets: Vec<u32>,
