@@ -288,3 +288,50 @@ fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
         );
     }
 }
+
+/// Verification strategy A alone, pinned: how many edges it removes and an
+/// FNV-1a hash over every survivor's `(page, entity_key, hypernym)` in
+/// candidate order, captured before strategy A decided each concept pair
+/// once. A faster strategy A must remove the same edges at every thread
+/// count; a cached removal (rather than a cached verdict) or a reordered
+/// cascade moves this hash.
+#[test]
+fn strategy_a_alone_matches_its_golden_hash_at_1_2_and_8_threads() {
+    use cn_probase::pipeline::verification::VerificationConfig;
+    use cn_probase::runtime::stable_hash;
+
+    const INCOMPATIBLE_REMOVED: usize = 41;
+    const SURVIVORS: usize = 5064;
+    const SURVIVORS_HASH: u64 = 0x6a06_d13a_065c_2f6a;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(911)).generate();
+    for threads in [1, 2, 8] {
+        let config = PipelineConfig {
+            threads,
+            verification: VerificationConfig {
+                incompatible: Some(Default::default()),
+                ner: None,
+                syntax: None,
+            },
+            ..PipelineConfig::fast()
+        };
+        let outcome = Pipeline::new(config).run(&corpus);
+        let mut bytes = Vec::new();
+        for c in &outcome.candidates.items {
+            bytes.extend_from_slice(&(c.page as u64).to_le_bytes());
+            bytes.extend_from_slice(c.entity_key.as_bytes());
+            bytes.push(0);
+            bytes.extend_from_slice(c.hypernym.as_bytes());
+            bytes.push(0);
+        }
+        assert_eq!(
+            (
+                outcome.report.verification.incompatible_removed,
+                outcome.candidates.items.len(),
+                stable_hash(&bytes)
+            ),
+            (INCOMPATIBLE_REMOVED, SURVIVORS, SURVIVORS_HASH),
+            "strategy A's survivors moved at {threads} threads"
+        );
+    }
+}
