@@ -7,11 +7,24 @@
 //! When an entity carries two incompatible concepts, the one whose
 //! attribute distribution diverges more from the entity's (larger KL,
 //! Eq. 1) is dropped.
+//!
+//! Incompatibility depends on the two concepts alone, so [`filter`]
+//! decides each distinct concept pair once, however many entities carry
+//! it: O(distinct pairs × extent), not O(pages × extent). Which edge goes
+//! depends on the entity (its KL to each concept), so the verdict is
+//! shared and the removal is not.
+//!
+//! Predicates are interned as `u32` ids in ascending string order and
+//! concepts as their index among the sorted hypernyms. A distribution is
+//! `(id, weight)` pairs in ascending id, the key order of the
+//! `BTreeMap<String, f64>` it replaced, so every sum accumulates in the
+//! same order and every score is the same bits (near-ties decide which
+//! edge gets dropped).
 
 use crate::candidate::CandidateSet;
 use cnp_encyclopedia::Page;
 use cnp_runtime::Runtime;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Thresholds for strategy A.
 #[derive(Debug, Clone)]
@@ -40,44 +53,39 @@ impl Default for IncompatibleConfig {
     }
 }
 
-/// Per-concept statistics gathered from the candidate set.
-///
-/// Distributions use `BTreeMap` so floating-point accumulation happens in a
-/// fixed key order — keeping KL/cosine comparisons bit-for-bit
-/// reproducible across runs (near-ties decide which edge gets dropped).
-/// The hyponym pages (ascending, distinct) are borrowed from the
-/// concept→pages index rather than duplicated per concept.
-struct ConceptInfo<'a> {
-    entities: &'a [usize],
-    attr_dist: BTreeMap<String, f64>,
+/// The weight `q` gives attribute `key`, if any.
+fn weight(q: &[(u32, f64)], key: u32) -> Option<f64> {
+    q.binary_search_by_key(&key, |&(k, _)| k)
+        .ok()
+        .map(|i| q[i].1)
 }
 
 /// KL divergence `D(p ‖ q)` over attribute distributions with add-ε
 /// smoothing on `q` (Eq. 1; smoothing keeps the score finite when the
 /// concept lacks one of the entity's attributes).
-pub fn kl_divergence(p: &BTreeMap<String, f64>, q: &BTreeMap<String, f64>) -> f64 {
+fn kl_divergence(p: &[(u32, f64)], q: &[(u32, f64)]) -> f64 {
     const EPS: f64 = 1e-6;
     let mut kl = 0.0;
-    for (attr, &pv) in p {
+    for &(attr, pv) in p {
         if pv <= 0.0 {
             continue;
         }
-        let qv = q.get(attr).copied().unwrap_or(0.0) + EPS;
+        let qv = weight(q, attr).unwrap_or(0.0) + EPS;
         kl += pv * (pv / qv).ln();
     }
     kl.max(0.0)
 }
 
 /// Cosine similarity of two sparse distributions.
-pub fn cosine(p: &BTreeMap<String, f64>, q: &BTreeMap<String, f64>) -> f64 {
+fn cosine(p: &[(u32, f64)], q: &[(u32, f64)]) -> f64 {
     let mut dot = 0.0;
-    for (k, &pv) in p {
-        if let Some(&qv) = q.get(k) {
+    for &(k, pv) in p {
+        if let Some(qv) = weight(q, k) {
             dot += pv * qv;
         }
     }
-    let np: f64 = p.values().map(|v| v * v).sum::<f64>().sqrt();
-    let nq: f64 = q.values().map(|v| v * v).sum::<f64>().sqrt();
+    let norm = |d: &[(u32, f64)]| d.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
+    let (np, nq) = (norm(p), norm(q));
     if np == 0.0 || nq == 0.0 {
         0.0
     } else {
@@ -85,180 +93,172 @@ pub fn cosine(p: &BTreeMap<String, f64>, q: &BTreeMap<String, f64>) -> f64 {
     }
 }
 
+/// Interns `keys`: returns the number of distinct keys and each key's
+/// id, its rank in ascending string order. Hashing finds the distinct
+/// keys; only those are sorted, and the map is never iterated.
+fn intern<'a>(keys: impl Iterator<Item = &'a str>) -> (usize, Vec<usize>) {
+    let mut seen: HashMap<&str, usize> = HashMap::new();
+    let mut distinct: Vec<&str> = Vec::new();
+    let mut first_seen = |k| {
+        *seen.entry(k).or_insert_with(|| {
+            distinct.push(k);
+            distinct.len() - 1
+        })
+    };
+    let first: Vec<usize> = keys.map(&mut first_seen).collect();
+    let mut sorted = distinct.clone();
+    sorted.sort_unstable();
+    let rank: Vec<usize> = distinct
+        .iter()
+        .map(|k| sorted.partition_point(|s| s < k))
+        .collect();
+    (distinct.len(), first.into_iter().map(|f| rank[f]).collect())
+}
+
 /// Runs strategy A, returning the filtered candidate set and the number of
 /// removed candidates.
 ///
-/// All three expensive phases run in parallel partitions on the shared
-/// runtime: per-page attribute gathering, per-concept statistics, and the
-/// per-entity pair tests. The removal cascade is confined to one entity's
-/// candidate list, so entity groups partition cleanly across workers and
-/// the merged removal set is thread-count-independent.
+/// Predicates, concepts and entity keys are interned in one hashed pass
+/// each. The concept distributions, the verdict on each distinct concept
+/// pair some entity carries, and the per-entity removal cascade run in
+/// parallel partitions on the shared runtime. `is_incompatible` is
+/// symmetric, so a pair is keyed low id first.
+///
+/// The cascade walks an entity's candidates in order, skips a pair once
+/// either edge is removed, and drops the edge with the larger KL (the
+/// second one on a tie). Only the verdict is shared between entities:
+/// the KLs, and so the edge that goes, belong to the entity. The cascade
+/// is confined to one entity's candidates, so entity groups partition
+/// cleanly across workers and the removal set is thread-count-independent.
 pub fn filter(
     set: CandidateSet,
     pages: &[Page],
     cfg: &IncompatibleConfig,
     rt: &Runtime,
 ) -> (CandidateSet, usize) {
-    // Entity attribute sets from infobox predicates (sorted + deduped for
-    // deterministic accumulation order).
-    let entity_attrs: Vec<Vec<&str>> = rt
-        .par_chunks_indexed(pages, |_, chunk| {
-            chunk
-                .iter()
-                .map(|p| {
-                    let mut attrs: Vec<&str> =
-                        p.infobox.iter().map(|t| t.predicate.as_str()).collect();
-                    attrs.sort_unstable();
-                    attrs.dedup();
-                    attrs
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+    // Each page's attributes as sorted, distinct predicate ids, page
+    // `p`'s at `attr_ids[starts[p]..starts[p + 1]]`.
+    let triples = pages.iter().flat_map(|p| &p.infobox);
+    let mut predicate_of = intern(triples.map(|t| t.predicate.as_str())).1.into_iter();
+    let (mut attr_ids, mut starts, mut page_ids) = (Vec::new(), vec![0], Vec::new());
+    for p in pages {
+        page_ids.clear();
+        page_ids.extend(
+            predicate_of
+                .by_ref()
+                .take(p.infobox.len())
+                .map(|id| id as u32),
+        );
+        page_ids.sort_unstable();
+        page_ids.dedup();
+        attr_ids.extend_from_slice(&page_ids);
+        starts.push(attr_ids.len());
+    }
+    let attrs_of = |p: usize| &attr_ids[starts[p]..starts[p + 1]];
 
-    // Concept → distinct hyponym pages, both in ascending order, then
-    // per-concept attribute distributions computed independently —
-    // attribute counts accumulate in ascending page order, and
-    // integer-valued f64 additions are exact, so the normalized
-    // distribution is identical to the serial single-pass build.
-    let mut concept_pages: BTreeMap<&str, Vec<usize>> = rt
-        .par_map_reduce(
-            &set.items,
-            |_, chunk| {
-                let mut m: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-                for c in chunk {
-                    m.entry(c.hypernym.as_str()).or_default().push(c.page);
-                }
-                m
-            },
-            |mut acc, part| {
-                for (k, mut v) in part {
-                    acc.entry(k).or_default().append(&mut v);
-                }
-                acc
-            },
-        )
-        .unwrap_or_default();
-    for pages in concept_pages.values_mut() {
+    // Each concept's distinct hyponym pages, ascending.
+    let (n_concepts, concept_of) = intern(set.items.iter().map(|c| c.hypernym.as_str()));
+    let mut extents: Vec<Vec<usize>> = vec![Vec::new(); n_concepts];
+    for (c, item) in concept_of.iter().zip(&set.items) {
+        extents[*c].push(item.page);
+    }
+    for pages in &mut extents {
         pages.sort_unstable();
         pages.dedup();
     }
-    let concept_names: Vec<&str> = concept_pages.keys().copied().collect();
-    let infos: Vec<ConceptInfo> = rt.par_index_map(concept_names.len(), |i| {
-        let entities = &concept_pages[concept_names[i]];
-        let mut attr_dist: BTreeMap<String, f64> = BTreeMap::new();
-        for &p in entities {
-            for &a in &entity_attrs[p] {
-                *attr_dist.entry(a.to_string()).or_insert(0.0) += 1.0;
-            }
-        }
-        let total: f64 = attr_dist.values().sum();
-        if total > 0.0 {
-            for v in attr_dist.values_mut() {
-                *v /= total;
-            }
-        }
-        ConceptInfo {
-            entities,
-            attr_dist,
-        }
+    // Attribute counts are integers, so the total and every weight come
+    // out the same bits whatever order they are summed in.
+    let dists: Vec<Vec<(u32, f64)>> = rt.par_index_map(n_concepts, |c| {
+        let attrs = extents[c].iter().flat_map(|&p| attrs_of(p));
+        let mut ids: Vec<u32> = attrs.copied().collect();
+        ids.sort_unstable();
+        let total = ids.len() as f64;
+        let runs = ids.chunk_by(|a, b| a == b);
+        runs.map(|r| (r[0], r.len() as f64 / total)).collect()
     });
-    let concepts: HashMap<&str, ConceptInfo> = concept_names.into_iter().zip(infos).collect();
 
-    // Entity attribute distributions (uniform over the page's predicates).
-    let entity_dist: Vec<BTreeMap<String, f64>> = rt
-        .par_chunks_indexed(&entity_attrs, |_, chunk| {
-            chunk
-                .iter()
-                .map(|attrs| {
-                    let n = attrs.len().max(1) as f64;
-                    attrs
-                        .iter()
-                        .map(|a| ((*a).to_string(), 1.0 / n))
-                        .collect::<BTreeMap<String, f64>>()
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-
-    // Group candidates per entity. BTreeMap keeps the group order
-    // deterministic; removal decisions cascade (a removed edge is skipped
-    // in later pair tests), but only *within* a group, so groups fan out
-    // to workers independently.
-    let mut by_entity: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, c) in set.items.iter().enumerate() {
-        by_entity.entry(c.entity_key.as_str()).or_default().push(i);
+    // Group candidates per entity, in ascending key order. Removal
+    // decisions cascade (a removed edge is skipped in later pair tests),
+    // but only *within* a group, so groups fan out to workers
+    // independently.
+    let (n_entities, entity_of) = intern(set.items.iter().map(|c| c.entity_key.as_str()));
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_entities];
+    for (i, e) in entity_of.iter().enumerate() {
+        groups[*e].push(i);
     }
-    let groups: Vec<&Vec<usize>> = by_entity.values().collect();
 
-    let is_incompatible = |a: &ConceptInfo, b: &ConceptInfo| -> bool {
-        if a.entities.len() < cfg.min_extent || b.entities.len() < cfg.min_extent {
+    // Both tests are pure, so the cheap cosine goes first and the Jaccard
+    // over the two extents runs only when the cosine is low.
+    let is_incompatible = |a: usize, b: usize| -> bool {
+        let mut pair = [&extents[a][..], &extents[b][..]];
+        if pair.iter().any(|pages| pages.len() < cfg.min_extent)
+            || cosine(&dists[a], &dists[b]) >= cfg.max_cosine
+        {
             return false;
         }
-        let mut pair = [a.entities, b.entities];
         pair.sort_by_key(|pages| pages.len());
         let [small, large] = pair;
         let inter = small.iter().filter(|p| large.binary_search(p).is_ok());
         let inter = inter.count() as f64;
-        let union = (a.entities.len() + b.entities.len()) as f64 - inter;
+        let union = (small.len() + large.len()) as f64 - inter;
         let jaccard = if union == 0.0 { 0.0 } else { inter / union };
-        if jaccard > cfg.max_jaccard {
-            return false;
-        }
-        cosine(&a.attr_dist, &b.attr_dist) < cfg.max_cosine
+        jaccard <= cfg.max_jaccard
     };
+    let pair_key = |i: usize, j: usize| {
+        let (a, b) = (concept_of[i], concept_of[j]);
+        (a.min(b), a.max(b))
+    };
+    let mut pairs: Vec<(usize, usize)> = groups
+        .iter()
+        .flat_map(|g| (0..g.len()).flat_map(move |a| g[a + 1..].iter().map(move |&j| (g[a], j))))
+        .map(|(i, j)| pair_key(i, j))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let verdicts: Vec<bool> =
+        rt.par_index_map(pairs.len(), |k| is_incompatible(pairs[k].0, pairs[k].1));
 
-    let removed: HashSet<usize> = rt
-        .par_map_reduce(
-            &groups,
-            |_, group_chunk| {
-                let mut removed: HashSet<usize> = HashSet::new();
-                for indices in group_chunk {
-                    for (ai, &i) in indices.iter().enumerate() {
-                        for &j in indices.iter().skip(ai + 1) {
-                            if removed.contains(&i) || removed.contains(&j) {
-                                continue;
-                            }
-                            let (ci, cj) = (&set.items[i], &set.items[j]);
-                            let (Some(info_i), Some(info_j)) = (
-                                concepts.get(ci.hypernym.as_str()),
-                                concepts.get(cj.hypernym.as_str()),
-                            ) else {
-                                continue;
-                            };
-                            if !is_incompatible(info_i, info_j) {
-                                continue;
-                            }
-                            // Drop the concept with larger KL(v_att(e) ‖ v_att(c)).
-                            let e_dist = &entity_dist[ci.page];
-                            let kl_i = kl_divergence(e_dist, &info_i.attr_dist);
-                            let kl_j = kl_divergence(e_dist, &info_j.attr_dist);
-                            removed.insert(if kl_i > kl_j { i } else { j });
+    let removed: Vec<usize> = rt
+        .par_chunks_indexed(&groups, |_, group_chunk| {
+            let mut removed = Vec::new();
+            for indices in group_chunk {
+                let mut dropped = vec![false; indices.len()];
+                for a in 0..indices.len() {
+                    for b in a + 1..indices.len() {
+                        if dropped[a] || dropped[b] {
+                            continue;
                         }
+                        let (i, j) = (indices[a], indices[b]);
+                        let k = pairs.binary_search(&pair_key(i, j));
+                        if !k.is_ok_and(|k| verdicts[k]) {
+                            continue;
+                        }
+                        // Drop the concept with larger KL(v_att(e) ‖ v_att(c)),
+                        // v_att(e) uniform over the entity's attributes.
+                        let attrs = attrs_of(set.items[i].page);
+                        let n = attrs.len().max(1) as f64;
+                        let e_dist: Vec<(u32, f64)> = attrs.iter().map(|&a| (a, 1.0 / n)).collect();
+                        let kl_i = kl_divergence(&e_dist, &dists[concept_of[i]]);
+                        let kl_j = kl_divergence(&e_dist, &dists[concept_of[j]]);
+                        let drop = if kl_i > kl_j { a } else { b };
+                        dropped[drop] = true;
+                        removed.push(indices[drop]);
                     }
                 }
-                removed
-            },
-            |mut acc, part| {
-                acc.extend(part);
-                acc
-            },
-        )
-        .unwrap_or_default();
-
-    let n_removed = removed.len();
-    let items = set
-        .items
+            }
+            removed
+        })
         .into_iter()
-        .enumerate()
-        .filter(|(i, _)| !removed.contains(i))
-        .map(|(_, c)| c)
+        .flatten()
         .collect();
-    (CandidateSet { items }, n_removed)
+
+    let mut keep = vec![true; set.items.len()];
+    for &i in &removed {
+        keep[i] = false;
+    }
+    let items = set.items.into_iter().zip(keep);
+    let items = items.filter_map(|(c, k)| k.then_some(c)).collect();
+    (CandidateSet { items }, removed.len())
 }
 
 #[cfg(test)]
@@ -268,27 +268,130 @@ mod tests {
     use cnp_encyclopedia::InfoboxTriple;
     use cnp_taxonomy::Source;
 
-    fn dist(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        pairs.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
-    }
-
+    /// Attribute ids stand for predicates in ascending string order, so a
+    /// slice sorted by id is a distribution in the order the filter builds.
     #[test]
     fn kl_is_zero_for_identical_and_positive_otherwise() {
-        let p = dist(&[("a", 0.5), ("b", 0.5)]);
-        let q = dist(&[("a", 0.5), ("b", 0.5)]);
+        let p = [(0, 0.5), (1, 0.5)];
+        let q = [(0, 0.5), (1, 0.5)];
         assert!(kl_divergence(&p, &q) < 1e-9);
-        let r = dist(&[("c", 1.0)]);
+        let r = [(2, 1.0)];
         assert!(kl_divergence(&p, &r) > 1.0);
+        // A key `q` lacks costs ε-smoothing, not infinity; keys only `q`
+        // has do not count.
+        let partial = kl_divergence(&p, &[(0, 0.5), (2, 0.5)]);
+        assert!(partial.is_finite() && partial > 1.0);
+        assert_eq!(partial, kl_divergence(&p, &[(0, 0.5), (2, 0.5), (3, 0.5)]));
     }
 
     #[test]
     fn cosine_bounds() {
-        let p = dist(&[("a", 1.0)]);
-        let q = dist(&[("a", 2.0)]);
+        let p = [(0, 1.0)];
+        let q = [(0, 2.0)];
         assert!((cosine(&p, &q) - 1.0).abs() < 1e-9);
-        let r = dist(&[("b", 1.0)]);
+        let r = [(1, 1.0)];
         assert_eq!(cosine(&p, &r), 0.0);
-        assert_eq!(cosine(&p, &BTreeMap::new()), 0.0);
+        assert_eq!(cosine(&p, &[]), 0.0);
+        // Partial overlap, and symmetric to the bit: a pair's verdict is
+        // keyed low concept id first.
+        let (a, b) = ([(0, 1.0), (1, 1.0)], [(1, 1.0), (2, 1.0)]);
+        assert!((cosine(&a, &b) - 0.5).abs() < 1e-12);
+        assert_eq!(cosine(&a, &b).to_bits(), cosine(&b, &a).to_bits());
+    }
+
+    /// One page per `(name, infobox predicates, concepts)`, its candidates
+    /// in the order given.
+    fn scene(entities: &[(String, &[&str], &[&str])]) -> (Vec<Page>, CandidateSet) {
+        let mut pages = Vec::new();
+        let mut cands = Vec::new();
+        for (page, (name, attrs, concepts)) in entities.iter().enumerate() {
+            pages.push(Page {
+                name: name.clone(),
+                infobox: attrs
+                    .iter()
+                    .map(|a| InfoboxTriple::new(*a, "某值"))
+                    .collect(),
+                ..Default::default()
+            });
+            for concept in *concepts {
+                let c = Candidate::new(page, name, name, "", *concept, Source::Tag, 0.9);
+                cands.push(c);
+            }
+        }
+        (pages, CandidateSet::merge(cands))
+    }
+
+    fn kept(set: &CandidateSet, entity: &str) -> Vec<String> {
+        let edges = set.items.iter().filter(|c| c.entity_key == entity);
+        edges.map(|c| c.hypernym.clone()).collect()
+    }
+
+    /// One incompatible pair (人物/图书) on six entities: three people and
+    /// three books. The pair's verdict is shared, but each entity drops
+    /// its own larger-KL edge, so a memo of the removal instead of the
+    /// verdict fails one half or the other.
+    #[test]
+    fn one_pair_on_many_entities_drops_each_entitys_own_edge() {
+        const PERSON: &[&str] = &["职业", "出生地"];
+        const BOOK: &[&str] = &["作者", "出版时间"];
+        let mut entities = Vec::new();
+        for i in 0..50 {
+            entities.push((format!("人{i}"), PERSON, &["人物"][..]));
+            entities.push((format!("书{i}"), BOOK, &["图书"][..]));
+        }
+        for i in 0..3 {
+            // Alternate the candidate order too: the tie rule is not
+            // what decides here.
+            entities.push((format!("两人{i}"), PERSON, &["人物", "图书"][..]));
+            entities.push((format!("两书{i}"), BOOK, &["人物", "图书"][..]));
+            entities.push((format!("两书反{i}"), BOOK, &["图书", "人物"][..]));
+        }
+        let (pages, set) = scene(&entities);
+        for threads in [1, 2, 8] {
+            let (filtered, removed) = filter(
+                set.clone(),
+                &pages,
+                &IncompatibleConfig::default(),
+                &Runtime::new(threads),
+            );
+            assert_eq!(removed, 9, "{threads} threads");
+            for i in 0..3 {
+                assert_eq!(kept(&filtered, &format!("两人{i}")), ["人物"]);
+                assert_eq!(kept(&filtered, &format!("两书{i}")), ["图书"]);
+                assert_eq!(kept(&filtered, &format!("两书反{i}")), ["图书"]);
+            }
+        }
+    }
+
+    /// X carries 人物, 图书 and 团体, in that order. (人物, 图书) drops 图书;
+    /// (人物, 团体) is compatible, since 团体 shares most of its entities
+    /// with 人物; (图书, 团体) is incompatible and would drop 团体, but it is
+    /// skipped because 图书 is already gone. X keeps 人物 and 团体.
+    #[test]
+    fn a_removed_edge_takes_no_part_in_later_pairs() {
+        const GROUP: &[&str] = &["出生地", "成员", "成立时间", "代表作"];
+        let mut entities = Vec::new();
+        for i in 0..8 {
+            entities.push((format!("人{i}"), &["职业", "出生地"][..], &["人物"][..]));
+            entities.push((format!("书{i}"), &["作者", "出版时间"][..], &["图书"][..]));
+        }
+        for i in 0..6 {
+            entities.push((format!("团{i}"), GROUP, &["人物", "团体"][..]));
+        }
+        entities.push((
+            "X".to_string(),
+            &["职业"][..],
+            &["人物", "图书", "团体"][..],
+        ));
+        let (pages, set) = scene(&entities);
+        let (filtered, removed) = filter(
+            set,
+            &pages,
+            &IncompatibleConfig::default(),
+            &Runtime::new(2),
+        );
+        assert_eq!(removed, 1);
+        assert_eq!(kept(&filtered, "X"), ["人物", "团体"]);
     }
 
     /// Build a scene: many persons (职业/出生地 attributes) tagged 人物,

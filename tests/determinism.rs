@@ -293,8 +293,8 @@ fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
 /// FNV-1a hash over every survivor's `(page, entity_key, hypernym)` in
 /// candidate order, captured before strategy A decided each concept pair
 /// once. A faster strategy A must remove the same edges at every thread
-/// count; a cached removal (rather than a cached verdict) or a reordered
-/// cascade moves this hash.
+/// count; a cascade that stops skipping removed edges moves this hash, and
+/// `incompatible.rs`'s unit tests catch a cached removal.
 #[test]
 fn strategy_a_alone_matches_its_golden_hash_at_1_2_and_8_threads() {
     use cn_probase::pipeline::verification::VerificationConfig;
