@@ -139,16 +139,12 @@ pub fn filter(
     // Each page's attributes as sorted, distinct predicate ids, page
     // `p`'s at `attr_ids[starts[p]..starts[p + 1]]`.
     let triples = pages.iter().flat_map(|p| &p.infobox);
-    let mut predicate_of = intern(triples.map(|t| t.predicate.as_str())).1.into_iter();
+    let predicate_of = intern(triples.map(|t| t.predicate.as_str())).1.into_iter();
+    let mut predicate_of = predicate_of.map(|id| u32::try_from(id).expect("< 2^32 predicates"));
     let (mut attr_ids, mut starts, mut page_ids) = (Vec::new(), vec![0], Vec::new());
     for p in pages {
         page_ids.clear();
-        page_ids.extend(
-            predicate_of
-                .by_ref()
-                .take(p.infobox.len())
-                .map(|id| id as u32),
-        );
+        page_ids.extend(predicate_of.by_ref().take(p.infobox.len()));
         page_ids.sort_unstable();
         page_ids.dedup();
         attr_ids.extend_from_slice(&page_ids);
