@@ -16,10 +16,9 @@
 //!
 //! Predicates are interned as `u32` ids in ascending string order and
 //! concepts as their index among the sorted hypernyms. A distribution is
-//! `(id, weight)` pairs in ascending id, the key order of the
-//! `BTreeMap<String, f64>` it replaced, so every sum accumulates in the
-//! same order and every score is the same bits (near-ties decide which
-//! edge gets dropped).
+//! `(id, weight)` pairs in ascending id, so every sum accumulates in
+//! predicate-string order, whatever the thread count, and KL and cosine
+//! are reproducible to the bit (near-ties decide which edge gets dropped).
 
 use crate::candidate::CandidateSet;
 use cnp_encyclopedia::Page;
