@@ -35,7 +35,8 @@ pub struct CopyNetConfig {
     pub max_tgt_len: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Mini-batch size (gradient accumulation window).
+    /// Mini-batch size (gradient accumulation window). `0` makes each
+    /// epoch one batch, as does any size at or above the sample count.
     pub batch_size: usize,
     /// RNG seed for initialisation and shuffling.
     pub seed: u64,
@@ -728,6 +729,77 @@ mod tests {
             });
         }
         (vocab, samples)
+    }
+
+    /// `make_samples` plus two more pairs (ten trainable, so no batch size
+    /// below divides them evenly), one sample with an empty source and one
+    /// with an empty target.
+    fn pin_samples() -> (Vocab, Vec<CopySample>) {
+        let (vocab, mut samples) = make_samples();
+        let words = |ws: &[&str]| ws.iter().map(|w| (*w).to_string()).collect::<Vec<_>>();
+        samples.push(CopySample {
+            src: words(&["壬", "是", "著名", "剑客", "。"]),
+            tgt: words(&["剑客"]),
+        });
+        samples.push(CopySample {
+            src: words(&["癸", "是", "演员", "。"]),
+            tgt: words(&["演员"]),
+        });
+        samples.insert(
+            3,
+            CopySample {
+                src: Vec::new(),
+                tgt: words(&["歌手"]),
+            },
+        );
+        samples.insert(
+            7,
+            CopySample {
+                src: words(&["子", "是"]),
+                tgt: Vec::new(),
+            },
+        );
+        (vocab, samples)
+    }
+
+    /// FNV-1a over every parameter's bits after three epochs at
+    /// `batch_size`, then every epoch's loss bits.
+    fn training_fingerprint(batch_size: usize) -> u64 {
+        let (vocab, samples) = pin_samples();
+        let mut model = CopyNet::new(
+            vocab,
+            CopyNetConfig {
+                batch_size,
+                ..tiny_config()
+            },
+        );
+        let losses: Vec<f32> = (0..3).map(|_| model.train_epoch(&samples)).collect();
+        let params =
+            (0..model.params.len()).flat_map(|i| model.params.get(ParamId(i)).data.clone());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in params.chain(losses).flat_map(|v| v.to_bits().to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Training is pinned to the bit: per-sample tapes, gradient sums and
+    /// Adam steps must keep their order whatever runs them. `batch_size: 0`
+    /// is one batch per epoch, the same as a batch larger than the epoch.
+    #[test]
+    fn training_is_pinned_bit_for_bit() {
+        const PINS: [(usize, u64); 4] = [
+            (1, 0xfb6d_e2ac_bc75_5c04),
+            (3, 0x344e_c31b_927e_65a1),
+            (8, 0x720a_302f_a1c6_347c),
+            (0, 0xc1ef_2527_d763_3e2d),
+        ];
+        for (batch_size, want) in PINS {
+            let got = training_fingerprint(batch_size);
+            assert_eq!(got, want, "batch_size {batch_size}: {got:#x}");
+        }
+        assert_eq!(training_fingerprint(usize::MAX), PINS[3].1);
     }
 
     #[test]
