@@ -8,11 +8,17 @@
 //! hypernyms that are out-of-vocabulary but present in the abstract (the
 //! paper's stated reason for choosing CopyNet over a plain seq2seq).
 //!
-//! Cost: training is the larger half of this stage, per-page decoding the
-//! smaller. A decode step scores every output string in one dense vector
-//! and takes its argmax (`cnp_nn::copynet`); the arithmetic underneath adds
-//! in a fixed order (`cnp_nn::tensor`), so the candidates are the same
-//! bytes at every thread count — `tests/determinism.rs` pins their hash.
+//! Cost: training and per-page decoding both run on the pipeline's
+//! runtime. Training is minibatch SGD, which is order-sensitive, so only
+//! the work inside a batch is parallel: parameters move between batches,
+//! each sample's tape and node gradients are built on a worker, and the
+//! parameter gradients are summed in sample order before the Adam step —
+//! the same additions in the same order as a serial loop
+//! (`cnp_nn::copynet`). A decode step scores every output string in one
+//! dense vector and takes its argmax; the arithmetic underneath adds in a
+//! fixed order (`cnp_nn::tensor`). So the model and the candidates are the
+//! same bits at every thread count — `tests/determinism.rs` pins their
+//! hashes.
 
 use crate::candidate::Candidate;
 use cnp_encyclopedia::Page;
@@ -109,9 +115,10 @@ pub fn build_dataset(
     samples
 }
 
-/// Trains the CopyNet on the distant-supervision set; returns the model
-/// and the per-epoch losses.
-pub fn train(samples: &[CopySample], cfg: &NeuralConfig) -> (CopyNet, Vec<f32>) {
+/// Trains the CopyNet on the distant-supervision set on `rt`'s workers;
+/// returns the model and the per-epoch losses, the same bits at every
+/// thread count (see [`CopyNet::train_epoch`]).
+pub fn train(samples: &[CopySample], cfg: &NeuralConfig, rt: &Runtime) -> (CopyNet, Vec<f32>) {
     let mut counts: HashMap<String, u64> = HashMap::new();
     for s in samples {
         for t in s.src.iter().chain(s.tgt.iter()) {
@@ -122,7 +129,7 @@ pub fn train(samples: &[CopySample], cfg: &NeuralConfig) -> (CopyNet, Vec<f32>) 
     let mut model = CopyNet::new(vocab, cfg.model.clone());
     let mut losses = Vec::with_capacity(cfg.epochs);
     for _ in 0..cfg.epochs {
-        losses.push(model.train_epoch(samples));
+        losses.push(model.train_epoch(samples, rt));
     }
     (model, losses)
 }
@@ -132,9 +139,9 @@ pub fn train(samples: &[CopySample], cfg: &NeuralConfig) -> (CopyNet, Vec<f32>) 
 /// Per-page inference is segmentation, one encoder pass and at most
 /// `max_tgt_len` greedy steps, each an argmax over the vocabulary plus the
 /// abstract's own out-of-vocabulary words. Pages are independent, so they
-/// run in page chunks on the shared runtime; training stays serial because
-/// minibatch SGD is order-sensitive. Chunk results concatenate in page
-/// order.
+/// run in page chunks on the shared runtime, and chunk results concatenate
+/// in page order. (Training also runs on the runtime, one sample per task
+/// inside each minibatch; [`train`] says why its bits hold.)
 pub fn extract(pages: &[Page], seg: &Segmenter, model: &CopyNet, rt: &Runtime) -> Vec<Candidate> {
     let parts = rt.par_chunks_indexed(pages, |base, chunk| {
         let mut out = Vec::new();
@@ -236,7 +243,7 @@ mod tests {
         let samples = build_dataset(&pages, &seg, &pairs(&pages), 100);
         let mut cfg = NeuralConfig::fast();
         cfg.epochs = 40;
-        let (model, losses) = train(&samples, &cfg);
+        let (model, losses) = train(&samples, &cfg, &Runtime::new(2));
         assert!(
             losses.last().unwrap() < &(losses[0] * 0.7),
             "training did not converge: {losses:?}"
@@ -263,7 +270,7 @@ mod tests {
             src: vec!["著名".into(), "演员".into()],
             tgt: vec!["演员".into()],
         }];
-        let (model, _) = train(&samples, &NeuralConfig::fast());
+        let (model, _) = train(&samples, &NeuralConfig::fast(), &Runtime::serial());
         let page = Page {
             name: "演员".into(),
             abstract_text: "著名演员。".into(),

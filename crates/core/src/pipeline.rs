@@ -285,7 +285,7 @@ impl Pipeline {
                 );
                 report.neural_samples = samples.len();
                 if !samples.is_empty() {
-                    let (model, losses) = abstract_gen::train(&samples, &cfg.neural);
+                    let (model, losses) = abstract_gen::train(&samples, &cfg.neural, &rt);
                     report.neural_losses = losses;
                     let cands = abstract_gen::extract(&corpus.pages, &ctx.segmenter, &model, &rt);
                     report.abstract_candidates = cands.len();

@@ -18,9 +18,15 @@ use crate::params::{ParamId, Params};
 use crate::tape::{NodeId, Tape};
 use crate::tensor::{sigmoid, softmax_in_place, Matrix};
 use crate::vocab::{Vocab, BOS, EOS, PAD, UNK};
+use cnp_runtime::Runtime;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+/// Samples whose tapes [`CopyNet::train_epoch`] holds at once: a batch
+/// larger than this (or the whole epoch, at `batch_size: 0`) is built and
+/// summed in windows of this many, so its memory stays bounded.
+const TAPE_WINDOW: usize = 64;
 
 /// Model hyperparameters.
 #[derive(Debug, Clone)]
@@ -92,10 +98,15 @@ pub struct CopyNet {
     wg: ParamId,
     opt: Adam,
     /// Each GRU's input projections per vocabulary id (see
-    /// [`CopyNet::input_projections`]); rebuilt whenever `params` move, so
-    /// inference looks up three of a GRU step's six mat-vecs.
+    /// [`CopyNet::input_projections`]), its `U_z, U_r, U_h` and `wo`
+    /// column-major; rebuilt whenever `params` move, so inference looks up
+    /// three of a GRU step's six mat-vecs and runs the other three and the
+    /// output layer through the vectorising kernel (`crate::tensor`).
     enc_x: Matrix,
     dec_x: Matrix,
+    enc_u: [Matrix; 3],
+    dec_u: [Matrix; 3],
+    wo_t: Matrix,
 }
 
 impl CopyNet {
@@ -132,8 +143,11 @@ impl CopyNet {
             wo,
             wg,
             opt,
-            enc_x: Matrix::zeros(0, 0),
-            dec_x: Matrix::zeros(0, 0),
+            enc_x: Matrix::default(),
+            dec_x: Matrix::default(),
+            enc_u: Default::default(),
+            dec_u: Default::default(),
+            wo_t: Matrix::default(),
         };
         net.refresh_projections();
         net
@@ -142,6 +156,11 @@ impl CopyNet {
     fn refresh_projections(&mut self) {
         self.enc_x = self.input_projections(self.enc);
         self.dec_x = self.input_projections(self.dec);
+        let p = &self.params;
+        let u = |g: GruParams| [g.uz, g.ur, g.uh].map(|id| p.get(id).transposed());
+        self.enc_u = u(self.enc);
+        self.dec_u = u(self.dec);
+        self.wo_t = p.get(self.wo).transposed();
     }
 
     /// Total scalar parameter count.
@@ -230,34 +249,45 @@ impl CopyNet {
     ///
     /// The shuffle is seeded with `cfg.seed` alone, so every epoch visits
     /// the samples in the same order. Varying it per epoch changes the
-    /// trained model; ROADMAP item 5(b)'s precision/recall sweep is what
+    /// trained model; ROADMAP item 8(c)'s precision/recall sweep is what
     /// should judge that.
-    pub fn train_epoch(&mut self, samples: &[CopySample]) -> f32 {
+    ///
+    /// Parameters move only between batches, so a batch's samples build
+    /// their tapes and node gradients on `rt`'s workers. Their losses and
+    /// parameter gradients are then added in sample order
+    /// ([`Tape::accumulate_params`]): every gradient element sees the same
+    /// additions in the same order as one sample-at-a-time loop, and the
+    /// model is the same bits at every thread count.
+    pub fn train_epoch(&mut self, samples: &[CopySample], rt: &Runtime) -> f32 {
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         order.shuffle(&mut rng);
+        let order: Vec<&CopySample> = order
+            .into_iter()
+            .map(|i| &samples[i])
+            .filter(|s| !s.src.is_empty() && !s.tgt.is_empty())
+            .collect();
+        let batch_size = match self.cfg.batch_size {
+            0 => order.len().max(1),
+            b => b,
+        };
         let mut total_loss = 0.0f64;
         let mut total_steps = 0usize;
-        let mut in_batch = 0usize;
-        for &i in &order {
-            let sample = &samples[i];
-            if sample.src.is_empty() || sample.tgt.is_empty() {
-                continue;
+        for batch in order.chunks(batch_size) {
+            for window in batch.chunks(TAPE_WINDOW) {
+                let tapes = rt.par_tasks(window.len(), |k| {
+                    let mut tape = Tape::new();
+                    let loss = self.sample_loss(&mut tape, window[k]);
+                    tape.backward_nodes(loss, &self.params);
+                    (tape, loss)
+                });
+                for ((tape, loss), sample) in tapes.iter().zip(window) {
+                    total_loss += f64::from(tape.value(*loss).get(0, 0));
+                    total_steps += sample.tgt.len().min(self.cfg.max_tgt_len) + 1;
+                    tape.accumulate_params(*loss, &mut self.params);
+                }
             }
-            let mut tape = Tape::new();
-            let loss = self.sample_loss(&mut tape, sample);
-            total_loss += f64::from(tape.value(loss).get(0, 0));
-            total_steps += sample.tgt.len().min(self.cfg.max_tgt_len) + 1;
-            tape.backward(loss, &mut self.params);
-            in_batch += 1;
-            if in_batch == self.cfg.batch_size {
-                self.params.scale_grads(1.0 / in_batch as f32);
-                self.opt.step(&mut self.params);
-                in_batch = 0;
-            }
-        }
-        if in_batch > 0 {
-            self.params.scale_grads(1.0 / in_batch as f32);
+            self.params.scale_grads(1.0 / batch.len() as f32);
             self.opt.step(&mut self.params);
         }
         self.refresh_projections();
@@ -410,7 +440,7 @@ impl<'a> Decoder<'a> {
         let mut state = vec![0.0; h];
         for tok in &src[..n] {
             let id = net.vocab.id(tok);
-            dec.gru_step(net.enc, net.enc_x.row(id as usize), &mut state);
+            dec.gru_step(net.enc, &net.enc_u, net.enc_x.row(id as usize), &mut state);
             dec.states.extend_from_slice(&state);
             // The generate path never emits PAD/BOS/UNK, so a source token
             // that maps to one of them (an unknown word, or those literal
@@ -435,19 +465,21 @@ impl<'a> Decoder<'a> {
     }
 
     /// One GRU step `h ← GRU(x, h)`, with the input's three projections
-    /// `xp` looked up rather than multiplied out.
-    fn gru_step(&mut self, g: GruParams, xp: &[f32], h: &mut [f32]) {
+    /// `xp` looked up rather than multiplied out and `U_z, U_r, U_h` read
+    /// column-major from `u`.
+    fn gru_step(&mut self, g: GruParams, u: &[Matrix; 3], xp: &[f32], h: &mut [f32]) {
         let p = &self.net.params;
         let n = h.len();
         let [z, r, c] = &mut self.gru;
+        let [uz, ur, uh] = u;
         let (bz, br, bh) = (p.get(g.bz), p.get(g.br), p.get(g.bh));
-        p.get(g.uz).matvec_into(h, z);
-        p.get(g.ur).matvec_into(h, r);
+        uz.matvec_t_into(h, z);
+        ur.matvec_t_into(h, r);
         for i in 0..n {
             z[i] = sigmoid(xp[i] + z[i] + bz.data[i]);
             r[i] = sigmoid(xp[n + i] + r[i] + br.data[i]) * h[i];
         }
-        p.get(g.uh).matvec_into(r, c);
+        uh.matvec_t_into(r, c);
         for i in 0..n {
             let cand = (xp[2 * n + i] + c[i] + bh.data[i]).tanh();
             // h' = z ⊙ h + (1 − z) ⊙ h̃
@@ -460,7 +492,7 @@ impl<'a> Decoder<'a> {
     fn step(&mut self, prev: u32, s: &mut [f32]) {
         let net = self.net;
         let h = s.len();
-        self.gru_step(net.dec, net.dec_x.row(prev as usize), s);
+        self.gru_step(net.dec, &net.dec_u, net.dec_x.row(prev as usize), s);
 
         for (a, state) in self.alpha.iter_mut().zip(self.states.chunks_exact(h)) {
             *a = state.iter().zip(s.iter()).map(|(a, b)| a * b).sum();
@@ -479,7 +511,7 @@ impl<'a> Decoder<'a> {
         let g = sigmoid(gate[0]);
 
         let (p_gen, copied) = self.scores.split_at_mut(net.vocab.len());
-        net.params.get(net.wo).matvec_into(&self.cat, p_gen);
+        net.wo_t.matvec_t_into(&self.cat, p_gen);
         softmax_in_place(p_gen);
         p_gen.iter_mut().for_each(|p| *p *= 1.0 - g);
         copied.fill(0.0);
@@ -614,7 +646,7 @@ mod tests {
         ) {
             let (vocab, samples) = make_samples();
             let mut model = CopyNet::new(vocab, CopyNetConfig { seed, ..tiny_config() });
-            model.train_epoch(&samples); // biases off zero, tables rebuilt
+            model.train_epoch(&samples, &Runtime::serial()); // biases off zero, tables rebuilt
             for id in 0..model.params.len() {
                 let m = model.params.get_mut(ParamId(id));
                 m.data.iter_mut().for_each(|v| *v *= scale as f32);
@@ -763,8 +795,8 @@ mod tests {
     }
 
     /// FNV-1a over every parameter's bits after three epochs at
-    /// `batch_size`, then every epoch's loss bits.
-    fn training_fingerprint(batch_size: usize) -> u64 {
+    /// `batch_size` on `rt`, then every epoch's loss bits.
+    fn training_fingerprint(batch_size: usize, rt: &Runtime) -> u64 {
         let (vocab, samples) = pin_samples();
         let mut model = CopyNet::new(
             vocab,
@@ -773,7 +805,7 @@ mod tests {
                 ..tiny_config()
             },
         );
-        let losses: Vec<f32> = (0..3).map(|_| model.train_epoch(&samples)).collect();
+        let losses: Vec<f32> = (0..3).map(|_| model.train_epoch(&samples, rt)).collect();
         let params =
             (0..model.params.len()).flat_map(|i| model.params.get(ParamId(i)).data.clone());
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -784,9 +816,10 @@ mod tests {
         h
     }
 
-    /// Training is pinned to the bit: per-sample tapes, gradient sums and
-    /// Adam steps must keep their order whatever runs them. `batch_size: 0`
-    /// is one batch per epoch, the same as a batch larger than the epoch.
+    /// Training is pinned to the bit at 1, 2 and 8 threads: per-sample
+    /// tapes, gradient sums and Adam steps keep their order whatever runs
+    /// them. `batch_size: 0` is one batch per epoch, the same as a batch
+    /// larger than the epoch.
     #[test]
     fn training_is_pinned_bit_for_bit() {
         const PINS: [(usize, u64); 4] = [
@@ -795,21 +828,27 @@ mod tests {
             (8, 0x720a_302f_a1c6_347c),
             (0, 0xc1ef_2527_d763_3e2d),
         ];
-        for (batch_size, want) in PINS {
-            let got = training_fingerprint(batch_size);
-            assert_eq!(got, want, "batch_size {batch_size}: {got:#x}");
+        for rt in [Runtime::serial(), Runtime::new(2), Runtime::new(8)] {
+            let threads = rt.threads();
+            for (batch_size, want) in PINS {
+                let got = training_fingerprint(batch_size, &rt);
+                assert_eq!(
+                    got, want,
+                    "batch_size {batch_size}, {threads} threads: {got:#x}"
+                );
+            }
+            assert_eq!(training_fingerprint(usize::MAX, &rt), PINS[3].1);
         }
-        assert_eq!(training_fingerprint(usize::MAX), PINS[3].1);
     }
 
     #[test]
     fn training_reduces_loss() {
         let (vocab, samples) = make_samples();
         let mut model = CopyNet::new(vocab, tiny_config());
-        let first = model.train_epoch(&samples);
+        let first = model.train_epoch(&samples, &Runtime::serial());
         let mut last = first;
         for _ in 0..30 {
-            last = model.train_epoch(&samples);
+            last = model.train_epoch(&samples, &Runtime::serial());
         }
         assert!(
             last < first * 0.5,
@@ -822,7 +861,7 @@ mod tests {
         let (vocab, samples) = make_samples();
         let mut model = CopyNet::new(vocab, tiny_config());
         for _ in 0..60 {
-            model.train_epoch(&samples);
+            model.train_epoch(&samples, &Runtime::serial());
         }
         let mut correct = 0;
         for s in &samples {
@@ -859,7 +898,7 @@ mod tests {
         }
         let mut model = CopyNet::new(vocab, tiny_config());
         for _ in 0..80 {
-            model.train_epoch(&samples);
+            model.train_epoch(&samples, &Runtime::serial());
         }
         let out = model.generate(&[
             "寅".to_string(),
@@ -876,7 +915,7 @@ mod tests {
         let (vocab, samples) = make_samples();
         let mut model = CopyNet::new(vocab, tiny_config());
         for _ in 0..40 {
-            model.train_epoch(&samples);
+            model.train_epoch(&samples, &Runtime::serial());
         }
         let s = &samples[0];
         let greedy = model.generate(&s.src);

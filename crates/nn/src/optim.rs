@@ -49,17 +49,16 @@ impl Adam {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let pid = crate::params::ParamId(i);
-            let g = params.grad(pid).clone();
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            for j in 0..g.data.len() {
-                m.data[j] = self.beta1 * m.data[j] + (1.0 - self.beta1) * g.data[j];
-                v.data[j] = self.beta2 * v.data[j] + (1.0 - self.beta2) * g.data[j] * g.data[j];
-                let m_hat = m.data[j] / b1t;
-                let v_hat = v.data[j] / b2t;
-                params.get_mut(pid).data[j] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let moments = self.m.iter_mut().zip(&mut self.v);
+        for ((w, g), (m, v)) in params.values_and_grads().zip(moments) {
+            let slots = m.data.iter_mut().zip(&mut v.data);
+            for ((w, &g), (m, v)) in w.data.iter_mut().zip(&g.data).zip(slots) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / b1t;
+                let v_hat = *v / b2t;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
         params.zero_grads();

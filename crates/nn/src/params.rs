@@ -61,6 +61,11 @@ impl Params {
         &mut self.grads[id.0]
     }
 
+    /// Every parameter beside its gradient, in id order (optimizer step).
+    pub(crate) fn values_and_grads(&mut self) -> impl Iterator<Item = (&mut Matrix, &Matrix)> {
+        self.mats.iter_mut().zip(&self.grads)
+    }
+
     /// Zeroes all gradients (start of a step).
     pub fn zero_grads(&mut self) {
         for g in &mut self.grads {

@@ -298,8 +298,49 @@ impl Tape {
 
     /// Runs reverse-mode accumulation from `loss` (must be 1×1). Parameter
     /// gradients accumulate into `params`; node gradients are kept on the
-    /// tape (for tests).
+    /// tape (for tests). Exactly [`Tape::backward_nodes`] then
+    /// [`Tape::accumulate_params`].
     pub fn backward(&mut self, loss: NodeId, params: &mut Params) {
+        self.backward_nodes(loss, params);
+        self.accumulate_params(loss, params);
+    }
+
+    /// Adds the parameter gradients into `params` after
+    /// [`Tape::backward_nodes`], visiting the same nodes in the same order:
+    /// every element gets an interleaved pass's additions, in its order,
+    /// since no node gradient reads a parameter gradient.
+    pub fn accumulate_params(&self, loss: NodeId, params: &mut Params) {
+        for Node { grad, op, .. } in self.nodes[..=loss.0].iter().rev() {
+            if grad.data.iter().all(|&g| g == 0.0) {
+                continue;
+            }
+            match *op {
+                Op::EmbedRow { p, row } => {
+                    for (w, &g) in params.grad_mut(p).row_mut(row).iter_mut().zip(&grad.data) {
+                        *w += g;
+                    }
+                }
+                Op::MatVecP { p, x } => {
+                    // y = W x:  dW += g xᵀ, one row slice per nonzero g.
+                    let xv = &self.nodes[x.0].value.data;
+                    let pg = params.grad_mut(p);
+                    for (row, &gr) in pg.data.chunks_exact_mut(pg.cols.max(1)).zip(&grad.data) {
+                        if gr != 0.0 {
+                            for (w, &xc) in row.iter_mut().zip(xv) {
+                                *w += gr * xc;
+                            }
+                        }
+                    }
+                }
+                Op::AddBias { p, .. } => params.grad_mut(p).add_scaled(grad, 1.0),
+                _ => {}
+            }
+        }
+    }
+
+    /// Propagates node gradients from `loss` (must be 1×1) back through the
+    /// tape, reading parameters but writing no parameter gradient.
+    pub fn backward_nodes(&mut self, loss: NodeId, params: &Params) {
         assert_eq!(self.value(loss).rows, 1);
         self.nodes[loss.0].grad.data[0] = 1.0;
         // `dx += Wᵀ g` scratch, reused across every `MatVecP` node.
@@ -314,30 +355,11 @@ impl Tape {
                 continue;
             }
             match op {
-                Op::Input => {}
-                &Op::EmbedRow { p, row } => {
-                    let pg = params.grad_mut(p);
-                    for (c, &g) in grad.data.iter().enumerate() {
-                        let idx = row * pg.cols + c;
-                        pg.data[idx] += g;
-                    }
-                }
+                Op::Input | Op::EmbedRow { .. } => {}
                 &Op::MatVecP { p, x } => {
-                    // y = W x:  dW += g xᵀ,  dx += Wᵀ g.
-                    let xv = &before[x.0].value;
-                    {
-                        let pg = params.grad_mut(p);
-                        for r in 0..pg.rows {
-                            let gr = grad.data[r];
-                            if gr != 0.0 {
-                                for c in 0..pg.cols {
-                                    pg.data[r * pg.cols + c] += gr * xv.data[c];
-                                }
-                            }
-                        }
-                    }
-                    // Row-major walk with one accumulator per column: each
-                    // column still sums its rows top to bottom from 0.0.
+                    // y = W x:  dx += Wᵀ g. Row-major walk with one
+                    // accumulator per column: each column still sums its
+                    // rows top to bottom from 0.0.
                     let w = params.get(p);
                     wt_g.clear();
                     wt_g.resize(w.cols, 0.0);
@@ -350,10 +372,7 @@ impl Tape {
                         *xg += acc;
                     }
                 }
-                &Op::AddBias { p, x } => {
-                    params.grad_mut(p).add_scaled(grad, 1.0);
-                    before[x.0].grad.add_scaled(grad, 1.0);
-                }
+                &Op::AddBias { x, .. } => before[x.0].grad.add_scaled(grad, 1.0),
                 &Op::AddVV { a, b } => {
                     before[a.0].grad.add_scaled(grad, 1.0);
                     before[b.0].grad.add_scaled(grad, 1.0);

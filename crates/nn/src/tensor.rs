@@ -1,18 +1,21 @@
 //! Dense row-major matrices (f32). Vectors are `n × 1` matrices.
 //!
 //! The CopyNet model is small (hidden ≈ 48), so simple loops beat the
-//! complexity of a BLAS dependency; the hot kernels (`matvec_into`,
-//! `softmax_in_place`) write into caller-owned slices so a decode step
-//! allocates nothing.
+//! complexity of a BLAS dependency; the hot kernels write into caller-owned
+//! slices so a decode step allocates nothing.
 //!
 //! **Sums are never reordered.** Every output element is one accumulator
-//! that adds its terms left to right, exactly as the one-row-at-a-time loop
-//! did: the pipeline's determinism contract (same bytes at every thread
-//! count, same snapshot after every refactor) reaches down to the bit
-//! pattern of each logit, and f32 addition is not associative. The mat-vec
-//! is *row-blocked* instead: `ROW_BLOCK` rows advance through the columns
-//! together, so their independent add chains overlap in the CPU's pipeline
-//! while each row's own sum stays in column order.
+//! that starts at `0.0` and adds its terms in column order, exactly as the
+//! one-row-at-a-time loop did: the pipeline's determinism contract (same
+//! bytes at every thread count, same snapshot after every refactor) reaches
+//! down to the bit pattern of each logit, and f32 addition is not
+//! associative. Two kernels compute that sum. Training's tape uses
+//! [`Matrix::matvec_into`], which is *row-blocked*: `ROW_BLOCK` rows advance
+//! through the columns together, so their add chains overlap in the CPU's
+//! pipeline. Inference uses `matvec_t_into` over column-major copies of the
+//! decoder's weights ([`Matrix::transposed`]): it adds column `c`'s terms
+//! into every output at once, and the outputs are independent, so it
+//! vectorises.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -22,7 +25,7 @@ use rand::Rng;
 pub(crate) const ROW_BLOCK: usize = 8;
 
 /// Row-major dense matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     /// Number of rows.
     pub rows: usize,
@@ -118,6 +121,25 @@ impl Matrix {
                 acc += a * b;
             }
             *o = acc;
+        }
+    }
+
+    /// The transpose: a column-major copy for [`Matrix::matvec_t_into`].
+    pub(crate) fn transposed(&self) -> Matrix {
+        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+    }
+
+    /// `out = selfᵀ @ x` for `self` the [`Matrix::transposed`] copy of `W`:
+    /// the same bits as `W.matvec_into(x, out)`, since every `out[r]` still
+    /// starts at `0.0` and adds `W[r][c]·x[c]` in column order.
+    pub(crate) fn matvec_t_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(self.rows, x.len(), "matvec shape mismatch");
+        assert_eq!(self.cols, out.len(), "matvec output length mismatch");
+        out.fill(0.0);
+        for (col, &xc) in self.data.chunks_exact(self.cols.max(1)).zip(x) {
+            for (o, &w) in out.iter_mut().zip(col) {
+                *o += w * xc;
+            }
         }
     }
 
@@ -228,6 +250,36 @@ mod tests {
                     .collect();
                 let got: Vec<u32> = m.matvec(&x).data.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, expected, "{rows} × {cols}");
+            }
+        }
+    }
+
+    /// The column-major kernel is the row-major one to the bit, for shapes
+    /// around the block width up to the decoder's 879 × 48 output layer,
+    /// with signed zeros and subnormals among the weights and inputs.
+    #[test]
+    fn transposed_matvec_is_bit_identical_to_the_row_loop() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let specials = [0.0, -0.0, f32::MIN_POSITIVE / 4.0, -1e-40, 1e-45];
+        let mut draw = |rows: usize, cols: usize| {
+            let mut m = Matrix::xavier(rows, cols, &mut rng);
+            for (i, v) in m.data.iter_mut().enumerate() {
+                if i % 5 == 2 {
+                    *v = specials[i / 5 % specials.len()];
+                }
+            }
+            m
+        };
+        for rows in [0, 1, 7, 8, 9, 24, 879] {
+            for cols in [1, 16, 24, 48] {
+                let w = draw(rows, cols);
+                let x = draw(cols, 1).data;
+                let mut want = vec![0.0; rows];
+                w.matvec_into(&x, &mut want);
+                let mut got = vec![1.0; rows];
+                w.transposed().matvec_t_into(&x, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{rows} × {cols}");
             }
         }
     }

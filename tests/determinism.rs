@@ -251,7 +251,7 @@ fn abstract_source_matches_its_golden_hashes_at_1_2_and_8_threads() {
             &pairs,
             cfg.neural.max_samples,
         );
-        let (model, _) = abstract_gen::train(&samples, &cfg.neural);
+        let (model, _) = abstract_gen::train(&samples, &cfg.neural, &rt);
         let cands = abstract_gen::extract(&corpus.pages, &ctx.segmenter, &model, &rt);
         let mut bytes = Vec::new();
         for c in &cands {
