@@ -9,13 +9,13 @@
 //! one-row-at-a-time loop did: the pipeline's determinism contract (same
 //! bytes at every thread count, same snapshot after every refactor) reaches
 //! down to the bit pattern of each logit, and f32 addition is not
-//! associative. Two kernels compute that sum. Training's tape uses
-//! [`Matrix::matvec_into`], which is *row-blocked*: `ROW_BLOCK` rows advance
-//! through the columns together, so their add chains overlap in the CPU's
-//! pipeline. Inference uses `matvec_t_into` over column-major copies of the
-//! decoder's weights ([`Matrix::transposed`]): it adds column `c`'s terms
-//! into every output at once, and the outputs are independent, so it
-//! vectorises.
+//! associative. Two kernels compute that sum. `matvec_into` is
+//! *row-blocked*: `ROW_BLOCK` rows advance through the columns together, so
+//! their add chains overlap in the CPU's pipeline; training's tape, the
+//! input-projection tables and the decoder's one-row gate use it.
+//! `matvec_t_into` reads a column-major copy (`transposed`) and adds column
+//! `c`'s terms into every output at once; the outputs are independent, so
+//! it vectorises. The decoder's recurrent and output layers use it.
 
 use rand::rngs::StdRng;
 use rand::Rng;
