@@ -146,6 +146,8 @@ impl Dictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn add_and_lookup() {
@@ -203,5 +205,50 @@ mod tests {
         let chars: Vec<char> = "中国".chars().collect();
         let ends: Vec<usize> = d.matches_at(&chars, 0).iter().map(|(e, _)| *e).collect();
         assert_eq!(ends, vec![1, 2]);
+    }
+
+    proptest! {
+        /// The dictionary agrees with a `BTreeMap` model built by the
+        /// documented rules: a re-insertion adds its frequency and keeps
+        /// the first non-`Other` tag. Words are drawn over four characters,
+        /// one outside the Basic Multilingual Plane, so they share
+        /// prefixes; texts add a fifth character no word holds.
+        /// `matches_at(chars, i)` must be exactly the ends `j > i` with
+        /// `chars[i..j]` in the model, ascending, each with the model's
+        /// entry.
+        #[test]
+        fn dictionary_matches_a_btreemap_model(
+            words in proptest::collection::vec(("[甲乙丙𠀀]{0,4}", 1u64..50, 0u8..3), 0..40),
+            probes in proptest::collection::vec("[甲乙丙𠀀]{0,5}", 0..12),
+            text in "[甲乙丙𠀀丁]{0,12}",
+        ) {
+            let mut dict = Dictionary::new();
+            let mut model: BTreeMap<String, WordInfo> = BTreeMap::new();
+            for (word, freq, tag) in &words {
+                let pos = [PosTag::Other, PosTag::Noun, PosTag::Verb][usize::from(*tag)];
+                dict.add_word(word, *freq, pos);
+                let entry = model.entry(word.clone()).or_insert(WordInfo { freq: 0, pos });
+                entry.freq += freq;
+                if entry.pos == PosTag::Other {
+                    entry.pos = pos;
+                }
+            }
+            prop_assert_eq!(dict.len(), model.len());
+            prop_assert_eq!(dict.is_empty(), model.is_empty());
+            for probe in model.keys().chain(&probes) {
+                prop_assert_eq!(dict.get(probe), model.get(probe).copied(), "{:?}", probe);
+                prop_assert_eq!(dict.contains(probe), model.contains_key(probe));
+            }
+            let chars: Vec<char> = text.chars().collect();
+            for i in 0..=chars.len() + 1 {
+                let expected: Vec<(usize, WordInfo)> = (i + 1..=chars.len())
+                    .filter_map(|j| {
+                        let word: String = chars[i..j].iter().collect();
+                        model.get(&word).map(|info| (j, *info))
+                    })
+                    .collect();
+                prop_assert_eq!(dict.matches_at(&chars, i), expected, "text {:?} at {}", text, i);
+            }
+        }
     }
 }

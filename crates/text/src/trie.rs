@@ -223,21 +223,5 @@ mod tests {
                 prop_assert_eq!(trie.get(k), Some(v));
             }
         }
-
-        /// Every prefix match must be a genuine stored key of that length.
-        #[test]
-        fn prefix_matches_are_real_keys(words in proptest::collection::vec("[一-龥]{1,4}", 1..20), query in "[一-龥]{1,8}") {
-            let mut trie = Trie::new();
-            for w in &words {
-                trie.insert(w, ());
-            }
-            let chars: Vec<char> = query.chars().collect();
-            for start in 0..chars.len() {
-                for (end, _) in trie.prefix_matches(&chars, start) {
-                    let key: String = chars[start..end].iter().collect();
-                    prop_assert!(trie.contains(&key));
-                }
-            }
-        }
     }
 }
