@@ -68,25 +68,20 @@ impl Dictionary {
     /// keeps the first non-`Other` POS tag.
     pub fn add_word(&mut self, word: &str, freq: u64, pos: PosTag) {
         debug_assert!(freq > 0, "dictionary frequencies must be positive");
-        match self.trie.get(word).copied() {
-            Some(old) => {
-                let merged = WordInfo {
-                    freq: old.freq + freq,
-                    pos: if old.pos == PosTag::Other {
-                        pos
-                    } else {
-                        old.pos
-                    },
-                };
-                self.trie.insert(word, merged);
-                self.total += freq;
+        self.trie.upsert(word, WordInfo { freq, pos }, |old, new| {
+            old.freq += new.freq;
+            if old.pos == PosTag::Other {
+                old.pos = new.pos;
             }
-            None => {
-                self.trie.insert(word, WordInfo { freq, pos });
-                self.total += freq;
-            }
-        }
+        });
+        self.total += freq;
         self.log_total = (self.total.max(1) as f64).ln();
+    }
+
+    /// Gives the index's spare capacity back to the allocator, for a
+    /// dictionary that is done growing.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.trie.shrink_to_fit();
     }
 
     /// Exact lookup.
@@ -96,7 +91,7 @@ impl Dictionary {
 
     /// Returns `true` when `word` is stored.
     pub fn contains(&self, word: &str) -> bool {
-        self.trie.contains(word)
+        self.trie.get(word).is_some()
     }
 
     /// Number of distinct words.
@@ -121,25 +116,31 @@ impl Dictionary {
     }
 
     /// [`Dictionary::log_prob`] of a word whose frequency the caller
-    /// already holds (a [`WordInfo`] from [`Dictionary::matches_at`], or 1
+    /// already holds (a [`WordInfo`] from [`Dictionary::for_each_match`], or 1
     /// for an unknown word) — the same expression, without the lookup.
     pub(crate) fn log_prob_of(&self, freq: u64) -> f64 {
         (freq.max(1) as f64).ln() - self.log_total
     }
 
-    /// All dictionary words starting at `chars[start..]`, as
-    /// `(end_char_index_exclusive, info)` pairs — the segmentation DAG edges.
-    pub fn matches_at(&self, chars: &[char], start: usize) -> Vec<(usize, WordInfo)> {
+    /// Calls `visit(end, info)` for every dictionary word that starts at
+    /// `chars[start..]`, shortest first, where `end` is the char index one
+    /// past the word — the segmentation DAG edges. It allocates nothing.
+    pub(crate) fn for_each_match(
+        &self,
+        chars: &[char],
+        start: usize,
+        mut visit: impl FnMut(usize, WordInfo),
+    ) {
         self.trie
-            .prefix_matches(chars, start)
-            .into_iter()
-            .map(|(end, info)| (end, *info))
-            .collect()
+            .for_each_prefix_match(chars, start, |end, info| visit(end, *info));
     }
 
-    /// Iterates `(word, info)` over all entries in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (String, WordInfo)> + '_ {
-        self.trie.iter().map(|(w, i)| (w, *i))
+    /// [`Dictionary::for_each_match`] collected, for tests.
+    #[cfg(test)]
+    pub(crate) fn matches_at(&self, chars: &[char], start: usize) -> Vec<(usize, WordInfo)> {
+        let mut out = Vec::new();
+        self.for_each_match(chars, start, |end, info| out.push((end, info)));
+        out
     }
 }
 

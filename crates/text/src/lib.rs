@@ -5,7 +5,8 @@
 //! from encyclopedia text. Every text-level capability the paper depends on
 //! is implemented in this crate, from scratch:
 //!
-//! * [`trie`] — prefix trie over Chinese characters, the dictionary index.
+//! * `trie` (crate-private) — prefix trie over Chinese characters, the
+//!   dictionary index, in one node arena.
 //! * [`dict`] — word dictionary with frequencies and part-of-speech tags.
 //! * [`segment`] — jieba-style word segmentation: dictionary DAG +
 //!   max-probability dynamic programming, with an HMM fallback for
@@ -37,7 +38,7 @@ pub mod ngram;
 pub mod pmi;
 pub mod pos;
 pub mod segment;
-pub mod trie;
+mod trie;
 
 pub use dict::Dictionary;
 pub use head::HeadAnalyzer;
@@ -47,4 +48,3 @@ pub use ngram::NgramCounter;
 pub use pmi::PmiModel;
 pub use pos::{PosTag, PosTagger};
 pub use segment::Segmenter;
-pub use trie::Trie;

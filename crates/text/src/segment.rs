@@ -35,15 +35,13 @@ pub struct Segmenter {
 impl Segmenter {
     /// Creates a segmenter with the default (untrained) HMM enabled.
     pub fn new(dict: Dictionary) -> Self {
-        Segmenter {
-            dict,
-            hmm: HmmModel::default(),
-            use_hmm: true,
-        }
+        Self::with_hmm(dict, HmmModel::default())
     }
 
-    /// Creates a segmenter with a trained HMM.
-    pub fn with_hmm(dict: Dictionary, hmm: HmmModel) -> Self {
+    /// Creates a segmenter with a trained HMM. The dictionary is taken as
+    /// done growing, and its index's spare capacity is given back.
+    pub fn with_hmm(mut dict: Dictionary, hmm: HmmModel) -> Self {
+        dict.shrink_to_fit();
         Segmenter {
             dict,
             hmm,
@@ -142,26 +140,22 @@ impl Segmenter {
         // whether chars[i] alone is a dictionary word).
         let mut route: Vec<(f64, usize, bool)> = vec![(0.0, 0, false); n + 1];
         for i in (0..n).rev() {
-            let edges = self.dict.matches_at(&chars, i);
-            // Matches come shortest first: a dictionary single leads.
-            let single = edges
-                .first()
-                .filter(|&&(end, _)| end == i + 1)
-                .map(|(_, info)| info.freq);
-            let mut best = (
-                self.dict.log_prob_of(single.unwrap_or(1)) + route[i + 1].0,
-                i + 1,
-            );
-            for (end, info) in edges {
+            // Matches come shortest first: a dictionary single leads, and
+            // replaces the one-count floor before any longer edge is priced.
+            let mut known_single = false;
+            let mut best = (self.dict.log_prob_of(1) + route[i + 1].0, i + 1);
+            self.dict.for_each_match(&chars, i, |end, info| {
                 if end == i + 1 {
-                    continue; // already considered as the single-char edge
+                    known_single = true;
+                    best.0 = self.dict.log_prob_of(info.freq) + route[end].0;
+                    return;
                 }
                 let score = self.dict.log_prob_of(info.freq) + route[end].0;
                 if score > best.0 {
                     best = (score, end);
                 }
-            }
-            route[i] = (best.0, best.1, single.is_some());
+            });
+            route[i] = (best.0, best.1, known_single);
         }
 
         // Walk the best path, buffering unknown single chars for the HMM.

@@ -4,6 +4,12 @@
 //! sentence, which dictionary words begin there. That query is exactly a
 //! walk down this trie, so lookups are O(word length) with no hashing of
 //! whole substrings.
+//!
+//! Every node lives in one arena `Vec` and is addressed by a `u32`. A node
+//! holds its value inline and its children as `(char, node)` pairs sorted
+//! by `char`, found by binary search, so a walk allocates nothing and
+//! touches one small list per character. A node costs its 24-byte child
+//! list header plus its value, and each child 8 bytes in its parent's list.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -14,130 +20,136 @@
     clippy::indexing_slicing
 )]
 
-use std::collections::HashMap;
-
-/// A node in the trie. Children are keyed by the next character.
+/// A node of the arena: its value, and its children sorted by `char`.
 #[derive(Debug, Clone)]
 struct Node<V> {
-    children: HashMap<char, Node<V>>,
+    children: Vec<(char, u32)>,
     value: Option<V>,
 }
 
-impl<V> Default for Node<V> {
-    fn default() -> Self {
-        Node {
-            children: HashMap::new(),
-            value: None,
-        }
+impl<V> Node<V> {
+    const EMPTY: Node<V> = Node {
+        children: Vec::new(),
+        value: None,
+    };
+
+    /// The arena index of the child reached by `c`.
+    fn child(&self, c: char) -> Option<usize> {
+        let i = self.children.binary_search_by_key(&c, |&(k, _)| k).ok()?;
+        self.children.get(i).map(|&(_, id)| id as usize)
     }
 }
 
 /// Prefix trie mapping `&str` keys (as char sequences) to values.
 #[derive(Debug, Clone)]
-pub struct Trie<V> {
-    root: Node<V>,
+pub(crate) struct Trie<V> {
+    /// The arena; `nodes[0]` is the root, and ids never move.
+    nodes: Vec<Node<V>>,
     len: usize,
-}
-
-impl<V> Default for Trie<V> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<V> Trie<V> {
     /// Creates an empty trie.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Trie {
-            root: Node {
-                children: HashMap::new(),
-                value: None,
-            },
+            nodes: vec![Node::EMPTY],
             len: 0,
         }
     }
 
     /// Number of keys stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Returns `true` when no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Stores `value` under `key`, or, when `key` is already stored,
+    /// hands both to `merge` to update the stored value in place.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node is 0 (the root) or an id the arena handed out, and no node is ever removed"
+    )]
+    pub(crate) fn upsert(&mut self, key: &str, value: V, merge: impl FnOnce(&mut V, V)) {
+        let mut node = 0;
+        for c in key.chars() {
+            node = self.child_or_insert(node, c);
+        }
+        match &mut self.nodes[node].value {
+            Some(old) => merge(old, value),
+            slot @ None => {
+                *slot = Some(value);
+                self.len += 1;
+            }
+        }
     }
 
-    /// Inserts `key`, returning the previous value if the key was present.
-    pub fn insert(&mut self, key: &str, value: V) -> Option<V> {
-        let mut node = &mut self.root;
-        for c in key.chars() {
-            node = node.children.entry(c).or_default();
+    /// The child of `node` reached by `c`, appended to the arena if absent.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node is 0 (the root) or an id the arena handed out, and no node is ever removed"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "4 G nodes would be over 100 GB of arena, far past any dictionary"
+    )]
+    fn child_or_insert(&mut self, node: usize, c: char) -> usize {
+        let id = self.nodes.len();
+        let children = &mut self.nodes[node].children;
+        match children.binary_search_by_key(&c, |&(k, _)| k) {
+            Ok(i) => children[i].1 as usize,
+            Err(i) => {
+                // Most nodes never get a second child: size a first list
+                // for one, not for the four a growing `Vec` starts with.
+                if children.is_empty() {
+                    children.reserve_exact(1);
+                }
+                let id32 = u32::try_from(id).expect("trie arena exceeds u32 ids");
+                children.insert(i, (c, id32));
+                self.nodes.push(Node::EMPTY);
+                id
+            }
         }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+    }
+
+    /// Gives the arena's spare capacity back to the allocator.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
     }
 
     /// Exact-match lookup.
-    pub fn get(&self, key: &str) -> Option<&V> {
-        let mut node = &self.root;
+    pub(crate) fn get(&self, key: &str) -> Option<&V> {
+        let mut node = self.nodes.first()?;
         for c in key.chars() {
-            node = node.children.get(&c)?;
+            node = self.nodes.get(node.child(c)?)?;
         }
         node.value.as_ref()
     }
 
-    /// Returns `true` when `key` is stored.
-    pub fn contains(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Walks the trie along `chars[start..]` and reports every prefix that
-    /// is a stored key, as `(end_char_index_exclusive, &value)`.
+    /// Walks the trie along `chars[start..]` and calls `visit(end, value)`
+    /// for every prefix that is a stored key, shortest first, where `end`
+    /// is the char index one past the prefix. The empty key is never
+    /// reported.
     ///
     /// This is the segmenter's DAG-edge query: all dictionary words starting
-    /// at `start`.
-    pub fn prefix_matches<'a>(&'a self, chars: &[char], start: usize) -> Vec<(usize, &'a V)> {
-        let mut out = Vec::new();
-        let mut node = &self.root;
-        for (offset, &c) in chars.get(start..).unwrap_or_default().iter().enumerate() {
-            match node.children.get(&c) {
-                Some(next) => {
-                    node = next;
-                    if let Some(v) = node.value.as_ref() {
-                        out.push((start + offset + 1, v));
-                    }
-                }
-                None => break,
+    /// at `start`. It allocates nothing.
+    pub(crate) fn for_each_prefix_match(
+        &self,
+        chars: &[char],
+        start: usize,
+        mut visit: impl FnMut(usize, &V),
+    ) {
+        let Some(mut node) = self.nodes.first() else {
+            return;
+        };
+        let rest = chars.get(start..).unwrap_or_default();
+        for (end, &c) in (start + 1..).zip(rest) {
+            let Some(next) = node.child(c).and_then(|id| self.nodes.get(id)) else {
+                return;
+            };
+            node = next;
+            if let Some(v) = &node.value {
+                visit(end, v);
             }
         }
-        out
-    }
-
-    /// Longest stored key that is a prefix of `chars[start..]`, as
-    /// `(end_char_index_exclusive, &value)`.
-    pub fn longest_match<'a>(&'a self, chars: &[char], start: usize) -> Option<(usize, &'a V)> {
-        self.prefix_matches(chars, start).into_iter().last()
-    }
-
-    /// Iterates over all `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (String, &V)> {
-        let mut stack: Vec<(String, &Node<V>)> = vec![(String::new(), &self.root)];
-        std::iter::from_fn(move || {
-            while let Some((prefix, node)) = stack.pop() {
-                for (c, child) in node.children.iter() {
-                    let mut key = prefix.clone();
-                    key.push(*c);
-                    stack.push((key, child));
-                }
-                if let Some(v) = node.value.as_ref() {
-                    return Some((prefix, v));
-                }
-            }
-            None
-        })
     }
 }
 
@@ -147,65 +159,47 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
+    /// Stores `value` under `key`, replacing any value already there.
+    fn insert<V>(t: &mut Trie<V>, key: &str, value: V) {
+        t.upsert(key, value, |old, new| *old = new);
+    }
+
     #[test]
     fn insert_and_get() {
         let mut t = Trie::new();
-        assert_eq!(t.insert("蚂蚁", 1u32), None);
-        assert_eq!(t.insert("蚂蚁", 2), Some(1));
-        assert_eq!(t.get("蚂蚁"), Some(&2));
+        insert(&mut t, "蚂蚁", 1u32);
+        t.upsert("蚂蚁", 2, |old, new| *old += new);
+        assert_eq!(t.get("蚂蚁"), Some(&3));
         assert_eq!(t.get("蚂"), None);
+        assert_eq!(t.get("蚂蚁们"), None);
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn prefix_matches_reports_all_word_ends() {
         let mut t = Trie::new();
-        t.insert("中", 1u32);
-        t.insert("中国", 2);
-        t.insert("中国人", 3);
-        t.insert("国人", 4);
+        insert(&mut t, "中", 1u32);
+        insert(&mut t, "中国", 2);
+        insert(&mut t, "中国人", 3);
+        insert(&mut t, "国人", 4);
         let chars: Vec<char> = "中国人民".chars().collect();
-        let ends: Vec<usize> = t
-            .prefix_matches(&chars, 0)
-            .iter()
-            .map(|(e, _)| *e)
-            .collect();
-        assert_eq!(ends, vec![1, 2, 3]);
-        let ends1: Vec<usize> = t
-            .prefix_matches(&chars, 1)
-            .iter()
-            .map(|(e, _)| *e)
-            .collect();
-        assert_eq!(ends1, vec![3]); // 国人
-    }
-
-    #[test]
-    fn longest_match_prefers_longest() {
-        let mut t = Trie::new();
-        t.insert("战略", 1u32);
-        t.insert("战略官", 2);
-        let chars: Vec<char> = "战略官员".chars().collect();
-        assert_eq!(t.longest_match(&chars, 0), Some((3, &2)));
+        let matches = |start| {
+            let mut out = Vec::new();
+            t.for_each_prefix_match(&chars, start, |end, &v| out.push((end, v)));
+            out
+        };
+        assert_eq!(matches(0), vec![(1, 1), (2, 2), (3, 3)]);
+        assert_eq!(matches(1), vec![(3, 4)]); // 国人
+        assert_eq!(matches(4), vec![]);
+        assert_eq!(matches(5), vec![]);
     }
 
     #[test]
     fn empty_key_is_storable() {
         let mut t = Trie::new();
-        t.insert("", 7u32);
+        insert(&mut t, "", 7u32);
         assert_eq!(t.get(""), Some(&7));
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn iter_yields_all_pairs() {
-        let mut t = Trie::new();
-        for (i, w) in ["演员", "歌手", "演唱会"].iter().enumerate() {
-            t.insert(w, i);
-        }
-        let collected: HashMap<String, usize> = t.iter().map(|(k, v)| (k, *v)).collect();
-        assert_eq!(collected.len(), 3);
-        assert_eq!(collected["演员"], 0);
-        assert_eq!(collected["演唱会"], 2);
     }
 
     proptest! {
@@ -215,7 +209,7 @@ mod tests {
             let mut trie = Trie::new();
             let mut map = HashMap::new();
             for (k, v) in &entries {
-                trie.insert(k, *v);
+                insert(&mut trie, k, *v);
                 map.insert(k.clone(), *v);
             }
             prop_assert_eq!(trie.len(), map.len());
