@@ -8,7 +8,8 @@
 //! fail to open, and hostile counts and varints are re-sealed under a
 //! *valid* checksum so the structural checks are what rejects them. Every
 //! decode runs under a counting allocator and asserts its decoder's peak
-//! bound, `k × input + c` bytes.
+//! bound, `k × input + c` bytes. The same allocator bounds the live heap of
+//! the one index a server builds per generation, the tag index.
 
 use cn_probase::serve::json::Json;
 use cn_probase::serve::wire;
@@ -505,4 +506,38 @@ fn wire_requests_decode_within_bounds() {
     decode_body(&format!("[{}0]", "0,".repeat(5_000)));
     let text = "文".repeat(5_000);
     decode_body(&format!(r#"{{"op":"tag","text":"{text}"}}"#));
+}
+
+// ----- The per-generation tag index -----------------------------------------
+
+/// Live heap a `TagIndex` may hold per seeded word, everything it owns
+/// counted: the base lexicon, the dictionary's node arena, the segmenter's
+/// HMM and the concept-name set. It holds 114 B a word here (444 B with a
+/// `HashMap` per trie node); 128 B a word is 1.6 MB at the 20k-page
+/// snapshot's 12 493 seeded names.
+const TAG_INDEX_BYTES_PER_SEEDED_WORD: usize = 128;
+
+/// Every generation builds its own `TagIndex`, so its size is paid once per
+/// live generation and grows with the names a snapshot holds. Measured
+/// live, holding the built index: scratch the build frees does not count,
+/// spare capacity does.
+#[test]
+fn tag_index_live_bytes_per_seeded_word_are_bounded() {
+    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cn_probase::pipeline::{Pipeline, PipelineConfig};
+    use cn_probase::tag::TagIndex;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
+    let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
+    let view = open(&persist::encode_frozen_v3(&outcome.freeze())).expect("pipeline snapshot");
+    let base = LIVE.get();
+    let index = TagIndex::build(&view);
+    let live = (LIVE.get() - base) as usize;
+    let seeded = index.seeded_words();
+    assert!(seeded > 1_000, "only {seeded} seeded words");
+    let limit = TAG_INDEX_BYTES_PER_SEEDED_WORD * seeded;
+    assert!(
+        live <= limit,
+        "TagIndex: {live} B live for {seeded} seeded words, over its bound {limit} B"
+    );
 }
