@@ -6,7 +6,8 @@
 //! runs them through `Query::Tag`: segmentation
 //! seeded by the snapshot vocabulary, men2ent span resolution, and
 //! coarse-to-fine concept scoring. Set `CNP_DOC` to tag your own text
-//! instead.
+//! instead. It first prints one `TagIndex` line: the names the index
+//! seeds, the words its dictionary holds and how long a build takes.
 //!
 //! ```sh
 //! CNP_SNAPSHOT=/tmp/cnp.snapshot cargo run --release --example build_taxonomy
@@ -18,6 +19,7 @@
 //! document produces a single concept, so CI can use it as the tagging
 //! smoke check.
 
+use cn_probase::tag::TagIndex;
 use cn_probase::taxonomy::{EntityId, TaxonomyRead};
 use cn_probase::{FrozenTaxonomyView, Query, Response, TagOptions, TaxonomyService};
 use std::path::Path;
@@ -43,6 +45,23 @@ fn documents_from(f: &impl TaxonomyRead, limit: usize) -> Vec<String> {
         .collect()
 }
 
+/// One line on the per-generation tag index: the names it seeds, the
+/// dictionary words it ends up holding and how long a build takes.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "demo output: prints how long the index build took"
+)]
+fn index_line(f: &impl TaxonomyRead) -> String {
+    let t = Instant::now();
+    let index = TagIndex::build(f);
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    format!(
+        "TagIndex: {} seeded words, {} dictionary words, built in {ms:.1} ms",
+        index.seeded_words(),
+        index.segmenter().dictionary().len()
+    )
+}
+
 #[expect(
     clippy::disallowed_methods,
     reason = "demo output: prints how long the step took"
@@ -58,6 +77,7 @@ fn main() -> std::process::ExitCode {
         }
     };
     println!("booted tagging service from {path} in {:.1?}", t.elapsed());
+    println!("{}", index_line(service.pin().frozen()));
 
     let docs = match std::env::var("CNP_DOC") {
         Ok(doc) => vec![doc],
