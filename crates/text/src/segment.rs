@@ -145,13 +145,11 @@ impl Segmenter {
             let mut known_single = false;
             let mut best = (self.dict.log_prob_of(1) + route[i + 1].0, i + 1);
             self.dict.for_each_match(&chars, i, |end, info| {
+                let score = self.dict.log_prob_of(info.freq) + route[end].0;
                 if end == i + 1 {
                     known_single = true;
-                    best.0 = self.dict.log_prob_of(info.freq) + route[end].0;
-                    return;
-                }
-                let score = self.dict.log_prob_of(info.freq) + route[end].0;
-                if score > best.0 {
+                    best.0 = score;
+                } else if score > best.0 {
                     best = (score, end);
                 }
             });

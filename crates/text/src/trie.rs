@@ -10,6 +10,13 @@
 //! by `char`, found by binary search, so a walk allocates nothing and
 //! touches one small list per character. A node costs its 24-byte child
 //! list header plus its value, and each child 8 bytes in its parent's list.
+//!
+//! The largest trie is the one each serving generation's `TagIndex`
+//! seeds with the snapshot's names. Over the 20k-page benchmark snapshot
+//! (12 493 seeded names, 12 710 dictionary words, 19 835 nodes) the whole
+//! index holds 1.01 MB of live heap, 81 B a seeded word, and builds in
+//! 5–7 ms inside the server on a 2-vCPU Xeon. A `HashMap` per node held
+//! 3.78 MB (303 B a word) and took 9–14 ms.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
