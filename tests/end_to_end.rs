@@ -164,3 +164,75 @@ fn verification_trades_little_coverage_for_precision() {
         unverified.candidates.len()
     );
 }
+
+/// The verification ablation the paper does not report: each strategy
+/// alone (A incompatible concepts, B NER filter, C syntax rules) must
+/// remove edges and raise precision over no verification, and all three
+/// together must beat any one of them. Precision is exact: every
+/// surviving candidate is judged against gold, not a 2 000-edge sample.
+#[test]
+fn each_verification_strategy_raises_precision() {
+    use cn_probase::pipeline::verification::{self, VerificationConfig};
+    use cn_probase::pipeline::PipelineContext;
+    use cn_probase::runtime::Runtime;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(2025)).generate();
+    let config = PipelineConfig::unverified();
+    let raw = Pipeline::new(config.clone()).run(&corpus).candidates;
+    let ctx = PipelineContext::build(&corpus, config.threads);
+    let rt = Runtime::new(config.threads);
+    let none = VerificationConfig::none();
+    let strategies = [
+        ("none", none.clone()),
+        (
+            "A incompatible",
+            VerificationConfig {
+                incompatible: Some(Default::default()),
+                ..none.clone()
+            },
+        ),
+        (
+            "B ner",
+            VerificationConfig {
+                ner: Some(Default::default()),
+                ..none.clone()
+            },
+        ),
+        (
+            "C syntax",
+            VerificationConfig {
+                syntax: Some(Default::default()),
+                ..none
+            },
+        ),
+        ("all", VerificationConfig::all()),
+    ];
+
+    println!(
+        "{:<16} {:>8} {:>10} {:>8}",
+        "strategies", "edges", "precision", "removed"
+    );
+    let mut precision = Vec::new();
+    for (name, cfg) in &strategies {
+        let (kept, report) = verification::verify(raw.clone(), &corpus.pages, &ctx, cfg, &rt);
+        let est = eval::estimate(&kept, &corpus.gold, usize::MAX, 0);
+        assert_eq!(est.sampled, kept.len(), "{name}: every edge is judged");
+        assert_eq!(kept.len() + report.total(), raw.len());
+        println!(
+            "{:<16} {:>8} {:>10.4} {:>8}",
+            name,
+            kept.len(),
+            est.precision(),
+            report.total()
+        );
+        if *name != "none" {
+            assert!(report.total() > 0, "{name} removed nothing");
+        }
+        precision.push(est.precision());
+    }
+    let (p_none, alone, p_all) = (precision[0], &precision[1..4], precision[4]);
+    for ((name, _), &p) in strategies[1..4].iter().zip(alone) {
+        assert!(p > p_none, "{name} alone: {p:.4} vs none {p_none:.4}");
+        assert!(p < p_all, "{name} alone: {p:.4} vs all {p_all:.4}");
+    }
+}
