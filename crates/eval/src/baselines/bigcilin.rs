@@ -22,13 +22,9 @@ pub const BIGCILIN_FRACTION: f64 = 0.60;
 pub const MIN_HYPERNYM_SUPPORT: usize = 3;
 
 /// Builds the Bigcilin baseline.
-pub fn build(corpus: &Corpus, fast: bool) -> BaselineResult {
+pub fn build(corpus: &Corpus) -> BaselineResult {
     let sub = corpus.subset(BIGCILIN_FRACTION, 0xB16);
-    let mut config = if fast {
-        PipelineConfig::fast()
-    } else {
-        PipelineConfig::default()
-    };
+    let mut config = PipelineConfig::fast();
     config.verification = VerificationConfig::none();
     let outcome = Pipeline::new(config).run(&sub);
 
@@ -81,7 +77,7 @@ mod tests {
     #[test]
     fn multi_source_without_verification() {
         let corpus = CorpusGenerator::new(CorpusConfig::tiny(92)).generate();
-        let result = build(&corpus, true);
+        let result = build(&corpus);
         let sources: std::collections::HashSet<_> =
             result.candidates.items.iter().map(|c| c.source).collect();
         assert!(sources.len() >= 3, "expected multiple sources: {sources:?}");

@@ -16,13 +16,9 @@ use cnp_encyclopedia::Corpus;
 pub const WIKI_FRACTION: f64 = 0.06;
 
 /// Builds the WikiTaxonomy baseline.
-pub fn build(corpus: &Corpus, fast: bool) -> BaselineResult {
+pub fn build(corpus: &Corpus) -> BaselineResult {
     let sub = corpus.subset(WIKI_FRACTION, 0xE11);
-    let mut config = if fast {
-        PipelineConfig::fast()
-    } else {
-        PipelineConfig::default()
-    };
+    let mut config = PipelineConfig::fast();
     config.enable_bracket = false;
     config.enable_abstract = false;
     config.enable_infobox = false;
@@ -44,7 +40,7 @@ mod tests {
     #[test]
     fn single_source_and_small() {
         let corpus = CorpusGenerator::new(CorpusConfig::small(91)).generate();
-        let result = build(&corpus, true);
+        let result = build(&corpus);
         // Tag-only: every candidate is a tag candidate.
         assert!(result
             .candidates

@@ -108,11 +108,11 @@ impl<T: TaxonomyRead> PinnedSnapshot<T> {
 ///
 /// The backend is generic over [`TaxonomyRead`]: the same service type
 /// serves in process from the owned [`FrozenTaxonomy`] (the default —
-/// the examples and the paper-figure benches freeze and serve without
-/// touching a disk), from the zero-copy `FrozenTaxonomyView` over a
-/// snapshot file ([`TaxonomyService::boot_from_file`]), or from an
-/// `OverlayView` over either when the service takes writes — `cnp_server`
-/// serves `OverlayView<FrozenTaxonomyView>`.
+/// the examples and tests freeze and serve without touching a disk), from
+/// the zero-copy `FrozenTaxonomyView` over a snapshot file
+/// ([`TaxonomyService::boot_from_file`]), or from an `OverlayView` over
+/// either when the service takes writes — `cnp_server` serves
+/// `OverlayView<FrozenTaxonomyView>`.
 ///
 /// ```
 /// use cnp_serve::{Query, Response, TaxonomyService};

@@ -94,8 +94,8 @@ fn every_crate_root_forbids_unsafe_code() {
         roots.extend(bins.map(|bin| bin.expect("bin").path()));
         roots.push(krate.join("src/lib.rs"));
     }
-    // The facade, eleven crates and `cnp_server`'s binary at least.
-    assert!(roots.len() >= 13, "found only {roots:?}");
+    // The facade, ten crates and `cnp_server`'s binary at least.
+    assert!(roots.len() >= 12, "found only {roots:?}");
     for root in &roots {
         let forbidden = head_lints(root, "forbid");
         assert!(
