@@ -551,6 +551,14 @@ mod tests {
             "\"bad \\q escape\"",
             "\"\\u12\"",
             "\"lone \\ud800 surrogate\"",
+            // RFC 8259: no leading zeros, and `\u` takes exactly four hex
+            // digits (no sign).
+            "01",
+            "-01",
+            "[00]",
+            r#"{"limit":010}"#,
+            "\"\\u+041\"",
+            "\"\\u-041\"",
             "1 2",
             "[]extra",
             "\u{1}",
