@@ -1,4 +1,4 @@
-//! A minimal, hand-rolled JSON value with a hardened parser and a
+//! A minimal, hand-rolled JSON value, one hardened grammar, and a
 //! canonical writer.
 //!
 //! The workspace has no registry access (PR 1), so the wire codec cannot
@@ -10,10 +10,25 @@
 //! beyond the cap — a truncated or malicious document errors, it never
 //! panics or overflows the stack.
 //!
+//! **One grammar.** [`Reader`] is a pull reader over a document's bytes:
+//! it hands out the next [`Token`] (a string borrowed from the input when
+//! it holds no escape), walks arrays and objects entry by entry, and skips
+//! a value without allocating. It alone holds the rules: whitespace,
+//! literals, RFC 8259 numbers (no leading zeros) and strings (escapes,
+//! `\u` with exactly four hex digits, surrogate pairs, no raw control
+//! characters), and [`MAX_DEPTH`]. [`Json::parse`] builds its tree on it,
+//! and `wire`'s request readers decode queries on it with no tree, so both
+//! accept the same documents and fail with the same [`JsonError`] at the
+//! same byte. A reader that meets an invalid *request* keeps reading to
+//! the end of the body first, so a syntax error anywhere in a body is
+//! reported before any wire error, as it was when the body was parsed
+//! whole.
+//!
 //! Objects preserve insertion order (they are association lists, not
 //! maps): the writer is deterministic, so encode → decode → encode is
 //! byte-identical, which the wire round-trip tests rely on.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts. Deep enough for any protocol
@@ -94,12 +109,7 @@ impl Json {
     /// exactly (rejects fractions, negatives and magnitudes from 2^53 up,
     /// where `f64` stops being exact: `9007199254740993` parses to 2^53).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 9_007_199_254_740_992.0 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The value as a bool, if it is one.
@@ -124,18 +134,12 @@ impl Json {
     }
 
     /// Parses a complete JSON document; trailing non-whitespace is an
-    /// error.
+    /// error. Built on [`Reader`], so a document parses here exactly when
+    /// it reads there, with the same error at the same byte.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut reader = Reader::new(input);
+        let value = tree(&mut reader)?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -228,12 +232,179 @@ pub fn write_arr<T>(items: &[T], out: &mut String, item: impl Fn(&T, &mut String
     out.push(']');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// `n` as a non-negative integer, if it holds one exactly: no fraction, no
+/// sign, and below 2^53, where `f64` stops being exact.
+pub fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0).then_some(n as u64)
 }
 
-impl<'a> Parser<'a> {
+/// Builds the tree of the value at `reader`'s position. Recursion is
+/// bounded: [`Reader::value`] refuses a value nested deeper than
+/// [`MAX_DEPTH`] before it opens it.
+fn tree(reader: &mut Reader<'_>) -> Result<Json, JsonError> {
+    Ok(match reader.value()? {
+        Token::Null => Json::Null,
+        Token::Bool(b) => Json::Bool(b),
+        Token::Num(n) => Json::Num(n),
+        Token::Str(s) => Json::Str(s.into_owned()),
+        Token::Arr => {
+            let mut items = Vec::new();
+            while reader.next_item()? {
+                items.push(tree(reader)?);
+            }
+            Json::Arr(items)
+        }
+        Token::Obj => {
+            let mut fields = Vec::new();
+            while let Some(key) = reader.next_key()? {
+                let value = tree(reader)?;
+                fields.push((key.into_owned(), value));
+            }
+            Json::Obj(fields)
+        }
+    })
+}
+
+/// What [`Reader::value`] read: a whole scalar, or the opening bracket of
+/// a container whose contents [`Reader::next_item`] /
+/// [`Reader::next_key`] walk.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Num(f64),
+    /// A string, borrowed from the input unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// `[`.
+    Arr,
+    /// `{`.
+    Obj,
+}
+
+impl<'a> Token<'a> {
+    /// The string, if the token is one.
+    pub fn into_str(self) -> Option<Cow<'a, str>> {
+        match self {
+            Token::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number, if the token is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Token::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The number as [`Json::as_u64`] reads it.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(exact_u64)
+    }
+
+    /// The bool, if the token is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Token::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// A pull reader over one JSON document: the grammar [`Json::parse`]
+/// builds its tree with.
+///
+/// Read a value with [`value`](Reader::value); after a [`Token::Arr`] call
+/// [`next_item`](Reader::next_item) before each item until it says the
+/// array closed, after a [`Token::Obj`] call
+/// [`next_key`](Reader::next_key) before each field's value until it
+/// returns `None`. [`skip_value`](Reader::skip_value) and
+/// [`skip_rest`](Reader::skip_rest) check what they pass over against the
+/// same rules and allocate nothing; [`finish`](Reader::finish) refuses
+/// trailing characters.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers open around the position.
+    depth: usize,
+    /// Set by an opening bracket: the next entry is the container's first.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// Reads the next value: the whole of a scalar, the bracket of a
+    /// container. A value inside more than [`MAX_DEPTH`] containers is an
+    /// error.
+    #[inline]
+    pub fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        self.token(true)
+    }
+
+    /// Steps into an open array: `true` when an item follows (read it
+    /// next), `false` when the array closed.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.more(b']', "expected ',' or ']'")
+    }
+
+    /// Steps into an open object: the next field's key (read its value
+    /// next), or `None` when the object closed.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.key(true)
+    }
+
+    /// Checks and passes over the next value.
+    #[inline]
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        let token = self.token(false)?;
+        self.skip_rest(&token)
+    }
+
+    /// Checks and passes over what is left of a value whose first token
+    /// was `token`: a container's contents, nothing after a scalar.
+    pub fn skip_rest(&mut self, token: &Token<'a>) -> Result<(), JsonError> {
+        match token {
+            Token::Arr => {
+                while self.next_item()? {
+                    self.skip_value()?;
+                }
+            }
+            Token::Obj => {
+                while self.key(false)?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Ends the document: only whitespace may follow the value.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after document"))
+        }
+    }
+
     fn err(&self, message: &'static str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -241,18 +412,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
+    }
+
+    /// The input from `start` to `end`, two positions next to ASCII bytes.
+    fn slice(&self, start: usize, end: usize) -> &'a str {
+        self.text.get(start..end).unwrap_or_default()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
 
     fn eat(&mut self, b: u8, message: &'static str) -> Result<(), JsonError> {
@@ -264,186 +442,208 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_literal(&mut self, lit: &'static str, value: Json) -> Result<Json, JsonError> {
-        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+    /// [`value`](Reader::value); with `decode` false a string is checked
+    /// but not unescaped.
+    fn token(&mut self, decode: bool) -> Result<Token<'a>, JsonError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'"') => self.string(decode).map(Token::Str),
+            Some(b'[') => Ok(self.open(Token::Arr)),
+            Some(b'{') => Ok(self.open(Token::Obj)),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Token::Num),
+            Some(_) => Err(self.err("unexpected character")),
+        }
+    }
+
+    fn open(&mut self, token: Token<'a>) -> Token<'a> {
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        token
+    }
+
+    /// Steps to a container's next entry: `true` when one follows, `false`
+    /// (and the container closed) at `close`.
+    fn more(&mut self, close: u8, message: &'static str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.err(message)),
+        }
+    }
+
+    fn key(&mut self, decode: bool) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.more(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string(decode)?;
+        self.skip_ws();
+        self.eat(b':', "expected ':'")?;
+        Ok(Some(key))
+    }
+
+    fn literal(&mut self, lit: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
+        let rest = self.bytes().get(self.pos..).unwrap_or_default();
         if rest.starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.err("invalid literal"))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b't') => self.eat_literal("true", Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.eat(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "expected ':'")?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string literal. With `decode`, its value, borrowed from the
+    /// input when it holds no escape; without, the raw text between the
+    /// quotes, checked all the same. The input is a `&str`, so every byte
+    /// from 0x80 up belongs to a valid character.
+    fn string(&mut self, decode: bool) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"', "expected string")?;
-        let mut out = String::new();
+        let start = self.pos;
+        // The decoded value once an escape is met; `run` is where the
+        // input not yet copied into it starts.
+        let mut decoded: Option<String> = None;
+        let mut run = start;
         loop {
+            let rest = self.bytes().get(self.pos..).unwrap_or_default();
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: a following \uXXXX low
-                                // surrogate is mandatory.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid code point"))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("invalid code point"))?
-                            };
-                            out.push(c);
+                b'"' => {
+                    let end = self.pos - 1;
+                    return Ok(match decoded {
+                        Some(mut s) => {
+                            s.push_str(self.slice(run, end));
+                            Cow::Owned(s)
                         }
-                        _ => return Err(self.err("invalid escape")),
+                        None => Cow::Borrowed(self.slice(start, end)),
+                    });
+                }
+                b'\\' => {
+                    let backslash = self.pos - 1;
+                    let c = self.escape()?;
+                    if decode {
+                        let s = decoded.get_or_insert_with(String::new);
+                        s.push_str(self.slice(run, backslash));
+                        s.push(c);
                     }
+                    run = self.pos;
                 }
-                // Raw control bytes are invalid inside JSON strings.
-                0x00..=0x1F => return Err(self.err("control character in string")),
-                _ => {
-                    // Re-validate multi-byte UTF-8 from the original
-                    // input; `bytes` came from a `&str`, so slicing at a
-                    // char boundary is safe by construction.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let Some(seq) = self.bytes.get(start..start + width).filter(|_| width != 0)
-                    else {
-                        return Err(self.err("invalid UTF-8"));
-                    };
-                    self.pos = start + width;
-                    let s = std::str::from_utf8(seq).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                }
+                _ => return Err(self.err("control character in string")),
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let digits = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(digits).map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
+    /// Reads the escape after a `\` and returns the character it stands
+    /// for.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let Some(esc) = self.peek() else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: a following \uXXXX low surrogate is
+                    // mandatory.
+                    self.eat(b'\\', "lone high surrogate")?;
+                    self.eat(b'u', "lone high surrogate")?;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?
+            }
+            _ => return Err(self.err("invalid escape")),
+        })
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Exactly four hex digits: no sign, unlike `u32::from_str_radix`.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut value = 0;
+        for &d in digits {
+            let digit = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            value = value * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(value)
+    }
+
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let digits_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        match int_digits {
+            0 => return Err(self.err("expected digits")),
+            1 => {}
+            _ if self.bytes().get(int_start) == Some(&b'0') => {
+                self.pos = int_start + 1;
+                return Err(self.err("leading zero in number"));
+            }
+            _ => {}
         }
-        if self.pos == digits_start {
-            return Err(self.err("expected digits"));
+        if int_digits < 16 && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            // Below 10^15, so exact in an f64: the value `parse` gives.
+            let digits = self.slice(int_start, self.pos).bytes();
+            let n = digits.fold(0, |n, d| n * 10 + u64::from(d - b'0')) as f64;
+            return Ok(if start == int_start { n } else { -n });
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let frac_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == frac_start {
+            if self.digits() == 0 {
                 return Err(self.err("expected fraction digits"));
             }
         }
@@ -452,36 +652,18 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let exp_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == exp_start {
+            if self.digits() == 0 {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let text = self
-            .bytes
-            .get(start..self.pos)
-            .and_then(|digits| std::str::from_utf8(digits).ok())
-            .ok_or_else(|| self.err("malformed number bytes"))?;
-        let n: f64 = text.parse().map_err(|_| self.err("number out of range"))?;
+        let n: f64 = self
+            .slice(start, self.pos)
+            .parse()
+            .map_err(|_| self.err("number out of range"))?;
         if !n.is_finite() {
             return Err(self.err("number out of range"));
         }
-        Ok(Json::Num(n))
-    }
-}
-
-/// Expected byte width of a UTF-8 sequence starting with `b`, or 0 for an
-/// invalid leading byte.
-fn utf8_width(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC2..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF4 => 4,
-        _ => 0,
+        Ok(n)
     }
 }
 
@@ -565,6 +747,39 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+    }
+
+    #[test]
+    fn zero_leads_only_a_lone_integer_digit() {
+        for (doc, n) in [("0", 0.0), ("-0", -0.0), ("0.5", 0.5), ("-0e1", -0.0), ("10", 10.0)] {
+            assert_eq!(Json::parse(doc).unwrap(), Json::Num(n), "{doc}");
+        }
+        let err = Json::parse("[1,007]").unwrap_err();
+        assert_eq!((err.offset, err.message), (4, "leading zero in number"));
+        let err = Json::parse(r#""\u+041""#).unwrap_err();
+        assert_eq!((err.offset, err.message), (3, "invalid \\u escape"));
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_skips_what_it_is_told_to() {
+        let mut r = Reader::new(r#" {"a":"x", "\u0062":"\u0041\ud83d\ude00", "c":[1,{"d":null}]} "#);
+        assert_eq!(r.value().unwrap(), Token::Obj);
+        let key = r.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Borrowed("a")));
+        assert!(matches!(r.value().unwrap(), Token::Str(Cow::Borrowed("x"))));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("b"));
+        assert_eq!(r.value().unwrap(), Token::Str(Cow::Owned("A😀".to_string())));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("c"));
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+
+        // A skipped value is checked all the same, with the tree's error.
+        let doc = r#"{"a":[1,{"b":"\q"}]}"#;
+        let mut r = Reader::new(doc);
+        assert_eq!(r.value().unwrap(), Token::Obj);
+        r.next_key().unwrap();
+        assert_eq!(r.skip_value(), Err(Json::parse(doc).unwrap_err()));
     }
 
     #[test]

@@ -34,9 +34,20 @@
 //! straight to a caller-owned `String` through the number and string
 //! primitives [`Json::write`] also uses, so the server allocates no tree.
 //! [`encode_response`] parses that output back for callers that want a
-//! tree. Requests are still parsed into a [`Json`] tree and decoded.
+//! tree.
+//!
+//! Requests are read, not parsed: [`read_query`], [`read_tag_query`] and
+//! [`read_batch`] pull a body's tokens from [`Reader`] and keep only the
+//! fields a query needs, strings borrowed until the [`Query`] takes them.
+//! [`decode_query`] and [`decode_tag_query`] take the same fields from a
+//! [`Json`] tree instead, and one validation turns the fields into a
+//! query for both, so the two agree on field types, defaults, `null`,
+//! first-key-wins duplicates and error text. The readers' refusals keep
+//! the order a whole-body parse gave them: not UTF-8, then any JSON
+//! syntax error, then (for a batch) a missing `queries`, a batch over the
+//! cap, and the first invalid query ([`RequestError`]).
 
-use crate::json::{write_arr, write_num, write_str, Json};
+use crate::json::{write_arr, write_num, write_str, Json, JsonError, Reader, Token};
 use crate::query::{Cursor, ListOptions, PageRequest, Query};
 use crate::response::{
     ConceptHit, CursorError, EntityHit, Paged, QueryError, QueryResponse, Response, Sense,
@@ -44,6 +55,7 @@ use crate::response::{
 };
 use cnp_tag::{SpanKind, TagHit, TagOptions, TagOutput, TagSpan};
 use cnp_taxonomy::{ConceptId, EntityId};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Why a wire document could not be decoded into a protocol value.
@@ -165,48 +177,7 @@ pub fn encode_query(query: &Query) -> Json {
 /// Decodes a wire document into a [`Query`]. Unknown `op`s and missing or
 /// mistyped fields are typed [`WireError`]s (the server answers 400).
 pub fn decode_query(doc: &Json) -> Result<Query, WireError> {
-    let op = req_str(doc, "op")?;
-    match op {
-        "men2ent" => Ok(Query::Men2Ent {
-            mention: req_str(doc, "mention")?.to_string(),
-        }),
-        "mentionSenses" => Ok(Query::MentionSenses {
-            mention: req_str(doc, "mention")?.to_string(),
-        }),
-        "getConcept" => Ok(Query::GetConcept {
-            entity: req_str(doc, "entity")?.to_string(),
-            options: decode_options(doc.get("options"))?,
-        }),
-        "getConceptByMention" => Ok(Query::GetConceptByMention {
-            mention: req_str(doc, "mention")?.to_string(),
-            options: decode_options(doc.get("options"))?,
-        }),
-        "getEntity" => Ok(Query::GetEntity {
-            concept: req_str(doc, "concept")?.to_string(),
-            options: decode_options(doc.get("options"))?,
-        }),
-        "ancestorsOf" => Ok(Query::AncestorsOf {
-            concept: req_str(doc, "concept")?.to_string(),
-        }),
-        "isA" => Ok(Query::IsA {
-            sub: req_str(doc, "sub")?.to_string(),
-            sup: req_str(doc, "sup")?.to_string(),
-            transitive: doc
-                .get("transitive")
-                .map(|v| v.as_bool().ok_or_else(|| type_err("transitive", "bool")))
-                .transpose()?
-                .unwrap_or(false),
-        }),
-        "tag" => Ok(Query::Tag {
-            text: req_str(doc, "text")?.to_string(),
-            options: decode_tag_options(doc.get("options"))?,
-        }),
-        "classify" => Ok(Query::Classify {
-            text: req_str(doc, "text")?.to_string(),
-            options: decode_tag_options(doc.get("options"))?,
-        }),
-        other => Err(WireError::new(format!("unknown op {other:?}"))),
-    }
+    Fields::of(doc).into_query()
 }
 
 fn encode_options(options: &ListOptions) -> Json {
@@ -226,68 +197,13 @@ fn encode_options(options: &ListOptions) -> Json {
     Json::Obj(fields)
 }
 
-fn decode_options(doc: Option<&Json>) -> Result<ListOptions, WireError> {
-    let Some(doc) = doc else {
-        return Ok(ListOptions::default());
-    };
-    if doc.is_null() {
-        return Ok(ListOptions::default());
-    }
-    if !matches!(doc, Json::Obj(_)) {
-        return Err(type_err("options", "object"));
-    }
-    let transitive = match doc.get("transitive") {
-        None => false,
-        Some(v) => v.as_bool().ok_or_else(|| type_err("transitive", "bool"))?,
-    };
-    let min_confidence = match doc.get("minConfidence") {
-        None => 0.0,
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| type_err("minConfidence", "number"))? as f32,
-    };
-    let limit = match doc.get("limit") {
-        None => usize::MAX,
-        Some(Json::Null) => usize::MAX,
-        Some(v) => usize::try_from(v.as_u64().ok_or_else(|| type_err("limit", "integer"))?)
-            .map_err(|_| type_err("limit", "integer"))?,
-    };
-    let cursor = match doc.get("cursor") {
-        None | Some(Json::Null) => None,
-        Some(v) => {
-            let token = v.as_str().ok_or_else(|| type_err("cursor", "string"))?;
-            Some(
-                Cursor::decode(token)
-                    .map_err(|e| WireError::new(format!("invalid cursor token: {e}")))?,
-            )
-        }
-    };
-    Ok(ListOptions {
-        transitive,
-        min_confidence,
-        page: PageRequest { limit, cursor },
-    })
-}
-
 /// Decodes the body of the dedicated `/v1/tag` endpoint: a tagging query
 /// whose `op` *defaults to `"tag"`* when absent (the endpoint already
 /// names the operation), with `"op":"classify"` selecting the
 /// concepts-only variant. Any other op is rejected — the endpoint serves
 /// the tagging workload only; general queries go to `/v1/query`.
 pub fn decode_tag_query(doc: &Json) -> Result<Query, WireError> {
-    let op = match doc.get("op") {
-        None | Some(Json::Null) => "tag",
-        Some(v) => v.as_str().ok_or_else(|| type_err("op", "string"))?,
-    };
-    let text = req_str(doc, "text")?.to_string();
-    let options = decode_tag_options(doc.get("options"))?;
-    match op {
-        "tag" => Ok(Query::Tag { text, options }),
-        "classify" => Ok(Query::Classify { text, options }),
-        other => Err(WireError::new(format!(
-            "op {other:?} is not a tagging query"
-        ))),
-    }
+    Fields::of(doc).into_tag_query()
 }
 
 fn encode_tag_options(options: &TagOptions) -> Json {
@@ -301,36 +217,405 @@ fn encode_tag_options(options: &TagOptions) -> Json {
     ])
 }
 
-fn decode_tag_options(doc: Option<&Json>) -> Result<TagOptions, WireError> {
+// ----- requests -------------------------------------------------------------
+
+/// Why a request body was refused, in the order the checks run: the body
+/// is read as UTF-8, then as one JSON document, then as a request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RequestError {
+    /// The body is not UTF-8.
+    NotUtf8,
+    /// The body is not one well-formed JSON document.
+    Json(JsonError),
+    /// A batch whose first `queries` field is missing or not an array.
+    NoQueries,
+    /// A batch with more queries than its cap.
+    TooManyQueries,
+    /// A document that is not a valid query; in a batch, the first such
+    /// item.
+    Wire(WireError),
+}
+
+impl RequestError {
+    /// The HTTP status the refusal goes with: `413` for an over-cap batch,
+    /// `400` for the rest.
+    pub fn status(&self) -> u16 {
+        match self {
+            RequestError::TooManyQueries => 413,
+            _ => 400,
+        }
+    }
+}
+
+impl fmt::Display for RequestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RequestError::NotUtf8 => f.write_str("body is not UTF-8"),
+            RequestError::Json(e) => e.fmt(f),
+            RequestError::NoQueries => f.write_str("field \"queries\" missing or not an array"),
+            RequestError::TooManyQueries => f.write_str("batch exceeds the query-count cap"),
+            RequestError::Wire(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RequestError {}
+
+impl From<JsonError> for RequestError {
+    fn from(e: JsonError) -> RequestError {
+        RequestError::Json(e)
+    }
+}
+
+/// Reads a `/v1/query` body, `{"op":…,…}`, into a [`Query`] without
+/// building a tree; [`decode_query`] over [`Json::parse`]'s tree is its
+/// reference.
+pub fn read_query(body: &[u8]) -> Result<Query, RequestError> {
+    let fields = read_body(body, Fields::read)?;
+    fields.into_query().map_err(RequestError::Wire)
+}
+
+/// Reads a `/v1/tag` body as [`decode_tag_query`] decodes its tree.
+pub fn read_tag_query(body: &[u8]) -> Result<Query, RequestError> {
+    let fields = read_body(body, Fields::read)?;
+    fields.into_tag_query().map_err(RequestError::Wire)
+}
+
+/// Reads a `/v1/batch` body, `{"queries":[…]}`, into at most `max`
+/// queries. Only the first `queries` field counts, as with [`Json::get`].
+/// Items past `max`, or past the first invalid one, are checked as JSON
+/// and skipped.
+pub fn read_batch(body: &[u8], max: usize) -> Result<Vec<Query>, RequestError> {
+    match read_body(body, |reader| read_queries(reader, max))? {
+        None => Err(RequestError::NoQueries),
+        Some((count, _)) if count > max => Err(RequestError::TooManyQueries),
+        Some((_, queries)) => queries.map_err(RequestError::Wire),
+    }
+}
+
+/// Reads `body` as one JSON document through `read`. Validation comes
+/// after: a syntax error anywhere in the body wins over a wire error.
+fn read_body<'a, T>(
+    body: &'a [u8],
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<T, RequestError> {
+    let text = std::str::from_utf8(body).map_err(|_| RequestError::NotUtf8)?;
+    let mut reader = Reader::new(text);
+    let value = read(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
+}
+
+/// The item count of a batch's first `queries` array, with its first
+/// `max` items decoded (or the first wire error among them); `None` when
+/// there is no such array.
+type Queries = Option<(usize, Result<Vec<Query>, WireError>)>;
+
+fn read_queries(reader: &mut Reader<'_>, max: usize) -> Result<Queries, JsonError> {
+    let token = reader.value()?;
+    if token != Token::Obj {
+        reader.skip_rest(&token)?;
+        return Ok(None);
+    }
+    let mut found = None;
+    let mut seen = false;
+    while let Some(key) = reader.next_key()? {
+        if seen || key != "queries" {
+            reader.skip_value()?;
+            continue;
+        }
+        seen = true;
+        let token = reader.value()?;
+        if token != Token::Arr {
+            reader.skip_rest(&token)?;
+            continue;
+        }
+        let mut count = 0;
+        let mut queries = Ok(Vec::new());
+        while reader.next_item()? {
+            count += 1;
+            match &mut queries {
+                Ok(list) if count <= max => match Fields::read(reader)?.into_query() {
+                    Ok(query) => list.push(query),
+                    Err(e) => queries = Err(e),
+                },
+                _ => reader.skip_value()?,
+            }
+        }
+        found = Some((count, queries));
+    }
+    Ok(found)
+}
+
+/// The fields a query's validation reads, each the first occurrence's
+/// value (the one [`Json::get`] finds) or `None` when absent. A container
+/// is kept as its opening token only, except the first `options` object,
+/// whose fields are in `opts`. [`Fields::read`] fills it from a reader,
+/// [`Fields::of`] from a tree, and one validation serves both.
+#[derive(Debug, Default)]
+struct Fields<'a> {
+    op: Option<Token<'a>>,
+    mention: Option<Token<'a>>,
+    entity: Option<Token<'a>>,
+    concept: Option<Token<'a>>,
+    sub: Option<Token<'a>>,
+    sup: Option<Token<'a>>,
+    transitive: Option<Token<'a>>,
+    text: Option<Token<'a>>,
+    options: Option<Token<'a>>,
+    opts: OptionFields<'a>,
+}
+
+/// The fields of a list or a tag `options` object.
+#[derive(Debug, Default)]
+struct OptionFields<'a> {
+    transitive: Option<Token<'a>>,
+    min_confidence: Option<Token<'a>>,
+    limit: Option<Token<'a>>,
+    cursor: Option<Token<'a>>,
+    top_k: Option<Token<'a>>,
+    min_score: Option<Token<'a>>,
+    beam: Option<Token<'a>>,
+}
+
+fn token_of(doc: &Json) -> Token<'_> {
+    match doc {
+        Json::Null => Token::Null,
+        Json::Bool(b) => Token::Bool(*b),
+        Json::Num(n) => Token::Num(*n),
+        Json::Str(s) => Token::Str(Cow::Borrowed(s)),
+        Json::Arr(_) => Token::Arr,
+        Json::Obj(_) => Token::Obj,
+    }
+}
+
+impl<'a> Fields<'a> {
+    fn of(doc: &'a Json) -> Fields<'a> {
+        let get = |key| doc.get(key).map(token_of);
+        let options = doc.get("options").filter(|o| matches!(o, Json::Obj(_)));
+        let opt = |key| options.and_then(|o| o.get(key)).map(token_of);
+        Fields {
+            op: get("op"),
+            mention: get("mention"),
+            entity: get("entity"),
+            concept: get("concept"),
+            sub: get("sub"),
+            sup: get("sup"),
+            transitive: get("transitive"),
+            text: get("text"),
+            options: get("options"),
+            opts: OptionFields {
+                transitive: opt("transitive"),
+                min_confidence: opt("minConfidence"),
+                limit: opt("limit"),
+                cursor: opt("cursor"),
+                top_k: opt("topK"),
+                min_score: opt("minScore"),
+                beam: opt("beam"),
+            },
+        }
+    }
+
+    /// Reads one value; anything but an object has no fields.
+    fn read(reader: &mut Reader<'a>) -> Result<Fields<'a>, JsonError> {
+        let mut fields = Fields::default();
+        let token = reader.value()?;
+        if token == Token::Obj {
+            fields.read_object(reader, false)?;
+        } else {
+            reader.skip_rest(&token)?;
+        }
+        Ok(fields)
+    }
+
+    /// Reads the rest of an object whose `{` was just read: the query's
+    /// own fields, or with `nested` those of its `options`.
+    fn read_object(&mut self, reader: &mut Reader<'a>, nested: bool) -> Result<(), JsonError> {
+        while let Some(key) = reader.next_key()? {
+            if !self.slot(&key, nested).is_some_and(|slot| slot.is_none()) {
+                reader.skip_value()?;
+                continue;
+            }
+            let token = reader.value()?;
+            if token == Token::Obj && !nested && key == "options" {
+                self.read_object(reader, true)?;
+            } else {
+                reader.skip_rest(&token)?;
+            }
+            if let Some(slot) = self.slot(&key, nested) {
+                *slot = Some(token);
+            }
+        }
+        Ok(())
+    }
+
+    fn slot(&mut self, key: &str, nested: bool) -> Option<&mut Option<Token<'a>>> {
+        let o = &mut self.opts;
+        Some(match (nested, key) {
+            (false, "op") => &mut self.op,
+            (false, "mention") => &mut self.mention,
+            (false, "entity") => &mut self.entity,
+            (false, "concept") => &mut self.concept,
+            (false, "sub") => &mut self.sub,
+            (false, "sup") => &mut self.sup,
+            (false, "transitive") => &mut self.transitive,
+            (false, "text") => &mut self.text,
+            (false, "options") => &mut self.options,
+            (true, "transitive") => &mut o.transitive,
+            (true, "minConfidence") => &mut o.min_confidence,
+            (true, "limit") => &mut o.limit,
+            (true, "cursor") => &mut o.cursor,
+            (true, "topK") => &mut o.top_k,
+            (true, "minScore") => &mut o.min_score,
+            (true, "beam") => &mut o.beam,
+            _ => return None,
+        })
+    }
+
+    fn into_query(self) -> Result<Query, WireError> {
+        let op = req_string(self.op, "op")?;
+        Ok(match &*op {
+            "men2ent" => Query::Men2Ent {
+                mention: req_owned(self.mention, "mention")?,
+            },
+            "mentionSenses" => Query::MentionSenses {
+                mention: req_owned(self.mention, "mention")?,
+            },
+            "getConcept" => Query::GetConcept {
+                entity: req_owned(self.entity, "entity")?,
+                options: list_options(self.options, self.opts)?,
+            },
+            "getConceptByMention" => Query::GetConceptByMention {
+                mention: req_owned(self.mention, "mention")?,
+                options: list_options(self.options, self.opts)?,
+            },
+            "getEntity" => Query::GetEntity {
+                concept: req_owned(self.concept, "concept")?,
+                options: list_options(self.options, self.opts)?,
+            },
+            "ancestorsOf" => Query::AncestorsOf {
+                concept: req_owned(self.concept, "concept")?,
+            },
+            "isA" => Query::IsA {
+                sub: req_owned(self.sub, "sub")?,
+                sup: req_owned(self.sup, "sup")?,
+                transitive: match self.transitive {
+                    None => false,
+                    Some(v) => v.as_bool().ok_or_else(|| type_err("transitive", "bool"))?,
+                },
+            },
+            "tag" => Query::Tag {
+                text: req_owned(self.text, "text")?,
+                options: tag_options(self.options, self.opts)?,
+            },
+            "classify" => Query::Classify {
+                text: req_owned(self.text, "text")?,
+                options: tag_options(self.options, self.opts)?,
+            },
+            other => return Err(WireError::new(format!("unknown op {other:?}"))),
+        })
+    }
+
+    fn into_tag_query(self) -> Result<Query, WireError> {
+        let op = match self.op {
+            None | Some(Token::Null) => Cow::Borrowed("tag"),
+            Some(v) => v.into_str().ok_or_else(|| type_err("op", "string"))?,
+        };
+        let text = req_owned(self.text, "text")?;
+        let options = tag_options(self.options, self.opts)?;
+        match &*op {
+            "tag" => Ok(Query::Tag { text, options }),
+            "classify" => Ok(Query::Classify { text, options }),
+            other => Err(WireError::new(format!(
+                "op {other:?} is not a tagging query"
+            ))),
+        }
+    }
+}
+
+/// Whether an `options` field holds fields: `false` when it is absent or
+/// `null` (every option takes its default), an error unless an object.
+fn has_options(options: Option<Token<'_>>) -> Result<bool, WireError> {
+    match options {
+        None | Some(Token::Null) => Ok(false),
+        Some(Token::Obj) => Ok(true),
+        Some(_) => Err(type_err("options", "object")),
+    }
+}
+
+fn list_options(options: Option<Token<'_>>, o: OptionFields<'_>) -> Result<ListOptions, WireError> {
+    if !has_options(options)? {
+        return Ok(ListOptions::default());
+    }
+    let transitive = match o.transitive {
+        None => false,
+        Some(v) => v.as_bool().ok_or_else(|| type_err("transitive", "bool"))?,
+    };
+    let min_confidence = match o.min_confidence {
+        None => 0.0,
+        Some(v) => v
+            .as_f64()
+            .ok_or_else(|| type_err("minConfidence", "number"))? as f32,
+    };
+    let limit = match o.limit {
+        None | Some(Token::Null) => usize::MAX,
+        Some(v) => opt_usize(&v, "limit")?,
+    };
+    let cursor = match o.cursor {
+        None | Some(Token::Null) => None,
+        Some(v) => {
+            let token = v.into_str().ok_or_else(|| type_err("cursor", "string"))?;
+            Some(
+                Cursor::decode(&token)
+                    .map_err(|e| WireError::new(format!("invalid cursor token: {e}")))?,
+            )
+        }
+    };
+    Ok(ListOptions {
+        transitive,
+        min_confidence,
+        page: PageRequest { limit, cursor },
+    })
+}
+
+fn tag_options(options: Option<Token<'_>>, o: OptionFields<'_>) -> Result<TagOptions, WireError> {
     let defaults = TagOptions::default();
-    let Some(doc) = doc else {
-        return Ok(defaults);
-    };
-    if doc.is_null() {
+    if !has_options(options)? {
         return Ok(defaults);
     }
-    if !matches!(doc, Json::Obj(_)) {
-        return Err(type_err("options", "object"));
-    }
-    let top_k = match doc.get("topK") {
-        None | Some(Json::Null) => defaults.top_k,
-        Some(v) => usize::try_from(v.as_u64().ok_or_else(|| type_err("topK", "integer"))?)
-            .map_err(|_| type_err("topK", "integer"))?,
+    let top_k = match o.top_k {
+        None | Some(Token::Null) => defaults.top_k,
+        Some(v) => opt_usize(&v, "topK")?,
     };
-    let min_score = match doc.get("minScore") {
-        None | Some(Json::Null) => defaults.min_score,
+    let min_score = match o.min_score {
+        None | Some(Token::Null) => defaults.min_score,
         Some(v) => v.as_f64().ok_or_else(|| type_err("minScore", "number"))? as f32,
     };
-    let beam = match doc.get("beam") {
-        None | Some(Json::Null) => defaults.beam,
-        Some(v) => usize::try_from(v.as_u64().ok_or_else(|| type_err("beam", "integer"))?)
-            .map_err(|_| type_err("beam", "integer"))?,
+    let beam = match o.beam {
+        None | Some(Token::Null) => defaults.beam,
+        Some(v) => opt_usize(&v, "beam")?,
     };
     Ok(TagOptions {
         top_k,
         min_score,
         beam,
     })
+}
+
+fn opt_usize(v: &Token<'_>, field: &str) -> Result<usize, WireError> {
+    v.as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| type_err(field, "integer"))
+}
+
+fn req_string<'a>(field: Option<Token<'a>>, name: &str) -> Result<Cow<'a, str>, WireError> {
+    field
+        .and_then(Token::into_str)
+        .ok_or_else(|| type_err(name, "string"))
+}
+
+fn req_owned(field: Option<Token<'_>>, name: &str) -> Result<String, WireError> {
+    req_string(field, name).map(Cow::into_owned)
 }
 
 // ----- QueryResponse -------------------------------------------------------

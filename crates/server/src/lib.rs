@@ -24,7 +24,8 @@
 //!                     │ Full(stream)                 │ pop
 //!                     ▼                              ▼
 //!              canned 429 reply            cnp-http-{i} workers
-//!                                          parse → route → TaxonomyService
+//!                                          http → route → wire::read_*
+//!                                            → TaxonomyService
 //! ```
 //!
 //! * **Bounded everything.** The connection queue has a fixed capacity;
@@ -33,7 +34,10 @@
 //!   silent drops ([`server::ServerConfig::queue_capacity`]).
 //! * **Hardened parsing.** Request lines, header counts, and bodies are
 //!   capped *before* allocation; malformed or oversized input maps to
-//!   `400`/`413`/`405`, never a panic ([`http`]).
+//!   `400`/`413`/`405`, never a panic ([`http`]). A body is read straight
+//!   into `Query` values by `cnp_serve::wire::read_query`, `read_tag_query`
+//!   and `read_batch`: no JSON tree is built on the request path, as none
+//!   is on the reply path.
 //! * **Generation-aware.** Responses carry the snapshot generation from
 //!   `cnp_serve`'s hot-swap layer, so clients observe atomic reloads and
 //!   stale cursors are refused with `409` over the wire.

@@ -10,9 +10,11 @@
 //!    `Overloaded` signal instead of an ever-growing backlog ([admission
 //!    control]).
 //! 2. A worker pops the connection and serves its keep-alive request
-//!    loop: parse (hard size caps, typed 400/413/405 on hostile input),
-//!    route, execute on the [`Service`], write the JSON reply straight
-//!    into the connection's one reusable body buffer.
+//!    loop: parse the HTTP framing (hard size caps, typed 400/413/405 on
+//!    hostile input), route, read the query straight from the body bytes
+//!    (`wire::read_query` and its siblings build no JSON tree), execute
+//!    on the [`Service`], write the JSON reply straight into the
+//!    connection's one reusable body buffer.
 //! 3. Snapshot reloads (`POST /admin/reload`) go through the service's
 //!    generation hot-swap: the load happens on the worker, **no lock is
 //!    held against readers**, in-flight queries drain on the generation
@@ -25,7 +27,7 @@
 use crate::http::{self, HttpError, Request};
 use crate::stats::{QueryKind, ServerStats};
 use cnp_runtime::{BoundedQueue, PushError, WorkerPool};
-use cnp_serve::json::{self, Json};
+use cnp_serve::json;
 use cnp_serve::{wire, Query, TaxonomyService};
 use cnp_taxonomy::{DeltaOverlay, FrozenTaxonomyView, OverlayView};
 use std::io::{BufReader, BufWriter, Write};
@@ -401,17 +403,10 @@ fn health(shared: &Shared, out: &mut String) -> u16 {
     200
 }
 
-fn parse_body(body: &[u8]) -> Result<Json, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    Json::parse(text).map_err(|e| e.to_string())
-}
-
 fn query(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
-    let query: Query = match parse_body(body)
-        .and_then(|doc| wire::decode_query(&doc).map_err(|e| e.to_string()))
-    {
+    let query = match wire::read_query(body) {
         Ok(query) => query,
-        Err(detail) => return refuse(400, "badRequest", &detail, out),
+        Err(e) => return refuse_request(&e, out),
     };
     shared.stats.kind(match query {
         Query::Tag { .. } | Query::Classify { .. } => QueryKind::Tag,
@@ -427,11 +422,9 @@ fn query(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
 /// with `"op":"classify"` selecting the concepts-only variant); the
 /// response is the same generation-stamped envelope `/v1/query` writes.
 fn tag(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
-    let query: Query = match parse_body(body)
-        .and_then(|doc| wire::decode_tag_query(&doc).map_err(|e| e.to_string()))
-    {
+    let query = match wire::read_tag_query(body) {
         Ok(query) => query,
-        Err(detail) => return refuse(400, "badRequest", &detail, out),
+        Err(e) => return refuse_request(&e, out),
     };
     shared.stats.kind(QueryKind::Tag);
     let response = shared.service.execute(&query);
@@ -440,24 +433,9 @@ fn tag(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
 }
 
 fn batch(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
-    let doc = match parse_body(body) {
-        Ok(doc) => doc,
-        Err(detail) => return refuse(400, "badRequest", &detail, out),
-    };
-    let Some(items) = doc.get("queries").and_then(Json::as_arr) else {
-        return refuse(
-            400,
-            "badRequest",
-            "field \"queries\" missing or not an array",
-            out,
-        );
-    };
-    if items.len() > MAX_BATCH {
-        return refuse(413, "badRequest", "batch exceeds the query-count cap", out);
-    }
-    let queries: Vec<Query> = match items.iter().map(wire::decode_query).collect() {
+    let queries = match wire::read_batch(body, MAX_BATCH) {
         Ok(queries) => queries,
-        Err(e) => return refuse(400, "badRequest", &e.to_string(), out),
+        Err(e) => return refuse_request(&e, out),
     };
     shared.stats.kind(QueryKind::Batch);
     let responses = shared.service.execute_batch(&queries);
@@ -471,6 +449,12 @@ fn batch(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
     json::write_arr(&responses, out, wire::write_response);
     out.push('}');
     200
+}
+
+/// A body the request readers refused: `badRequest`, with the reader's
+/// error as the detail.
+fn refuse_request(error: &wire::RequestError, out: &mut String) -> u16 {
+    refuse(error.status(), "badRequest", &error.to_string(), out)
 }
 
 /// `POST /admin/reload`: re-read the configured snapshot file and hot-swap

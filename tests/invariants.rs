@@ -132,3 +132,30 @@ fn clippy_toml_names_every_disallowed_path() {
     let lints = read("Cargo.toml");
     assert!(lints.contains("allow_attributes_without_reason = \"deny\""));
 }
+
+/// Every `.rs` file under `dir`, subdirectories included.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir:?}: {e}")) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The server reads request bodies with `wire::read_query`,
+/// `read_tag_query` and `read_batch`: no `Json` tree on the request path.
+#[test]
+fn the_server_builds_no_json_tree_from_a_request() {
+    let mut files = Vec::new();
+    rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/server/src"), &mut files);
+    assert!(files.len() >= 5, "found only {files:?}");
+    for file in &files {
+        let src = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        for name in ["Json::parse", "decode_query", "decode_tag_query"] {
+            assert!(!src.contains(name), "{file:?} names {name}");
+        }
+    }
+}

@@ -14,6 +14,7 @@
 use cn_probase::serve::json::Json;
 use cn_probase::serve::wire;
 use cn_probase::server::http::{self, HttpError, MAX_BODY_BYTES};
+use cn_probase::server::MAX_BATCH;
 use cn_probase::taxonomy::persist::{self, PersistError};
 use cn_probase::taxonomy::{
     Bytes, DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Source, TaxonomyStore,
@@ -29,16 +30,20 @@ struct Counting;
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Records one allocation call (`alloc`, `alloc_zeroed` or `realloc`)
+/// that changes the live heap by `delta`.
 fn track(delta: isize) {
     let live = LIVE.get() + delta;
     LIVE.set(live);
     PEAK.set(PEAK.get().max(live));
+    CALLS.set(CALLS.get() + 1);
 }
 
-// SAFETY: every call is forwarded to `System` unchanged; `track` only
-// touches two const-initialised thread-local cells, which never allocate
+// SAFETY: every call is forwarded to `System` unchanged; the counting only
+// touches three const-initialised thread-local cells, which never allocate
 // and, needing no destructor, stay readable through thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -54,7 +59,7 @@ unsafe impl GlobalAlloc for Counting {
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        track(-(layout.size() as isize));
+        LIVE.set(LIVE.get() - layout.size() as isize);
         System.dealloc(ptr, layout);
     }
 }
@@ -72,8 +77,11 @@ const TO_FROZEN: Bound = (8, 16 << 10);
 const SIDECAR: Bound = (12, 4 << 10);
 /// `http::read_request` and its client half: an 8 KiB `BufReader` + a body.
 const HTTP: Bound = (2, 16 << 10);
-/// `Json::parse` + `wire::decode_query`: a tree node per value, ≥ 2 bytes.
-const WIRE: Bound = (32, 16 << 10);
+/// `wire::read_query` / `read_tag_query` / `read_batch`: the queries, their
+/// strings and their list, no tree. Peak measured: 81 920 B (1 024 slots of
+/// an 80-byte `Query`) from a 15 403-byte batch of 513 empty `men2ent`s,
+/// 5.3 × its input; 15 000 B for a 15 022-byte tag body.
+const WIRE: Bound = (6, 4 << 10);
 
 /// Runs `f`, asserting that the most heap bytes it held live at once on
 /// this thread (its result included) stay within `(k, c)` for `input`.
@@ -493,8 +501,16 @@ fn http_bodies_allocate_what_arrives_not_what_is_claimed() {
 #[test]
 fn wire_requests_decode_within_bounds() {
     let decode_body = |body: &str| {
-        let decode = || Json::parse(body).map(|doc| wire::decode_query(&doc));
-        matches!(peak_of("json + wire", WIRE, body.len(), decode), Ok(Ok(_)))
+        let bytes = body.as_bytes();
+        let query = peak_of("read_query", WIRE, bytes.len(), || wire::read_query(bytes));
+        let tag = peak_of("read_tag_query", WIRE, bytes.len(), || {
+            wire::read_tag_query(bytes)
+        });
+        let batch = format!(r#"{{"queries":[{body}]}}"#);
+        let batch = peak_of("read_batch", WIRE, batch.len(), || {
+            wire::read_batch(batch.as_bytes(), MAX_BATCH)
+        });
+        query.is_ok() || tag.is_ok() || batch.is_ok()
     };
     let good = r#"{"op":"getEntity","concept":"人物","options":{"limit":10}}"#;
     assert!(decode_body(good));
@@ -505,7 +521,88 @@ fn wire_requests_decode_within_bounds() {
     decode_body(&format!("{}{}", "[".repeat(10_000), "]".repeat(10_000)));
     decode_body(&format!("[{}0]", "0,".repeat(5_000)));
     let text = "文".repeat(5_000);
-    decode_body(&format!(r#"{{"op":"tag","text":"{text}"}}"#));
+    assert!(decode_body(&format!(r#"{{"op":"tag","text":"{text}"}}"#)));
+    // The densest batches there are: the shortest query, each a `Query` of
+    // its own, `MAX_BATCH` of them and one past a power of two, where the
+    // list's spare capacity is largest.
+    let shortest = r#"{"op":"men2ent","mention":""}"#;
+    for count in [MAX_BATCH, MAX_BATCH / 2 + 1] {
+        let batch = format!(r#"{{"queries":[{}]}}"#, vec![shortest; count].join(","));
+        let queries = peak_of("read_batch", WIRE, batch.len(), || {
+            wire::read_batch(batch.as_bytes(), MAX_BATCH)
+        });
+        assert_eq!(queries.map(|q| q.len()), Ok(count));
+    }
+}
+
+/// Allocation calls a reader may make per query of a 64-query batch: the
+/// queries' own strings and the `Vec` that holds them.
+const READ_CALLS_PER_QUERY: f64 = 2.0;
+
+/// A 64-query `/v1/batch` body shaped like the benchmark's `batch_lookup`:
+/// the seven lookup operations in turn, list options as it sends them.
+fn lookup_batch() -> String {
+    use cn_probase::serve::{ListOptions, PageRequest, Query};
+    let queries: Vec<Json> = (0..64)
+        .map(|i| {
+            let name = format!("刘德华{i}");
+            let query = match i % 7 {
+                0 => Query::men2ent(name),
+                1 => Query::GetConceptByMention {
+                    mention: name,
+                    options: ListOptions::transitive(),
+                },
+                2 => Query::GetEntity {
+                    concept: name,
+                    options: ListOptions::transitive().with_page(PageRequest::first(10)),
+                },
+                3 => Query::GetConcept {
+                    entity: name,
+                    options: ListOptions::transitive(),
+                },
+                4 => Query::MentionSenses { mention: name },
+                5 => Query::IsA {
+                    sub: name,
+                    sup: "人物".to_string(),
+                    transitive: true,
+                },
+                _ => Query::AncestorsOf { concept: name },
+            };
+            wire::encode_query(&query)
+        })
+        .collect();
+    Json::Obj(vec![("queries".to_string(), Json::Arr(queries))]).write()
+}
+
+/// Allocation calls `f` makes on this thread.
+fn calls_of<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let base = CALLS.get();
+    let out = f();
+    (CALLS.get() - base, out)
+}
+
+/// The request path allocates the queries and their list, nothing per
+/// token: 78 calls for this 4 481-byte body (1.2 a query), where
+/// `Json::parse` + `wire::decode_query` make 549 (8.6 a query; 730, 11.4
+/// a query, before the tree was built on `json::Reader`).
+#[test]
+fn a_lookup_batch_reads_with_two_allocations_a_query() {
+    let body = lookup_batch();
+    let (calls, queries) = calls_of(|| wire::read_batch(body.as_bytes(), MAX_BATCH));
+    let queries = queries.expect("a valid batch");
+    assert_eq!(queries.len(), 64);
+    let (tree_calls, tree) = calls_of(|| {
+        let doc = Json::parse(&body).expect("valid JSON");
+        let items = doc.get("queries").and_then(Json::as_arr).unwrap_or_default();
+        items.iter().map(wire::decode_query).collect::<Result<Vec<_>, _>>()
+    });
+    assert_eq!(tree, Ok(queries), "the readers and the tree disagree");
+    let per_query = calls as f64 / 64.0;
+    assert!(
+        per_query <= READ_CALLS_PER_QUERY,
+        "read_batch made {calls} allocation calls for 64 queries ({per_query:.2} a query; \
+         the tree path makes {tree_calls})"
+    );
 }
 
 // ----- The per-generation tag index -----------------------------------------
