@@ -234,7 +234,7 @@ pub fn write_arr<T>(items: &[T], out: &mut String, item: impl Fn(&T, &mut String
 
 /// `n` as a non-negative integer, if it holds one exactly: no fraction, no
 /// sign, and below 2^53, where `f64` stops being exact.
-pub fn exact_u64(n: f64) -> Option<u64> {
+fn exact_u64(n: f64) -> Option<u64> {
     (n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0).then_some(n as u64)
 }
 

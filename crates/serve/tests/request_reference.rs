@@ -8,7 +8,8 @@
 //! `read_batch` give the same queries, or the same refusal (status and
 //! detail text), on generated requests (every query variant; options
 //! present, absent and `null`; escapes, astral characters, duplicate and
-//! unknown keys, mistyped values, arbitrary whitespace) and on hostile
+//! unknown keys, mistyped values, arbitrary whitespace, now and then cut
+//! short or followed by garbage) and on hostile
 //! bodies (malformed JSON, depth bombs at every level, bytes that are not
 //! UTF-8, over-cap batches, every truncation of valid bodies).
 
@@ -403,6 +404,17 @@ impl Strategy for AnyBody {
         };
         let mut out = String::new();
         write(&doc, rng, &mut out);
+        // Now and then a syntax error after whatever the document holds:
+        // it must win over every wire error.
+        match rng.gen_range(0..12u32) {
+            0 => {
+                let cut = rng.gen_range(0..=out.len());
+                let cut = (0..=cut).rev().find(|&i| out.is_char_boundary(i)).unwrap_or(0);
+                out.truncate(cut);
+            }
+            1 => out.push_str(pick(rng, &["x", ",", "}", "]", "{}"])),
+            _ => {}
+        }
         out
     }
 }
