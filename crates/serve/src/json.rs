@@ -751,7 +751,13 @@ mod tests {
 
     #[test]
     fn zero_leads_only_a_lone_integer_digit() {
-        for (doc, n) in [("0", 0.0), ("-0", -0.0), ("0.5", 0.5), ("-0e1", -0.0), ("10", 10.0)] {
+        for (doc, n) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("-0e1", -0.0),
+            ("10", 10.0),
+        ] {
             assert_eq!(Json::parse(doc).unwrap(), Json::Num(n), "{doc}");
         }
         let err = Json::parse("[1,007]").unwrap_err();
@@ -762,13 +768,17 @@ mod tests {
 
     #[test]
     fn reader_borrows_plain_strings_and_skips_what_it_is_told_to() {
-        let mut r = Reader::new(r#" {"a":"x", "\u0062":"\u0041\ud83d\ude00", "c":[1,{"d":null}]} "#);
+        let mut r =
+            Reader::new(r#" {"a":"x", "\u0062":"\u0041\ud83d\ude00", "c":[1,{"d":null}]} "#);
         assert_eq!(r.value().unwrap(), Token::Obj);
         let key = r.next_key().unwrap().unwrap();
         assert!(matches!(key, Cow::Borrowed("a")));
         assert!(matches!(r.value().unwrap(), Token::Str(Cow::Borrowed("x"))));
         assert_eq!(r.next_key().unwrap().as_deref(), Some("b"));
-        assert_eq!(r.value().unwrap(), Token::Str(Cow::Owned("A😀".to_string())));
+        assert_eq!(
+            r.value().unwrap(),
+            Token::Str(Cow::Owned("A😀".to_string()))
+        );
         assert_eq!(r.next_key().unwrap().as_deref(), Some("c"));
         r.skip_value().unwrap();
         assert_eq!(r.next_key().unwrap(), None);

@@ -242,7 +242,11 @@ fn junk(rng: &mut TestRng, depth: u32) -> Json {
         2 => Json::Num(pick(rng, NUMBERS)),
         3 => Json::Str(string(rng)),
         4 => Json::str(pick(rng, OPS)),
-        5 => Json::Arr((0..rng.gen_range(0..3usize)).map(|_| junk(rng, depth + 1)).collect()),
+        5 => Json::Arr(
+            (0..rng.gen_range(0..3usize))
+                .map(|_| junk(rng, depth + 1))
+                .collect(),
+        ),
         _ => Json::Obj(
             (0..rng.gen_range(0..3usize))
                 .map(|_| (pick(rng, OPTION_KEYS).to_string(), junk(rng, depth + 1)))
@@ -305,7 +309,9 @@ fn query_doc(rng: &mut TestRng) -> Json {
 /// A batch document: a `queries` array of query documents, sometimes with
 /// other keys, a second `queries`, or a first `queries` that is no array.
 fn batch_doc(rng: &mut TestRng) -> Json {
-    let items = (0..rng.gen_range(0..6usize)).map(|_| query_doc(rng)).collect();
+    let items = (0..rng.gen_range(0..6usize))
+        .map(|_| query_doc(rng))
+        .collect();
     let mut fields = vec![("queries".to_string(), Json::Arr(items))];
     if one_in(rng, 3) {
         mutate(&mut fields, KEYS, rng);
@@ -357,7 +363,11 @@ fn write(doc: &Json, rng: &mut TestRng, out: &mut String) {
     ws(rng, out);
     match doc {
         Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 && one_in(rng, 4) => {
-            out.push_str(&format!("{}{}", *n as i64, pick(rng, &[".0", "e0", "E+0", ".00e-0"])));
+            out.push_str(&format!(
+                "{}{}",
+                *n as i64,
+                pick(rng, &[".0", "e0", "E+0", ".00e-0"])
+            ));
         }
         Json::Str(s) => write_string(s, rng, out),
         Json::Arr(items) => {
@@ -409,7 +419,10 @@ impl Strategy for AnyBody {
         match rng.gen_range(0..12u32) {
             0 => {
                 let cut = rng.gen_range(0..=out.len());
-                let cut = (0..=cut).rev().find(|&i| out.is_char_boundary(i)).unwrap_or(0);
+                let cut = (0..=cut)
+                    .rev()
+                    .find(|&i| out.is_char_boundary(i))
+                    .unwrap_or(0);
                 out.truncate(cut);
             }
             1 => out.push_str(pick(rng, &["x", ",", "}", "]", "{}"])),
@@ -439,7 +452,8 @@ fn generated_requests_cover_queries_and_refusals() {
         let body = AnyBody.generate(&mut rng);
         queries += usize::from(wire::read_query(body.as_bytes()).is_ok());
         tags += usize::from(wire::read_tag_query(body.as_bytes()).is_ok());
-        batches += usize::from(wire::read_batch(body.as_bytes(), 1024).is_ok_and(|q| !q.is_empty()));
+        batches +=
+            usize::from(wire::read_batch(body.as_bytes(), 1024).is_ok_and(|q| !q.is_empty()));
         refused += usize::from(wire::read_query(body.as_bytes()).is_err());
     }
     assert!(queries > 400, "{queries} queries");
@@ -532,7 +546,9 @@ fn readers_match_the_tree_reference_on_hostile_bodies() {
     for body in MALFORMED.iter().chain(HOSTILE_QUERIES) {
         assert_same(body.as_bytes());
         assert_same(format!(r#"{{"queries":[{body}]}}"#).as_bytes());
-        assert_same(format!(r#"{{"queries":[{{"op":"men2ent","mention":"a"}},{body}]}}"#).as_bytes());
+        assert_same(
+            format!(r#"{{"queries":[{{"op":"men2ent","mention":"a"}},{body}]}}"#).as_bytes(),
+        );
     }
     for body in bounded_bodies() {
         assert_same(body.as_bytes());

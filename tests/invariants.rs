@@ -150,7 +150,10 @@ fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
 #[test]
 fn the_server_builds_no_json_tree_from_a_request() {
     let mut files = Vec::new();
-    rust_files(&Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/server/src"), &mut files);
+    rust_files(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/server/src"),
+        &mut files,
+    );
     assert!(files.len() >= 5, "found only {files:?}");
     for file in &files {
         let src = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file:?}: {e}"));

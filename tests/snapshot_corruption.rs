@@ -593,8 +593,14 @@ fn a_lookup_batch_reads_with_two_allocations_a_query() {
     assert_eq!(queries.len(), 64);
     let (tree_calls, tree) = calls_of(|| {
         let doc = Json::parse(&body).expect("valid JSON");
-        let items = doc.get("queries").and_then(Json::as_arr).unwrap_or_default();
-        items.iter().map(wire::decode_query).collect::<Result<Vec<_>, _>>()
+        let items = doc
+            .get("queries")
+            .and_then(Json::as_arr)
+            .unwrap_or_default();
+        items
+            .iter()
+            .map(wire::decode_query)
+            .collect::<Result<Vec<_>, _>>()
     });
     assert_eq!(tree, Ok(queries), "the readers and the tree disagree");
     let per_query = calls as f64 / 64.0;
