@@ -644,3 +644,58 @@ fn tag_index_live_bytes_per_seeded_word_are_bounded() {
         "TagIndex: {live} B live for {seeded} seeded words, over its bound {limit} B"
     );
 }
+
+/// Allocation calls one tag request may make per document. A document of
+/// 8 page abstracts resolves ≈ 29 spans: each owns its text and its
+/// sense list, and each returned hit its name and evidence list.
+const TAG_CALLS_PER_DOC: f64 = 150.0;
+
+/// Tagging allocates per resolved span, not per token, per window probe
+/// or per scored concept: 32 documents shaped like the benchmark's
+/// `tag_docs` (8 page abstracts each), tagged through the zero-copy view
+/// and its `TagIndex`, the index built outside the count.
+#[test]
+fn a_tag_request_allocates_per_span_not_per_token() {
+    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cn_probase::pipeline::{Pipeline, PipelineConfig};
+    use cn_probase::tag::{tag_with, TagIndex, TagOptions};
+
+    const DOCS: usize = 32;
+    const ABSTRACTS_PER_DOC: usize = 8;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
+    let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
+    let view = open(&persist::encode_frozen_v3(&outcome.freeze())).expect("pipeline snapshot");
+    let index = TagIndex::build(&view);
+    let abstracts: Vec<&str> = corpus
+        .pages
+        .iter()
+        .map(|p| p.abstract_text.as_str())
+        .filter(|a| !a.is_empty())
+        .collect();
+    let docs: Vec<String> = (0..DOCS)
+        .map(|d| {
+            (0..ABSTRACTS_PER_DOC)
+                .map(|k| abstracts[(d * ABSTRACTS_PER_DOC + k) * 7_919 % abstracts.len()])
+                .collect()
+        })
+        .collect();
+    let options = TagOptions::default();
+    let (mut calls, mut spans) = (0usize, 0usize);
+    for doc in &docs {
+        let (n, out) = calls_of(|| tag_with(&view, &index, doc, &options));
+        calls += n;
+        spans += out.spans.len();
+    }
+    let per_doc = calls as f64 / DOCS as f64;
+    let spans_per_doc = spans as f64 / DOCS as f64;
+    println!(
+        "tag request: {per_doc:.1} allocation calls per document \
+         ({spans_per_doc:.1} spans, {DOCS} documents of {ABSTRACTS_PER_DOC} abstracts)"
+    );
+    assert!(spans > 0, "no document resolved a span");
+    assert!(
+        per_doc <= TAG_CALLS_PER_DOC,
+        "tag_with made {per_doc:.1} allocation calls per document, over {TAG_CALLS_PER_DOC}"
+    );
+}
