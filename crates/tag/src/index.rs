@@ -10,10 +10,10 @@
 //! decides which out-of-vocabulary spans count as evidence, which reads
 //! the segmenter's own dictionary — the index holds one dictionary.
 
+use cnp_taxonomy::hash::FxHashSet;
 use cnp_taxonomy::{ConceptId, EntityId, TaxonomyRead};
 use cnp_text::chars::char_len;
 use cnp_text::{ner, Dictionary, NeKind, PosTag, Segmenter};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Dictionary frequency for seeded taxonomy names. High enough that the
@@ -36,7 +36,9 @@ pub const MAX_SPAN_TOKENS: usize = 4;
 /// pinned generation without borrowing from it.
 pub struct TagIndex {
     segmenter: Segmenter,
-    concept_names: HashSet<String>,
+    /// Every concept name, hashed with FxHash: the strings come from the
+    /// snapshot, and a request's text only ever looks one up.
+    concept_names: FxHashSet<String>,
     seeded: usize,
 }
 
@@ -55,7 +57,8 @@ impl TagIndex {
             let rec = f.entity(EntityId(i as u32));
             seeded += seed_word(&mut dict, f.resolve(rec.name));
         }
-        let mut concept_names = HashSet::with_capacity(f.num_concepts());
+        let mut concept_names =
+            FxHashSet::with_capacity_and_hasher(f.num_concepts(), Default::default());
         for i in 0..f.num_concepts() {
             let name = f.concept_name(ConceptId(i as u32));
             seeded += seed_word(&mut dict, name);

@@ -43,11 +43,13 @@
 //!
 //! The output is a deterministic top-k of `(concept, score, evidence
 //! spans)`: tie-breaks are stable (score descending via `total_cmp`,
-//! concept id ascending), accumulation order is fixed (`BTreeMap` over
-//! ids, ancestor rows ascending), and nothing depends on thread count or
+//! concept id ascending), accumulation order is fixed (flat vectors
+//! stable-sorted by concept id, so each concept's mass adds up in span
+//! order and ancestor-row order), and nothing depends on thread count or
 //! snapshot representation — the same document tags identically on the
 //! owned `FrozenTaxonomy`, the zero-copy `FrozenTaxonomyView` and any
-//! `OverlayView` stack, at any batch width.
+//! `OverlayView` stack, at any batch width. A request allocates per
+//! resolved span, not per token, per window probe or per scored concept.
 //!
 //! ```
 //! use cnp_tag::{TagOptions, Tagger};

@@ -4,6 +4,8 @@
 //! longest-match window of adjacent tokens is probed against `men2ent`
 //! (entity evidence) and `find_concept` (the document literally names a
 //! concept), and unresolved spans survive only through the NER gate.
+//! Tokens and window probes borrow the document or one reused buffer; a
+//! span's text is copied only once the span resolves.
 //! [`tag_with`] then scores concepts in three deterministic passes:
 //!
 //! 1. **Direct mass**: each entity span contributes its isA edge
@@ -18,15 +20,19 @@
 //!    real evidence overtakes the generic ancestor that only collected
 //!    propagated mass.
 //!
-//! Everything accumulates in a fixed order (`BTreeMap` over ids, ancestor
-//! rows ascending, spans left to right, a parent's children ascending),
-//! so scores are bit-identical across snapshot backends and independent
-//! of batch thread count.
+//! Scoring works on flat vectors put in order by stable sorts, not on
+//! maps: one `(concept, mass, span)` triple per piece of direct evidence
+//! and one `(ancestor, mass, source)` triple per lift, each stable-sorted
+//! by concept, so every concept's additions happen in span order and
+//! ancestor-row order, ids ascending; levels are sorted `(depth,
+//! concept)` pairs, and a concept's evidence is a range of its triples.
+//! Scores are therefore bit-identical across snapshot backends and
+//! independent of batch thread count.
 
 use crate::index::{TagIndex, MAX_SPAN_TOKENS};
 use cnp_taxonomy::{ConceptId, EntityId, TaxonomyRead};
 use cnp_text::chars::{char_len, is_punct};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Per-depth-level mass discount of the coarse upward propagation.
 const DECAY: f64 = 0.5;
@@ -154,31 +160,36 @@ pub fn classify_with<T: TaxonomyRead>(
 
 // ----- resolution -----------------------------------------------------------
 
-struct Token {
-    text: String,
+/// A token of the document: a slice of it, with its char offsets.
+struct Token<'t> {
+    text: &'t str,
     start: u32,
     end: u32,
     punct: bool,
 }
 
-fn tokenize(index: &TagIndex, text: &str) -> Vec<Token> {
-    let mut out = Vec::new();
+fn tokenize<'t>(index: &TagIndex, text: &'t str) -> Vec<Token<'t>> {
+    let mut words = Vec::new();
+    index.segmenter().segment_into(text, &mut words);
     let mut at = 0u32;
-    for tok in index.segmenter().segment(text) {
-        let len = char_len(&tok) as u32;
-        // The segmenter emits a whole non-Han, non-ASCII run as one token
-        // (`，é`, `（１９６１）`): one punctuation character makes it a
-        // boundary.
-        let punct = tok.chars().any(is_punct);
-        out.push(Token {
-            start: at,
-            end: at + len,
-            punct,
-            text: tok,
-        });
-        at += len;
-    }
-    out
+    words
+        .into_iter()
+        .map(|tok| {
+            let len = char_len(tok) as u32;
+            // The segmenter emits a whole non-Han, non-ASCII run as one token
+            // (`，é`, `（１９６１）`): one punctuation character makes it a
+            // boundary.
+            let punct = tok.chars().any(is_punct);
+            let token = Token {
+                text: tok,
+                start: at,
+                end: at + len,
+                punct,
+            };
+            at += len;
+            token
+        })
+        .collect()
 }
 
 /// Resolves candidate mention spans: greedy longest-match over windows of
@@ -189,6 +200,7 @@ fn tokenize(index: &TagIndex, text: &str) -> Vec<Token> {
 pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Vec<TagSpan> {
     let tokens = tokenize(index, text);
     let mut spans = Vec::new();
+    // The one buffer every multi-token probe is joined into.
     let mut joined = String::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -207,13 +219,19 @@ pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Ve
             if window.iter().any(|t| t.punct) {
                 continue;
             }
-            joined.clear();
-            joined.extend(window.iter().map(|t| t.text.as_str()));
-            let senses = f.men2ent(&joined);
+            let probe = match window {
+                [one] => one.text,
+                _ => {
+                    joined.clear();
+                    joined.extend(window.iter().map(|t| t.text));
+                    joined.as_str()
+                }
+            };
+            let senses = f.men2ent(probe);
             let kind = if !senses.is_empty() {
                 Some(SpanKind::Entities(senses))
-            } else if index.is_concept_name(&joined) {
-                f.find_concept(&joined).map(SpanKind::Concept)
+            } else if index.is_concept_name(probe) {
+                f.find_concept(probe).map(SpanKind::Concept)
             } else {
                 None
             };
@@ -221,7 +239,7 @@ pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Ve
                 spans.push(TagSpan {
                     start: first.start,
                     end: last.end,
-                    text: joined.clone(),
+                    text: probe.to_string(),
                     kind,
                 });
                 advanced = w;
@@ -247,18 +265,21 @@ pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Ve
                     .flatten();
                 let (probe, start, end) = match closing.and_then(|j| tokens.get(i..j)) {
                     Some(inner) if !inner.is_empty() => {
-                        let joined: String = inner.iter().map(|t| t.text.as_str()).collect();
+                        joined.clear();
+                        joined.push('《');
+                        joined.extend(inner.iter().map(|t| t.text));
+                        joined.push('》');
                         let last_end = inner.last().map_or(tok.end, |t| t.end);
-                        (format!("《{joined}》"), tok.start - 1, last_end + 1)
+                        (joined.as_str(), tok.start - 1, last_end + 1)
                     }
-                    _ => (tok.text.clone(), tok.start, tok.end),
+                    _ => (tok.text, tok.start, tok.end),
                 };
-                if index.named_entity(&probe).is_some() {
+                if index.named_entity(probe).is_some() {
                     let consumed = closing.map_or(1, |j| j - i);
                     spans.push(TagSpan {
                         start,
                         end,
-                        text: probe,
+                        text: probe.to_string(),
                         kind: SpanKind::NamedEntity,
                     });
                     advanced = consumed;
@@ -273,20 +294,68 @@ pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Ve
 
 // ----- scoring --------------------------------------------------------------
 
-fn add(map: &mut BTreeMap<ConceptId, f64>, c: ConceptId, w: f64) {
-    *map.entry(c).or_insert(0.0) += w;
+/// One piece of direct evidence: a concept, the mass a span gives it, and
+/// the span's index.
+type Mass = (ConceptId, f64, u32);
+
+/// One lift of pass 2: an ancestor, the discounted mass it takes, and the
+/// index of the [`Direct`] concept it takes it from.
+type Lift = (ConceptId, f64, usize);
+
+/// A directly evidenced concept: its summed mass and its run of the
+/// concept-sorted [`Mass`] triples (its evidence spans, in span order).
+struct Direct {
+    concept: ConceptId,
+    mass: f64,
+    evidence: Range<usize>,
 }
 
-fn score_of(map: &BTreeMap<ConceptId, f64>, c: ConceptId) -> f64 {
-    map.get(&c).copied().unwrap_or(0.0)
+/// A scored concept: its running score, its [`Direct`] entry if it has
+/// one, and its run of the ancestor-sorted [`Lift`]s.
+struct Scored {
+    concept: ConceptId,
+    score: f64,
+    direct: Option<usize>,
+    lifts: Range<usize>,
 }
 
 /// Scores the concept list for a resolved span set. Pure and
 /// deterministic: accumulation order is fixed by ids and span order.
 pub fn score_spans<T: TaxonomyRead>(f: &T, spans: &[TagSpan], options: &TagOptions) -> Vec<TagHit> {
-    // Pass 1: direct evidence mass.
-    let mut direct: BTreeMap<ConceptId, f64> = BTreeMap::new();
-    let mut evidence: BTreeMap<ConceptId, Vec<u32>> = BTreeMap::new();
+    let (masses, direct) = direct_mass(f, spans);
+    let (lifts, mut scored) = propagate(f, &direct);
+    refine(f, &mut scored, options);
+
+    // Rank, floor, truncate — on indices and scores; only the survivors
+    // become hits. Index order is concept order, so the tie-break is the
+    // concept id.
+    let mut top: Vec<(usize, f32)> = scored
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (i, s.score as f32))
+        .filter(|&(_, s)| s >= options.min_score)
+        .collect();
+    top.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    top.truncate(options.top_k);
+    top.into_iter()
+        .filter_map(|(i, score)| {
+            let s = scored.get(i)?;
+            Some(TagHit {
+                id: s.concept,
+                name: f.concept_name(s.concept).to_string(),
+                depth: f.depth(s.concept) as u32,
+                score,
+                evidence: evidence_of(s, &masses, &direct, &lifts),
+            })
+        })
+        .collect()
+}
+
+/// Pass 1: direct evidence mass. One triple per (span, sense, edge), in
+/// span order, stable-sorted by concept: each concept's run sums its mass
+/// in the order the spans gave it, from 0.0.
+fn direct_mass<T: TaxonomyRead>(f: &T, spans: &[TagSpan]) -> (Vec<Mass>, Vec<Direct>) {
+    let mut masses: Vec<Mass> = Vec::new();
     for (si, span) in spans.iter().enumerate() {
         let si = si as u32;
         match &span.kind {
@@ -295,103 +364,151 @@ pub fn score_spans<T: TaxonomyRead>(f: &T, spans: &[TagSpan], options: &TagOptio
                 // ambiguous name is weaker evidence for each reading.
                 let sense_w = 1.0 / senses.len().max(1) as f64;
                 for &e in senses {
-                    for (c, m) in f.concepts_of(e) {
-                        add(&mut direct, c, sense_w * f64::from(m.confidence));
-                        evidence.entry(c).or_default().push(si);
-                    }
+                    masses.extend(
+                        f.concepts_of(e)
+                            .map(|(c, m)| (c, sense_w * f64::from(m.confidence), si)),
+                    );
                 }
             }
-            SpanKind::Concept(c) => {
-                add(&mut direct, *c, 1.0);
-                evidence.entry(*c).or_default().push(si);
-            }
+            SpanKind::Concept(c) => masses.push((*c, 1.0, si)),
             SpanKind::NamedEntity => {}
         }
     }
-
-    // Pass 2: coarse upward propagation with depth-discounted weights.
-    // `lifted` remembers which directly evidenced concept each ancestor
-    // took mass from, so evidence is gathered only for the hits returned.
-    let mut score = direct.clone();
-    let mut lifted: Vec<(ConceptId, ConceptId)> = Vec::new();
-    for (&c, &w) in &direct {
-        let dc = f.depth(c);
-        for a in f.ancestors(c) {
-            let dd = dc.saturating_sub(f.depth(a)).max(1);
-            add(&mut score, a, w * DECAY.powi(dd as i32));
-            lifted.push((a, c));
+    masses.sort_by_key(|&(c, _, _)| c);
+    let mut direct = Vec::new();
+    let mut at = 0usize;
+    for run in masses.chunk_by(|a, b| a.0 == b.0) {
+        let evidence = at..at + run.len();
+        at = evidence.end;
+        if let Some(&(concept, _, _)) = run.first() {
+            direct.push(Direct {
+                concept,
+                mass: run.iter().fold(0.0, |sum, &(_, m, _)| sum + m),
+                evidence,
+            });
         }
     }
+    (masses, direct)
+}
 
-    // Pass 3: fine refinement, level by level from the roots down. The
-    // top-`beam` concepts of each depth level hand REFINE of their
-    // (possibly already refined) mass to each directly-evidenced child,
-    // so specificity wins where the evidence supports it. The children
-    // come from one parent → child table built from the evidenced
-    // concepts' own parent rows: ascending child order within a parent,
-    // one entry however often an edge repeats, never a concept under
-    // itself.
-    let mut children: Vec<(ConceptId, ConceptId)> = Vec::new();
-    for &c in direct.keys() {
-        children.extend(
-            f.parents_of(c)
-                .filter(|&(q, _)| q != c)
-                .map(|(q, _)| (q, c)),
-        );
+/// Pass 2: coarse upward propagation with depth-discounted weights. Lifts
+/// are made in concept order, each concept's ancestors in row order, and
+/// stable-sorted by ancestor; a concept's score is its direct mass (or
+/// 0.0), then its lifts added in that order. The scored concepts come out
+/// sorted by id.
+fn propagate<T: TaxonomyRead>(f: &T, direct: &[Direct]) -> (Vec<Lift>, Vec<Scored>) {
+    let mut lifts: Vec<Lift> = Vec::new();
+    for (di, d) in direct.iter().enumerate() {
+        let dc = f.depth(d.concept);
+        for a in f.ancestors(d.concept) {
+            let dd = dc.saturating_sub(f.depth(a)).max(1);
+            lifts.push((a, d.mass * DECAY.powi(dd as i32), di));
+        }
+    }
+    lifts.sort_by_key(|&(a, _, _)| a);
+
+    // Merge the two concept-sorted lists.
+    let mut scored = Vec::with_capacity(direct.len() + lifts.len());
+    let (mut d, mut l) = (0usize, 0usize);
+    loop {
+        let next_direct = direct.get(d).map(|x| x.concept);
+        let next_lift = lifts.get(l).map(|x| x.0);
+        let Some(concept) = next_direct.into_iter().chain(next_lift).min() else {
+            break;
+        };
+        let own = (next_direct == Some(concept)).then_some(d);
+        d += usize::from(own.is_some());
+        let from = l;
+        while lifts.get(l).is_some_and(|x| x.0 == concept) {
+            l += 1;
+        }
+        let base = own.and_then(|i| direct.get(i)).map_or(0.0, |x| x.mass);
+        let taken = lifts.get(from..l).unwrap_or_default();
+        scored.push(Scored {
+            concept,
+            score: taken.iter().fold(base, |sum, &(_, m, _)| sum + m),
+            direct: own,
+            lifts: from..l,
+        });
+    }
+    (lifts, scored)
+}
+
+/// Pass 3: fine refinement, level by level from the roots down. The
+/// top-`beam` concepts of each depth level hand REFINE of their (possibly
+/// already refined) mass to each directly-evidenced child, so specificity
+/// wins where the evidence supports it. The children come from one
+/// parent → child table built from the evidenced concepts' own parent
+/// rows: ascending child order within a parent, one entry however often
+/// an edge repeats, never a concept under itself.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every index is into `scored`, taken from its own enumeration: the levels, the ranked pairs and the child table's entries"
+)]
+fn refine<T: TaxonomyRead>(f: &T, scored: &mut [Scored], options: &TagOptions) {
+    // (parent, child) with the child as its index into `scored`, whose
+    // order is id order.
+    let mut children: Vec<(ConceptId, usize)> = Vec::new();
+    for (i, s) in scored.iter().enumerate() {
+        if s.direct.is_some() {
+            children.extend(
+                f.parents_of(s.concept)
+                    .filter(|&(q, _)| q != s.concept)
+                    .map(|(q, _)| (q, i)),
+            );
+        }
     }
     children.sort_unstable();
     children.dedup();
-    let mut levels: BTreeMap<usize, Vec<ConceptId>> = BTreeMap::new();
-    for &c in score.keys() {
-        levels.entry(f.depth(c)).or_default().push(c);
-    }
-    let mut ranked: Vec<(f64, ConceptId)> = Vec::new();
-    for ids in levels.values() {
+    let mut levels: Vec<(usize, usize)> = scored
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (f.depth(s.concept), i))
+        .collect();
+    levels.sort_unstable();
+    let mut ranked: Vec<(f64, usize)> = Vec::new();
+    for level in levels.chunk_by(|a, b| a.0 == b.0) {
         ranked.clear();
-        ranked.extend(ids.iter().map(|&c| (score_of(&score, c), c)));
+        ranked.extend(level.iter().map(|&(_, i)| (scored[i].score, i)));
         ranked.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         for &(_, p) in ranked.iter().take(options.beam.max(1)) {
             // Read again: a concept of this level refined by one ranked
             // above it (a cycle's members share a depth) hands on the
             // raised mass.
-            let ps = score_of(&score, p);
+            let ps = scored[p].score;
             if ps <= 0.0 {
                 continue;
             }
-            let from = children.partition_point(|&(q, _)| q < p);
-            let under = children.get(from..).unwrap_or_default();
-            for &(_, c) in under.iter().take_while(|&&(q, _)| q == p) {
-                add(&mut score, c, REFINE * ps);
+            let parent = scored[p].concept;
+            let from = children.partition_point(|&(q, _)| q < parent);
+            for &(_, c) in children[from..].iter().take_while(|&&(q, _)| q == parent) {
+                scored[c].score += REFINE * ps;
             }
         }
     }
+}
 
-    // Rank, floor, truncate — on ids and scores; only the survivors
-    // become hits.
-    let mut top: Vec<(ConceptId, f32)> = score
-        .iter()
-        .map(|(&c, &s)| (c, s as f32))
-        .filter(|&(_, s)| s >= options.min_score)
-        .collect();
-    top.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    top.truncate(options.top_k);
-    top.into_iter()
-        .map(|(c, s)| {
-            let mut spans_of: Vec<u32> = evidence.get(&c).cloned().unwrap_or_default();
-            for &(_, from) in lifted.iter().filter(|&&(a, _)| a == c) {
-                spans_of.extend(evidence.get(&from).into_iter().flatten());
-            }
-            spans_of.sort_unstable();
-            spans_of.dedup();
-            TagHit {
-                id: c,
-                name: f.concept_name(c).to_string(),
-                depth: f.depth(c) as u32,
-                score: s,
-                evidence: spans_of,
-            }
-        })
-        .collect()
+/// The spans behind a hit, ascending and deduplicated: its own direct
+/// evidence and that of every concept it lifted mass from.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a Scored's lifts range and direct index, a Lift's source index and a Direct's evidence range were all made from the vectors they index"
+)]
+fn evidence_of(s: &Scored, masses: &[Mass], direct: &[Direct], lifts: &[Lift]) -> Vec<u32> {
+    let ranges = || {
+        let own = s.direct.map(|d| direct[d].evidence.clone());
+        let lifted = lifts[s.lifts.clone()]
+            .iter()
+            .map(|&(_, _, from)| direct[from].evidence.clone());
+        own.into_iter().chain(lifted)
+    };
+    let mut spans = Vec::with_capacity(ranges().map(|r| r.len()).sum());
+    for r in ranges() {
+        spans.extend(masses[r].iter().map(|&(_, _, si)| si));
+    }
+    spans.sort_unstable();
+    spans.dedup();
+    spans
 }
 
 #[cfg(test)]
@@ -401,6 +518,15 @@ mod tests {
     use cnp_taxonomy::{FrozenTaxonomy, IsAMeta, Source, Symbol, TaxonomyStore};
     use proptest::collection;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    fn add(map: &mut BTreeMap<ConceptId, f64>, c: ConceptId, w: f64) {
+        *map.entry(c).or_insert(0.0) += w;
+    }
+
+    fn score_of(map: &BTreeMap<ConceptId, f64>, c: ConceptId) -> f64 {
+        map.get(&c).copied().unwrap_or(0.0)
+    }
 
     fn fixture() -> FrozenTaxonomy {
         let mut s = TaxonomyStore::new();

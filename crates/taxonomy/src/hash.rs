@@ -3,7 +3,11 @@
 //! Symbol and string maps inside the store are hot (millions of inserts when
 //! building a large taxonomy) and never face adversarial input, so we use an
 //! FxHash-style multiply-rotate hasher instead of SipHash — the same
-//! trade-off rustc makes (see the Rust Performance Book, “Hashing”).
+//! trade-off rustc makes (see the Rust Performance Book, “Hashing”). A set
+//! whose keys all come from a snapshot may also be probed with request
+//! strings (the tag index's concept names): a lookup never inserts, so
+//! request strings cannot grow or skew the table, and a probe walks only
+//! the collision chains the snapshot's own keys laid out.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -20,6 +20,7 @@
 )]
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// BMES state indices.
 pub const B: usize = 0;
@@ -225,19 +226,29 @@ impl HmmModel {
 
     /// Segments a char span into words via Viterbi decoding.
     pub fn cut(&self, chars: &[char]) -> Vec<String> {
-        let states = self.viterbi(chars);
         let mut words = Vec::new();
-        let mut cur = String::new();
-        for (&c, &st) in chars.iter().zip(states.iter()) {
-            cur.push(c);
+        self.cut_ranges(chars, |range| {
+            words.push(chars.get(range).unwrap_or_default().iter().collect());
+        });
+        words
+    }
+
+    /// The one BMES split behind [`HmmModel::cut`] and the segmenter's
+    /// out-of-vocabulary fallback: calls `word(range)` for every word of
+    /// the Viterbi path, left to right, where `range` indexes `chars`. A
+    /// word ends after each `E` or `S` state; a path that ends inside a
+    /// word closes it at the last character.
+    pub(crate) fn cut_ranges(&self, chars: &[char], mut word: impl FnMut(Range<usize>)) {
+        let mut start = 0usize;
+        for (i, st) in self.viterbi(chars).into_iter().enumerate() {
             if st == E || st == S {
-                words.push(std::mem::take(&mut cur));
+                word(start..i + 1);
+                start = i + 1;
             }
         }
-        if !cur.is_empty() {
-            words.push(cur);
+        if start < chars.len() {
+            word(start..chars.len());
         }
-        words
     }
 }
 

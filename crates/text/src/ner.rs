@@ -71,21 +71,21 @@ impl NeRecognizer {
 /// holds, so a component that segments with a dictionary can gate named
 /// entities on that same dictionary instead of a second copy of it.
 pub fn classify(dict: &Dictionary, s: &str) -> Option<NeKind> {
-    if s.is_empty() {
-        return None;
-    }
-    if s.starts_with('《') && s.ends_with('》') && char_len(s) > 2 {
+    let first = s.chars().next()?;
+    let len = char_len(s);
+    if s.starts_with('《') && s.ends_with('》') && len > 2 {
         return Some(NeKind::Work);
     }
     // Organization: longest-suffix match; must have a proper prefix.
     for suffix in ORG_SUFFIXES {
-        if s.ends_with(suffix) && char_len(s) > char_len(suffix) {
+        if s.ends_with(suffix) && len > char_len(suffix) {
             return Some(NeKind::Org);
         }
     }
     // Place: single-char geographic suffix with a proper prefix, or a
     // dictionary-tagged place name (中国, 香港 …).
-    if let Some(info) = dict.get(s) {
+    let info = dict.get(s);
+    if let Some(info) = info {
         if info.pos == crate::pos::PosTag::PlaceName {
             return Some(NeKind::Place);
         }
@@ -93,15 +93,14 @@ pub fn classify(dict: &Dictionary, s: &str) -> Option<NeKind> {
             return Some(NeKind::Person);
         }
     }
-    let chars: Vec<char> = s.chars().collect();
-    let (&first, &last) = (chars.first()?, chars.last()?);
-    if chars.len() >= 2 && PLACE_SUFFIX_CHARS.contains(&last) {
+    let last = s.chars().next_back()?;
+    if len >= 2 && PLACE_SUFFIX_CHARS.contains(&last) {
         return Some(NeKind::Place);
     }
     // Person: surname + 1-2 further Han chars, not a common word.
-    if (2..=3).contains(&chars.len()) && is_surname(first.encode_utf8(&mut [0; 4])) {
-        let is_common = dict.get(s).is_some_and(|i| i.freq > COMMON_WORD_FREQ_VETO);
-        if !is_common && chars.iter().all(|&c| crate::chars::is_han(c)) {
+    if (2..=3).contains(&len) && is_surname(first.encode_utf8(&mut [0; 4])) {
+        let is_common = info.is_some_and(|i| i.freq > COMMON_WORD_FREQ_VETO);
+        if !is_common && s.chars().all(crate::chars::is_han) {
             return Some(NeKind::Person);
         }
     }

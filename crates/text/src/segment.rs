@@ -23,6 +23,7 @@
 use crate::chars::{class_runs, Run};
 use crate::dict::Dictionary;
 use crate::hmm::HmmModel;
+use std::ops::Range;
 
 /// A word segmenter over a frequency dictionary.
 #[derive(Debug, Clone)]
@@ -69,14 +70,15 @@ impl Segmenter {
     /// tokens; ASCII alphanumeric runs are kept atomic.
     pub fn segment(&self, text: &str) -> Vec<String> {
         let mut out = Vec::new();
-        for run in class_runs(text) {
-            match run {
-                Run::Han(s) => self.segment_han(s, &mut out),
-                Run::Alnum(s) => out.push(s.to_string()),
-                Run::Punct(s) => out.push(s.to_string()),
-            }
-        }
-        out
+        self.segment_runs(text, true, &mut out);
+        out.into_iter().map(str::to_string).collect()
+    }
+
+    /// [`Segmenter::segment`] without copying: appends the tokens of
+    /// `text` to `out` as slices of `text`, which they partition exactly,
+    /// in order. It allocates only its scratch buffers and `out`'s growth.
+    pub fn segment_into<'t>(&self, text: &'t str, out: &mut Vec<&'t str>) {
+        self.segment_runs(text, true, out);
     }
 
     /// Segments `text` and tags every token with its part of speech
@@ -106,14 +108,22 @@ impl Segmenter {
     /// convenient form for corpus statistics.
     pub fn words(&self, text: &str) -> Vec<String> {
         let mut out = Vec::new();
+        self.segment_runs(text, false, &mut out);
+        out.into_iter().map(str::to_string).collect()
+    }
+
+    /// The borrowing core of every form: one scratch set for all of
+    /// `text`'s Han runs, punctuation runs kept or dropped.
+    fn segment_runs<'t>(&self, text: &'t str, keep_punct: bool, out: &mut Vec<&'t str>) {
+        let mut scratch = HanScratch::default();
         for run in class_runs(text) {
             match run {
-                Run::Han(s) => self.segment_han(s, &mut out),
-                Run::Alnum(s) => out.push(s.to_string()),
+                Run::Han(s) => self.segment_han(s, &mut scratch, out),
+                Run::Alnum(s) => out.push(s),
+                Run::Punct(s) if keep_punct => out.push(s),
                 Run::Punct(_) => {}
             }
         }
-        out
     }
 
     /// Max-probability DP over the word DAG of a pure-Han span, with the
@@ -124,27 +134,40 @@ impl Segmenter {
     /// the character's own frequency when the dictionary holds it, at the
     /// one-count floor otherwise — and the route records which, so the
     /// walk tells an unknown single from a word without a lookup. Nothing
-    /// is allocated per position or per edge; a `String` is built only
-    /// for an emitted token.
+    /// is allocated per position, per edge or per token: tokens are
+    /// slices of `s`, cut at the byte offsets `scratch` keeps beside the
+    /// characters.
     #[expect(
         clippy::indexing_slicing,
-        reason = "route has n + 1 entries and chars n; i < n, and every end is i + 1 or a prefix-match end ≤ n"
+        reason = "route and bytes have n + 1 entries and chars n; i < n, and every end is i + 1 or a prefix-match end ≤ n"
     )]
-    fn segment_han(&self, s: &str, out: &mut Vec<String>) {
-        let chars: Vec<char> = s.chars().collect();
+    fn segment_han<'t>(&self, s: &'t str, scratch: &mut HanScratch, out: &mut Vec<&'t str>) {
+        let HanScratch {
+            chars,
+            bytes,
+            route,
+        } = scratch;
+        chars.clear();
+        bytes.clear();
+        for (at, c) in s.char_indices() {
+            chars.push(c);
+            bytes.push(at);
+        }
+        bytes.push(s.len());
         let n = chars.len();
         if n == 0 {
             return;
         }
         // route[i] = (best score of chars[i..], end index of first word,
         // whether chars[i] alone is a dictionary word).
-        let mut route: Vec<(f64, usize, bool)> = vec![(0.0, 0, false); n + 1];
+        route.clear();
+        route.resize(n + 1, (0.0, 0, false));
         for i in (0..n).rev() {
             // Matches come shortest first: a dictionary single leads, and
             // replaces the one-count floor before any longer edge is priced.
             let mut known_single = false;
             let mut best = (self.dict.log_prob_of(1) + route[i + 1].0, i + 1);
-            self.dict.for_each_match(&chars, i, |end, info| {
+            self.dict.for_each_match(chars, i, |end, info| {
                 let score = self.dict.log_prob_of(info.freq) + route[end].0;
                 if end == i + 1 {
                     known_single = true;
@@ -157,6 +180,11 @@ impl Segmenter {
         }
 
         // Walk the best path, buffering unknown single chars for the HMM.
+        let han = Han {
+            s,
+            chars: chars.as_slice(),
+            bytes: bytes.as_slice(),
+        };
         let mut i = 0usize;
         let mut oov_start: Option<usize> = None;
         while i < n {
@@ -164,25 +192,62 @@ impl Segmenter {
             if end == i + 1 && !known_single {
                 oov_start.get_or_insert(i);
             } else {
-                self.flush_oov(&chars, oov_start.take(), i, out);
-                out.push(chars[i..end].iter().collect());
+                self.flush_oov(&han, oov_start.take(), i, out);
+                out.push(han.slice(i..end));
             }
             i = end;
         }
-        self.flush_oov(&chars, oov_start, n, out);
+        self.flush_oov(&han, oov_start, n, out);
     }
 
-    fn flush_oov(&self, chars: &[char], start: Option<usize>, end: usize, out: &mut Vec<String>) {
-        let Some(span) = start.and_then(|start| chars.get(start..end)) else {
+    /// Emits the unknown single characters `start..end` of a Han run: one
+    /// token each, or the HMM's words when it is on and there are two or
+    /// more.
+    fn flush_oov<'t>(
+        &self,
+        han: &Han<'t, '_>,
+        oov: Option<usize>,
+        end: usize,
+        out: &mut Vec<&'t str>,
+    ) {
+        let Some(start) = oov else {
             return;
         };
+        let span = han.chars.get(start..end).unwrap_or_default();
         if span.len() == 1 || !self.use_hmm {
-            for &c in span {
-                out.push(c.to_string());
-            }
+            out.extend((start..end).map(|i| han.slice(i..i + 1)));
         } else {
-            out.extend(self.hmm.cut(span));
+            self.hmm.cut_ranges(span, |word| {
+                out.push(han.slice(start + word.start..start + word.end));
+            });
         }
+    }
+}
+
+/// Buffers one segmentation reuses across its text's Han runs.
+#[derive(Default)]
+struct HanScratch {
+    /// The run's characters.
+    chars: Vec<char>,
+    /// The byte offset of each character in the run, then the run's length.
+    bytes: Vec<usize>,
+    /// The DP route, one entry per character plus the end.
+    route: Vec<(f64, usize, bool)>,
+}
+
+/// A Han run beside its characters and their byte offsets.
+struct Han<'t, 'a> {
+    s: &'t str,
+    chars: &'a [char],
+    bytes: &'a [usize],
+}
+
+impl<'t> Han<'t, '_> {
+    /// The run's characters `range` as a slice of the run.
+    fn slice(&self, range: Range<usize>) -> &'t str {
+        let from = self.bytes.get(range.start).copied().unwrap_or_default();
+        let to = self.bytes.get(range.end).copied().unwrap_or_default();
+        self.s.get(from..to).unwrap_or_default()
     }
 }
 
@@ -298,7 +363,9 @@ mod tests {
         /// The DP and walk as they were before edges were priced from
         /// their prefix matches — a `String` and a dictionary lookup per
         /// position, per edge and per step of the walk — kept verbatim as
-        /// the reference `segment_han` must reproduce.
+        /// the reference `segment_han` must reproduce. Its out-of-vocabulary
+        /// flush is its own copy of the `String`-building one, so the
+        /// reference calls none of the code it checks.
         fn segment_han_reference(&self, s: &str, out: &mut Vec<String>) {
             let chars: Vec<char> = s.chars().collect();
             let n = chars.len();
@@ -335,12 +402,44 @@ mod tests {
                         oov_start = Some(i);
                     }
                 } else {
-                    self.flush_oov(&chars, oov_start.take(), i, out);
+                    self.flush_oov_reference(&chars, oov_start.take(), i, out);
                     out.push(word);
                 }
                 i = end;
             }
-            self.flush_oov(&chars, oov_start, n, out);
+            self.flush_oov_reference(&chars, oov_start, n, out);
+        }
+
+        /// The out-of-vocabulary flush as it was when tokens were
+        /// `String`s: one per unknown single, or the HMM's words built a
+        /// character at a time from its Viterbi states.
+        fn flush_oov_reference(
+            &self,
+            chars: &[char],
+            start: Option<usize>,
+            end: usize,
+            out: &mut Vec<String>,
+        ) {
+            let Some(span) = start.and_then(|start| chars.get(start..end)) else {
+                return;
+            };
+            if span.len() == 1 || !self.use_hmm {
+                for &c in span {
+                    out.push(c.to_string());
+                }
+            } else {
+                let states = self.hmm.viterbi(span);
+                let mut cur = String::new();
+                for (&c, &st) in span.iter().zip(states.iter()) {
+                    cur.push(c);
+                    if st == crate::hmm::E || st == crate::hmm::S {
+                        out.push(std::mem::take(&mut cur));
+                    }
+                }
+                if !cur.is_empty() {
+                    out.push(cur);
+                }
+            }
         }
     }
 
@@ -364,9 +463,57 @@ mod tests {
             let seg = Segmenter::new(dict);
             let seg = if hmm { seg } else { seg.without_hmm() };
             let (mut new, mut old) = (Vec::new(), Vec::new());
-            seg.segment_han(&text, &mut new);
+            seg.segment_han(&text, &mut HanScratch::default(), &mut new);
             seg.segment_han_reference(&text, &mut old);
             prop_assert_eq!(new, old, "text {:?}, dictionary {:?}", text, words);
+        }
+
+        /// One scratch set serves every Han run of a text: a run segments
+        /// the same after a longer or a shorter one has used the buffers.
+        #[test]
+        fn scratch_buffers_carry_nothing_between_runs(
+            runs in proptest::collection::vec("[一-龥]{0,12}", 1..6),
+        ) {
+            let seg = Segmenter::new(demo_dict());
+            let mut scratch = HanScratch::default();
+            for run in &runs {
+                let (mut reused, mut fresh) = (Vec::new(), Vec::new());
+                seg.segment_han(run, &mut scratch, &mut reused);
+                seg.segment_han(run, &mut HanScratch::default(), &mut fresh);
+                prop_assert_eq!(reused, fresh, "run {:?} of {:?}", run, runs);
+            }
+        }
+
+        /// The borrowing form partitions its input exactly: every token is
+        /// the slice of `text` that starts where the previous one ended,
+        /// none is empty, and `segment` is the same tokens as `String`s.
+        /// `words` is the same tokens less the punctuation runs.
+        #[test]
+        fn segment_into_borrows_a_partition_of_its_input(
+            text in "[一-龥a-z0-9，。 é《》]{0,40}",
+            hmm in proptest::bool::ANY,
+        ) {
+            let seg = Segmenter::new(demo_dict());
+            let seg = if hmm { seg } else { seg.without_hmm() };
+            let mut toks = vec!["kept"];
+            seg.segment_into(&text, &mut toks);
+            prop_assert_eq!(toks.remove(0), "kept");
+            let mut at = 0usize;
+            for tok in &toks {
+                prop_assert!(!tok.is_empty());
+                let offset = tok.as_ptr() as usize - text.as_ptr() as usize;
+                prop_assert_eq!(offset, at, "{:?} in {:?}", tok, toks);
+                at += tok.len();
+            }
+            prop_assert_eq!(at, text.len());
+            let owned: Vec<String> = toks.iter().map(|t| t.to_string()).collect();
+            prop_assert_eq!(seg.segment(&text), owned);
+            let words: Vec<&str> = toks
+                .iter()
+                .copied()
+                .filter(|t| t.starts_with(|c| crate::chars::is_han(c) || crate::chars::is_alnum(c)))
+                .collect();
+            prop_assert_eq!(seg.words(&text), words);
         }
 
         /// Segmentation partitions the input text exactly.
