@@ -180,32 +180,29 @@ impl Segmenter {
         }
 
         // Walk the best path, buffering unknown single chars for the HMM.
-        let han = Han {
-            s,
-            chars: chars.as_slice(),
-            bytes: bytes.as_slice(),
-        };
+        let scratch = &*scratch;
         let mut i = 0usize;
         let mut oov_start: Option<usize> = None;
         while i < n {
-            let (_, end, known_single) = route[i];
+            let (_, end, known_single) = scratch.route[i];
             if end == i + 1 && !known_single {
                 oov_start.get_or_insert(i);
             } else {
-                self.flush_oov(&han, oov_start.take(), i, out);
-                out.push(han.slice(i..end));
+                self.flush_oov(s, scratch, oov_start.take(), i, out);
+                out.push(scratch.slice(s, i..end));
             }
             i = end;
         }
-        self.flush_oov(&han, oov_start, n, out);
+        self.flush_oov(s, scratch, oov_start, n, out);
     }
 
-    /// Emits the unknown single characters `start..end` of a Han run: one
-    /// token each, or the HMM's words when it is on and there are two or
-    /// more.
+    /// Emits the unknown single characters `start..end` of the Han run
+    /// `s`: one token each, or the HMM's words when it is on and there are
+    /// two or more.
     fn flush_oov<'t>(
         &self,
-        han: &Han<'t, '_>,
+        s: &'t str,
+        scratch: &HanScratch,
         oov: Option<usize>,
         end: usize,
         out: &mut Vec<&'t str>,
@@ -213,18 +210,19 @@ impl Segmenter {
         let Some(start) = oov else {
             return;
         };
-        let span = han.chars.get(start..end).unwrap_or_default();
+        let span = scratch.chars.get(start..end).unwrap_or_default();
         if span.len() == 1 || !self.use_hmm {
-            out.extend((start..end).map(|i| han.slice(i..i + 1)));
+            out.extend((start..end).map(|i| scratch.slice(s, i..i + 1)));
         } else {
             self.hmm.cut_ranges(span, |word| {
-                out.push(han.slice(start + word.start..start + word.end));
+                out.push(scratch.slice(s, start + word.start..start + word.end));
             });
         }
     }
 }
 
-/// Buffers one segmentation reuses across its text's Han runs.
+/// Buffers one segmentation reuses across its text's Han runs, filled
+/// for the run being segmented.
 #[derive(Default)]
 struct HanScratch {
     /// The run's characters.
@@ -235,19 +233,13 @@ struct HanScratch {
     route: Vec<(f64, usize, bool)>,
 }
 
-/// A Han run beside its characters and their byte offsets.
-struct Han<'t, 'a> {
-    s: &'t str,
-    chars: &'a [char],
-    bytes: &'a [usize],
-}
-
-impl<'t> Han<'t, '_> {
-    /// The run's characters `range` as a slice of the run.
-    fn slice(&self, range: Range<usize>) -> &'t str {
+impl HanScratch {
+    /// The characters `range` of the run `s` the buffers were filled
+    /// from, as a slice of it.
+    fn slice<'t>(&self, s: &'t str, range: Range<usize>) -> &'t str {
         let from = self.bytes.get(range.start).copied().unwrap_or_default();
         let to = self.bytes.get(range.end).copied().unwrap_or_default();
-        self.s.get(from..to).unwrap_or_default()
+        s.get(from..to).unwrap_or_default()
     }
 }
 
