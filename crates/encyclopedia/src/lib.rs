@@ -15,9 +15,7 @@
 //! * [`generator`] — the corpus generator with configurable scale and
 //!   noise rates.
 //! * [`gold`] — ground-truth isA labels recorded during generation.
-//! * [`dump`] — CN-DBpedia-style dump file reader/writer.
 
-pub mod dump;
 pub mod generator;
 pub mod gold;
 pub mod names;

@@ -11,7 +11,7 @@
 //! * per-step output distribution mixing a *generate* softmax over the
 //!   vocabulary with a *copy* distribution over source positions, gated by
 //!   a learned sigmoid (the fused loss lives in [`crate::tape::Tape::copy_nll`]);
-//! * teacher-forced training with Adam, greedy and beam-search decoding.
+//! * teacher-forced training with Adam, greedy decoding.
 
 use crate::optim::Adam;
 use crate::params::{ParamId, Params};
@@ -321,7 +321,7 @@ impl CopyNet {
         let mut out = Vec::new();
         for _ in 0..self.cfg.max_tgt_len {
             dec.step(prev, &mut s);
-            let Some(&(best, _)) = dec.top_k(1).first() else {
+            let Some((best, _)) = dec.best() else {
                 break;
             };
             if best == "<eos>" {
@@ -331,65 +331,6 @@ impl CopyNet {
             prev = self.vocab.id(best);
         }
         out
-    }
-
-    /// Beam-search decoding with the given width; returns the best sequence.
-    pub fn generate_beam(&self, src: &[String], width: usize) -> Vec<String> {
-        let Some((mut dec, state)) = Decoder::encode(self, src) else {
-            return Vec::new();
-        };
-        #[derive(Clone)]
-        struct Beam {
-            tokens: Vec<String>,
-            state: Vec<f32>,
-            prev: u32,
-            logp: f32,
-            done: bool,
-        }
-        let mut beams = vec![Beam {
-            tokens: Vec::new(),
-            state,
-            prev: BOS,
-            logp: 0.0,
-            done: false,
-        }];
-        for _ in 0..self.cfg.max_tgt_len {
-            let mut next: Vec<Beam> = Vec::new();
-            for beam in &beams {
-                if beam.done {
-                    next.push(beam.clone());
-                    continue;
-                }
-                let mut s = beam.state.clone();
-                dec.step(beam.prev, &mut s);
-                for (tok, p) in dec.top_k(width) {
-                    let mut tokens = beam.tokens.clone();
-                    let done = tok == "<eos>";
-                    if !done {
-                        tokens.push(tok.to_string());
-                    }
-                    next.push(Beam {
-                        prev: self.vocab.id(tok),
-                        tokens,
-                        state: s.clone(),
-                        logp: beam.logp + p.max(1e-12).ln(),
-                        done,
-                    });
-                }
-            }
-            next.sort_by(|a, b| b.logp.total_cmp(&a.logp));
-            next.truncate(width);
-            let all_done = next.iter().all(|b| b.done);
-            beams = next;
-            if all_done {
-                break;
-            }
-        }
-        beams
-            .into_iter()
-            .max_by(|a, b| a.logp.total_cmp(&b.logp))
-            .map(|b| b.tokens)
-            .unwrap_or_default()
     }
 }
 
@@ -527,27 +468,21 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// The `k` best `(string, probability)` of the last [`Decoder::step`]:
+    /// The best `(string, probability)` of the last [`Decoder::step`]:
     /// probability descending, then string ascending — exact ties happen
     /// (several unknown source tokens can share an attention weight) and
     /// must resolve the same way on every run.
-    fn top_k(&self, k: usize) -> Vec<(&'a str, f32)> {
-        let order = |a: usize, b: usize| {
+    fn best(&self) -> Option<(&'a str, f32)> {
+        let before = |a: usize, b: usize| {
             self.scores[b]
                 .total_cmp(&self.scores[a])
                 .then_with(|| self.token(a).cmp(self.token(b)))
+                .is_lt()
         };
-        let mut best: Vec<usize> = Vec::with_capacity(k.min(self.scores.len()) + 1);
-        for slot in (0..self.scores.len()).filter(|&s| Self::is_scored(s)) {
-            let at = best.partition_point(|&b| order(b, slot).is_lt());
-            if at < k {
-                best.insert(at, slot);
-                best.truncate(k);
-            }
-        }
-        best.into_iter()
+        (0..self.scores.len())
+            .filter(|&s| Self::is_scored(s))
+            .reduce(|best, slot| if before(best, slot) { best } else { slot })
             .map(|slot| (self.token(slot), self.scores[slot]))
-            .collect()
     }
 }
 
@@ -632,14 +567,14 @@ mod tests {
     ];
 
     proptest! {
-        /// `top_k(k)` is the reference's first `k` entries — same strings,
-        /// same score bits — at every step of a teacher-free decode, for
+        /// `best()` is the reference's first entry — same string, same
+        /// score bits — at every step of a teacher-free decode, for
         /// sources with repeats, several distinct unknown words and the
         /// special strings. `scale = 0` zeroes the model, so every
         /// attention weight and every vocabulary probability ties exactly
         /// and only the string tie-break orders the result.
         #[test]
-        fn top_k_matches_the_map_and_sort_reference(
+        fn best_matches_the_map_and_sort_reference(
             seed in 0u64..1_000,
             scale in 0u32..3,
             picks in proptest::collection::vec(0usize..POOL.len(), 1..12),
@@ -677,19 +612,9 @@ mod tests {
                 s_ref = model.gru_reference(model.dec, &model.embed_reference(prev), &s_ref);
                 prop_assert_eq!(bits(&s), bits(&s_ref.data));
                 let reference = model.step_distribution(&states, &src_tokens, &s_ref);
-                for k in [1, 3, reference.len()] {
-                    let got: Vec<(String, u32)> = dec
-                        .top_k(k)
-                        .into_iter()
-                        .map(|(t, p)| (t.to_string(), p.to_bits()))
-                        .collect();
-                    let want: Vec<(String, u32)> = reference
-                        .iter()
-                        .take(k)
-                        .map(|(t, p)| (t.clone(), p.to_bits()))
-                        .collect();
-                    prop_assert_eq!(got, want, "k = {}, src = {:?}", k, src);
-                }
+                let got = dec.best().map(|(t, p)| (t.to_string(), p.to_bits()));
+                let want = reference.first().map(|(t, p)| (t.clone(), p.to_bits()));
+                prop_assert_eq!(got, want, "src = {:?}", src);
                 prev = model.vocab.id(&reference[0].0);
             }
         }
@@ -710,7 +635,6 @@ mod tests {
         }
         model.refresh_projections();
         let _ = model.generate(&samples[0].src);
-        let _ = model.generate_beam(&samples[0].src, 3);
     }
 
     #[test]
@@ -722,7 +646,6 @@ mod tests {
         };
         let model = CopyNet::new(vocab, cfg);
         assert!(model.generate(&samples[0].src).is_empty());
-        assert!(model.generate_beam(&samples[0].src, 3).is_empty());
     }
 
     fn tiny_config() -> CopyNetConfig {
@@ -911,26 +834,10 @@ mod tests {
     }
 
     #[test]
-    fn beam_matches_or_beats_greedy_on_training_data() {
-        let (vocab, samples) = make_samples();
-        let mut model = CopyNet::new(vocab, tiny_config());
-        for _ in 0..40 {
-            model.train_epoch(&samples, &Runtime::serial());
-        }
-        let s = &samples[0];
-        let greedy = model.generate(&s.src);
-        let beam = model.generate_beam(&s.src, 3);
-        assert!(!beam.is_empty());
-        // Both should produce the target on well-fit training data.
-        assert_eq!(greedy.first(), beam.first());
-    }
-
-    #[test]
     fn empty_source_yields_empty_output() {
         let (vocab, _) = make_samples();
         let model = CopyNet::new(vocab, tiny_config());
         assert!(model.generate(&[]).is_empty());
-        assert!(model.generate_beam(&[], 3).is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`vocab`] — token vocabulary with PAD/BOS/EOS/UNK.
 //! * [`optim`] — Adam with global-norm gradient clipping.
 //! * [`copynet`] — the GRU encoder-decoder with attention and copy
-//!   mechanism, teacher-forced training, greedy and beam decoding.
+//!   mechanism, teacher-forced training and greedy decoding.
 
 pub mod copynet;
 pub mod optim;

@@ -148,12 +148,6 @@ impl Matrix {
         self.cols == 1
     }
 
-    /// Length of a column vector.
-    pub fn len_vec(&self) -> usize {
-        debug_assert!(self.is_vec());
-        self.rows
-    }
-
     /// Dot product of two column vectors.
     pub fn dot(&self, other: &Matrix) -> f32 {
         assert!(self.is_vec() && other.is_vec());

@@ -10,7 +10,7 @@ use cnp_taxonomy::persist::PersistError;
 use cnp_taxonomy::{
     BootSnapshot, DeltaOverlay, FrozenTaxonomy, IngestDelta, TaxonomyRead, TaxonomyStore,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -207,14 +207,9 @@ impl<T: TaxonomyRead> TaxonomyService<T> {
     /// pinned; queries pinned after this call see the new one. The old
     /// snapshot is freed when its last pin drops.
     pub fn swap(&self, snapshot: T) -> u64 {
-        let mut current = self.current.write();
+        let current = self.current.write();
         let number = current.number + 1;
-        let old = std::mem::replace(&mut *current, Arc::new(Generation::new(number, snapshot)));
-        drop(current);
-        // If this was the last reference, the old snapshot (a structure
-        // sized for the whole taxonomy) deallocates *after* the write
-        // guard is released — readers never wait on the teardown.
-        drop(old);
+        Self::install(current, number, snapshot);
         number
     }
 
@@ -225,15 +220,24 @@ impl<T: TaxonomyRead> TaxonomyService<T> {
     /// computed from generation N must not clobber deltas ingested into
     /// N+1 while it ran.
     pub fn swap_if_current(&self, expected: u64, snapshot: T) -> Option<u64> {
-        let mut current = self.current.write();
+        let current = self.current.write();
         if current.number != expected {
             return None;
         }
         let number = expected + 1;
+        Self::install(current, number, snapshot);
+        Some(number)
+    }
+
+    /// Puts generation `number` over `snapshot` behind the write guard
+    /// `current`, then releases the guard. If this was the last reference,
+    /// the old snapshot (a structure sized for the whole taxonomy)
+    /// deallocates *after* the guard is released — readers never wait on
+    /// the teardown.
+    fn install(mut current: RwLockWriteGuard<'_, Arc<Generation<T>>>, number: u64, snapshot: T) {
         let old = std::mem::replace(&mut *current, Arc::new(Generation::new(number, snapshot)));
         drop(current);
         drop(old);
-        Some(number)
     }
 }
 

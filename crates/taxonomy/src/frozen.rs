@@ -30,6 +30,7 @@
 
 use crate::hash::FxHashMap;
 use crate::interner::{Interner, Symbol};
+use crate::read::TaxonomyRead;
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, TaxonomyStore};
 use crate::topo::Condensation;
 use cnp_runtime::Runtime;
@@ -313,15 +314,11 @@ impl FrozenTaxonomy {
             .unwrap_or(EntityRecord::UNKNOWN)
     }
 
-    /// Full display key: `name（disambig）` or just `name`.
+    /// Full display key: `name（disambig）` or just `name` — the
+    /// [`TaxonomyRead::entity_key`] default, callable without the trait in
+    /// scope.
     pub fn entity_key(&self, id: EntityId) -> String {
-        let rec = self.entity(id);
-        let name = self.interner.resolve(rec.name);
-        if rec.disambig == Symbol(0) {
-            name.to_string()
-        } else {
-            format!("{name}（{}）", self.interner.resolve(rec.disambig))
-        }
+        TaxonomyRead::entity_key(self, id)
     }
 
     /// Finds a concept by name.

@@ -440,11 +440,6 @@ impl<B: TaxonomyRead> OverlayView<B> {
         self.state.deltas
     }
 
-    /// Entities added on top of the base.
-    pub fn overlay_entities(&self) -> usize {
-        self.state.entities.len()
-    }
-
     /// The accumulated op log (compaction replays it; see
     /// `crate::compact`).
     pub(crate) fn log_ops(&self) -> &[DeltaOp] {

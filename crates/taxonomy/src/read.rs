@@ -122,10 +122,6 @@ impl TaxonomyRead for FrozenTaxonomy {
         FrozenTaxonomy::entity(self, id)
     }
 
-    fn entity_key(&self, id: EntityId) -> String {
-        FrozenTaxonomy::entity_key(self, id)
-    }
-
     fn find_entity(&self, name: &str, disambig: Option<&str>) -> Option<EntityId> {
         FrozenTaxonomy::find_entity(self, name, disambig)
     }
@@ -204,10 +200,6 @@ impl TaxonomyRead for FrozenTaxonomyView {
 
     fn entity(&self, id: EntityId) -> EntityRecord {
         FrozenTaxonomyView::entity(self, id)
-    }
-
-    fn entity_key(&self, id: EntityId) -> String {
-        FrozenTaxonomyView::entity_key(self, id)
     }
 
     fn find_entity(&self, name: &str, disambig: Option<&str>) -> Option<EntityId> {

@@ -7,9 +7,9 @@
 //! produced it — and a confidence, which the verification module and
 //! cycle-repair use as a tie-breaker.
 //!
-//! The store also keeps per-entity attribute sets (infobox predicates):
-//! verification strategy A (§III-A) compares entity and concept attribute
-//! distributions.
+//! The store also keeps per-entity attribute sets (infobox predicates),
+//! which snapshots carry; verification strategy A (§III-A) builds its
+//! attribute distributions from the pages, not from here.
 
 use crate::hash::FxHashMap;
 use crate::interner::{Interner, Symbol};
@@ -500,41 +500,6 @@ impl TaxonomyStore {
     pub fn aliases_of(&self, e: EntityId) -> &[Symbol] {
         &self.entity_aliases[e.index()]
     }
-
-    // ----- attribute distributions (verification strategy A) ---------------
-
-    /// Attribute distribution of an entity: uniform over its attributes.
-    pub fn entity_attr_distribution(&self, e: EntityId) -> FxHashMap<Symbol, f64> {
-        let attrs = &self.entity_attrs[e.index()];
-        let mut dist = FxHashMap::default();
-        if attrs.is_empty() {
-            return dist;
-        }
-        let w = 1.0 / attrs.len() as f64;
-        for &a in attrs {
-            *dist.entry(a).or_insert(0.0) += w;
-        }
-        dist
-    }
-
-    /// Attribute distribution of a concept: normalized attribute counts
-    /// over its direct hyponym entities.
-    pub fn concept_attr_distribution(&self, c: ConceptId) -> FxHashMap<Symbol, f64> {
-        let mut counts: FxHashMap<Symbol, f64> = FxHashMap::default();
-        let mut total = 0.0f64;
-        for &e in &self.concept_entities[c.index()] {
-            for &a in &self.entity_attrs[e.index()] {
-                *counts.entry(a).or_insert(0.0) += 1.0;
-                total += 1.0;
-            }
-        }
-        if total > 0.0 {
-            for v in counts.values_mut() {
-                *v /= total;
-            }
-        }
-        counts
-    }
 }
 
 /// Verbatim adjacency rows for [`TaxonomyStore::from_raw_parts`]: one
@@ -650,26 +615,6 @@ mod tests {
         s.add_entity_is_a(e1, c, meta(Source::Tag));
         assert_eq!(s.num_entities(), 2);
         assert_eq!(s.num_linked_entities(), 1);
-    }
-
-    #[test]
-    fn attribute_distributions() {
-        let mut s = TaxonomyStore::new();
-        let e1 = s.add_entity("刘德华", None);
-        let e2 = s.add_entity("张学友", None);
-        let c = s.add_concept("歌手");
-        s.add_entity_is_a(e1, c, meta(Source::Tag));
-        s.add_entity_is_a(e2, c, meta(Source::Tag));
-        s.add_attribute(e1, "职业");
-        s.add_attribute(e1, "代表作品");
-        s.add_attribute(e2, "职业");
-        let de = s.entity_attr_distribution(e1);
-        assert_eq!(de.len(), 2);
-        let sum: f64 = de.values().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        let dc = s.concept_attr_distribution(c);
-        let occupation = s.interner().get("职业").unwrap();
-        assert!((dc[&occupation] - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

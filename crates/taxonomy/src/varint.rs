@@ -23,7 +23,6 @@
     clippy::indexing_slicing
 )]
 
-use crate::persist::PersistError;
 use bytes::{BufMut, BytesMut};
 
 /// Longest legal encoding of a `u64` (10 × 7 payload bits ≥ 64).
@@ -72,13 +71,6 @@ pub fn varint_at(buf: &[u8], pos: usize) -> Option<(u64, usize)> {
         }
         shift += 7;
     }
-}
-
-/// Reads a varint from the front of `buf`, advancing it.
-pub fn read_varint(buf: &mut &[u8], what: &'static str) -> Result<u64, PersistError> {
-    let (v, n) = varint_at(buf, 0).ok_or(PersistError::Truncated(what))?;
-    *buf = buf.get(n..).ok_or(PersistError::Truncated(what))?;
-    Ok(v)
 }
 
 /// Maps a signed delta onto the unsigned varint domain (0, -1, 1, -2 → 0,
@@ -131,19 +123,6 @@ mod tests {
         let mut max = vec![0xFF; 9];
         max.push(0x01);
         assert_eq!(varint_at(&max, 0), Some((u64::MAX, 10)));
-    }
-
-    #[test]
-    fn read_varint_advances_and_reports_truncation() {
-        let bytes = encode(300);
-        let mut buf: &[u8] = &bytes;
-        assert_eq!(read_varint(&mut buf, "n").unwrap(), 300);
-        assert!(buf.is_empty());
-        let mut cut: &[u8] = &bytes[..1];
-        assert!(matches!(
-            read_varint(&mut cut, "n"),
-            Err(PersistError::Truncated("n"))
-        ));
     }
 
     #[test]

@@ -52,6 +52,7 @@ use crate::persist::{
     SEC_ENTITY_CONCEPTS, SEC_INTERNER, SEC_MENTIONS, SEC_MENTION_HASH, SEC_META_DICT, SEC_STR_SORT,
     SEC_TOPO, VCSR_BLOCK,
 };
+use crate::read::TaxonomyRead;
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, Source};
 use crate::varint::{unzigzag, varint_at};
 use bytes::Bytes;
@@ -675,15 +676,11 @@ impl FrozenTaxonomyView {
         }
     }
 
-    /// Full display key: `name（disambig）` or just `name`.
+    /// Full display key: `name（disambig）` or just `name` — the
+    /// [`TaxonomyRead::entity_key`] default, callable without the trait in
+    /// scope.
     pub fn entity_key(&self, id: EntityId) -> String {
-        let rec = self.entity(id);
-        let name = self.resolve(rec.name);
-        if rec.disambig == Symbol(0) {
-            name.to_string()
-        } else {
-            format!("{name}（{}）", self.resolve(rec.disambig))
-        }
+        TaxonomyRead::entity_key(self, id)
     }
 
     /// Finds an entity by exact name + disambiguation: resolve both

@@ -57,11 +57,6 @@ impl NgramCounter {
         self.total_bi
     }
 
-    /// Number of distinct unigram types.
-    pub fn vocab_size(&self) -> usize {
-        self.uni.len()
-    }
-
     /// Iterates `(token, count)` over unigrams in unspecified order.
     pub fn unigrams(&self) -> impl Iterator<Item = (&str, u64)> {
         self.uni.iter().map(|(k, &v)| (k.as_str(), v))

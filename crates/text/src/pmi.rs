@@ -10,39 +10,24 @@
 //! PMI(a, b) = ln  p(a, b) / ( p(a) · p(b) )
 //! ```
 //!
-//! with add-α smoothing on the bigram count so unseen pairs are defined and
-//! strongly negative.
+//! with add-α smoothing (α = 0.1) on the bigram count so unseen pairs are
+//! defined and strongly negative.
 
 use crate::ngram::NgramCounter;
+
+/// Add-α smoothing mass given to unseen bigrams.
+const ALPHA: f64 = 0.1;
 
 /// PMI model over corpus n-gram counts.
 #[derive(Debug, Clone)]
 pub struct PmiModel {
     counts: NgramCounter,
-    /// Add-α smoothing mass given to unseen bigrams.
-    alpha: f64,
 }
 
 impl PmiModel {
-    /// Wraps existing n-gram counts with the default smoothing (α = 0.1).
+    /// Wraps existing n-gram counts.
     pub fn new(counts: NgramCounter) -> Self {
-        PmiModel { counts, alpha: 0.1 }
-    }
-
-    /// Overrides the smoothing constant.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0, "smoothing constant must be positive");
-        self.alpha = alpha;
-        self
-    }
-
-    /// Builds a model by observing an iterator of segmented sentences.
-    pub fn from_sentences<S: AsRef<str>, I: IntoIterator<Item = Vec<S>>>(sentences: I) -> Self {
-        let mut counts = NgramCounter::new();
-        for s in sentences {
-            counts.observe(&s);
-        }
-        PmiModel::new(counts)
+        PmiModel { counts }
     }
 
     /// Read-only access to the underlying counts.
@@ -50,38 +35,17 @@ impl PmiModel {
         &self.counts
     }
 
-    /// Mutable access (to fold in additional corpus).
-    pub fn counts_mut(&mut self) -> &mut NgramCounter {
-        &mut self.counts
-    }
-
     /// Smoothed pointwise mutual information of the adjacent pair `(a, b)`.
     pub fn pmi(&self, a: &str, b: &str) -> f64 {
         let n_bi = (self.counts.total_bigrams() as f64).max(1.0);
         let n_uni = (self.counts.total_unigrams() as f64).max(1.0);
-        let c_ab = self.counts.bigram(a, b) as f64 + self.alpha;
-        let c_a = (self.counts.unigram(a) as f64).max(self.alpha);
-        let c_b = (self.counts.unigram(b) as f64).max(self.alpha);
-        let p_ab = c_ab / (n_bi + self.alpha * n_uni);
+        let c_ab = self.counts.bigram(a, b) as f64 + ALPHA;
+        let c_a = (self.counts.unigram(a) as f64).max(ALPHA);
+        let c_b = (self.counts.unigram(b) as f64).max(ALPHA);
+        let p_ab = c_ab / (n_bi + ALPHA * n_uni);
         let p_a = c_a / n_uni;
         let p_b = c_b / n_uni;
         (p_ab / (p_a * p_b)).ln()
-    }
-
-    /// Normalised PMI (Bouma 2009), clamped to [-1, 1]; useful for
-    /// thresholding. The clamp is needed because the smoothed joint and the
-    /// marginals use different normalizations, which can push the raw ratio
-    /// slightly past the theoretical bound.
-    pub fn npmi(&self, a: &str, b: &str) -> f64 {
-        let n_bi = (self.counts.total_bigrams() as f64).max(1.0);
-        let n_uni = (self.counts.total_unigrams() as f64).max(1.0);
-        let c_ab = self.counts.bigram(a, b) as f64 + self.alpha;
-        let p_ab = c_ab / (n_bi + self.alpha * n_uni);
-        let denom = -(p_ab.ln());
-        if denom <= 0.0 {
-            return 1.0;
-        }
-        (self.pmi(a, b) / denom).clamp(-1.0, 1.0)
     }
 }
 
@@ -101,7 +65,11 @@ mod tests {
             vec!["首席", "战略官", "上任"],
             vec!["战略官", "离职"],
         ];
-        PmiModel::from_sentences(sentences)
+        let mut counts = NgramCounter::new();
+        for s in &sentences {
+            counts.observe(s);
+        }
+        PmiModel::new(counts)
     }
 
     #[test]
@@ -117,22 +85,6 @@ mod tests {
         let m = demo_model();
         assert!(m.pmi("蚂蚁", "离职") < m.pmi("蚂蚁", "金服"));
         assert!(m.pmi("蚂蚁", "离职") < 0.0);
-    }
-
-    #[test]
-    fn npmi_is_bounded() {
-        let m = demo_model();
-        for (a, b) in [("蚂蚁", "金服"), ("金服", "首席"), ("蚂蚁", "离职")] {
-            let v = m.npmi(a, b);
-            assert!((-1.0001..=1.0001).contains(&v), "npmi({a},{b}) = {v}");
-        }
-    }
-
-    #[test]
-    fn alpha_must_be_positive() {
-        let result =
-            std::panic::catch_unwind(|| PmiModel::new(NgramCounter::new()).with_alpha(0.0));
-        assert!(result.is_err());
     }
 
     proptest! {

@@ -108,11 +108,6 @@ impl PosTagger {
         }
         PosTag::Noun
     }
-
-    /// Tags a pre-segmented word sequence.
-    pub fn tag_sequence<'a, I: IntoIterator<Item = &'a str>>(&self, words: I) -> Vec<PosTag> {
-        words.into_iter().map(|w| self.tag(w)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -162,12 +157,5 @@ mod tests {
         assert!(PosTag::OrgName.is_nominal());
         assert!(!PosTag::Verb.is_nominal());
         assert!(!PosTag::Particle.is_nominal());
-    }
-
-    #[test]
-    fn tag_sequence_matches_individual_tags() {
-        let t = tagger();
-        let tags = t.tag_sequence(["的", "出生"]);
-        assert_eq!(tags, vec![PosTag::Particle, PosTag::Verb]);
     }
 }

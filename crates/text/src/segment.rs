@@ -30,11 +30,10 @@ use std::ops::Range;
 pub struct Segmenter {
     dict: Dictionary,
     hmm: HmmModel,
-    use_hmm: bool,
 }
 
 impl Segmenter {
-    /// Creates a segmenter with the default (untrained) HMM enabled.
+    /// Creates a segmenter with the default (untrained) HMM.
     pub fn new(dict: Dictionary) -> Self {
         Self::with_hmm(dict, HmmModel::default())
     }
@@ -43,27 +42,12 @@ impl Segmenter {
     /// done growing, and its index's spare capacity is given back.
     pub fn with_hmm(mut dict: Dictionary, hmm: HmmModel) -> Self {
         dict.shrink_to_fit();
-        Segmenter {
-            dict,
-            hmm,
-            use_hmm: true,
-        }
-    }
-
-    /// Disables the HMM pass (pure dictionary DP; unknown chars stay single).
-    pub fn without_hmm(mut self) -> Self {
-        self.use_hmm = false;
-        self
+        Segmenter { dict, hmm }
     }
 
     /// Read-only access to the dictionary.
     pub fn dictionary(&self) -> &Dictionary {
         &self.dict
-    }
-
-    /// Mutable access to the dictionary (to fold in corpus counts).
-    pub fn dictionary_mut(&mut self) -> &mut Dictionary {
-        &mut self.dict
     }
 
     /// Segments `text` into tokens. Punctuation runs are emitted as single
@@ -79,29 +63,6 @@ impl Segmenter {
     /// in order. It allocates only its scratch buffers and `out`'s growth.
     pub fn segment_into<'t>(&self, text: &'t str, out: &mut Vec<&'t str>) {
         self.segment_runs(text, true, out);
-    }
-
-    /// Segments `text` and tags every token with its part of speech
-    /// (dictionary tag, falling back to shape heuristics). Punctuation
-    /// tokens carry [`crate::pos::PosTag::Other`].
-    pub fn segment_tagged(&self, text: &str) -> Vec<(String, crate::pos::PosTag)> {
-        self.segment(text)
-            .into_iter()
-            .map(|tok| {
-                let tag = if tok.chars().all(crate::chars::is_punct) {
-                    crate::pos::PosTag::Other
-                } else if let Some(info) = self.dict.get(&tok) {
-                    if info.pos == crate::pos::PosTag::Other {
-                        crate::pos::PosTagger::guess_by_shape(&tok)
-                    } else {
-                        info.pos
-                    }
-                } else {
-                    crate::pos::PosTagger::guess_by_shape(&tok)
-                };
-                (tok, tag)
-            })
-            .collect()
     }
 
     /// Segments `text` and drops punctuation/whitespace tokens — the
@@ -197,8 +158,7 @@ impl Segmenter {
     }
 
     /// Emits the unknown single characters `start..end` of the Han run
-    /// `s`: one token each, or the HMM's words when it is on and there are
-    /// two or more.
+    /// `s`: one token each, or the HMM's words when there are two or more.
     fn flush_oov<'t>(
         &self,
         s: &'t str,
@@ -211,7 +171,7 @@ impl Segmenter {
             return;
         };
         let span = scratch.chars.get(start..end).unwrap_or_default();
-        if span.len() == 1 || !self.use_hmm {
+        if span.len() == 1 {
             out.extend((start..end).map(|i| scratch.slice(s, i..i + 1)));
         } else {
             self.hmm.cut_ranges(span, |word| {
@@ -246,7 +206,7 @@ impl HanScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pos::PosTag;
+    use crate::pos::{PosTag, PosTagger};
     use proptest::prelude::*;
 
     fn demo_dict() -> Dictionary {
@@ -315,13 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn without_hmm_unknowns_stay_single() {
-        let seg = Segmenter::new(demo_dict()).without_hmm();
-        let toks = seg.segment("赵小阳");
-        assert_eq!(toks, vec!["赵", "小", "阳"]);
-    }
-
-    #[test]
     fn empty_and_punct_only_inputs() {
         let seg = Segmenter::new(demo_dict());
         assert!(seg.segment("").is_empty());
@@ -331,24 +284,24 @@ mod tests {
 
     #[test]
     fn tagged_segmentation_uses_dictionary_and_shape() {
+        // Segmented words tagged by a `PosTagger` over the same dictionary.
         let seg = Segmenter::new(demo_dict());
-        let tagged = seg.segment_tagged("演员出生于临江市。");
+        let tagger = PosTagger::new(seg.dictionary().clone());
+        let words = seg.words("演员出生于临江市。");
+        let tagged: Vec<(&str, PosTag)> =
+            words.iter().map(|w| (w.as_str(), tagger.tag(w))).collect();
         let get = |w: &str| {
             tagged
                 .iter()
-                .find(|(t, _)| t == w)
+                .find(|(t, _)| *t == w)
                 .map(|(_, p)| *p)
                 .unwrap_or_else(|| panic!("token {w} missing from {tagged:?}"))
         };
-        assert_eq!(get("演员"), crate::pos::PosTag::Noun);
-        assert_eq!(get("出生于"), crate::pos::PosTag::Verb);
+        assert_eq!(get("演员"), PosTag::Noun);
+        assert_eq!(get("出生于"), PosTag::Verb);
         // The OOV place name region produces at least one PlaceName-tagged
         // token via the shape heuristic (exact split depends on the HMM).
-        assert!(tagged
-            .iter()
-            .any(|(_, p)| *p == crate::pos::PosTag::PlaceName));
-        // Punctuation is tagged Other.
-        assert_eq!(get("。"), crate::pos::PosTag::Other);
+        assert!(tagged.iter().any(|(_, p)| *p == PosTag::PlaceName));
     }
 
     impl Segmenter {
@@ -415,7 +368,7 @@ mod tests {
             let Some(span) = start.and_then(|start| chars.get(start..end)) else {
                 return;
             };
-            if span.len() == 1 || !self.use_hmm {
+            if span.len() == 1 {
                 for &c in span {
                     out.push(c.to_string());
                 }
@@ -446,14 +399,12 @@ mod tests {
             words in proptest::collection::vec(("[一二三四五六七]{1,4}", 1u64..5_000), 0..24),
             text in "[一二三四五六七八]{0,32}",
             base in proptest::bool::ANY,
-            hmm in proptest::bool::ANY,
         ) {
             let mut dict = if base { Dictionary::base() } else { Dictionary::new() };
             for (w, f) in &words {
                 dict.add_word(w, *f, PosTag::Noun);
             }
             let seg = Segmenter::new(dict);
-            let seg = if hmm { seg } else { seg.without_hmm() };
             let (mut new, mut old) = (Vec::new(), Vec::new());
             seg.segment_han(&text, &mut HanScratch::default(), &mut new);
             seg.segment_han_reference(&text, &mut old);
@@ -483,10 +434,8 @@ mod tests {
         #[test]
         fn segment_into_borrows_a_partition_of_its_input(
             text in "[一-龥a-z0-9，。 é《》]{0,40}",
-            hmm in proptest::bool::ANY,
         ) {
             let seg = Segmenter::new(demo_dict());
-            let seg = if hmm { seg } else { seg.without_hmm() };
             let mut toks = vec!["kept"];
             seg.segment_into(&text, &mut toks);
             prop_assert_eq!(toks.remove(0), "kept");

@@ -1,29 +1,11 @@
-//! Cross-crate integration: dump round-trips feeding the pipeline, QA
-//! coverage over a built taxonomy, bracket chains becoming subconcept
-//! edges, and mention disambiguation through the full stack.
+//! Cross-crate integration: QA coverage over a built taxonomy, bracket
+//! chains becoming subconcept edges, and mention disambiguation through
+//! the full stack.
 
-use cn_probase::encyclopedia::{dump, CorpusConfig, CorpusGenerator};
+use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::eval::{coverage, generate_questions};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::{Query, Response, TaxonomyService};
-
-#[test]
-fn dump_roundtrip_feeds_an_identical_pipeline_run() {
-    let corpus = CorpusGenerator::new(CorpusConfig::tiny(88)).generate();
-    // Serialize pages to the CN-DBpedia-style dump and read them back.
-    let mut buf = Vec::new();
-    dump::write_pages(&corpus.pages, &mut buf).expect("write dump");
-    let reloaded = dump::read_pages(&buf[..]).expect("read dump");
-    assert_eq!(corpus.pages, reloaded);
-
-    // A corpus built from the reloaded pages produces identical candidates.
-    let mut corpus2 = corpus.clone();
-    corpus2.pages = reloaded;
-    let a = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-    let b = Pipeline::new(PipelineConfig::fast()).run(&corpus2);
-    assert_eq!(a.report.merged_candidates, b.report.merged_candidates);
-    assert_eq!(a.taxonomy.num_is_a(), b.taxonomy.num_is_a());
-}
 
 #[test]
 fn qa_coverage_matches_the_papers_shape() {
