@@ -83,12 +83,13 @@ pub struct Request {
 }
 
 impl Request {
-    /// Case-insensitive header lookup (first occurrence).
+    /// Case-insensitive header lookup (first occurrence). Stored names are
+    /// lower-cased when read, so the lookup compares in place and
+    /// allocates nothing.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.headers
             .iter()
-            .find(|(k, _)| *k == name)
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 

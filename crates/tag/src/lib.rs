@@ -27,8 +27,10 @@
 //!    single tokens instead of being split into unknown characters.
 //! 2. **Mention resolution** through `men2ent`: longest-match token
 //!    spans (a window of adjacent tokens is joined and probed longest
-//!    first, never across punctuation), then `find_concept` for a window
-//!    the index knows is a concept name, with an NER-gated fallback for
+//!    first, never across punctuation, and only when the index's hash set
+//!    of the snapshot's mention keys holds the window's key), then
+//!    `find_concept` for a window whose key is in the index's set of
+//!    concept names, with an NER-gated fallback for
 //!    out-of-vocabulary spans — a span the taxonomy has never seen is
 //!    kept as evidence only when [`cnp_text::ner::classify`], over the
 //!    segmenter's own dictionary, recognises it as a named entity, and
@@ -89,7 +91,8 @@ pub struct Tagger<B: TaxonomyRead> {
 
 impl<B: TaxonomyRead> Tagger<B> {
     /// Builds the mention-table-seeded index for `snapshot` and wraps
-    /// both. Costs one pass over the entity and concept tables.
+    /// both. Costs one pass over the entity and concept tables and one
+    /// over the mention keys.
     pub fn new(snapshot: Arc<B>) -> Self {
         let index = TagIndex::build(&*snapshot);
         Tagger { snapshot, index }

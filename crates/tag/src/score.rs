@@ -3,9 +3,11 @@
 //! [`resolve_spans`] turns segmented tokens into evidence spans: a
 //! longest-match window of adjacent tokens is probed against `men2ent`
 //! (entity evidence) and `find_concept` (the document literally names a
-//! concept), and unresolved spans survive only through the NER gate.
-//! Tokens and window probes borrow the document or one reused buffer; a
-//! span's text is copied only once the span resolves.
+//! concept), and unresolved spans survive only through the NER gate. A
+//! window is hashed from its tokens' keys and reaches the snapshot only
+//! when the [`TagIndex`]'s sets hold its key. Tokens and window probes
+//! borrow the document or one reused buffer; a span's text is copied only
+//! once the span resolves.
 //! [`tag_with`] then scores concepts in three deterministic passes:
 //!
 //! 1. **Direct mass**: each entity span contributes its isA edge
@@ -29,7 +31,7 @@
 //! Scores are therefore bit-identical across snapshot backends and
 //! independent of batch thread count.
 
-use crate::index::{TagIndex, MAX_SPAN_TOKENS};
+use crate::index::{Key, TagIndex, MAX_SPAN_TOKENS};
 use cnp_taxonomy::{ConceptId, EntityId, TaxonomyRead};
 use cnp_text::chars::{char_len, is_punct};
 use std::ops::Range;
@@ -160,12 +162,14 @@ pub fn classify_with<T: TaxonomyRead>(
 
 // ----- resolution -----------------------------------------------------------
 
-/// A token of the document: a slice of it, with its char offsets.
+/// A token of the document: a slice of it, with its char offsets and its
+/// [`Key`].
 struct Token<'t> {
     text: &'t str,
     start: u32,
     end: u32,
     punct: bool,
+    key: Key,
 }
 
 fn tokenize<'t>(index: &TagIndex, text: &'t str) -> Vec<Token<'t>> {
@@ -185,6 +189,7 @@ fn tokenize<'t>(index: &TagIndex, text: &'t str) -> Vec<Token<'t>> {
                 start: at,
                 end: at + len,
                 punct,
+                key: Key::of(tok),
             };
             at += len;
             token
@@ -194,9 +199,15 @@ fn tokenize<'t>(index: &TagIndex, text: &'t str) -> Vec<Token<'t>> {
 
 /// Resolves candidate mention spans: greedy longest-match over windows of
 /// up to [`MAX_SPAN_TOKENS`] adjacent non-punctuation tokens, probing
-/// `men2ent` first and the concept table second — only for a window the
-/// index knows is a concept name; single tokens that resolve to nothing
-/// pass the NER gate or vanish.
+/// `men2ent` first and `find_concept` second; single tokens that resolve
+/// to nothing pass the NER gate or vanish.
+///
+/// Each window is hashed once, from its tokens' `Key`s, and the snapshot
+/// is asked only about a window whose key is in the index's sets: a
+/// window that is no bare mention key costs one set probe, not a
+/// `men2ent` search, and one that is no concept name no `find_concept`.
+/// When the snapshot lists no mention keys, every window asks `men2ent`.
+/// Either way the spans are the ones probing every window gives.
 pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Vec<TagSpan> {
     let tokens = tokenize(index, text);
     let mut spans = Vec::new();
@@ -209,16 +220,28 @@ pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Ve
             i += 1;
             continue;
         }
-        let max_w = MAX_SPAN_TOKENS.min(tokens.len() - i);
+        // The keys of the windows starting here, by width. A window never
+        // crosses punctuation: mentions do not.
+        let mut keys = [Key::EMPTY; MAX_SPAN_TOKENS];
+        let mut max_w = 0usize;
+        let mut key = Key::EMPTY;
+        let ahead = tokens.get(i..).unwrap_or_default();
+        for (slot, t) in keys.iter_mut().zip(ahead).take_while(|(_, t)| !t.punct) {
+            key = key.then(t.key);
+            *slot = key;
+            max_w += 1;
+        }
         let mut advanced = 0usize;
-        for w in (1..=max_w).rev() {
+        for (n, &key) in keys.iter().take(max_w).enumerate().rev() {
+            let w = n + 1;
+            let may_mention = index.may_be_mention(key);
+            let may_concept = index.may_be_concept(key);
+            if !may_mention && !may_concept {
+                continue;
+            }
             let Some(window) = tokens.get(i..i + w) else {
                 continue;
             };
-            // A window never crosses punctuation: mentions do not.
-            if window.iter().any(|t| t.punct) {
-                continue;
-            }
             let probe = match window {
                 [one] => one.text,
                 _ => {
@@ -227,10 +250,14 @@ pub fn resolve_spans<T: TaxonomyRead>(f: &T, index: &TagIndex, text: &str) -> Ve
                     joined.as_str()
                 }
             };
-            let senses = f.men2ent(probe);
+            let senses = if may_mention {
+                f.men2ent(probe)
+            } else {
+                Vec::new()
+            };
             let kind = if !senses.is_empty() {
                 Some(SpanKind::Entities(senses))
-            } else if index.is_concept_name(probe) {
+            } else if may_concept {
                 f.find_concept(probe).map(SpanKind::Concept)
             } else {
                 None
@@ -822,7 +849,81 @@ mod tests {
             .collect()
     }
 
+    /// The characters of [`keyed_resolution_matches_probing_every_window`]'s
+    /// names and documents: few, so windows often join into a name.
+    const HAN: [char; 8] = ['刘', '德', '华', '歌', '手', '山', '大', '学'];
+
+    fn han(picks: &[usize]) -> String {
+        picks.iter().map(|&p| HAN[p % HAN.len()]).collect()
+    }
+
     proptest! {
+        /// Asking the snapshot only about windows whose key is in the
+        /// index's sets resolves exactly the spans that asking about every
+        /// window does — `Repeated` lists no mention keys, so its index has
+        /// no mention set. Names, aliases and concept names over an
+        /// eight-character alphabet (so a window often is none), half the
+        /// entities disambiguated, in documents of names, full keys,
+        /// concept names, aliases (never seeded, so the segmenter often
+        /// splits one and only a window of its tokens finds it), fragments
+        /// and punctuation; through the owned snapshot and its view.
+        #[test]
+        fn keyed_resolution_matches_probing_every_window(
+            names in collection::vec(collection::vec(0usize..8, 1..5), 1..12),
+            aliases in collection::vec((0usize..12, collection::vec(0usize..8, 2..4)), 1..6),
+            concepts in collection::vec(collection::vec(0usize..8, 1..4), 1..6),
+            doc in collection::vec((0usize..6, 0usize..12, collection::vec(0usize..8, 1..3)), 0..16),
+        ) {
+            let mut s = TaxonomyStore::new();
+            let concepts: Vec<String> = concepts.iter().map(|c| han(c)).collect();
+            let ids: Vec<ConceptId> = concepts.iter().map(|c| s.add_concept(c)).collect();
+            let names: Vec<(String, Option<String>)> = names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (han(n), (i % 2 == 1).then(|| format!("第{i}"))))
+                .collect();
+            let entities: Vec<EntityId> = names
+                .iter()
+                .enumerate()
+                .map(|(i, (name, dis))| {
+                    let e = s.add_entity(name, dis.as_deref());
+                    s.add_entity_is_a(e, ids[i % ids.len()], IsAMeta::new(Source::Tag, 0.9));
+                    e
+                })
+                .collect();
+            let aliases: Vec<String> = aliases
+                .iter()
+                .map(|(e, alias)| {
+                    let alias = han(alias);
+                    s.add_alias(entities[e % entities.len()], &alias);
+                    alias
+                })
+                .collect();
+            let text: String = doc
+                .iter()
+                .map(|(kind, pick, chars)| match kind {
+                    0 => names[pick % names.len()].0.clone(),
+                    1 => match &names[pick % names.len()] {
+                        (name, Some(dis)) => format!("{name}（{dis}）"),
+                        (name, None) => name.clone(),
+                    },
+                    2 => concepts[pick % concepts.len()].clone(),
+                    3 => aliases[pick % aliases.len()].clone(),
+                    4 => han(chars),
+                    _ => ["，", "。", "（", "）"][pick % 4].to_string(),
+                })
+                .collect();
+            let f = FrozenTaxonomy::freeze(&s);
+            let every = Repeated(f.clone());
+            let expected = resolve_spans(&every, &TagIndex::build(&every), &text);
+            prop_assert_eq!(&resolve_spans(&f, &TagIndex::build(&f), &text), &expected);
+            let view = cnp_taxonomy::FrozenTaxonomyView::open(
+                cnp_taxonomy::persist::encode_frozen_v3(&f),
+            )
+            .unwrap();
+            prop_assert_eq!(&resolve_spans(&view, &TagIndex::build(&view), &text), &expected);
+        }
+
         /// The parent → child table scores exactly as the re-scan did:
         /// random DAGs with multi-parent concepts (each concept draws up to
         /// three parents among lower ids), parent rows with duplicate edges

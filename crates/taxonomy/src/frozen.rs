@@ -373,9 +373,15 @@ impl FrozenTaxonomy {
 
     /// Number of distinct mention keys (names + aliases).
     pub fn num_mentions(&self) -> usize {
+        self.mention_keys().count()
+    }
+
+    /// Every bare mention key (name or alias), once each, in symbol
+    /// order: the strings of the non-empty mention rows.
+    pub fn mention_keys(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.by_mention.num_rows())
             .filter(|&i| !self.by_mention.row(i).is_empty())
-            .count()
+            .map(|i| self.interner.resolve(Symbol(i as u32)))
     }
 
     // ----- adjacency (CSR slices) -----------------------------------------

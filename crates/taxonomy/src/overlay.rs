@@ -893,6 +893,13 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
         out
     }
 
+    /// The base's keys, then the deltas' new mention strings — the only
+    /// two places a bracket-less `men2ent` above finds a sense.
+    fn mention_keys(&self) -> Option<impl Iterator<Item = &str> + '_> {
+        let base = self.base.mention_keys()?;
+        Some(base.chain(self.state.mentions.keys().map(String::as_str)))
+    }
+
     fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
         match self.state.patches.get(&e) {
             Some(patch) => Either::L(patch.row.iter().copied()),

@@ -75,6 +75,20 @@ pub trait TaxonomyRead: Send + Sync {
     /// bare name or alias, exactly one for a disambiguated key).
     fn men2ent(&self, mention: &str) -> Vec<EntityId>;
 
+    /// Every bare mention key — each name or alias whose
+    /// [`men2ent`](Self::men2ent) is non-empty — in no particular order.
+    /// Full `name（disambig）` keys are not listed, and a key may be
+    /// listed more than once (an overlay lists a key it shares with its
+    /// base twice), so the distinct keys number
+    /// [`num_mentions`](Self::num_mentions). Any `mention` without a
+    /// `（` that is not listed has an empty `men2ent`.
+    ///
+    /// `None` (the default) when the backend does not list its keys; a
+    /// caller then asks `men2ent` itself.
+    fn mention_keys(&self) -> Option<impl Iterator<Item = &str> + '_> {
+        None::<std::iter::Empty<&str>>
+    }
+
     /// Direct concepts of an entity, with edge metadata.
     fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_;
 
@@ -152,6 +166,10 @@ impl TaxonomyRead for FrozenTaxonomy {
 
     fn men2ent(&self, mention: &str) -> Vec<EntityId> {
         FrozenTaxonomy::men2ent(self, mention).to_vec()
+    }
+
+    fn mention_keys(&self) -> Option<impl Iterator<Item = &str> + '_> {
+        Some(FrozenTaxonomy::mention_keys(self))
     }
 
     fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
@@ -232,6 +250,10 @@ impl TaxonomyRead for FrozenTaxonomyView {
 
     fn men2ent(&self, mention: &str) -> Vec<EntityId> {
         FrozenTaxonomyView::men2ent(self, mention)
+    }
+
+    fn mention_keys(&self) -> Option<impl Iterator<Item = &str> + '_> {
+        Some(FrozenTaxonomyView::mention_keys(self))
     }
 
     fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
@@ -355,6 +377,52 @@ mod tests {
         assert_eq!(describe(&view), base);
         assert_eq!(describe(&OverlayView::new(view)), base);
         assert_eq!(describe(&OverlayView::new(frozen)), base);
+    }
+
+    /// The distinct keys `t` lists, after checking the listing's contract:
+    /// every key resolves, and the keys number `num_mentions`.
+    fn listed_keys<T: TaxonomyRead>(t: &T) -> std::collections::BTreeSet<String> {
+        let keys: std::collections::BTreeSet<String> = t
+            .mention_keys()
+            .expect("backend lists its keys")
+            .map(str::to_string)
+            .collect();
+        for key in &keys {
+            assert!(!t.men2ent(key).is_empty(), "{key:?} lists no sense");
+        }
+        assert_eq!(keys.len(), t.num_mentions());
+        keys
+    }
+
+    /// The owned snapshot, its view and an overlay whose delta adds the
+    /// rest of the same content list the same bare keys: names, aliases
+    /// (two the same string as another entity's name, one of them a base
+    /// name the overlay lists again), never a full key.
+    #[test]
+    fn mention_keys_are_the_same_set_on_every_backend() {
+        let mut s = TaxonomyStore::new();
+        let liu = s.add_entity("刘德华", Some("中国香港男演员"));
+        s.add_entity("刘德华", Some("作家"));
+        let singer = s.add_concept("歌手");
+        s.add_entity_is_a(liu, singer, IsAMeta::new(Source::Tag, 0.9));
+        let mut delta = DeltaOverlay::new();
+        delta.add_entity("张学友", None);
+        delta.add_alias("张学友", None, "歌神");
+        delta.add_alias("刘德华", Some("中国香港男演员"), "华仔");
+        delta.add_alias("刘德华", Some("作家"), "张学友");
+        delta.add_alias("张学友", None, "刘德华");
+        let base = FrozenTaxonomy::freeze(&s);
+        delta.apply_to_store(&mut s);
+        let frozen = FrozenTaxonomy::freeze(&s);
+        let view = FrozenTaxonomyView::open(encode_frozen_v3(&frozen)).expect("open");
+        let overlay = OverlayView::new(base).apply(&delta);
+
+        let keys = listed_keys(&frozen);
+        let expected = ["刘德华", "张学友", "歌神", "华仔"];
+        assert_eq!(keys, expected.iter().map(|k| k.to_string()).collect());
+        assert_eq!(listed_keys(&view), keys, "view");
+        assert_eq!(listed_keys(&overlay), keys, "overlay");
+        assert_eq!(listed_keys(&OverlayView::new(view)), keys, "empty overlay");
     }
 
     /// Every id-taking read of `t` at ids it does not hold: `n`, `n + 1`

@@ -963,6 +963,15 @@ impl FrozenTaxonomyView {
         None
     }
 
+    /// Every bare mention key (name or alias), once each, in `MHSH`
+    /// order. `MHSH` is the only way a bracket-less `men2ent` finds a
+    /// row, so no other string resolves; that it lists exactly the
+    /// non-empty rows is checked with the other mirrors by `to_frozen`.
+    pub fn mention_keys(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.n_mentions)
+            .map(|i| self.str_at(self.u32_at(self.mention_hash_at + i * 8 + 4) as usize))
+    }
+
     /// Resolves a mention to candidate entity senses.
     ///
     /// Same contract as [`FrozenTaxonomy::men2ent`]: a disambiguated key

@@ -11,7 +11,8 @@
 //! would surface here as a diverging byte.
 
 use cn_probase::serve::wire;
-use cn_probase::taxonomy::{IsAMeta, Source, TaxonomyStore};
+use cn_probase::taxonomy::store::EntityRecord;
+use cn_probase::taxonomy::{ConceptId, EntityId, IsAMeta, Source, Symbol, TaxonomyStore};
 use cn_probase::{
     DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, OverlayView, Query, QueryResponse, Response,
     TagOptions, TaxonomyRead, TaxonomyService,
@@ -267,4 +268,196 @@ fn golden_documents_actually_tag() {
         }
         other => panic!("unexpected {other:?}"),
     }
+}
+
+/// What the generated corpora never write: an alias. A delta gives the
+/// golden fixture's 刘德华 a Han alias (one the tag index does not seed,
+/// so the segmenter may split it and the window must join it back) and
+/// adds a new entity; a document naming both tags through the overlay
+/// exactly as through the compacted snapshot of the same content.
+#[test]
+fn an_overlay_alias_and_new_entity_tag_as_their_compacted_snapshot() {
+    use cn_probase::runtime::Runtime;
+    use cn_probase::tag::SpanKind;
+    use cn_probase::taxonomy::IngestDelta;
+
+    let mut d = DeltaOverlay::new();
+    d.add_alias("刘德华", Some("中国香港男演员"), "华哥");
+    d.add_entity("黎明", None);
+    d.upsert_entity_is_a("黎明", None, "歌手", IsAMeta::new(Source::Infobox, 0.9));
+    let overlay = OverlayView::new(view()).apply(&d);
+    let compacted = overlay.compacted(&Runtime::new(1)).expect("compacts");
+    assert_eq!(compacted.overlay_depth(), 0);
+
+    let query = Query::Tag {
+        text: "华哥和黎明同台演出。".to_string(),
+        options: TagOptions::default(),
+    };
+    let through_overlay = TaxonomyService::new(overlay).execute(&query);
+    let through_compacted = TaxonomyService::new(compacted).execute(&query);
+    assert_eq!(reply(&through_overlay), reply(&through_compacted));
+    let Ok(Response::Tags(out)) = &through_overlay.result else {
+        panic!("unexpected {through_overlay:?}");
+    };
+    for name in ["华哥", "黎明"] {
+        assert!(
+            out.spans
+                .iter()
+                .any(|s| s.text == name && matches!(s.kind, SpanKind::Entities(_))),
+            "{name} did not resolve: {:?}",
+            out.spans
+        );
+    }
+}
+
+/// A snapshot that counts its `men2ent` calls, and lists its mention keys
+/// only when `lists_keys` is set; every other read is forwarded.
+struct Probes<T> {
+    inner: T,
+    lists_keys: bool,
+    men2ent: std::sync::atomic::AtomicUsize,
+}
+
+impl<T: TaxonomyRead> TaxonomyRead for Probes<T> {
+    fn resolve(&self, sym: Symbol) -> &str {
+        self.inner.resolve(sym)
+    }
+    fn entity(&self, id: EntityId) -> EntityRecord {
+        self.inner.entity(id)
+    }
+    fn entity_key(&self, id: EntityId) -> String {
+        self.inner.entity_key(id)
+    }
+    fn find_entity(&self, name: &str, disambig: Option<&str>) -> Option<EntityId> {
+        self.inner.find_entity(name, disambig)
+    }
+    fn find_concept(&self, name: &str) -> Option<ConceptId> {
+        self.inner.find_concept(name)
+    }
+    fn concept_name(&self, id: ConceptId) -> &str {
+        self.inner.concept_name(id)
+    }
+    fn num_entities(&self) -> usize {
+        self.inner.num_entities()
+    }
+    fn num_concepts(&self) -> usize {
+        self.inner.num_concepts()
+    }
+    fn num_is_a(&self) -> usize {
+        self.inner.num_is_a()
+    }
+    fn num_mentions(&self) -> usize {
+        self.inner.num_mentions()
+    }
+    fn men2ent(&self, mention: &str) -> Vec<EntityId> {
+        self.men2ent
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.men2ent(mention)
+    }
+    fn mention_keys(&self) -> Option<impl Iterator<Item = &str> + '_> {
+        self.inner.mention_keys().filter(|_| self.lists_keys)
+    }
+    fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
+        self.inner.concepts_of(e)
+    }
+    fn entities_of(&self, c: ConceptId) -> impl Iterator<Item = EntityId> + '_ {
+        self.inner.entities_of(c)
+    }
+    fn entities_with_confidence(&self, c: ConceptId) -> impl Iterator<Item = (EntityId, f32)> + '_ {
+        self.inner.entities_with_confidence(c)
+    }
+    fn entity_edge(&self, e: EntityId, c: ConceptId) -> Option<IsAMeta> {
+        self.inner.entity_edge(e, c)
+    }
+    fn parents_of(&self, c: ConceptId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
+        self.inner.parents_of(c)
+    }
+    fn children_of(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
+        self.inner.children_of(c)
+    }
+    fn ancestors(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
+        self.inner.ancestors(c)
+    }
+    fn ancestor_contains(&self, c: ConceptId, sup: ConceptId) -> bool {
+        self.inner.ancestor_contains(c, sup)
+    }
+    fn depth(&self, c: ConceptId) -> usize {
+        self.inner.depth(c)
+    }
+    fn descendants(&self, start: ConceptId) -> Vec<ConceptId> {
+        self.inner.descendants(start)
+    }
+}
+
+/// `men2ent` calls one tag request may make per resolved span. A window
+/// whose key is no bare mention key never reaches the snapshot, so a
+/// document asks about its entity spans, a share of its spans, and about
+/// the rare window whose key collides with a mention key's; probing every
+/// window made about 5.9 calls per span.
+const MEN2ENT_CALLS_PER_SPAN: f64 = 1.0;
+
+/// Span resolution asks the snapshot about likely mentions, not about
+/// every window: 32 documents shaped like the benchmark's `tag_docs` (8
+/// page abstracts each) over a pipeline-built `small` snapshot's view,
+/// tagged once with its mention keys listed and once without — the same
+/// spans both times, and `men2ent` calls near the span count only with.
+#[test]
+fn a_tag_request_asks_men2ent_per_span_not_per_window() {
+    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cn_probase::pipeline::{Pipeline, PipelineConfig};
+    use cn_probase::tag::{tag_with, TagIndex};
+    use cn_probase::taxonomy::persist::encode_frozen_v3;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const DOCS: usize = 32;
+    const ABSTRACTS_PER_DOC: usize = 8;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
+    let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
+    let view = FrozenTaxonomyView::open(encode_frozen_v3(&outcome.freeze())).expect("view opens");
+    let abstracts: Vec<&str> = corpus
+        .pages
+        .iter()
+        .map(|p| p.abstract_text.as_str())
+        .filter(|a| !a.is_empty())
+        .collect();
+    let docs: Vec<String> = (0..DOCS)
+        .map(|d| {
+            (0..ABSTRACTS_PER_DOC)
+                .map(|k| abstracts[(d * ABSTRACTS_PER_DOC + k) * 7_919 % abstracts.len()])
+                .collect()
+        })
+        .collect();
+
+    let run = |lists_keys: bool| {
+        let f = Probes {
+            inner: view.clone(),
+            lists_keys,
+            men2ent: AtomicUsize::new(0),
+        };
+        let index = TagIndex::build(&f);
+        let outputs: Vec<_> = docs
+            .iter()
+            .map(|doc| tag_with(&f, &index, doc, &TagOptions::default()))
+            .collect();
+        (f.men2ent.load(Ordering::Relaxed), outputs)
+    };
+    let (keyed_calls, keyed) = run(true);
+    let (every_calls, every) = run(false);
+    assert_eq!(keyed, every, "listing the keys changed an answer");
+
+    let spans: usize = keyed.iter().map(|out| out.spans.len()).sum();
+    let per_doc = |n: usize| n as f64 / DOCS as f64;
+    println!(
+        "men2ent probes: {:.1} calls per document ({:.1} spans; {:.1} when every window asks, \
+         {DOCS} documents of {ABSTRACTS_PER_DOC} abstracts)",
+        per_doc(keyed_calls),
+        per_doc(spans),
+        per_doc(every_calls),
+    );
+    assert!(spans > 0, "no document resolved a span");
+    assert!(
+        keyed_calls as f64 <= MEN2ENT_CALLS_PER_SPAN * spans as f64,
+        "{keyed_calls} men2ent calls for {spans} spans, over {MEN2ENT_CALLS_PER_SPAN} per span"
+    );
 }
