@@ -426,7 +426,9 @@ mod tests {
     }
 
     /// Every id-taking read of `t` at ids it does not hold: `n`, `n + 1`
-    /// and `u32::MAX`, alone and beside a held id.
+    /// and `u32::MAX`, alone and beside a held id; then `resolve` of two
+    /// symbols no backend holds, one with the overlay's tag bit set and
+    /// one without.
     fn foreign_answers<T: TaxonomyRead>(t: &T) -> Vec<String> {
         let past = |n: usize| [n as u32, n as u32 + 1, u32::MAX];
         let (held_e, held_c) = (EntityId(0), ConceptId(0));
@@ -456,13 +458,19 @@ mod tests {
                 t.entity_edge(held_e, c),
             ));
         }
+        out.push(format!(
+            "{:?} {:?}",
+            t.resolve(Symbol(u32::MAX)),
+            t.resolve(Symbol(u32::MAX >> 1))
+        ));
         out
     }
 
-    /// `EntityId` and `ConceptId` are plain numbers anyone can build: an
-    /// id a snapshot does not hold must read as the empty answer — no
-    /// panic, no bytes of a neighbouring section — and the same one on
-    /// every backend, an overlay that appended ids of its own included.
+    /// `EntityId`, `ConceptId` and `Symbol` are plain numbers anyone can
+    /// build: an id a snapshot does not hold must read as the empty
+    /// answer — no panic, no bytes of a neighbouring section — and the
+    /// same one on every backend, an overlay that appended ids and
+    /// strings of its own included.
     #[test]
     fn foreign_ids_read_as_empty_on_every_backend() {
         let frozen = demo();
@@ -476,7 +484,8 @@ mod tests {
 
         let entity = format!("{:?} \"\" 0 None", EntityRecord::UNKNOWN);
         let concept = "\"\" 0 0 0 0 0 false false 0 [] None".to_string();
-        let expected = [vec![entity; 3], vec![concept; 3]].concat();
+        let symbols = "\"\" \"\"".to_string();
+        let expected = [vec![entity; 3], vec![concept; 3], vec![symbols]].concat();
         assert_eq!(foreign_answers(&frozen), expected, "owned");
         assert_eq!(foreign_answers(&view), expected, "view");
         assert_eq!(

@@ -403,6 +403,121 @@ fn v3_hostile_varints_error_cleanly() {
     }
 }
 
+// ----- compaction ------------------------------------------------------------
+
+/// [`v3_bytes`] with the depth of concept 0 (男演员, a leaf) raised by one,
+/// re-sealed: every section keeps its shape, so `open` accepts the file,
+/// but `to_frozen` recomputes the depths from the parent rows and refuses
+/// it.
+fn stomped_leaf_depth_bytes() -> Vec<u8> {
+    let mut bytes = v3_bytes();
+    let (_, dpth) = v3_sections(&bytes)
+        .into_iter()
+        .find(|(tag, _)| tag == b"DPTH")
+        .expect("DPTH section");
+    let at = dpth.start + 4; // past the count word
+    let depth = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    bytes[at..at + 4].copy_from_slice(&(depth + 1).to_le_bytes());
+    reseal_v3(&mut bytes);
+    bytes
+}
+
+/// A compaction re-reads its base through `to_frozen`, so a base that only
+/// `open`'s shallow checks accepted cannot be folded into a file the next
+/// boot trusts: the fold fails, and the service keeps serving the overlay
+/// generation it had.
+#[test]
+fn a_compaction_keeps_the_deep_validation() {
+    use cn_probase::runtime::Runtime;
+    use cn_probase::taxonomy::{IngestDelta, OverlayView, TaxonomyRead};
+    use cn_probase::TaxonomyService;
+
+    let bytes = stomped_leaf_depth_bytes();
+    let view = open(&bytes).expect("open defers the depth check");
+    assert!(matches!(
+        view.to_frozen(),
+        Err(PersistError::BadIndex("topo order or depth"))
+    ));
+    let mut delta = DeltaOverlay::new();
+    delta.upsert_entity_is_a("周杰伦", None, "歌手", IsAMeta::new(Source::Tag, 0.97));
+
+    let overlay = OverlayView::new(view).apply(&delta);
+    assert!(matches!(
+        overlay.compacted(&Runtime::serial()),
+        Err(PersistError::BadIndex("topo order or depth"))
+    ));
+
+    let base = OverlayView::new(open(&bytes).expect("open"));
+    let service = TaxonomyService::with_runtime(base, Runtime::serial());
+    let generation = service.ingest(&delta).expect("an ingest folds no base");
+    assert!(service.compact().is_err());
+    let pinned = service.pin();
+    assert_eq!(pinned.generation(), generation);
+    assert_eq!(pinned.frozen().overlay_depth(), 1);
+    assert_eq!(pinned.frozen().men2ent("周杰伦").len(), 1);
+}
+
+/// A fold's peak heap above the live bytes it starts from, against the
+/// bytes of the base snapshot it folds. The fold passes the snapshot
+/// through four forms (view bytes, owned snapshot, build store, refrozen
+/// snapshot, bytes again); 13.4 × when each form stayed alive beside the
+/// next and every string was held twice per form.
+const COMPACTION: Bound = (8, 64 << 10);
+
+/// `small(909)`'s view under an overlay of five deltas of ten new
+/// entities, folded on a serial runtime so every allocation is this
+/// thread's. Prints the multiple; the bound is the gate.
+#[test]
+fn a_compaction_peaks_under_eight_snapshots_of_heap() {
+    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cn_probase::pipeline::{Pipeline, PipelineConfig};
+    use cn_probase::runtime::Runtime;
+    use cn_probase::taxonomy::{ConceptId, IngestDelta, OverlayView, TaxonomyRead};
+
+    const DELTAS: usize = 5;
+    const ENTITIES_PER_DELTA: usize = 10;
+
+    let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
+    let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
+    let bytes = persist::encode_frozen_v3(&outcome.freeze());
+    let view = open(&bytes).expect("pipeline snapshot");
+    let concept = view.concept_name(ConceptId(0)).to_string();
+    let base_entities = view.num_entities();
+    let mut overlay = OverlayView::new(view);
+    for d in 0..DELTAS {
+        let mut delta = DeltaOverlay::new();
+        for i in 0..ENTITIES_PER_DELTA {
+            let name = format!("增量实体{d}之{i}");
+            let meta = IsAMeta::new(Source::Tag, 0.9);
+            delta.upsert_entity_is_a(&name, Some("增量义项"), &concept, meta);
+            delta.add_alias(&name, Some("增量义项"), &format!("增量别名{d}之{i}"));
+        }
+        overlay = overlay.apply(&delta);
+    }
+
+    let base = LIVE.get();
+    PEAK.set(base);
+    let compacted = overlay.compacted(&Runtime::serial()).expect("fold");
+    let peak = (PEAK.get() - base) as usize;
+    let (k, c) = COMPACTION;
+    let limit = k * bytes.len() + c;
+    println!(
+        "compaction: peak {peak} B above live, {:.1} × the {}-byte snapshot \
+         (bound {limit} B; {DELTAS} deltas of {ENTITIES_PER_DELTA} entities, serial runtime)",
+        peak as f64 / bytes.len() as f64,
+        bytes.len()
+    );
+    assert_eq!(compacted.overlay_depth(), 0);
+    assert_eq!(
+        compacted.num_entities(),
+        base_entities + DELTAS * ENTITIES_PER_DELTA
+    );
+    assert!(
+        peak <= limit,
+        "compaction: peak {peak} B, over its bound {limit} B"
+    );
+}
+
 // ----- delta sidecars -------------------------------------------------------
 
 /// A 400-op sidecar touching every op kind.
