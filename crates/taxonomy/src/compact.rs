@@ -12,7 +12,7 @@
 //!
 //! The pivot is `thaw`: a [`FrozenTaxonomy`] reconstructed into a
 //! [`TaxonomyStore`] *verbatim* — raw adjacency rows copied, the interner
-//! cloned — so that replaying an overlay's op log onto the thawed store
+//! moved — so that replaying an overlay's op log onto the thawed store
 //! takes the same branches (same dedup hits, same intern order, same row
 //! positions) as replaying it onto the original build store. Only the
 //! hyponym rows (`concept_entities`) come back in ranked rather than
@@ -20,9 +20,25 @@
 //! a total order (descending confidence, entity id tie-break): that table
 //! is the one adjacency whose build-store row order is not observable in
 //! a frozen snapshot.
+//!
+//! A fold passes the snapshot through four forms: the view's bytes, the
+//! owned snapshot `to_frozen` validates, the build store, the refrozen
+//! snapshot and its bytes. Each form is freed as the next is built, and
+//! each string lives in one of them at a time:
+//! - `thaw` consumes the validated snapshot, moving its interner and lookup
+//!   maps into the store and freeing each CSR once its rows are built;
+//! - the replay reserves the store's tables for the log's new entities,
+//!   concepts and strings, so it does not double exact-sized tables;
+//! - the refreeze consumes the store and takes over its interner;
+//! - the refrozen snapshot is freed once encoded, before the view opens.
+//!
+//! So a fold peaks at ≈ 7 × the snapshot's bytes above the heap it starts
+//! from (`tests/snapshot_corruption.rs` bounds it at 8 × + 64 KiB); the
+//! owned snapshot and the store, the two forms that hold every table
+//! decoded, are the bulk of it.
 
 use crate::frozen::FrozenTaxonomy;
-use crate::overlay::{DeltaOverlay, IngestDelta, OverlayView};
+use crate::overlay::{self, IngestDelta, OverlayView};
 use crate::persist::{self, PersistError};
 use crate::read::TaxonomyRead;
 use crate::store::{RawStoreParts, TaxonomyStore};
@@ -30,28 +46,40 @@ use crate::view::FrozenTaxonomyView;
 use cnp_runtime::Runtime;
 
 /// Reconstructs the build store a snapshot was frozen from, up to the one
-/// non-observable row order described in the module docs. `O(size)`.
-pub(crate) fn thaw(f: &FrozenTaxonomy) -> TaxonomyStore {
-    let n_e = f.entities.len();
-    let n_c = f.concepts.len();
+/// non-observable row order described in the module docs. `O(size)`; the
+/// snapshot's tables move or are freed as the store's are built.
+pub(crate) fn thaw(f: FrozenTaxonomy) -> TaxonomyStore {
+    let FrozenTaxonomy {
+        interner,
+        entities,
+        entity_by_key,
+        concepts,
+        concept_by_sym,
+        entity_concepts,
+        concept_entities,
+        concept_parents,
+        concept_children,
+        entity_attrs,
+        entity_aliases,
+        ancestors,
+        topo,
+        depth,
+        by_mention,
+    } = f;
+    // The derived tables the store has no place for go first.
+    drop((ancestors, topo, depth, by_mention));
     TaxonomyStore::from_raw_parts(RawStoreParts {
-        interner: f.interner.clone(),
-        entities: f.entities.clone(),
-        concepts: f.concepts.clone(),
-        entity_concepts: (0..n_e)
-            .map(|i| f.entity_concepts.row(i).to_vec())
-            .collect(),
-        concept_entities: (0..n_c)
-            .map(|i| f.concept_entities.row(i).to_vec())
-            .collect(),
-        concept_parents: (0..n_c)
-            .map(|i| f.concept_parents.row(i).to_vec())
-            .collect(),
-        concept_children: (0..n_c)
-            .map(|i| f.concept_children.row(i).to_vec())
-            .collect(),
-        entity_attrs: (0..n_e).map(|i| f.entity_attrs.row(i).to_vec()).collect(),
-        entity_aliases: (0..n_e).map(|i| f.entity_aliases.row(i).to_vec()).collect(),
+        interner,
+        entities,
+        entity_by_key,
+        concepts,
+        concept_by_sym,
+        entity_concepts: entity_concepts.into_rows(),
+        concept_entities: concept_entities.into_rows(),
+        concept_parents: concept_parents.into_rows(),
+        concept_children: concept_children.into_rows(),
+        entity_attrs: entity_attrs.into_rows(),
+        entity_aliases: entity_aliases.into_rows(),
     })
 }
 
@@ -68,8 +96,9 @@ pub(crate) trait FromFrozen: Sized {
 }
 
 impl ToStore for FrozenTaxonomy {
+    /// The base is shared with the serving generation, so it is copied.
     fn to_store(&self) -> Result<TaxonomyStore, PersistError> {
-        Ok(thaw(self))
+        Ok(thaw(self.clone()))
     }
 }
 
@@ -80,14 +109,18 @@ impl FromFrozen for FrozenTaxonomy {
 }
 
 impl ToStore for FrozenTaxonomyView {
+    /// Through `to_frozen`, whose deep validation a fold must keep: the
+    /// fold's output is a file the next boot trusts.
     fn to_store(&self) -> Result<TaxonomyStore, PersistError> {
-        Ok(thaw(&self.to_frozen()?))
+        Ok(thaw(self.to_frozen()?))
     }
 }
 
 impl FromFrozen for FrozenTaxonomyView {
     fn from_frozen(f: FrozenTaxonomy) -> Result<Self, PersistError> {
-        FrozenTaxonomyView::open(persist::encode_frozen_v3(&f))
+        let bytes = persist::encode_frozen_v3(&f);
+        drop(f);
+        FrozenTaxonomyView::open(bytes)
     }
 }
 
@@ -96,7 +129,7 @@ where
     B: TaxonomyRead + ToStore + FromFrozen + Send + Sync,
 {
     /// Overlay apply: cheap, no materialisation. The base stays shared.
-    fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError> {
+    fn ingest_delta(&self, delta: &overlay::DeltaOverlay) -> Result<Self, PersistError> {
         Ok(self.apply(delta))
     }
 
@@ -112,11 +145,8 @@ where
             return Ok(self.clone());
         }
         let mut store = self.base().to_store()?;
-        let log = DeltaOverlay {
-            ops: self.log_ops().to_vec(),
-        };
-        log.apply_to_store(&mut store);
-        let frozen = FrozenTaxonomy::freeze_with(&store, rt);
+        overlay::replay(self.log_ops(), &mut store);
+        let frozen = FrozenTaxonomy::freeze_store(store, rt);
         Ok(OverlayView::new(B::from_frozen(frozen)?))
     }
 }
@@ -124,6 +154,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::DeltaOverlay;
     use crate::store::{IsAMeta, Source};
 
     fn build_store() -> TaxonomyStore {
@@ -163,7 +194,7 @@ mod tests {
     fn thaw_refreeze_is_byte_identical() {
         let store = build_store();
         let frozen = FrozenTaxonomy::freeze(&store);
-        let refrozen = FrozenTaxonomy::freeze(&thaw(&frozen));
+        let refrozen = FrozenTaxonomy::freeze(&thaw(frozen.clone()));
         assert_eq!(
             persist::encode_frozen_v3(&frozen),
             persist::encode_frozen_v3(&refrozen)
@@ -176,7 +207,7 @@ mod tests {
         let frozen = FrozenTaxonomy::freeze(&original);
         let delta = sample_delta();
 
-        let mut thawed = thaw(&frozen);
+        let mut thawed = thaw(frozen);
         delta.apply_to_store(&mut thawed);
         delta.apply_to_store(&mut original);
 

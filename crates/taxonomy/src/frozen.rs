@@ -75,6 +75,12 @@ impl<T: Copy> Csr<T> {
         Csr { offsets, data }
     }
 
+    /// Unpacks into one owned row per CSR row, the build store's form;
+    /// the flat arrays are freed on return.
+    pub(crate) fn into_rows(self) -> Vec<Vec<T>> {
+        (0..self.num_rows()).map(|i| self.row(i).to_vec()).collect()
+    }
+
     /// Flat entry array (all rows concatenated), for the snapshot codec.
     pub(crate) fn data(&self) -> &[T] {
         &self.data
@@ -130,9 +136,8 @@ pub struct FrozenTaxonomy {
     /// Exact depth per concept (longest chain to a root, cycles collapsed).
     pub(crate) depth: Vec<u32>,
     /// Mention table indexed by symbol: names and aliases → sorted senses.
+    /// A full key `name（disambig）` is split and found in `entity_by_key`.
     pub(crate) by_mention: Csr<EntityId>,
-    /// Disambiguated display keys (`name（disambig）`) → the single sense.
-    pub(crate) full_keys: FxHashMap<String, EntityId>,
 }
 
 impl FrozenTaxonomy {
@@ -144,12 +149,25 @@ impl FrozenTaxonomy {
 
     /// Freezes a finished store on an existing [`Runtime`]. The snapshot
     /// is identical at every thread count.
+    pub fn freeze_with(store: &TaxonomyStore, rt: &Runtime) -> Self {
+        Self::freeze_parts(store, store.interner().clone(), rt)
+    }
+
+    /// [`Self::freeze_with`] of a store that is not needed afterwards (a
+    /// compaction's): the snapshot takes over the store's strings instead
+    /// of copying them, and the store's rows are freed on return.
+    pub(crate) fn freeze_store(mut store: TaxonomyStore, rt: &Runtime) -> Self {
+        let interner = store.take_interner();
+        Self::freeze_parts(&store, interner, rt)
+    }
+
+    /// The freeze over `store`'s tables, with `interner` (the store's
+    /// strings) as the snapshot's.
     #[expect(
         clippy::indexing_slicing,
         reason = "build-time freeze path: `comps` / `comp_reach` are indexed by the component ids `cond` itself assigned (parents' components come first in its order), `mention_rows` has one row per symbol of the interner it was sized from"
     )]
-    pub fn freeze_with(store: &TaxonomyStore, rt: &Runtime) -> Self {
-        let interner = store.interner().clone();
+    fn freeze_parts(store: &TaxonomyStore, interner: Interner, rt: &Runtime) -> Self {
         let n_entities = store.num_entities();
         let n_concepts = store.num_concepts();
 
@@ -159,18 +177,7 @@ impl FrozenTaxonomy {
             entity_by_key.insert((rec.name, rec.disambig), EntityId(i as u32));
         }
 
-        #[expect(
-            clippy::expect_used,
-            reason = "build-time freeze path: every concept name was interned in the loop above this one"
-        )]
-        let concepts: Vec<Symbol> = store
-            .concept_ids()
-            .map(|c| {
-                interner
-                    .get(store.concept_name(c))
-                    .expect("concept name is interned")
-            })
-            .collect();
+        let concepts: Vec<Symbol> = store.concept_symbols().to_vec();
         let mut concept_by_sym = FxHashMap::default();
         for (i, &sym) in concepts.iter().enumerate() {
             concept_by_sym.insert(sym, ConceptId(i as u32));
@@ -243,18 +250,13 @@ impl FrozenTaxonomy {
         let ancestors = Csr::from_rows(ancestor_rows.iter().map(|r| r.as_slice()));
 
         // Mention table: one row per interned symbol (symbols are dense),
-        // covering entity names and aliases; full keys only exist for
-        // disambiguated senses, so a bare name can never shadow them.
+        // covering entity names and aliases.
         let mut mention_rows: Vec<Vec<EntityId>> = vec![Vec::new(); interner.len()];
-        let mut full_keys = FxHashMap::default();
         for (i, rec) in entities.iter().enumerate() {
             let id = entity_id(i);
             mention_rows[rec.name.index()].push(id);
             for &alias in store.aliases_of(id) {
                 mention_rows[alias.index()].push(id);
-            }
-            if rec.disambig != Symbol(0) {
-                full_keys.insert(store.entity_key(id), id);
             }
         }
         for row in &mut mention_rows {
@@ -279,13 +281,13 @@ impl FrozenTaxonomy {
             topo,
             depth,
             by_mention,
-            full_keys,
         }
     }
 
     // ----- strings & handles ----------------------------------------------
 
-    /// Resolves an interned symbol.
+    /// Resolves an interned symbol (`""` for a symbol this snapshot does
+    /// not hold).
     pub fn resolve(&self, sym: Symbol) -> &str {
         self.interner.resolve(sym)
     }
@@ -482,12 +484,17 @@ impl FrozenTaxonomy {
     ///
     /// A disambiguated key (`刘德华（中国香港男演员）`) resolves to exactly
     /// its sense; a bare name or alias resolves to every matching sense.
-    /// The full-key table is only consulted when the mention carries a
-    /// `（…）` disambiguation, so a bracket-less sense can never shadow its
-    /// disambiguated siblings.
+    /// Full keys are only tried when the mention carries a `（…）`
+    /// disambiguation, so a bracket-less sense can never shadow its
+    /// disambiguated siblings. They are split the way the view splits
+    /// them (`mention::full_key_splits`), so both find the same sense.
     pub fn men2ent(&self, mention: &str) -> &[EntityId] {
         if crate::mention::has_disambig(mention) {
-            if let Some(id) = self.full_keys.get(mention) {
+            let sense = crate::mention::full_key_splits(mention).find_map(|(name, disambig)| {
+                let key = (self.interner.get(name)?, self.interner.get(disambig)?);
+                self.entity_by_key.get(&key)
+            });
+            if let Some(id) = sense {
                 return std::slice::from_ref(id);
             }
         }

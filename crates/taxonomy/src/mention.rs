@@ -19,6 +19,20 @@ pub fn has_disambig(mention: &str) -> bool {
     mention.contains('（')
 }
 
+/// Every way to read `key` as a full key `name（disambig）` with a
+/// non-empty disambiguation, splitting at each `（` from the left. A name
+/// that itself holds a `（` admits more than one split; the frozen
+/// snapshot and its view both take the first that names a sense, so they
+/// resolve every key to the same one.
+pub(crate) fn full_key_splits(key: &str) -> impl Iterator<Item = (&str, &str)> {
+    let body = key.strip_suffix('）').unwrap_or_default();
+    body.match_indices('（').filter_map(move |(at, open)| {
+        let name = body.get(..at)?;
+        let disambig = body.get(at + open.len()..)?;
+        (!disambig.is_empty()).then_some((name, disambig))
+    })
+}
+
 /// Immutable mention index built from a store snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct MentionIndex {
@@ -137,6 +151,20 @@ mod tests {
         assert!(hits.contains(&actor));
         // The full key still resolves to exactly its sense.
         assert_eq!(idx.men2ent(&s, "刘德华（中国香港男演员）"), vec![actor]);
+    }
+
+    #[test]
+    fn full_keys_split_at_every_bracket() {
+        let splits = |key| full_key_splits(key).collect::<Vec<_>>();
+        assert_eq!(splits("刘德华（演员）"), [("刘德华", "演员")]);
+        assert_eq!(
+            splits("甲（乙）（丙）"),
+            [("甲", "乙）（丙"), ("甲（乙）", "丙")]
+        );
+        assert!(splits("刘德华").is_empty());
+        assert!(splits("刘德华（）").is_empty());
+        assert!(splits("刘德华（演员").is_empty());
+        assert_eq!(splits("（演员）"), [("", "演员")]);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! through [`TaxonomyRead`] or the public builder API. `DeltaOp` and
 //! `log_ops` are `pub(crate)`, so outside this crate rustc enforces it.
 
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::interner::Symbol;
 use crate::mention;
 use crate::persist::{self, PersistError};
@@ -234,68 +234,157 @@ impl DeltaOverlay {
     /// the identical log with identical semantics, which is what makes a
     /// compacted snapshot query-identical to the overlay it replaces.
     pub fn apply_to_store(&self, store: &mut TaxonomyStore) {
-        for op in &self.ops {
+        replay(&self.ops, store);
+    }
+}
+
+/// [`DeltaOverlay::apply_to_store`] of a bare op log (a compaction replays
+/// an overlay's whole log without copying it into a delta). The store's
+/// tables are first reserved for exactly the entities, concepts and
+/// strings the log adds.
+pub(crate) fn replay(ops: &[DeltaOp], store: &mut TaxonomyStore) {
+    let new = NewKeys::of(ops, store);
+    store.reserve_exact(
+        new.entities.len(),
+        new.concepts.len(),
+        new.strings.len(),
+        new.text_bytes,
+    );
+    for op in ops {
+        match op {
+            DeltaOp::Entity { name, disambig } => {
+                store.add_entity(name, disambig.as_deref());
+            }
+            DeltaOp::Concept { name } => {
+                store.add_concept(name);
+            }
+            DeltaOp::Alias {
+                name,
+                disambig,
+                alias,
+            } => {
+                let e = store.add_entity(name, disambig.as_deref());
+                store.add_alias(e, alias);
+            }
+            DeltaOp::Attribute {
+                name,
+                disambig,
+                attr,
+            } => {
+                let e = store.add_entity(name, disambig.as_deref());
+                store.add_attribute(e, attr);
+            }
+            DeltaOp::EntityIsA {
+                name,
+                disambig,
+                concept,
+                meta,
+            } => {
+                let e = store.add_entity(name, disambig.as_deref());
+                let c = store.add_concept(concept);
+                if !store.add_entity_is_a(e, c, *meta) {
+                    // Existed: the add max-merged, overwrite exactly.
+                    store.set_entity_is_a_meta(e, c, *meta);
+                }
+            }
+            DeltaOp::ConceptIsA { sub, sup, meta } => {
+                let s = store.add_concept(sub);
+                let p = store.add_concept(sup);
+                if !store.add_concept_is_a(s, p, *meta) {
+                    store.set_concept_is_a_meta(s, p, *meta);
+                }
+            }
+            DeltaOp::RetractEntityIsA {
+                name,
+                disambig,
+                concept,
+            } => {
+                if let (Some(e), Some(c)) = (
+                    store.find_entity(name, disambig.as_deref()),
+                    store.find_concept(concept),
+                ) {
+                    store.remove_entity_is_a(e, c);
+                }
+            }
+            DeltaOp::RetractConceptIsA { sub, sup } => {
+                if let (Some(s), Some(p)) = (store.find_concept(sub), store.find_concept(sup)) {
+                    store.remove_concept_is_a(s, p);
+                }
+            }
+        }
+    }
+}
+
+/// The distinct entity keys, concept names and strings an op log would add
+/// to a store, and the strings' total bytes.
+#[derive(Default)]
+struct NewKeys<'a> {
+    entities: FxHashSet<(&'a str, Option<&'a str>)>,
+    concepts: FxHashSet<&'a str>,
+    strings: FxHashSet<&'a str>,
+    text_bytes: usize,
+}
+
+impl<'a> NewKeys<'a> {
+    fn of(ops: &'a [DeltaOp], store: &TaxonomyStore) -> Self {
+        let mut new = NewKeys::default();
+        for op in ops {
             match op {
-                DeltaOp::Entity { name, disambig } => {
-                    store.add_entity(name, disambig.as_deref());
-                }
-                DeltaOp::Concept { name } => {
-                    store.add_concept(name);
-                }
+                DeltaOp::Entity { name, disambig } => new.entity(store, name, disambig),
+                DeltaOp::Concept { name } => new.concept(store, name),
                 DeltaOp::Alias {
                     name,
                     disambig,
-                    alias,
-                } => {
-                    let e = store.add_entity(name, disambig.as_deref());
-                    store.add_alias(e, alias);
+                    alias: s,
                 }
-                DeltaOp::Attribute {
+                | DeltaOp::Attribute {
                     name,
                     disambig,
-                    attr,
+                    attr: s,
                 } => {
-                    let e = store.add_entity(name, disambig.as_deref());
-                    store.add_attribute(e, attr);
+                    new.entity(store, name, disambig);
+                    new.string(store, s);
                 }
                 DeltaOp::EntityIsA {
                     name,
                     disambig,
                     concept,
-                    meta,
+                    ..
                 } => {
-                    let e = store.add_entity(name, disambig.as_deref());
-                    let c = store.add_concept(concept);
-                    if !store.add_entity_is_a(e, c, *meta) {
-                        // Existed: the add max-merged, overwrite exactly.
-                        store.set_entity_is_a_meta(e, c, *meta);
-                    }
+                    new.entity(store, name, disambig);
+                    new.concept(store, concept);
                 }
-                DeltaOp::ConceptIsA { sub, sup, meta } => {
-                    let s = store.add_concept(sub);
-                    let p = store.add_concept(sup);
-                    if !store.add_concept_is_a(s, p, *meta) {
-                        store.set_concept_is_a_meta(s, p, *meta);
-                    }
+                DeltaOp::ConceptIsA { sub, sup, .. } => {
+                    new.concept(store, sub);
+                    new.concept(store, sup);
                 }
-                DeltaOp::RetractEntityIsA {
-                    name,
-                    disambig,
-                    concept,
-                } => {
-                    if let (Some(e), Some(c)) = (
-                        store.find_entity(name, disambig.as_deref()),
-                        store.find_concept(concept),
-                    ) {
-                        store.remove_entity_is_a(e, c);
-                    }
-                }
-                DeltaOp::RetractConceptIsA { sub, sup } => {
-                    if let (Some(s), Some(p)) = (store.find_concept(sub), store.find_concept(sup)) {
-                        store.remove_concept_is_a(s, p);
-                    }
-                }
+                DeltaOp::RetractEntityIsA { .. } | DeltaOp::RetractConceptIsA { .. } => {}
             }
+        }
+        new
+    }
+
+    fn entity(&mut self, store: &TaxonomyStore, name: &'a str, disambig: &'a Option<String>) {
+        let disambig = disambig.as_deref();
+        if store.find_entity(name, disambig).is_none() {
+            self.entities.insert((name, disambig));
+        }
+        self.string(store, name);
+        if let Some(d) = disambig {
+            self.string(store, d);
+        }
+    }
+
+    fn concept(&mut self, store: &TaxonomyStore, name: &'a str) {
+        if store.find_concept(name).is_none() {
+            self.concepts.insert(name);
+        }
+        self.string(store, name);
+    }
+
+    fn string(&mut self, store: &TaxonomyStore, s: &'a str) {
+        if store.interner().get(s).is_none() && self.strings.insert(s) {
+            self.text_bytes += s.len();
         }
     }
 }
@@ -806,7 +895,10 @@ impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for Either<L, R> 
 impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
     fn resolve(&self, sym: Symbol) -> &str {
         if sym.0 & OVERLAY_SYM_TAG != 0 {
-            &self.state.strings[(sym.0 & !OVERLAY_SYM_TAG) as usize]
+            self.state
+                .strings
+                .get((sym.0 & !OVERLAY_SYM_TAG) as usize)
+                .map_or("", String::as_str)
         } else {
             self.base.resolve(sym)
         }

@@ -179,7 +179,7 @@ pub(crate) struct RawSections {
 }
 
 /// Cross-section validation + derived-map rebuild. Everything the freeze
-/// computes that is *not* on the wire (the three hash maps) is rebuilt
+/// computes that is *not* on the wire (the two hash maps) is rebuilt
 /// here; everything that is on the wire is checked for mutual consistency
 /// so a decoded snapshot upholds the same invariants a freshly frozen one
 /// does.
@@ -376,19 +376,6 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
         }
     }
 
-    // Rebuild the disambiguated full-key table (`name（disambig）` → sense).
-    let mut full_keys = FxHashMap::default();
-    for (i, rec) in entities.iter().enumerate() {
-        if rec.disambig != Symbol(0) {
-            let key = format!(
-                "{}（{}）",
-                interner.resolve(rec.name),
-                interner.resolve(rec.disambig)
-            );
-            full_keys.insert(key, EntityId(i as u32));
-        }
-    }
-
     Ok(FrozenTaxonomy {
         interner,
         entities,
@@ -405,7 +392,6 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
         topo,
         depth,
         by_mention,
-        full_keys,
     })
 }
 

@@ -33,7 +33,8 @@ use std::path::Path;
 /// `Send + Sync` is part of the contract: implementations are served
 /// concurrently behind an `Arc` by `TaxonomyService`.
 pub trait TaxonomyRead: Send + Sync {
-    /// Resolves an interned symbol to its string.
+    /// Resolves an interned symbol to its string; `""` for a symbol this
+    /// snapshot does not hold.
     fn resolve(&self, sym: Symbol) -> &str;
 
     /// Record for an entity id.
@@ -423,6 +424,28 @@ mod tests {
         assert_eq!(listed_keys(&view), keys, "view");
         assert_eq!(listed_keys(&overlay), keys, "overlay");
         assert_eq!(listed_keys(&OverlayView::new(view)), keys, "empty overlay");
+    }
+
+    /// Two senses whose full keys are the same string, `甲（乙（丙）`: the
+    /// owned snapshot, its view and an overlay all split it the same way
+    /// and answer the sense the first split names, not the sense whose
+    /// key was registered last.
+    #[test]
+    fn an_ambiguous_full_key_resolves_alike_on_every_backend() {
+        let mut s = TaxonomyStore::new();
+        let bracketed_disambig = s.add_entity("甲", Some("乙（丙"));
+        let bracketed_name = s.add_entity("甲（乙", Some("丙"));
+        assert_eq!(
+            s.entity_key(bracketed_name),
+            s.entity_key(bracketed_disambig)
+        );
+        let frozen = FrozenTaxonomy::freeze(&s);
+        let view = FrozenTaxonomyView::open(encode_frozen_v3(&frozen)).expect("open");
+        let want = vec![bracketed_disambig];
+        assert_eq!(frozen.men2ent("甲（乙（丙）"), want.as_slice());
+        assert_eq!(view.men2ent("甲（乙（丙）"), want);
+        let overlay = OverlayView::new(view);
+        assert_eq!(TaxonomyRead::men2ent(&overlay, "甲（乙（丙）"), want);
     }
 
     /// Every id-taking read of `t` at ids it does not hold: `n`, `n + 1`

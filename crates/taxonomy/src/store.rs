@@ -166,6 +166,12 @@ impl TaxonomyStore {
         &self.interner
     }
 
+    /// Moves the interner out, leaving an empty one: for a freeze that
+    /// consumes the store (`FrozenTaxonomy::freeze_store`).
+    pub(crate) fn take_interner(&mut self) -> Interner {
+        std::mem::take(&mut self.interner)
+    }
+
     // ----- entities -------------------------------------------------------
 
     /// Registers (or finds) a disambiguated entity.
@@ -257,6 +263,11 @@ impl TaxonomyStore {
     /// Concept name.
     pub fn concept_name(&self, id: ConceptId) -> &str {
         self.interner.resolve(self.concepts[id.index()])
+    }
+
+    /// Every concept's name symbol, by concept id.
+    pub(crate) fn concept_symbols(&self) -> &[Symbol] {
+        &self.concepts
     }
 
     /// Number of registered concepts.
@@ -427,16 +438,18 @@ impl TaxonomyStore {
 
     // ----- exact reconstruction (compaction thaw) -------------------------
 
-    /// Rebuilds a store from pre-assembled rows — the `thaw` half of the
+    /// Rebuilds a store from pre-assembled tables — the `thaw` half of the
     /// compaction path (see `crate::compact`). The caller supplies every
-    /// adjacency row verbatim; this constructor only derives the lookup
-    /// maps and edge counters, so the result is *exactly* the store the
-    /// rows came from as far as `freeze_with` can observe.
+    /// adjacency row verbatim and the lookup maps that index them; this
+    /// constructor only counts the edges, so the result is *exactly* the
+    /// store the rows came from as far as `freeze_with` can observe.
     pub(crate) fn from_raw_parts(parts: RawStoreParts) -> TaxonomyStore {
         let RawStoreParts {
             interner,
             entities,
+            entity_by_key,
             concepts,
+            concept_by_sym,
             entity_concepts,
             concept_entities,
             concept_parents,
@@ -444,14 +457,6 @@ impl TaxonomyStore {
             entity_attrs,
             entity_aliases,
         } = parts;
-        let mut entity_by_key = FxHashMap::default();
-        for (i, rec) in entities.iter().enumerate() {
-            entity_by_key.insert((rec.name, rec.disambig), EntityId(i as u32));
-        }
-        let mut concept_by_sym = FxHashMap::default();
-        for (i, &sym) in concepts.iter().enumerate() {
-            concept_by_sym.insert(sym, ConceptId(i as u32));
-        }
         let n_entity_isa = entity_concepts.iter().map(Vec::len).sum();
         let n_concept_isa = concept_parents.iter().map(Vec::len).sum();
         TaxonomyStore {
@@ -469,6 +474,30 @@ impl TaxonomyStore {
             n_entity_isa,
             n_concept_isa,
         }
+    }
+
+    /// Reserves room for exactly `entities` more entities, `concepts` more
+    /// concepts and `strings` more strings of `text_bytes` bytes, so adding
+    /// that many to a store thawed at exact size does not double its
+    /// per-entity and per-concept tables.
+    pub(crate) fn reserve_exact(
+        &mut self,
+        entities: usize,
+        concepts: usize,
+        strings: usize,
+        text_bytes: usize,
+    ) {
+        self.interner.reserve_exact(strings, text_bytes);
+        self.entities.reserve_exact(entities);
+        self.entity_by_key.reserve(entities);
+        self.entity_concepts.reserve_exact(entities);
+        self.entity_attrs.reserve_exact(entities);
+        self.entity_aliases.reserve_exact(entities);
+        self.concepts.reserve_exact(concepts);
+        self.concept_by_sym.reserve(concepts);
+        self.concept_entities.reserve_exact(concepts);
+        self.concept_parents.reserve_exact(concepts);
+        self.concept_children.reserve_exact(concepts);
     }
 
     // ----- attributes & aliases -------------------------------------------
@@ -502,12 +531,14 @@ impl TaxonomyStore {
     }
 }
 
-/// Verbatim adjacency rows for [`TaxonomyStore::from_raw_parts`]: one
-/// field per store row table, in the store's own representation.
+/// Verbatim tables for [`TaxonomyStore::from_raw_parts`]: one field per
+/// store table, in the store's own representation.
 pub(crate) struct RawStoreParts {
     pub interner: Interner,
     pub entities: Vec<EntityRecord>,
+    pub entity_by_key: FxHashMap<(Symbol, Symbol), EntityId>,
     pub concepts: Vec<Symbol>,
+    pub concept_by_sym: FxHashMap<Symbol, ConceptId>,
     pub entity_concepts: Vec<Vec<(ConceptId, IsAMeta)>>,
     pub concept_entities: Vec<Vec<EntityId>>,
     pub concept_parents: Vec<Vec<(ConceptId, IsAMeta)>>,

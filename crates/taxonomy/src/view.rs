@@ -19,11 +19,9 @@
 //! confidence without probing the entity-side adjacency. Full disambiguated keys
 //! (`刘德华（中国香港男演员）`) are resolved by splitting the mention at a
 //! `（…）` pair and scanning the name's mention row — no materialised
-//! full-key table. The one observable divergence from the owned map: a
-//! name that itself contains a full-width bracket can in principle admit
-//! more than one split; the view takes the first match, the owned table
-//! the freeze-time key. Encoder-produced snapshots of such corpora behave
-//! identically for every key the freeze actually indexed.
+//! full-key table. A name that itself contains a full-width bracket can
+//! admit more than one split; the view and the owned snapshot both take
+//! the first that names a sense (`mention::full_key_splits`).
 //!
 //! The view's accessors are panic-free by construction (the no-panic
 //! lints are denied at this file's head): malformed indexes yield empty
@@ -44,7 +42,7 @@
 
 use crate::frozen::{Csr, FrozenTaxonomy};
 use crate::interner::{Interner, Symbol};
-use crate::mention::has_disambig;
+use crate::mention::{full_key_splits, has_disambig};
 use crate::persist::{
     self, PersistError, RawSections, ANCC_BITSET, ANCC_RANGES, SEC_ANCESTOR_SUCC, SEC_CHECKSUM,
     SEC_CONCEPTS, SEC_CONCEPT_CHILDREN, SEC_CONCEPT_ENTITIES, SEC_CONCEPT_PARENTS,
@@ -977,8 +975,7 @@ impl FrozenTaxonomyView {
     /// Same contract as [`FrozenTaxonomy::men2ent`]: a disambiguated key
     /// resolves to exactly its sense, a bare name or alias to every
     /// matching sense. Full keys are resolved by splitting at `（…）` and
-    /// scanning the name's mention row — see the module docs for the one
-    /// pathological divergence this admits.
+    /// scanning the name's mention row — see the module docs.
     pub fn men2ent(&self, mention: &str) -> Vec<EntityId> {
         if has_disambig(mention) {
             if let Some(id) = self.full_key_entity(mention) {
@@ -992,36 +989,14 @@ impl FrozenTaxonomyView {
     }
 
     fn full_key_entity(&self, key: &str) -> Option<EntityId> {
-        if !key.ends_with('）') {
-            return None;
-        }
-        let close = '）'.len_utf8();
-        for (i, open) in key.match_indices('（') {
-            let name = key.get(..i)?;
-            let Some(dis) = key.get(i + open.len()..key.len() - close) else {
-                continue;
+        full_key_splits(key).find_map(|(name, disambig)| {
+            let want = EntityRecord {
+                name: self.lookup_sym(name)?,
+                disambig: self.lookup_sym(disambig)?,
             };
-            if dis.is_empty() {
-                continue;
-            }
-            let Some(name_sym) = self.lookup_sym(name) else {
-                continue;
-            };
-            let Some(dis_sym) = self.lookup_sym(dis) else {
-                continue;
-            };
-            let hit = self.mention_row(name_sym).find(|&e| {
-                self.entity(e)
-                    == EntityRecord {
-                        name: name_sym,
-                        disambig: dis_sym,
-                    }
-            });
-            if hit.is_some() {
-                return hit;
-            }
-        }
-        None
+            self.mention_row(want.name)
+                .find(|&e| self.entity(e) == want)
+        })
     }
 
     // ----- materialisation ------------------------------------------------
@@ -1032,7 +1007,7 @@ impl FrozenTaxonomyView {
     /// key uniqueness. This is the "trust but verify" escape hatch — and
     /// the bridge for callers that need owned slices.
     pub fn to_frozen(&self) -> Result<FrozenTaxonomy, PersistError> {
-        let mut interner = Interner::new();
+        let mut interner = Interner::with_capacity(self.n_strings, self.str_blob.len());
         for i in 0..self.n_strings {
             if interner.intern(self.str_at(i)).index() != i {
                 return Err(PersistError::BadIndex("duplicate interned string"));

@@ -59,6 +59,7 @@ const SCOPES: &[(&str, &[&str])] = &[
     ("crates/text/src/ner.rs", &[NO_PANIC]),
     ("crates/text/src/chars.rs", &[NO_PANIC]),
     ("crates/taxonomy/src/frozen.rs", &[NO_PANIC, HASH_ORDER]),
+    ("crates/taxonomy/src/interner.rs", &[NO_PANIC]),
     ("crates/taxonomy/src/view.rs", &[NO_PANIC]),
     ("crates/taxonomy/src/read.rs", &[NO_PANIC]),
     ("crates/taxonomy/src/varint.rs", &[NO_PANIC]),
