@@ -33,12 +33,12 @@
 //! - the refrozen snapshot is freed once encoded, before the view opens.
 //!
 //! So a fold peaks at ≈ 7 × the snapshot's bytes above the heap it starts
-//! from (`tests/snapshot_corruption.rs` bounds it at 8 × + 64 KiB); the
-//! owned snapshot and the store, the two forms that hold every table
-//! decoded, are the bulk of it.
+//! from (`tests/snapshot_corruption.rs` bounds it at 8 × + 64 KiB). The
+//! peak is the refreeze, where the store is still whole while the new
+//! snapshot is built beside it.
 
 use crate::frozen::FrozenTaxonomy;
-use crate::overlay::{self, IngestDelta, OverlayView};
+use crate::overlay::{DeltaOverlay, IngestDelta, OverlayView};
 use crate::persist::{self, PersistError};
 use crate::read::TaxonomyRead;
 use crate::store::{RawStoreParts, TaxonomyStore};
@@ -129,7 +129,7 @@ where
     B: TaxonomyRead + ToStore + FromFrozen + Send + Sync,
 {
     /// Overlay apply: cheap, no materialisation. The base stays shared.
-    fn ingest_delta(&self, delta: &overlay::DeltaOverlay) -> Result<Self, PersistError> {
+    fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError> {
         Ok(self.apply(delta))
     }
 
@@ -145,7 +145,7 @@ where
             return Ok(self.clone());
         }
         let mut store = self.base().to_store()?;
-        overlay::replay(self.log_ops(), &mut store);
+        self.log().apply_to_store(&mut store);
         let frozen = FrozenTaxonomy::freeze_store(store, rt);
         Ok(OverlayView::new(B::from_frozen(frozen)?))
     }
@@ -154,7 +154,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlay::DeltaOverlay;
     use crate::store::{IsAMeta, Source};
 
     fn build_store() -> TaxonomyStore {

@@ -9,9 +9,10 @@
 //! `u32` end offset per symbol says where it stops, and lookup goes
 //! through an open-addressing table of symbols over that arena (linear
 //! probing on the high bits of the string's Fx hash, at most two thirds
-//! full). A string costs its bytes, 4 B of offset and 6–12 B of table —
-//! against two `Box<str>`s and a hash-map entry, ≈ 88 B a string over the
-//! taxonomy's short names, when the table owned its own copy of each key.
+//! full). A string costs its bytes, 4 B of offset and 6–12 B of table:
+//! the taxonomy's names are short (≈ 11 B), so a map owning its keys
+//! beside a list of them, two allocations and a map entry a string, would
+//! cost several times the text itself.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -77,7 +78,7 @@ impl Interner {
 
     /// An interner with room for `strings` symbols (the empty string
     /// included) and `text_bytes` bytes of text before it reallocates.
-    pub fn with_capacity(strings: usize, text_bytes: usize) -> Self {
+    pub(crate) fn with_capacity(strings: usize, text_bytes: usize) -> Self {
         let mut ends = Vec::with_capacity(strings.max(1) + 1);
         ends.push(0);
         let mut i = Interner {
@@ -91,7 +92,7 @@ impl Interner {
 
     /// Reserves room for `strings` more symbols and `text_bytes` more bytes
     /// of text, exactly: interning that much more reallocates nothing.
-    pub fn reserve_exact(&mut self, strings: usize, text_bytes: usize) {
+    pub(crate) fn reserve_exact(&mut self, strings: usize, text_bytes: usize) {
         self.text.reserve_exact(text_bytes);
         self.ends.reserve_exact(strings);
         let want = table_len(self.len().saturating_add(strings));

@@ -27,7 +27,8 @@
 //! Read-through contract: nothing outside this module, `compact.rs` and
 //! the `persist.rs` codec may look inside a delta's op log — consumers go
 //! through [`TaxonomyRead`] or the public builder API. `DeltaOp` and
-//! `log_ops` are `pub(crate)`, so outside this crate rustc enforces it.
+//! `OverlayView::log` are `pub(crate)`, so outside this crate rustc
+//! enforces it.
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::interner::Symbol;
@@ -233,82 +234,78 @@ impl DeltaOverlay {
     /// the compaction half of the write path; [`OverlayView::apply`] folds
     /// the identical log with identical semantics, which is what makes a
     /// compacted snapshot query-identical to the overlay it replaces.
+    ///
+    /// The store's tables are first reserved for exactly the entities,
+    /// concepts and strings the delta adds: a store thawed at exact size
+    /// would otherwise double them for the first new entity.
     pub fn apply_to_store(&self, store: &mut TaxonomyStore) {
-        replay(&self.ops, store);
-    }
-}
-
-/// [`DeltaOverlay::apply_to_store`] of a bare op log (a compaction replays
-/// an overlay's whole log without copying it into a delta). The store's
-/// tables are first reserved for exactly the entities, concepts and
-/// strings the log adds.
-pub(crate) fn replay(ops: &[DeltaOp], store: &mut TaxonomyStore) {
-    let new = NewKeys::of(ops, store);
-    store.reserve_exact(
-        new.entities.len(),
-        new.concepts.len(),
-        new.strings.len(),
-        new.text_bytes,
-    );
-    for op in ops {
-        match op {
-            DeltaOp::Entity { name, disambig } => {
-                store.add_entity(name, disambig.as_deref());
-            }
-            DeltaOp::Concept { name } => {
-                store.add_concept(name);
-            }
-            DeltaOp::Alias {
-                name,
-                disambig,
-                alias,
-            } => {
-                let e = store.add_entity(name, disambig.as_deref());
-                store.add_alias(e, alias);
-            }
-            DeltaOp::Attribute {
-                name,
-                disambig,
-                attr,
-            } => {
-                let e = store.add_entity(name, disambig.as_deref());
-                store.add_attribute(e, attr);
-            }
-            DeltaOp::EntityIsA {
-                name,
-                disambig,
-                concept,
-                meta,
-            } => {
-                let e = store.add_entity(name, disambig.as_deref());
-                let c = store.add_concept(concept);
-                if !store.add_entity_is_a(e, c, *meta) {
-                    // Existed: the add max-merged, overwrite exactly.
-                    store.set_entity_is_a_meta(e, c, *meta);
+        let new = NewKeys::of(&self.ops, store);
+        store.reserve_exact(
+            new.entities.len(),
+            new.concepts.len(),
+            new.strings.len(),
+            new.text_bytes,
+        );
+        for op in &self.ops {
+            match op {
+                DeltaOp::Entity { name, disambig } => {
+                    store.add_entity(name, disambig.as_deref());
                 }
-            }
-            DeltaOp::ConceptIsA { sub, sup, meta } => {
-                let s = store.add_concept(sub);
-                let p = store.add_concept(sup);
-                if !store.add_concept_is_a(s, p, *meta) {
-                    store.set_concept_is_a_meta(s, p, *meta);
+                DeltaOp::Concept { name } => {
+                    store.add_concept(name);
                 }
-            }
-            DeltaOp::RetractEntityIsA {
-                name,
-                disambig,
-                concept,
-            } => {
-                if let (Some(e), Some(c)) = (
-                    store.find_entity(name, disambig.as_deref()),
-                    store.find_concept(concept),
-                ) {
-                    store.remove_entity_is_a(e, c);
+                DeltaOp::Alias {
+                    name,
+                    disambig,
+                    alias,
+                } => {
+                    let e = store.add_entity(name, disambig.as_deref());
+                    store.add_alias(e, alias);
                 }
-            }
-            DeltaOp::RetractConceptIsA { sub, sup } => {
-                if let (Some(s), Some(p)) = (store.find_concept(sub), store.find_concept(sup)) {
-                    store.remove_concept_is_a(s, p);
+                DeltaOp::Attribute {
+                    name,
+                    disambig,
+                    attr,
+                } => {
+                    let e = store.add_entity(name, disambig.as_deref());
+                    store.add_attribute(e, attr);
+                }
+                DeltaOp::EntityIsA {
+                    name,
+                    disambig,
+                    concept,
+                    meta,
+                } => {
+                    let e = store.add_entity(name, disambig.as_deref());
+                    let c = store.add_concept(concept);
+                    if !store.add_entity_is_a(e, c, *meta) {
+                        // Existed: the add max-merged, overwrite exactly.
+                        store.set_entity_is_a_meta(e, c, *meta);
+                    }
+                }
+                DeltaOp::ConceptIsA { sub, sup, meta } => {
+                    let s = store.add_concept(sub);
+                    let p = store.add_concept(sup);
+                    if !store.add_concept_is_a(s, p, *meta) {
+                        store.set_concept_is_a_meta(s, p, *meta);
+                    }
+                }
+                DeltaOp::RetractEntityIsA {
+                    name,
+                    disambig,
+                    concept,
+                } => {
+                    if let (Some(e), Some(c)) = (
+                        store.find_entity(name, disambig.as_deref()),
+                        store.find_concept(concept),
+                    ) {
+                        store.remove_entity_is_a(e, c);
+                    }
+                }
+                DeltaOp::RetractConceptIsA { sub, sup } => {
+                    if let (Some(s), Some(p)) = (store.find_concept(sub), store.find_concept(sup)) {
+                        store.remove_concept_is_a(s, p);
+                    }
                 }
             }
         }
@@ -435,7 +432,7 @@ struct ConceptTables {
 #[derive(Debug, Clone, Default)]
 struct OverlayState {
     /// Full op log across all applied deltas, for compaction replay.
-    log: Vec<DeltaOp>,
+    log: DeltaOverlay,
     /// Number of applied deltas (the overlay depth compaction resets).
     deltas: usize,
     /// Overlay string table; `Symbol(OVERLAY_SYM_TAG | i)` resolves here.
@@ -531,7 +528,7 @@ impl<B: TaxonomyRead> OverlayView<B> {
 
     /// The accumulated op log (compaction replays it; see
     /// `crate::compact`).
-    pub(crate) fn log_ops(&self) -> &[DeltaOp] {
+    pub(crate) fn log(&self) -> &DeltaOverlay {
         &self.state.log
     }
 
@@ -542,7 +539,7 @@ impl<B: TaxonomyRead> OverlayView<B> {
         let mut st = (*self.state).clone();
         st.deltas += 1;
         for op in &delta.ops {
-            st.log.push(op.clone());
+            st.log.ops.push(op.clone());
             fold_op(self.base.as_ref(), &mut st, op);
         }
         finalize(self.base.as_ref(), &mut st);
