@@ -4,12 +4,15 @@
 //! A truncated upload, a bit-flipped block or a hand-crafted hostile file
 //! must produce a typed error — never a panic, and never an allocation
 //! sized by a length field instead of by the bytes actually sent. *Every*
-//! truncation prefix and *every* single-byte flip of a valid snapshot must
-//! fail to open, and hostile counts and varints are re-sealed under a
-//! *valid* checksum so the structural checks are what rejects them. Every
-//! decode runs under a counting allocator and asserts its decoder's peak
-//! bound, `k × input + c` bytes. The same allocator bounds the live heap of
-//! the one index a server builds per generation, the tag index.
+//! truncation prefix of a valid snapshot must fail to open, and so must
+//! *every* single-byte flip left under the old checksum. Re-sealed under a
+//! *valid* checksum, a flip must fail to open or to materialise, or else
+//! the view must read exactly as the owned snapshot it materialises to;
+//! hostile counts, varints and rows are re-sealed too, so the structural
+//! checks are what rejects them. Every decode runs under a counting
+//! allocator and asserts its decoder's peak bound, `k × input + c` bytes.
+//! The same allocator bounds the live heap of the one index a server
+//! builds per generation, the tag index.
 
 use cn_probase::serve::json::Json;
 use cn_probase::serve::wire;
@@ -17,7 +20,8 @@ use cn_probase::server::http::{self, HttpError, MAX_BODY_BYTES};
 use cn_probase::server::MAX_BATCH;
 use cn_probase::taxonomy::persist::{self, PersistError};
 use cn_probase::taxonomy::{
-    Bytes, DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Source, TaxonomyStore,
+    Bytes, ConceptId, DeltaOverlay, EntityId, FrozenTaxonomy, FrozenTaxonomyView, IsAMeta, Source,
+    TaxonomyRead, TaxonomyStore,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -264,6 +268,102 @@ fn v3_every_single_byte_flip_errors() {
     }
 }
 
+/// One line per answer a served snapshot gives: counts, every entity's
+/// record and rows, every concept's rows, its whole `ancestor_contains`
+/// line, and `men2ent` for a few keys (the first entities' own keys among
+/// them).
+fn read_sweep(t: &impl TaxonomyRead) -> Vec<String> {
+    let (n_entities, n_concepts) = (t.num_entities() as u32, t.num_concepts() as u32);
+    let mut out = vec![format!(
+        "{n_entities} {n_concepts} {} {}",
+        t.num_is_a(),
+        t.num_mentions()
+    )];
+    for e in (0..n_entities).map(EntityId) {
+        let concepts: Vec<_> = t.concepts_of(e).collect();
+        out.push(format!(
+            "{:?} {} {concepts:?}",
+            t.entity(e),
+            t.entity_key(e)
+        ));
+    }
+    for c in (0..n_concepts).map(ConceptId) {
+        let entities: Vec<_> = t.entities_of(c).collect();
+        let ranked: Vec<_> = t.entities_with_confidence(c).collect();
+        let parents: Vec<_> = t.parents_of(c).collect();
+        let children: Vec<_> = t.children_of(c).collect();
+        let ancestors: Vec<_> = t.ancestors(c).collect();
+        out.push(format!(
+            "{} {} {entities:?} {ranked:?} {parents:?} {children:?} {ancestors:?} {:?}",
+            t.concept_name(c),
+            t.depth(c),
+            t.descendants(c)
+        ));
+        let line = (0..n_concepts).map(|sup| t.ancestor_contains(c, ConceptId(sup)));
+        out.push(line.map(|hit| if hit { '1' } else { '0' }).collect());
+    }
+    let keys = (0..n_entities.min(4)).map(|e| t.entity_key(EntityId(e)));
+    let fixed = [
+        "刘德华",
+        "刘德华（中国香港男演员）",
+        "张学友",
+        "Andy Lau",
+        "歌手",
+        "",
+    ];
+    for key in keys.chain(fixed.map(String::from)) {
+        out.push(format!("{key} {:?}", t.men2ent(&key)));
+    }
+    out
+}
+
+/// Every single-byte flip of every section, this time *re-sealed*, so the
+/// checksum vouches for it and the structural checks are what stands
+/// between the bytes and a query. Each mutated file must fail `open` or
+/// `to_frozen`; one that passes both is served as it reads, so the view
+/// must answer [`read_sweep`] exactly as the owned snapshot `to_frozen`
+/// built from it does. Swept over every section of the small snapshot and
+/// over the pipeline-built one's closure, where the bitset rows are.
+#[test]
+fn v3_every_resealed_flip_fails_or_reads_as_its_owned_form() {
+    let small = v3_bytes();
+    let (mut opened, mut loaded) = (0, 0);
+    for (bytes, only) in [(small, None), (pipeline_v3_bytes(), Some(*b"ANCC"))] {
+        for (tag, payload) in v3_sections(&bytes) {
+            if tag == *b"CKSM" || only.is_some_and(|only| only != tag) {
+                continue;
+            }
+            for at in payload {
+                for flip in [0x01, 0x80, 0xFF] {
+                    let mut mutated = bytes.clone();
+                    mutated[at] ^= flip;
+                    reseal_v3(&mut mutated);
+                    let Ok(view) = open(&mutated) else { continue };
+                    opened += 1;
+                    let owned = peak_of("to_frozen", TO_FROZEN, mutated.len(), || view.to_frozen());
+                    let Ok(owned) = owned else { continue };
+                    loaded += 1;
+                    let name = String::from_utf8_lossy(&tag);
+                    let (seen, want) = (read_sweep(&view), read_sweep(&owned));
+                    if let Some((s, w)) = seen.iter().zip(&want).find(|(s, w)| s != w) {
+                        panic!("{name} byte {at} ^ {flip:#04x}: view {s:?}, owned {w:?}");
+                    }
+                    assert_eq!(seen.len(), want.len(), "{name} byte {at} ^ {flip:#04x}");
+                    for e in (0..owned.num_entities() as u32).map(EntityId) {
+                        let attrs: Vec<_> = view.attributes_of(e).collect();
+                        let aliases: Vec<_> = view.aliases_of(e).collect();
+                        assert_eq!(attrs, owned.attributes_of(e), "{name} byte {at}");
+                        assert_eq!(aliases, owned.aliases_of(e), "{name} byte {at}");
+                    }
+                    let topo: Vec<_> = view.topo_order().collect();
+                    assert_eq!(topo, owned.topo_order(), "{name} byte {at}");
+                }
+            }
+        }
+    }
+    println!("resealed flips: {opened} opened, {loaded} passed to_frozen, all read alike");
+}
+
 /// `CKSM` is the last thing in a snapshot: the digest cannot vouch for
 /// bytes that follow it, whether loose or framed as a section.
 #[test]
@@ -401,6 +501,138 @@ fn v3_hostile_varints_error_cleanly() {
             }
         }
     }
+}
+
+/// [`v3_bytes`] with row `row` of the varint-CSR section `tag` replaced by
+/// `new_row`, then re-framed and re-sealed: `entries`, the block directory,
+/// `payload_len` and the section length are written afresh around the new
+/// row. The new row must hold as many entries as the old one, because
+/// `open` checks `entries` against the rows, `ECON`'s and `CPAR`'s edge
+/// counts against `CENT`'s and `CCHD`'s, and `MENT`'s non-empty rows
+/// against `MHSH`; a changed count would be refused before the check a
+/// case names.
+fn with_vcsr_row(tag: &[u8; 4], row: usize, new_row: &[u8]) -> Vec<u8> {
+    use cn_probase::taxonomy::varint::varint_at;
+    const BLOCK: usize = 8; // rows per directory entry
+
+    let bytes = v3_bytes();
+    let (_, body) = v3_sections(&bytes)
+        .into_iter()
+        .find(|(t, _)| t == tag)
+        .expect("section");
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let (n_rows, entries) = (word(body.start), word(body.start + 4));
+    let mut pos = body.start + 8 + (n_rows as usize).div_ceil(BLOCK) * 4 + 4;
+    let mut rows = Vec::new();
+    while pos < body.end {
+        let (len, next) = varint_at(&bytes, pos).expect("row length");
+        let end = next + len as usize;
+        rows.push(&bytes[next..end]);
+        pos = end;
+    }
+    assert_eq!(rows.len(), n_rows as usize);
+    rows[row] = new_row;
+
+    let (mut dir, mut payload) = (Vec::new(), Vec::new());
+    for (i, r) in rows.iter().enumerate() {
+        if i % BLOCK == 0 {
+            dir.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        }
+        let mut len = r.len();
+        while len >= 0x80 {
+            payload.push(len as u8 | 0x80);
+            len >>= 7;
+        }
+        payload.push(len as u8);
+        payload.extend_from_slice(r);
+    }
+    let mut section = Vec::new();
+    section.extend_from_slice(&n_rows.to_le_bytes());
+    section.extend_from_slice(&entries.to_le_bytes());
+    section.extend_from_slice(&dir);
+    section.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    section.extend_from_slice(&payload);
+
+    let mut out = bytes[..body.start - 12].to_vec();
+    out.extend_from_slice(tag);
+    out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+    out.extend_from_slice(&section);
+    out.extend_from_slice(&bytes[body.end..]);
+    reseal_v3(&mut out);
+    out
+}
+
+/// Every per-row check `open` makes on a varint-CSR payload, each on one
+/// hand-written row of the demo snapshot, re-sealed so the checksum
+/// vouches for it. Each rejected row is paired with a control row of the
+/// same shape that opens, so the error is the named check's and not a
+/// side effect of the edit.
+#[test]
+fn v3_every_row_check_names_its_error() {
+    const RANGES: u8 = 0;
+    const BITSET: u8 = 1;
+    let frozen = FrozenTaxonomy::freeze(&demo_store());
+    let concept = |name: &str| frozen.find_concept(name).expect("concept").0 as u8;
+    let (male_actor, actor, singer, person) = (
+        concept("男演员"),
+        concept("演员"),
+        concept("歌手"),
+        concept("人物"),
+    );
+    // The demo's closure: 男演员 ⊂ 演员 ⊂ 人物, 歌手 ⊂ 人物.
+    assert_eq!((male_actor, actor, singer, person), (0, 1, 2, 3));
+    let n_concepts = frozen.num_concepts() as u8;
+    let zhang = frozen.find_entity("张学友", None).expect("entity").0 as usize;
+    let liu = frozen.interner().get("刘德华").expect("mention").index();
+    let closure = "ancestor closure";
+
+    let check = |tag: &[u8; 4], row: usize, rejected: &[u8], error: &str, control: &[u8]| {
+        let name = String::from_utf8_lossy(tag);
+        let err = open(&with_vcsr_row(tag, row, rejected)).expect_err("rejected row opened");
+        assert!(
+            matches!(err, PersistError::BadIndex(what) if what == error),
+            "{name} row {row} {rejected:?}: {err:?}, not BadIndex({error:?})"
+        );
+        if let Err(err) = open(&with_vcsr_row(tag, row, control)) {
+            panic!("{name} row {row} control {control:?}: {err:?}");
+        }
+    };
+    let ancc = |row, rejected: &[u8], error, control: &[u8]| {
+        check(b"ANCC", row, rejected, error, control);
+    };
+    // Ranges: the second run starts where the first ended.
+    ancc(0, &[RANGES, 1, 0, 0, 0], closure, &[RANGES, 1, 0, 1, 0]);
+    // Ranges: a flag byte with no runs (the empty row is zero bytes).
+    ancc(3, &[RANGES], closure, &[]);
+    // Ranges: a run reaching `n_concepts`.
+    ancc(1, &[RANGES, n_concepts, 0], closure, &[RANGES, 2, 0]);
+    ancc(1, &[RANGES, 1, 0], "self ancestor", &[RANGES, 0, 0]);
+    // Bitset: `base` must be the first member.
+    ancc(0, &[BITSET, 0, 0b1010], closure, &[BITSET, 1, 0b101]);
+    // Bitset: no trailing zero byte.
+    ancc(0, &[BITSET, 1, 0b101, 0], closure, &[BITSET, 1, 0b101]);
+    // Bitset: a bit at `n_concepts`.
+    let last = n_concepts - 1;
+    ancc(0, &[BITSET, last, 0b11], closure, &[BITSET, 2, 0b11]);
+    ancc(0, &[BITSET, 0, 0b101], "self ancestor", &[BITSET, 1, 0b101]);
+    ancc(1, &[2, person, 0], closure, &[RANGES, person, 0]);
+    // `(id, MDCT index)` pairs: the dictionary holds five entries.
+    check(
+        b"ECON",
+        zhang,
+        &[singer, 5],
+        "edge metadata index",
+        &[singer, 4],
+    );
+    // Mention rows ascend strictly: a repeated id is a zero delta.
+    check(b"MENT", liu, &[0, 0], "mention CSR", &[0, 2]);
+    check(
+        b"CCHD",
+        actor.into(),
+        &[n_concepts],
+        "concept-child CSR",
+        &[male_actor],
+    );
 }
 
 // ----- compaction ------------------------------------------------------------
