@@ -21,7 +21,7 @@
 //! is the one adjacency whose build-store row order is not observable in
 //! a frozen snapshot.
 //!
-//! A fold passes the snapshot through four forms: the view's bytes, the
+//! A fold passes the snapshot through five forms: the view's bytes, the
 //! owned snapshot `to_frozen` validates, the build store, the refrozen
 //! snapshot and its bytes. Each form is freed as the next is built, and
 //! each string lives in one of them at a time:

@@ -417,12 +417,14 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
 //   its confidences inline instead of probing the entity's `ECON` row per
 //   hit. The directory holds every `VCSR_BLOCK`th row's payload offset,
 //   so random row access is one jump plus at most `VCSR_BLOCK - 1`
-//   length skips.
+//   length skips. `put_delta_row` writes every such row; the view reads
+//   every one with its one decoder, `DeltaRow`.
 // * `ANCC` — the succinct ancestor closure: per row either strictly
 //   ascending `(gap, run_len-1)` pairs (closures over topo-ordered ids
 //   are usually a handful of intervals) or `base + bitmap` where the
 //   interval structure breaks down; the encoder picks whichever is
-//   smaller. An empty row is zero bytes.
+//   smaller. An empty row is zero bytes. `put_ancc_row` writes every
+//   such row; the view parses every one into its one row type, `AnccRow`.
 // * `MHSH` — `n u32 | n×(hash u32 | symbol u32)`, sorted by hash.
 
 fn section(buf: &mut BytesMut, tag: [u8; 4], write: impl FnOnce(&mut BytesMut)) {
@@ -606,7 +608,9 @@ fn put_vcsr<T: Copy>(
 
 /// One varint-CSR row: the first id raw, every later one a zigzag delta
 /// from its predecessor, each followed by its `MDCT` index where the
-/// relation carries edge metadata.
+/// relation carries edge metadata. The one writer of these rows; the
+/// view's `DeltaRow` is their one reader, for `open`'s validation, the
+/// queries and `to_frozen` alike.
 fn put_delta_row(b: &mut BytesMut, row: impl Iterator<Item = (u32, Option<u64>)>) {
     let mut prev: Option<u32> = None;
     for (id, meta_index) in row {
@@ -665,6 +669,10 @@ fn put_meta_row(b: &mut BytesMut, row: &[(ConceptId, IsAMeta)], dict: &[(u8, u32
     put_delta_row(b, row.iter().map(|(c, m)| (c.0, Some(dict_index(dict, m)))));
 }
 
+/// One `ANCC` row (the format comment above), in whichever of the two
+/// forms is smaller. The one writer of these rows; the view's `AnccRow` is
+/// their one reader, for `open`'s canonical-form check, iteration and
+/// `ancestor_contains` alike.
 fn put_ancc_row(b: &mut BytesMut, row: &[ConceptId]) {
     if row.is_empty() {
         return;

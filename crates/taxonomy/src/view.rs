@@ -23,6 +23,11 @@
 //! admit more than one split; the view and the owned snapshot both take
 //! the first that names a sense (`mention::full_key_splits`).
 //!
+//! Each row format has one decoder. `DeltaRow` steps through the
+//! delta+varint rows `persist::put_delta_row` writes, `AnccRow` parses the
+//! closure rows `persist::put_ancc_row` writes. `open` validates every row
+//! through them, and the queries and `to_frozen` read through the same two.
+//!
 //! The view's accessors are panic-free by construction (the no-panic
 //! lints are denied at this file's head): malformed indexes yield empty
 //! rows or `None`, never a slice panic. Structural validity is guaranteed
@@ -137,7 +142,8 @@ fn u64_le(bytes: &[u8], off: usize) -> Option<u64> {
     Some(u64::from_le_bytes(b.try_into().ok()?))
 }
 
-/// What a VCSR row holds — drives per-element validation in the open sweep.
+/// What a VCSR row holds: which of the two row decoders (`DeltaRow`,
+/// `AnccRow`) validates it in the open sweep, and against which bounds.
 #[derive(Clone, Copy)]
 enum RowKind {
     /// Delta-encoded ids, each `< max`.
@@ -776,7 +782,7 @@ impl FrozenTaxonomyView {
 
     /// Direct concepts of an entity, with edge metadata.
     pub fn concepts_of(&self, e: EntityId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
-        MetaRowIter::new(
+        meta_row(
             self.vcsr_row(&self.entity_concepts, e.index()),
             self.meta_dict(),
         )
@@ -786,7 +792,7 @@ impl FrozenTaxonomyView {
     /// Direct entities of a concept, confidence-ranked (the stable
     /// hyponym enumeration order behind `getEntity` and pagination).
     pub fn entities_of(&self, c: ConceptId) -> impl Iterator<Item = EntityId> + '_ {
-        PairIdIter::new(self.vcsr_row(&self.concept_entities, c.index())).map(EntityId)
+        row_ids::<true>(self.vcsr_row(&self.concept_entities, c.index())).map(EntityId)
     }
 
     /// Direct entities of a concept with each edge's confidence, straight
@@ -796,7 +802,7 @@ impl FrozenTaxonomyView {
         &self,
         c: ConceptId,
     ) -> impl Iterator<Item = (EntityId, f32)> + '_ {
-        MetaRowIter::new(
+        meta_row(
             self.vcsr_row(&self.concept_entities, c.index()),
             self.meta_dict(),
         )
@@ -810,7 +816,7 @@ impl FrozenTaxonomyView {
 
     /// Direct parent concepts, with edge metadata.
     pub fn parents_of(&self, c: ConceptId) -> impl Iterator<Item = (ConceptId, IsAMeta)> + '_ {
-        MetaRowIter::new(
+        meta_row(
             self.vcsr_row(&self.concept_parents, c.index()),
             self.meta_dict(),
         )
@@ -819,17 +825,17 @@ impl FrozenTaxonomyView {
 
     /// Direct child concepts.
     pub fn children_of(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
-        IdRowIter::new(self.vcsr_row(&self.concept_children, c.index())).map(ConceptId)
+        row_ids::<false>(self.vcsr_row(&self.concept_children, c.index())).map(ConceptId)
     }
 
     /// Attribute symbols of an entity.
     pub fn attributes_of(&self, e: EntityId) -> impl Iterator<Item = Symbol> + '_ {
-        IdRowIter::new(self.vcsr_row(&self.entity_attrs, e.index())).map(Symbol)
+        row_ids::<false>(self.vcsr_row(&self.entity_attrs, e.index())).map(Symbol)
     }
 
     /// Alias symbols of an entity.
     pub fn aliases_of(&self, e: EntityId) -> impl Iterator<Item = Symbol> + '_ {
-        IdRowIter::new(self.vcsr_row(&self.entity_aliases, e.index())).map(Symbol)
+        row_ids::<false>(self.vcsr_row(&self.entity_aliases, e.index())).map(Symbol)
     }
 
     // ----- precomputed topology -------------------------------------------
@@ -837,55 +843,13 @@ impl FrozenTaxonomyView {
     /// All transitive ancestors, ascending — decoded from the succinct
     /// closure row without materialisation.
     pub fn ancestors(&self, c: ConceptId) -> impl Iterator<Item = ConceptId> + '_ {
-        AncestorIter::new(self.vcsr_row(&self.ancestors, c.index()))
+        AnccRow::read(self.vcsr_row(&self.ancestors, c.index())).iter()
     }
 
     /// Membership test on the succinct closure row: interval scan for
     /// range rows, O(1) bit probe for bitset rows.
     pub fn ancestor_contains(&self, c: ConceptId, sup: ConceptId) -> bool {
-        let row = self.vcsr_row(&self.ancestors, c.index());
-        let target = u64::from(sup.0);
-        match row.split_first() {
-            Some((&ANCC_RANGES, body)) => {
-                let mut pos = 0usize;
-                let mut cursor = 0u64;
-                while pos < body.len() {
-                    let Some((gap, n1)) = varint_at(body, pos) else {
-                        return false;
-                    };
-                    let Some((len1, n2)) = varint_at(body, n1) else {
-                        return false;
-                    };
-                    pos = n2;
-                    let start = cursor.saturating_add(gap);
-                    let end = start.saturating_add(len1).saturating_add(1);
-                    if target < start {
-                        return false;
-                    }
-                    if target < end {
-                        return true;
-                    }
-                    cursor = end;
-                }
-                false
-            }
-            Some((&ANCC_BITSET, body)) => {
-                let Some((base, next)) = varint_at(body, 0) else {
-                    return false;
-                };
-                let bitmap = body.get(next..).unwrap_or(&[]);
-                match target.checked_sub(base) {
-                    Some(off) => {
-                        let off = off as usize;
-                        bitmap
-                            .get(off / 8)
-                            .is_some_and(|b| b & (1 << (off % 8)) != 0)
-                    }
-                    None => false,
-                }
-            }
-            _ => false,
-        }
+        AnccRow::read(self.vcsr_row(&self.ancestors, c.index())).contains(u64::from(sup.0))
     }
 
     /// Topological order of the concepts (parents before children).
@@ -932,7 +896,7 @@ impl FrozenTaxonomyView {
     // ----- mention resolution (men2ent) -----------------------------------
 
     fn mention_row(&self, sym: Symbol) -> impl Iterator<Item = EntityId> + '_ {
-        IdRowIter::new(self.vcsr_row(&self.by_mention, sym.index())).map(EntityId)
+        row_ids::<false>(self.vcsr_row(&self.by_mention, sym.index())).map(EntityId)
     }
 
     /// Binary search over `MHSH`: mention string → symbol. One hash and
@@ -1019,13 +983,13 @@ impl FrozenTaxonomyView {
             .collect();
         let dict = self.meta_dict();
         let entity_concepts = self.decode_csr(&self.entity_concepts, |r| {
-            MetaRowIter::new(r, dict).map(|(c, m)| (ConceptId(c), m))
+            meta_row(r, dict).map(|(c, m)| (ConceptId(c), m))
         });
         // `CENT` mirrors each hyponym edge's metadata inline; a mirror
         // that disagrees with `ECON` would make `getEntity` and
         // `getConcept` report different confidences for the same edge.
         for c in 0..self.n_concepts {
-            for (e, m) in MetaRowIter::new(self.vcsr_row(&self.concept_entities, c), dict) {
+            for (e, m) in meta_row(self.vcsr_row(&self.concept_entities, c), dict) {
                 let hit = entity_concepts.row(e as usize).iter().any(|&(cc, em)| {
                     cc.index() == c
                         && em.source == m.source
@@ -1053,21 +1017,22 @@ impl FrozenTaxonomyView {
             concepts,
             entity_concepts,
             concept_entities: self
-                .decode_csr(&self.concept_entities, |r| PairIdIter::new(r).map(EntityId)),
+                .decode_csr(&self.concept_entities, |r| row_ids::<true>(r).map(EntityId)),
             concept_parents: self.decode_csr(&self.concept_parents, |r| {
-                MetaRowIter::new(r, dict).map(|(c, m)| (ConceptId(c), m))
+                meta_row(r, dict).map(|(c, m)| (ConceptId(c), m))
             }),
-            concept_children: self
-                .decode_csr(&self.concept_children, |r| IdRowIter::new(r).map(ConceptId)),
-            entity_attrs: self.decode_csr(&self.entity_attrs, |r| IdRowIter::new(r).map(Symbol)),
+            concept_children: self.decode_csr(&self.concept_children, |r| {
+                row_ids::<false>(r).map(ConceptId)
+            }),
+            entity_attrs: self.decode_csr(&self.entity_attrs, |r| row_ids::<false>(r).map(Symbol)),
             entity_aliases: self
-                .decode_csr(&self.entity_aliases, |r| IdRowIter::new(r).map(Symbol)),
-            ancestors: self.decode_csr(&self.ancestors, AncestorIter::new),
+                .decode_csr(&self.entity_aliases, |r| row_ids::<false>(r).map(Symbol)),
+            ancestors: self.decode_csr(&self.ancestors, |r| AnccRow::read(r).iter()),
             topo: self.topo_order().collect(),
             depth: (0..self.n_concepts)
                 .map(|i| self.u32_at(self.depth_at + i * 4))
                 .collect(),
-            by_mention: self.decode_csr(&self.by_mention, |r| IdRowIter::new(r).map(EntityId)),
+            by_mention: self.decode_csr(&self.by_mention, |r| row_ids::<false>(r).map(EntityId)),
         };
         persist::validate_frozen(raw)
     }
@@ -1144,10 +1109,14 @@ fn open_vcsr(
             .ok_or(PersistError::Truncated(what))?;
         let row = payload.get(next..end).unwrap_or(&[]);
         let n = match kind {
-            RowKind::Ids { max } => validate_id_row(row, max, false, what)?,
-            RowKind::SortedIds { max } => validate_id_row(row, max, true, what)?,
-            RowKind::Pairs { max, dict } => validate_pair_row(row, max, dict, what)?,
-            RowKind::Closure { max } => validate_ancc_row(row, i, max, what)?,
+            RowKind::Ids { max } => validate_delta_row::<false>(row, max, false, 0, what)?,
+            RowKind::SortedIds { max } => validate_delta_row::<false>(row, max, true, 0, what)?,
+            RowKind::Pairs { max, dict } => {
+                validate_delta_row::<true>(row, max, false, dict, what)?
+            }
+            RowKind::Closure { max } => AnccRow::parse(row)
+                .map_err(|e| e(what))?
+                .validate(i, max, what)?,
         };
         if n > 0 {
             nonempty += 1;
@@ -1170,387 +1139,257 @@ fn open_vcsr(
     ))
 }
 
-fn validate_id_row(
+/// Validates one delta row and returns its entry count: every id below
+/// `max`, strictly ascending when `sorted`, every `MDCT` index below
+/// `dict`. The metadata itself was validated once with the dictionary.
+fn validate_delta_row<const META: bool>(
     row: &[u8],
     max: usize,
     sorted: bool,
-    what: &'static str,
-) -> Result<usize, PersistError> {
-    let mut pos = 0usize;
-    let mut count = 0usize;
-    let mut prev = 0i64;
-    let max = i64::try_from(max).unwrap_or(i64::MAX);
-    while pos < row.len() {
-        let (raw, next) = varint_at(row, pos).ok_or(PersistError::Truncated(what))?;
-        pos = next;
-        let v = if count == 0 {
-            i64::try_from(raw).map_err(|_| PersistError::BadIndex(what))?
-        } else {
-            prev.checked_add(unzigzag(raw))
-                .ok_or(PersistError::BadIndex(what))?
-        };
-        if v < 0 || v >= max {
-            return Err(PersistError::BadIndex(what));
-        }
-        if sorted && count > 0 && v <= prev {
-            return Err(PersistError::BadIndex(what));
-        }
-        prev = v;
-        count += 1;
-    }
-    Ok(count)
-}
-
-/// Validates a `(delta id, dictionary index)` pair row: ids in bounds,
-/// every index inside the `MDCT` table. The metadata itself was validated
-/// once when the dictionary section was parsed.
-fn validate_pair_row(
-    row: &[u8],
-    max: usize,
     dict: usize,
     what: &'static str,
 ) -> Result<usize, PersistError> {
-    let mut pos = 0usize;
+    let mut steps = DeltaRow::<META> {
+        max: i64::try_from(max).unwrap_or(i64::MAX),
+        ..DeltaRow::new(row)
+    };
     let mut count = 0usize;
-    let mut prev = 0i64;
-    let max = i64::try_from(max).unwrap_or(i64::MAX);
-    let dict = u64::try_from(dict).unwrap_or(u64::MAX);
-    while pos < row.len() {
-        let (raw, next) = varint_at(row, pos).ok_or(PersistError::Truncated(what))?;
-        let v = if count == 0 {
-            i64::try_from(raw).map_err(|_| PersistError::BadIndex(what))?
-        } else {
-            prev.checked_add(unzigzag(raw))
-                .ok_or(PersistError::BadIndex(what))?
-        };
-        if v < 0 || v >= max {
+    let mut prev = None;
+    while let Some((id, index)) = steps.step().map_err(|e| e(what))? {
+        if sorted && prev.is_some_and(|p| id <= p) {
             return Err(PersistError::BadIndex(what));
         }
-        let (idx, after) = varint_at(row, next).ok_or(PersistError::Truncated(what))?;
-        if idx >= dict {
+        if META && index >= dict as u64 {
             return Err(PersistError::BadIndex("edge metadata index"));
         }
-        pos = after;
-        prev = v;
+        prev = Some(id);
         count += 1;
     }
     Ok(count)
 }
 
-/// Validates one succinct closure row; rejects non-canonical encodings so
-/// a decoded row always re-encodes byte-identically.
-fn validate_ancc_row(
-    row: &[u8],
-    row_index: usize,
-    max: usize,
-    what: &'static str,
-) -> Result<usize, PersistError> {
-    let Some((&flag, body)) = row.split_first() else {
-        return Ok(0);
-    };
-    let max = max as u64;
-    let me = row_index as u64;
-    match flag {
-        ANCC_RANGES => {
-            let mut pos = 0usize;
-            let mut cursor = 0u64;
-            let mut count = 0usize;
-            let mut first = true;
-            while pos < body.len() {
-                let (gap, n1) = varint_at(body, pos).ok_or(PersistError::Truncated(what))?;
-                let (len1, n2) = varint_at(body, n1).ok_or(PersistError::Truncated(what))?;
-                pos = n2;
-                if !first && gap == 0 {
-                    // Adjacent runs must be merged — non-canonical.
-                    return Err(PersistError::BadIndex(what));
-                }
-                let start = cursor
-                    .checked_add(gap)
-                    .ok_or(PersistError::BadIndex(what))?;
-                let run = len1.checked_add(1).ok_or(PersistError::BadIndex(what))?;
-                let end = start.checked_add(run).ok_or(PersistError::BadIndex(what))?;
-                if end > max {
-                    return Err(PersistError::BadIndex(what));
-                }
-                if me >= start && me < end {
-                    return Err(PersistError::BadIndex("self ancestor"));
-                }
-                cursor = end;
-                count = count
-                    .checked_add(usize::try_from(run).map_err(|_| PersistError::BadIndex(what))?)
-                    .ok_or(PersistError::BadIndex(what))?;
-                first = false;
-            }
-            if count == 0 {
-                // A flag byte with no runs: the canonical empty row is
-                // zero bytes.
-                return Err(PersistError::BadIndex(what));
-            }
-            Ok(count)
+// ----- row decoders -------------------------------------------------------
+
+/// How a malformed row is reported: the `PersistError` variant, to which
+/// the caller adds the section's name.
+type RowError = fn(&'static str) -> PersistError;
+const TRUNCATED: RowError = PersistError::Truncated;
+const BAD: RowError = PersistError::BadIndex;
+
+/// The one decoder of the delta+varint rows `persist::put_delta_row`
+/// writes: the first id raw, every later one a zigzag delta from its
+/// predecessor, each followed by a varint `MDCT` index when `META`. `open`
+/// validates every row by stepping through it; the queries and `to_frozen`
+/// iterate it, and iteration ends at the first malformed entry.
+struct DeltaRow<'a, const META: bool> {
+    row: &'a [u8],
+    pos: usize,
+    prev: Option<i64>,
+    /// Ids must lie in `0..max`.
+    max: i64,
+}
+
+impl<'a, const META: bool> DeltaRow<'a, META> {
+    fn new(row: &'a [u8]) -> Self {
+        DeltaRow {
+            row,
+            pos: 0,
+            prev: None,
+            max: i64::from(u32::MAX) + 1,
         }
-        ANCC_BITSET => {
-            let (base, next) = varint_at(body, 0).ok_or(PersistError::Truncated(what))?;
-            let bitmap = body.get(next..).unwrap_or(&[]);
-            let (Some(&first_byte), Some(&last_byte)) = (bitmap.first(), bitmap.last()) else {
-                return Err(PersistError::Truncated(what));
+    }
+
+    /// The next `(id, MDCT index)` (index 0 in a row without them), or
+    /// `None` at the end of the row.
+    fn step(&mut self) -> Result<Option<(u32, u64)>, RowError> {
+        if self.pos >= self.row.len() {
+            return Ok(None);
+        }
+        let (raw, next) = varint_at(self.row, self.pos).ok_or(TRUNCATED)?;
+        let id = match self.prev {
+            None => i64::try_from(raw).ok(),
+            Some(prev) => prev.checked_add(unzigzag(raw)),
+        };
+        let id = id
+            .filter(|&id| id < self.max)
+            .and_then(|id| u32::try_from(id).ok())
+            .ok_or(BAD)?;
+        let (index, next) = if META {
+            varint_at(self.row, next).ok_or(TRUNCATED)?
+        } else {
+            (0, next)
+        };
+        self.prev = Some(i64::from(id));
+        self.pos = next;
+        Ok(Some((id, index)))
+    }
+}
+
+impl<const META: bool> Iterator for DeltaRow<'_, META> {
+    type Item = (u32, u64);
+
+    fn next(&mut self) -> Option<(u32, u64)> {
+        self.step().ok().flatten()
+    }
+}
+
+/// The ids of a delta row, skipping any `MDCT` indexes without reading the
+/// dictionary (the `getEntity` hyponym walk reads `CENT` this way).
+fn row_ids<const META: bool>(row: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    DeltaRow::<META>::new(row).map(|(id, _)| id)
+}
+
+/// The `(id, IsAMeta)` pairs of a meta row, each index resolved against
+/// the raw `MDCT` entries `dict`.
+fn meta_row<'a>(row: &'a [u8], dict: &'a [u8]) -> impl Iterator<Item = (u32, IsAMeta)> + 'a {
+    DeltaRow::<true>::new(row).map_while(move |(id, index)| {
+        let at = usize::try_from(index).ok()?.checked_mul(5)?;
+        let (&src, conf) = dict.get(at..at.checked_add(5)?)?.split_first()?;
+        let confidence = f32::from_le_bytes(conf.try_into().ok()?);
+        Some((id, IsAMeta::new(Source::from_u8(src)?, confidence)))
+    })
+}
+
+/// One `ANCC` row as `persist::put_ancc_row` writes it, its flag byte and
+/// header parsed once: the one reader of the succinct closure, behind
+/// iteration, `ancestor_contains` and `open`'s canonical-form check.
+#[derive(Clone, Copy)]
+enum AnccRow<'a> {
+    /// No ancestors: the row is zero bytes.
+    Empty,
+    /// Strictly ascending `(gap, run_len - 1)` varint pairs, each gap
+    /// counted from the end of the previous run.
+    Ranges(&'a [u8]),
+    /// `base + i` for every set bit `i` of `bitmap`.
+    Bits { base: u64, bitmap: &'a [u8] },
+}
+
+impl<'a> AnccRow<'a> {
+    fn parse(row: &'a [u8]) -> Result<Self, RowError> {
+        match row.split_first() {
+            None => Ok(AnccRow::Empty),
+            Some((&ANCC_RANGES, body)) => Ok(AnccRow::Ranges(body)),
+            Some((&ANCC_BITSET, body)) => {
+                let (base, next) = varint_at(body, 0).ok_or(TRUNCATED)?;
+                let bitmap = body.get(next..).unwrap_or(&[]);
+                Ok(AnccRow::Bits { base, bitmap })
+            }
+            Some(_) => Err(BAD),
+        }
+    }
+
+    /// [`AnccRow::parse`] on the query path, where `open` has validated
+    /// the row: anything malformed reads as no ancestors.
+    fn read(row: &'a [u8]) -> Self {
+        Self::parse(row).unwrap_or(AnccRow::Empty)
+    }
+
+    /// The ranges of a ranges row as `start..end` id ranges.
+    fn runs(body: &'a [u8]) -> impl Iterator<Item = Result<Range<u64>, RowError>> + 'a {
+        let (mut pos, mut cursor) = (0usize, 0u64);
+        std::iter::from_fn(move || {
+            if pos >= body.len() {
+                return None;
+            }
+            let mut run = || {
+                let (gap, next) = varint_at(body, pos).ok_or(TRUNCATED)?;
+                let (len1, next) = varint_at(body, next).ok_or(TRUNCATED)?;
+                let start = cursor.checked_add(gap).ok_or(BAD)?;
+                let run = len1.checked_add(1).ok_or(BAD)?;
+                let end = start.checked_add(run).ok_or(BAD)?;
+                (pos, cursor) = (next, end);
+                Ok(start..end)
             };
-            if first_byte & 1 == 0 || last_byte == 0 {
-                // Canonical: `base` is the first member, no trailing zero
-                // bytes.
-                return Err(PersistError::BadIndex(what));
-            }
-            let high = (bitmap.len() - 1) * 8 + (7 - last_byte.leading_zeros() as usize);
-            let top = base
-                .checked_add(high as u64)
-                .ok_or(PersistError::BadIndex(what))?;
-            if top >= max {
-                return Err(PersistError::BadIndex(what));
-            }
-            if let Some(off) = me.checked_sub(base) {
-                let off = usize::try_from(off).unwrap_or(usize::MAX);
-                if off / 8 < bitmap.len()
-                    && bitmap
+            Some(run())
+        })
+    }
+
+    /// The ancestors in ascending id order, without materialisation.
+    fn iter(self) -> impl Iterator<Item = ConceptId> + 'a {
+        // One iterator type for both forms: the half that does not apply
+        // walks an empty slice.
+        let (ranges, base, bitmap): (&[u8], u64, &[u8]) = match self {
+            AnccRow::Empty => (&[], 0, &[]),
+            AnccRow::Ranges(body) => (body, 0, &[]),
+            AnccRow::Bits { base, bitmap } => (&[], base, bitmap),
+        };
+        let ranged = Self::runs(ranges).map_while(Result::ok).flatten();
+        let bits = (0..bitmap.len().saturating_mul(8))
+            .filter(move |&i| bitmap.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0))
+            .map(move |i| base.saturating_add(i as u64));
+        ranged
+            .chain(bits)
+            .map_while(|id| u32::try_from(id).ok().map(ConceptId))
+    }
+
+    /// Membership: a scan of the runs up to `id`, or one bit probe.
+    fn contains(self, id: u64) -> bool {
+        match self {
+            AnccRow::Empty => false,
+            AnccRow::Ranges(body) => Self::runs(body)
+                .map_while(Result::ok)
+                .take_while(|run| run.start <= id)
+                .any(|run| run.contains(&id)),
+            AnccRow::Bits { base, bitmap } => id
+                .checked_sub(base)
+                .and_then(|off| usize::try_from(off).ok())
+                .is_some_and(|off| {
+                    bitmap
                         .get(off / 8)
                         .is_some_and(|b| b & (1 << (off % 8)) != 0)
-                {
+                }),
+        }
+    }
+
+    /// Checks row `me` of a closure over `max` concepts and returns its
+    /// entry count. Non-canonical encodings are rejected, so a decoded row
+    /// always re-encodes byte-identically.
+    fn validate(self, me: usize, max: usize, what: &'static str) -> Result<usize, PersistError> {
+        let (me, max) = (me as u64, max as u64);
+        let count = match self {
+            AnccRow::Empty => return Ok(0),
+            AnccRow::Ranges(body) => {
+                let (mut count, mut prev_end) = (0u64, None);
+                for run in Self::runs(body) {
+                    let run = run.map_err(|e| e(what))?;
+                    // Adjacent runs must be merged, and no run may reach
+                    // past the last concept.
+                    if prev_end == Some(run.start) || run.end > max {
+                        return Err(PersistError::BadIndex(what));
+                    }
+                    if run.contains(&me) {
+                        return Err(PersistError::BadIndex("self ancestor"));
+                    }
+                    prev_end = Some(run.end);
+                    count += run.end - run.start;
+                }
+                if count == 0 {
+                    // A flag byte with no runs: the canonical empty row is
+                    // zero bytes.
+                    return Err(PersistError::BadIndex(what));
+                }
+                count
+            }
+            AnccRow::Bits { base, bitmap } => {
+                let (Some(&first), Some(&last)) = (bitmap.first(), bitmap.last()) else {
+                    return Err(PersistError::Truncated(what));
+                };
+                // Canonical: `base` is the first member, no trailing zero
+                // bytes.
+                if first & 1 == 0 || last == 0 {
+                    return Err(PersistError::BadIndex(what));
+                }
+                let high = (bitmap.len() - 1) * 8 + (7 - last.leading_zeros() as usize);
+                if base.saturating_add(high as u64) >= max {
+                    return Err(PersistError::BadIndex(what));
+                }
+                if self.contains(me) {
                     return Err(PersistError::BadIndex("self ancestor"));
                 }
+                bitmap.iter().map(|b| u64::from(b.count_ones())).sum()
             }
-            Ok(bitmap.iter().map(|b| b.count_ones() as usize).sum())
-        }
-        _ => Err(PersistError::BadIndex(what)),
-    }
-}
-
-// ----- row iterators ------------------------------------------------------
-
-/// Delta+varint id row decoder. Rows validated at open; any residual
-/// malformation ends iteration instead of panicking.
-struct IdRowIter<'a> {
-    row: &'a [u8],
-    pos: usize,
-    prev: i64,
-    first: bool,
-}
-
-impl<'a> IdRowIter<'a> {
-    fn new(row: &'a [u8]) -> Self {
-        IdRowIter {
-            row,
-            pos: 0,
-            prev: 0,
-            first: true,
-        }
-    }
-}
-
-impl Iterator for IdRowIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.pos >= self.row.len() {
-            return None;
-        }
-        let (raw, next) = varint_at(self.row, self.pos)?;
-        self.pos = next;
-        let v = if self.first {
-            self.first = false;
-            i64::try_from(raw).ok()?
-        } else {
-            self.prev.checked_add(unzigzag(raw))?
         };
-        self.prev = v;
-        u32::try_from(v).ok()
-    }
-}
-
-/// Delta+varint meta row decoder: `(id, MDCT index)` pairs resolved
-/// against the shared metadata dictionary into `(id, IsAMeta)`.
-struct MetaRowIter<'a> {
-    row: &'a [u8],
-    /// Raw `MDCT` entries (`source u8 | conf f32` each).
-    dict: &'a [u8],
-    pos: usize,
-    prev: i64,
-    first: bool,
-}
-
-impl<'a> MetaRowIter<'a> {
-    fn new(row: &'a [u8], dict: &'a [u8]) -> Self {
-        MetaRowIter {
-            row,
-            dict,
-            pos: 0,
-            prev: 0,
-            first: true,
-        }
-    }
-}
-
-impl Iterator for MetaRowIter<'_> {
-    type Item = (u32, IsAMeta);
-
-    fn next(&mut self) -> Option<(u32, IsAMeta)> {
-        if self.pos >= self.row.len() {
-            return None;
-        }
-        let (raw, next) = varint_at(self.row, self.pos)?;
-        let v = if self.first {
-            i64::try_from(raw).ok()?
-        } else {
-            self.prev.checked_add(unzigzag(raw))?
-        };
-        self.first = false;
-        self.prev = v;
-        let (idx, after) = varint_at(self.row, next)?;
-        self.pos = after;
-        let at = usize::try_from(idx).ok()?.checked_mul(5)?;
-        let entry = self.dict.get(at..at.checked_add(5)?)?;
-        let (&src, conf) = entry.split_first()?;
-        let source = Source::from_u8(src)?;
-        let confidence = f32::from_le_bytes(conf.try_into().ok()?);
-        Some((u32::try_from(v).ok()?, IsAMeta::new(source, confidence)))
-    }
-}
-
-/// Pair-row decoder that yields only the ids, skipping the dictionary
-/// index varints without touching the dictionary — the `getEntity`
-/// hyponym enumeration path.
-struct PairIdIter<'a> {
-    row: &'a [u8],
-    pos: usize,
-    prev: i64,
-    first: bool,
-}
-
-impl<'a> PairIdIter<'a> {
-    fn new(row: &'a [u8]) -> Self {
-        PairIdIter {
-            row,
-            pos: 0,
-            prev: 0,
-            first: true,
-        }
-    }
-}
-
-impl Iterator for PairIdIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.pos >= self.row.len() {
-            return None;
-        }
-        let (raw, next) = varint_at(self.row, self.pos)?;
-        let v = if self.first {
-            self.first = false;
-            i64::try_from(raw).ok()?
-        } else {
-            self.prev.checked_add(unzigzag(raw))?
-        };
-        self.prev = v;
-        let (_, after) = varint_at(self.row, next)?;
-        self.pos = after;
-        u32::try_from(v).ok()
-    }
-}
-
-/// Succinct closure row decoder: yields ancestors in ascending id order,
-/// expanding interval runs or walking bitmap bits — no materialisation.
-struct AncestorIter<'a> {
-    state: AncState<'a>,
-}
-
-enum AncState<'a> {
-    Done,
-    Ranges {
-        body: &'a [u8],
-        pos: usize,
-        at: u64,
-        end: u64,
-        cursor: u64,
-    },
-    Bits {
-        bitmap: &'a [u8],
-        base: u64,
-        bit: usize,
-    },
-}
-
-impl<'a> AncestorIter<'a> {
-    fn new(row: &'a [u8]) -> Self {
-        let state = match row.split_first() {
-            Some((&ANCC_RANGES, body)) => AncState::Ranges {
-                body,
-                pos: 0,
-                at: 0,
-                end: 0,
-                cursor: 0,
-            },
-            Some((&ANCC_BITSET, body)) => match varint_at(body, 0) {
-                Some((base, next)) => AncState::Bits {
-                    bitmap: body.get(next..).unwrap_or(&[]),
-                    base,
-                    bit: 0,
-                },
-                None => AncState::Done,
-            },
-            _ => AncState::Done,
-        };
-        AncestorIter { state }
-    }
-}
-
-impl Iterator for AncestorIter<'_> {
-    type Item = ConceptId;
-
-    fn next(&mut self) -> Option<ConceptId> {
-        loop {
-            match &mut self.state {
-                AncState::Done => return None,
-                AncState::Ranges {
-                    body,
-                    pos,
-                    at,
-                    end,
-                    cursor,
-                } => {
-                    if at < end {
-                        let v = *at;
-                        *at += 1;
-                        return u32::try_from(v).ok().map(ConceptId);
-                    }
-                    if *pos >= body.len() {
-                        self.state = AncState::Done;
-                        return None;
-                    }
-                    let parsed = varint_at(body, *pos)
-                        .and_then(|(gap, n1)| varint_at(body, n1).map(|(l, n2)| (gap, l, n2)));
-                    let Some((gap, len1, n2)) = parsed else {
-                        self.state = AncState::Done;
-                        return None;
-                    };
-                    *pos = n2;
-                    let start = cursor.saturating_add(gap);
-                    let stop = start.saturating_add(len1).saturating_add(1);
-                    *cursor = stop;
-                    *at = start;
-                    *end = stop;
-                }
-                AncState::Bits { bitmap, base, bit } => {
-                    while let Some(&byte) = bitmap.get(*bit / 8) {
-                        let i = *bit;
-                        *bit += 1;
-                        if byte & (1 << (i % 8)) != 0 {
-                            let v = base.saturating_add(i as u64);
-                            return u32::try_from(v).ok().map(ConceptId);
-                        }
-                    }
-                    self.state = AncState::Done;
-                    return None;
-                }
-            }
-        }
+        usize::try_from(count).map_err(|_| PersistError::BadIndex(what))
     }
 }
 

@@ -691,7 +691,7 @@ fn a_compaction_keeps_the_deep_validation() {
 
 /// A fold's peak heap above the live bytes it starts from, against the
 /// bytes of the base snapshot it folds. The fold passes the snapshot
-/// through four forms (view bytes, owned snapshot, build store, refrozen
+/// through five forms (view bytes, owned snapshot, build store, refrozen
 /// snapshot, bytes again); 13.4 × when each form stayed alive beside the
 /// next and every string was held twice per form.
 const COMPACTION: Bound = (8, 64 << 10);
