@@ -87,16 +87,22 @@ const HTTP: Bound = (2, 16 << 10);
 /// 5.3 × its input; 15 000 B for a 15 022-byte tag body.
 const WIRE: Bound = (6, 4 << 10);
 
-/// Runs `f`, asserting that the most heap bytes it held live at once on
-/// this thread (its result included) stay within `(k, c)` for `input`.
-fn peak_of<T>(what: &str, (k, c): Bound, input: usize, f: impl FnOnce() -> T) -> T {
+/// Runs `f` and returns the most heap bytes it held live at once on this
+/// thread above the live bytes it started from (its result included).
+fn peak_above_live<T>(f: impl FnOnce() -> T) -> (usize, T) {
     let base = LIVE.get();
     PEAK.set(base);
     let out = f();
-    let peak = PEAK.get() - base;
+    ((PEAK.get() - base) as usize, out)
+}
+
+/// Runs `f`, asserting that the most heap bytes it held live at once on
+/// this thread (its result included) stay within `(k, c)` for `input`.
+fn peak_of<T>(what: &str, (k, c): Bound, input: usize, f: impl FnOnce() -> T) -> T {
+    let (peak, out) = peak_above_live(f);
     let limit = k * input + c;
     assert!(
-        peak as usize <= limit,
+        peak <= limit,
         "{what}: peak {peak} B from a {input}-byte input, over its bound {limit} B"
     );
     out
@@ -783,6 +789,76 @@ fn an_interner_holds_its_text_once_plus_a_few_bytes_a_string() {
         live <= limit,
         "Interner: {live} B live for {} strings of {text} B, over its bound {limit} B",
         strings.len()
+    );
+}
+
+// ----- the bytes, held once -------------------------------------------------
+
+/// `small(909)`'s pipeline snapshot, built once for the tests that measure
+/// what holds its bytes.
+fn small_snapshot() -> &'static FrozenTaxonomy {
+    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cn_probase::pipeline::{Pipeline, PipelineConfig};
+    use std::sync::OnceLock;
+
+    static SNAPSHOT: OnceLock<FrozenTaxonomy> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
+        Pipeline::new(PipelineConfig::fast()).run(&corpus).freeze()
+    })
+}
+
+/// `load_from_file` reads the file into the one buffer the view keeps;
+/// the constant is the view's fixed fields and the path the read opens.
+const BOOT: Bound = (1, 4 << 10);
+
+/// A boot (and a reload, which boots the same way) holds the file's bytes
+/// once: no second buffer is filled and copied from. Prints the multiple;
+/// the bound is the gate.
+#[test]
+fn a_boot_holds_the_file_once() {
+    let bytes = persist::encode_frozen_v3(small_snapshot());
+    let path = std::env::temp_dir().join(format!("cnp_boot_{}.cnpb", std::process::id()));
+    std::fs::write(&path, &bytes).expect("write snapshot");
+    let (peak, view) = peak_above_live(|| FrozenTaxonomyView::load_from_file(&path));
+    std::fs::remove_file(&path).expect("remove snapshot");
+    let view = view.expect("the snapshot boots");
+    let (k, c) = BOOT;
+    let limit = k * bytes.len() + c;
+    println!(
+        "boot: peak {peak} B above live, {:.2} × the {}-byte file (bound {limit} B)",
+        peak as f64 / bytes.len() as f64,
+        bytes.len()
+    );
+    assert_eq!(view.as_bytes(), &bytes[..]);
+    assert!(
+        peak <= limit,
+        "boot: peak {peak} B, over its bound {limit} B"
+    );
+}
+
+/// `encode_frozen_v3` writes into its output's final allocation; the
+/// constant is its scratch: the sort orders of `SSRT`, `CSRT` and `MHSH`,
+/// the metadata dictionary and one row.
+const ENCODE: Bound = (1, 64 << 10);
+
+/// An encode holds its output once: no growing buffer that is copied into
+/// the final one. Prints the multiple; the bound is the gate.
+#[test]
+fn an_encode_holds_its_output_once() {
+    let frozen = small_snapshot();
+    let (peak, bytes) = peak_above_live(|| persist::encode_frozen_v3(frozen));
+    let (k, c) = ENCODE;
+    let limit = k * bytes.len() + c;
+    println!(
+        "encode: peak {peak} B above live, {:.2} × the {}-byte output (bound {limit} B)",
+        peak as f64 / bytes.len() as f64,
+        bytes.len()
+    );
+    assert!(FrozenTaxonomyView::open(bytes.clone()).is_ok());
+    assert!(
+        peak <= limit,
+        "encode: peak {peak} B, over its bound {limit} B"
     );
 }
 
