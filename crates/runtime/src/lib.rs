@@ -82,6 +82,32 @@ pub fn stable_hash_str(s: &str) -> u64 {
     stable_hash(s.as_bytes())
 }
 
+/// The key ([`phase_key`]) of the phase [`phase`] marked last; 0 before
+/// the first mark.
+static PHASE: AtomicUsize = AtomicUsize::new(0);
+
+/// Marks the start of a named phase of work (a compaction's refreeze, say)
+/// for instruments that attribute a cost to the phase it was spent in,
+/// such as a counting allocator's per-phase peaks. One relaxed store: no
+/// clock, no lock, no allocation. The mark is process-wide and the last
+/// one wins, so two phases running at once on two threads read as
+/// whichever was marked last.
+pub fn phase(name: &'static str) {
+    PHASE.store(phase_key(name), Ordering::Relaxed);
+}
+
+/// The key of the phase [`phase`] marked last; 0 before the first mark.
+pub fn current_phase() -> usize {
+    PHASE.load(Ordering::Relaxed)
+}
+
+/// The key [`phase`] stores for `name`: the address of its text. A reader
+/// compares keys against the very names the marker passes (the same
+/// `static`), since an equal literal elsewhere may live at another address.
+pub fn phase_key(name: &'static str) -> usize {
+    name.as_ptr() as usize
+}
+
 /// A work-distribution handle: a thread count plus the chunked scheduling
 /// policy. Cheap to construct; stages borrow it for the duration of a run.
 /// Worker threads are scoped to each `par_*` call, not pooled across

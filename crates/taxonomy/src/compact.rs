@@ -45,6 +45,11 @@ use crate::store::{RawStoreParts, TaxonomyStore};
 use crate::view::FrozenTaxonomyView;
 use cnp_runtime::Runtime;
 
+/// The phases of a fold, in order, as [`compacted`](IngestDelta::compacted)
+/// marks them with [`cnp_runtime::phase`]: `to_frozen` and `thaw`, the
+/// log's replay, the refreeze, then the encode and the new view's `open`.
+pub static FOLD_PHASES: [&str; 4] = ["thaw", "replay", "refreeze", "encode + open"];
+
 /// Reconstructs the build store a snapshot was frozen from, up to the one
 /// non-observable row order described in the module docs. `O(size)`; the
 /// snapshot's tables move or are freed as the store's are built.
@@ -144,9 +149,14 @@ where
         if OverlayView::overlay_depth(self) == 0 {
             return Ok(self.clone());
         }
+        let [thaw, replay, refreeze, encode] = FOLD_PHASES;
+        cnp_runtime::phase(thaw);
         let mut store = self.base().to_store()?;
+        cnp_runtime::phase(replay);
         self.log().apply_to_store(&mut store);
+        cnp_runtime::phase(refreeze);
         let frozen = FrozenTaxonomy::freeze_store(store, rt);
+        cnp_runtime::phase(encode);
         Ok(OverlayView::new(B::from_frozen(frozen)?))
     }
 }

@@ -27,14 +27,20 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Forwards to `System` and counts the calling thread's live and peak
-/// heap bytes. Per thread, so the harness's other test threads cannot
-/// move a measurement.
+/// heap bytes, overall and per phase that `cnp_runtime::phase` marks. Per
+/// thread, so the harness's other test threads cannot move a measurement.
 struct Counting;
+
+/// Phases a measurement tells apart; later ones share no slot.
+const PHASE_SLOTS: usize = 8;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
     static CALLS: Cell<usize> = const { Cell::new(0) };
+    /// `(phase key, peak live bytes while it was marked)`; key 0 is free.
+    static PHASE_PEAKS: Cell<[(usize, isize); PHASE_SLOTS]> =
+        const { Cell::new([(0, 0); PHASE_SLOTS]) };
 }
 
 /// Records one allocation call (`alloc`, `alloc_zeroed` or `realloc`)
@@ -44,11 +50,33 @@ fn track(delta: isize) {
     LIVE.set(live);
     PEAK.set(PEAK.get().max(live));
     CALLS.set(CALLS.get() + 1);
+    note_phase(live);
+}
+
+/// Raises the marked phase's peak to `live`.
+fn note_phase(live: isize) {
+    let key = cn_probase::runtime::current_phase();
+    if key == 0 {
+        return;
+    }
+    let mut peaks = PHASE_PEAKS.get();
+    if let Some(slot) = peaks.iter_mut().find(|(k, _)| *k == key || *k == 0) {
+        *slot = (
+            key,
+            if slot.0 == key {
+                slot.1.max(live)
+            } else {
+                live
+            },
+        );
+        PHASE_PEAKS.set(peaks);
+    }
 }
 
 // SAFETY: every call is forwarded to `System` unchanged; the counting only
-// touches three const-initialised thread-local cells, which never allocate
-// and, needing no destructor, stay readable through thread teardown.
+// touches const-initialised thread-local cells and one atomic load, none
+// of which allocates; the cells, needing no destructor, stay readable
+// through thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         track(layout.size() as isize);
@@ -63,6 +91,7 @@ unsafe impl GlobalAlloc for Counting {
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_phase(LIVE.get());
         LIVE.set(LIVE.get() - layout.size() as isize);
         System.dealloc(ptr, layout);
     }
@@ -94,6 +123,17 @@ fn peak_above_live<T>(f: impl FnOnce() -> T) -> (usize, T) {
     PEAK.set(base);
     let out = f();
     ((PEAK.get() - base) as usize, out)
+}
+
+/// [`peak_above_live`], plus the peak above the same start in each phase
+/// `cnp_runtime::phase` marked while `f` ran, by phase key.
+fn phase_peaks_above_live<T>(f: impl FnOnce() -> T) -> (usize, Vec<(usize, usize)>, T) {
+    let base = LIVE.get();
+    PHASE_PEAKS.set([(0, 0); PHASE_SLOTS]);
+    let (peak, out) = peak_above_live(f);
+    let phases = PHASE_PEAKS.get().into_iter().filter(|&(key, _)| key != 0);
+    let phases = phases.map(|(key, p)| (key, (p - base).max(0) as usize));
+    (peak, phases.collect(), out)
 }
 
 /// Runs `f`, asserting that the most heap bytes it held live at once on
@@ -227,6 +267,20 @@ fn pipeline_v3_bytes() -> Vec<u8> {
     let corpus = CorpusGenerator::new(CorpusConfig::tiny(901)).generate();
     let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
     persist::encode_frozen_v3(&outcome.freeze()).to_vec()
+}
+
+/// `small(909)`'s pipeline snapshot, built once for the tests that measure
+/// what holds its bytes.
+fn small_snapshot() -> &'static FrozenTaxonomy {
+    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
+    use cn_probase::pipeline::{Pipeline, PipelineConfig};
+    use std::sync::OnceLock;
+
+    static SNAPSHOT: OnceLock<FrozenTaxonomy> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
+        Pipeline::new(PipelineConfig::fast()).run(&corpus).freeze()
+    })
 }
 
 /// `(tag, payload_range)` for every section of a well-formed snapshot.
@@ -660,6 +714,10 @@ fn stomped_leaf_depth_bytes() -> Vec<u8> {
     bytes
 }
 
+/// Held by every test here that folds: phase marks are process-wide, so a
+/// fold on another test thread would move the per-phase readout.
+static FOLDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// A compaction re-reads its base through `to_frozen`, so a base that only
 /// `open`'s shallow checks accepted cannot be folded into a file the next
 /// boot trusts: the fold fails, and the service keeps serving the overlay
@@ -670,6 +728,7 @@ fn a_compaction_keeps_the_deep_validation() {
     use cn_probase::taxonomy::{IngestDelta, OverlayView, TaxonomyRead};
     use cn_probase::TaxonomyService;
 
+    let _folds = FOLDS.lock().unwrap_or_else(|e| e.into_inner());
     let bytes = stomped_leaf_depth_bytes();
     let view = open(&bytes).expect("open defers the depth check");
     assert!(matches!(
@@ -707,17 +766,14 @@ const COMPACTION: Bound = (8, 64 << 10);
 /// thread's. Prints the multiple; the bound is the gate.
 #[test]
 fn a_compaction_peaks_under_eight_snapshots_of_heap() {
-    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
-    use cn_probase::pipeline::{Pipeline, PipelineConfig};
     use cn_probase::runtime::Runtime;
+    use cn_probase::taxonomy::compact::FOLD_PHASES;
     use cn_probase::taxonomy::{ConceptId, IngestDelta, OverlayView, TaxonomyRead};
 
     const DELTAS: usize = 5;
     const ENTITIES_PER_DELTA: usize = 10;
 
-    let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
-    let outcome = Pipeline::new(PipelineConfig::fast()).run(&corpus);
-    let bytes = persist::encode_frozen_v3(&outcome.freeze());
+    let bytes = persist::encode_frozen_v3(small_snapshot());
     let view = open(&bytes).expect("pipeline snapshot");
     let concept = view.concept_name(ConceptId(0)).to_string();
     let base_entities = view.num_entities();
@@ -733,10 +789,10 @@ fn a_compaction_peaks_under_eight_snapshots_of_heap() {
         overlay = overlay.apply(&delta);
     }
 
-    let base = LIVE.get();
-    PEAK.set(base);
-    let compacted = overlay.compacted(&Runtime::serial()).expect("fold");
-    let peak = (PEAK.get() - base) as usize;
+    let _folds = FOLDS.lock().unwrap_or_else(|e| e.into_inner());
+    let (peak, phases, compacted) =
+        phase_peaks_above_live(|| overlay.compacted(&Runtime::serial()));
+    let compacted = compacted.expect("fold");
     let (k, c) = COMPACTION;
     let limit = k * bytes.len() + c;
     println!(
@@ -745,6 +801,17 @@ fn a_compaction_peaks_under_eight_snapshots_of_heap() {
         peak as f64 / bytes.len() as f64,
         bytes.len()
     );
+    for name in FOLD_PHASES {
+        let key = cn_probase::runtime::phase_key(name);
+        let phase_peak = phases
+            .iter()
+            .find(|&&(k, _)| k == key)
+            .map_or(0, |&(_, p)| p);
+        println!(
+            "compaction phase {name}: peak {phase_peak} B above live, {:.1} × the snapshot",
+            phase_peak as f64 / bytes.len() as f64
+        );
+    }
     assert_eq!(compacted.overlay_depth(), 0);
     assert_eq!(
         compacted.num_entities(),
@@ -793,20 +860,6 @@ fn an_interner_holds_its_text_once_plus_a_few_bytes_a_string() {
 }
 
 // ----- the bytes, held once -------------------------------------------------
-
-/// `small(909)`'s pipeline snapshot, built once for the tests that measure
-/// what holds its bytes.
-fn small_snapshot() -> &'static FrozenTaxonomy {
-    use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
-    use cn_probase::pipeline::{Pipeline, PipelineConfig};
-    use std::sync::OnceLock;
-
-    static SNAPSHOT: OnceLock<FrozenTaxonomy> = OnceLock::new();
-    SNAPSHOT.get_or_init(|| {
-        let corpus = CorpusGenerator::new(CorpusConfig::small(909)).generate();
-        Pipeline::new(PipelineConfig::fast()).run(&corpus).freeze()
-    })
-}
 
 /// `load_from_file` reads the file into the one buffer the view keeps;
 /// the constant is the view's fixed fields and the path the read opens.
