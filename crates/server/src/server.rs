@@ -25,7 +25,7 @@
 //! [admission control]: crate::ServerConfig::queue_capacity
 
 use crate::http::{self, HttpError, Request};
-use crate::stats::{QueryKind, ServerStats};
+use crate::stats::{FoldOutcome, QueryKind, ServerStats};
 use cnp_runtime::{BoundedQueue, PushError, WorkerPool};
 use cnp_serve::json;
 use cnp_serve::{wire, Query, TaxonomyService};
@@ -86,7 +86,7 @@ impl Default for ServerConfig {
 
 struct Shared {
     service: Arc<Service>,
-    stats: ServerStats,
+    stats: Arc<ServerStats>,
     shutdown: AtomicBool,
     config: ServerConfig,
     /// One background worker with a one-slot queue: at most one
@@ -201,7 +201,7 @@ pub fn serve(service: Arc<Service>, config: ServerConfig) -> std::io::Result<Ser
     let queue: Arc<BoundedQueue<TcpStream>> = Arc::new(BoundedQueue::new(config.queue_capacity));
     let shared = Arc::new(Shared {
         service,
-        stats: ServerStats::default(),
+        stats: Arc::default(),
         shutdown: AtomicBool::new(false),
         config,
         compactor: WorkerPool::new("cnp-compact", 1, 1),
@@ -517,17 +517,26 @@ fn ingest(body: &[u8], shared: &Shared, out: &mut String) -> u16 {
 /// ([`TaxonomyService::swap_if_current`]): if more deltas arrive while it
 /// runs, the stale fold is discarded and the next ingest reschedules. A
 /// full compactor queue means a fold is already pending — nothing to do.
+/// The `folds_*` counters record each admitted fold and how it ended.
 fn maybe_compact(shared: &Shared) {
     let threshold = shared.config.compact_threshold;
     if threshold == 0 || shared.service.overlay_depth() < threshold {
         return;
     }
     let service = Arc::clone(&shared.service);
-    let _ = shared.compactor.try_execute(move || {
+    let stats = Arc::clone(&shared.stats);
+    let admitted = shared.compactor.try_execute(move || {
         // A lost race or a failed fold keeps serving the overlay — the
         // next over-threshold ingest schedules a retry.
-        let _ = service.compact();
+        stats.fold_ended(match service.compact() {
+            Ok(Some(_)) => FoldOutcome::Published,
+            Ok(None) => FoldOutcome::Discarded,
+            Err(_) => FoldOutcome::Failed,
+        });
     });
+    if admitted.is_ok() {
+        shared.stats.fold_scheduled();
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,22 @@ pub struct ServerStats {
     kind_lookup: AtomicU64,
     kind_tag: AtomicU64,
     kind_batch: AtomicU64,
+    folds_scheduled: AtomicU64,
+    folds_published: AtomicU64,
+    folds_discarded: AtomicU64,
+    folds_failed: AtomicU64,
+}
+
+/// What became of a background compaction (a fold), for the fold counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FoldOutcome {
+    /// The fold swapped in as the next generation.
+    Published,
+    /// The fold was thrown away: another generation landed while it ran,
+    /// or there was nothing left to fold when it started.
+    Discarded,
+    /// The fold returned an error; the overlay keeps serving.
+    Failed,
 }
 
 /// Which serving workload a decoded request belongs to, for the per-kind
@@ -63,6 +79,17 @@ pub struct StatsSnapshot {
     pub kind_tag: u64,
     /// Batch requests executed via `/v1/batch` (one per batch).
     pub kind_batch: u64,
+    /// Background compactions admitted to the compactor's queue. Once the
+    /// compactor is idle this is `folds_published + folds_discarded +
+    /// folds_failed`.
+    pub folds_scheduled: u64,
+    /// Compactions that swapped in as the next generation.
+    pub folds_published: u64,
+    /// Compactions thrown away because another generation landed while
+    /// they ran (or the overlay was already folded when they started).
+    pub folds_discarded: u64,
+    /// Compactions that returned an error; the overlay kept serving.
+    pub folds_failed: u64,
 }
 
 impl StatsSnapshot {
@@ -116,6 +143,21 @@ impl ServerStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one compaction admitted to the compactor's queue.
+    pub(crate) fn fold_scheduled(&self) {
+        self.folds_scheduled.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts how one admitted compaction ended.
+    pub(crate) fn fold_ended(&self, outcome: FoldOutcome) {
+        let counter = match outcome {
+            FoldOutcome::Published => &self.folds_published,
+            FoldOutcome::Discarded => &self.folds_discarded,
+            FoldOutcome::Failed => &self.folds_failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Copies the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -128,6 +170,10 @@ impl ServerStats {
             kind_lookup: self.kind_lookup.load(Ordering::Relaxed),
             kind_tag: self.kind_tag.load(Ordering::Relaxed),
             kind_batch: self.kind_batch.load(Ordering::Relaxed),
+            folds_scheduled: self.folds_scheduled.load(Ordering::Relaxed),
+            folds_published: self.folds_published.load(Ordering::Relaxed),
+            folds_discarded: self.folds_discarded.load(Ordering::Relaxed),
+            folds_failed: self.folds_failed.load(Ordering::Relaxed),
         }
     }
 }
@@ -164,6 +210,30 @@ mod tests {
         assert_eq!(snap.overloaded, 1);
         assert_eq!(snap.malformed, 1);
         assert_eq!(snap.requests, snap.responses_ok + snap.responses_error);
+    }
+
+    #[test]
+    fn fold_outcomes_add_up_to_the_folds_scheduled() {
+        let stats = ServerStats::default();
+        for outcome in [
+            FoldOutcome::Discarded,
+            FoldOutcome::Published,
+            FoldOutcome::Published,
+            FoldOutcome::Failed,
+        ] {
+            stats.fold_scheduled();
+            stats.fold_ended(outcome);
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.folds_scheduled, 4);
+        assert_eq!(
+            (
+                snap.folds_published,
+                snap.folds_discarded,
+                snap.folds_failed
+            ),
+            (2, 1, 1)
+        );
     }
 
     #[test]

@@ -430,6 +430,55 @@ fn ingest_under_load_never_tears_a_generation() {
     handle.shutdown();
 }
 
+/// A `mixed_ingest` burst: five back-to-back ingests at threshold 4. Every
+/// fold the compactor admits ends exactly one way, so once it is idle the
+/// fold counters add up, and at least one fold has published.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a deadline on waiting for the background compaction; the clock decides when to give up, never what is asserted"
+)]
+fn every_scheduled_fold_is_published_discarded_or_failed() {
+    let handle = boot(
+        store_a(),
+        ServerConfig {
+            compact_threshold: 4,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+    for i in 0..5 {
+        let mut delta = DeltaOverlay::new();
+        let name = format!("歌手{i}");
+        delta.upsert_entity_is_a(&name, None, "歌手", IsAMeta::new(Source::Tag, 0.9));
+        let (status, doc) = exchange_bytes(addr, "POST", "/admin/ingest", &delta.encode());
+        assert_eq!(status, 200, "ingest {i}: {}", doc.write());
+    }
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = handle.stats();
+        let ended = stats.folds_published + stats.folds_discarded + stats.folds_failed;
+        if stats.folds_scheduled > 0 && ended == stats.folds_scheduled {
+            break stats;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the compactor never went idle: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    println!(
+        "folds: {} scheduled, {} published, {} discarded, {} failed",
+        stats.folds_scheduled, stats.folds_published, stats.folds_discarded, stats.folds_failed
+    );
+    assert!(stats.folds_published >= 1, "{stats:?}");
+    assert_eq!(stats.folds_failed, 0, "{stats:?}");
+    let (status, doc) = post_query(addr, &Query::men2ent("歌手4"));
+    assert_eq!(status, 200, "{}", doc.write());
+    handle.shutdown();
+}
+
 #[test]
 fn stale_cursor_is_refused_with_409_over_the_wire() {
     let path = snapshot_file("cursor", &store_b());
