@@ -31,7 +31,7 @@
 use crate::hash::FxHashMap;
 use crate::interner::{Interner, Symbol};
 use crate::read::TaxonomyRead;
-use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, TaxonomyStore};
+use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, RawStoreParts, TaxonomyStore};
 use crate::topo::Condensation;
 use cnp_runtime::Runtime;
 
@@ -46,24 +46,52 @@ pub struct Csr<T> {
 }
 
 impl<T: Copy> Csr<T> {
-    /// Packs `rows` into one flat array plus offsets.
-    fn from_rows<'a, I>(rows: I) -> Self
+    /// Packs `n` rows, `row(i)` each, into one flat array of exactly their
+    /// total length plus offsets.
+    fn from_fn<'a>(n: usize, row: impl Fn(usize) -> &'a [T]) -> Self
     where
         T: 'a,
-        I: Iterator<Item = &'a [T]>,
     {
-        let mut offsets = Vec::with_capacity(rows.size_hint().0 + 1);
-        offsets.push(0);
-        let mut data = Vec::new();
-        for row in rows {
-            data.extend_from_slice(row);
-            #[expect(
-                clippy::expect_used,
-                reason = "build-time freeze path, not the serving read path; a >4 GiB CSR is a build bug worth aborting on"
-            )]
-            offsets.push(u32::try_from(data.len()).expect("CSR overflow"));
+        let total = (0..n).map(|i| row(i).len()).sum();
+        let mut csr = Csr::with_capacity(n, total);
+        for i in 0..n {
+            csr.push_row(row(i));
         }
-        Csr { offsets, data }
+        csr
+    }
+
+    /// Packs owned rows the same way, freeing each once it is copied.
+    fn from_owned_rows(rows: Vec<Vec<T>>) -> Self {
+        let total = rows.iter().map(Vec::len).sum();
+        let mut csr = Csr::with_capacity(rows.len(), total);
+        for row in rows {
+            csr.push_row(&row);
+        }
+        csr
+    }
+
+    /// A CSR of no rows.
+    fn empty() -> Self {
+        Csr::with_capacity(0, 0)
+    }
+
+    fn with_capacity(rows: usize, entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            data: Vec::with_capacity(entries),
+        }
+    }
+
+    fn push_row(&mut self, row: &[T]) {
+        self.data.extend_from_slice(row);
+        #[expect(
+            clippy::expect_used,
+            reason = "build-time freeze path, not the serving read path; a >4 GiB CSR is a build bug worth aborting on"
+        )]
+        self.offsets
+            .push(u32::try_from(self.data.len()).expect("CSR overflow"));
     }
 
     /// Rebuilds a CSR from decoded rows. The caller
@@ -110,6 +138,95 @@ impl<T: Copy> Csr<T> {
     }
 }
 
+/// Ranks each hyponym row in place: descending confidence of the entity's
+/// edge to the concept (read from `entity_concepts`), entity id as
+/// tie-break — the order `TaxonomyStore::ranked_entities_of` gives.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "build-time freeze path: a row's range is two consecutive offsets of the CSR it slices"
+)]
+fn rank_hyponyms(
+    concept_entities: &mut Csr<EntityId>,
+    entity_concepts: &Csr<(ConceptId, IsAMeta)>,
+) {
+    let mut keyed: Vec<(f32, EntityId)> = Vec::new();
+    for (c, ends) in concept_entities.offsets.windows(2).enumerate() {
+        let row = &mut concept_entities.data[ends[0] as usize..ends[1] as usize];
+        let confidence = |e: EntityId| {
+            let mut edges = entity_concepts.row(e.index()).iter();
+            edges
+                .find(|(cc, _)| cc.index() == c)
+                .map_or(0.0, |(_, m)| m.confidence)
+        };
+        keyed.clear();
+        keyed.extend(row.iter().map(|&e| (confidence(e), e)));
+        keyed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (slot, &(_, e)) in row.iter_mut().zip(&keyed) {
+            *slot = e;
+        }
+    }
+}
+
+/// The mention index: one row per symbol of an interner of `n_symbols`,
+/// holding in ascending order the entities whose name or alias it is.
+/// Built in place by counting, with one `u32` a symbol of scratch: the
+/// rows are filled in entity order, so each comes out sorted, and an
+/// entity that names a symbol twice (an alias equal to its name) enters
+/// its row once.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "build-time freeze path: `offsets` has a slot per symbol of the interner the names and aliases were interned in, plus one, and `data` one per entry `offsets` counted"
+)]
+fn mention_index(
+    n_symbols: usize,
+    entities: &[EntityRecord],
+    aliases: &Csr<Symbol>,
+) -> Csr<EntityId> {
+    let mut last = vec![0u32; n_symbols];
+    // Count each row's length into the slot after it, then sum: `offsets[s]`
+    // is where row `s` starts.
+    let mut offsets = vec![0u32; n_symbols + 1];
+    each_mention(entities, aliases, &mut last, |s, _| offsets[s + 1] += 1);
+    for s in 0..n_symbols {
+        offsets[s + 1] += offsets[s];
+    }
+    // Fill each row from its start, advancing the start to the row's end,
+    // which is the next row's start; one shift puts every start back.
+    let mut data = vec![EntityId(0); offsets[n_symbols] as usize];
+    each_mention(entities, aliases, &mut last, |s, i| {
+        data[offsets[s] as usize] = EntityId(i);
+        offsets[s] += 1;
+    });
+    offsets.copy_within(0..n_symbols, 1);
+    offsets[0] = 0;
+    Csr { offsets, data }
+}
+
+/// Calls `place(symbol, entity)` once per distinct pair of an entity and
+/// its name or one of its aliases, in entity order. `last[s]` is one past
+/// the last entity placed under symbol `s`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "build-time freeze path: `last` has a slot per symbol of the interner the names and aliases were interned in"
+)]
+fn each_mention(
+    entities: &[EntityRecord],
+    aliases: &Csr<Symbol>,
+    last: &mut [u32],
+    mut place: impl FnMut(usize, u32),
+) {
+    last.fill(0);
+    for (i, rec) in (0u32..).zip(entities) {
+        let names = std::iter::once(rec.name).chain(aliases.row(i as usize).iter().copied());
+        for sym in names {
+            if last[sym.index()] != i + 1 {
+                last[sym.index()] = i + 1;
+                place(sym.index(), i);
+            }
+        }
+    }
+}
+
 /// Immutable, read-optimized snapshot of a [`TaxonomyStore`].
 ///
 /// All lookups are `&self`, allocation-free where the result is a slice,
@@ -150,43 +267,96 @@ impl FrozenTaxonomy {
     /// Freezes a finished store on an existing [`Runtime`]. The snapshot
     /// is identical at every thread count.
     pub fn freeze_with(store: &TaxonomyStore, rt: &Runtime) -> Self {
-        Self::freeze_parts(store, store.interner().clone(), rt)
-    }
-
-    /// [`Self::freeze_with`] of a store that is not needed afterwards (a
-    /// compaction's): the snapshot takes over the store's strings instead
-    /// of copying them, and the store's rows are freed on return.
-    pub(crate) fn freeze_store(mut store: TaxonomyStore, rt: &Runtime) -> Self {
-        let interner = store.take_interner();
-        Self::freeze_parts(&store, interner, rt)
-    }
-
-    /// The freeze over `store`'s tables, with `interner` (the store's
-    /// strings) as the snapshot's.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "build-time freeze path: `comps` / `comp_reach` are indexed by the component ids `cond` itself assigned (parents' components come first in its order), `mention_rows` has one row per symbol of the interner it was sized from"
-    )]
-    fn freeze_parts(store: &TaxonomyStore, interner: Interner, rt: &Runtime) -> Self {
         let n_entities = store.num_entities();
         let n_concepts = store.num_concepts();
-
         let entities: Vec<EntityRecord> = store.entity_ids().map(|e| store.entity(e)).collect();
         let mut entity_by_key = FxHashMap::default();
         for (i, rec) in entities.iter().enumerate() {
             entity_by_key.insert((rec.name, rec.disambig), EntityId(i as u32));
         }
-
         let concepts: Vec<Symbol> = store.concept_symbols().to_vec();
         let mut concept_by_sym = FxHashMap::default();
         for (i, &sym) in concepts.iter().enumerate() {
             concept_by_sym.insert(sym, ConceptId(i as u32));
         }
+        let entity = |i: usize| EntityId(i as u32);
+        let concept = |i: usize| ConceptId(i as u32);
+        Self::derive(
+            FrozenTaxonomy {
+                interner: store.interner().clone(),
+                entities,
+                entity_by_key,
+                concepts,
+                concept_by_sym,
+                entity_concepts: Csr::from_fn(n_entities, |i| store.concepts_of(entity(i))),
+                concept_entities: Csr::from_fn(n_concepts, |i| store.entities_of(concept(i))),
+                concept_parents: Csr::from_fn(n_concepts, |i| store.parents_of(concept(i))),
+                concept_children: Csr::from_fn(n_concepts, |i| store.children_of(concept(i))),
+                entity_attrs: Csr::from_fn(n_entities, |i| store.attributes_of(entity(i))),
+                entity_aliases: Csr::from_fn(n_entities, |i| store.aliases_of(entity(i))),
+                // Computed by `derive` from the tables above.
+                ancestors: Csr::empty(),
+                topo: Vec::new(),
+                depth: Vec::new(),
+                by_mention: Csr::empty(),
+            },
+            rt,
+        )
+    }
 
-        let entity_id = |i: usize| EntityId(i as u32);
-        let concept_id = |i: usize| ConceptId(i as u32);
-        let entity_concepts =
-            Csr::from_rows((0..n_entities).map(|i| store.concepts_of(entity_id(i))));
+    /// [`Self::freeze_with`] of a store that is not needed afterwards (a
+    /// compaction's), consumed one table at a time: the strings, the
+    /// entity and concept tables and their lookup maps move into the
+    /// snapshot, and each adjacency table is freed as soon as its CSR is
+    /// built. So the freeze holds about the store plus its largest table,
+    /// never the store and the whole snapshot side by side.
+    pub(crate) fn freeze_store(store: TaxonomyStore, rt: &Runtime) -> Self {
+        let RawStoreParts {
+            interner,
+            entities,
+            entity_by_key,
+            concepts,
+            concept_by_sym,
+            entity_concepts,
+            concept_entities,
+            concept_parents,
+            concept_children,
+            entity_attrs,
+            entity_aliases,
+        } = store.into_raw_parts();
+        // Fields are built in the order written: each table is moved into
+        // its CSR's constructor and freed there, before the next.
+        Self::derive(
+            FrozenTaxonomy {
+                interner,
+                entities,
+                entity_by_key,
+                concepts,
+                concept_by_sym,
+                entity_concepts: Csr::from_owned_rows(entity_concepts),
+                concept_entities: Csr::from_owned_rows(concept_entities),
+                concept_parents: Csr::from_owned_rows(concept_parents),
+                concept_children: Csr::from_owned_rows(concept_children),
+                entity_attrs: Csr::from_owned_rows(entity_attrs),
+                entity_aliases: Csr::from_owned_rows(entity_aliases),
+                // Computed by `derive` from the tables above.
+                ancestors: Csr::empty(),
+                topo: Vec::new(),
+                depth: Vec::new(),
+                by_mention: Csr::empty(),
+            },
+            rt,
+        )
+    }
+
+    /// Computes what a snapshot derives from its adjacency CSRs, reading
+    /// only those: the ranked hyponym rows (in place), the topology, the
+    /// ancestor closure and the mention index.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build-time freeze path: `comps` / `comp_reach` are indexed by the component ids `cond` itself assigned (parents' components come first in its order)"
+    )]
+    fn derive(mut f: FrozenTaxonomy, rt: &Runtime) -> Self {
         // Hyponym rows are *ranked* (`TaxonomyStore::ranked_entities_of`:
         // descending edge confidence, entity id as tie-break). This is the
         // serving-side enumeration order of `getEntity`, and pinning it at
@@ -194,17 +364,7 @@ impl FrozenTaxonomy {
         // deterministic across runs and thread counts (the build store
         // keeps insertion order, which depends on extraction scheduling
         // history).
-        let ranked_rows: Vec<Vec<EntityId>> =
-            rt.par_index_map(n_concepts, |ci| store.ranked_entities_of(concept_id(ci)));
-        let concept_entities = Csr::from_rows(ranked_rows.iter().map(|r| r.as_slice()));
-        let concept_parents =
-            Csr::from_rows((0..n_concepts).map(|i| store.parents_of(concept_id(i))));
-        let concept_children =
-            Csr::from_rows((0..n_concepts).map(|i| store.children_of(concept_id(i))));
-        let entity_attrs =
-            Csr::from_rows((0..n_entities).map(|i| store.attributes_of(entity_id(i))));
-        let entity_aliases =
-            Csr::from_rows((0..n_entities).map(|i| store.aliases_of(entity_id(i))));
+        rank_hyponyms(&mut f.concept_entities, &f.entity_concepts);
 
         // Topology: condensation → topo order, one-pass exact depths, and
         // the materialised ancestor closure (per component, then fanned out
@@ -218,15 +378,18 @@ impl FrozenTaxonomy {
         // and fans out over the runtime; each row is computed from the same
         // inputs regardless of scheduling, so the snapshot is byte-identical
         // at every thread count.
-        let cond = Condensation::of(store);
-        let depth = cond.depths(store);
-        let topo = cond.topo_order();
+        let n_concepts = f.concepts.len();
+        let parents = &f.concept_parents;
+        let parents_of = |c: ConceptId| parents.row(c.index());
+        let cond = Condensation::of_rows(n_concepts, parents_of);
+        f.depth = cond.depths_rows(n_concepts, parents_of);
+        f.topo = cond.topo_order();
         let comps = cond.components();
         let mut comp_reach: Vec<Vec<ConceptId>> = Vec::with_capacity(comps.len());
         for (i, members) in comps.iter().enumerate() {
             let mut set: Vec<ConceptId> = Vec::new();
             for &c in members {
-                for &(p, _) in store.parents_of(c) {
+                for &(p, _) in parents_of(c) {
                     let ps = cond.component_of(p);
                     if ps != i {
                         set.extend_from_slice(&comps[ps]);
@@ -247,41 +410,10 @@ impl FrozenTaxonomy {
             row.sort_unstable();
             row
         });
-        let ancestors = Csr::from_rows(ancestor_rows.iter().map(|r| r.as_slice()));
-
-        // Mention table: one row per interned symbol (symbols are dense),
-        // covering entity names and aliases.
-        let mut mention_rows: Vec<Vec<EntityId>> = vec![Vec::new(); interner.len()];
-        for (i, rec) in entities.iter().enumerate() {
-            let id = entity_id(i);
-            mention_rows[rec.name.index()].push(id);
-            for &alias in store.aliases_of(id) {
-                mention_rows[alias.index()].push(id);
-            }
-        }
-        for row in &mut mention_rows {
-            row.sort_unstable();
-            row.dedup();
-        }
-        let by_mention = Csr::from_rows(mention_rows.iter().map(|r| r.as_slice()));
-
-        FrozenTaxonomy {
-            interner,
-            entities,
-            entity_by_key,
-            concepts,
-            concept_by_sym,
-            entity_concepts,
-            concept_entities,
-            concept_parents,
-            concept_children,
-            entity_attrs,
-            entity_aliases,
-            ancestors,
-            topo,
-            depth,
-            by_mention,
-        }
+        drop(comp_reach);
+        f.ancestors = Csr::from_owned_rows(ancestor_rows);
+        f.by_mention = mention_index(f.interner.len(), &f.entities, &f.entity_aliases);
+        f
     }
 
     // ----- strings & handles ----------------------------------------------

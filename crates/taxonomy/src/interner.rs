@@ -148,6 +148,12 @@ impl Interner {
         false
     }
 
+    /// Every string's bytes, back to back in symbol order: the text the
+    /// snapshot's string table stores.
+    pub(crate) fn text(&self) -> &str {
+        &self.text
+    }
+
     /// Iterates `(symbol, string)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
         (0..self.len() as u32).map(|i| (Symbol(i), self.resolve(Symbol(i))))

@@ -44,7 +44,9 @@ use crate::varint::{put_varint, varint_len, zigzag};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cnp_runtime::stable_hash;
 use std::fmt;
+use std::io::{self, Read};
 use std::path::Path;
+use std::sync::Arc;
 
 pub(crate) const MAGIC: &[u8; 4] = b"CNPB";
 /// The snapshot format version [`encode_frozen_v3`] writes and
@@ -427,132 +429,357 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
 //   such row; the view parses every one into its one row type, `AnccRow`.
 // * `MHSH` — `n u32 | n×(hash u32 | symbol u32)`, sorted by hash.
 
-fn section(buf: &mut BytesMut, tag: [u8; 4], write: impl FnOnce(&mut BytesMut)) {
-    // Write the payload in place and patch the length slot afterwards —
-    // staging it in a scratch buffer would copy every payload byte twice
-    // and transiently double the memory of the largest section.
-    buf.put_slice(&tag);
-    let len_at = buf.len();
-    buf.put_u64_le(0);
-    let start = buf.len();
-    write(buf);
-    let len = (buf.len() - start) as u64;
-    buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
-}
-
 /// Serializes a frozen snapshot to bytes, for
 /// [`crate::view::FrozenTaxonomyView`] to open.
+///
+/// The bytes are written once, into their final allocation: a sizing pass
+/// ([`encoded_len`]) adds up every section's length, without sorting or
+/// hashing anything, and the write fills a buffer of exactly that length
+/// in place. So an encode holds its output once, plus the scratch of the
+/// sort orders, the metadata dictionary and one row.
 pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_VIEW);
+    let dict = meta_dict(f);
+    let len = encoded_len(f, &dict);
+    let mut buf = zeroed(len);
+    let written = Arc::get_mut(&mut buf).map(|out| {
+        let mut out = Out { buf: out, at: 0 };
+        write_v3(f, &dict, &mut out);
+        out.at
+    });
+    assert_eq!(
+        written,
+        Some(len),
+        "the sizing pass and the writer must agree on every section"
+    );
+    Bytes::from(buf)
+}
 
-    section(&mut buf, SEC_INTERNER, |b| {
+/// Writes a snapshot to `path`.
+pub fn save_frozen_v3_to_file(f: &FrozenTaxonomy, path: &Path) -> Result<(), PersistError> {
+    std::fs::write(path, encode_frozen_v3(f))?;
+    Ok(())
+}
+
+/// A zero-filled buffer of exactly `len` bytes, in the one allocation a
+/// [`Bytes`] then shares; its only owner fills it through `Arc::get_mut`.
+/// `collect` over `repeat(0).take(len)` knows the exact length up front,
+/// so it allocates once and copies nothing, where `Arc::from(vec![0; len])`
+/// allocates twice and holds both. (`repeat_n` says the same more
+/// briefly, but is newer than the workspace's `rust-version`.)
+pub(crate) fn zeroed(len: usize) -> Arc<[u8]> {
+    std::iter::repeat(0u8).take(len).collect()
+}
+
+/// Reads `len` bytes — a file's length as its metadata gave it — from
+/// `reader` into one [`zeroed`] buffer, the one the caller keeps. A reader
+/// that ends sooner or holds more (a file whose length changed during the
+/// read) is refused.
+pub(crate) fn read_exact_len(mut reader: impl Read, len: u64) -> Result<Bytes, PersistError> {
+    let changed = || {
+        PersistError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "snapshot file changed length while it was read",
+        ))
+    };
+    let len = usize::try_from(len).map_err(|_| PersistError::Truncated("snapshot file"))?;
+    let mut buf = zeroed(len);
+    let Some(dst) = Arc::get_mut(&mut buf) else {
+        return Err(changed());
+    };
+    reader.read_exact(dst).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => changed(),
+        _ => PersistError::Io(e),
+    })?;
+    if reader.read(&mut [0u8; 1])? != 0 {
+        return Err(changed());
+    }
+    Ok(Bytes::from(buf))
+}
+
+/// The encoder's cursor over its final allocation, [`encoded_len`] bytes
+/// long. Writing past the end is a sizing-pass bug and panics.
+struct Out<'a> {
+    buf: &'a mut [u8],
+    at: usize,
+}
+
+impl Out<'_> {
+    /// Overwrites bytes already written at `at` (a length or offset slot).
+    fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+}
+
+impl BufMut for Out<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        let end = self.at + src.len();
+        self.buf[self.at..end].copy_from_slice(src);
+        self.at = end;
+    }
+
+    fn put_u8(&mut self, v: u8) {
+        self.buf[self.at] = v;
+        self.at += 1;
+    }
+}
+
+/// Section framing: the tag and the `u64` length [`section`] writes
+/// before a payload.
+const SECTION_HEADER: usize = 12;
+
+fn section(out: &mut Out<'_>, tag: [u8; 4], write: impl FnOnce(&mut Out<'_>)) {
+    // Write the payload in place and patch the length slot afterwards.
+    out.put_slice(&tag);
+    let len_at = out.at;
+    out.put_u64_le(0);
+    let start = out.at;
+    write(out);
+    let len = (out.at - start) as u64;
+    out.patch(len_at, &len.to_le_bytes());
+}
+
+/// How the rows of one varint-CSR relation are written. `len` is a row's
+/// exact byte length, computed without writing it: the sizing pass adds
+/// it up, and the write puts it in front of the row as its length prefix.
+trait RowFormat<T> {
+    fn len(&self, i: usize, row: &[T]) -> usize;
+    fn put(&self, out: &mut Out<'_>, i: usize, row: &[T]);
+}
+
+/// A dense id, as a varint-CSR row stores it.
+trait RowId: Copy {
+    fn id(self) -> u32;
+}
+
+impl RowId for ConceptId {
+    fn id(self) -> u32 {
+        self.0
+    }
+}
+
+impl RowId for EntityId {
+    fn id(self) -> u32 {
+        self.0
+    }
+}
+
+impl RowId for Symbol {
+    fn id(self) -> u32 {
+        self.0
+    }
+}
+
+/// Rows of plain ids: `CCHD`, `EATT`, `EALS`, `MENT`.
+struct IdRows;
+
+impl<T: RowId> RowFormat<T> for IdRows {
+    fn len(&self, _: usize, row: &[T]) -> usize {
+        delta_ids_len(row.iter().map(|x| x.id()))
+    }
+
+    fn put(&self, out: &mut Out<'_>, _: usize, row: &[T]) {
+        put_delta_ids(out, row.iter().map(|x| x.id()));
+    }
+}
+
+/// Edge rows with their metadata's dictionary index: `ECON`, `CPAR`.
+struct MetaRows<'a> {
+    dict: &'a [(u8, u32)],
+}
+
+impl RowFormat<(ConceptId, IsAMeta)> for MetaRows<'_> {
+    fn len(&self, _: usize, row: &[(ConceptId, IsAMeta)]) -> usize {
+        let indexes = row
+            .iter()
+            .map(|(_, m)| index_len(self.dict, || dict_index(self.dict, m)));
+        delta_ids_len(row.iter().map(|(c, _)| c.0)) + indexes.sum::<usize>()
+    }
+
+    fn put(&self, out: &mut Out<'_>, _: usize, row: &[(ConceptId, IsAMeta)]) {
+        put_meta_row(out, row, self.dict);
+    }
+}
+
+/// `CENT` rows: hyponym rows mirror the entity→concept edge's dictionary
+/// index inline, so `getEntity` never probes `ECON` per hit.
+struct HyponymRows<'a> {
+    f: &'a FrozenTaxonomy,
+    dict: &'a [(u8, u32)],
+}
+
+impl HyponymRows<'_> {
+    /// The dictionary index of the edge from `e` to concept `c`.
+    fn mirrored(&self, c: usize, e: EntityId) -> u64 {
+        let mut edges = self.f.entity_concepts.row(e.index()).iter();
+        let edge = edges.find(|(cc, _)| cc.index() == c);
+        edge.map_or(0, |(_, m)| dict_index(self.dict, m))
+    }
+}
+
+impl RowFormat<EntityId> for HyponymRows<'_> {
+    fn len(&self, c: usize, row: &[EntityId]) -> usize {
+        let indexes = row
+            .iter()
+            .map(|&e| index_len(self.dict, || self.mirrored(c, e)));
+        delta_ids_len(row.iter().map(|e| e.0)) + indexes.sum::<usize>()
+    }
+
+    fn put(&self, out: &mut Out<'_>, c: usize, row: &[EntityId]) {
+        put_delta_row(out, row.iter().map(|&e| (e.0, Some(self.mirrored(c, e)))));
+    }
+}
+
+/// `ANCC` rows.
+struct AncestorRows;
+
+impl RowFormat<ConceptId> for AncestorRows {
+    fn len(&self, _: usize, row: &[ConceptId]) -> usize {
+        ancc_forms(row).map_or(0, |(ranges, bitset)| ranges.min(bitset))
+    }
+
+    fn put(&self, out: &mut Out<'_>, _: usize, row: &[ConceptId]) {
+        put_ancc_row(out, row);
+    }
+}
+
+/// The byte length of a dictionary index. A dictionary of at most 128
+/// entries (every real corpus's: a handful) has one-byte indexes only, so
+/// the sizing pass looks nothing up; `index` is asked only past that.
+fn index_len(dict: &[(u8, u32)], index: impl FnOnce() -> u64) -> usize {
+    if dict.len() <= 128 {
+        1
+    } else {
+        varint_len(index())
+    }
+}
+
+/// The symbols whose mention rows are not empty: the `MHSH` entries.
+fn mention_symbols(f: &FrozenTaxonomy) -> impl Iterator<Item = usize> + '_ {
+    (0..f.interner.len()).filter(|&s| !f.by_mention.row(s).is_empty())
+}
+
+/// The exact length [`write_v3`] writes, section by section in the same
+/// order: fixed-width sections by count, varint-CSR sections row by row.
+fn encoded_len(f: &FrozenTaxonomy, dict: &[(u8, u32)]) -> usize {
+    let strings = f.interner.len();
+    let entities = f.entities.len();
+    let concepts = f.concepts.len();
+    let meta = MetaRows { dict };
+    let hyponyms = HyponymRows { f, dict };
+    let sections = [
+        4 + 4 * strings + f.interner.text().len(), // INTR
+        4 * strings,                               // SSRT
+        4 + 8 * entities,                          // ENTS
+        4 + 4 * concepts,                          // CNPT
+        4 * concepts,                              // CSRT
+        4 + 5 * dict.len(),                        // MDCT
+        vcsr_len(&f.entity_concepts, &meta),       // ECON
+        vcsr_len(&f.concept_entities, &hyponyms),  // CENT
+        vcsr_len(&f.concept_parents, &meta),       // CPAR
+        vcsr_len(&f.concept_children, &IdRows),    // CCHD
+        vcsr_len(&f.entity_attrs, &IdRows),        // EATT
+        vcsr_len(&f.entity_aliases, &IdRows),      // EALS
+        vcsr_len(&f.ancestors, &AncestorRows),     // ANCC
+        4 + 4 * f.topo.len(),                      // TOPO
+        4 + 4 * f.depth.len(),                     // DPTH
+        vcsr_len(&f.by_mention, &IdRows),          // MENT
+        4 + 8 * mention_symbols(f).count(),        // MHSH
+    ];
+    let checksum = SECTION_HEADER + 8;
+    8 + sections
+        .iter()
+        .map(|len| SECTION_HEADER + len)
+        .sum::<usize>()
+        + checksum
+}
+
+/// Writes every section of the snapshot into `out`, which holds exactly
+/// [`encoded_len`] bytes.
+fn write_v3(f: &FrozenTaxonomy, dict: &[(u8, u32)], out: &mut Out<'_>) {
+    out.put_slice(MAGIC);
+    out.put_u32_le(VERSION_VIEW);
+
+    section(out, SEC_INTERNER, |b| {
         b.put_u32_le(f.interner.len() as u32);
         let mut end = 0u32;
         for (_, s) in f.interner.iter() {
             end += s.len() as u32;
             b.put_u32_le(end);
         }
-        for (_, s) in f.interner.iter() {
-            b.put_slice(s.as_bytes());
-        }
+        b.put_slice(f.interner.text().as_bytes());
     });
-    section(&mut buf, SEC_STR_SORT, |b| {
+    section(out, SEC_STR_SORT, |b| {
         let mut order: Vec<u32> = (0..f.interner.len() as u32).collect();
         order.sort_unstable_by_key(|&s| f.interner.resolve(Symbol(s)));
         for s in order {
             b.put_u32_le(s);
         }
     });
-    section(&mut buf, SEC_ENTITIES, |b| {
+    section(out, SEC_ENTITIES, |b| {
         b.put_u32_le(f.entities.len() as u32);
         for rec in &f.entities {
             b.put_u32_le(rec.name.0);
             b.put_u32_le(rec.disambig.0);
         }
     });
-    section(&mut buf, SEC_CONCEPTS, |b| {
+    section(out, SEC_CONCEPTS, |b| {
         b.put_u32_le(f.concepts.len() as u32);
         for sym in &f.concepts {
             b.put_u32_le(sym.0);
         }
     });
-    section(&mut buf, SEC_CONCEPT_SORT, |b| {
+    section(out, SEC_CONCEPT_SORT, |b| {
         let mut order: Vec<u32> = (0..f.concepts.len() as u32).collect();
         order.sort_unstable_by_key(|&c| f.concepts[c as usize].0);
         for c in order {
             b.put_u32_le(c);
         }
     });
-    let dict = meta_dict(f);
-    section(&mut buf, SEC_META_DICT, |b| {
+    section(out, SEC_META_DICT, |b| {
         b.put_u32_le(dict.len() as u32);
-        for &(src, conf_bits) in &dict {
+        for &(src, conf_bits) in dict {
             b.put_u8(src);
             b.put_u32_le(conf_bits);
         }
     });
-    section(&mut buf, SEC_ENTITY_CONCEPTS, |b| {
-        put_vcsr(b, &f.entity_concepts, |p, _, row| {
-            put_meta_row(p, row, &dict);
-        });
+    section(out, SEC_ENTITY_CONCEPTS, |b| {
+        put_vcsr(b, &f.entity_concepts, &MetaRows { dict });
     });
-    section(&mut buf, SEC_CONCEPT_ENTITIES, |b| {
-        // Hyponym rows mirror the entity→concept edge's dictionary index
-        // inline, so `getEntity` never probes `ECON` per hit.
-        put_vcsr(b, &f.concept_entities, |p, c, row| {
-            let mirrored = |e: EntityId| {
-                let mut edges = f.entity_concepts.row(e.index()).iter();
-                let edge = edges.find(|(cc, _)| cc.index() == c);
-                edge.map_or(0, |(_, m)| dict_index(&dict, m))
-            };
-            put_delta_row(p, row.iter().map(|&e| (e.0, Some(mirrored(e)))));
-        });
+    section(out, SEC_CONCEPT_ENTITIES, |b| {
+        put_vcsr(b, &f.concept_entities, &HyponymRows { f, dict });
     });
-    section(&mut buf, SEC_CONCEPT_PARENTS, |b| {
-        put_vcsr(b, &f.concept_parents, |p, _, row| {
-            put_meta_row(p, row, &dict);
-        });
+    section(out, SEC_CONCEPT_PARENTS, |b| {
+        put_vcsr(b, &f.concept_parents, &MetaRows { dict });
     });
-    section(&mut buf, SEC_CONCEPT_CHILDREN, |b| {
-        put_vcsr(b, &f.concept_children, |p, _, row| {
-            put_delta_ids(p, row.iter().map(|c| c.0));
-        });
+    section(out, SEC_CONCEPT_CHILDREN, |b| {
+        put_vcsr(b, &f.concept_children, &IdRows);
     });
-    section(&mut buf, SEC_ENTITY_ATTRS, |b| {
-        put_vcsr(b, &f.entity_attrs, |p, _, row| {
-            put_delta_ids(p, row.iter().map(|s| s.0));
-        });
+    section(out, SEC_ENTITY_ATTRS, |b| {
+        put_vcsr(b, &f.entity_attrs, &IdRows);
     });
-    section(&mut buf, SEC_ENTITY_ALIASES, |b| {
-        put_vcsr(b, &f.entity_aliases, |p, _, row| {
-            put_delta_ids(p, row.iter().map(|s| s.0));
-        });
+    section(out, SEC_ENTITY_ALIASES, |b| {
+        put_vcsr(b, &f.entity_aliases, &IdRows);
     });
-    section(&mut buf, SEC_ANCESTOR_SUCC, |b| {
-        put_vcsr(b, &f.ancestors, |p, _, row| put_ancc_row(p, row));
+    section(out, SEC_ANCESTOR_SUCC, |b| {
+        put_vcsr(b, &f.ancestors, &AncestorRows);
     });
-    section(&mut buf, SEC_TOPO, |b| {
+    section(out, SEC_TOPO, |b| {
         b.put_u32_le(f.topo.len() as u32);
         for c in &f.topo {
             b.put_u32_le(c.0);
         }
     });
-    section(&mut buf, SEC_DEPTH, |b| {
+    section(out, SEC_DEPTH, |b| {
         b.put_u32_le(f.depth.len() as u32);
         for &d in &f.depth {
             b.put_u32_le(d);
         }
     });
-    section(&mut buf, SEC_MENTIONS, |b| {
-        put_vcsr(b, &f.by_mention, |p, _, row| {
-            put_delta_ids(p, row.iter().map(|e| e.0));
-        });
+    section(out, SEC_MENTIONS, |b| {
+        put_vcsr(b, &f.by_mention, &IdRows);
     });
-    section(&mut buf, SEC_MENTION_HASH, |b| {
-        let mut rows: Vec<(u32, u32)> = (0..f.interner.len())
-            .filter(|&s| !f.by_mention.row(s).is_empty())
+    section(out, SEC_MENTION_HASH, |b| {
+        let mut rows: Vec<(u32, u32)> = mention_symbols(f)
             .map(|s| {
                 let hash = stable_hash(f.interner.resolve(Symbol(s as u32)).as_bytes());
                 (hash as u32, s as u32)
@@ -566,44 +793,50 @@ pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
         }
     });
 
-    let digest = stable_hash(&buf);
-    buf.put_slice(&SEC_CHECKSUM);
-    buf.put_u64_le(8);
-    buf.put_u64_le(digest);
-    buf.freeze()
+    let digest = stable_hash(&out.buf[..out.at]);
+    out.put_slice(&SEC_CHECKSUM);
+    out.put_u64_le(8);
+    out.put_u64_le(digest);
 }
 
-/// Writes a snapshot to `path`.
-pub fn save_frozen_v3_to_file(f: &FrozenTaxonomy, path: &Path) -> Result<(), PersistError> {
-    std::fs::write(path, encode_frozen_v3(f))?;
-    Ok(())
+/// The byte length of a [`put_vcsr`] section body: the two counts, the
+/// directory, the payload length and every row with its length prefix.
+fn vcsr_len<T: Copy>(csr: &Csr<T>, rows: &impl RowFormat<T>) -> usize {
+    let n = csr.num_rows();
+    let payload: usize = (0..n)
+        .map(|i| {
+            let len = rows.len(i, csr.row(i));
+            varint_len(len as u64) + len
+        })
+        .sum();
+    8 + 4 * n.div_ceil(VCSR_BLOCK) + 4 + payload
 }
 
-fn put_vcsr<T: Copy>(
-    buf: &mut BytesMut,
-    csr: &Csr<T>,
-    write_row: impl Fn(&mut BytesMut, usize, &[T]),
-) {
-    let rows = csr.num_rows();
-    buf.put_u32_le(rows as u32);
-    buf.put_u32_le(csr.num_entries() as u32);
-    let mut payload = BytesMut::new();
-    let mut dir: Vec<u32> = Vec::new();
-    let mut row_buf = BytesMut::new();
-    for i in 0..rows {
+/// A varint-CSR section body, written in place: each row straight after
+/// its length prefix, each directory slot as its row is reached, the
+/// payload length once every row is written.
+fn put_vcsr<T: Copy>(out: &mut Out<'_>, csr: &Csr<T>, rows: &impl RowFormat<T>) {
+    let n = csr.num_rows();
+    out.put_u32_le(n as u32);
+    out.put_u32_le(csr.num_entries() as u32);
+    let dir_at = out.at;
+    for _ in 0..n.div_ceil(VCSR_BLOCK) {
+        out.put_u32_le(0);
+    }
+    let payload_len_at = out.at;
+    out.put_u32_le(0);
+    let payload_at = out.at;
+    for i in 0..n {
         if i % VCSR_BLOCK == 0 {
-            dir.push(payload.len() as u32);
+            let offset = (out.at - payload_at) as u32;
+            out.patch(dir_at + 4 * (i / VCSR_BLOCK), &offset.to_le_bytes());
         }
-        row_buf.clear();
-        write_row(&mut row_buf, i, csr.row(i));
-        put_varint(&mut payload, row_buf.len() as u64);
-        payload.put_slice(&row_buf);
+        let row = csr.row(i);
+        put_varint(out, rows.len(i, row) as u64);
+        rows.put(out, i, row);
     }
-    for o in dir {
-        buf.put_u32_le(o);
-    }
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_slice(&payload);
+    let payload_len = (out.at - payload_at) as u32;
+    out.patch(payload_len_at, &payload_len.to_le_bytes());
 }
 
 /// One varint-CSR row: the first id raw, every later one a zigzag delta
@@ -611,7 +844,7 @@ fn put_vcsr<T: Copy>(
 /// relation carries edge metadata. The one writer of these rows; the
 /// view's `DeltaRow` is their one reader, for `open`'s validation, the
 /// queries and `to_frozen` alike.
-fn put_delta_row(b: &mut BytesMut, row: impl Iterator<Item = (u32, Option<u64>)>) {
+fn put_delta_row(b: &mut Out<'_>, row: impl Iterator<Item = (u32, Option<u64>)>) {
     let mut prev: Option<u32> = None;
     for (id, meta_index) in row {
         match prev.replace(id) {
@@ -624,8 +857,18 @@ fn put_delta_row(b: &mut BytesMut, row: impl Iterator<Item = (u32, Option<u64>)>
     }
 }
 
-fn put_delta_ids(b: &mut BytesMut, ids: impl Iterator<Item = u32>) {
+fn put_delta_ids(b: &mut Out<'_>, ids: impl Iterator<Item = u32>) {
     put_delta_row(b, ids.map(|id| (id, None)));
+}
+
+/// The byte length [`put_delta_ids`] writes for `ids`.
+fn delta_ids_len(ids: impl Iterator<Item = u32>) -> usize {
+    let mut prev: Option<u32> = None;
+    ids.map(|id| match prev.replace(id) {
+        None => varint_len(u64::from(id)),
+        Some(prev) => varint_len(zigzag(i64::from(id) - i64::from(prev))),
+    })
+    .sum()
 }
 
 /// `IsAMeta`'s fields are public, so an unclamped or NaN confidence can
@@ -645,15 +888,17 @@ fn clamp_conf(c: f32) -> f32 {
 /// v3 meta rows index into, sorted so re-encoding a decoded snapshot is
 /// byte-identical.
 fn meta_dict(f: &FrozenTaxonomy) -> Vec<(u8, u32)> {
-    let mut dict: Vec<(u8, u32)> = f
+    // Deduplicated as it is collected: the scratch is the handful of
+    // distinct values, not one entry per edge. The sort fixes the order.
+    let distinct: FxHashSet<(u8, u32)> = f
         .entity_concepts
         .data()
         .iter()
         .chain(f.concept_parents.data().iter())
         .map(|(_, m)| (m.source.to_u8(), clamp_conf(m.confidence).to_bits()))
         .collect();
+    let mut dict: Vec<(u8, u32)> = distinct.into_iter().collect();
     dict.sort_unstable();
-    dict.dedup();
     dict
 }
 
@@ -665,52 +910,67 @@ fn dict_index(dict: &[(u8, u32)], m: &IsAMeta) -> u64 {
     dict.binary_search(&key).map_or(0, |i| i as u64)
 }
 
-fn put_meta_row(b: &mut BytesMut, row: &[(ConceptId, IsAMeta)], dict: &[(u8, u32)]) {
+fn put_meta_row(b: &mut Out<'_>, row: &[(ConceptId, IsAMeta)], dict: &[(u8, u32)]) {
     put_delta_row(b, row.iter().map(|(c, m)| (c.0, Some(dict_index(dict, m)))));
+}
+
+/// Maximal runs of consecutive ids in a strictly ascending row, as
+/// `(first id, length)`.
+fn runs(row: &[ConceptId]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let mut ids = row.iter().map(|c| c.0).peekable();
+    std::iter::from_fn(move || {
+        let start = ids.next()?;
+        let mut len = 1;
+        while ids.next_if_eq(&(start + len)).is_some() {
+            len += 1;
+        }
+        Some((start, len))
+    })
+}
+
+/// The byte lengths of an `ANCC` row's two forms, `(ranges, bitset)`;
+/// `None` for an empty row, which is zero bytes.
+fn ancc_forms(row: &[ConceptId]) -> Option<(usize, usize)> {
+    let (first, last) = (row.first()?.0, row.last()?.0);
+    let mut ranges = 1usize;
+    let mut cursor = 0u32;
+    for (start, len) in runs(row) {
+        ranges += varint_len(u64::from(start - cursor)) + varint_len(u64::from(len - 1));
+        cursor = start + len;
+    }
+    let span = (last - first) as usize + 1;
+    Some((ranges, 1 + varint_len(u64::from(first)) + span.div_ceil(8)))
 }
 
 /// One `ANCC` row (the format comment above), in whichever of the two
 /// forms is smaller. The one writer of these rows; the view's `AnccRow` is
 /// their one reader, for `open`'s canonical-form check, iteration and
 /// `ancestor_contains` alike.
-fn put_ancc_row(b: &mut BytesMut, row: &[ConceptId]) {
-    if row.is_empty() {
+fn put_ancc_row(b: &mut Out<'_>, row: &[ConceptId]) {
+    let Some((ranges, bitset)) = ancc_forms(row) else {
         return;
-    }
-    // Maximal runs of consecutive ids (rows are strictly ascending).
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-    for &c in row {
-        match runs.last_mut() {
-            Some((start, len)) if *start + *len == c.0 => *len += 1,
-            _ => runs.push((c.0, 1)),
-        }
-    }
-    let mut ranges_size = 1usize;
-    let mut cursor = 0u32;
-    for &(start, len) in &runs {
-        ranges_size += varint_len(u64::from(start - cursor)) + varint_len(u64::from(len - 1));
-        cursor = start + len;
-    }
-    let first = row[0].0;
-    let span = (row[row.len() - 1].0 - first) as usize + 1;
-    let bitset_size = 1 + varint_len(u64::from(first)) + span.div_ceil(8);
-    if ranges_size <= bitset_size {
+    };
+    if ranges <= bitset {
         b.put_u8(ANCC_RANGES);
         let mut cursor = 0u32;
-        for &(start, len) in &runs {
+        for (start, len) in runs(row) {
             put_varint(b, u64::from(start - cursor));
             put_varint(b, u64::from(len - 1));
             cursor = start + len;
         }
     } else {
+        let first = row[0].0;
         b.put_u8(ANCC_BITSET);
         put_varint(b, u64::from(first));
-        let mut bits = vec![0u8; span.div_ceil(8)];
+        let bits_at = b.at;
+        let span = (row[row.len() - 1].0 - first) as usize + 1;
+        for _ in 0..span.div_ceil(8) {
+            b.put_u8(0);
+        }
         for &c in row {
             let off = (c.0 - first) as usize;
-            bits[off / 8] |= 1 << (off % 8);
+            b.buf[bits_at + off / 8] |= 1 << (off % 8);
         }
-        b.put_slice(&bits);
     }
 }
 
@@ -1126,6 +1386,41 @@ mod tests {
         };
         assert_eq!(confidence_to_actor(loaded.concepts_of(zhang)), 0.0);
         assert_eq!(confidence_to_actor(loaded.parents_of(singer)), 1.0);
+    }
+
+    /// Past 128 distinct edge metadata values the dictionary indexes take
+    /// two bytes, so the sizing pass looks each one up instead of counting
+    /// one byte an edge.
+    #[test]
+    fn a_dictionary_past_128_entries_roundtrips() {
+        let mut store = demo_store();
+        let singer = store.find_concept("歌手").unwrap();
+        for i in 0..300u16 {
+            let e = store.add_entity(&format!("歌手{i}"), None);
+            let meta = IsAMeta::new(Source::Tag, f32::from(i) / 300.0);
+            store.add_entity_is_a(e, singer, meta);
+        }
+        let frozen = FrozenTaxonomy::freeze(&store);
+        assert!(meta_dict(&frozen).len() > 300);
+        let loaded = roundtrip(&frozen);
+        assert_frozen_equal(&frozen, &loaded);
+        assert_eq!(encode_frozen_v3(&frozen), encode_frozen_v3(&loaded));
+    }
+
+    /// A file read to the length its metadata gave is refused when it
+    /// holds fewer or more bytes by the time it is read.
+    #[test]
+    fn a_read_refuses_a_file_whose_length_changed() {
+        let file = b"CNPB and the rest";
+        let read = read_exact_len(&file[..], file.len() as u64).expect("exact length");
+        assert_eq!(&read[..], file);
+        for claimed in [0, file.len() - 1, file.len() + 1] {
+            let err = read_exact_len(&file[..], claimed as u64).expect_err("length changed");
+            assert!(
+                matches!(&err, PersistError::Io(e) if e.kind() == io::ErrorKind::InvalidData),
+                "{claimed}: {err}"
+            );
+        }
     }
 
     #[test]

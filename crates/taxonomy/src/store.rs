@@ -166,12 +166,6 @@ impl TaxonomyStore {
         &self.interner
     }
 
-    /// Moves the interner out, leaving an empty one: for a freeze that
-    /// consumes the store (`FrozenTaxonomy::freeze_store`).
-    pub(crate) fn take_interner(&mut self) -> Interner {
-        std::mem::take(&mut self.interner)
-    }
-
     // ----- entities -------------------------------------------------------
 
     /// Registers (or finds) a disambiguated entity.
@@ -473,6 +467,25 @@ impl TaxonomyStore {
             entity_aliases,
             n_entity_isa,
             n_concept_isa,
+        }
+    }
+
+    /// Takes the store apart into its tables, for a freeze that consumes
+    /// it (`FrozenTaxonomy::freeze_store`); the inverse of
+    /// [`Self::from_raw_parts`].
+    pub(crate) fn into_raw_parts(self) -> RawStoreParts {
+        RawStoreParts {
+            interner: self.interner,
+            entities: self.entities,
+            entity_by_key: self.entity_by_key,
+            concepts: self.concepts,
+            concept_by_sym: self.concept_by_sym,
+            entity_concepts: self.entity_concepts,
+            concept_entities: self.concept_entities,
+            concept_parents: self.concept_parents,
+            concept_children: self.concept_children,
+            entity_attrs: self.entity_attrs,
+            entity_aliases: self.entity_aliases,
         }
     }
 

@@ -23,13 +23,13 @@
     clippy::indexing_slicing
 )]
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Longest legal encoding of a `u64` (10 × 7 payload bits ≥ 64).
 pub const MAX_VARINT_BYTES: usize = 10;
 
 /// Appends `v` as a little-endian base-128 varint.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
     while v >= 0x80 {
         buf.put_u8((v as u8) | 0x80);
         v >>= 7;
@@ -89,6 +89,7 @@ pub fn unzigzag(v: u64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use proptest::prelude::*;
 
     fn encode(v: u64) -> Vec<u8> {

@@ -574,10 +574,15 @@ impl FrozenTaxonomyView {
         })
     }
 
-    /// Reads `path` and opens it as a v3 view. One read, zero re-copies.
+    /// Reads `path` and opens it as a v3 view. The file is read straight
+    /// into one buffer of the length its metadata gives, and that buffer
+    /// is the view's storage: the bytes are held once, never read into a
+    /// second buffer and copied. A file whose length changes during the
+    /// read is refused.
     pub fn load_from_file(path: &Path) -> Result<Self, PersistError> {
-        let bytes = std::fs::read(path)?;
-        Self::open(Bytes::from(bytes))
+        let mut file = std::fs::File::open(path)?;
+        let len = file.metadata()?.len();
+        Self::open(persist::read_exact_len(&mut file, len)?)
     }
 
     /// The raw snapshot bytes backing this view.

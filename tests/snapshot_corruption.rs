@@ -716,6 +716,10 @@ fn stomped_leaf_depth_bytes() -> Vec<u8> {
 
 /// Held by every test here that folds: phase marks are process-wide, so a
 /// fold on another test thread would move the per-phase readout.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test-harness lock that serialises two tests, off every query path"
+)]
 static FOLDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// A compaction re-reads its base through `to_frozen`, so a base that only
@@ -757,15 +761,18 @@ fn a_compaction_keeps_the_deep_validation() {
 /// A fold's peak heap above the live bytes it starts from, against the
 /// bytes of the base snapshot it folds. The fold passes the snapshot
 /// through five forms (view bytes, owned snapshot, build store, refrozen
-/// snapshot, bytes again); 13.4 × when each form stayed alive beside the
-/// next and every string was held twice per form.
-const COMPACTION: Bound = (8, 64 << 10);
+/// snapshot, bytes again). Measured 3.6 ×, in the thaw; 13.4 × when each
+/// form stayed alive beside the next and every string was held twice per
+/// form, 6.6 × (in the refreeze) when the refreeze kept the whole store
+/// beside the snapshot it built and the encode copied its output.
+const COMPACTION: Bound = (4, 64 << 10);
 
 /// `small(909)`'s view under an overlay of five deltas of ten new
 /// entities, folded on a serial runtime so every allocation is this
-/// thread's. Prints the multiple; the bound is the gate.
+/// thread's. Prints the multiple, and the peak of each phase the fold
+/// marks; the bound is the gate.
 #[test]
-fn a_compaction_peaks_under_eight_snapshots_of_heap() {
+fn a_compaction_peaks_under_four_snapshots_of_heap() {
     use cn_probase::runtime::Runtime;
     use cn_probase::taxonomy::compact::FOLD_PHASES;
     use cn_probase::taxonomy::{ConceptId, IngestDelta, OverlayView, TaxonomyRead};
