@@ -433,10 +433,11 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
 /// [`crate::view::FrozenTaxonomyView`] to open.
 ///
 /// The bytes are written once, into their final allocation: a sizing pass
-/// ([`encoded_len`]) adds up every section's length, without sorting or
-/// hashing anything, and the write fills a buffer of exactly that length
-/// in place. So an encode holds its output once, plus the scratch of the
-/// sort orders, the metadata dictionary and one row.
+/// adds up every section's length, without sorting, hashing or looking up
+/// anything, and the write fills a buffer of exactly that length in
+/// place, each row straight after its length prefix. So an encode holds
+/// its output once, plus the scratch of the sort orders and the metadata
+/// dictionary.
 pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
     let dict = meta_dict(f);
     let len = encoded_len(f, &dict);

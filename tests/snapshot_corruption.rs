@@ -898,8 +898,8 @@ fn a_boot_holds_the_file_once() {
 }
 
 /// `encode_frozen_v3` writes into its output's final allocation; the
-/// constant is its scratch: the sort orders of `SSRT`, `CSRT` and `MHSH`,
-/// the metadata dictionary and one row.
+/// constant is its scratch: the sort orders of `SSRT`, `CSRT` and `MHSH`
+/// and the metadata dictionary (16.4 KiB measured).
 const ENCODE: Bound = (1, 64 << 10);
 
 /// An encode holds its output once: no growing buffer that is copied into
