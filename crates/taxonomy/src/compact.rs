@@ -29,13 +29,17 @@
 //!   maps into the store and freeing each CSR once its rows are built;
 //! - the replay reserves the store's tables for the log's new entities,
 //!   concepts and strings, so it does not double exact-sized tables;
-//! - the refreeze consumes the store and takes over its interner;
-//! - the refrozen snapshot is freed once encoded, before the view opens.
+//! - the refreeze consumes the store one table at a time: the strings,
+//!   the entity and concept tables and their lookup maps move, and each
+//!   adjacency table is freed once its CSR is built;
+//! - the encode writes the bytes once, into an allocation of their exact
+//!   length, and the refrozen snapshot is freed before the view opens.
 //!
-//! So a fold peaks at ≈ 7 × the snapshot's bytes above the heap it starts
-//! from (`tests/snapshot_corruption.rs` bounds it at 8 × + 64 KiB). The
-//! peak is the refreeze, where the store is still whole while the new
-//! snapshot is built beside it.
+//! So a fold peaks at ≈ 4 × the snapshot's bytes above the heap it starts
+//! from (`tests/snapshot_corruption.rs` bounds it at 4 × + 64 KiB, and
+//! prints the peak of each of [`FOLD_PHASES`]). The peak is the first
+//! phase, where `to_frozen` builds the owned snapshot beside the view's
+//! bytes and the thaw builds the store's rows from it.
 
 use crate::frozen::FrozenTaxonomy;
 use crate::overlay::{DeltaOverlay, IngestDelta, OverlayView};

@@ -433,9 +433,10 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
 /// [`crate::view::FrozenTaxonomyView`] to open.
 ///
 /// The bytes are written once, into their final allocation: a sizing pass
-/// adds up every section's length, without sorting, hashing or looking up
-/// anything, and the write fills a buffer of exactly that length in
-/// place, each row straight after its length prefix. So an encode holds
+/// adds up every section's length, without sorting or hashing (and,
+/// below 129 distinct edge metadata values, without looking anything up),
+/// and the write fills a buffer of exactly that length in place, each row
+/// straight after its length prefix. So an encode holds
 /// its output once, plus the scratch of the sort orders and the metadata
 /// dictionary.
 pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
@@ -484,6 +485,7 @@ pub(crate) fn read_exact_len(mut reader: impl Read, len: u64) -> Result<Bytes, P
     };
     let len = usize::try_from(len).map_err(|_| PersistError::Truncated("snapshot file"))?;
     let mut buf = zeroed(len);
+    // A fresh `Arc` has one owner, so `get_mut` always finds it.
     let Some(dst) = Arc::get_mut(&mut buf) else {
         return Err(changed());
     };

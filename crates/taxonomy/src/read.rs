@@ -306,7 +306,8 @@ pub trait BootSnapshot: Sized {
 }
 
 impl BootSnapshot for FrozenTaxonomyView {
-    /// One read; the buffer read from disk *is* the view's storage.
+    /// One read, into one buffer of the file's length: that buffer *is*
+    /// the view's storage, and no second copy is made.
     fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
         FrozenTaxonomyView::load_from_file(path)
     }
