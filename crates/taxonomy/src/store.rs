@@ -385,8 +385,10 @@ impl TaxonomyStore {
     /// Direct entities of a concept in *serving rank order*: descending
     /// edge confidence, entity id as tie-break. This is the one definition
     /// of the order [`crate::frozen::FrozenTaxonomy`] freezes into its
-    /// hyponym rows (and that `getEntity` limits/pagination rely on);
-    /// freeze and its equivalence tests all call it so they cannot drift.
+    /// hyponym rows (and that `getEntity` limits/pagination rely on).
+    /// The freeze ranks its CSR rows in place by the same key, and the
+    /// equivalence tests compare those rows with this method, so the two
+    /// cannot drift apart unnoticed.
     pub fn ranked_entities_of(&self, c: ConceptId) -> Vec<EntityId> {
         let mut keyed: Vec<(f32, EntityId)> = self
             .entities_of(c)
