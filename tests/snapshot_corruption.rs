@@ -61,14 +61,12 @@ fn note_phase(live: isize) {
     }
     let mut peaks = PHASE_PEAKS.get();
     if let Some(slot) = peaks.iter_mut().find(|(k, _)| *k == key || *k == 0) {
-        *slot = (
-            key,
-            if slot.0 == key {
-                slot.1.max(live)
-            } else {
-                live
-            },
-        );
+        let peak = if slot.0 == key {
+            slot.1.max(live)
+        } else {
+            live
+        };
+        *slot = (key, peak);
         PHASE_PEAKS.set(peaks);
     }
 }
