@@ -30,8 +30,9 @@
 
 use crate::hash::FxHashMap;
 use crate::interner::{Interner, Symbol};
+use crate::persist::{mention_hash, SnapshotRows};
 use crate::read::TaxonomyRead;
-use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, RawStoreParts, TaxonomyStore};
+use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, Source, TaxonomyStore};
 use crate::topo::Condensation;
 use cnp_runtime::Runtime;
 
@@ -101,17 +102,6 @@ impl<T: Copy> Csr<T> {
         debug_assert_eq!(offsets.first(), Some(&0));
         debug_assert_eq!(offsets.last().copied().unwrap_or(0) as usize, data.len());
         Csr { offsets, data }
-    }
-
-    /// Unpacks into one owned row per CSR row, the build store's form;
-    /// the flat arrays are freed on return.
-    pub(crate) fn into_rows(self) -> Vec<Vec<T>> {
-        (0..self.num_rows()).map(|i| self.row(i).to_vec()).collect()
-    }
-
-    /// Flat entry array (all rows concatenated), for the snapshot codec.
-    pub(crate) fn data(&self) -> &[T] {
-        &self.data
     }
 
     /// The `i`-th row as a slice; empty past the last row, so an id from
@@ -294,51 +284,6 @@ impl FrozenTaxonomy {
                 concept_children: Csr::from_fn(n_concepts, |i| store.children_of(concept(i))),
                 entity_attrs: Csr::from_fn(n_entities, |i| store.attributes_of(entity(i))),
                 entity_aliases: Csr::from_fn(n_entities, |i| store.aliases_of(entity(i))),
-                // Computed by `derive` from the tables above.
-                ancestors: Csr::empty(),
-                topo: Vec::new(),
-                depth: Vec::new(),
-                by_mention: Csr::empty(),
-            },
-            rt,
-        )
-    }
-
-    /// [`Self::freeze_with`] of a store that is not needed afterwards (a
-    /// compaction's), consumed one table at a time: the strings, the
-    /// entity and concept tables and their lookup maps move into the
-    /// snapshot, and each adjacency table is freed as soon as its CSR is
-    /// built. So the freeze holds about the store plus its largest table,
-    /// never the store and the whole snapshot side by side.
-    pub(crate) fn freeze_store(store: TaxonomyStore, rt: &Runtime) -> Self {
-        let RawStoreParts {
-            interner,
-            entities,
-            entity_by_key,
-            concepts,
-            concept_by_sym,
-            entity_concepts,
-            concept_entities,
-            concept_parents,
-            concept_children,
-            entity_attrs,
-            entity_aliases,
-        } = store.into_raw_parts();
-        // Fields are built in the order written: each table is moved into
-        // its CSR's constructor and freed there, before the next.
-        Self::derive(
-            FrozenTaxonomy {
-                interner,
-                entities,
-                entity_by_key,
-                concepts,
-                concept_by_sym,
-                entity_concepts: Csr::from_owned_rows(entity_concepts),
-                concept_entities: Csr::from_owned_rows(concept_entities),
-                concept_parents: Csr::from_owned_rows(concept_parents),
-                concept_children: Csr::from_owned_rows(concept_children),
-                entity_attrs: Csr::from_owned_rows(entity_attrs),
-                entity_aliases: Csr::from_owned_rows(entity_aliases),
                 // Computed by `derive` from the tables above.
                 ancestors: Csr::empty(),
                 topo: Vec::new(),
@@ -634,6 +579,111 @@ impl FrozenTaxonomy {
             Some(sym) => self.by_mention.row(sym.index()),
             None => &[],
         }
+    }
+}
+
+/// The build path's rows: the CSRs as frozen, with the sorted sections
+/// sorted here and each hyponym's metadata found in its entity's row.
+impl SnapshotRows for FrozenTaxonomy {
+    fn n_strings(&self) -> usize {
+        self.interner.len()
+    }
+
+    fn string(&self, s: usize) -> &str {
+        self.interner.resolve(Symbol(s as u32))
+    }
+
+    fn text_len(&self) -> usize {
+        self.interner.text().len()
+    }
+
+    fn ssrt(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut order: Vec<u32> = (0..self.interner.len() as u32).collect();
+        order.sort_unstable_by_key(|&s| self.interner.resolve(Symbol(s)));
+        order.into_iter()
+    }
+
+    fn n_entities(&self) -> usize {
+        self.entities.len()
+    }
+
+    fn entity_record(&self, e: usize) -> EntityRecord {
+        self.entity(EntityId(e as u32))
+    }
+
+    fn n_concepts(&self) -> usize {
+        self.concepts.len()
+    }
+
+    fn concept_symbol(&self, c: usize) -> Symbol {
+        self.concepts.get(c).copied().unwrap_or(Symbol(0))
+    }
+
+    fn csrt(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut order: Vec<u32> = (0..self.concepts.len() as u32).collect();
+        order.sort_unstable_by_key(|&c| self.concept_symbol(c as usize));
+        order.into_iter()
+    }
+
+    fn econ_row(&self, e: usize, out: &mut Vec<(u32, IsAMeta)>) {
+        out.extend(self.entity_concepts.row(e).iter().map(|&(c, m)| (c.0, m)));
+    }
+
+    fn cent_row(&self, c: usize, out: &mut Vec<(u32, IsAMeta)>) {
+        for &e in self.concept_entities.row(c) {
+            let mut edges = self.entity_concepts.row(e.index()).iter();
+            // Every hyponym edge has its entity-side edge (the freeze
+            // builds both from one store, `to_frozen` checks the mirror).
+            let meta = edges.find(|(cc, _)| cc.index() == c).map_or(
+                IsAMeta {
+                    source: Source::Bracket,
+                    confidence: 0.0,
+                },
+                |&(_, m)| m,
+            );
+            out.push((e.0, meta));
+        }
+    }
+
+    fn cpar_row(&self, c: usize, out: &mut Vec<(u32, IsAMeta)>) {
+        out.extend(self.concept_parents.row(c).iter().map(|&(p, m)| (p.0, m)));
+    }
+
+    fn cchd_row(&self, c: usize, out: &mut Vec<u32>) {
+        out.extend(self.concept_children.row(c).iter().map(|ch| ch.0));
+    }
+
+    fn eatt_row(&self, e: usize, out: &mut Vec<u32>) {
+        out.extend(self.entity_attrs.row(e).iter().map(|s| s.0));
+    }
+
+    fn eals_row(&self, e: usize, out: &mut Vec<u32>) {
+        out.extend(self.entity_aliases.row(e).iter().map(|s| s.0));
+    }
+
+    fn ancc_row(&self, c: usize, out: &mut Vec<u32>) {
+        out.extend(self.ancestors.row(c).iter().map(|a| a.0));
+    }
+
+    fn topo(&self) -> impl Iterator<Item = u32> + '_ {
+        self.topo.iter().map(|c| c.0)
+    }
+
+    fn depth_of(&self, c: usize) -> u32 {
+        self.depth.get(c).copied().unwrap_or(0)
+    }
+
+    fn ment_row(&self, s: usize, out: &mut Vec<u32>) {
+        out.extend(self.by_mention.row(s).iter().map(|e| e.0));
+    }
+
+    fn mhsh(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let mut rows: Vec<(u32, u32)> = (0..self.interner.len())
+            .filter(|&s| !self.by_mention.row(s).is_empty())
+            .map(|s| (mention_hash(self.string(s)), s as u32))
+            .collect();
+        rows.sort_unstable();
+        rows.into_iter()
     }
 }
 

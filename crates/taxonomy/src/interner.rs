@@ -90,17 +90,6 @@ impl Interner {
         i
     }
 
-    /// Reserves room for `strings` more symbols and `text_bytes` more bytes
-    /// of text, exactly: interning that much more reallocates nothing.
-    pub(crate) fn reserve_exact(&mut self, strings: usize, text_bytes: usize) {
-        self.text.reserve_exact(text_bytes);
-        self.ends.reserve_exact(strings);
-        let want = table_len(self.len().saturating_add(strings));
-        if want > self.slots.len() {
-            self.rehash(want);
-        }
-    }
-
     /// Interns `s`, returning its stable symbol.
     pub fn intern(&mut self, s: &str) -> Symbol {
         let slot = match self.probe(s) {
@@ -249,8 +238,8 @@ mod tests {
     fn reserved_and_grown_interners_agree() {
         let words: Vec<String> = (0..300).map(|n| format!("概念{n}")).collect();
         let mut grown = Interner::new();
-        let mut reserved = Interner::with_capacity(4, 8);
-        reserved.reserve_exact(words.len(), words.iter().map(String::len).sum());
+        let mut reserved =
+            Interner::with_capacity(words.len(), words.iter().map(String::len).sum());
         for w in &words {
             assert_eq!(grown.intern(w), reserved.intern(w));
         }

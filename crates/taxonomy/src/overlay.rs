@@ -9,9 +9,10 @@
 //! * [`DeltaOverlay`] — a small immutable segment of taxonomy changes:
 //!   new entities/concepts, new or re-weighted isA edges, aliases,
 //!   attributes and explicit retractions. Internally it is an ordered op
-//!   log (`DeltaOp`), which is also exactly how it replays onto a build
-//!   store during compaction — one shared application order, so the
-//!   overlay read view and the compacted snapshot can never disagree.
+//!   log (`DeltaOp`), and the overlay fold and a build store's replay
+//!   ([`DeltaOverlay::apply_to_store`]) interpret it in one order with one
+//!   semantics, so the overlay read view and the compacted snapshot can
+//!   never disagree.
 //! * [`OverlayView`] — a merging [`TaxonomyRead`]: any base snapshot plus
 //!   the folded deltas, served through the same trait the executor,
 //!   `TaxonomyService` and `cnp_server` already compile against. Each
@@ -21,16 +22,16 @@
 //! * [`IngestDelta`] — the serving-side write capability, implemented by
 //!   [`OverlayView`]: apply a delta (one cheap fold) and fold accumulated
 //!   overlays back into a fresh base (*compaction*, see `crate::compact`),
-//!   which is byte-identical to a from-scratch freeze of the same logical
-//!   content.
+//!   which writes the folded state as the bytes a from-scratch freeze of
+//!   the same logical content writes.
 //!
-//! Read-through contract: nothing outside this module, `compact.rs` and
-//! the `persist.rs` codec may look inside a delta's op log — consumers go
-//! through [`TaxonomyRead`] or the public builder API. `DeltaOp` and
-//! `OverlayView::log` are `pub(crate)`, so outside this crate rustc
-//! enforces it.
+//! Read-through contract: nothing outside this module and the `persist.rs`
+//! codec may look inside a delta's op log, and nothing but `compact.rs`
+//! inside the folded state — consumers go through [`TaxonomyRead`] or the
+//! public builder API. `DeltaOp` and `OverlayState` are `pub(crate)`, so
+//! outside this crate rustc enforces it.
 
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashMap;
 use crate::interner::Symbol;
 use crate::mention;
 use crate::persist::{self, PersistError};
@@ -230,22 +231,12 @@ impl DeltaOverlay {
         Self::decode(&std::fs::read(path)?)
     }
 
-    /// Replays the delta onto a mutable build store, in log order. This is
-    /// the compaction half of the write path; [`OverlayView::apply`] folds
-    /// the identical log with identical semantics, which is what makes a
-    /// compacted snapshot query-identical to the overlay it replaces.
-    ///
-    /// The store's tables are first reserved for exactly the entities,
-    /// concepts and strings the delta adds: a store thawed at exact size
-    /// would otherwise double them for the first new entity.
+    /// Replays the delta onto a mutable build store, in log order: the
+    /// build path's way to take a delta, and the oracle a fold's bytes are
+    /// held to. [`OverlayView::apply`] folds the identical log with
+    /// identical semantics, and a compaction writes the bytes a freeze of
+    /// the replayed store writes (`tests/determinism.rs`).
     pub fn apply_to_store(&self, store: &mut TaxonomyStore) {
-        let new = NewKeys::of(&self.ops, store);
-        store.reserve_exact(
-            new.entities.len(),
-            new.concepts.len(),
-            new.strings.len(),
-            new.text_bytes,
-        );
         for op in &self.ops {
             match op {
                 DeltaOp::Entity { name, disambig } => {
@@ -312,86 +303,12 @@ impl DeltaOverlay {
     }
 }
 
-/// The distinct entity keys, concept names and strings an op log would add
-/// to a store, and the strings' total bytes.
-#[derive(Default)]
-struct NewKeys<'a> {
-    entities: FxHashSet<(&'a str, Option<&'a str>)>,
-    concepts: FxHashSet<&'a str>,
-    strings: FxHashSet<&'a str>,
-    text_bytes: usize,
-}
-
-impl<'a> NewKeys<'a> {
-    fn of(ops: &'a [DeltaOp], store: &TaxonomyStore) -> Self {
-        let mut new = NewKeys::default();
-        for op in ops {
-            match op {
-                DeltaOp::Entity { name, disambig } => new.entity(store, name, disambig),
-                DeltaOp::Concept { name } => new.concept(store, name),
-                DeltaOp::Alias {
-                    name,
-                    disambig,
-                    alias: s,
-                }
-                | DeltaOp::Attribute {
-                    name,
-                    disambig,
-                    attr: s,
-                } => {
-                    new.entity(store, name, disambig);
-                    new.string(store, s);
-                }
-                DeltaOp::EntityIsA {
-                    name,
-                    disambig,
-                    concept,
-                    ..
-                } => {
-                    new.entity(store, name, disambig);
-                    new.concept(store, concept);
-                }
-                DeltaOp::ConceptIsA { sub, sup, .. } => {
-                    new.concept(store, sub);
-                    new.concept(store, sup);
-                }
-                DeltaOp::RetractEntityIsA { .. } | DeltaOp::RetractConceptIsA { .. } => {}
-            }
-        }
-        new
-    }
-
-    fn entity(&mut self, store: &TaxonomyStore, name: &'a str, disambig: &'a Option<String>) {
-        let disambig = disambig.as_deref();
-        if store.find_entity(name, disambig).is_none() {
-            self.entities.insert((name, disambig));
-        }
-        self.string(store, name);
-        if let Some(d) = disambig {
-            self.string(store, d);
-        }
-    }
-
-    fn concept(&mut self, store: &TaxonomyStore, name: &'a str) {
-        if store.find_concept(name).is_none() {
-            self.concepts.insert(name);
-        }
-        self.string(store, name);
-    }
-
-    fn string(&mut self, store: &TaxonomyStore, s: &'a str) {
-        if store.interner().get(s).is_none() && self.strings.insert(s) {
-            self.text_bytes += s.len();
-        }
-    }
-}
-
 /// Patched entity→concept adjacency row: the *final* merged row for one
 /// entity, plus the base row length for edge accounting.
 #[derive(Debug, Clone, Default)]
-struct PatchRow {
+pub(crate) struct PatchRow {
     base_len: usize,
-    row: Vec<(ConceptId, IsAMeta)>,
+    pub(crate) row: Vec<(ConceptId, IsAMeta)>,
 }
 
 /// Merged concept-graph tables, materialised only when a delta touches
@@ -400,14 +317,14 @@ struct PatchRow {
 /// vs 16M entities), so rebuilding them per apply keeps the entity-heavy
 /// side — the actual write volume — incremental.
 #[derive(Debug, Clone)]
-struct ConceptTables {
+pub(crate) struct ConceptTables {
     /// Subconcept edge count of the base, recorded at activation.
     base_concept_edges: usize,
     /// Exact merged parent rows (base row order, upserts in place,
-    /// additions appended in log order) — matches the compacted store.
-    parents: Vec<Vec<(ConceptId, IsAMeta)>>,
+    /// additions appended in log order) — matches the replayed store.
+    pub(crate) parents: Vec<Vec<(ConceptId, IsAMeta)>>,
     /// Exact merged child rows, same construction.
-    children: Vec<Vec<ConceptId>>,
+    pub(crate) children: Vec<Vec<ConceptId>>,
     /// Concepts whose parent row changed *topologically* since the last
     /// finalize (an edge appended or removed, or the concept is
     /// overlay-new) — the seeds of the affected set; drained by
@@ -420,42 +337,55 @@ struct ConceptTables {
     /// unchanged, so reads serve the base's precomputed row instead of
     /// recomputing through the merged graph (the `AncestorsOf` fast
     /// path) — absence in this map *is* the fast path.
-    ancestors: FxHashMap<ConceptId, Vec<ConceptId>>,
+    pub(crate) ancestors: FxHashMap<ConceptId, Vec<ConceptId>>,
     /// Exact depths, same condensation DP as the freeze (`O(V + E)` per
     /// fold, run directly over the merged parent rows).
-    depth: Vec<u32>,
+    pub(crate) depth: Vec<u32>,
+    /// The topological order the same condensation gives, which a
+    /// compaction writes.
+    pub(crate) topo: Vec<ConceptId>,
 }
 
 /// The folded state of every applied delta: overlay string/entity/concept
 /// tables plus patch indexes over the base. Immutable once built — an
-/// apply clones and extends it into the next generation's state.
+/// apply clones and extends it into the next generation's state. A
+/// compaction (`crate::compact`) writes it merged with the base's rows.
 #[derive(Debug, Clone, Default)]
-struct OverlayState {
-    /// Full op log across all applied deltas, for compaction replay.
-    log: DeltaOverlay,
+pub(crate) struct OverlayState {
     /// Number of applied deltas (the overlay depth compaction resets).
     deltas: usize,
     /// Overlay string table; `Symbol(OVERLAY_SYM_TAG | i)` resolves here.
-    strings: Vec<String>,
-    string_ids: FxHashMap<String, u32>,
+    /// It holds, in the order a store replay of the log interns them,
+    /// every string that replay interns, except those the fold found in
+    /// the base as an entity's or a concept's name (so they are base
+    /// strings). A compaction maps each entry the base holds to its base
+    /// symbol and mints the rest after the base's, in this order — the
+    /// symbols the replay assigns.
+    pub(crate) strings: Vec<String>,
+    pub(crate) string_ids: FxHashMap<String, u32>,
     /// Appended entities; id = `base.num_entities() + index`.
-    entities: Vec<EntityRecord>,
+    pub(crate) entities: Vec<EntityRecord>,
     /// `(name, disambig-or-empty)` → appended entity id.
     entity_ids: FxHashMap<(String, String), EntityId>,
     /// Full `name（disambig）` keys of appended disambiguated entities.
     full_keys: FxHashMap<String, EntityId>,
     /// New mention strings (names + aliases) → sorted candidate senses
     /// (may include base ids, via aliases added to existing entities).
-    mentions: FxHashMap<String, Vec<EntityId>>,
-    /// Appended concepts; id = `base.num_concepts() + index`.
-    concept_names: Vec<String>,
+    pub(crate) mentions: FxHashMap<String, Vec<EntityId>>,
+    /// Appended concepts' name symbols; id = `base.num_concepts() + index`.
+    pub(crate) concepts: Vec<Symbol>,
     concept_ids: FxHashMap<String, ConceptId>,
+    /// Aliases and attributes the log gives an entity, as overlay symbols,
+    /// in log order, each once. A compaction appends to the entity's base
+    /// row those the row does not already hold, as the replay does.
+    pub(crate) aliases: FxHashMap<EntityId, Vec<Symbol>>,
+    pub(crate) attributes: FxHashMap<EntityId, Vec<Symbol>>,
     /// Final merged entity→concept rows for every touched entity.
-    patches: FxHashMap<EntityId, PatchRow>,
+    pub(crate) patches: FxHashMap<EntityId, PatchRow>,
     /// Concept → sorted touched entities (the patch rows to consult when
     /// enumerating that concept's extent).
-    extent: FxHashMap<ConceptId, Vec<EntityId>>,
-    tables: Option<ConceptTables>,
+    pub(crate) extent: FxHashMap<ConceptId, Vec<EntityId>>,
+    pub(crate) tables: Option<ConceptTables>,
     /// Merged `num_is_a`, set at finalize.
     n_is_a: usize,
     /// Merged `num_mentions`, set at finalize.
@@ -478,6 +408,22 @@ impl OverlayState {
         if let Err(pos) = row.binary_search(&id) {
             row.insert(pos, id);
         }
+    }
+
+    /// The resolved string of an overlay symbol (`""` for a base one).
+    pub(crate) fn overlay_str(&self, sym: Symbol) -> &str {
+        match sym.0.checked_sub(OVERLAY_SYM_TAG) {
+            Some(i) => self.strings.get(i as usize).map_or("", String::as_str),
+            None => "",
+        }
+    }
+}
+
+/// Appends `sym` to `e`'s row in `rows` unless the row holds it.
+fn push_once(rows: &mut FxHashMap<EntityId, Vec<Symbol>>, e: EntityId, sym: Symbol) {
+    let row = rows.entry(e).or_default();
+    if !row.contains(&sym) {
+        row.push(sym);
     }
 }
 
@@ -526,10 +472,10 @@ impl<B: TaxonomyRead> OverlayView<B> {
         self.state.deltas
     }
 
-    /// The accumulated op log (compaction replays it; see
+    /// The folded state a compaction merges with the base (see
     /// `crate::compact`).
-    pub(crate) fn log(&self) -> &DeltaOverlay {
-        &self.state.log
+    pub(crate) fn state(&self) -> &OverlayState {
+        &self.state
     }
 
     /// Folds one delta, producing the next read view. The base is shared;
@@ -539,7 +485,6 @@ impl<B: TaxonomyRead> OverlayView<B> {
         let mut st = (*self.state).clone();
         st.deltas += 1;
         for op in &delta.ops {
-            st.log.ops.push(op.clone());
             fold_op(self.base.as_ref(), &mut st, op);
         }
         finalize(self.base.as_ref(), &mut st);
@@ -621,6 +566,7 @@ fn activate_tables<'a, B: TaxonomyRead>(
             dirty: Vec::new(),
             ancestors: FxHashMap::default(),
             depth: Vec::new(),
+            topo: Vec::new(),
         }
     })
 }
@@ -632,8 +578,9 @@ fn ensure_concept<B: TaxonomyRead>(base: &B, st: &mut OverlayState, name: &str) 
     if let Some(&c) = st.concept_ids.get(name) {
         return c;
     }
-    let c = ConceptId((base.num_concepts() + st.concept_names.len()) as u32);
-    st.concept_names.push(name.to_string());
+    let c = ConceptId((base.num_concepts() + st.concepts.len()) as u32);
+    let sym = st.intern(name);
+    st.concepts.push(sym);
     st.concept_ids.insert(name.to_string(), c);
     let t = activate_tables(base, &mut st.tables);
     t.parents.push(Vec::new());
@@ -681,13 +628,20 @@ fn fold_op<B: TaxonomyRead>(base: &B, st: &mut OverlayState, op: &DeltaOp) {
             alias,
         } => {
             let e = ensure_entity(base, st, name, disambig.as_deref());
+            let sym = st.intern(alias);
+            push_once(&mut st.aliases, e, sym);
             st.push_mention(alias, e);
         }
-        DeltaOp::Attribute { name, disambig, .. } => {
-            // Attributes are a build-time signal (verification strategy A);
-            // they are invisible to TaxonomyRead but must still create the
-            // entity, like the store replay does.
-            ensure_entity(base, st, name, disambig.as_deref());
+        DeltaOp::Attribute {
+            name,
+            disambig,
+            attr,
+        } => {
+            // Attributes are a build-time signal (verification strategy A):
+            // invisible to TaxonomyRead, but a compaction writes them.
+            let e = ensure_entity(base, st, name, disambig.as_deref());
+            let sym = st.intern(attr);
+            push_once(&mut st.attributes, e, sym);
         }
         DeltaOp::EntityIsA {
             name,
@@ -791,11 +745,13 @@ fn finalize<B: TaxonomyRead>(base: &B, st: &mut OverlayState) {
             dirty,
             ancestors,
             depth,
+            topo,
             ..
         } = t;
         let parents = &*parents;
         let cond = Condensation::of_rows(n, |c| &parents[c.index()][..]);
         *depth = cond.depths_rows(n, |c| &parents[c.index()][..]);
+        *topo = cond.topo_order();
 
         // The AncestorsOf fast path: a concept's closure can change only
         // if some concept on an upward path from it had its parent row
@@ -892,10 +848,7 @@ impl<T, L: Iterator<Item = T>, R: Iterator<Item = T>> Iterator for Either<L, R> 
 impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
     fn resolve(&self, sym: Symbol) -> &str {
         if sym.0 & OVERLAY_SYM_TAG != 0 {
-            self.state
-                .strings
-                .get((sym.0 & !OVERLAY_SYM_TAG) as usize)
-                .map_or("", String::as_str)
+            self.state.overlay_str(sym)
         } else {
             self.base.resolve(sym)
         }
@@ -928,9 +881,9 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
             self.base.concept_name(id)
         } else {
             self.state
-                .concept_names
+                .concepts
                 .get(id.index() - base_n)
-                .map_or("", String::as_str)
+                .map_or("", |&sym| self.state.overlay_str(sym))
         }
     }
 
@@ -939,7 +892,7 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
     }
 
     fn num_concepts(&self) -> usize {
-        self.base.num_concepts() + self.state.concept_names.len()
+        self.base.num_concepts() + self.state.concepts.len()
     }
 
     fn num_is_a(&self) -> usize {

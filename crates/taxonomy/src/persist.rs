@@ -9,10 +9,11 @@
 //! delta+varint-encoded ([`crate::varint`]) and the ancestor closure is a
 //! succinct run/bitset encoding decoded on the query path. A caller that
 //! wants owned rows materialises them from the same bytes with
-//! [`FrozenTaxonomyView::to_frozen`], which is also where the deep
-//! semantic checks (`validate_frozen`) run.
+//! [`FrozenTaxonomyView::to_frozen`], after the deep semantic checks of
+//! [`FrozenTaxonomyView::validate_deep`].
 //!
 //! [`FrozenTaxonomyView::to_frozen`]: crate::view::FrozenTaxonomyView::to_frozen
+//! [`FrozenTaxonomyView::validate_deep`]: crate::view::FrozenTaxonomyView::validate_deep
 //!
 //! ```text
 //! magic "CNPB" | version u32 = 3
@@ -34,12 +35,11 @@
 //! write path's unit of ingest and has its own magic; see the section at
 //! the end of this file.
 
-use crate::frozen::{Csr, FrozenTaxonomy};
-use crate::hash::{FxHashMap, FxHashSet};
-use crate::interner::{Interner, Symbol};
+use crate::frozen::FrozenTaxonomy;
+use crate::hash::FxHashSet;
+use crate::interner::Symbol;
 use crate::overlay::{DeltaOp, DeltaOverlay};
-use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, Source};
-use crate::topo::Condensation;
+use crate::store::{EntityRecord, IsAMeta, Source};
 use crate::varint::{put_varint, varint_len, zigzag};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cnp_runtime::stable_hash;
@@ -161,242 +161,6 @@ pub fn peek_version(buf: &[u8]) -> Result<u32, PersistError> {
     Ok(u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]))
 }
 
-/// Every section of a snapshot decoded into owned tables, before any
-/// cross-section validation: what `FrozenTaxonomyView::to_frozen` hands
-/// to [`validate_frozen`].
-pub(crate) struct RawSections {
-    pub(crate) interner: Interner,
-    pub(crate) entities: Vec<EntityRecord>,
-    pub(crate) concepts: Vec<Symbol>,
-    pub(crate) entity_concepts: Csr<(ConceptId, IsAMeta)>,
-    pub(crate) concept_entities: Csr<EntityId>,
-    pub(crate) concept_parents: Csr<(ConceptId, IsAMeta)>,
-    pub(crate) concept_children: Csr<ConceptId>,
-    pub(crate) entity_attrs: Csr<Symbol>,
-    pub(crate) entity_aliases: Csr<Symbol>,
-    pub(crate) ancestors: Csr<ConceptId>,
-    pub(crate) topo: Vec<ConceptId>,
-    pub(crate) depth: Vec<u32>,
-    pub(crate) by_mention: Csr<EntityId>,
-}
-
-/// Cross-section validation + derived-map rebuild. Everything the freeze
-/// computes that is *not* on the wire (the two hash maps) is rebuilt
-/// here; everything that is on the wire is checked for mutual consistency
-/// so a decoded snapshot upholds the same invariants a freshly frozen one
-/// does.
-pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, PersistError> {
-    let RawSections {
-        interner,
-        entities,
-        concepts,
-        entity_concepts,
-        concept_entities,
-        concept_parents,
-        concept_children,
-        entity_attrs,
-        entity_aliases,
-        ancestors,
-        topo,
-        depth,
-        by_mention,
-    } = raw;
-
-    let n_strings = interner.len();
-    let n_entities = entities.len();
-    let n_concepts = concepts.len();
-    let sym_ok = |s: Symbol| s.index() < n_strings;
-
-    // Entity and concept tables: symbol bounds + unique keys.
-    let mut entity_by_key = FxHashMap::default();
-    for (i, rec) in entities.iter().enumerate() {
-        if !sym_ok(rec.name) || !sym_ok(rec.disambig) {
-            return Err(PersistError::BadIndex("entity symbol"));
-        }
-        if entity_by_key
-            .insert((rec.name, rec.disambig), EntityId(i as u32))
-            .is_some()
-        {
-            return Err(PersistError::BadIndex("duplicate entity key"));
-        }
-    }
-    let mut concept_by_sym = FxHashMap::default();
-    for (i, &sym) in concepts.iter().enumerate() {
-        if !sym_ok(sym) {
-            return Err(PersistError::BadIndex("concept symbol"));
-        }
-        if concept_by_sym.insert(sym, ConceptId(i as u32)).is_some() {
-            return Err(PersistError::BadIndex("duplicate concept symbol"));
-        }
-    }
-
-    // CSR shape: row counts must match their owning tables.
-    let rows = [
-        (
-            entity_concepts.num_rows(),
-            n_entities,
-            "entity-concept rows",
-        ),
-        (entity_attrs.num_rows(), n_entities, "entity-attribute rows"),
-        (entity_aliases.num_rows(), n_entities, "entity-alias rows"),
-        (
-            concept_entities.num_rows(),
-            n_concepts,
-            "concept-entity rows",
-        ),
-        (
-            concept_parents.num_rows(),
-            n_concepts,
-            "concept-parent rows",
-        ),
-        (
-            concept_children.num_rows(),
-            n_concepts,
-            "concept-child rows",
-        ),
-        (ancestors.num_rows(), n_concepts, "ancestor rows"),
-        (by_mention.num_rows(), n_strings, "mention rows"),
-    ];
-    for (got, want, what) in rows {
-        if got != want {
-            return Err(PersistError::BadIndex(what));
-        }
-    }
-    // Column-id bounds per relation.
-    let concept_ok = |c: ConceptId| c.index() < n_concepts;
-    let entity_ok = |e: EntityId| e.index() < n_entities;
-    if !entity_concepts.data().iter().all(|&(c, _)| concept_ok(c)) {
-        return Err(PersistError::BadIndex("entity-concept column"));
-    }
-    if !concept_entities.data().iter().all(|&e| entity_ok(e)) {
-        return Err(PersistError::BadIndex("concept-entity column"));
-    }
-    if !concept_parents.data().iter().all(|&(c, _)| concept_ok(c)) {
-        return Err(PersistError::BadIndex("concept-parent column"));
-    }
-    if !concept_children.data().iter().all(|&c| concept_ok(c)) {
-        return Err(PersistError::BadIndex("concept-child column"));
-    }
-    if !entity_attrs.data().iter().all(|&s| sym_ok(s)) {
-        return Err(PersistError::BadIndex("entity-attribute column"));
-    }
-    if !entity_aliases.data().iter().all(|&s| sym_ok(s)) {
-        return Err(PersistError::BadIndex("entity-alias column"));
-    }
-    if !ancestors.data().iter().all(|&c| concept_ok(c)) {
-        return Err(PersistError::BadIndex("ancestor column"));
-    }
-    if !by_mention.data().iter().all(|&e| entity_ok(e)) {
-        return Err(PersistError::BadIndex("mention column"));
-    }
-
-    // Topological order and depths are exactly what the freeze derives
-    // from the parent rows.
-    let parents_of = |c: ConceptId| concept_parents.row(c.index());
-    let cond = Condensation::of_rows(n_concepts, parents_of);
-    if cond.topo_order() != topo || cond.depths_rows(n_concepts, parents_of) != depth {
-        return Err(PersistError::BadIndex("topo order or depth"));
-    }
-
-    // Relation symmetry: parents ↔ children and entity-edges ↔ entity
-    // rows must describe the same edge sets (no edge lost or invented).
-    let mut child_edges = FxHashSet::default();
-    for p in 0..n_concepts {
-        for &c in concept_children.row(p) {
-            if !child_edges.insert((c, ConceptId(p as u32))) {
-                return Err(PersistError::BadIndex("duplicate child edge"));
-            }
-        }
-    }
-    let mut n_parent_edges = 0usize;
-    for c in 0..n_concepts {
-        for &(p, _) in concept_parents.row(c) {
-            n_parent_edges += 1;
-            if p.index() == c {
-                return Err(PersistError::BadIndex("self parent edge"));
-            }
-            if !child_edges.contains(&(ConceptId(c as u32), p)) {
-                return Err(PersistError::BadIndex("parent edge without child edge"));
-            }
-        }
-    }
-    if n_parent_edges != child_edges.len() {
-        return Err(PersistError::BadIndex("parent/child edge count"));
-    }
-    let mut entity_edges = FxHashSet::default();
-    for c in 0..n_concepts {
-        for &e in concept_entities.row(c) {
-            if !entity_edges.insert((e, ConceptId(c as u32))) {
-                return Err(PersistError::BadIndex("duplicate concept-entity edge"));
-            }
-        }
-    }
-    let mut n_entity_edges = 0usize;
-    for e in 0..n_entities {
-        for &(c, _) in entity_concepts.row(e) {
-            n_entity_edges += 1;
-            if !entity_edges.contains(&(EntityId(e as u32), c)) {
-                return Err(PersistError::BadIndex("entity edge without concept edge"));
-            }
-        }
-    }
-    if n_entity_edges != entity_edges.len() {
-        return Err(PersistError::BadIndex("entity/concept edge count"));
-    }
-
-    // Closure consistency with the parent edges: ancestor rows are
-    // strictly sorted, never contain the concept itself, and contain every
-    // direct parent.
-    for c in 0..n_concepts {
-        let row = ancestors.row(c);
-        if !row.windows(2).all(|w| w[0] < w[1]) {
-            return Err(PersistError::BadIndex("unsorted ancestor row"));
-        }
-        if row.binary_search(&ConceptId(c as u32)).is_ok() {
-            return Err(PersistError::BadIndex("self ancestor"));
-        }
-        for &(p, _) in concept_parents.row(c) {
-            if row.binary_search(&p).is_err() {
-                return Err(PersistError::BadIndex("parent missing from closure"));
-            }
-        }
-    }
-
-    // Mention rows: strictly sorted, and every listed sense actually
-    // carries the mention symbol as its name or one of its aliases.
-    for sym in 0..n_strings {
-        let row = by_mention.row(sym);
-        if !row.windows(2).all(|w| w[0] < w[1]) {
-            return Err(PersistError::BadIndex("unsorted mention row"));
-        }
-        let sym = Symbol(sym as u32);
-        for &e in row {
-            let rec = entities[e.index()];
-            if rec.name != sym && !entity_aliases.row(e.index()).contains(&sym) {
-                return Err(PersistError::BadIndex("mention without name or alias"));
-            }
-        }
-    }
-
-    Ok(FrozenTaxonomy {
-        interner,
-        entities,
-        entity_by_key,
-        concepts,
-        concept_by_sym,
-        entity_concepts,
-        concept_entities,
-        concept_parents,
-        concept_children,
-        entity_attrs,
-        entity_aliases,
-        ancestors,
-        topo,
-        depth,
-        by_mention,
-    })
-}
-
 // ----- the snapshot encoder -----------------------------------------------
 //
 // Section bodies are designed so `FrozenTaxonomyView` can answer every
@@ -429,23 +193,79 @@ pub(crate) fn validate_frozen(raw: RawSections) -> Result<FrozenTaxonomy, Persis
 //   such row; the view parses every one into its one row type, `AnccRow`.
 // * `MHSH` — `n u32 | n×(hash u32 | symbol u32)`, sorted by hash.
 
+/// Every table of a snapshot, row by row, in the form its section stores
+/// it: what the v3 encoder reads. Symbols and ids are the written ones.
+/// Three forms implement it: the owned [`FrozenTaxonomy`] (the build
+/// path), the [`crate::view::FrozenTaxonomyView`] a server reads in place,
+/// and a fold's merge of a base with its overlay (`crate::compact`). Each
+/// `*_row` method fills `out`, which the encoder passes empty, with row
+/// `i`; the encoder asks for every row twice, once to size the output and
+/// once to write it.
+pub(crate) trait SnapshotRows {
+    /// Number of strings; symbol `s` is [`string`](Self::string)`(s)`.
+    fn n_strings(&self) -> usize;
+    fn string(&self, s: usize) -> &str;
+    /// The strings' total byte length.
+    fn text_len(&self) -> usize;
+    /// Every symbol, by string bytes (`SSRT`).
+    fn ssrt(&self) -> impl Iterator<Item = u32> + '_;
+    fn n_entities(&self) -> usize;
+    fn entity_record(&self, e: usize) -> EntityRecord;
+    fn n_concepts(&self) -> usize;
+    fn concept_symbol(&self, c: usize) -> Symbol;
+    /// Every concept id, by name symbol (`CSRT`).
+    fn csrt(&self) -> impl Iterator<Item = u32> + '_;
+    /// An entity's concepts with the edges' metadata (`ECON`).
+    fn econ_row(&self, e: usize, out: &mut Vec<(u32, IsAMeta)>);
+    /// A concept's entities in serving rank order, each with its `ECON`
+    /// edge's metadata (`CENT`).
+    fn cent_row(&self, c: usize, out: &mut Vec<(u32, IsAMeta)>);
+    /// A concept's parents with the edges' metadata (`CPAR`).
+    fn cpar_row(&self, c: usize, out: &mut Vec<(u32, IsAMeta)>);
+    fn cchd_row(&self, c: usize, out: &mut Vec<u32>);
+    fn eatt_row(&self, e: usize, out: &mut Vec<u32>);
+    fn eals_row(&self, e: usize, out: &mut Vec<u32>);
+    /// A concept's transitive ancestors, ascending (`ANCC`).
+    fn ancc_row(&self, c: usize, out: &mut Vec<u32>);
+    /// The concepts in topological order (`TOPO`), `n_concepts` of them.
+    fn topo(&self) -> impl Iterator<Item = u32> + '_;
+    fn depth_of(&self, c: usize) -> u32;
+    /// The entities named or aliased by symbol `s`, ascending (`MENT`).
+    fn ment_row(&self, s: usize, out: &mut Vec<u32>);
+    /// `(hash, symbol)` of every non-empty mention row, ascending (`MHSH`).
+    fn mhsh(&self) -> impl Iterator<Item = (u32, u32)> + '_;
+}
+
+/// The `MHSH` hash of a mention string.
+pub(crate) fn mention_hash(s: &str) -> u32 {
+    stable_hash(s.as_bytes()) as u32
+}
+
 /// Serializes a frozen snapshot to bytes, for
-/// [`crate::view::FrozenTaxonomyView`] to open.
+/// [`crate::view::FrozenTaxonomyView`] to open: `encode` over the owned
+/// form's rows.
+pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
+    encode(f)
+}
+
+/// Serializes a snapshot's rows to v3 bytes.
 ///
 /// The bytes are written once, into their final allocation: a sizing pass
 /// adds up every section's length, without sorting or hashing (and,
 /// below 129 distinct edge metadata values, without looking anything up),
 /// and the write fills a buffer of exactly that length in place, each row
-/// straight after its length prefix. So an encode holds
-/// its output once, plus the scratch of the sort orders and the metadata
-/// dictionary.
-pub fn encode_frozen_v3(f: &FrozenTaxonomy) -> Bytes {
-    let dict = meta_dict(f);
-    let len = encoded_len(f, &dict);
+/// straight after its length prefix. So an encode holds its output once,
+/// plus the metadata dictionary, one row of scratch and whatever the rows'
+/// source needs for its sorted sections (the owned form sorts `SSRT`,
+/// `CSRT` and `MHSH`; a view reads them, and a fold merges the few new
+/// entries into the base's).
+pub(crate) fn encode(rows: &impl SnapshotRows) -> Bytes {
+    let dict = meta_dict(rows);
+    let len = encoded_len(rows, &dict);
     let mut buf = zeroed(len);
     let written = Arc::get_mut(&mut buf).map(|out| {
         let mut out = Out { buf: out, at: 0 };
-        write_v3(f, &dict, &mut out);
+        write_v3(rows, &dict, &mut out);
         out.at
     });
     assert_eq!(
@@ -545,102 +365,56 @@ fn section(out: &mut Out<'_>, tag: [u8; 4], write: impl FnOnce(&mut Out<'_>)) {
 /// exact byte length, computed without writing it: the sizing pass adds
 /// it up, and the write puts it in front of the row as its length prefix.
 trait RowFormat<T> {
-    fn len(&self, i: usize, row: &[T]) -> usize;
-    fn put(&self, out: &mut Out<'_>, i: usize, row: &[T]);
-}
-
-/// A dense id, as a varint-CSR row stores it.
-trait RowId: Copy {
-    fn id(self) -> u32;
-}
-
-impl RowId for ConceptId {
-    fn id(self) -> u32 {
-        self.0
-    }
-}
-
-impl RowId for EntityId {
-    fn id(self) -> u32 {
-        self.0
-    }
-}
-
-impl RowId for Symbol {
-    fn id(self) -> u32 {
-        self.0
-    }
+    fn len(&self, row: &[T]) -> usize;
+    fn put(&self, out: &mut Out<'_>, row: &[T]);
 }
 
 /// Rows of plain ids: `CCHD`, `EATT`, `EALS`, `MENT`.
 struct IdRows;
 
-impl<T: RowId> RowFormat<T> for IdRows {
-    fn len(&self, _: usize, row: &[T]) -> usize {
-        delta_ids_len(row.iter().map(|x| x.id()))
+impl RowFormat<u32> for IdRows {
+    fn len(&self, row: &[u32]) -> usize {
+        delta_ids_len(row.iter().copied())
     }
 
-    fn put(&self, out: &mut Out<'_>, _: usize, row: &[T]) {
-        put_delta_ids(out, row.iter().map(|x| x.id()));
+    fn put(&self, out: &mut Out<'_>, row: &[u32]) {
+        put_delta_row(out, row.iter().map(|&id| (id, None)));
     }
 }
 
-/// Edge rows with their metadata's dictionary index: `ECON`, `CPAR`.
+/// Edge rows with their metadata's dictionary index: `ECON`, `CPAR`, and
+/// `CENT`, whose hyponym rows mirror the entity→concept edge's index
+/// inline, so `getEntity` never probes `ECON` per hit.
 struct MetaRows<'a> {
     dict: &'a [(u8, u32)],
 }
 
-impl RowFormat<(ConceptId, IsAMeta)> for MetaRows<'_> {
-    fn len(&self, _: usize, row: &[(ConceptId, IsAMeta)]) -> usize {
+impl RowFormat<(u32, IsAMeta)> for MetaRows<'_> {
+    fn len(&self, row: &[(u32, IsAMeta)]) -> usize {
         let indexes = row
             .iter()
             .map(|(_, m)| index_len(self.dict, || dict_index(self.dict, m)));
-        delta_ids_len(row.iter().map(|(c, _)| c.0)) + indexes.sum::<usize>()
+        delta_ids_len(row.iter().map(|&(id, _)| id)) + indexes.sum::<usize>()
     }
 
-    fn put(&self, out: &mut Out<'_>, _: usize, row: &[(ConceptId, IsAMeta)]) {
-        put_meta_row(out, row, self.dict);
-    }
-}
-
-/// `CENT` rows: hyponym rows mirror the entity→concept edge's dictionary
-/// index inline, so `getEntity` never probes `ECON` per hit.
-struct HyponymRows<'a> {
-    f: &'a FrozenTaxonomy,
-    dict: &'a [(u8, u32)],
-}
-
-impl HyponymRows<'_> {
-    /// The dictionary index of the edge from `e` to concept `c`.
-    fn mirrored(&self, c: usize, e: EntityId) -> u64 {
-        let mut edges = self.f.entity_concepts.row(e.index()).iter();
-        let edge = edges.find(|(cc, _)| cc.index() == c);
-        edge.map_or(0, |(_, m)| dict_index(self.dict, m))
-    }
-}
-
-impl RowFormat<EntityId> for HyponymRows<'_> {
-    fn len(&self, c: usize, row: &[EntityId]) -> usize {
-        let indexes = row
-            .iter()
-            .map(|&e| index_len(self.dict, || self.mirrored(c, e)));
-        delta_ids_len(row.iter().map(|e| e.0)) + indexes.sum::<usize>()
-    }
-
-    fn put(&self, out: &mut Out<'_>, c: usize, row: &[EntityId]) {
-        put_delta_row(out, row.iter().map(|&e| (e.0, Some(self.mirrored(c, e)))));
+    fn put(&self, out: &mut Out<'_>, row: &[(u32, IsAMeta)]) {
+        let dict = self.dict;
+        put_delta_row(
+            out,
+            row.iter().map(|(id, m)| (*id, Some(dict_index(dict, m)))),
+        );
     }
 }
 
 /// `ANCC` rows.
 struct AncestorRows;
 
-impl RowFormat<ConceptId> for AncestorRows {
-    fn len(&self, _: usize, row: &[ConceptId]) -> usize {
+impl RowFormat<u32> for AncestorRows {
+    fn len(&self, row: &[u32]) -> usize {
         ancc_forms(row).map_or(0, |(ranges, bitset)| ranges.min(bitset))
     }
 
-    fn put(&self, out: &mut Out<'_>, _: usize, row: &[ConceptId]) {
+    fn put(&self, out: &mut Out<'_>, row: &[u32]) {
         put_ancc_row(out, row);
     }
 }
@@ -656,37 +430,32 @@ fn index_len(dict: &[(u8, u32)], index: impl FnOnce() -> u64) -> usize {
     }
 }
 
-/// The symbols whose mention rows are not empty: the `MHSH` entries.
-fn mention_symbols(f: &FrozenTaxonomy) -> impl Iterator<Item = usize> + '_ {
-    (0..f.interner.len()).filter(|&s| !f.by_mention.row(s).is_empty())
-}
-
 /// The exact length [`write_v3`] writes, section by section in the same
 /// order: fixed-width sections by count, varint-CSR sections row by row.
-fn encoded_len(f: &FrozenTaxonomy, dict: &[(u8, u32)]) -> usize {
-    let strings = f.interner.len();
-    let entities = f.entities.len();
-    let concepts = f.concepts.len();
+fn encoded_len(rows: &impl SnapshotRows, dict: &[(u8, u32)]) -> usize {
+    let strings = rows.n_strings();
+    let entities = rows.n_entities();
+    let concepts = rows.n_concepts();
     let meta = MetaRows { dict };
-    let hyponyms = HyponymRows { f, dict };
+    let (ment, mention_keys) = vcsr_len(strings, |s, out| rows.ment_row(s, out), &IdRows);
     let sections = [
-        4 + 4 * strings + f.interner.text().len(), // INTR
-        4 * strings,                               // SSRT
-        4 + 8 * entities,                          // ENTS
-        4 + 4 * concepts,                          // CNPT
-        4 * concepts,                              // CSRT
-        4 + 5 * dict.len(),                        // MDCT
-        vcsr_len(&f.entity_concepts, &meta),       // ECON
-        vcsr_len(&f.concept_entities, &hyponyms),  // CENT
-        vcsr_len(&f.concept_parents, &meta),       // CPAR
-        vcsr_len(&f.concept_children, &IdRows),    // CCHD
-        vcsr_len(&f.entity_attrs, &IdRows),        // EATT
-        vcsr_len(&f.entity_aliases, &IdRows),      // EALS
-        vcsr_len(&f.ancestors, &AncestorRows),     // ANCC
-        4 + 4 * f.topo.len(),                      // TOPO
-        4 + 4 * f.depth.len(),                     // DPTH
-        vcsr_len(&f.by_mention, &IdRows),          // MENT
-        4 + 8 * mention_symbols(f).count(),        // MHSH
+        4 + 4 * strings + rows.text_len(),                           // INTR
+        4 * strings,                                                 // SSRT
+        4 + 8 * entities,                                            // ENTS
+        4 + 4 * concepts,                                            // CNPT
+        4 * concepts,                                                // CSRT
+        4 + 5 * dict.len(),                                          // MDCT
+        vcsr_len(entities, |e, out| rows.econ_row(e, out), &meta).0, // ECON
+        vcsr_len(concepts, |c, out| rows.cent_row(c, out), &meta).0, // CENT
+        vcsr_len(concepts, |c, out| rows.cpar_row(c, out), &meta).0, // CPAR
+        vcsr_len(concepts, |c, out| rows.cchd_row(c, out), &IdRows).0, // CCHD
+        vcsr_len(entities, |e, out| rows.eatt_row(e, out), &IdRows).0, // EATT
+        vcsr_len(entities, |e, out| rows.eals_row(e, out), &IdRows).0, // EALS
+        vcsr_len(concepts, |c, out| rows.ancc_row(c, out), &AncestorRows).0, // ANCC
+        4 + 4 * concepts,                                            // TOPO
+        4 + 4 * concepts,                                            // DPTH
+        ment,                                                        // MENT
+        4 + 8 * mention_keys,                                        // MHSH
     ];
     let checksum = SECTION_HEADER + 8;
     8 + sections
@@ -698,43 +467,46 @@ fn encoded_len(f: &FrozenTaxonomy, dict: &[(u8, u32)]) -> usize {
 
 /// Writes every section of the snapshot into `out`, which holds exactly
 /// [`encoded_len`] bytes.
-fn write_v3(f: &FrozenTaxonomy, dict: &[(u8, u32)], out: &mut Out<'_>) {
+fn write_v3(rows: &impl SnapshotRows, dict: &[(u8, u32)], out: &mut Out<'_>) {
+    let strings = rows.n_strings();
+    let entities = rows.n_entities();
+    let concepts = rows.n_concepts();
+    let meta = MetaRows { dict };
     out.put_slice(MAGIC);
     out.put_u32_le(VERSION_VIEW);
 
     section(out, SEC_INTERNER, |b| {
-        b.put_u32_le(f.interner.len() as u32);
+        b.put_u32_le(strings as u32);
         let mut end = 0u32;
-        for (_, s) in f.interner.iter() {
-            end += s.len() as u32;
+        for s in 0..strings {
+            end += rows.string(s).len() as u32;
             b.put_u32_le(end);
         }
-        b.put_slice(f.interner.text().as_bytes());
+        for s in 0..strings {
+            b.put_slice(rows.string(s).as_bytes());
+        }
     });
     section(out, SEC_STR_SORT, |b| {
-        let mut order: Vec<u32> = (0..f.interner.len() as u32).collect();
-        order.sort_unstable_by_key(|&s| f.interner.resolve(Symbol(s)));
-        for s in order {
+        for s in rows.ssrt() {
             b.put_u32_le(s);
         }
     });
     section(out, SEC_ENTITIES, |b| {
-        b.put_u32_le(f.entities.len() as u32);
-        for rec in &f.entities {
+        b.put_u32_le(entities as u32);
+        for e in 0..entities {
+            let rec = rows.entity_record(e);
             b.put_u32_le(rec.name.0);
             b.put_u32_le(rec.disambig.0);
         }
     });
     section(out, SEC_CONCEPTS, |b| {
-        b.put_u32_le(f.concepts.len() as u32);
-        for sym in &f.concepts {
-            b.put_u32_le(sym.0);
+        b.put_u32_le(concepts as u32);
+        for c in 0..concepts {
+            b.put_u32_le(rows.concept_symbol(c).0);
         }
     });
     section(out, SEC_CONCEPT_SORT, |b| {
-        let mut order: Vec<u32> = (0..f.concepts.len() as u32).collect();
-        order.sort_unstable_by_key(|&c| f.concepts[c as usize].0);
-        for c in order {
+        for c in rows.csrt() {
             b.put_u32_le(c);
         }
     });
@@ -746,54 +518,53 @@ fn write_v3(f: &FrozenTaxonomy, dict: &[(u8, u32)], out: &mut Out<'_>) {
         }
     });
     section(out, SEC_ENTITY_CONCEPTS, |b| {
-        put_vcsr(b, &f.entity_concepts, &MetaRows { dict });
+        put_vcsr(b, entities, |e, out| rows.econ_row(e, out), &meta);
     });
     section(out, SEC_CONCEPT_ENTITIES, |b| {
-        put_vcsr(b, &f.concept_entities, &HyponymRows { f, dict });
+        put_vcsr(b, concepts, |c, out| rows.cent_row(c, out), &meta);
     });
     section(out, SEC_CONCEPT_PARENTS, |b| {
-        put_vcsr(b, &f.concept_parents, &MetaRows { dict });
+        put_vcsr(b, concepts, |c, out| rows.cpar_row(c, out), &meta);
     });
     section(out, SEC_CONCEPT_CHILDREN, |b| {
-        put_vcsr(b, &f.concept_children, &IdRows);
+        put_vcsr(b, concepts, |c, out| rows.cchd_row(c, out), &IdRows);
     });
     section(out, SEC_ENTITY_ATTRS, |b| {
-        put_vcsr(b, &f.entity_attrs, &IdRows);
+        put_vcsr(b, entities, |e, out| rows.eatt_row(e, out), &IdRows);
     });
     section(out, SEC_ENTITY_ALIASES, |b| {
-        put_vcsr(b, &f.entity_aliases, &IdRows);
+        put_vcsr(b, entities, |e, out| rows.eals_row(e, out), &IdRows);
     });
     section(out, SEC_ANCESTOR_SUCC, |b| {
-        put_vcsr(b, &f.ancestors, &AncestorRows);
+        put_vcsr(b, concepts, |c, out| rows.ancc_row(c, out), &AncestorRows);
     });
     section(out, SEC_TOPO, |b| {
-        b.put_u32_le(f.topo.len() as u32);
-        for c in &f.topo {
-            b.put_u32_le(c.0);
+        b.put_u32_le(concepts as u32);
+        for c in rows.topo() {
+            b.put_u32_le(c);
         }
     });
     section(out, SEC_DEPTH, |b| {
-        b.put_u32_le(f.depth.len() as u32);
-        for &d in &f.depth {
-            b.put_u32_le(d);
+        b.put_u32_le(concepts as u32);
+        for c in 0..concepts {
+            b.put_u32_le(rows.depth_of(c));
         }
     });
     section(out, SEC_MENTIONS, |b| {
-        put_vcsr(b, &f.by_mention, &IdRows);
+        put_vcsr(b, strings, |s, out| rows.ment_row(s, out), &IdRows);
     });
     section(out, SEC_MENTION_HASH, |b| {
-        let mut rows: Vec<(u32, u32)> = mention_symbols(f)
-            .map(|s| {
-                let hash = stable_hash(f.interner.resolve(Symbol(s as u32)).as_bytes());
-                (hash as u32, s as u32)
-            })
-            .collect();
-        rows.sort_unstable();
-        b.put_u32_le(rows.len() as u32);
-        for (hash, sym) in rows {
+        // The count is the sizing pass's non-empty `MENT` rows; it is
+        // patched in once the entries are written.
+        let count_at = b.at;
+        b.put_u32_le(0);
+        let mut count = 0u32;
+        for (hash, sym) in rows.mhsh() {
             b.put_u32_le(hash);
             b.put_u32_le(sym);
+            count += 1;
         }
+        b.patch(count_at, &count.to_le_bytes());
     });
 
     let digest = stable_hash(&out.buf[..out.at]);
@@ -802,26 +573,38 @@ fn write_v3(f: &FrozenTaxonomy, dict: &[(u8, u32)], out: &mut Out<'_>) {
     out.put_u64_le(digest);
 }
 
-/// The byte length of a [`put_vcsr`] section body: the two counts, the
-/// directory, the payload length and every row with its length prefix.
-fn vcsr_len<T: Copy>(csr: &Csr<T>, rows: &impl RowFormat<T>) -> usize {
-    let n = csr.num_rows();
-    let payload: usize = (0..n)
-        .map(|i| {
-            let len = rows.len(i, csr.row(i));
-            varint_len(len as u64) + len
-        })
-        .sum();
-    8 + 4 * n.div_ceil(VCSR_BLOCK) + 4 + payload
+/// The byte length of a [`put_vcsr`] section body of `n` rows, `row(i, out)`
+/// appending row `i` — the two counts, the directory, the payload length
+/// and every row with its length prefix — and how many rows are not empty.
+fn vcsr_len<T>(
+    n: usize,
+    row: impl Fn(usize, &mut Vec<T>),
+    format: &impl RowFormat<T>,
+) -> (usize, usize) {
+    let (mut payload, mut nonempty) = (0usize, 0usize);
+    let mut scratch = Vec::new();
+    for i in 0..n {
+        scratch.clear();
+        row(i, &mut scratch);
+        let len = format.len(&scratch);
+        payload += varint_len(len as u64) + len;
+        nonempty += usize::from(!scratch.is_empty());
+    }
+    (8 + 4 * n.div_ceil(VCSR_BLOCK) + 4 + payload, nonempty)
 }
 
 /// A varint-CSR section body, written in place: each row straight after
-/// its length prefix, each directory slot as its row is reached, the
-/// payload length once every row is written.
-fn put_vcsr<T: Copy>(out: &mut Out<'_>, csr: &Csr<T>, rows: &impl RowFormat<T>) {
-    let n = csr.num_rows();
+/// its length prefix, each directory slot as its row is reached, the entry
+/// count and the payload length once every row is written.
+fn put_vcsr<T>(
+    out: &mut Out<'_>,
+    n: usize,
+    row: impl Fn(usize, &mut Vec<T>),
+    format: &impl RowFormat<T>,
+) {
     out.put_u32_le(n as u32);
-    out.put_u32_le(csr.num_entries() as u32);
+    let entries_at = out.at;
+    out.put_u32_le(0);
     let dir_at = out.at;
     for _ in 0..n.div_ceil(VCSR_BLOCK) {
         out.put_u32_le(0);
@@ -829,15 +612,20 @@ fn put_vcsr<T: Copy>(out: &mut Out<'_>, csr: &Csr<T>, rows: &impl RowFormat<T>) 
     let payload_len_at = out.at;
     out.put_u32_le(0);
     let payload_at = out.at;
+    let mut entries = 0usize;
+    let mut scratch = Vec::new();
     for i in 0..n {
         if i % VCSR_BLOCK == 0 {
             let offset = (out.at - payload_at) as u32;
             out.patch(dir_at + 4 * (i / VCSR_BLOCK), &offset.to_le_bytes());
         }
-        let row = csr.row(i);
-        put_varint(out, rows.len(i, row) as u64);
-        rows.put(out, i, row);
+        scratch.clear();
+        row(i, &mut scratch);
+        put_varint(out, format.len(&scratch) as u64);
+        format.put(out, &scratch);
+        entries += scratch.len();
     }
+    out.patch(entries_at, &(entries as u32).to_le_bytes());
     let payload_len = (out.at - payload_at) as u32;
     out.patch(payload_len_at, &payload_len.to_le_bytes());
 }
@@ -860,11 +648,7 @@ fn put_delta_row(b: &mut Out<'_>, row: impl Iterator<Item = (u32, Option<u64>)>)
     }
 }
 
-fn put_delta_ids(b: &mut Out<'_>, ids: impl Iterator<Item = u32>) {
-    put_delta_row(b, ids.map(|id| (id, None)));
-}
-
-/// The byte length [`put_delta_ids`] writes for `ids`.
+/// The byte length [`put_delta_row`] writes for `ids` without metadata.
 fn delta_ids_len(ids: impl Iterator<Item = u32>) -> usize {
     let mut prev: Option<u32> = None;
     ids.map(|id| match prev.replace(id) {
@@ -887,19 +671,32 @@ fn clamp_conf(c: f32) -> f32 {
     }
 }
 
+/// A metadata value's dictionary key.
+fn meta_key(m: &IsAMeta) -> (u8, u32) {
+    (m.source.to_u8(), clamp_conf(m.confidence).to_bits())
+}
+
 /// Builds the deduplicated `(source tag, confidence bits)` dictionary the
-/// v3 meta rows index into, sorted so re-encoding a decoded snapshot is
-/// byte-identical.
-fn meta_dict(f: &FrozenTaxonomy) -> Vec<(u8, u32)> {
+/// v3 meta rows index into: every value an `ECON` or `CPAR` edge carries,
+/// sorted, so re-encoding a decoded snapshot is byte-identical and a fold
+/// whose log adds or drops a value renumbers the indexes as a fresh build
+/// would.
+fn meta_dict(rows: &impl SnapshotRows) -> Vec<(u8, u32)> {
     // Deduplicated as it is collected: the scratch is the handful of
-    // distinct values, not one entry per edge. The sort fixes the order.
-    let distinct: FxHashSet<(u8, u32)> = f
-        .entity_concepts
-        .data()
-        .iter()
-        .chain(f.concept_parents.data().iter())
-        .map(|(_, m)| (m.source.to_u8(), clamp_conf(m.confidence).to_bits()))
-        .collect();
+    // distinct values and one row, not one entry per edge. The sort fixes
+    // the order.
+    let mut distinct: FxHashSet<(u8, u32)> = FxHashSet::default();
+    let mut row = Vec::new();
+    for e in 0..rows.n_entities() {
+        row.clear();
+        rows.econ_row(e, &mut row);
+        distinct.extend(row.iter().map(|(_, m)| meta_key(m)));
+    }
+    for c in 0..rows.n_concepts() {
+        row.clear();
+        rows.cpar_row(c, &mut row);
+        distinct.extend(row.iter().map(|(_, m)| meta_key(m)));
+    }
     let mut dict: Vec<(u8, u32)> = distinct.into_iter().collect();
     dict.sort_unstable();
     dict
@@ -907,20 +704,15 @@ fn meta_dict(f: &FrozenTaxonomy) -> Vec<(u8, u32)> {
 
 /// Dictionary index of an edge's metadata; 0 only ever falls out for a
 /// meta value absent from the dictionary, which cannot happen for the
-/// frozen snapshot the dictionary was built from.
+/// rows the dictionary was built from.
 fn dict_index(dict: &[(u8, u32)], m: &IsAMeta) -> u64 {
-    let key = (m.source.to_u8(), clamp_conf(m.confidence).to_bits());
-    dict.binary_search(&key).map_or(0, |i| i as u64)
-}
-
-fn put_meta_row(b: &mut Out<'_>, row: &[(ConceptId, IsAMeta)], dict: &[(u8, u32)]) {
-    put_delta_row(b, row.iter().map(|(c, m)| (c.0, Some(dict_index(dict, m)))));
+    dict.binary_search(&meta_key(m)).map_or(0, |i| i as u64)
 }
 
 /// Maximal runs of consecutive ids in a strictly ascending row, as
 /// `(first id, length)`.
-fn runs(row: &[ConceptId]) -> impl Iterator<Item = (u32, u32)> + '_ {
-    let mut ids = row.iter().map(|c| c.0).peekable();
+fn runs(row: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let mut ids = row.iter().copied().peekable();
     std::iter::from_fn(move || {
         let start = ids.next()?;
         let mut len = 1;
@@ -933,8 +725,8 @@ fn runs(row: &[ConceptId]) -> impl Iterator<Item = (u32, u32)> + '_ {
 
 /// The byte lengths of an `ANCC` row's two forms, `(ranges, bitset)`;
 /// `None` for an empty row, which is zero bytes.
-fn ancc_forms(row: &[ConceptId]) -> Option<(usize, usize)> {
-    let (first, last) = (row.first()?.0, row.last()?.0);
+fn ancc_forms(row: &[u32]) -> Option<(usize, usize)> {
+    let (&first, &last) = (row.first()?, row.last()?);
     let mut ranges = 1usize;
     let mut cursor = 0u32;
     for (start, len) in runs(row) {
@@ -949,7 +741,7 @@ fn ancc_forms(row: &[ConceptId]) -> Option<(usize, usize)> {
 /// forms is smaller. The one writer of these rows; the view's `AnccRow` is
 /// their one reader, for `open`'s canonical-form check, iteration and
 /// `ancestor_contains` alike.
-fn put_ancc_row(b: &mut Out<'_>, row: &[ConceptId]) {
+fn put_ancc_row(b: &mut Out<'_>, row: &[u32]) {
     let Some((ranges, bitset)) = ancc_forms(row) else {
         return;
     };
@@ -962,16 +754,16 @@ fn put_ancc_row(b: &mut Out<'_>, row: &[ConceptId]) {
             cursor = start + len;
         }
     } else {
-        let first = row[0].0;
+        let first = row[0];
         b.put_u8(ANCC_BITSET);
         put_varint(b, u64::from(first));
         let bits_at = b.at;
-        let span = (row[row.len() - 1].0 - first) as usize + 1;
+        let span = (row[row.len() - 1] - first) as usize + 1;
         for _ in 0..span.div_ceil(8) {
             b.put_u8(0);
         }
         for &c in row {
-            let off = (c.0 - first) as usize;
+            let off = (c - first) as usize;
             b.buf[bits_at + off / 8] |= 1 << (off % 8);
         }
     }
@@ -1233,7 +1025,7 @@ fn get_str(buf: &mut &[u8]) -> Result<String, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::TaxonomyStore;
+    use crate::store::{ConceptId, EntityId, TaxonomyStore};
     use crate::view::tests::{assert_view_matches, demo_store};
     use crate::view::FrozenTaxonomyView;
     use proptest::prelude::*;

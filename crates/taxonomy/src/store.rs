@@ -432,89 +432,6 @@ impl TaxonomyStore {
         self.n_concept_isa
     }
 
-    // ----- exact reconstruction (compaction thaw) -------------------------
-
-    /// Rebuilds a store from pre-assembled tables — the `thaw` half of the
-    /// compaction path (see `crate::compact`). The caller supplies every
-    /// adjacency row verbatim and the lookup maps that index them; this
-    /// constructor only counts the edges, so the result is *exactly* the
-    /// store the rows came from as far as `freeze_with` can observe.
-    pub(crate) fn from_raw_parts(parts: RawStoreParts) -> TaxonomyStore {
-        let RawStoreParts {
-            interner,
-            entities,
-            entity_by_key,
-            concepts,
-            concept_by_sym,
-            entity_concepts,
-            concept_entities,
-            concept_parents,
-            concept_children,
-            entity_attrs,
-            entity_aliases,
-        } = parts;
-        let n_entity_isa = entity_concepts.iter().map(Vec::len).sum();
-        let n_concept_isa = concept_parents.iter().map(Vec::len).sum();
-        TaxonomyStore {
-            interner,
-            entities,
-            entity_by_key,
-            concepts,
-            concept_by_sym,
-            entity_concepts,
-            concept_entities,
-            concept_parents,
-            concept_children,
-            entity_attrs,
-            entity_aliases,
-            n_entity_isa,
-            n_concept_isa,
-        }
-    }
-
-    /// Takes the store apart into its tables, for a freeze that consumes
-    /// it (`FrozenTaxonomy::freeze_store`); the inverse of
-    /// [`Self::from_raw_parts`].
-    pub(crate) fn into_raw_parts(self) -> RawStoreParts {
-        RawStoreParts {
-            interner: self.interner,
-            entities: self.entities,
-            entity_by_key: self.entity_by_key,
-            concepts: self.concepts,
-            concept_by_sym: self.concept_by_sym,
-            entity_concepts: self.entity_concepts,
-            concept_entities: self.concept_entities,
-            concept_parents: self.concept_parents,
-            concept_children: self.concept_children,
-            entity_attrs: self.entity_attrs,
-            entity_aliases: self.entity_aliases,
-        }
-    }
-
-    /// Reserves room for exactly `entities` more entities, `concepts` more
-    /// concepts and `strings` more strings of `text_bytes` bytes, so adding
-    /// that many to a store thawed at exact size does not double its
-    /// per-entity and per-concept tables.
-    pub(crate) fn reserve_exact(
-        &mut self,
-        entities: usize,
-        concepts: usize,
-        strings: usize,
-        text_bytes: usize,
-    ) {
-        self.interner.reserve_exact(strings, text_bytes);
-        self.entities.reserve_exact(entities);
-        self.entity_by_key.reserve(entities);
-        self.entity_concepts.reserve_exact(entities);
-        self.entity_attrs.reserve_exact(entities);
-        self.entity_aliases.reserve_exact(entities);
-        self.concepts.reserve_exact(concepts);
-        self.concept_by_sym.reserve(concepts);
-        self.concept_entities.reserve_exact(concepts);
-        self.concept_parents.reserve_exact(concepts);
-        self.concept_children.reserve_exact(concepts);
-    }
-
     // ----- attributes & aliases -------------------------------------------
 
     /// Attaches an infobox attribute (predicate name) to an entity.
@@ -544,22 +461,6 @@ impl TaxonomyStore {
     pub fn aliases_of(&self, e: EntityId) -> &[Symbol] {
         &self.entity_aliases[e.index()]
     }
-}
-
-/// Verbatim tables for [`TaxonomyStore::from_raw_parts`]: one field per
-/// store table, in the store's own representation.
-pub(crate) struct RawStoreParts {
-    pub interner: Interner,
-    pub entities: Vec<EntityRecord>,
-    pub entity_by_key: FxHashMap<(Symbol, Symbol), EntityId>,
-    pub concepts: Vec<Symbol>,
-    pub concept_by_sym: FxHashMap<Symbol, ConceptId>,
-    pub entity_concepts: Vec<Vec<(ConceptId, IsAMeta)>>,
-    pub concept_entities: Vec<Vec<EntityId>>,
-    pub concept_parents: Vec<Vec<(ConceptId, IsAMeta)>>,
-    pub concept_children: Vec<Vec<ConceptId>>,
-    pub entity_attrs: Vec<Vec<Symbol>>,
-    pub entity_aliases: Vec<Vec<Symbol>>,
 }
 
 #[cfg(test)]

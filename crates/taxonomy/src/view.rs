@@ -32,9 +32,10 @@
 //! lints are denied at this file's head): malformed indexes yield empty
 //! rows or `None`, never a slice panic. Structural validity is guaranteed
 //! by `open`; *semantic* invariants (topo order and depths, closure
-//! correctness, key uniqueness) are deferred to
-//! [`FrozenTaxonomyView::to_frozen`], which materialises an owned
-//! [`FrozenTaxonomy`] through `persist::validate_frozen`.
+//! correctness, key uniqueness, the mirrors between sections) are checked
+//! in place by [`FrozenTaxonomyView::validate_deep`], which
+//! [`FrozenTaxonomyView::to_frozen`] and a fold run before they read the
+//! rows.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -49,7 +50,7 @@ use crate::frozen::{Csr, FrozenTaxonomy};
 use crate::interner::{Interner, Symbol};
 use crate::mention::{full_key_splits, has_disambig};
 use crate::persist::{
-    self, PersistError, RawSections, ANCC_BITSET, ANCC_RANGES, SEC_ANCESTOR_SUCC, SEC_CHECKSUM,
+    self, PersistError, SnapshotRows, ANCC_BITSET, ANCC_RANGES, SEC_ANCESTOR_SUCC, SEC_CHECKSUM,
     SEC_CONCEPTS, SEC_CONCEPT_CHILDREN, SEC_CONCEPT_ENTITIES, SEC_CONCEPT_PARENTS,
     SEC_CONCEPT_SORT, SEC_DEPTH, SEC_ENTITIES, SEC_ENTITY_ALIASES, SEC_ENTITY_ATTRS,
     SEC_ENTITY_CONCEPTS, SEC_INTERNER, SEC_MENTIONS, SEC_MENTION_HASH, SEC_META_DICT, SEC_STR_SORT,
@@ -57,6 +58,7 @@ use crate::persist::{
 };
 use crate::read::TaxonomyRead;
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, Source};
+use crate::topo::Condensation;
 use crate::varint::{unzigzag, varint_at};
 use bytes::Bytes;
 use cnp_runtime::stable_hash;
@@ -617,7 +619,7 @@ impl FrozenTaxonomyView {
     /// Binary search over `SSRT`: string → symbol. The probes compare raw
     /// bytes — UTF-8 byte order is code-point order, the order `SSRT` is
     /// sorted and validated in — so no probe re-validates UTF-8.
-    fn lookup_sym(&self, s: &str) -> Option<Symbol> {
+    pub(crate) fn lookup_sym(&self, s: &str) -> Option<Symbol> {
         let mut lo = 0usize;
         let mut hi = self.n_strings;
         while lo < hi {
@@ -864,8 +866,13 @@ impl FrozenTaxonomyView {
 
     /// Exact depth of a concept (0 for roots).
     pub fn depth(&self, c: ConceptId) -> usize {
-        if c.index() < self.n_concepts {
-            self.u32_at(self.depth_at + c.index() * 4) as usize
+        self.depth_entry(c.index()) as usize
+    }
+
+    /// `DPTH` entry `c`; 0 past the last concept.
+    fn depth_entry(&self, c: usize) -> u32 {
+        if c < self.n_concepts {
+            self.u32_at(self.depth_at + c * 4)
         } else {
             0
         }
@@ -968,35 +975,31 @@ impl FrozenTaxonomyView {
         })
     }
 
-    // ----- materialisation ------------------------------------------------
+    // ----- deep validation and materialisation ----------------------------
 
-    /// Decodes every section into an owned [`FrozenTaxonomy`], running the
-    /// deep semantic validation (`validate_frozen`) that `open` defers:
-    /// topo permutation, closure/depth consistency, relation symmetry,
-    /// key uniqueness. This is the "trust but verify" escape hatch — and
-    /// the bridge for callers that need owned slices.
-    pub fn to_frozen(&self) -> Result<FrozenTaxonomy, PersistError> {
-        let mut interner = Interner::with_capacity(self.n_strings, self.str_blob.len());
-        for i in 0..self.n_strings {
-            if interner.intern(self.str_at(i)).index() != i {
-                return Err(PersistError::BadIndex("duplicate interned string"));
-            }
-        }
-        let entities: Vec<EntityRecord> = self.entity_ids().map(|e| self.entity(e)).collect();
-        let concepts: Vec<Symbol> = (0..self.n_concepts)
-            .map(|c| Symbol(self.concept_sym(c)))
-            .collect();
+    /// The semantic checks `open` leaves out, made in place over the bytes,
+    /// section by section: `CENT` mirrors `ECON` (every hyponym edge, with
+    /// its metadata) and `MHSH` indexes exactly the non-empty mention rows;
+    /// entity keys are unique; `TOPO` and `DPTH` are exactly what the
+    /// parent rows give; the parent and child rows describe one edge set,
+    /// and the hyponym rows name each entity once; every parent is in its
+    /// child's closure; every mention row lists only entities its string
+    /// names or aliases. [`Self::to_frozen`] runs it before it decodes,
+    /// and a fold runs it on its base, because its output is a file the
+    /// next boot trusts.
+    ///
+    /// The scratch is the sorted entity keys (8 bytes an entity), then the
+    /// concept-level parent rows and child edges, then one `u32` an entity:
+    /// the bytes are read, never decoded into owned tables.
+    pub fn validate_deep(&self) -> Result<(), PersistError> {
         let dict = self.meta_dict();
-        let entity_concepts = self.decode_csr(&self.entity_concepts, |r| {
-            meta_row(r, dict).map(|(c, m)| (ConceptId(c), m))
-        });
-        // `CENT` mirrors each hyponym edge's metadata inline; a mirror
-        // that disagrees with `ECON` would make `getEntity` and
-        // `getConcept` report different confidences for the same edge.
+        // A `CENT` mirror that disagrees with `ECON` would make `getEntity`
+        // and `getConcept` report different confidences for one edge.
         for c in 0..self.n_concepts {
             for (e, m) in meta_row(self.vcsr_row(&self.concept_entities, c), dict) {
-                let hit = entity_concepts.row(e as usize).iter().any(|&(cc, em)| {
-                    cc.index() == c
+                let mut edges = meta_row(self.vcsr_row(&self.entity_concepts, e as usize), dict);
+                let hit = edges.any(|(cc, em)| {
+                    cc as usize == c
                         && em.source == m.source
                         && em.confidence.to_bits() == m.confidence.to_bits()
                 });
@@ -1005,9 +1008,9 @@ impl FrozenTaxonomyView {
                 }
             }
         }
-        // `MHSH` must index exactly the non-empty mention rows: open
-        // proved count equality and no duplicates, so every row resolving
-        // through the index proves the sets coincide.
+        // `open` proved `MHSH` has one entry per non-empty mention row and
+        // no duplicates, so every row resolving through it proves the sets
+        // coincide.
         for sym in 0..self.n_strings {
             if self.vcsr_row(&self.by_mention, sym).is_empty() {
                 continue;
@@ -1016,11 +1019,135 @@ impl FrozenTaxonomyView {
                 return Err(PersistError::BadIndex("mention hash mirror"));
             }
         }
-        let raw = RawSections {
+
+        // Entity keys are unique. (Concept names are: `open` checked that
+        // `CSRT` ascends strictly.)
+        let mut keys: Vec<u64> = self
+            .entity_ids()
+            .map(|e| {
+                let rec = self.entity(e);
+                (u64::from(rec.name.0) << 32) | u64::from(rec.disambig.0)
+            })
+            .collect();
+        keys.sort_unstable();
+        if keys.windows(2).any(|w| w.first() == w.last()) {
+            return Err(PersistError::BadIndex("duplicate entity key"));
+        }
+        drop(keys);
+
+        // Topological order and depths are exactly what the freeze derives
+        // from the parent rows.
+        let n = self.n_concepts;
+        let parents = self.decode_csr(&self.concept_parents, |r| {
+            meta_row(r, dict).map(|(c, m)| (ConceptId(c), m))
+        });
+        let parents_of = |c: ConceptId| parents.row(c.index());
+        let cond = Condensation::of_rows(n, parents_of);
+        let depths = cond.depths_rows(n, parents_of);
+        let depth_ok = (0..n).zip(&depths).all(|(c, &d)| self.depth_entry(c) == d);
+        if !depth_ok || !cond.topo_order().into_iter().eq(self.topo_order()) {
+            return Err(PersistError::BadIndex("topo order or depth"));
+        }
+        drop((cond, depths));
+
+        // Relation symmetry: parents and children describe one edge set
+        // (no edge lost or invented).
+        let edge = |child: u32, parent: u32| (u64::from(child) << 32) | u64::from(parent);
+        let mut child_edges: Vec<u64> = (0..n as u32)
+            .flat_map(|p| self.children_of(ConceptId(p)).map(move |c| edge(c.0, p)))
+            .collect();
+        child_edges.sort_unstable();
+        if child_edges.windows(2).any(|w| w.first() == w.last()) {
+            return Err(PersistError::BadIndex("duplicate child edge"));
+        }
+        let mut n_parent_edges = 0usize;
+        for c in 0..n {
+            for &(p, _) in parents.row(c) {
+                n_parent_edges += 1;
+                if p.index() == c {
+                    return Err(PersistError::BadIndex("self parent edge"));
+                }
+                if child_edges.binary_search(&edge(c as u32, p.0)).is_err() {
+                    return Err(PersistError::BadIndex("parent edge without child edge"));
+                }
+            }
+        }
+        if n_parent_edges != child_edges.len() {
+            return Err(PersistError::BadIndex("parent/child edge count"));
+        }
+        drop(child_edges);
+        // Entity edges: the mirror check found every `CENT` edge in `ECON`,
+        // and `open` matched the two edge counts, so once no `CENT` row
+        // names an entity twice, `ECON` holds exactly the `CENT` edges.
+        // `last[e]` is one past the last concept whose row named `e`.
+        let mut last = vec![0u32; self.n_entities];
+        for c in 0..n as u32 {
+            for e in self.entities_of(ConceptId(c)) {
+                if let Some(slot) = last.get_mut(e.index()) {
+                    if *slot == c + 1 {
+                        return Err(PersistError::BadIndex("duplicate concept-entity edge"));
+                    }
+                    *slot = c + 1;
+                }
+            }
+        }
+        drop(last);
+
+        // Closure: `open` checked each row ascends and leaves its concept
+        // out; it must hold every direct parent.
+        for c in 0..n {
+            for &(p, _) in parents.row(c) {
+                if !self.ancestor_contains(ConceptId(c as u32), p) {
+                    return Err(PersistError::BadIndex("parent missing from closure"));
+                }
+            }
+        }
+
+        // Mention rows (`open` checked they ascend strictly) list only
+        // entities whose name or one of whose aliases is their string.
+        for sym in (0..self.n_strings as u32).map(Symbol) {
+            for e in self.mention_row(sym) {
+                if self.entity(e).name != sym && !self.aliases_of(e).any(|a| a == sym) {
+                    return Err(PersistError::BadIndex("mention without name or alias"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes every section into an owned [`FrozenTaxonomy`], after
+    /// [`Self::validate_deep`] — the "trust but verify" escape hatch, and
+    /// the bridge for callers that need owned slices.
+    pub fn to_frozen(&self) -> Result<FrozenTaxonomy, PersistError> {
+        self.validate_deep()?;
+        let mut interner = Interner::with_capacity(self.n_strings, self.str_blob.len());
+        for i in 0..self.n_strings {
+            if interner.intern(self.str_at(i)).index() != i {
+                return Err(PersistError::BadIndex("duplicate interned string"));
+            }
+        }
+        let entities: Vec<EntityRecord> = self.entity_ids().map(|e| self.entity(e)).collect();
+        let entity_by_key = (0u32..)
+            .zip(&entities)
+            .map(|(i, rec)| ((rec.name, rec.disambig), EntityId(i)))
+            .collect();
+        let concepts: Vec<Symbol> = (0..self.n_concepts)
+            .map(|c| Symbol(self.concept_sym(c)))
+            .collect();
+        let concept_by_sym = (0u32..)
+            .zip(&concepts)
+            .map(|(i, &sym)| (sym, ConceptId(i)))
+            .collect();
+        let dict = self.meta_dict();
+        Ok(FrozenTaxonomy {
             interner,
             entities,
+            entity_by_key,
             concepts,
-            entity_concepts,
+            concept_by_sym,
+            entity_concepts: self.decode_csr(&self.entity_concepts, |r| {
+                meta_row(r, dict).map(|(c, m)| (ConceptId(c), m))
+            }),
             concept_entities: self
                 .decode_csr(&self.concept_entities, |r| row_ids::<true>(r).map(EntityId)),
             concept_parents: self.decode_csr(&self.concept_parents, |r| {
@@ -1034,12 +1161,9 @@ impl FrozenTaxonomyView {
                 .decode_csr(&self.entity_aliases, |r| row_ids::<false>(r).map(Symbol)),
             ancestors: self.decode_csr(&self.ancestors, |r| AnccRow::read(r).iter()),
             topo: self.topo_order().collect(),
-            depth: (0..self.n_concepts)
-                .map(|i| self.u32_at(self.depth_at + i * 4))
-                .collect(),
+            depth: (0..self.n_concepts).map(|c| self.depth_entry(c)).collect(),
             by_mention: self.decode_csr(&self.by_mention, |r| row_ids::<false>(r).map(EntityId)),
-        };
-        persist::validate_frozen(raw)
+        })
     }
 
     fn decode_csr<'a, T: Copy, I: Iterator<Item = T>>(
@@ -1054,6 +1178,106 @@ impl FrozenTaxonomyView {
             offsets.push(data.len() as u32);
         }
         Csr::from_parts(offsets, data)
+    }
+}
+
+/// A view's rows are its sections as they stand: the sorted sections are
+/// read, not sorted, so encoding a view writes its own bytes.
+impl SnapshotRows for FrozenTaxonomyView {
+    fn n_strings(&self) -> usize {
+        self.n_strings
+    }
+
+    fn string(&self, s: usize) -> &str {
+        self.str_at(s)
+    }
+
+    fn text_len(&self) -> usize {
+        self.str_blob.len()
+    }
+
+    fn ssrt(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.n_strings).map(|k| self.u32_at(self.str_sorted + k * 4))
+    }
+
+    fn n_entities(&self) -> usize {
+        self.n_entities
+    }
+
+    fn entity_record(&self, e: usize) -> EntityRecord {
+        self.entity(EntityId(e as u32))
+    }
+
+    fn n_concepts(&self) -> usize {
+        self.n_concepts
+    }
+
+    fn concept_symbol(&self, c: usize) -> Symbol {
+        Symbol(self.concept_sym(c))
+    }
+
+    fn csrt(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.n_concepts).map(|k| self.u32_at(self.concept_sorted + k * 4))
+    }
+
+    fn econ_row(&self, e: usize, out: &mut Vec<(u32, IsAMeta)>) {
+        out.extend(meta_row(
+            self.vcsr_row(&self.entity_concepts, e),
+            self.meta_dict(),
+        ));
+    }
+
+    fn cent_row(&self, c: usize, out: &mut Vec<(u32, IsAMeta)>) {
+        out.extend(meta_row(
+            self.vcsr_row(&self.concept_entities, c),
+            self.meta_dict(),
+        ));
+    }
+
+    fn cpar_row(&self, c: usize, out: &mut Vec<(u32, IsAMeta)>) {
+        out.extend(meta_row(
+            self.vcsr_row(&self.concept_parents, c),
+            self.meta_dict(),
+        ));
+    }
+
+    fn cchd_row(&self, c: usize, out: &mut Vec<u32>) {
+        out.extend(row_ids::<false>(self.vcsr_row(&self.concept_children, c)));
+    }
+
+    fn eatt_row(&self, e: usize, out: &mut Vec<u32>) {
+        out.extend(row_ids::<false>(self.vcsr_row(&self.entity_attrs, e)));
+    }
+
+    fn eals_row(&self, e: usize, out: &mut Vec<u32>) {
+        out.extend(row_ids::<false>(self.vcsr_row(&self.entity_aliases, e)));
+    }
+
+    fn ancc_row(&self, c: usize, out: &mut Vec<u32>) {
+        out.extend(
+            AnccRow::read(self.vcsr_row(&self.ancestors, c))
+                .iter()
+                .map(|a| a.0),
+        );
+    }
+
+    fn topo(&self) -> impl Iterator<Item = u32> + '_ {
+        self.topo_order().map(|c| c.0)
+    }
+
+    fn depth_of(&self, c: usize) -> u32 {
+        self.depth_entry(c)
+    }
+
+    fn ment_row(&self, s: usize, out: &mut Vec<u32>) {
+        out.extend(row_ids::<false>(self.vcsr_row(&self.by_mention, s)));
+    }
+
+    fn mhsh(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.n_mentions).map(|i| {
+            let at = self.mention_hash_at + i * 8;
+            (self.u32_at(at), self.u32_at(at + 4))
+        })
     }
 }
 

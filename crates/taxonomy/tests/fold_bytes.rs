@@ -55,7 +55,12 @@ const STRINGS: [&str; 10] = [
     "刘德华",
     "人物",
 ];
-const SOURCES: [Source; 4] = [Source::Tag, Source::Bracket, Source::Infobox, Source::Abstract];
+const SOURCES: [Source; 4] = [
+    Source::Tag,
+    Source::Bracket,
+    Source::Infobox,
+    Source::Abstract,
+];
 /// The base's confidences are 0.9, 0.95, 0.5 and 0.8: 0.33 is new.
 const CONFIDENCES: [f32; 4] = [0.9, 0.95, 0.5, 0.33];
 
