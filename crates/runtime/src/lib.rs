@@ -86,7 +86,7 @@ pub fn stable_hash_str(s: &str) -> u64 {
 /// the first mark.
 static PHASE: AtomicUsize = AtomicUsize::new(0);
 
-/// Marks the start of a named phase of work (a compaction's refreeze, say)
+/// Marks the start of a named phase of work (a compaction's encode, say)
 /// for instruments that attribute a cost to the phase it was spent in,
 /// such as a counting allocator's per-phase peaks. One relaxed store: no
 /// clock, no lock, no allocation. The mark is process-wide and the last

@@ -436,7 +436,7 @@ fn push_once(rows: &mut FxHashMap<EntityId, Vec<Symbol>>, e: EntityId, sym: Symb
 /// Answers are id- and order-identical to a compacted snapshot of the
 /// same logical content (asserted by `tests/serve_equivalence.rs`): new
 /// entities and concepts take dense ids after the base ranges in log
-/// order, which is also the id order a compaction replay assigns.
+/// order, which is also the id order a replay onto the build store assigns.
 #[derive(Debug)]
 pub struct OverlayView<B> {
     base: Arc<B>,

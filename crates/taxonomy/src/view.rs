@@ -511,7 +511,7 @@ impl FrozenTaxonomyView {
             if sym as usize >= n_strings {
                 return Err(PersistError::BadIndex("mention hash symbol"));
             }
-            if stable_hash(str_of(sym as usize).as_bytes()) as u32 != hash {
+            if persist::mention_hash(str_of(sym as usize)) != hash {
                 return Err(PersistError::BadIndex("mention hash value"));
             }
             if prev_hash.is_some_and(|p| p >= (hash, sym)) {
@@ -916,7 +916,7 @@ impl FrozenTaxonomyView {
     /// of the (almost always length-1) matching-hash run — the fast path
     /// `lookup_sym`'s per-probe string comparisons would dominate.
     fn lookup_mention_sym(&self, s: &str) -> Option<Symbol> {
-        let hash = stable_hash(s.as_bytes()) as u32;
+        let hash = persist::mention_hash(s);
         let mut lo = 0usize;
         let mut hi = self.n_mentions;
         while lo < hi {
@@ -982,15 +982,16 @@ impl FrozenTaxonomyView {
     /// its metadata) and `MHSH` indexes exactly the non-empty mention rows;
     /// entity keys are unique; `TOPO` and `DPTH` are exactly what the
     /// parent rows give; the parent and child rows describe one edge set,
-    /// and the hyponym rows name each entity once; every parent is in its
-    /// child's closure; every mention row lists only entities its string
-    /// names or aliases. [`Self::to_frozen`] runs it before it decodes,
-    /// and a fold runs it on its base, because its output is a file the
-    /// next boot trusts.
+    /// and the hyponym rows name each entity once; each closure row is
+    /// exactly what the parent rows reach; every mention row lists only
+    /// entities its string names or aliases. [`Self::to_frozen`] runs it
+    /// before it decodes, and a fold runs it on its base, because its
+    /// output is a file the next boot trusts.
     ///
     /// The scratch is the sorted entity keys (8 bytes an entity), then the
-    /// concept-level parent rows and child edges, then one `u32` an entity:
-    /// the bytes are read, never decoded into owned tables.
+    /// concept-level parent rows, condensation and child edges, one `u32`
+    /// an entity, and one component's closure: the bytes are read, never
+    /// decoded into owned tables.
     pub fn validate_deep(&self) -> Result<(), PersistError> {
         let dict = self.meta_dict();
         // A `CENT` mirror that disagrees with `ECON` would make `getEntity`
@@ -1048,7 +1049,7 @@ impl FrozenTaxonomyView {
         if !depth_ok || !cond.topo_order().into_iter().eq(self.topo_order()) {
             return Err(PersistError::BadIndex("topo order or depth"));
         }
-        drop((cond, depths));
+        drop(depths);
 
         // Relation symmetry: parents and children describe one edge set
         // (no edge lost or invented).
@@ -1094,7 +1095,12 @@ impl FrozenTaxonomyView {
         drop(last);
 
         // Closure: `open` checked each row ascends and leaves its concept
-        // out; it must hold every direct parent.
+        // out; it must hold every direct parent, and be exactly what the
+        // parent rows reach. A component of the condensation reaches its
+        // members and, through each edge leaving it, the parent and the
+        // parent's row; each member's row is that set without the member.
+        // In ancestors-first order every row read is checked before it is
+        // read, so rows that pass are the closure, cycles included.
         for c in 0..n {
             for &(p, _) in parents.row(c) {
                 if !self.ancestor_contains(ConceptId(c as u32), p) {
@@ -1102,6 +1108,29 @@ impl FrozenTaxonomyView {
                 }
             }
         }
+        let (mut reach, mut row) = (Vec::new(), Vec::new());
+        for (k, members) in cond.components().iter().enumerate() {
+            reach.clear();
+            reach.extend_from_slice(members);
+            for &m in members {
+                for &(p, _) in parents.row(m.index()) {
+                    if cond.component_of(p) != k {
+                        reach.push(p);
+                        reach.extend(self.ancestors(p));
+                    }
+                }
+            }
+            reach.sort_unstable();
+            reach.dedup();
+            for &m in members {
+                row.clear();
+                row.extend(self.ancestors(m));
+                if !reach.iter().filter(|&&a| a != m).eq(row.iter()) {
+                    return Err(PersistError::BadIndex("inexact ancestor closure"));
+                }
+            }
+        }
+        drop(cond);
 
         // Mention rows (`open` checked they ascend strictly) list only
         // entities whose name or one of whose aliases is their string.

@@ -718,6 +718,27 @@ fn v3_every_row_check_names_its_error() {
     );
 }
 
+/// A closure row that holds every parent but not exactly what the parent
+/// rows reach — 男演员's row reading {演员, 歌手} where it is {演员, 人物}
+/// — keeps its shape and count, so `open` accepts it; `to_frozen`'s deep
+/// validation recomputes each component's closure and refuses it, where
+/// the view would otherwise answer `ancestors` and `isA` wrongly.
+#[test]
+fn an_inexact_closure_row_is_refused_by_the_deep_validation() {
+    const RANGES: u8 = 0;
+    const BITSET: u8 = 1;
+    let view = open(&with_vcsr_row(b"ANCC", 0, &[RANGES, 1, 1])).expect("open keeps shape checks");
+    assert!(view.ancestor_contains(ConceptId(0), ConceptId(2)));
+    assert!(matches!(
+        view.to_frozen(),
+        Err(PersistError::BadIndex("inexact ancestor closure"))
+    ));
+    // The row as written, {演员, 人物}: base 1, bits 0 and 2.
+    let control = with_vcsr_row(b"ANCC", 0, &[BITSET, 1, 0b101]);
+    assert_eq!(control, v3_bytes());
+    assert!(load(&control).is_ok());
+}
+
 // ----- compaction ------------------------------------------------------------
 
 /// [`v3_bytes`] with the depth of concept 0 (男演员, a leaf) raised by one,
