@@ -994,8 +994,9 @@ impl FrozenTaxonomyView {
     /// decoded into owned tables.
     pub fn validate_deep(&self) -> Result<(), PersistError> {
         let dict = self.meta_dict();
-        // A `CENT` mirror that disagrees with `ECON` would make `getEntity`
-        // and `getConcept` report different confidences for one edge.
+        // `CENT` mirrors each hyponym edge's metadata inline; a mirror
+        // that disagrees with `ECON` would make `getEntity` and
+        // `getConcept` report different confidences for the same edge.
         for c in 0..self.n_concepts {
             for (e, m) in meta_row(self.vcsr_row(&self.concept_entities, c), dict) {
                 let mut edges = meta_row(self.vcsr_row(&self.entity_concepts, e as usize), dict);
@@ -1009,9 +1010,9 @@ impl FrozenTaxonomyView {
                 }
             }
         }
-        // `open` proved `MHSH` has one entry per non-empty mention row and
-        // no duplicates, so every row resolving through it proves the sets
-        // coincide.
+        // `MHSH` must index exactly the non-empty mention rows: open
+        // proved count equality and no duplicates, so every row resolving
+        // through the index proves the sets coincide.
         for sym in 0..self.n_strings {
             if self.vcsr_row(&self.by_mention, sym).is_empty() {
                 continue;
@@ -1095,19 +1096,12 @@ impl FrozenTaxonomyView {
         drop(last);
 
         // Closure: `open` checked each row ascends and leaves its concept
-        // out; it must hold every direct parent, and be exactly what the
-        // parent rows reach. A component of the condensation reaches its
-        // members and, through each edge leaving it, the parent and the
-        // parent's row; each member's row is that set without the member.
-        // In ancestors-first order every row read is checked before it is
-        // read, so rows that pass are the closure, cycles included.
-        for c in 0..n {
-            for &(p, _) in parents.row(c) {
-                if !self.ancestor_contains(ConceptId(c as u32), p) {
-                    return Err(PersistError::BadIndex("parent missing from closure"));
-                }
-            }
-        }
+        // out; it must be exactly what the parent rows reach. A component
+        // of the condensation reaches its members and, through each edge
+        // leaving it, the parent and the parent's row; each member's row is
+        // that set without the member. Components come ancestors-first, so
+        // a row read here belongs to a component checked before, and rows
+        // that pass are the closure, cycles included.
         let (mut reach, mut row) = (Vec::new(), Vec::new());
         for (k, members) in cond.components().iter().enumerate() {
             reach.clear();
