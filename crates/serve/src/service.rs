@@ -51,7 +51,7 @@ impl<T> Generation<T> {
 /// The backend `T` is any [`TaxonomyRead`] — the owned [`FrozenTaxonomy`]
 /// a build freezes in process (the default), the borrowed
 /// `FrozenTaxonomyView` over a snapshot file's bytes, or an `OverlayView`
-/// over either.
+/// over either for reading; only the overlay over the view takes writes.
 #[derive(Debug, Clone)]
 pub struct PinnedSnapshot<T = FrozenTaxonomy> {
     inner: Arc<Generation<T>>,
@@ -110,9 +110,10 @@ impl<T: TaxonomyRead> PinnedSnapshot<T> {
 /// serves in process from the owned [`FrozenTaxonomy`] (the default —
 /// the examples and tests freeze and serve without touching a disk), from
 /// the zero-copy `FrozenTaxonomyView` over a snapshot file
-/// ([`TaxonomyService::boot_from_file`]), or from an `OverlayView` over
-/// either when the service takes writes — `cnp_server` serves
-/// `OverlayView<FrozenTaxonomyView>`.
+/// ([`TaxonomyService::boot_from_file`]), or, when the service takes
+/// writes, from an `OverlayView` over that view — the
+/// `OverlayView<FrozenTaxonomyView>` `cnp_server` serves, the one
+/// [`IngestDelta`] backend.
 ///
 /// ```
 /// use cnp_serve::{Query, Response, TaxonomyService};
@@ -252,8 +253,8 @@ impl<T: TaxonomyRead + IngestDelta> TaxonomyService<T> {
     /// result — without it, two ingests could fold from the same parent
     /// and the second swap would silently drop the first delta. A
     /// concurrent *compaction* publishing between our pin and our swap is
-    /// tolerated: the overlay we fold carries the full op log over the
-    /// older base, which is logically identical to the compacted
+    /// tolerated: the overlay we apply the delta to holds the folded state
+    /// of every delta since the older base, so it reads as the compacted
     /// generation it replaces.
     pub fn ingest(&self, delta: &DeltaOverlay) -> Result<u64, PersistError> {
         let _admin = self.admin.lock();
@@ -533,7 +534,7 @@ mod tests {
 
     #[test]
     fn ingest_bumps_generation_and_serves_the_delta() {
-        let service = TaxonomyService::new(OverlayView::new(FrozenTaxonomy::freeze(&store_a())));
+        let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));
         assert!(service.execute(&Query::men2ent("张学友")).result.is_err());
         assert_eq!(service.ingest(&sample_delta()).unwrap(), 2);
         assert_eq!(service.overlay_depth(), 1);
@@ -544,7 +545,7 @@ mod tests {
 
     #[test]
     fn ingest_pins_drain_on_their_generation() {
-        let service = TaxonomyService::new(OverlayView::new(FrozenTaxonomy::freeze(&store_a())));
+        let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));
         let pinned = service.pin();
         service.ingest(&sample_delta()).unwrap();
         // The pre-ingest pin still answers from generation 1.
@@ -555,7 +556,7 @@ mod tests {
 
     #[test]
     fn compaction_folds_overlays_and_keeps_answers() {
-        let service = TaxonomyService::new(OverlayView::new(FrozenTaxonomy::freeze(&store_a())));
+        let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));
         service.ingest(&sample_delta()).unwrap();
         let before = service.execute(&Query::men2ent("张学友"));
         assert_eq!(service.compact().unwrap(), Some(3));
@@ -569,9 +570,9 @@ mod tests {
 
     #[test]
     fn stale_compaction_result_is_discarded() {
-        let service = TaxonomyService::new(OverlayView::new(FrozenTaxonomy::freeze(&store_a())));
+        let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));
         service.ingest(&sample_delta()).unwrap();
-        let stale = OverlayView::new(FrozenTaxonomy::freeze(&store_a()));
+        let stale = OverlayView::new(view_of(&store_a()));
         // A fold published against a generation that has since moved on
         // must be dropped, not installed.
         assert_eq!(service.swap_if_current(1, stale), None);

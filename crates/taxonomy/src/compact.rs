@@ -11,6 +11,10 @@
 //! `tests/determinism.rs` asserts exactly this, and
 //! `crates/taxonomy/tests/fold_bytes.rs` holds random op logs to it.
 //!
+//! The base is the served [`FrozenTaxonomyView`], the one form that folds:
+//! an `OverlayView` over the owned `FrozenTaxonomy` applies deltas and
+//! reads, but is no [`IngestDelta`].
+//!
 //! A fold is a merge. The overlay's folded state already holds everything
 //! the log changed, in the form a replay onto the build store would leave
 //! it: the touched entities' merged concept rows, aliases and attributes,
@@ -31,15 +35,12 @@
 //! above the heap a fold starts from and prints the peak of each of
 //! [`FOLD_PHASES`].
 
-use crate::frozen::FrozenTaxonomy;
 use crate::hash::FxHashMap;
 use crate::interner::Symbol;
 use crate::overlay::{DeltaOverlay, IngestDelta, OverlayState, OverlayView, OVERLAY_SYM_TAG};
 use crate::persist::{self, mention_hash, PersistError, SnapshotRows};
-use crate::read::TaxonomyRead;
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta};
 use crate::view::FrozenTaxonomyView;
-use bytes::Bytes;
 use cnp_runtime::Runtime;
 use std::cmp::Ordering;
 
@@ -48,51 +49,11 @@ use std::cmp::Ordering;
 /// then the merge's encode and the new view's `open`.
 pub static FOLD_PHASES: [&str; 2] = ["validate", "encode + open"];
 
-/// A base representation a fold can merge with its overlay and re-open.
-pub(crate) trait FoldBase: TaxonomyRead + SnapshotRows + Sized {
-    /// The checks a base must pass before its rows go into a file the
-    /// next boot trusts.
-    fn validate_deep(&self) -> Result<(), PersistError>;
-    /// The base's symbol for `s`, if it holds the string.
-    fn symbol(&self, s: &str) -> Option<u32>;
-    /// A fold's bytes, opened as this representation.
-    fn from_bytes(bytes: Bytes) -> Result<Self, PersistError>;
-}
-
-impl FoldBase for FrozenTaxonomyView {
-    fn validate_deep(&self) -> Result<(), PersistError> {
-        FrozenTaxonomyView::validate_deep(self)
-    }
-
-    fn symbol(&self, s: &str) -> Option<u32> {
-        self.lookup_sym(s).map(|sym| sym.0)
-    }
-
-    fn from_bytes(bytes: Bytes) -> Result<Self, PersistError> {
-        FrozenTaxonomyView::open(bytes)
-    }
-}
-
-impl FoldBase for FrozenTaxonomy {
-    /// An owned snapshot was checked when it was made: frozen from a store,
-    /// or decoded by `to_frozen` after `validate_deep`.
-    fn validate_deep(&self) -> Result<(), PersistError> {
-        Ok(())
-    }
-
-    fn symbol(&self, s: &str) -> Option<u32> {
-        self.interner().get(s).map(|sym| sym.0)
-    }
-
-    fn from_bytes(bytes: Bytes) -> Result<Self, PersistError> {
-        FrozenTaxonomyView::open(bytes)?.to_frozen()
-    }
-}
-
-/// A base's rows merged with an overlay's folded state: the rows a freeze
-/// of the store the log was replayed onto holds, for the encoder to write.
-struct Merge<'a, B> {
-    base: &'a B,
+/// A base view's rows merged with an overlay's folded state: the rows a
+/// freeze of the store the log was replayed onto holds, for the encoder to
+/// write.
+struct Merge<'a> {
+    base: &'a FrozenTaxonomyView,
     st: &'a OverlayState,
     base_strings: usize,
     base_entities: usize,
@@ -107,14 +68,14 @@ struct Merge<'a, B> {
     mentions: Vec<(u32, &'a [EntityId])>,
 }
 
-impl<'a, B: FoldBase> Merge<'a, B> {
-    fn new(overlay: &'a OverlayView<B>) -> Self {
+impl<'a> Merge<'a> {
+    fn new(overlay: &'a OverlayView<FrozenTaxonomyView>) -> Self {
         let (base, st) = (overlay.base(), overlay.state());
         let base_strings = base.n_strings();
         let mut minted = Vec::new();
         let mut syms = Vec::with_capacity(st.strings.len());
         for (i, s) in (0u32..).zip(&st.strings) {
-            syms.push(base.symbol(s).unwrap_or_else(|| {
+            syms.push(base.lookup_sym(s).map(|sym| sym.0).unwrap_or_else(|| {
                 minted.push(i);
                 (base_strings + minted.len() - 1) as u32
             }));
@@ -191,7 +152,7 @@ fn merge_by<T>(
     })
 }
 
-impl<B: FoldBase> SnapshotRows for Merge<'_, B> {
+impl SnapshotRows for Merge<'_> {
     fn n_strings(&self) -> usize {
         self.base_strings + self.minted.len()
     }
@@ -370,10 +331,7 @@ impl<B: FoldBase> SnapshotRows for Merge<'_, B> {
     }
 }
 
-impl<B> IngestDelta for OverlayView<B>
-where
-    B: FoldBase + Send + Sync,
-{
+impl IngestDelta for OverlayView<FrozenTaxonomyView> {
     /// Overlay apply: cheap, no materialisation. The base stays shared.
     fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError> {
         Ok(self.apply(delta))
@@ -383,12 +341,11 @@ where
         OverlayView::overlay_depth(self)
     }
 
-    /// Folds base + accumulated deltas into a fresh base of the same
-    /// representation: deep-validate the base, then encode the base's rows
-    /// merged with the folded state and open the bytes. The merge is
-    /// serial and reads no runtime; `rt` stays in the signature for the
-    /// callers that pass one (`TaxonomyService::compact`, the benchmark's
-    /// `cnp_layers`).
+    /// Folds base + accumulated deltas into a fresh view: deep-validate
+    /// the base, then encode the base's rows merged with the folded state
+    /// and open the bytes. The merge is serial and reads no runtime; `rt`
+    /// stays in the signature for the callers that pass one
+    /// (`TaxonomyService::compact`, the benchmark's `cnp_layers`).
     fn compacted(&self, _rt: &Runtime) -> Result<Self, PersistError> {
         if OverlayView::overlay_depth(self) == 0 {
             return Ok(self.clone());
@@ -398,14 +355,16 @@ where
         self.base().validate_deep()?;
         cnp_runtime::phase(encode);
         let bytes = persist::encode(&Merge::new(self));
-        Ok(OverlayView::new(B::from_bytes(bytes)?))
+        Ok(OverlayView::new(FrozenTaxonomyView::open(bytes)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::FrozenTaxonomy;
     use crate::store::{IsAMeta, Source, TaxonomyStore};
+    use bytes::Bytes;
 
     fn build_store() -> TaxonomyStore {
         let mut s = TaxonomyStore::new();
@@ -438,26 +397,6 @@ mod tests {
         d.upsert_concept_is_a("歌手", "艺人", IsAMeta::new(Source::SubConcept, 0.75));
         d.retract_entity_is_a("张学友", None, "歌手");
         d
-    }
-
-    #[test]
-    fn overlay_compaction_is_byte_identical_to_fresh_union() {
-        let mut union_store = build_store();
-        let delta = sample_delta();
-        let rt = Runtime::default();
-
-        let view = OverlayView::new(FrozenTaxonomy::freeze(&build_store()));
-        let ingested = view.ingest_delta(&delta).expect("overlay apply");
-        assert_eq!(IngestDelta::overlay_depth(&ingested), 1);
-        let compacted = ingested.compacted(&rt).expect("compaction");
-        assert_eq!(IngestDelta::overlay_depth(&compacted), 0);
-
-        delta.apply_to_store(&mut union_store);
-        let fresh = FrozenTaxonomy::freeze(&union_store);
-        assert_eq!(
-            persist::encode_frozen_v3(compacted.base()),
-            persist::encode_frozen_v3(&fresh)
-        );
     }
 
     #[test]

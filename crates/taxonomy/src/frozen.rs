@@ -71,11 +71,6 @@ impl<T: Copy> Csr<T> {
         csr
     }
 
-    /// A CSR of no rows.
-    fn empty() -> Self {
-        Csr::with_capacity(0, 0)
-    }
-
     fn with_capacity(rows: usize, entries: usize) -> Self {
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
@@ -256,7 +251,12 @@ impl FrozenTaxonomy {
 
     /// Freezes a finished store on an existing [`Runtime`]. The snapshot
     /// is identical at every thread count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "build-time freeze path: `comps` / `comp_reach` are indexed by the component ids `cond` itself assigned (parents' components come first in its order)"
+    )]
     pub fn freeze_with(store: &TaxonomyStore, rt: &Runtime) -> Self {
+        let interner = store.interner().clone();
         let n_entities = store.num_entities();
         let n_concepts = store.num_concepts();
         let entities: Vec<EntityRecord> = store.entity_ids().map(|e| store.entity(e)).collect();
@@ -271,37 +271,13 @@ impl FrozenTaxonomy {
         }
         let entity = |i: usize| EntityId(i as u32);
         let concept = |i: usize| ConceptId(i as u32);
-        Self::derive(
-            FrozenTaxonomy {
-                interner: store.interner().clone(),
-                entities,
-                entity_by_key,
-                concepts,
-                concept_by_sym,
-                entity_concepts: Csr::from_fn(n_entities, |i| store.concepts_of(entity(i))),
-                concept_entities: Csr::from_fn(n_concepts, |i| store.entities_of(concept(i))),
-                concept_parents: Csr::from_fn(n_concepts, |i| store.parents_of(concept(i))),
-                concept_children: Csr::from_fn(n_concepts, |i| store.children_of(concept(i))),
-                entity_attrs: Csr::from_fn(n_entities, |i| store.attributes_of(entity(i))),
-                entity_aliases: Csr::from_fn(n_entities, |i| store.aliases_of(entity(i))),
-                // Computed by `derive` from the tables above.
-                ancestors: Csr::empty(),
-                topo: Vec::new(),
-                depth: Vec::new(),
-                by_mention: Csr::empty(),
-            },
-            rt,
-        )
-    }
+        let entity_concepts = Csr::from_fn(n_entities, |i| store.concepts_of(entity(i)));
+        let mut concept_entities = Csr::from_fn(n_concepts, |i| store.entities_of(concept(i)));
+        let concept_parents = Csr::from_fn(n_concepts, |i| store.parents_of(concept(i)));
+        let concept_children = Csr::from_fn(n_concepts, |i| store.children_of(concept(i)));
+        let entity_attrs = Csr::from_fn(n_entities, |i| store.attributes_of(entity(i)));
+        let entity_aliases = Csr::from_fn(n_entities, |i| store.aliases_of(entity(i)));
 
-    /// Computes what a snapshot derives from its adjacency CSRs, reading
-    /// only those: the ranked hyponym rows (in place), the topology, the
-    /// ancestor closure and the mention index.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "build-time freeze path: `comps` / `comp_reach` are indexed by the component ids `cond` itself assigned (parents' components come first in its order)"
-    )]
-    fn derive(mut f: FrozenTaxonomy, rt: &Runtime) -> Self {
         // Hyponym rows are *ranked* (`TaxonomyStore::ranked_entities_of`:
         // descending edge confidence, entity id as tie-break). This is the
         // serving-side enumeration order of `getEntity`, and pinning it at
@@ -309,7 +285,7 @@ impl FrozenTaxonomy {
         // deterministic across runs and thread counts (the build store
         // keeps insertion order, which depends on extraction scheduling
         // history).
-        rank_hyponyms(&mut f.concept_entities, &f.entity_concepts);
+        rank_hyponyms(&mut concept_entities, &entity_concepts);
 
         // Topology: condensation → topo order, one-pass exact depths, and
         // the materialised ancestor closure (per component, then fanned out
@@ -323,12 +299,10 @@ impl FrozenTaxonomy {
         // and fans out over the runtime; each row is computed from the same
         // inputs regardless of scheduling, so the snapshot is byte-identical
         // at every thread count.
-        let n_concepts = f.concepts.len();
-        let parents = &f.concept_parents;
-        let parents_of = |c: ConceptId| parents.row(c.index());
+        let parents_of = |c: ConceptId| concept_parents.row(c.index());
         let cond = Condensation::of_rows(n_concepts, parents_of);
-        f.depth = cond.depths_rows(n_concepts, parents_of);
-        f.topo = cond.topo_order();
+        let depth = cond.depths_rows(n_concepts, parents_of);
+        let topo = cond.topo_order();
         let comps = cond.components();
         let mut comp_reach: Vec<Vec<ConceptId>> = Vec::with_capacity(comps.len());
         for (i, members) in comps.iter().enumerate() {
@@ -356,9 +330,25 @@ impl FrozenTaxonomy {
             row
         });
         drop(comp_reach);
-        f.ancestors = Csr::from_owned_rows(ancestor_rows);
-        f.by_mention = mention_index(f.interner.len(), &f.entities, &f.entity_aliases);
-        f
+        let ancestors = Csr::from_owned_rows(ancestor_rows);
+        let by_mention = mention_index(interner.len(), &entities, &entity_aliases);
+        FrozenTaxonomy {
+            interner,
+            entities,
+            entity_by_key,
+            concepts,
+            concept_by_sym,
+            entity_concepts,
+            concept_entities,
+            concept_parents,
+            concept_children,
+            entity_attrs,
+            entity_aliases,
+            ancestors,
+            topo,
+            depth,
+            by_mention,
+        }
     }
 
     // ----- strings & handles ----------------------------------------------

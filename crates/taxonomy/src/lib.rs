@@ -25,8 +25,9 @@
 //! * [`query`] — concept depth straight from the store, the reference
 //!   for the depth the snapshot precomputes and serves.
 //! * [`persist`] — the one on-disk snapshot format (sectioned,
-//!   checksummed, delta/varint-compressed; written from a
-//!   [`FrozenTaxonomy`], served in place by the view) and the delta
+//!   checksummed, delta/varint-compressed; written from a row source —
+//!   the build's owned [`FrozenTaxonomy`] or a fold's merge of a view
+//!   with its overlay — and served in place by the view) and the delta
 //!   sidecar codec.
 //! * [`varint`] — the LEB128/zigzag primitives of the snapshot codec.
 //! * [`view`] — [`FrozenTaxonomyView`], the borrowed serving snapshot:
@@ -34,8 +35,8 @@
 //!   Table II query straight off the bytes, zero per-section allocation on
 //!   boot; `to_frozen()` materialises the owned form from the same bytes.
 //! * [`overlay`] / [`compact`] — the write path: [`DeltaOverlay`] sidecars
-//!   folded over a base by [`OverlayView`], and compaction back into a
-//!   fresh base.
+//!   folded over a base by [`OverlayView`], and compaction of an overlay
+//!   over a view back into a fresh view.
 //! * [`read`] — [`TaxonomyRead`], the query trait the serving layer is
 //!   generic over, and [`BootSnapshot`], how a backend comes up from a
 //!   file.

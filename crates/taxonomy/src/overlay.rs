@@ -20,10 +20,11 @@
 //!   shared behind an `Arc`) and produces a new immutable value — one
 //!   generation swap per ingest, cursors stay generation-bound for free.
 //! * [`IngestDelta`] — the serving-side write capability, implemented by
-//!   [`OverlayView`]: apply a delta (one cheap fold) and fold accumulated
-//!   overlays back into a fresh base (*compaction*, see `crate::compact`),
-//!   which writes the folded state as the bytes a from-scratch freeze of
-//!   the same logical content writes.
+//!   the [`OverlayView`] over a snapshot file's view: apply a delta (one
+//!   cheap fold) and fold accumulated overlays back into a fresh base
+//!   (*compaction*, see `crate::compact`), which writes the folded state
+//!   as the bytes a from-scratch freeze of the same logical content
+//!   writes.
 //!
 //! Read-through contract: nothing outside this module and the `persist.rs`
 //! codec may look inside a delta's op log, and nothing but `compact.rs`
@@ -1073,8 +1074,11 @@ impl<B: TaxonomyRead + BootSnapshot> BootSnapshot for OverlayView<B> {
 /// snapshot, producing the next one, and fold accumulated overlays back
 /// into a fresh base (*compaction*).
 ///
-/// [`OverlayView`] is the one implementor (see `crate::compact`): a plain
-/// snapshot takes writes by being wrapped in an overlay first.
+/// `OverlayView<FrozenTaxonomyView>`, the type `cnp_server` serves, is
+/// the one implementor (see `crate::compact`): a snapshot file's view
+/// takes writes by being wrapped in an overlay first. An [`OverlayView`]
+/// over the owned `FrozenTaxonomy` applies deltas and reads, but does not
+/// fold.
 pub trait IngestDelta: Sized + Send + Sync {
     /// Applies one delta, returning the next serving snapshot.
     fn ingest_delta(&self, delta: &DeltaOverlay) -> Result<Self, PersistError>;
@@ -1082,9 +1086,9 @@ pub trait IngestDelta: Sized + Send + Sync {
     /// Overlay segments awaiting compaction (0 = fully compacted).
     fn overlay_depth(&self) -> usize;
 
-    /// Folds base + overlays into a fresh base of the same
-    /// representation. Byte-identical to a from-scratch freeze of the
-    /// same logical content (asserted in `tests/determinism.rs`).
+    /// Folds base + overlays into a fresh base. Byte-identical to a
+    /// from-scratch freeze of the same logical content (asserted in
+    /// `tests/determinism.rs`).
     fn compacted(&self, rt: &Runtime) -> Result<Self, PersistError>;
 }
 

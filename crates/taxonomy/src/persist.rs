@@ -411,7 +411,7 @@ struct AncestorRows;
 
 impl RowFormat<u32> for AncestorRows {
     fn len(&self, row: &[u32]) -> usize {
-        ancc_forms(row).map_or(0, |(ranges, bitset)| ranges.min(bitset))
+        ancc_forms(row.iter().copied()).map_or(0, |(ranges, bitset)| ranges.min(bitset))
     }
 
     fn put(&self, out: &mut Out<'_>, row: &[u32]) {
@@ -711,8 +711,8 @@ fn dict_index(dict: &[(u8, u32)], m: &IsAMeta) -> u64 {
 
 /// Maximal runs of consecutive ids in a strictly ascending row, as
 /// `(first id, length)`.
-fn runs(row: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
-    let mut ids = row.iter().copied().peekable();
+fn runs(row: impl IntoIterator<Item = u32>) -> impl Iterator<Item = (u32, u32)> {
+    let mut ids = row.into_iter().peekable();
     std::iter::from_fn(move || {
         let start = ids.next()?;
         let mut len = 1;
@@ -723,17 +723,19 @@ fn runs(row: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
     })
 }
 
-/// The byte lengths of an `ANCC` row's two forms, `(ranges, bitset)`;
-/// `None` for an empty row, which is zero bytes.
-fn ancc_forms(row: &[u32]) -> Option<(usize, usize)> {
-    let (&first, &last) = (row.first()?, row.last()?);
-    let mut ranges = 1usize;
-    let mut cursor = 0u32;
+/// The byte lengths of an `ANCC` row's two forms, `(ranges, bitset)`,
+/// from its strictly ascending ids; `None` for an empty row, which is zero
+/// bytes. The view's `open` holds every row it reads to the form these
+/// lengths pick.
+pub(crate) fn ancc_forms(row: impl IntoIterator<Item = u32>) -> Option<(usize, usize)> {
+    let (mut ranges, mut cursor, mut first) = (1usize, 0u32, None);
     for (start, len) in runs(row) {
+        first.get_or_insert(start);
         ranges += varint_len(u64::from(start - cursor)) + varint_len(u64::from(len - 1));
         cursor = start + len;
     }
-    let span = (last - first) as usize + 1;
+    let first = first?;
+    let span = (cursor - first) as usize;
     Some((ranges, 1 + varint_len(u64::from(first)) + span.div_ceil(8)))
 }
 
@@ -742,13 +744,13 @@ fn ancc_forms(row: &[u32]) -> Option<(usize, usize)> {
 /// their one reader, for `open`'s canonical-form check, iteration and
 /// `ancestor_contains` alike.
 fn put_ancc_row(b: &mut Out<'_>, row: &[u32]) {
-    let Some((ranges, bitset)) = ancc_forms(row) else {
+    let Some((ranges, bitset)) = ancc_forms(row.iter().copied()) else {
         return;
     };
     if ranges <= bitset {
         b.put_u8(ANCC_RANGES);
         let mut cursor = 0u32;
-        for (start, len) in runs(row) {
+        for (start, len) in runs(row.iter().copied()) {
             put_varint(b, u64::from(start - cursor));
             put_varint(b, u64::from(len - 1));
             cursor = start + len;

@@ -1594,8 +1594,11 @@ impl<'a> AnccRow<'a> {
     }
 
     /// Checks row `me` of a closure over `max` concepts and returns its
-    /// entry count. Non-canonical encodings are rejected, so a decoded row
-    /// always re-encodes byte-identically.
+    /// entry count. Non-canonical encodings are rejected, a row in the
+    /// form `persist::put_ancc_row` does not pick among them (ranges
+    /// unless the bitset is strictly shorter), so a decoded row
+    /// re-encodes byte-identically when its varints are minimal
+    /// (`varint_at` accepts overlong ones).
     fn validate(self, me: usize, max: usize, what: &'static str) -> Result<usize, PersistError> {
         let (me, max) = (me as u64, max as u64);
         let count = match self {
@@ -1641,6 +1644,10 @@ impl<'a> AnccRow<'a> {
                 bitmap.iter().map(|b| u64::from(b.count_ones())).sum()
             }
         };
+        let (ranges, bitset) = persist::ancc_forms(self.iter().map(|c| c.0)).unwrap_or_default();
+        if (ranges <= bitset) != matches!(self, AnccRow::Ranges(_)) {
+            return Err(PersistError::BadIndex(what));
+        }
         usize::try_from(count).map_err(|_| PersistError::BadIndex(what))
     }
 }

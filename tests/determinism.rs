@@ -12,7 +12,7 @@ use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig, PipelineOutcome};
 use cn_probase::runtime::Runtime;
 use cn_probase::taxonomy::persist::encode_frozen_v3;
-use cn_probase::{FrozenTaxonomy, IngestDelta, OverlayView};
+use cn_probase::{FrozenTaxonomy, FrozenTaxonomyView, IngestDelta, OverlayView};
 
 fn run_with_threads(corpus: &cn_probase::encyclopedia::Corpus, threads: usize) -> PipelineOutcome {
     let config = PipelineConfig {
@@ -127,6 +127,12 @@ fn incremental_mode_is_thread_count_independent_too() {
     assert_frozen_equivalent(&frozen1, &frozen8, "incremental 1 vs 8");
 }
 
+/// `snapshot` served as `cnp_server` serves it: its v3 bytes, opened in
+/// place.
+fn view_of(snapshot: &FrozenTaxonomy) -> FrozenTaxonomyView {
+    FrozenTaxonomyView::open(encode_frozen_v3(snapshot)).expect("v3 opens")
+}
+
 /// The write path's determinism contract: folding a delta overlay into its
 /// base (compaction) produces the **byte-identical** snapshot a from-scratch
 /// freeze of the same logical content produces, at every thread count.
@@ -148,7 +154,7 @@ fn compaction_is_byte_identical_to_a_fresh_freeze_at_any_thread_count() {
         assert!(!delta.is_empty(), "disjoint batch produced no delta");
 
         // Serve base + delta through an overlay, then fold it down.
-        let view = OverlayView::new(base).apply(&delta);
+        let view = OverlayView::new(view_of(&base)).apply(&delta);
         let compacted = view.compacted(&rt).expect("compaction failed");
         assert_eq!(compacted.overlay_depth(), 0, "fold left an overlay");
 
@@ -159,12 +165,13 @@ fn compaction_is_byte_identical_to_a_fresh_freeze_at_any_thread_count() {
 
         // ...is byte-identical, not merely query-identical.
         assert_eq!(
-            encode_frozen_v3(compacted.base()),
-            encode_frozen_v3(&fresh),
+            compacted.base().as_bytes(),
+            &encode_frozen_v3(&fresh)[..],
             "compacted snapshot diverges from fresh freeze at {threads} threads"
         );
+        let materialised = compacted.base().to_frozen().expect("materialises");
         assert_frozen_equivalent(
-            compacted.base(),
+            &materialised,
             &fresh,
             &format!("compacted vs fresh, {threads} threads"),
         );
@@ -190,7 +197,7 @@ fn stacked_overlays_compact_identically_across_thread_counts() {
         let rt = Runtime::new(threads);
         let outcome1 = pipeline.run(&batches[0]);
         let base = FrozenTaxonomy::freeze_with(&outcome1.taxonomy, &rt);
-        let mut view = OverlayView::new(base);
+        let mut view = OverlayView::new(view_of(&base));
         let mut union = outcome1.taxonomy.clone();
         for batch in &batches[1..] {
             let outcome = pipeline.run(batch);
@@ -203,10 +210,10 @@ fn stacked_overlays_compact_identically_across_thread_counts() {
         assert_eq!(view.overlay_depth(), 2);
         let compacted = view.compacted(&rt).expect("compaction failed");
         let fresh = FrozenTaxonomy::freeze_with(&union, &rt);
-        let bytes = encode_frozen_v3(compacted.base());
+        let bytes = compacted.base().as_bytes().to_vec();
         assert_eq!(
             bytes,
-            encode_frozen_v3(&fresh),
+            &encode_frozen_v3(&fresh)[..],
             "stacked compaction diverges from fresh freeze at {threads} threads"
         );
         encodings.push(bytes);

@@ -311,7 +311,7 @@ fn cursor_walks_are_generation_bound_across_ingest() {
             .expect("nonempty taxonomy");
         base.concept_name(c).to_string()
     };
-    let service = TaxonomyService::new(OverlayView::new(base));
+    let service = serving_service(&base);
 
     let query_for = |cursor: Option<cn_probase::Cursor>| Query::GetEntity {
         concept: concept.clone(),

@@ -380,7 +380,8 @@ fn read_sweep(t: &impl TaxonomyRead) -> Vec<String> {
 /// between the bytes and a query. Each mutated file must fail `open` or
 /// `to_frozen`; one that passes both is served as it reads, so the view
 /// must answer [`read_sweep`] exactly as the owned snapshot `to_frozen`
-/// built from it does. A file `open` accepts is also one a server may
+/// built from it does, and that snapshot must re-encode to the file's own
+/// bytes. A file `open` accepts is also one a server may
 /// fold: a one-delta fold of it must fail, or publish a file `to_frozen`
 /// accepts, since the next boot trusts it. Swept over every section of the
 /// small snapshot and over the pipeline-built one's closure, where the
@@ -424,6 +425,10 @@ fn v3_every_resealed_flip_fails_or_reads_as_its_owned_form() {
                     let owned = peak_of("to_frozen", TO_FROZEN, mutated.len(), || view.to_frozen());
                     let Ok(owned) = owned else { continue };
                     loaded += 1;
+                    assert!(
+                        persist::encode_frozen_v3(&owned)[..] == mutated[..],
+                        "{name} byte {at} ^ {flip:#04x}: accepted, but re-encodes to other bytes"
+                    );
                     let (seen, want) = (read_sweep(&view), read_sweep(&owned));
                     if let Some((s, w)) = seen.iter().zip(&want).find(|(s, w)| s != w) {
                         panic!("{name} byte {at} ^ {flip:#04x}: view {s:?}, owned {w:?}");
@@ -684,7 +689,12 @@ fn v3_every_row_check_names_its_error() {
         check(b"ANCC", row, rejected, error, control);
     };
     // Ranges: the second run starts where the first ended.
-    ancc(0, &[RANGES, 1, 0, 0, 0], closure, &[RANGES, 1, 0, 1, 0]);
+    ancc(0, &[RANGES, 1, 0, 0, 0], closure, &[BITSET, 1, 0b101]);
+    // Each form where the other is the one the encoder picks: {演员, 人物}
+    // as five bytes of ranges, where the bitset takes three; {歌手, 人物} as
+    // a bitset, where the ranges form is no longer.
+    ancc(0, &[RANGES, 1, 0, 1, 0], closure, &[BITSET, 1, 0b101]);
+    ancc(0, &[BITSET, 2, 0b11], closure, &[RANGES, 2, 1]);
     // Ranges: a flag byte with no runs (the empty row is zero bytes).
     ancc(3, &[RANGES], closure, &[]);
     // Ranges: a run reaching `n_concepts`.
@@ -696,7 +706,7 @@ fn v3_every_row_check_names_its_error() {
     ancc(0, &[BITSET, 1, 0b101, 0], closure, &[BITSET, 1, 0b101]);
     // Bitset: a bit at `n_concepts`.
     let last = n_concepts - 1;
-    ancc(0, &[BITSET, last, 0b11], closure, &[BITSET, 2, 0b11]);
+    ancc(0, &[BITSET, last, 0b11], closure, &[RANGES, 2, 1]);
     ancc(0, &[BITSET, 0, 0b101], "self ancestor", &[BITSET, 1, 0b101]);
     ancc(1, &[2, person, 0], closure, &[RANGES, person, 0]);
     // `(id, MDCT index)` pairs: the dictionary holds five entries.
@@ -766,10 +776,10 @@ fn stomped_leaf_depth_bytes() -> Vec<u8> {
 )]
 static FOLDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// A compaction re-reads its base through `to_frozen`, so a base that only
-/// `open`'s shallow checks accepted cannot be folded into a file the next
-/// boot trusts: the fold fails, and the service keeps serving the overlay
-/// generation it had.
+/// A compaction runs `validate_deep` on its base, the checks `to_frozen`
+/// runs, so a base that only `open`'s shallow checks accepted cannot be
+/// folded into a file the next boot trusts: the fold fails, and the
+/// service keeps serving the overlay generation it had.
 #[test]
 fn a_compaction_keeps_the_deep_validation() {
     use cn_probase::runtime::Runtime;
