@@ -14,7 +14,13 @@ use cnp_taxonomy::{
 };
 use std::collections::HashSet;
 
-/// Pipeline configuration.
+/// Infobox predicates kept: the paper's 12 of 341 candidates (§II), here
+/// the top 12 by alignment rate.
+const PREDICATE_TOP_K: usize = 12;
+/// Minimum triple support for a selectable infobox predicate.
+const PREDICATE_MIN_SUPPORT: usize = 5;
+
+/// Pipeline configuration. The tag source always runs.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Worker threads for every pipeline stage (defaults to the machine's
@@ -26,14 +32,8 @@ pub struct PipelineConfig {
     pub enable_abstract: bool,
     /// Enable the infobox source (predicate discovery).
     pub enable_infobox: bool,
-    /// Enable the tag source (direct extraction).
-    pub enable_tag: bool,
     /// Neural-generation settings.
     pub neural: abstract_gen::NeuralConfig,
-    /// Predicates kept by the selection step (paper: 12).
-    pub predicate_top_k: usize,
-    /// Minimum triple support for a selectable predicate.
-    pub predicate_min_support: usize,
     /// Verification strategies.
     pub verification: VerificationConfig,
 }
@@ -45,10 +45,7 @@ impl Default for PipelineConfig {
             enable_bracket: true,
             enable_abstract: true,
             enable_infobox: true,
-            enable_tag: true,
             neural: abstract_gen::NeuralConfig::default(),
-            predicate_top_k: 12,
-            predicate_min_support: 5,
             verification: VerificationConfig::all(),
         }
     }
@@ -263,8 +260,8 @@ impl Pipeline {
                 let discovery = infobox::discover_predicates(
                     &corpus.pages,
                     &bracket_pairs,
-                    cfg.predicate_top_k,
-                    cfg.predicate_min_support,
+                    PREDICATE_TOP_K,
+                    PREDICATE_MIN_SUPPORT,
                     &rt,
                 );
                 report.predicate_candidates = discovery.candidates.len();
@@ -295,11 +292,9 @@ impl Pipeline {
         });
 
         time_stage(&mut timings, Stage::Tag, || {
-            if cfg.enable_tag {
-                let cands = tag::extract(&corpus.pages, &rt);
-                report.tag_candidates = cands.len();
-                all_candidates.extend(cands);
-            }
+            let cands = tag::extract(&corpus.pages, &rt);
+            report.tag_candidates = cands.len();
+            all_candidates.extend(cands);
         });
 
         let merged = time_stage(&mut timings, Stage::Merge, || {

@@ -85,13 +85,6 @@ impl GoldLabels {
     pub fn entity_keys(&self) -> impl Iterator<Item = &str> {
         self.entity_isa.keys().map(|s| s.as_str())
     }
-
-    /// Iterates gold concept pairs.
-    pub fn concept_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.concept_isa
-            .iter()
-            .map(|(a, b)| (a.as_str(), b.as_str()))
-    }
 }
 
 #[cfg(test)]

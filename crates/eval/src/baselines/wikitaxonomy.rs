@@ -22,7 +22,6 @@ pub fn build(corpus: &Corpus) -> BaselineResult {
     config.enable_bracket = false;
     config.enable_abstract = false;
     config.enable_infobox = false;
-    config.enable_tag = true;
     config.verification = VerificationConfig::all();
     let outcome = Pipeline::new(config).run(&sub);
     BaselineResult {

@@ -8,7 +8,8 @@ use cnp_runtime::Runtime;
 use cnp_tag::TagIndex;
 use cnp_taxonomy::persist::PersistError;
 use cnp_taxonomy::{
-    BootSnapshot, DeltaOverlay, FrozenTaxonomy, IngestDelta, TaxonomyRead, TaxonomyStore,
+    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IngestDelta, OverlayView, TaxonomyRead,
+    TaxonomyStore,
 };
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::path::Path;
@@ -106,14 +107,13 @@ impl<T: TaxonomyRead> PinnedSnapshot<T> {
 /// [`QueryResponse`] carries the generation it answered from. Queries,
 /// single or batched, run on the thread that called; nothing is spawned.
 ///
-/// The backend is generic over [`TaxonomyRead`]: the same service type
-/// serves in process from the owned [`FrozenTaxonomy`] (the default —
-/// the examples and tests freeze and serve without touching a disk), from
-/// the zero-copy `FrozenTaxonomyView` over a snapshot file
-/// ([`TaxonomyService::boot_from_file`]), or, when the service takes
-/// writes, from an `OverlayView` over that view — the
-/// `OverlayView<FrozenTaxonomyView>` `cnp_server` serves, the one
-/// [`IngestDelta`] backend.
+/// The backend is generic over [`TaxonomyRead`]: the owned
+/// [`FrozenTaxonomy`] (the default — examples and tests serve in process
+/// without a disk) or any view handed to [`TaxonomyService::new`]. A
+/// snapshot file is served as `OverlayView<FrozenTaxonomyView>` (what
+/// `cnp_server` serves, the one [`IngestDelta`] backend), and only once
+/// [`TaxonomyService::boot_from_file`] or [`TaxonomyService::reload`]
+/// has deep-checked it.
 ///
 /// ```
 /// use cnp_serve::{Query, Response, TaxonomyService};
@@ -284,18 +284,18 @@ impl<T: TaxonomyRead + IngestDelta> TaxonomyService<T> {
     }
 }
 
-impl<T: TaxonomyRead + BootSnapshot> TaxonomyService<T> {
-    /// Boots generation 1 from a snapshot file, as `T` boots it:
-    /// `FrozenTaxonomyView` opens the file's bytes in place, an
-    /// `OverlayView` wraps that with an empty overlay.
+impl TaxonomyService<OverlayView<FrozenTaxonomyView>> {
+    /// Boots generation 1 from a snapshot file, through the same door as
+    /// [`Self::reload`].
     pub fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
-        Ok(Self::new(T::boot_from_file(path)?))
+        Ok(Self::new(Self::load(path)?))
     }
 
     /// Zero-downtime reload: reads and validates the snapshot file
     /// *without holding any lock* — traffic keeps flowing on the old
     /// generation for the whole load — then swaps it in. Returns the new
-    /// generation number; on error the service keeps serving unchanged.
+    /// generation number; on error (the file does not open or fails the
+    /// deep check) the service keeps serving unchanged.
     ///
     /// The swap itself waits for an ingest that is between its pin and
     /// its swap: that ingest folds over the generation it pinned, so a
@@ -303,9 +303,18 @@ impl<T: TaxonomyRead + BootSnapshot> TaxonomyService<T> {
     /// overwritten by `old base + delta`. Serialised on the admin mutex,
     /// the file is the new truth for every generation after this one.
     pub fn reload(&self, path: &Path) -> Result<u64, PersistError> {
-        let snapshot = T::boot_from_file(path)?;
+        let snapshot = Self::load(path)?;
         let _admin = self.admin.lock();
         Ok(self.swap(snapshot))
+    }
+
+    /// The door: `open`'s shape checks, then `validate_deep`'s meaning
+    /// checks, the ones a fold runs on its base. A file that passes only
+    /// the first would answer wrongly and fail every fold.
+    fn load(path: &Path) -> Result<OverlayView<FrozenTaxonomyView>, PersistError> {
+        let view = FrozenTaxonomyView::load_from_file(path)?;
+        view.validate_deep()?;
+        Ok(OverlayView::new(view))
     }
 }
 
@@ -452,8 +461,7 @@ mod tests {
     #[test]
     fn view_backed_service_hot_swaps_and_reloads() {
         let path = snapshot_file(&store_b(), "view_reload.cnpb");
-        let service: TaxonomyService<FrozenTaxonomyView> =
-            TaxonomyService::new(view_of(&store_a()));
+        let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));
         assert!(service.execute(&Query::men2ent("张学友")).result.is_err());
         assert_eq!(service.reload(&path).unwrap(), 2);
         std::fs::remove_file(&path).ok();
@@ -464,7 +472,7 @@ mod tests {
 
     #[test]
     fn reload_errors_keep_serving_unchanged() {
-        let service = TaxonomyService::new(view_of(&store_a()));
+        let service = TaxonomyService::new(OverlayView::new(view_of(&store_a())));
         let err = service.reload(Path::new("/nonexistent/snapshot.cnpb"));
         assert!(err.is_err());
         assert_eq!(service.generation(), 1);

@@ -461,8 +461,10 @@ fn refuse_request(error: &wire::RequestError, out: &mut String) -> u16 {
 /// it in. The load and validation run right here on the worker — no lock
 /// held, traffic keeps flowing on the old generation — and the swap is a
 /// single pointer store; in-flight queries drain on the generation they
-/// pinned. A file that does not open (an old format, a torn write) is a
-/// `500 reloadFailed` and the old generation keeps serving.
+/// pinned. A file that does not open (an old format, a torn write) or
+/// that opens but fails the deep check (a wrong depth, an inexact
+/// closure: see [`TaxonomyService::reload`]) is a `500 reloadFailed`
+/// whose detail names the error, and the old generation keeps serving.
 fn reload(shared: &Shared, out: &mut String) -> u16 {
     let Some(path) = &shared.config.snapshot_path else {
         return refuse(

@@ -54,6 +54,25 @@ fn old_format_file(name: &str) -> PathBuf {
     path
 }
 
+/// A file that opens but fails the deep check: `store_b`'s snapshot with
+/// the first `DPTH` entry raised by one and the checksum resealed, so
+/// every section keeps its shape and only `validate_deep` sees the lie.
+fn deep_invalid_file(name: &str) -> PathBuf {
+    let mut bytes = encode_frozen_v3(&FrozenTaxonomy::freeze(&store_b())).to_vec();
+    let mut at = 8; // past the magic and the version word
+    while &bytes[at..at + 4] != b"DPTH" {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+        at += 12 + len as usize;
+    }
+    bytes[at + 12 + 4] += 1; // past the section header and the count word
+    let cksm = bytes.len() - 20; // the last section: tag, length, digest
+    let digest = cnp_runtime::stable_hash(&bytes[..cksm]).to_le_bytes();
+    bytes[cksm + 12..].copy_from_slice(&digest);
+    let path = temp_path(name);
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
 /// Serves what the binary serves: the store's snapshot bytes, opened in
 /// place, under an empty overlay.
 fn boot(store: TaxonomyStore, config: ServerConfig) -> ServerHandle {
@@ -196,54 +215,106 @@ fn mixed_traffic_stays_generation_consistent_across_live_reload() {
 }
 
 /// A reload pointed at a file this build cannot read — here one in the
-/// format an earlier release wrote — is refused with the reason, and the
-/// generation that was serving keeps serving.
+/// format an earlier release wrote — or at one that opens but fails the
+/// deep check is refused with the reason, and the generation that was
+/// serving keeps serving: 张学友, whom the refused file holds, stays
+/// unknown.
 #[test]
 fn reload_at_an_old_format_file_is_refused_and_the_old_generation_keeps_serving() {
-    let path = old_format_file("reload_old");
-    let handle = boot(
-        store_a(),
-        ServerConfig {
-            snapshot_path: Some(path.clone()),
-            ..ServerConfig::default()
-        },
-    );
-    let addr = handle.addr();
+    let refused = [
+        (
+            old_format_file("reload_old"),
+            &["v2 is no longer readable", "PipelineOutcome::save_view"][..],
+        ),
+        (
+            deep_invalid_file("reload_deep"),
+            &["topo order or depth"][..],
+        ),
+    ];
+    for (path, reasons) in &refused {
+        let handle = boot(
+            store_a(),
+            ServerConfig {
+                snapshot_path: Some(path.clone()),
+                ..ServerConfig::default()
+            },
+        );
+        let addr = handle.addr();
 
-    let (status, doc) = exchange(addr, "POST", "/admin/reload", "");
-    assert_eq!(status, 500, "reload: {}", doc.write());
-    let error = doc.get("error").expect("typed error body");
-    assert_eq!(
-        error.get("kind").and_then(Json::as_str),
-        Some("reloadFailed")
-    );
-    let detail = error.get("detail").and_then(Json::as_str).unwrap();
-    assert!(detail.contains("v2 is no longer readable"), "{detail}");
-    assert!(detail.contains("PipelineOutcome::save_view"), "{detail}");
+        let (status, doc) = exchange(addr, "POST", "/admin/reload", "");
+        assert_eq!(status, 500, "reload: {}", doc.write());
+        let error = doc.get("error").expect("typed error body");
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("reloadFailed")
+        );
+        let detail = error.get("detail").and_then(Json::as_str).unwrap();
+        for reason in *reasons {
+            assert!(detail.contains(reason), "{detail}");
+        }
 
-    assert_eq!(handle.service().generation(), 1);
-    let (status, doc) = post_query(addr, &Query::men2ent("刘德华"));
-    assert_eq!(status, 200);
-    assert_eq!(wire::decode_response(&doc).unwrap().generation, 1);
-    std::fs::remove_file(&path).ok();
-    handle.shutdown();
+        assert_eq!(handle.service().generation(), 1);
+        let (status, doc) = post_query(addr, &Query::men2ent("刘德华"));
+        assert_eq!(status, 200);
+        assert_eq!(wire::decode_response(&doc).unwrap().generation, 1);
+        let (status, _) = post_query(addr, &Query::men2ent("张学友"));
+        assert_eq!(status, 404);
+        let stats = handle.stats();
+        assert_eq!(stats.requests, stats.responses_ok + stats.responses_error);
+        std::fs::remove_file(path).ok();
+        handle.shutdown();
+    }
 }
 
-/// The same file at boot: the binary exits non-zero and says why.
+/// A `cnp_server` child, killed and reaped by handle, also when an
+/// assertion fails.
+struct Reaped(std::process::Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The same files at boot: the binary exits non-zero and says why. One
+/// that booted would announce its address and serve until killed, so the
+/// test reads the announcement line first: a refusal closes stdout
+/// unwritten.
 #[test]
 fn the_binary_refuses_to_boot_an_old_format_file() {
-    let path = old_format_file("boot_old");
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_cnp_server"))
-        .arg("--snapshot")
-        .arg(&path)
-        .output()
-        .expect("run cnp_server");
-    std::fs::remove_file(&path).ok();
-    assert!(!output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("cannot load snapshot"), "{stderr}");
-    assert!(stderr.contains("v2 is no longer readable"), "{stderr}");
-    assert!(stderr.contains("build_taxonomy"), "{stderr}");
+    let refused = [
+        (
+            old_format_file("boot_old"),
+            &["v2 is no longer readable", "build_taxonomy"][..],
+        ),
+        (deep_invalid_file("boot_deep"), &["topo order or depth"][..]),
+    ];
+    for (path, reasons) in &refused {
+        let mut server = Reaped(
+            std::process::Command::new(env!("CARGO_BIN_EXE_cnp_server"))
+                .arg("--snapshot")
+                .arg(path)
+                .args(["--addr", "127.0.0.1:0"])
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("run cnp_server"),
+        );
+        let mut announced = String::new();
+        let stdout = server.0.stdout.take().expect("piped stdout");
+        BufReader::new(stdout).read_line(&mut announced).unwrap();
+        assert_eq!(announced, "", "cnp_server booted {}", path.display());
+        assert!(!server.0.wait().unwrap().success());
+        let mut stderr = String::new();
+        let mut pipe = server.0.stderr.take().expect("piped stderr");
+        pipe.read_to_string(&mut stderr).unwrap();
+        std::fs::remove_file(path).ok();
+        assert!(stderr.contains("cannot load snapshot"), "{stderr}");
+        for reason in *reasons {
+            assert!(stderr.contains(reason), "{stderr}");
+        }
+    }
 }
 
 /// A good file: the binary prints the one line harnesses wait for (the
@@ -251,15 +322,6 @@ fn the_binary_refuses_to_boot_an_old_format_file() {
 /// unknown flag is refused with the usage text.
 #[test]
 fn the_binary_boots_a_good_file_and_announces_the_address_it_serves_on() {
-    /// Kills and reaps the server by handle, also when an assertion fails.
-    struct Reaped(std::process::Child);
-    impl Drop for Reaped {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-
     let path = snapshot_file("boot_ok", &store_a());
     let mut server = Reaped(
         std::process::Command::new(env!("CARGO_BIN_EXE_cnp_server"))

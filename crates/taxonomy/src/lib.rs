@@ -38,8 +38,9 @@
 //!   folded over a base by [`OverlayView`], and compaction of an overlay
 //!   over a view back into a fresh view.
 //! * [`read`] — [`TaxonomyRead`], the query trait the serving layer is
-//!   generic over, and [`BootSnapshot`], how a backend comes up from a
-//!   file.
+//!   generic over. A file comes up as a backend through
+//!   [`FrozenTaxonomyView::load_from_file`]; the service's boot and reload
+//!   add [`FrozenTaxonomyView::validate_deep`] before they serve it.
 //! * [`stats`] — the size metrics reported in Table I.
 
 pub mod closure;
@@ -67,7 +68,7 @@ pub use overlay::{DeltaOverlay, IngestDelta, OverlayView};
 pub use persist::PersistError;
 #[doc(hidden)]
 pub use read::AnySnapshot;
-pub use read::{BootSnapshot, TaxonomyRead};
+pub use read::TaxonomyRead;
 pub use stats::TaxonomyStats;
 pub use store::{ConceptId, EntityId, IsAMeta, Source, TaxonomyStore};
 pub use view::FrozenTaxonomyView;

@@ -36,7 +36,7 @@ use crate::hash::FxHashMap;
 use crate::interner::Symbol;
 use crate::mention;
 use crate::persist::{self, PersistError};
-use crate::read::{BootSnapshot, TaxonomyRead};
+use crate::read::TaxonomyRead;
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta, TaxonomyStore};
 use crate::topo::Condensation;
 use bytes::Bytes;
@@ -1058,15 +1058,6 @@ impl<B: TaxonomyRead> TaxonomyRead for OverlayView<B> {
             }
         }
         order
-    }
-}
-
-impl<B: TaxonomyRead + BootSnapshot> BootSnapshot for OverlayView<B> {
-    /// Boots the base representation from a file and wraps it with an
-    /// empty overlay. A service `reload` therefore *drops* accumulated
-    /// overlays — the file is the new truth.
-    fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
-        Ok(OverlayView::new(B::boot_from_file(path)?))
     }
 }
 

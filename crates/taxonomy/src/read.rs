@@ -8,9 +8,10 @@
 //! allocating adapters. Listing methods return iterators — slices iterate
 //! for free, the view decodes lazily.
 //!
-//! [`BootSnapshot`] is the constructor the service's boot and hot-swap
-//! `reload` paths use to bring a snapshot file up as a serving backend:
-//! the view over the file's bytes, or an `OverlayView` around it.
+//! Nothing here reads a file: a snapshot file comes up as a serving
+//! backend through `TaxonomyService::boot_from_file` and `reload`, which
+//! open it with [`FrozenTaxonomyView::load_from_file`] and deep-check it
+//! before they serve it.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -23,10 +24,8 @@
 
 use crate::frozen::FrozenTaxonomy;
 use crate::interner::Symbol;
-use crate::persist::PersistError;
 use crate::store::{ConceptId, EntityId, EntityRecord, IsAMeta};
 use crate::view::FrozenTaxonomyView;
-use std::path::Path;
 
 /// Read-only Table II query surface over a frozen snapshot.
 ///
@@ -295,21 +294,6 @@ impl TaxonomyRead for FrozenTaxonomyView {
 
     fn descendants(&self, start: ConceptId) -> Vec<ConceptId> {
         FrozenTaxonomyView::descendants(self, start)
-    }
-}
-
-/// Boots a serving backend from a snapshot file — the constructor behind
-/// `TaxonomyService::boot_from_file` and the zero-downtime `reload`.
-pub trait BootSnapshot: Sized {
-    /// Loads a snapshot file into this representation.
-    fn boot_from_file(path: &Path) -> Result<Self, PersistError>;
-}
-
-impl BootSnapshot for FrozenTaxonomyView {
-    /// One read, into one buffer of the file's length: that buffer *is*
-    /// the view's storage, and no second copy is made.
-    fn boot_from_file(path: &Path) -> Result<Self, PersistError> {
-        FrozenTaxonomyView::load_from_file(path)
     }
 }
 

@@ -8,11 +8,13 @@
 //! from 4 bytes to 1.
 //!
 //! Every reader here is panic-free and bounds-checked: [`varint_at`]
-//! returns `None` instead of reading past the slice, rejects encodings
-//! longer than [`MAX_VARINT_BYTES`], and rejects continuation bits that
-//! would overflow `u64`. Counts decoded through these helpers are *raw
-//! wire values* — any pre-allocation they feed must be `.min()`-capped by
-//! the remaining input (`tests/snapshot_corruption.rs` measures this).
+//! returns `None` instead of reading past the slice, and rejects
+//! encodings longer than [`MAX_VARINT_BYTES`], continuation bits that
+//! would overflow `u64`, and overlong encodings (a final `0x00` after a
+//! continuation byte), so each value has one encoding, [`put_varint`]'s.
+//! Counts decoded through these helpers are *raw wire values* — any
+//! pre-allocation they feed must be `.min()`-capped by the remaining
+//! input (`tests/snapshot_corruption.rs` measures this).
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -50,8 +52,8 @@ pub fn varint_len(mut v: u64) -> usize {
 /// Decodes the varint starting at `buf[pos]`.
 ///
 /// Returns `(value, next_pos)`, or `None` when the slice ends inside the
-/// varint, the encoding exceeds [`MAX_VARINT_BYTES`], or a continuation
-/// would overflow `u64`. Never panics.
+/// varint, the encoding exceeds [`MAX_VARINT_BYTES`], a continuation
+/// would overflow `u64`, or the encoding is overlong. Never panics.
 #[inline]
 pub fn varint_at(buf: &[u8], pos: usize) -> Option<(u64, usize)> {
     let mut value = 0u64;
@@ -67,7 +69,9 @@ pub fn varint_at(buf: &[u8], pos: usize) -> Option<(u64, usize)> {
         }
         value |= low << shift;
         if b & 0x80 == 0 {
-            return Some((value, p));
+            // A final zero byte after a continuation adds no bits: the
+            // value has a shorter encoding, the one `put_varint` writes.
+            return (b != 0 || shift == 0).then_some((value, p));
         }
         shift += 7;
     }
@@ -116,6 +120,9 @@ mod tests {
         assert_eq!(varint_at(&[0x00], 1), None);
         // 11 continuation bytes: longer than any legal u64 encoding.
         assert_eq!(varint_at(&[0x80; 11], 0), None);
+        // Overlong: 0 and 127 in two and three bytes.
+        assert_eq!(varint_at(&[0x80, 0x00], 0), None);
+        assert_eq!(varint_at(&[0xFF, 0x80, 0x00], 0), None);
         // Tenth byte carrying more than the one remaining payload bit.
         let mut overflow = vec![0xFF; 9];
         overflow.push(0x02);

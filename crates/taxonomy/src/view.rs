@@ -33,9 +33,16 @@
 //! rows or `None`, never a slice panic. Structural validity is guaranteed
 //! by `open`; *semantic* invariants (topo order and depths, closure
 //! correctness, key uniqueness, the mirrors between sections) are checked
-//! in place by [`FrozenTaxonomyView::validate_deep`], which
-//! [`FrozenTaxonomyView::to_frozen`] and a fold run before they read the
-//! rows.
+//! in place by [`FrozenTaxonomyView::validate_deep`], which the service's
+//! boot and reload (`TaxonomyService::boot_from_file`, `reload`),
+//! [`FrozenTaxonomyView::to_frozen`] and a fold run before they serve or
+//! read the rows; `open` stays shallow.
+//!
+//! Within a section, a file both accept is canonical (minimal varints,
+//! each `ANCC` row in `persist::put_ancc_row`'s form), so its rows
+//! re-encode to their own bytes. Sections are found by tag, in any order,
+//! and unknown tags are skipped, so a whole file re-encodes to itself only
+//! without those and in the encoder's order.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -1594,11 +1601,10 @@ impl<'a> AnccRow<'a> {
     }
 
     /// Checks row `me` of a closure over `max` concepts and returns its
-    /// entry count. Non-canonical encodings are rejected, a row in the
-    /// form `persist::put_ancc_row` does not pick among them (ranges
-    /// unless the bitset is strictly shorter), so a decoded row
-    /// re-encodes byte-identically when its varints are minimal
-    /// (`varint_at` accepts overlong ones).
+    /// entry count. Non-canonical encodings are rejected: a row in the
+    /// form `persist::put_ancc_row` does not pick (ranges unless the
+    /// bitset is strictly shorter) and, through `varint_at`, an overlong
+    /// varint. So a decoded row re-encodes byte-identically.
     fn validate(self, me: usize, max: usize, what: &'static str) -> Result<usize, PersistError> {
         let (me, max) = (me as u64, max as u64);
         let count = match self {

@@ -13,7 +13,7 @@
 //! taxonomy, so CI can use it as a round-trip smoke check.
 
 use cn_probase::taxonomy::EntityId;
-use cn_probase::{FrozenTaxonomyView, ListOptions, PageRequest, Query, Response, TaxonomyService};
+use cn_probase::{ListOptions, PageRequest, Query, Response, TaxonomyRead, TaxonomyService};
 use std::path::Path;
 use std::time::Instant;
 
@@ -25,7 +25,7 @@ fn main() -> std::process::ExitCode {
     let path = std::env::var("CNP_SNAPSHOT").unwrap_or_else(|_| "/tmp/cnp.snapshot".to_string());
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     let t = Instant::now();
-    let service = match TaxonomyService::<FrozenTaxonomyView>::boot_from_file(Path::new(&path)) {
+    let service = match TaxonomyService::boot_from_file(Path::new(&path)) {
         Ok(service) => service,
         Err(e) => {
             eprintln!("failed to boot from snapshot {path}: {e}");

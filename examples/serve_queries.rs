@@ -26,9 +26,7 @@
 use cn_probase::encyclopedia::{CorpusConfig, CorpusGenerator};
 use cn_probase::pipeline::{Pipeline, PipelineConfig};
 use cn_probase::serve::CursorError;
-use cn_probase::{
-    FrozenTaxonomyView, ListOptions, PageRequest, Query, QueryError, Response, TaxonomyService,
-};
+use cn_probase::{ListOptions, PageRequest, Query, QueryError, Response, TaxonomyService};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -63,10 +61,11 @@ fn main() {
         _ => build_snapshot(21, "cnp_serve_queries_a.cnpb"),
     };
     let t = Instant::now();
-    let service = TaxonomyService::<FrozenTaxonomyView>::boot_from_file(&boot_path)
+    let service = TaxonomyService::boot_from_file(&boot_path)
         .unwrap_or_else(|e| fail(&format!("boot from {}: {e}", boot_path.display())));
     let pinned = service.pin();
-    let f = pinned.frozen();
+    // A fresh boot's overlay is empty: its rows are the file's view.
+    let f = pinned.frozen().base();
     println!(
         "generation {} booted from {} in {:.1?}: {} entities, {} concepts, {} isA edges",
         service.generation(),

@@ -21,7 +21,7 @@
 
 use cn_probase::tag::TagIndex;
 use cn_probase::taxonomy::{EntityId, TaxonomyRead};
-use cn_probase::{FrozenTaxonomyView, Query, Response, TagOptions, TaxonomyService};
+use cn_probase::{Query, Response, TagOptions, TaxonomyService};
 use std::path::Path;
 use std::time::Instant;
 
@@ -69,7 +69,7 @@ fn index_line(f: &impl TaxonomyRead) -> String {
 fn main() -> std::process::ExitCode {
     let path = std::env::var("CNP_SNAPSHOT").unwrap_or_else(|_| "/tmp/cnp.snapshot".to_string());
     let t = Instant::now();
-    let service = match TaxonomyService::<FrozenTaxonomyView>::boot_from_file(Path::new(&path)) {
+    let service = match TaxonomyService::boot_from_file(Path::new(&path)) {
         Ok(service) => service,
         Err(e) => {
             eprintln!("failed to boot from snapshot {path}: {e}");

@@ -54,8 +54,9 @@ pub use cnp_text as text;
 // The headline serving types, re-exported at the crate root: build a
 // taxonomy with [`pipeline`], freeze it into a [`FrozenTaxonomy`] to serve
 // in process, or persist it with `PipelineOutcome::save_view` and boot a
-// [`TaxonomyService`] straight from disk with `boot_from_file` over a
-// [`FrozenTaxonomyView`]; [`PersistError`] is the decode error. Queries
+// [`TaxonomyService`] from disk with `boot_from_file`, which serves the
+// file as an [`OverlayView`] over a [`FrozenTaxonomyView`] once it passes
+// the deep check; [`PersistError`] is the decode or check error. Queries
 // travel as typed [`Query`] values and come back as generation-stamped
 // [`QueryResponse`]s.
 pub use cnp_serve::{
@@ -63,6 +64,6 @@ pub use cnp_serve::{
 };
 pub use cnp_tag::{TagOptions, TagOutput, Tagger};
 pub use cnp_taxonomy::{
-    BootSnapshot, DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IngestDelta, OverlayView,
-    PersistError, TaxonomyRead,
+    DeltaOverlay, FrozenTaxonomy, FrozenTaxonomyView, IngestDelta, OverlayView, PersistError,
+    TaxonomyRead,
 };

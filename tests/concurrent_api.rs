@@ -112,7 +112,7 @@ fn snapshot_booted_api_matches_across_threads() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("boot.cnpb");
     save_frozen_v3_to_file(g.service.pin().frozen(), &path).expect("save snapshot");
-    let booted = TaxonomyService::<FrozenTaxonomyView>::boot_from_file(&path);
+    let booted = TaxonomyService::boot_from_file(&path);
     std::fs::remove_file(&path).ok();
     // Same golden answers, snapshot-booted service.
     let g = Golden {

@@ -657,6 +657,7 @@ fn with_vcsr_row(tag: &[u8; 4], row: usize, new_row: &[u8]) -> Vec<u8> {
 /// side effect of the edit.
 #[test]
 fn v3_every_row_check_names_its_error() {
+    use PersistError::{BadIndex, Truncated};
     const RANGES: u8 = 0;
     const BITSET: u8 = 1;
     let frozen = FrozenTaxonomy::freeze(&demo_store());
@@ -674,19 +675,21 @@ fn v3_every_row_check_names_its_error() {
     let liu = frozen.interner().get("刘德华").expect("mention").index();
     let closure = "ancestor closure";
 
-    let check = |tag: &[u8; 4], row: usize, rejected: &[u8], error: &str, control: &[u8]| {
-        let name = String::from_utf8_lossy(tag);
-        let err = open(&with_vcsr_row(tag, row, rejected)).expect_err("rejected row opened");
-        assert!(
-            matches!(err, PersistError::BadIndex(what) if what == error),
-            "{name} row {row} {rejected:?}: {err:?}, not BadIndex({error:?})"
-        );
-        if let Err(err) = open(&with_vcsr_row(tag, row, control)) {
-            panic!("{name} row {row} control {control:?}: {err:?}");
-        }
-    };
+    let check =
+        |tag: &[u8; 4], row: usize, rejected: &[u8], error: PersistError, control: &[u8]| {
+            let name = String::from_utf8_lossy(tag);
+            let err = open(&with_vcsr_row(tag, row, rejected)).expect_err("rejected row opened");
+            assert_eq!(
+                format!("{err:?}"),
+                format!("{error:?}"),
+                "{name} row {row} {rejected:?}"
+            );
+            if let Err(err) = open(&with_vcsr_row(tag, row, control)) {
+                panic!("{name} row {row} control {control:?}: {err:?}");
+            }
+        };
     let ancc = |row, rejected: &[u8], error, control: &[u8]| {
-        check(b"ANCC", row, rejected, error, control);
+        check(b"ANCC", row, rejected, BadIndex(error), control);
     };
     // Ranges: the second run starts where the first ended.
     ancc(0, &[RANGES, 1, 0, 0, 0], closure, &[BITSET, 1, 0b101]);
@@ -714,18 +717,31 @@ fn v3_every_row_check_names_its_error() {
         b"ECON",
         zhang,
         &[singer, 5],
-        "edge metadata index",
+        BadIndex("edge metadata index"),
         &[singer, 4],
     );
     // Mention rows ascend strictly: a repeated id is a zero delta.
-    check(b"MENT", liu, &[0, 0], "mention CSR", &[0, 2]);
+    let mention = "mention CSR";
+    check(b"MENT", liu, &[0, 0], BadIndex(mention), &[0, 2]);
     check(
         b"CCHD",
         actor.into(),
         &[n_concepts],
-        "concept-child CSR",
+        BadIndex("concept-child CSR"),
         &[male_actor],
     );
+    // Overlong varints, each beside the row's one-byte form: 演员's
+    // closure {人物} with its gap of 3 in two bytes, and 刘德华's mention
+    // row with its first id, 0, in two. `varint_at` refuses both, and a
+    // row decoder reports a varint it cannot read as `Truncated`.
+    check(
+        b"ANCC",
+        actor.into(),
+        &[RANGES, 0x80 | person, 0x00, 0],
+        Truncated(closure),
+        &[RANGES, person, 0],
+    );
+    check(b"MENT", liu, &[0x80, 0x00, 2], Truncated(mention), &[0, 2]);
 }
 
 /// A closure row that holds every parent but not exactly what the parent
@@ -766,6 +782,66 @@ fn stomped_leaf_depth_bytes() -> Vec<u8> {
     bytes[at..at + 4].copy_from_slice(&(depth + 1).to_le_bytes());
     reseal_v3(&mut bytes);
     bytes
+}
+
+/// The service's door for files: `boot_from_file` and `reload` run the
+/// deep validation after `open`, so a file whose every section keeps its
+/// shape but whose depths or closure lie is refused with its deep error.
+/// A refused reload keeps the generation it had, answering as before:
+/// 男演员 is still no 歌手. The unchanged file then reloads, so the door
+/// refuses the lie, not every file.
+#[test]
+fn the_door_refuses_what_only_the_deep_validation_catches() {
+    use cn_probase::server::Service;
+    use PersistError::BadIndex;
+
+    let dir = std::env::temp_dir().join(format!("cnp_door_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let write = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write snapshot");
+        path
+    };
+    let good = write("good.cnpb", &v3_bytes());
+    let refused = [
+        (
+            "depth.cnpb",
+            stomped_leaf_depth_bytes(),
+            "topo order or depth",
+        ),
+        (
+            "closure.cnpb",
+            with_vcsr_row(b"ANCC", 0, &[0, 1, 1]),
+            "inexact ancestor closure",
+        ),
+    ];
+    let (male_actor, singer) = (ConceptId(0), ConceptId(2));
+
+    let service = Service::boot_from_file(&good).expect("the unchanged file boots");
+    let before = read_sweep(service.pin().frozen());
+    for (name, bytes, error) in &refused {
+        let path = write(name, bytes);
+        FrozenTaxonomyView::load_from_file(&path).expect("open keeps shape checks");
+        let boot = Service::boot_from_file(&path).err();
+        assert!(
+            matches!(boot, Some(BadIndex(what)) if what == *error),
+            "boot of {name}: {boot:?}"
+        );
+        let reload = service.reload(&path);
+        assert!(
+            matches!(reload, Err(BadIndex(what)) if what == *error),
+            "reload of {name}: {reload:?}"
+        );
+        let pinned = service.pin();
+        assert_eq!(pinned.generation(), 1, "{name}");
+        assert!(!pinned.frozen().ancestor_contains(male_actor, singer));
+        assert_eq!(read_sweep(pinned.frozen()), before, "{name}");
+    }
+    assert_eq!(
+        service.reload(&good).expect("the unchanged file reloads"),
+        2
+    );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 /// Held by every test here that folds: phase marks are process-wide, so a
@@ -929,15 +1005,19 @@ fn an_interner_holds_its_text_once_plus_a_few_bytes_a_string() {
 /// the constant is the view's fixed fields and the path the read opens.
 const BOOT: Bound = (1, 4 << 10);
 
-/// A boot (and a reload, which boots the same way) holds the file's bytes
+/// A boot (and a reload, which loads the same way) holds the file's bytes
 /// once: no second buffer is filled and copied from. Prints the multiple;
-/// the bound is the gate.
+/// the bound is the gate. Then prints, with no bound, the peak of the
+/// server's whole boot on the same file, `Service::boot_from_file`: the
+/// same load plus the deep validation's scratch, the price of the door.
 #[test]
 fn a_boot_holds_the_file_once() {
     let bytes = persist::encode_frozen_v3(small_snapshot());
     let path = std::env::temp_dir().join(format!("cnp_boot_{}.cnpb", std::process::id()));
     std::fs::write(&path, &bytes).expect("write snapshot");
     let (peak, view) = peak_above_live(|| FrozenTaxonomyView::load_from_file(&path));
+    let (door_peak, service) =
+        peak_above_live(|| cn_probase::server::Service::boot_from_file(&path));
     std::fs::remove_file(&path).expect("remove snapshot");
     let view = view.expect("the snapshot boots");
     let (k, c) = BOOT;
@@ -947,11 +1027,17 @@ fn a_boot_holds_the_file_once() {
         peak as f64 / bytes.len() as f64,
         bytes.len()
     );
+    println!(
+        "boot + deep check: peak {door_peak} B above live, {:.2} × the file \
+         (Service::boot_from_file; no bound)",
+        door_peak as f64 / bytes.len() as f64
+    );
     assert_eq!(view.as_bytes(), &bytes[..]);
     assert!(
         peak <= limit,
         "boot: peak {peak} B, over its bound {limit} B"
     );
+    assert!(service.is_ok(), "the snapshot passes the door");
 }
 
 /// `encode_frozen_v3` writes into its output's final allocation; the
